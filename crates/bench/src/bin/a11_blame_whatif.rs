@@ -16,7 +16,7 @@
 //! Deterministic by construction: the recorder consumes zero RNG and
 //! performs no event arithmetic, and each what-if leg is an ordinary
 //! seeded simulation, so the JSON result is byte-identical across
-//! reruns, worker counts, and event-queue shard counts.
+//! reruns and worker counts.
 
 use serde_json::Value;
 use star_bench::{finalize_experiment, header};

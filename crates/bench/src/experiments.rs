@@ -399,8 +399,8 @@ pub fn a10_autoscaler() -> star_serve::AutoscaleConfig {
 /// order, so the result is byte-identical for any `STAR_EXEC_THREADS`.
 pub fn a10_fleet_control_result() -> serde_json::Value {
     use star_serve::{
-        simulate_sharded_with, ControlConfig, DequeuePolicy, ModelKind, PlacementPolicy,
-        RequestClass, ServeConfig, ServiceModelConfig,
+        simulate_full, ControlConfig, DequeuePolicy, ModelKind, PlacementPolicy, RequestClass,
+        ServeConfig, ServiceModelConfig,
     };
     let base = a10_fleet_control_base();
     let premium = RequestClass::new(ModelKind::BertBase, 128);
@@ -455,7 +455,7 @@ pub fn a10_fleet_control_result() -> serde_json::Value {
 
     let exec = star_exec::Executor::from_env();
     let outcomes = exec.par_map(&cases, |_, (_, cfg)| {
-        star_telemetry::with_scoped(|| simulate_sharded_with(cfg, 1, false, None, false))
+        star_telemetry::with_scoped(|| simulate_full(cfg, 1, false, None, false, None, false))
     });
     let outcomes: Vec<star_serve::SimOutcome> = outcomes
         .into_iter()
@@ -762,8 +762,8 @@ pub fn a11_blame_config() -> star_serve::ServeConfig {
 /// Everything is a pure function of the configuration — the recorder
 /// consumes zero RNG and performs no event arithmetic, and each what-if
 /// leg is an ordinary seeded simulation — so the golden pins the blame
-/// tables and the ranked what-if table byte-for-byte across
-/// `STAR_SERVE_SHARDS` × `STAR_EXEC_THREADS` topologies.
+/// tables and the ranked what-if table byte-for-byte at any
+/// `STAR_EXEC_THREADS`.
 ///
 /// # Panics
 ///
@@ -790,7 +790,7 @@ pub fn a11_blame_whatif_result() -> serde_json::Value {
         );
     }
 
-    let what_if = run_what_ifs(&cfg, 1, &WhatIf::standard());
+    let what_if = run_what_ifs(&cfg, &WhatIf::standard());
     let best = what_if.best().expect("standard menu is non-empty");
     assert!(
         best.delta_p99_ms < 0.0,
@@ -871,9 +871,8 @@ pub fn incident_config() -> star_serve::ServeConfig {
 /// The dump is a pure function of the configuration — the recorder
 /// consumes zero RNG and performs no event arithmetic — so the golden
 /// pins byte-for-byte that (1) the recorder stays invisible and
-/// (2) incident capture is reproducible on any shard/thread topology
-/// (CI diffs this file across `STAR_SERVE_SHARDS` × `STAR_EXEC_THREADS`
-/// legs).
+/// (2) incident capture is reproducible at any thread count (CI diffs
+/// this file at both `STAR_EXEC_THREADS` legs).
 ///
 /// # Panics
 ///
@@ -913,11 +912,7 @@ pub fn incident_result() -> serde_json::Value {
 /// The machine-readable `profile_work` result: the deterministic half of
 /// the self-profile ([`star_serve::WorkCounters`] + histograms) for the
 /// fixed configuration from [`profile_fixture_config`], alongside the
-/// report totals the counters must reconcile with — once for the serial
-/// event-queue layout and once at 8 shards (`work_sharded8`). The two
-/// work sections must pin **identical** counters: sharding partitions
-/// event storage behind a deterministic merge and changes no processing
-/// step, so any divergence between them is a determinism bug.
+/// report totals the counters must reconcile with.
 ///
 /// Wall-clock phase numbers are deliberately **absent** — they never
 /// reproduce across machines, so only the work track is golden-pinnable.
@@ -927,11 +922,8 @@ pub fn incident_result() -> serde_json::Value {
 /// Panics if the profiled run returns no profile (a programming error).
 pub fn profile_work_result() -> serde_json::Value {
     let cfg = profile_fixture_config();
-    let outcome = star_serve::simulate_sharded_with(&cfg, 1, false, None, true);
+    let outcome = star_serve::simulate_profiled(&cfg);
     let profile = outcome.profile.expect("profiled run carries a profile");
-    let sharded = star_serve::simulate_sharded_with(&cfg, 8, false, None, true)
-        .profile
-        .expect("profiled run carries a profile");
     let r = &outcome.report;
     serde_json::json!({
         "experiment": "profile_work",
@@ -953,7 +945,6 @@ pub fn profile_work_result() -> serde_json::Value {
             "expired": r.expired,
         },
         "work": profile.work_json(),
-        "work_sharded8": sharded.work_json(),
         "events_per_request": profile.work.events_per_request(),
     })
 }

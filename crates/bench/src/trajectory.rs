@@ -1,7 +1,7 @@
 //! The tracked simulator-performance trajectory behind `BENCH_serve.json`.
 //!
 //! The serving simulator's speed is an engineering asset the ROADMAP's
-//! scale arc (sharded event loop, fleet-of-hundreds sweeps) must not
+//! scale arc (a faster event loop, fleet-of-hundreds sweeps) must not
 //! silently squander. This module defines the schema and measurement
 //! harness for the repo-root `BENCH_serve.json` file, which carries two
 //! tracks mirroring [`star_serve::SimProfile`]'s dual-track design:
@@ -44,21 +44,14 @@ pub const MATRIX_FLEETS: [usize; 2] = [2, 8];
 pub const WORK_BUDGET_TOLERANCE_PCT: f64 = 5.0;
 
 /// Simulation variants measured for the wall-clock trajectory, in the
-/// order they appear in reports. `sharded` runs the same untraced
-/// simulation with the event queue split across 8 shards — bitwise
-/// identical output by construction, timed so the trajectory shows what
-/// the sharded layout costs or saves. `flight` runs with the always-on
+/// order they appear in reports. `flight` runs with the always-on
 /// incident flight recorder attached (default [`star_serve::FlightConfig`]);
 /// its budget is the recorder's ≤1.1×-untraced overhead contract. `blame`
 /// runs with the critical-path blame recorder attached — observation-only
 /// per-request wait decomposition folded into blame tables at the end of
 /// the run — so the trajectory shows what exact latency attribution costs
 /// next to the report-only path.
-pub const VARIANTS: [&str; 7] =
-    ["untraced", "traced", "health", "profiled", "sharded", "flight", "blame"];
-
-/// Shard count used by the `sharded` trajectory variant.
-pub const SHARDED_VARIANT_SHARDS: usize = 8;
+pub const VARIANTS: [&str; 6] = ["untraced", "traced", "health", "profiled", "flight", "blame"];
 
 /// Absolute path of the tracked file: `$STAR_BENCH_FILE` if set, else
 /// `BENCH_serve.json` at the repository root (resolved relative to this
@@ -237,12 +230,6 @@ pub fn measure_trajectory(label: &str, iters: usize) -> TrajectoryEntry {
                     }
                     "health" => {
                         std::hint::black_box(star_serve::simulate_monitored(&cfg, &health));
-                    }
-                    "sharded" => {
-                        std::hint::black_box(star_serve::simulate_sharded(
-                            &cfg,
-                            SHARDED_VARIANT_SHARDS,
-                        ));
                     }
                     "flight" => {
                         std::hint::black_box(star_serve::simulate_flight(&cfg, &flight));

@@ -11,9 +11,6 @@
 //!   grid-sampled thermal/drift/margin gauges (no span trees).
 //! - `profiled` — `simulate_profiled`: the self-profiler's work counters
 //!   and wall-clock phase timers (the observer observing itself).
-//! - `sharded` — `simulate_sharded` at 8 shards: the same untraced run
-//!   on the sharded event queue (bitwise-identical output; this times
-//!   what the per-shard heaps and min-of-heads merge cost or save).
 //! - `flight` — `simulate_flight`: the always-on incident flight
 //!   recorder (bounded ring of compact rows + trigger engine). Its
 //!   budget is ≤1.1× untraced — an order of magnitude cheaper than full
@@ -34,13 +31,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use star_serve::{
     simulate, simulate_blamed, simulate_flight, simulate_monitored, simulate_profiled,
-    simulate_sharded, simulate_traced, ArrivalProcess, BatchPolicy, ControlConfig, FlightConfig,
-    HealthConfig, ModelKind, RequestClass, ServeConfig, ServiceModelConfig, WorkloadMix,
+    simulate_traced, ArrivalProcess, BatchPolicy, ControlConfig, FlightConfig, HealthConfig,
+    ModelKind, RequestClass, ServeConfig, ServiceModelConfig, WorkloadMix,
 };
-
-/// Shard count for the `sharded` variant — mirrors
-/// `star_bench::trajectory::SHARDED_VARIANT_SHARDS`.
-const SHARDS: usize = 8;
 
 /// A Tiny-class workload sized so one simulation handles a few thousand
 /// requests — large enough to amortize setup, small enough to iterate.
@@ -70,7 +63,6 @@ fn bench_event_loop(c: &mut Criterion) {
         assert_eq!(plain, simulate_traced(&cfg).report);
         assert_eq!(plain, simulate_monitored(&cfg, &health_cfg).report);
         assert_eq!(plain, simulate_profiled(&cfg).report);
-        assert_eq!(plain, simulate_sharded(&cfg, SHARDS));
         assert_eq!(plain, simulate_flight(&cfg, &flight_cfg).report);
         assert_eq!(plain, simulate_blamed(&cfg).report);
         assert!(plain.arrivals > 0);
@@ -85,9 +77,6 @@ fn bench_event_loop(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("profiled", rate as u64), &cfg, |b, cfg| {
             b.iter(|| simulate_profiled(cfg))
-        });
-        group.bench_with_input(BenchmarkId::new("sharded", rate as u64), &cfg, |b, cfg| {
-            b.iter(|| simulate_sharded(cfg, SHARDS))
         });
         group.bench_with_input(BenchmarkId::new("flight", rate as u64), &cfg, |b, cfg| {
             b.iter(|| simulate_flight(cfg, &flight_cfg))

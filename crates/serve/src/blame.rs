@@ -56,8 +56,8 @@
 //! The recorder consumes **zero RNG draws** and performs no event
 //! arithmetic: it only observes batch completions. Reports, traces,
 //! goldens, and telemetry are bitwise identical with blame on or off,
-//! at any `STAR_SERVE_SHARDS` × `STAR_EXEC_THREADS` (the
-//! `blame_equivalence` suite and CI pin both).
+//! at any `STAR_EXEC_THREADS` (the `blame_equivalence` suite and CI pin
+//! both).
 
 use crate::control::PlacementPolicy;
 use crate::flight::row_from_content;
@@ -958,15 +958,15 @@ impl WhatIfReport {
 /// Runs the baseline plus every intervention on the same seeded
 /// workload and ranks the outcomes by Δp99. Deterministic end to end:
 /// each run is an ordinary simulation, so the table is bitwise
-/// reproducible at any shard/thread count.
-pub fn run_what_ifs(cfg: &ServeConfig, shards: usize, interventions: &[WhatIf]) -> WhatIfReport {
-    let base = simulate_scaled(cfg, shards, None);
+/// reproducible at any thread count.
+pub fn run_what_ifs(cfg: &ServeConfig, interventions: &[WhatIf]) -> WhatIfReport {
+    let base = simulate_scaled(cfg, None);
     let baseline = WhatIfRow::from_report("baseline".to_string(), &base, &base);
     let mut rows: Vec<WhatIfRow> = interventions
         .iter()
         .map(|w| {
             let (wcfg, scale) = w.apply(cfg);
-            let r = simulate_scaled(&wcfg, shards, scale);
+            let r = simulate_scaled(&wcfg, scale);
             WhatIfRow::from_report(w.label(), &r, &base)
         })
         .collect();
@@ -1122,7 +1122,7 @@ mod tests {
     #[test]
     fn what_if_identity_reproduces_the_baseline_bitwise() {
         let cfg = ServeConfig::example();
-        let report = run_what_ifs(&cfg, 1, &[WhatIf::Identity]);
+        let report = run_what_ifs(&cfg, &[WhatIf::Identity]);
         let id = &report.interventions[0];
         assert_eq!(id.label, "identity");
         assert_eq!(id.p99_ms, report.baseline.p99_ms);
@@ -1136,7 +1136,7 @@ mod tests {
     #[test]
     fn what_if_ranks_by_delta_p99() {
         let cfg = ServeConfig::example();
-        let report = run_what_ifs(&cfg, 1, &WhatIf::standard());
+        let report = run_what_ifs(&cfg, &WhatIf::standard());
         assert_eq!(report.interventions.len(), WhatIf::standard().len());
         for pair in report.interventions.windows(2) {
             assert!(pair[0].delta_p99_ms <= pair[1].delta_p99_ms);

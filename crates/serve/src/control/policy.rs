@@ -1,6 +1,6 @@
 //! Pluggable multi-tenant dequeue policies.
 //!
-//! The dispatcher's ready-class index ([`crate::shard`]'s `ReadyIndex`)
+//! The dispatcher's ready-class index (`ReadyIndex`, in `ready.rs`)
 //! orders classes by an integer key and pops the minimum. A dequeue
 //! policy is nothing more than the function that computes that key from
 //! a class's queue head — so swapping policies swaps a comparator, not a

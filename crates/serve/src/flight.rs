@@ -49,8 +49,8 @@
 //! The recorder consumes **zero RNG draws** and performs no event
 //! arithmetic: it only observes. Reports, traces, and telemetry are
 //! bitwise identical with the recorder on or off, and dumps are
-//! byte-identical across `STAR_SERVE_SHARDS` × `STAR_EXEC_THREADS`
-//! (the `flight_equivalence` suite and CI pin both).
+//! byte-identical across replays and `STAR_EXEC_THREADS` (the
+//! `flight_equivalence` suite and CI pin both).
 
 use crate::model::ServiceModel;
 use crate::request::RequestClass;

@@ -134,25 +134,6 @@ impl WearLedger {
         self.energy_pj += cost.energy_pj;
     }
 
-    /// Folds `other` into `self` field-wise: operation counts and the
-    /// busy/energy accumulators add. Integer fields merge commutatively
-    /// and associatively; the two `f64` accumulators are commutative
-    /// pairwise but (like all float sums) only order-stable, which is why
-    /// per-shard ledgers always fold in shard-index order (the same
-    /// convention as the telemetry absorb protocol).
-    pub fn absorb(&mut self, other: &WearLedger) {
-        self.invocations += other.invocations;
-        self.requests += other.requests;
-        self.rows += other.rows;
-        self.cam_searches += other.cam_searches;
-        self.sub_ops += other.sub_ops;
-        self.exp_searches += other.exp_searches;
-        self.lut_reads += other.lut_reads;
-        self.table_writes += other.table_writes;
-        self.busy_ns += other.busy_ns;
-        self.energy_pj += other.energy_pj;
-    }
-
     /// Total crossbar read-class operations (searches + subtractions +
     /// LUT reads) — the read-disturb exposure.
     pub fn reads(&self) -> u64 {
@@ -825,33 +806,6 @@ mod tests {
 
     fn tiny() -> RequestClass {
         RequestClass::new(ModelKind::Tiny, 16)
-    }
-
-    #[test]
-    fn wear_ledger_absorb_merges_field_wise() {
-        let model = ServiceModel::new(ServiceModelConfig::default(), &[tiny()]);
-        let cost = model.batch_cost(tiny(), 2);
-        let mut a = WearLedger::default();
-        a.accrue(tiny(), 2, &cost);
-        let mut b = WearLedger::default();
-        b.accrue(tiny(), 2, &cost);
-        b.accrue(tiny(), 2, &cost);
-        // Absorbing equals accruing the same invocations into one ledger.
-        let mut merged = a.clone();
-        merged.absorb(&b);
-        let mut direct = WearLedger::default();
-        for _ in 0..3 {
-            direct.accrue(tiny(), 2, &cost);
-        }
-        assert_eq!(merged, direct);
-        // Pairwise commutative, bitwise (f64 addition included).
-        let mut ba = b.clone();
-        ba.absorb(&a);
-        assert_eq!(merged, ba);
-        // Identity element.
-        let mut with_zero = a.clone();
-        with_zero.absorb(&WearLedger::default());
-        assert_eq!(with_zero, a);
     }
 
     fn model() -> HealthModel {

@@ -6,8 +6,8 @@
 //! [`crate::sim`] performs to produce a report, and where its wall-clock
 //! time goes. The ROADMAP's scale arc (fleet-of-hundreds sweeps, 2k–32k
 //! sequence lengths) multiplies event counts by orders of magnitude;
-//! before sharding the loop we need data on *what* to shard and a
-//! trajectory proving each PR didn't regress it.
+//! making the loop faster needs data on *where* its work goes and a
+//! trajectory proving each change didn't regress it.
 //!
 //! # Dual-track design
 //!
@@ -123,15 +123,6 @@ impl Pow2Hist {
     pub fn max_bucket(&self) -> Option<usize> {
         self.counts.iter().rposition(|&c| c > 0)
     }
-
-    /// Folds `other` into `self` bucket-wise. Integer addition, so the
-    /// merge is commutative and associative — folding per-shard
-    /// histograms in any order yields identical bytes.
-    pub fn absorb(&mut self, other: &Pow2Hist) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-    }
 }
 
 /// Deterministic work accounting for one simulation run.
@@ -222,37 +213,8 @@ impl WorkCounters {
         ]
     }
 
-    /// Folds `other` into `self`: counts and histograms add, `heap_peak`
-    /// takes the max. All-integer arithmetic, so the merge is commutative
-    /// **and** associative — per-shard counter sets fold to identical
-    /// bytes in any order, the property the cross-shard merge proptests
-    /// pin. (Contrast the float-accumulating telemetry gauges, which are
-    /// only pairwise-commutative and therefore always fold in shard-index
-    /// order; see DESIGN.md.)
-    pub fn absorb(&mut self, other: &WorkCounters) {
-        self.events_total += other.events_total;
-        self.events_arrive += other.events_arrive;
-        self.events_window_expire += other.events_window_expire;
-        self.events_instance_free += other.events_instance_free;
-        self.events_scale_check += other.events_scale_check;
-        self.heap_pushes += other.heap_pushes;
-        self.heap_pops += other.heap_pops;
-        self.heap_peak = self.heap_peak.max(other.heap_peak);
-        self.dispatch_rounds += other.dispatch_rounds;
-        self.dispatch_scans += other.dispatch_scans;
-        self.dispatch_scans_fifo += other.dispatch_scans_fifo;
-        self.dispatch_scans_wfq += other.dispatch_scans_wfq;
-        self.dispatch_scans_edf += other.dispatch_scans_edf;
-        self.batches_formed += other.batches_formed;
-        self.batch_members += other.batch_members;
-        self.expired_drops += other.expired_drops;
-        self.telemetry_ops += other.telemetry_ops;
-        self.queue_depth_hist.absorb(&other.queue_depth_hist);
-        self.backlog_hist.absorb(&other.backlog_hist);
-    }
-
     /// Events per simulated request admitted into the system — the
-    /// scale-free work figure the sharding PR must improve.
+    /// scale-free work figure a faster event loop must lower.
     pub fn events_per_request(&self) -> f64 {
         if self.batch_members == 0 {
             0.0
@@ -397,50 +359,6 @@ mod tests {
         assert!(pairs.contains(&("events_total", 10)));
         assert!((w.events_per_request() - 2.5).abs() < 1e-12);
         assert_eq!(WorkCounters::default().events_per_request(), 0.0);
-    }
-
-    #[test]
-    fn absorb_is_commutative_and_associative() {
-        let mk = |k: u64| {
-            let mut w = WorkCounters {
-                events_total: k,
-                events_arrive: 2 * k,
-                heap_pushes: 3 * k,
-                heap_pops: 3 * k,
-                heap_peak: 10 + k,
-                dispatch_scans: k / 2,
-                batches_formed: k / 3,
-                batch_members: k,
-                telemetry_ops: 7 * k,
-                ..WorkCounters::default()
-            };
-            w.queue_depth_hist.record(k);
-            w.backlog_hist.record(2 * k);
-            w
-        };
-        let (a, b, c) = (mk(5), mk(9), mk(21));
-        // Commutative: a ⊕ b == b ⊕ a.
-        let mut ab = a.clone();
-        ab.absorb(&b);
-        let mut ba = b.clone();
-        ba.absorb(&a);
-        assert_eq!(ab, ba);
-        // Associative: (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c).
-        let mut ab_c = ab.clone();
-        ab_c.absorb(&c);
-        let mut bc = b.clone();
-        bc.absorb(&c);
-        let mut a_bc = a.clone();
-        a_bc.absorb(&bc);
-        assert_eq!(ab_c, a_bc);
-        // Sums add, peak maxes, histograms fold bucket-wise.
-        assert_eq!(ab_c.events_total, 35);
-        assert_eq!(ab_c.heap_peak, 31);
-        assert_eq!(ab_c.queue_depth_hist.total(), 3);
-        // Identity: folding a zeroed counter set changes nothing.
-        let mut with_zero = a.clone();
-        with_zero.absorb(&WorkCounters::default());
-        assert_eq!(with_zero, a);
     }
 
     #[test]

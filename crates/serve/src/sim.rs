@@ -8,16 +8,10 @@
 //! deterministically (`BTreeMap` / `BTreeSet`). Two runs with the same
 //! [`ServeConfig`] therefore produce bitwise-identical reports.
 //!
-//! Event *storage* is sharded (see [`crate::shard`]): instances, request
-//! ids, and classes partition across per-shard heaps, popped through a
-//! deterministic min-of-heads merge that reproduces the single-heap pop
-//! sequence exactly — so the shard count (`STAR_SERVE_SHARDS`, or an
-//! explicit [`simulate_sharded`] argument) changes no output byte, a
-//! property the `shard_equivalence` differential suite pins across shard
-//! × thread grids. Open-loop seeding builds the per-shard heaps in
-//! parallel on `star-exec` workers; whole-simulation parallelism lives
-//! *outside* the event loop (parameter sweeps fan out over `star-exec`;
-//! see [`crate::sweep`]).
+//! Events live in one binary heap keyed by `(time, seq)`, the same
+//! single total order STAR's global pipeline runs its stages in.
+//! Parallelism lives *outside* the event loop: parameter sweeps fan whole
+//! simulations out over `star-exec` (see [`crate::sweep`]).
 //!
 //! # Event model
 //!
@@ -44,8 +38,8 @@ use crate::flight::{EventView, FlightConfig, FlightOutcome, FlightRecorder};
 use crate::health::{FleetHealthReport, HealthConfig, HealthMonitor};
 use crate::model::{ServiceModel, ServiceModelConfig, ServicePhase};
 use crate::profile::{phase, SimProfile};
+use crate::ready::ReadyIndex;
 use crate::request::{Request, RequestClass, RequestRecord};
-use crate::shard::{shards_from_env, ReadyIndex, ShardLayout, ShardedQueue};
 use crate::slo::{ClassSloReport, LatencyStats, ServeReport};
 use crate::trace::{
     invocation_span, BatchTrace, RequestOutcome, RequestTrace, ServeTrace, SystemSample,
@@ -53,9 +47,9 @@ use crate::trace::{
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use star_exec::Executor;
 use star_telemetry::Span;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::time::Instant;
 
 /// Complete description of one serving experiment.
@@ -238,11 +232,8 @@ struct Sim<'a> {
     services: Vec<ServiceModel>,
     /// Instance slot → index into `services`.
     model_of: Vec<usize>,
-    /// Event storage: per-shard heaps with a deterministic min-of-heads
-    /// merge — pops in exactly the single-heap order for any shard count.
-    events: ShardedQueue<Event>,
-    layout: ShardLayout,
-    exec: &'a Executor,
+    /// Pending events, popped in `(time, seq)` order.
+    events: BinaryHeap<Reverse<Event>>,
     event_seq: u64,
     next_request_id: u64,
     rng: ChaCha8Rng,
@@ -310,7 +301,6 @@ struct Sim<'a> {
 }
 
 impl<'a> Sim<'a> {
-    #[allow(clippy::too_many_arguments)] // one flag per optional observer
     fn new(
         cfg: &'a ServeConfig,
         traced: bool,
@@ -318,8 +308,6 @@ impl<'a> Sim<'a> {
         profiled: bool,
         flight: Option<&FlightConfig>,
         blamed: bool,
-        shards: usize,
-        exec: &'a Executor,
     ) -> Self {
         cfg.validate();
         let classes = cfg.mix.classes();
@@ -346,7 +334,6 @@ impl<'a> Sim<'a> {
             let services = distinct.into_iter().map(|c| ServiceModel::new(c, &classes)).collect();
             (services, model_of)
         };
-        let layout = ShardLayout::new(shards, &classes);
         let flight = flight.map(|fc| {
             Box::new(FlightRecorder::new(
                 fc.clone(),
@@ -388,9 +375,7 @@ impl<'a> Sim<'a> {
             cfg,
             services,
             model_of,
-            events: ShardedQueue::new(layout.shards()),
-            layout,
-            exec,
+            events: BinaryHeap::new(),
             event_seq: 0,
             next_request_id: 0,
             rng: ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x5EB5_E001),
@@ -478,26 +463,11 @@ impl<'a> Sim<'a> {
         t.samples.push(SystemSample { t_ns: now, queued, busy });
     }
 
-    /// The shard owning an event — a pure function of the event itself
-    /// (request id, class, or instance residue), so shard placement never
-    /// depends on processing history.
-    fn event_shard(&self, kind: &EventKind) -> usize {
-        match kind {
-            EventKind::Arrive(req) => self.layout.request_shard(req.id),
-            EventKind::WindowExpire(class) => self.layout.class_shard(class),
-            EventKind::InstanceFree { instance, .. } => self.layout.instance_shard(*instance),
-            // Scale checks form one global periodic stream; anchor them
-            // to a fixed shard so placement is history-independent.
-            EventKind::ScaleCheck => self.layout.instance_shard(0),
-        }
-    }
-
     fn push_event(&mut self, time: f64, kind: EventKind) {
         debug_assert!(time.is_finite(), "event times must be finite");
         let seq = self.event_seq;
         self.event_seq += 1;
-        let shard = self.event_shard(&kind);
-        self.events.push(shard, Event { time, seq, kind });
+        self.events.push(Reverse(Event { time, seq, kind }));
         if let Some(p) = self.profile.as_deref_mut() {
             p.work.heap_pushes += 1;
             p.work.heap_peak = p.work.heap_peak.max(self.events.len() as u64);
@@ -516,12 +486,8 @@ impl<'a> Sim<'a> {
                     self.cfg.seed,
                 );
                 self.next_request_id = reqs.len() as u64;
-                if self.layout.shards() > 1 {
-                    self.seed_open_loop_sharded(reqs);
-                } else {
-                    for req in reqs {
-                        self.push_event(req.arrive_ns, EventKind::Arrive(req));
-                    }
+                for req in reqs {
+                    self.push_event(req.arrive_ns, EventKind::Arrive(req));
                 }
             }
             ArrivalProcess::ClosedLoop(crate::arrival::ClosedLoopArrival { clients, think_ns }) => {
@@ -532,40 +498,6 @@ impl<'a> Sim<'a> {
                     self.issue_client_request(client, t);
                 }
             }
-        }
-    }
-
-    /// Seeds the sharded queue from an open-loop trace by building every
-    /// shard's event set on a `star-exec` worker. An arrival's event is a
-    /// pure function of the request and its trace position (its sequence
-    /// number equals its index, exactly what the serial per-event push
-    /// assigns), so the per-shard heaps — and therefore every later pop —
-    /// are bitwise identical to serial seeding at any worker count.
-    fn seed_open_loop_sharded(&mut self, reqs: Vec<Request>) {
-        debug_assert_eq!(self.event_seq, 0, "seeding happens before any other push");
-        let shard_ids: Vec<usize> = (0..self.layout.shards()).collect();
-        let layout = &self.layout;
-        let per_shard: Vec<Vec<Event>> = self.exec.par_map(&shard_ids, |_, &shard| {
-            reqs.iter()
-                .enumerate()
-                .filter(|(_, req)| layout.request_shard(req.id) == shard)
-                .map(|(i, req)| Event {
-                    time: req.arrive_ns,
-                    seq: i as u64,
-                    kind: EventKind::Arrive(req.clone()),
-                })
-                .collect()
-        });
-        let n = reqs.len() as u64;
-        self.event_seq = n;
-        for (shard, events) in per_shard.into_iter().enumerate() {
-            self.events.fill_shard(shard, events);
-        }
-        if let Some(p) = self.profile.as_deref_mut() {
-            // Bulk accounting identical to n serial pushes: seeding only
-            // grows the queue, so its peak is its final length.
-            p.work.heap_pushes += n;
-            p.work.heap_peak = p.work.heap_peak.max(self.events.len() as u64);
         }
     }
 
@@ -1126,17 +1058,16 @@ impl<'a> Sim<'a> {
         self.seed_arrivals();
         if let Some(s) = &self.scaler {
             // The first decision point; each check arms its successor
-            // until the horizon. Seeded after the arrival trace so the
-            // open-loop bulk path keeps its seq == index property.
+            // until the horizon. Seeded after the arrival trace, so every
+            // open-loop arrival's seq equals its trace index.
             let first = s.cfg.check_interval_ns;
             if first <= self.cfg.horizon_ns {
                 self.push_event(first, EventKind::ScaleCheck);
             }
         }
-        // The cross-shard merge pop: every iteration synchronizes the
-        // shards on the global (time, seq) minimum — a lockstep barrier
-        // per event, which is what preserves bitwise replay.
-        while let Some((_, event)) = self.events.pop() {
+        // One pop per event, in global (time, seq) order — the single
+        // total order that makes every run bitwise replayable.
+        while let Some(Reverse(event)) = self.events.pop() {
             self.makespan_ns = self.makespan_ns.max(event.time);
             if let Some(p) = self.profile.as_deref_mut() {
                 p.work.events_total += 1;
@@ -1211,10 +1142,6 @@ impl<'a> Sim<'a> {
         }
         debug_assert_eq!(self.queued_total, 0, "drain leaves no queued request");
         debug_assert_eq!(self.in_system, 0, "every admitted request completes or expires");
-        debug_assert!(
-            self.events.shard_pushes().iter().zip(self.events.shard_pops()).all(|(p, q)| p == q),
-            "per-shard conservation: every shard drains exactly what it received"
-        );
         let tf = self.tick();
         let makespan_s = (self.makespan_ns * 1e-9).max(f64::MIN_POSITIVE);
         if let Some(t) = self.trace.as_mut() {
@@ -1389,60 +1316,12 @@ pub struct SimOutcome {
 
 /// Runs the serving simulation and returns its report.
 ///
-/// The event-queue shard count comes from `STAR_SERVE_SHARDS` (default
-/// 1); any value produces the same bytes — see [`simulate_sharded`].
-///
 /// # Panics
 ///
 /// Panics on invalid configuration (zero fleet, non-positive deadline,
 /// horizon, or queue bound; unknown classes).
 pub fn simulate(cfg: &ServeConfig) -> ServeReport {
-    let exec = Executor::from_env();
-    Sim::new(cfg, false, None, false, None, false, shards_from_env(), &exec).run().report
-}
-
-/// Like [`simulate`] with an explicit event-queue shard count, clamped
-/// to `1..=`[`crate::shard::MAX_SHARDS`]. Sharding partitions event
-/// *storage* only — instances, request ids, and classes map to per-shard
-/// heaps, popped through a deterministic min-of-heads merge in the exact
-/// single-heap order — so the returned report is **bitwise identical**
-/// to the serial loop's for any shard count (the `shard_equivalence`
-/// suite pins this across shard × thread grids). Open-loop seeding fans
-/// out across `star-exec` workers; `shards = 1` is exactly the serial
-/// layout.
-pub fn simulate_sharded(cfg: &ServeConfig, shards: usize) -> ServeReport {
-    let exec = Executor::from_env();
-    Sim::new(cfg, false, None, false, None, false, shards, &exec).run().report
-}
-
-/// The fully general sharded entry point: explicit shard count plus any
-/// combination of tracing, health monitoring, and self-profiling. Every
-/// observer and the shard count preserve the no-perturbation invariant
-/// (wear-leveling, when explicitly enabled in `health`, is the single
-/// documented exception).
-pub fn simulate_sharded_with(
-    cfg: &ServeConfig,
-    shards: usize,
-    traced: bool,
-    health: Option<&HealthConfig>,
-    profiled: bool,
-) -> SimOutcome {
-    let exec = Executor::from_env();
-    Sim::new(cfg, traced, health, profiled, None, false, shards, &exec).run()
-}
-
-/// [`simulate_sharded_with`] on a caller-supplied executor — the hook
-/// the differential suite uses to vary worker counts in-process instead
-/// of through `STAR_EXEC_THREADS`.
-pub fn simulate_sharded_on(
-    cfg: &ServeConfig,
-    shards: usize,
-    traced: bool,
-    health: Option<&HealthConfig>,
-    profiled: bool,
-    exec: &Executor,
-) -> SimOutcome {
-    Sim::new(cfg, traced, health, profiled, None, false, shards, exec).run()
+    Sim::new(cfg, false, None, false, None, false).run().report
 }
 
 /// Like [`simulate`], but also collects per-request records and the full
@@ -1451,8 +1330,7 @@ pub fn simulate_sharded_on(
 /// untraced run: tracing consumes no RNG draws and perturbs no event
 /// arithmetic.
 pub fn simulate_traced(cfg: &ServeConfig) -> SimOutcome {
-    let exec = Executor::from_env();
-    Sim::new(cfg, true, None, false, None, false, shards_from_env(), &exec).run()
+    Sim::new(cfg, true, None, false, None, false).run()
 }
 
 /// Like [`simulate`], with the device-health monitor attached: wear
@@ -1463,8 +1341,7 @@ pub fn simulate_traced(cfg: &ServeConfig) -> SimOutcome {
 /// identical to the unmonitored run (the monitor consumes no RNG draws
 /// and perturbs no event arithmetic — a test pins this).
 pub fn simulate_monitored(cfg: &ServeConfig, health: &HealthConfig) -> SimOutcome {
-    let exec = Executor::from_env();
-    Sim::new(cfg, false, Some(health), false, None, false, shards_from_env(), &exec).run()
+    Sim::new(cfg, false, Some(health), false, None, false).run()
 }
 
 /// [`simulate_traced`] plus the device-health monitor: the trace also
@@ -1472,8 +1349,7 @@ pub fn simulate_monitored(cfg: &ServeConfig, health: &HealthConfig) -> SimOutcom
 /// temperature / accuracy-margin / wear counter tracks in the Perfetto
 /// export).
 pub fn simulate_traced_monitored(cfg: &ServeConfig, health: &HealthConfig) -> SimOutcome {
-    let exec = Executor::from_env();
-    Sim::new(cfg, true, Some(health), false, None, false, shards_from_env(), &exec).run()
+    Sim::new(cfg, true, Some(health), false, None, false).run()
 }
 
 /// Like [`simulate`], with the simulator's self-profiler attached: the
@@ -1483,33 +1359,29 @@ pub fn simulate_traced_monitored(cfg: &ServeConfig, health: &HealthConfig) -> Si
 /// returned [`ServeReport`] is bitwise identical to the unprofiled run
 /// (a test pins this).
 pub fn simulate_profiled(cfg: &ServeConfig) -> SimOutcome {
-    let exec = Executor::from_env();
-    Sim::new(cfg, false, None, true, None, false, shards_from_env(), &exec).run()
+    Sim::new(cfg, false, None, true, None, false).run()
 }
 
-/// The fully general entry point: any combination of tracing, health
-/// monitoring, and self-profiling. Every optional subsystem preserves
-/// the no-perturbation invariant (wear-leveling, when explicitly enabled
-/// in `health`, is the single documented exception).
+/// The self-profiler plus any combination of tracing and health
+/// monitoring. Every optional subsystem preserves the no-perturbation
+/// invariant (wear-leveling, when explicitly enabled in `health`, is the
+/// single documented exception).
 pub fn simulate_profiled_with(
     cfg: &ServeConfig,
     traced: bool,
     health: Option<&HealthConfig>,
 ) -> SimOutcome {
-    let exec = Executor::from_env();
-    Sim::new(cfg, traced, health, true, None, false, shards_from_env(), &exec).run()
+    Sim::new(cfg, traced, health, true, None, false).run()
 }
 
 /// Like [`simulate`], with the incident flight recorder attached: the
 /// outcome carries a [`FlightOutcome`] of sealed incident dumps and
 /// ring conservation counters. Recording is observation-only — it
 /// consumes zero RNG draws and perturbs no event arithmetic, so the
-/// returned [`ServeReport`] is bitwise identical to the unrecorded run,
-/// and dumps are byte-identical across shard × thread grids (the
-/// `flight_equivalence` suite pins both).
+/// returned [`ServeReport`] is bitwise identical to the unrecorded run
+/// (the `flight_equivalence` suite pins this).
 pub fn simulate_flight(cfg: &ServeConfig, flight: &FlightConfig) -> SimOutcome {
-    let exec = Executor::from_env();
-    Sim::new(cfg, false, None, false, Some(flight), false, shards_from_env(), &exec).run()
+    Sim::new(cfg, false, None, false, Some(flight), false).run()
 }
 
 /// Like [`simulate`], with the critical-path blame recorder attached:
@@ -1517,31 +1389,19 @@ pub fn simulate_flight(cfg: &ServeConfig, flight: &FlightConfig) -> SimOutcome {
 /// latency into causally-attributed waits with a bitwise conservation
 /// identity. Blame is observation-only — it consumes zero RNG draws
 /// and perturbs no event arithmetic, so the returned [`ServeReport`]
-/// is bitwise identical to the unblamed run at any shard × thread
-/// count (the `blame_equivalence` suite pins both).
+/// is bitwise identical to the unblamed run (the `blame_equivalence`
+/// suite pins this).
 pub fn simulate_blamed(cfg: &ServeConfig) -> SimOutcome {
-    let exec = Executor::from_env();
-    Sim::new(cfg, false, None, false, None, true, shards_from_env(), &exec).run()
-}
-
-/// [`simulate_blamed`] with an explicit event-queue shard count.
-pub fn simulate_blamed_sharded(cfg: &ServeConfig, shards: usize) -> SimOutcome {
-    let exec = Executor::from_env();
-    Sim::new(cfg, false, None, false, None, true, shards, &exec).run()
+    Sim::new(cfg, false, None, false, None, true).run()
 }
 
 /// Runs the simulation with one service phase's latency lever scaled —
 /// the what-if engine's counterfactual hook (see [`crate::blame`]).
 /// The scaling is applied to the constructed service models, not the
 /// configuration, so intervention runs never perturb config
-/// serialization; `scale = None` is exactly [`simulate_sharded`].
-pub fn simulate_scaled(
-    cfg: &ServeConfig,
-    shards: usize,
-    scale: Option<(ServicePhase, f64)>,
-) -> ServeReport {
-    let exec = Executor::from_env();
-    let mut sim = Sim::new(cfg, false, None, false, None, false, shards, &exec);
+/// serialization; `scale = None` is exactly [`simulate`].
+pub fn simulate_scaled(cfg: &ServeConfig, scale: Option<(ServicePhase, f64)>) -> ServeReport {
+    let mut sim = Sim::new(cfg, false, None, false, None, false);
     if let Some((phase, factor)) = scale {
         for s in &mut sim.services {
             s.scale_phase(phase, factor);
@@ -1550,39 +1410,25 @@ pub fn simulate_scaled(
     sim.run().report
 }
 
-/// The fully general entry point: explicit shard count plus any
-/// combination of tracing, health monitoring, self-profiling, and the
-/// incident flight recorder. Every observer and the shard count
-/// preserve the no-perturbation invariant (wear-leveling, when
-/// explicitly enabled in `health`, is the single documented exception).
+/// The fully general entry point: any combination of tracing, health
+/// monitoring, self-profiling, the incident flight recorder, and blame.
+/// Every observer preserves the no-perturbation invariant (wear-leveling,
+/// when explicitly enabled in `health`, is the single documented
+/// exception).
+///
+/// `_shards` is accepted and ignored. It once chose how many heaps the
+/// event queue was split across; every count produced the one-heap
+/// loop's bytes, so ignoring it changes no output.
 pub fn simulate_full(
     cfg: &ServeConfig,
-    shards: usize,
+    _shards: usize,
     traced: bool,
     health: Option<&HealthConfig>,
     profiled: bool,
     flight: Option<&FlightConfig>,
     blamed: bool,
 ) -> SimOutcome {
-    let exec = Executor::from_env();
-    Sim::new(cfg, traced, health, profiled, flight, blamed, shards, &exec).run()
-}
-
-/// [`simulate_full`] on a caller-supplied executor — the hook the
-/// differential suites use to vary worker counts in-process instead of
-/// through `STAR_EXEC_THREADS`.
-#[allow(clippy::too_many_arguments)] // one flag per optional observer
-pub fn simulate_full_on(
-    cfg: &ServeConfig,
-    shards: usize,
-    traced: bool,
-    health: Option<&HealthConfig>,
-    profiled: bool,
-    flight: Option<&FlightConfig>,
-    blamed: bool,
-    exec: &Executor,
-) -> SimOutcome {
-    Sim::new(cfg, traced, health, profiled, flight, blamed, shards, exec).run()
+    Sim::new(cfg, traced, health, profiled, flight, blamed).run()
 }
 
 #[cfg(test)]
@@ -1608,24 +1454,6 @@ mod tests {
         let mut other = cfg;
         other.seed ^= 1;
         assert_ne!(simulate(&other), a);
-    }
-
-    #[test]
-    fn sharded_event_queue_is_invisible_in_the_report() {
-        // The headline sharding invariant at unit scope (the full
-        // differential grid lives in tests/shard_equivalence.rs): any
-        // shard count, including non-powers-of-two and counts above the
-        // fleet size, produces the serial loop's exact report.
-        let cfg = ServeConfig::example();
-        let serial = simulate_sharded(&cfg, 1);
-        assert_eq!(serial, simulate(&cfg), "env default is the serial layout");
-        for shards in [2usize, 3, 8, 64] {
-            assert_eq!(serial, simulate_sharded(&cfg, shards), "{shards} shards");
-        }
-        // Closed-loop arrivals exercise the per-event seeding path too.
-        let mut closed = cfg;
-        closed.arrival = ArrivalProcess::closed_loop(5, 50_000.0);
-        assert_eq!(simulate_sharded(&closed, 1), simulate_sharded(&closed, 4));
     }
 
     #[test]

@@ -9,59 +9,21 @@
 //!    recorder consumes zero RNG draws and performs no event arithmetic.
 //! 2. *Reproducible dumps*: the serialized incident dump (trigger
 //!    records, captured window, root-cause report) is byte-identical
-//!    across `STAR_SERVE_SHARDS` {1, 8} × executor workers {serial, 1,
-//!    8} — an incident captured in production is bit-replayable on any
-//!    topology.
+//!    across replays — an incident captured in production is
+//!    bit-replayable.
 //!
-//! The config gallery reuses the shard-equivalence stress shapes: the
-//! saturating mix exercises every terminal path (good, late, expired,
-//! rejected) so the burn-rate and expiry-burst triggers have material to
-//! fire on, and the closed-loop config covers in-loop arrival pushes.
+//! The shared config gallery (`common`) drives both: the saturating mix
+//! exercises every terminal path (good, late, expired, rejected) so the
+//! burn-rate and expiry-burst triggers have material to fire on, and the
+//! closed-loop config covers in-loop arrival pushes.
 
+mod common;
+
+use common::{configs, stress_config};
 use proptest::prelude::*;
-use star_exec::Executor;
 use star_serve::{
-    simulate_flight, simulate_full_on, ArrivalProcess, BatchPolicy, ControlConfig, FlightConfig,
-    HealthConfig, ModelKind, RequestClass, ServeConfig, ServiceModelConfig, SimOutcome,
-    WorkloadMix,
+    simulate_flight, simulate_full, ArrivalProcess, FlightConfig, HealthConfig, SimOutcome,
 };
-
-/// Saturating mixed workload on one instance (the shard-equivalence
-/// stress shape): completions, expirations, and rejections all occur.
-fn stress_config() -> ServeConfig {
-    ServeConfig {
-        fleet: 1,
-        policy: BatchPolicy::new(4, 50_000.0),
-        arrival: ArrivalProcess::poisson(120_000.0),
-        mix: WorkloadMix::new(vec![
-            (RequestClass::new(ModelKind::Tiny, 16), 0.8),
-            (RequestClass::new(ModelKind::Tiny, 32), 0.2),
-        ]),
-        horizon_ns: 2e7,
-        seed: 99,
-        max_queue: 16,
-        deadline_ns: 1e6,
-        service: ServiceModelConfig::default(),
-        control: ControlConfig::default(),
-    }
-}
-
-/// Closed-loop clients: arrivals generated during the run.
-fn closed_loop_config() -> ServeConfig {
-    let mut cfg = ServeConfig::example();
-    cfg.arrival = ArrivalProcess::closed_loop(24, 250_000.0);
-    cfg.horizon_ns = 2e7;
-    cfg.seed = 5;
-    cfg
-}
-
-fn configs() -> Vec<(&'static str, ServeConfig)> {
-    vec![
-        ("example", ServeConfig::example()),
-        ("stress", stress_config()),
-        ("closed_loop", closed_loop_config()),
-    ]
-}
 
 /// A trigger config guaranteed to fire on the stress shape: the queue
 /// depth threshold sits inside the 16-slot admission bound, and the
@@ -91,24 +53,15 @@ fn trace_bytes(outcome: &SimOutcome) -> String {
 fn recorder_output_is_bitwise_invisible_across_the_gallery() {
     let fc = flight_config();
     let health = HealthConfig::default();
-    let exec = Executor::serial();
     for (name, cfg) in configs() {
-        for shards in [1usize, 8] {
-            let off =
-                simulate_full_on(&cfg, shards, true, Some(&health), false, None, false, &exec);
-            let on =
-                simulate_full_on(&cfg, shards, true, Some(&health), false, Some(&fc), false, &exec);
-            assert_eq!(off.report, on.report, "{name} @ {shards} shards: report diverged");
-            assert_eq!(off.records, on.records, "{name} @ {shards} shards: records diverged");
-            assert_eq!(
-                trace_bytes(&off),
-                trace_bytes(&on),
-                "{name} @ {shards} shards: trace bytes diverged"
-            );
-            assert_eq!(off.health, on.health, "{name} @ {shards} shards: health diverged");
-            assert!(off.flight.is_none());
-            assert!(on.flight.is_some());
-        }
+        let off = simulate_full(&cfg, 1, true, Some(&health), false, None, false);
+        let on = simulate_full(&cfg, 1, true, Some(&health), false, Some(&fc), false);
+        assert_eq!(off.report, on.report, "{name}: report diverged");
+        assert_eq!(off.records, on.records, "{name}: records diverged");
+        assert_eq!(trace_bytes(&off), trace_bytes(&on), "{name}: trace bytes diverged");
+        assert_eq!(off.health, on.health, "{name}: health diverged");
+        assert!(off.flight.is_none());
+        assert!(on.flight.is_some());
     }
 }
 
@@ -116,53 +69,31 @@ fn recorder_output_is_bitwise_invisible_across_the_gallery() {
 fn recorder_never_perturbs_telemetry_bytes() {
     let fc = flight_config();
     let cfg = stress_config();
-    let exec = Executor::serial();
-    let (_, off) = star_telemetry::with_scoped(|| {
-        simulate_full_on(&cfg, 1, false, None, false, None, false, &exec)
-    });
+    let (_, off) =
+        star_telemetry::with_scoped(|| simulate_full(&cfg, 1, false, None, false, None, false));
+    let (_, on) = star_telemetry::with_scoped(|| simulate_flight(&cfg, &fc));
     let off_json = serde_json::to_string(&off.to_json()).expect("serialize");
-    for shards in [1usize, 8] {
-        let (_, on) = star_telemetry::with_scoped(|| {
-            simulate_full_on(&cfg, shards, false, None, false, Some(&fc), false, &exec)
-        });
-        let on_json = serde_json::to_string(&on.to_json()).expect("serialize");
-        assert_eq!(off_json, on_json, "telemetry bytes diverged at {shards} shards");
-    }
+    let on_json = serde_json::to_string(&on.to_json()).expect("serialize");
+    assert_eq!(off_json, on_json, "telemetry bytes diverged");
 }
 
 #[test]
-fn incident_dumps_are_byte_identical_across_shard_and_thread_grids() {
+fn incident_dumps_replay_byte_identically() {
     let fc = flight_config();
     for (name, cfg) in configs() {
-        let baseline =
-            simulate_full_on(&cfg, 1, false, None, false, Some(&fc), false, &Executor::serial());
-        let want = dump_bytes(&baseline);
+        let want = dump_bytes(&simulate_flight(&cfg, &fc));
         if name == "stress" {
             assert!(!want.is_empty(), "{name}: the stress shape must produce an incident");
         }
-        for shards in [1usize, 8] {
-            for threads in [1usize, 8] {
-                let exec = Executor::new(threads);
-                let run =
-                    simulate_full_on(&cfg, shards, false, None, false, Some(&fc), false, &exec);
-                assert_eq!(
-                    want,
-                    dump_bytes(&run),
-                    "{name} @ {shards} shards x {threads} threads: dump bytes diverged"
-                );
-            }
-        }
+        assert_eq!(want, dump_bytes(&simulate_flight(&cfg, &fc)), "{name}: dump bytes diverged");
     }
 }
 
 #[test]
-fn flight_outcome_counters_are_grid_invariant() {
+fn flight_outcome_conserves_and_replays() {
     let fc = flight_config();
     let cfg = stress_config();
-    let baseline =
-        simulate_full_on(&cfg, 1, false, None, false, Some(&fc), false, &Executor::serial())
-            .flight
-            .expect("flight");
+    let baseline = simulate_flight(&cfg, &fc).flight.expect("flight");
     assert_eq!(
         baseline.events_seen,
         baseline.events_retained + baseline.events_evicted,
@@ -173,40 +104,26 @@ fn flight_outcome_counters_are_grid_invariant() {
         baseline.terminals_retained + baseline.terminals_evicted,
         "terminal-ring conservation"
     );
-    for shards in [8usize] {
-        for threads in [1usize, 8] {
-            let exec = Executor::new(threads);
-            let run = simulate_full_on(&cfg, shards, false, None, false, Some(&fc), false, &exec)
-                .flight
-                .expect("flight");
-            assert_eq!(baseline, run, "@ {shards} shards x {threads} threads");
-        }
-    }
+    assert_eq!(baseline, simulate_flight(&cfg, &fc).flight.expect("flight"));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random operating points: recorder-on reports equal recorder-off
-    /// bitwise, and dumps stay byte-identical across the shard grid.
+    /// Random operating points: recorder-on reports and records equal
+    /// recorder-off bitwise.
     #[test]
     fn random_grids_keep_the_recorder_invisible(
         seed in any::<u64>(),
         rate in 20_000.0f64..120_000.0,
-        shards in 2usize..9,
     ) {
         let mut cfg = stress_config();
         cfg.seed = seed;
         cfg.arrival = ArrivalProcess::poisson(rate);
-        let fc = flight_config();
-        let exec = Executor::serial();
-        let off = simulate_full_on(&cfg, 1, false, None, false, None, false, &exec);
-        let on = simulate_full_on(&cfg, 1, false, None, false, Some(&fc), false, &exec);
+        let off = simulate_full(&cfg, 1, false, None, false, None, false);
+        let on = simulate_flight(&cfg, &flight_config());
         prop_assert_eq!(&off.report, &on.report);
         prop_assert_eq!(&off.records, &on.records);
-        let sharded = simulate_full_on(&cfg, shards, false, None, false, Some(&fc), false, &exec);
-        prop_assert_eq!(&on.report, &sharded.report);
-        prop_assert_eq!(dump_bytes(&on), dump_bytes(&sharded));
     }
 
     /// Terminal conservation: every arrival reaches exactly one terminal

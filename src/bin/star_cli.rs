@@ -34,8 +34,7 @@ COMMANDS:
                                    utilization summary goes to stderr
     metrics <format> [seq]         run a representative softmax workload and
                                    print the telemetry counter/gauge table
-    serve [rate] [fleet] [batch] [window_us] [--trace[=PATH]] [--shards=N]
-          [--flight[=PATH]]
+    serve [rate] [fleet] [batch] [window_us] [--trace[=PATH]] [--flight[=PATH]]
                                    simulate a fleet of STAR instances serving
                                    Poisson BERT-base/128 traffic against a
                                    2 ms SLO and print the goodput/latency
@@ -45,12 +44,9 @@ COMMANDS:
                                    queue/utilization counter tracks as
                                    Perfetto-loadable JSON (default path
                                    serve_trace.json) and print the SLO
-                                   burn-rate analysis. --shards=N runs the
-                                   event loop on N event-queue shards
-                                   (1..=64; output is bitwise identical at
-                                   any shard count — engine choice only).
-                                   --flight arms the always-on incident
-                                   flight recorder (bounded event ring +
+                                   burn-rate analysis. --flight arms the
+                                   always-on incident flight recorder
+                                   (bounded event ring +
                                    deterministic triggers: SLO burn,
                                    expiry burst, queue depth); when a
                                    trigger fires the captured window and
@@ -78,7 +74,7 @@ COMMANDS:
                                    projection (time to first degradation,
                                    lifetime inferences). --level enables
                                    round-robin wear-leveling placement
-    profile [rate] [fleet] [batch] [window_us] [--trace[=PATH]] [--shards=N]
+    profile [rate] [fleet] [batch] [window_us] [--trace[=PATH]]
                                    run the serve simulation with the
                                    simulator self-profiler: deterministic
                                    work counters (events, heap traffic,
@@ -86,12 +82,9 @@ COMMANDS:
                                    plus the wall-clock top-phases table.
                                    With --trace, also write a Chrome
                                    meta-trace of the simulator's own time
-                                   (default path profile_trace.json).
-                                   --shards=N as in serve — the work
-                                   counters prove the shard count changes
-                                   nothing
+                                   (default path profile_trace.json)
     control [rate] [fleet] [batch] [window_us] [--policy=P] [--placement=P]
-            [--autoscale=MIN:MAX|off] [--shards=N]
+            [--autoscale=MIN:MAX|off]
                                    run the fleet control plane on the mixed
                                    70/30 premium/economy workload under a
                                    bursty MMPP ramp (low phase = rate,
@@ -106,7 +99,7 @@ COMMANDS:
                                    fleet (default 1:4, `off` pins it).
                                    Defaults: 8000 rps low phase, fleet 1,
                                    batch 8, 50 us window, wfq/least-loaded
-    blame [rate] [fleet] [batch] [window_us] [--trace[=PATH]] [--shards=N]
+    blame [rate] [fleet] [batch] [window_us] [--trace[=PATH]]
                                    run the serve simulation with the
                                    critical-path blame recorder: every
                                    request's latency split into causally
@@ -122,7 +115,7 @@ COMMANDS:
                                    blame_trace.json). Blame is pure
                                    observation: the report is bitwise
                                    identical to an unblamed run
-    whatif [rate] [fleet] [batch] [window_us] [--shards=N]
+    whatif [rate] [fleet] [batch] [window_us]
                                    deterministic what-if profiling: re-run
                                    the same seeded workload under each
                                    standard intervention (halve each
@@ -333,15 +326,6 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses the value of a `--shards=N` flag: 1..=`MAX_SHARDS`.
-fn parse_shards(text: &str) -> Result<usize, String> {
-    let n: usize = text.parse().map_err(|_| format!("`{text}` is not a shard count"))?;
-    if !(1..=star::serve::MAX_SHARDS).contains(&n) {
-        return Err(format!("shard count must be in 1..={}", star::serve::MAX_SHARDS));
-    }
-    Ok(n)
-}
-
 /// Parses a positional argument with a default, rejecting zero.
 fn parse_positive<T: std::str::FromStr + PartialOrd + Default>(
     arg: Option<&String>,
@@ -360,15 +344,14 @@ fn parse_positive<T: std::str::FromStr + PartialOrd + Default>(
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use star::serve::{
-        shards_from_env, simulate_full, ArrivalProcess, BatchPolicy, ControlConfig, FlightConfig,
-        ModelKind, RequestClass, ServeConfig, ServiceModel, ServiceModelConfig, SloAnalysis,
-        SloPolicy, WorkloadMix,
+        simulate_full, ArrivalProcess, BatchPolicy, ControlConfig, FlightConfig, ModelKind,
+        RequestClass, ServeConfig, ServiceModel, ServiceModelConfig, SloAnalysis, SloPolicy,
+        WorkloadMix,
     };
-    // Split flags from positionals so --trace/--flight/--shards compose
+    // Split flags from positionals so --trace/--flight compose
     // with every positional combination.
     let mut trace_path: Option<std::path::PathBuf> = None;
     let mut flight_path: Option<std::path::PathBuf> = None;
-    let mut shards: Option<usize> = None;
     let mut positional: Vec<&String> = Vec::new();
     for a in args {
         if a == "--trace" {
@@ -385,8 +368,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 return Err("--flight= needs a path".into());
             }
             flight_path = Some(p.into());
-        } else if let Some(n) = a.strip_prefix("--shards=") {
-            shards = Some(parse_shards(n)?);
         } else if a.starts_with("--") {
             return Err(format!("unknown flag `{a}`"));
         } else {
@@ -421,12 +402,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         control: ControlConfig::default(),
     };
     let service = ServiceModel::new(cfg.service.clone(), &[class]);
-    // --shards picks the event-queue layout; the report is bitwise
-    // identical at any count, so this is an engine choice, not a knob.
-    let shards = shards.unwrap_or_else(shards_from_env);
     let flight_cfg = flight_path.is_some().then(FlightConfig::default);
     let outcome =
-        simulate_full(&cfg, shards, trace_path.is_some(), None, false, flight_cfg.as_ref(), false);
+        simulate_full(&cfg, 1, trace_path.is_some(), None, false, flight_cfg.as_ref(), false);
     let (r, trace, flight) = (outcome.report, outcome.trace, outcome.flight);
 
     println!("serving {class} on {fleet} STAR instance(s), policy {}:", cfg.policy);
@@ -620,11 +598,10 @@ fn cmd_health(args: &[String]) -> Result<(), String> {
 
 fn cmd_profile(args: &[String]) -> Result<(), String> {
     use star::serve::{
-        shards_from_env, simulate_sharded_with, ArrivalProcess, BatchPolicy, ControlConfig,
-        ModelKind, RequestClass, ServeConfig, ServiceModelConfig, WorkloadMix,
+        simulate_profiled, ArrivalProcess, BatchPolicy, ControlConfig, ModelKind, RequestClass,
+        ServeConfig, ServiceModelConfig, WorkloadMix,
     };
     let mut trace_path: Option<std::path::PathBuf> = None;
-    let mut shards: Option<usize> = None;
     let mut positional: Vec<&String> = Vec::new();
     for a in args {
         if a == "--trace" {
@@ -634,8 +611,6 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
                 return Err("--trace= needs a path".into());
             }
             trace_path = Some(p.into());
-        } else if let Some(n) = a.strip_prefix("--shards=") {
-            shards = Some(parse_shards(n)?);
         } else if a.starts_with("--") {
             return Err(format!("unknown flag `{a}`"));
         } else {
@@ -669,8 +644,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
         service: ServiceModelConfig::default(),
         control: ControlConfig::default(),
     };
-    let shards = shards.unwrap_or_else(shards_from_env);
-    let outcome = simulate_sharded_with(&cfg, shards, false, None, true);
+    let outcome = simulate_profiled(&cfg);
     let r = &outcome.report;
     let profile = outcome.profile.as_ref().expect("profiled run carries a profile");
 
@@ -703,9 +677,9 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 
 fn cmd_control(args: &[String]) -> Result<(), String> {
     use star::serve::{
-        shards_from_env, simulate_sharded_with, ArrivalProcess, AutoscaleConfig, BatchPolicy,
-        ControlConfig, DequeuePolicy, ModelKind, PlacementPolicy, RequestClass, ScaleDirection,
-        ServeConfig, ServiceModelConfig, WorkloadMix,
+        simulate_full, ArrivalProcess, AutoscaleConfig, BatchPolicy, ControlConfig, DequeuePolicy,
+        ModelKind, PlacementPolicy, RequestClass, ScaleDirection, ServeConfig, ServiceModelConfig,
+        WorkloadMix,
     };
     let premium = RequestClass::new(ModelKind::BertBase, 128);
     let economy = RequestClass::new(ModelKind::BertBase, 64);
@@ -713,7 +687,6 @@ fn cmd_control(args: &[String]) -> Result<(), String> {
     let mut policy_flag: Option<&str> = None;
     let mut placement_flag: Option<&str> = None;
     let mut autoscale_flag: Option<&str> = None;
-    let mut shards: Option<usize> = None;
     let mut positional: Vec<&String> = Vec::new();
     for a in args {
         if let Some(p) = a.strip_prefix("--policy=") {
@@ -722,8 +695,6 @@ fn cmd_control(args: &[String]) -> Result<(), String> {
             placement_flag = Some(p);
         } else if let Some(p) = a.strip_prefix("--autoscale=") {
             autoscale_flag = Some(p);
-        } else if let Some(n) = a.strip_prefix("--shards=") {
-            shards = Some(parse_shards(n)?);
         } else if a.starts_with("--") {
             return Err(format!("unknown flag `{a}`"));
         } else {
@@ -794,8 +765,7 @@ fn cmd_control(args: &[String]) -> Result<(), String> {
         service: ServiceModelConfig::default(),
         control: ControlConfig { dequeue, placement, autoscale, instance_services: Vec::new() },
     };
-    let shards = shards.unwrap_or_else(shards_from_env);
-    let outcome = simulate_sharded_with(&cfg, shards, false, None, false);
+    let outcome = simulate_full(&cfg, 1, false, None, false, None, false);
     let r = &outcome.report;
 
     println!(
@@ -902,9 +872,8 @@ fn serve_point_config(positional: &[&String]) -> Result<star::serve::ServeConfig
 }
 
 fn cmd_blame(args: &[String]) -> Result<(), String> {
-    use star::serve::{shards_from_env, simulate_full, BLAME_SIDECAR_KEY};
+    use star::serve::{simulate_blamed, BLAME_SIDECAR_KEY};
     let mut trace_path: Option<std::path::PathBuf> = None;
-    let mut shards: Option<usize> = None;
     let mut positional: Vec<&String> = Vec::new();
     for a in args {
         if a == "--trace" {
@@ -914,8 +883,6 @@ fn cmd_blame(args: &[String]) -> Result<(), String> {
                 return Err("--trace= needs a path".into());
             }
             trace_path = Some(p.into());
-        } else if let Some(n) = a.strip_prefix("--shards=") {
-            shards = Some(parse_shards(n)?);
         } else if a.starts_with("--") {
             return Err(format!("unknown flag `{a}`"));
         } else {
@@ -923,8 +890,7 @@ fn cmd_blame(args: &[String]) -> Result<(), String> {
         }
     }
     let cfg = serve_point_config(&positional)?;
-    let shards = shards.unwrap_or_else(shards_from_env);
-    let outcome = simulate_full(&cfg, shards, false, None, false, None, true);
+    let outcome = simulate_blamed(&cfg);
     let r = &outcome.report;
     let blame = outcome.blame.as_ref().expect("blamed run carries blame tables");
 
@@ -955,21 +921,17 @@ fn cmd_blame(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_whatif(args: &[String]) -> Result<(), String> {
-    use star::serve::{run_what_ifs, shards_from_env, WhatIf};
-    let mut shards: Option<usize> = None;
+    use star::serve::{run_what_ifs, WhatIf};
     let mut positional: Vec<&String> = Vec::new();
     for a in args {
-        if let Some(n) = a.strip_prefix("--shards=") {
-            shards = Some(parse_shards(n)?);
-        } else if a.starts_with("--") {
+        if a.starts_with("--") {
             return Err(format!("unknown flag `{a}`"));
         } else {
             positional.push(a);
         }
     }
     let cfg = serve_point_config(&positional)?;
-    let shards = shards.unwrap_or_else(shards_from_env);
-    let report = run_what_ifs(&cfg, shards, &WhatIf::standard());
+    let report = run_what_ifs(&cfg, &WhatIf::standard());
 
     println!(
         "what-if profile: {} on {} STAR instance(s), policy {} — each row is the \
@@ -1321,21 +1283,11 @@ mod tests {
     }
 
     #[test]
-    fn serve_and_profile_accept_shard_counts() {
-        cmd_serve(&["8000".into(), "1".into(), "--shards=4".into()]).expect("serve sharded");
-        cmd_profile(&["8000".into(), "1".into(), "--shards=8".into()]).expect("profile sharded");
-    }
-
-    #[test]
-    fn shard_flag_rejects_bad_counts() {
-        assert_eq!(parse_shards("1").unwrap(), 1);
-        assert_eq!(parse_shards("64").unwrap(), star::serve::MAX_SHARDS);
-        assert!(parse_shards("0").is_err());
-        assert!(parse_shards("65").is_err());
-        assert!(parse_shards("eight").is_err());
-        assert!(cmd_serve(&["--shards=0".into()]).is_err());
-        assert!(cmd_serve(&["--shards=".into()]).is_err());
-        assert!(cmd_profile(&["--shards=999".into()]).is_err());
+    fn serve_rejects_the_removed_shards_flag() {
+        // The event loop keeps one heap, so the old shard-count flag is
+        // gone and reads like any other unknown flag.
+        let flag = format!("--{}=4", "shards");
+        assert_eq!(cmd_serve(std::slice::from_ref(&flag)), Err(format!("unknown flag `{flag}`")));
     }
 
     #[test]
@@ -1388,7 +1340,6 @@ mod tests {
         }
         cmd_control(&["--autoscale=2:3".into()]).expect("control bounded");
         cmd_control(&["--autoscale=off".into()]).expect("control static");
-        cmd_control(&["--shards=4".into()]).expect("control sharded");
         // Every knob at its no-op default: the baseline path, no report.
         cmd_control(&[
             "--policy=fifo".into(),
@@ -1413,14 +1364,12 @@ mod tests {
         assert!(cmd_control(&["--autoscale=0:4".into()]).is_err());
         assert!(cmd_control(&["--autoscale=4:1".into()]).is_err());
         assert!(cmd_control(&["--autoscale=a:b".into()]).is_err());
-        assert!(cmd_control(&["--shards=0".into()]).is_err());
     }
 
     #[test]
     fn blame_command_runs() {
         cmd_blame(&[]).expect("blame defaults");
         cmd_blame(&["8000".into(), "1".into(), "1".into(), "0".into()]).expect("blame explicit");
-        cmd_blame(&["8000".into(), "1".into(), "--shards=4".into()]).expect("blame sharded");
     }
 
     #[test]
@@ -1432,14 +1381,12 @@ mod tests {
         assert!(cmd_blame(&["8000".into(), "1".into(), "2".into(), "-5".into()]).is_err());
         assert!(cmd_blame(&["inf".into()]).is_err());
         assert!(cmd_blame(&["--trace=".into()]).is_err());
-        assert!(cmd_blame(&["--shards=0".into()]).is_err());
         assert!(cmd_blame(&["--bogus".into()]).is_err());
     }
 
     #[test]
     fn whatif_command_runs() {
         cmd_whatif(&["8000".into(), "1".into(), "4".into(), "50".into()]).expect("whatif explicit");
-        cmd_whatif(&["8000".into(), "1".into(), "--shards=4".into()]).expect("whatif sharded");
     }
 
     #[test]
@@ -1450,7 +1397,6 @@ mod tests {
         assert!(cmd_whatif(&["8000".into(), "1".into(), "0".into()]).is_err());
         assert!(cmd_whatif(&["8000".into(), "1".into(), "2".into(), "-5".into()]).is_err());
         assert!(cmd_whatif(&["inf".into()]).is_err());
-        assert!(cmd_whatif(&["--shards=0".into()]).is_err());
         assert!(cmd_whatif(&["--trace".into()]).is_err());
     }
 

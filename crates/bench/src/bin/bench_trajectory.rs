@@ -12,15 +12,15 @@
 //! bench_trajectory check              # gate: counters vs recorded budgets
 //! bench_trajectory measure [ITERS]    # report-only wall-clock medians
 //! bench_trajectory update LABEL [ITERS]  # rewrite budgets, append medians
-//! bench_trajectory golden             # write results/{profile_work,incident}.json
+//! bench_trajectory golden             # write results/{profile_work,incident,star_faults}.json
 //! ```
 //!
 //! `check` exits nonzero when any counter grew more than the recorded
 //! tolerance over its budget — the machine-independent regression gate.
 //! `golden` regenerates the deterministic fixtures the `star-bench`
-//! golden tests pin — the work-counter snapshot and the flight-recorder
-//! incident dump (copy `results/profile_work.json` and
-//! `results/incident.json` to `crates/bench/tests/golden/` to accept a
+//! golden tests pin — the work-counter snapshot, the flight-recorder
+//! incident dump, and the faulty-array softmax pin (copy
+//! `results/<name>.json` to `crates/bench/tests/golden/` to accept a
 //! deliberate change).
 
 use star_bench::{header, trajectory};
@@ -132,15 +132,16 @@ fn cmd_update(label: &str, iters: usize) {
 }
 
 fn cmd_golden() {
-    header("bench_trajectory: regenerate deterministic profile_work + incident fixtures");
-    let result = star_bench::profile_work_result();
-    let path = star_bench::write_json("profile_work", &result).expect("write results/");
-    println!("  wrote {}", path.display());
-    println!("  accept: cp {} crates/bench/tests/golden/profile_work.json", path.display());
-    let incident = star_bench::incident_result();
-    let path = star_bench::write_json("incident", &incident).expect("write results/");
-    println!("  wrote {}", path.display());
-    println!("  accept: cp {} crates/bench/tests/golden/incident.json", path.display());
+    header("bench_trajectory: regenerate the deterministic golden fixtures");
+    for (name, build) in [
+        ("profile_work", star_bench::profile_work_result as fn() -> _),
+        ("incident", star_bench::incident_result),
+        ("star_faults", star_bench::star_faults_result),
+    ] {
+        let path = star_bench::write_json(name, &build()).expect("write results/");
+        println!("  wrote {}", path.display());
+        println!("  accept: cp {} crates/bench/tests/golden/{name}.json", path.display());
+    }
 }
 
 fn parse_iters(arg: Option<&String>) -> usize {

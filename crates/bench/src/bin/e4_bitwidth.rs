@@ -3,29 +3,21 @@
 //! field incl. sign + 2 fraction), MRPC 9 bits (6 + 3), CoLA 7 bits
 //! (5 + 2).
 
-use star_bench::{finalize_experiment, header};
-use star_core::precision::{minimal_format, sweep_formats, AccuracyBar};
-use star_workload::{Dataset, ScoreTrace};
+use star_bench::{e4_bitwidth_json, e4_sweeps, finalize_experiment, header, E4_BAR};
 
 fn main() {
-    let bar = AccuracyBar { min_top1: 0.995, max_mean_abs_error: 2e-3 };
-    let mut results = Vec::new();
-
-    for dataset in Dataset::ALL {
-        let trace = ScoreTrace::generate(dataset, 192, 64, 0x0E4 + dataset as u64);
-        let an = trace.analyze();
+    let sweeps = e4_sweeps();
+    for sweep in &sweeps {
+        let (min_seen, max_seen) = sweep.score_range;
         header(&format!(
-            "E4: {dataset} proxy (score range [{:.2}, {:.2}])",
-            an.min_seen(),
-            an.max_seen()
+            "E4: {} proxy (score range [{min_seen:.2}, {max_seen:.2}])",
+            sweep.dataset
         ));
-
-        let points = sweep_formats(&trace.rows, 3..=6, 0..=4).expect("sweep");
         println!(
             "  {:>8} {:>6} {:>12} {:>12} {:>8} {:>10}",
             "format", "bits", "meanAbsErr", "KL", "top1", "verdict"
         );
-        for p in &points {
+        for p in &sweep.points {
             println!(
                 "  {:>8} {:>6} {:>12.2e} {:>12.2e} {:>8.3} {:>10}",
                 p.format.to_string(),
@@ -33,12 +25,12 @@ fn main() {
                 p.mean_abs_error,
                 p.mean_kl,
                 p.top1_agreement,
-                if bar.accepts(p) { "pass" } else { "fail" }
+                if E4_BAR.accepts(p) { "pass" } else { "fail" }
             );
         }
 
-        let best = minimal_format(&points, bar).expect("some format passes");
-        let paper = dataset.paper_format();
+        let best = sweep.minimal();
+        let paper = sweep.dataset.paper_format();
         println!(
             "\n  minimal format: {} ({} bits)   paper: {} ({} bits)   match: {}",
             best.format,
@@ -47,18 +39,10 @@ fn main() {
             paper.total_bits(),
             best.format == paper
         );
-        results.push(serde_json::json!({
-            "dataset": dataset.to_string(),
-            "minimal_format": {"int_bits": best.format.int_bits(), "frac_bits": best.format.frac_bits(), "total_bits": best.total_bits},
-            "paper_format": {"int_bits": paper.int_bits(), "frac_bits": paper.frac_bits(), "total_bits": paper.total_bits()},
-            "matches_paper": best.format == paper,
-            "sweep": points,
-        }));
     }
 
     let (path, telemetry) =
-        finalize_experiment("e4_bitwidth", &serde_json::json!({"datasets": results}))
-            .expect("write results");
+        finalize_experiment("e4_bitwidth", &e4_bitwidth_json(&sweeps)).expect("write results");
     println!("\nwrote {}", path.display());
     println!("wrote {}", telemetry.display());
 }

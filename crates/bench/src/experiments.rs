@@ -5,13 +5,19 @@
 //! function per experiment — and both the binary (which writes
 //! `results/<name>.json`) and the test (which diffs against the checked-in
 //! fixture under `tests/golden/`) call it. Everything in these builders is
-//! deterministic closed-form cost modelling: no RNG, no wall clock, no
-//! environment, which is what makes byte-stable goldens possible.
+//! deterministic — closed-form cost models or simulations from fixed
+//! seeds, no wall clock, no environment — which is what makes byte-stable
+//! goldens possible.
 
+use rand::SeedableRng;
 use star_arch::{Accelerator, GpuModel, PerfReport, RramAccelerator};
-use star_attention::AttentionConfig;
+use star_attention::{AttentionConfig, RowSoftmax};
+use star_core::precision::{minimal_format, sweep_formats, AccuracyBar, SweepPoint};
 use star_core::{CmosBaselineSoftmax, Softermax, SoftmaxEngine, StarSoftmax, StarSoftmaxConfig};
-use star_fixed::QFormat;
+use star_crossbar::CamSubCrossbar;
+use star_device::{NoiseModel, StuckFault, TechnologyParams};
+use star_fixed::{Fixed, QFormat, Rounding};
+use star_workload::{Dataset, ScoreTrace};
 use std::path::PathBuf;
 
 /// Writes `results/<name>.json` **and** the `results/<name>.telemetry.json`
@@ -75,6 +81,184 @@ pub fn e2_table1_result() -> serde_json::Value {
             "area_ratio": star_area, "power_ratio": star_power,
             "paper": {"area_ratio": 0.06, "power_ratio": 0.05},
         },
+    })
+}
+
+/// E4's "high model accuracy" bar: top-1 agreement of at least 0.995 and
+/// a mean absolute probability error of at most 2e-3.
+pub const E4_BAR: AccuracyBar = AccuracyBar { min_top1: 0.995, max_mean_abs_error: 2e-3 };
+
+/// One dataset proxy's E4 format sweep.
+#[derive(Debug, Clone)]
+pub struct E4Sweep {
+    /// The dataset the proxy trace stands in for.
+    pub dataset: Dataset,
+    /// Smallest and largest score in the proxy trace.
+    pub score_range: (f64, f64),
+    /// Every candidate format, cheapest first.
+    pub points: Vec<SweepPoint>,
+}
+
+impl E4Sweep {
+    /// The cheapest format that clears [`E4_BAR`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if no candidate clears the bar (a calibration regression).
+    pub fn minimal(&self) -> &SweepPoint {
+        minimal_format(&self.points, E4_BAR).expect("some format passes")
+    }
+}
+
+/// E4's sweeps, one per dataset in [`Dataset::ALL`] order: 192 proxy rows
+/// of 64 scores each, evaluated through the STAR engine at every
+/// `q(int, frac)` with `int` in 3..=6 and `frac` in 0..=4 (60 engine
+/// builds in all).
+pub fn e4_sweeps() -> Vec<E4Sweep> {
+    Dataset::ALL
+        .iter()
+        .map(|&dataset| {
+            let trace = ScoreTrace::generate(dataset, 192, 64, 0x0E4 + dataset as u64);
+            let an = trace.analyze();
+            let points = sweep_formats(&trace.rows, 3..=6, 0..=4).expect("sweep");
+            E4Sweep { dataset, score_range: (an.min_seen(), an.max_seen()), points }
+        })
+        .collect()
+}
+
+/// The machine-readable E4 result for the given sweeps: per dataset, the
+/// minimal format next to the paper's, and every sweep point.
+pub fn e4_bitwidth_json(sweeps: &[E4Sweep]) -> serde_json::Value {
+    let datasets: Vec<serde_json::Value> = sweeps
+        .iter()
+        .map(|s| {
+            let best = s.minimal();
+            let paper = s.dataset.paper_format();
+            serde_json::json!({
+                "dataset": s.dataset.to_string(),
+                "minimal_format": {"int_bits": best.format.int_bits(), "frac_bits": best.format.frac_bits(), "total_bits": best.total_bits},
+                "paper_format": {"int_bits": paper.int_bits(), "frac_bits": paper.frac_bits(), "total_bits": paper.total_bits()},
+                "matches_paper": best.format == paper,
+                "sweep": s.points,
+            })
+        })
+        .collect();
+    serde_json::json!({"datasets": datasets})
+}
+
+/// The machine-readable E4 / §II precision result (`results/e4_bitwidth.json`).
+pub fn e4_bitwidth_result() -> serde_json::Value {
+    e4_bitwidth_json(&e4_sweeps())
+}
+
+/// The machine-readable `star_faults` result, which pins how defective
+/// arrays behave: no benchmark workload runs a faulty array, so this is
+/// the only byte-level check of the fault paths.
+///
+/// - `engines`: the STAR engine at each paper format under stuck-at faults
+///   (2 % stuck-on, 2 % stuck-off) and under read noise (σ = 0.03) — every
+///   `softmax_row` output, the fault-recovery count, and the measured
+///   array energy.
+/// - `find_max`: the CAM/SUB max search on a small array with
+///   hand-injected faults (a dead matchline, stuck-off wildcards, a
+///   stuck-on true cell), and on a paper-format array with sampled stuck
+///   cells — the OR-merged hot rows, each input's first matched row, and
+///   each input's subtraction from the found maximum.
+pub fn star_faults_result() -> serde_json::Value {
+    let settings = [
+        ("stuck_on_0.02_off_0.02", NoiseModel::new(0.0, 0.0, 0.02, 0.02)),
+        ("read_sigma_0.03", NoiseModel::new(0.0, 0.03, 0.0, 0.0)),
+    ];
+    let mut engines = Vec::new();
+    for dataset in Dataset::ALL {
+        let format = dataset.paper_format();
+        let trace = ScoreTrace::generate(dataset, 6, 48, 0xFA17 + dataset as u64);
+        for (setting, noise) in settings {
+            let cfg = StarSoftmaxConfig::new(format).with_max_row_len(48).with_noise(noise);
+            let mut engine = StarSoftmax::new(cfg).expect("paper formats build engines");
+            let rows: Vec<Vec<f64>> = trace.rows.iter().map(|r| engine.softmax_row(r)).collect();
+            engines.push(serde_json::json!({
+                "dataset": dataset.to_string(),
+                "format": format.to_string(),
+                "setting": setting,
+                "rows": rows,
+                "fault_events": engine.fault_events(),
+                "measured_energy_pj": engine.measured_energy().value(),
+            }));
+        }
+    }
+
+    // q3.1: 32 rows, row r stores raw 15 − r in 5 bits, bit 0 the MSB.
+    let small = QFormat::new(3, 1).expect("valid format");
+    let injected = [
+        // 3.5 (row 8): its MSB search path is the true cell; stuck on, the
+        // matchline always discharges and the row reads back negative.
+        (8, 0, 0, StuckFault::StuckOn),
+        // 1.0 (row 13): complement of the LSB stuck off makes the LSB a
+        // wildcard, so 1.5 also matches this row.
+        (13, 4, 1, StuckFault::StuckOff),
+        // -2.0 (row 19): both halves of bit 2 stuck on — matches nothing.
+        (19, 2, 0, StuckFault::StuckOn),
+        (19, 2, 1, StuckFault::StuckOn),
+        // 2.5 (row 10): the true cell of its 4-weight bit stuck off — a
+        // wildcard that also matches 0.5 and reads back as 0.5.
+        (10, 2, 0, StuckFault::StuckOff),
+    ];
+    let mut xbar = CamSubCrossbar::new(
+        small,
+        &TechnologyParams::cmos32(),
+        NoiseModel::ideal(),
+        &mut rand_chacha::ChaCha8Rng::seed_from_u64(0xFA),
+    );
+    for (row, bit, half, fault) in injected {
+        xbar.cam_mut().inject_fault(row, bit, half, fault);
+    }
+    let values = [3.5, 1.5, 2.5, 0.5, -2.0, 1.0, -1.5];
+    let inputs: Vec<Fixed> =
+        values.iter().map(|&v| Fixed::from_f64(v, small, Rounding::Nearest)).collect();
+    let hand = max_search_json(&mut xbar, &inputs);
+
+    let mrpc = QFormat::MRPC;
+    let mut xbar = CamSubCrossbar::new(
+        mrpc,
+        &TechnologyParams::cmos32(),
+        NoiseModel::new(0.0, 0.0, 0.02, 0.02),
+        &mut rand_chacha::ChaCha8Rng::seed_from_u64(0xFB),
+    );
+    let trace = ScoreTrace::generate(Dataset::Mrpc, 1, 48, 0xFC);
+    let inputs: Vec<Fixed> =
+        trace.rows[0].iter().map(|&v| Fixed::from_f64(v, mrpc, Rounding::Nearest)).collect();
+    let sampled = max_search_json(&mut xbar, &inputs);
+
+    serde_json::json!({
+        "experiment": "star_faults",
+        "engines": engines,
+        "find_max": {
+            "injected_q3_1": {"faults": injected.iter().map(|&(row, bit, half, fault)| {
+                serde_json::json!({"row": row, "bit": bit, "half": half, "fault": format!("{fault:?}")})
+            }).collect::<Vec<_>>(), "search": hand},
+            "sampled_mrpc": sampled,
+        },
+    })
+}
+
+/// One `find_max` on `xbar` plus every input's subtraction from the found
+/// maximum, as JSON (`merged_hot_rows` lists the set rows of the merged
+/// match vector).
+fn max_search_json(xbar: &mut CamSubCrossbar, inputs: &[Fixed]) -> serde_json::Value {
+    let found = xbar.find_max(inputs).expect("some input matches");
+    let merged_hot_rows: Vec<usize> =
+        found.merged.iter().enumerate().filter(|(_, &h)| h).map(|(r, _)| r).collect();
+    let diffs: Vec<i64> = inputs.iter().map(|&x| xbar.subtract(x, found.max).raw()).collect();
+    serde_json::json!({
+        "inputs": inputs.iter().map(|x| x.raw()).collect::<Vec<_>>(),
+        "max": found.max.raw(),
+        "row": found.row,
+        "rows": found.merged.len(),
+        "merged_hot_rows": merged_hot_rows,
+        "per_input_rows": found.per_input_rows,
+        "diffs": diffs,
+        "measured_energy_pj": xbar.measured_energy().value(),
     })
 }
 

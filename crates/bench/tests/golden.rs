@@ -19,15 +19,22 @@
 //! equality — any drift in the cost model shows up as a named JSON path,
 //! not a fuzzy tolerance miss.
 //!
+//! `e4_bitwidth` is compared against the committed
+//! `results/e4_bitwidth.json` directly, and `star_faults` pins the
+//! functional crossbars on defective arrays (seeded stuck cells, read
+//! noise, hand-injected faults), which no experiment exercises.
+//!
 //! When a deliberate model change moves the numbers, regenerate with:
 //!
 //! ```text
 //! cargo run --release -p star-bench --bin repro_all -- \
-//!     e2_table1 e3_fig3 a8_serving a9_device_health a10_fleet_control \
-//!     a11_blame_whatif
+//!     e2_table1 e3_fig3 e4_bitwidth a8_serving a9_device_health \
+//!     a10_fleet_control a11_blame_whatif
 //! cp results/e2_table1.json results/e3_fig3.json results/a8_serving.json \
 //!    results/a9_device_health.json results/a10_fleet_control.json \
 //!    results/a11_blame_whatif.json crates/bench/tests/golden/
+//! cargo run --release -p star-bench --bin bench_trajectory -- golden
+//! cp results/star_faults.json crates/bench/tests/golden/
 //! ```
 
 use serde_json::Value;
@@ -69,20 +76,29 @@ fn diff(path: &str, got: &Value, want: &Value, out: &mut Vec<String>) {
     }
 }
 
-fn fixture(name: &str) -> Value {
-    let path = format!("{}/tests/golden/{name}.json", env!("CARGO_MANIFEST_DIR"));
+/// Reads a fixture, given relative to this crate's manifest directory.
+fn read_fixture(relative: &str) -> Value {
+    let path = format!("{}/{relative}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("golden fixture {path} unreadable: {e}"));
     serde_json::from_str(&text).unwrap_or_else(|e| panic!("golden fixture {path} invalid: {e}"))
 }
 
+fn fixture(name: &str) -> Value {
+    read_fixture(&format!("tests/golden/{name}.json"))
+}
+
 fn assert_matches_golden(name: &str, got: &Value) {
-    let want = fixture(name);
+    assert_matches_fixture(&format!("tests/golden/{name}.json"), got);
+}
+
+fn assert_matches_fixture(relative: &str, got: &Value) {
+    let want = read_fixture(relative);
     let mut mismatches = Vec::new();
     diff("", got, &want, &mut mismatches);
     assert!(
         mismatches.is_empty(),
-        "{name} drifted from tests/golden/{name}.json in {} field(s):\n  {}\n\
+        "result drifted from {relative} in {} field(s):\n  {}\n\
          (if the change is intentional, regenerate the fixture — see module docs)",
         mismatches.len(),
         mismatches.join("\n  ")
@@ -106,6 +122,46 @@ fn e2_table1_matches_golden() {
 #[test]
 fn e3_fig3_matches_golden() {
     assert_matches_golden("e3_fig3", &star_bench::e3_fig3_result());
+}
+
+#[test]
+fn e4_bitwidth_matches_golden() {
+    // The committed result is the fixture: 60 engine builds and 11 520
+    // rows through the functional crossbars, so any drift in quantization,
+    // the CAM/SUB, the exp CAM/LUT, the VMM or the divider moves a sweep
+    // point.
+    assert_matches_fixture("../../results/e4_bitwidth.json", &star_bench::e4_bitwidth_result());
+}
+
+#[test]
+fn star_faults_matches_golden() {
+    // No benchmark workload runs a faulty array, so this fixture is what
+    // pins stuck-cell and read-noise behaviour of the functional
+    // crossbars byte for byte.
+    assert_matches_golden("star_faults", &star_bench::star_faults_result());
+}
+
+#[test]
+fn star_faults_golden_exercises_the_fault_paths() {
+    // A regenerated fixture that no longer reached the recovery paths
+    // would pin nothing.
+    let faults = fixture("star_faults");
+    let engines = faults.get("engines").and_then(|v| v.as_array()).expect("engines array");
+    assert_eq!(engines.len(), 6, "three paper formats × two settings");
+    for e in engines {
+        let stuck =
+            e.get("setting").and_then(|v| v.as_str()).expect("setting").starts_with("stuck");
+        let events = number_at(e, "fault_events");
+        assert_eq!(stuck, events > 0.0, "only stuck cells trigger recovery: {events} events");
+        assert!(number_at(e, "measured_energy_pj") > 0.0);
+    }
+    let search = faults
+        .get("find_max")
+        .and_then(|f| f.get("injected_q3_1"))
+        .and_then(|f| f.get("search"))
+        .expect("injected search");
+    let per_input = search.get("per_input_rows").and_then(|v| v.as_array()).expect("rows");
+    assert!(per_input.iter().any(|r| r.as_f64().is_none()), "a dead row leaves an input unmatched");
 }
 
 #[test]

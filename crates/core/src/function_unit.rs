@@ -138,17 +138,13 @@ impl LutFunctionUnit {
     /// quantize → CAM search → LUT read → dequantize.
     pub fn evaluate(&mut self, x: f64) -> f64 {
         let q = Fixed::from_f64(x, self.format, Rounding::Nearest);
-        let key = star_fixed::encoding::to_twos_complement(q);
-        let hits = self.cam.search(&key);
-        let nominal = (self.format.max_raw() - q.raw()) as usize;
-        let hot: Vec<usize> = hits.iter().enumerate().filter(|(_, &h)| h).map(|(i, _)| i).collect();
-        let row = match hot.as_slice() {
-            [r] => *r,
-            _ => {
-                self.fault_events += 1;
-                nominal
-            }
-        };
+        let key = star_fixed::encoding::twos_complement_code(q);
+        let row = self.cam.search_one_hot(key).unwrap_or_else(|| {
+            // A defective CAM matched zero or several rows: read the
+            // nominal row instead.
+            self.fault_events += 1;
+            (self.format.max_raw() - q.raw()) as usize
+        });
         let code = self.lut.read_row(row);
         self.decode(code)
     }

@@ -305,22 +305,14 @@ impl StarSoftmax {
     /// Runs the exponential stage for one difference, returning the exp
     /// code read from the LUT (and updating the histogram + fault count).
     fn exp_lookup(&mut self, diff: Fixed, histogram: &mut [u64]) -> u32 {
-        let clamped = encoding::clamp_for_magnitude(diff);
-        let mag = clamped.magnitude_code() as usize;
-        let bits = encoding::to_magnitude(clamped);
-        let one_hot = self.exp_cam.search(&bits);
-        let hot: Vec<usize> =
-            one_hot.iter().enumerate().filter(|(_, &h)| h).map(|(i, _)| i).collect();
-        let row = match hot.as_slice() {
-            [r] => *r,
-            _ => {
-                // Fault recovery: a defective CAM produced zero or multiple
-                // matchlines; the controller falls back to the nominal row.
-                self.fault_events += 1;
-                star_telemetry::count("star.faults.recovered", 1);
-                mag
-            }
-        };
+        let mag = encoding::clamp_for_magnitude(diff).magnitude_code();
+        let row = self.exp_cam.search_one_hot(mag).unwrap_or_else(|| {
+            // Fault recovery: a defective CAM produced zero or multiple
+            // matchlines; the controller falls back to the nominal row.
+            self.fault_events += 1;
+            star_telemetry::count("star.faults.recovered", 1);
+            mag as usize
+        });
         histogram[row] += 1;
         star_telemetry::count("star.exp.lut_hits", 1);
         self.lut.read_row(row) as u32

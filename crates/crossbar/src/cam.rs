@@ -38,6 +38,7 @@ use star_device::{
 ///     cam.store_row(row, &bits);
 /// }
 /// assert_eq!(cam.search(&[true, false, true]), vec![false, false, true, false]);
+/// assert_eq!(cam.search_one_hot(0b011), Some(1));
 /// ```
 #[derive(Debug, Clone)]
 pub struct CamCrossbar {
@@ -46,7 +47,27 @@ pub struct CamCrossbar {
     /// Cell pairs: `cells[row][2*bit]` is the true cell, `[2*bit+1]` the
     /// complement cell.
     cells: Vec<Vec<RramCell>>,
+    /// Per row, which true cells conduct (faults included), packed
+    /// MSB-first like the search key: pair `i` is bit `word_bits − 1 − i`.
+    tru: Vec<u64>,
+    /// Per row, which complement cells conduct, packed like `tru`.
+    comp: Vec<u64>,
+    /// `word_bits` low ones.
+    full: u64,
+    /// `(pattern, row)`, sorted, for every row whose pairs are all
+    /// complementary: such a row matches exactly the key equal to its
+    /// pattern.
+    index: Vec<(u64, u32)>,
+    /// Rows with a wildcard pair (both cells off) and no pair with both
+    /// cells on, ascending. Erased rows are all wildcards; a row with a
+    /// both-on pair discharges on every key and is in neither list.
+    wildcards: Vec<u32>,
+    /// Set by every cell write; the next search re-derives `index` and
+    /// `wildcards` from the planes, so programming a whole array costs one
+    /// sort rather than one sorted insertion per row.
+    index_stale: bool,
     tech: TechnologyParams,
+    search_cost: OpCost,
     ledger: Ledger,
 }
 
@@ -57,7 +78,7 @@ impl CamCrossbar {
     ///
     /// # Panics
     ///
-    /// Panics if `rows` or `word_bits` is zero.
+    /// Panics if `rows` or `word_bits` is zero, or `word_bits` exceeds 64.
     pub fn new<R: Rng + ?Sized>(
         rows: usize,
         word_bits: usize,
@@ -65,7 +86,7 @@ impl CamCrossbar {
         noise: NoiseModel,
         rng: &mut R,
     ) -> Self {
-        assert!(word_bits > 0, "CAM word width must be positive");
+        assert!((1..=64).contains(&word_bits), "CAM word width must be in 1..=64");
         let geometry = Geometry::new(rows, word_bits * 2);
         let cells = (0..rows)
             .map(|_| {
@@ -78,7 +99,24 @@ impl CamCrossbar {
                     .collect()
             })
             .collect();
-        CamCrossbar { geometry, word_bits, cells, tech: *tech, ledger: Ledger::new() }
+        let mut cam = CamCrossbar {
+            geometry,
+            word_bits,
+            cells,
+            tru: vec![0; rows],
+            comp: vec![0; rows],
+            full: u64::MAX >> (64 - word_bits),
+            index: Vec::new(),
+            wildcards: Vec::new(),
+            index_stale: true,
+            tech: *tech,
+            search_cost: search_cost(geometry, tech),
+            ledger: Ledger::new(),
+        };
+        for row in 0..rows {
+            cam.refresh_row(row);
+        }
+        cam
     }
 
     /// Array shape (rows × physical columns).
@@ -103,25 +141,25 @@ impl CamCrossbar {
             self.cells[row][2 * i].program_ideal(u16::from(b));
             self.cells[row][2 * i + 1].program_ideal(u16::from(!b));
         }
+        self.refresh_row(row);
     }
 
-    /// The pattern a row *effectively* stores, reading through any stuck
-    /// faults on the true cells.
-    pub fn effective_row(&self, row: usize) -> Vec<bool> {
-        (0..self.word_bits).map(|i| self.cells[row][2 * i].stores_one()).collect()
+    /// Re-reads one row's cells into its planes.
+    fn refresh_row(&mut self, row: usize) {
+        let (mut tru, mut comp) = (0u64, 0u64);
+        for pair in self.cells[row].chunks_exact(2) {
+            tru = tru << 1 | u64::from(pair[0].stores_one());
+            comp = comp << 1 | u64::from(pair[1].stores_one());
+        }
+        self.tru[row] = tru;
+        self.comp[row] = comp;
+        self.index_stale = true;
     }
 
-    /// Whether a row matches a key under the matchline discharge model:
-    /// the line survives iff no cell on a discharge path conducts.
-    ///
-    /// Searching bit `1` places the complement cell on the discharge path;
-    /// searching `0` places the true cell there. A stuck-on cell on the
-    /// path forces a mismatch; a stuck-off cell can mask one.
-    fn row_matches(&self, row: usize, key: &[bool]) -> bool {
-        key.iter().enumerate().all(|(i, &k)| {
-            let path_cell = if k { &self.cells[row][2 * i + 1] } else { &self.cells[row][2 * i] };
-            !path_cell.stores_one()
-        })
+    /// The code a row *effectively* stores, MSB-first: its true cells read
+    /// through any stuck faults.
+    pub(crate) fn stored_code(&self, row: usize) -> u64 {
+        self.tru[row]
     }
 
     /// Searches the array: returns the per-row match vector.
@@ -131,29 +169,83 @@ impl CamCrossbar {
     /// Panics if `key.len() != word_bits`.
     pub fn search(&mut self, key: &[bool]) -> Vec<bool> {
         assert_eq!(key.len(), self.word_bits, "search key width mismatch");
-        let result = (0..self.geometry.rows()).map(|r| self.row_matches(r, key)).collect();
-        let cost = self.search_cost();
+        let code = key.iter().fold(0u64, |acc, &b| acc << 1 | u64::from(b));
+        let mut hits = vec![false; self.geometry.rows()];
+        for row in self.search_rows(code) {
+            hits[row] = true;
+        }
+        hits
+    }
+
+    /// Searches the array for a key given as an MSB-first code (bit
+    /// `word_bits − 1` is the first searchline, as in
+    /// `star_fixed::encoding::to_twos_complement`) and returns the matching
+    /// row if exactly one matchline survives — the drive a LUT needs.
+    /// `None` means a defect left zero or several rows matching. Costs one
+    /// search, like [`CamCrossbar::search`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` has bits set at or above `word_bits`.
+    pub fn search_one_hot(&mut self, key: u64) -> Option<usize> {
+        assert_eq!(key & !self.full, 0, "search key {key:#x} wider than {} bits", self.word_bits);
+        let mut rows = self.search_rows(key);
+        match (rows.next(), rows.next()) {
+            (Some(row), None) => Some(row),
+            _ => None,
+        }
+    }
+
+    /// One parallel search for an MSB-first `key` of at most `word_bits`
+    /// bits: records its cost and yields every matching row. A row matches
+    /// iff no cell on a discharge path conducts — searching bit `1` puts
+    /// the complement cell on the path, searching `0` the true cell — so a
+    /// stuck-on cell on the path forces a mismatch and a stuck-off cell
+    /// can mask one. Rows come from the pattern index (ascending), then
+    /// from the wildcard list (ascending).
+    pub(crate) fn search_rows(&mut self, key: u64) -> impl Iterator<Item = usize> + '_ {
+        if self.index_stale {
+            self.rebuild_index();
+        }
+        let cost = self.search_cost;
         self.ledger.record(cost);
         star_telemetry::count("crossbar.cam.searches", 1);
         star_telemetry::add("crossbar.cam.energy_pj", cost.energy.value());
-        result
+        let start = self.index.partition_point(|&(pattern, _)| pattern < key);
+        let exact = self.index[start..]
+            .iter()
+            .take_while(move |&&(pattern, _)| pattern == key)
+            .map(|&(_, row)| row as usize);
+        let (tru, comp, full) = (&self.tru, &self.comp, self.full);
+        let wild = self
+            .wildcards
+            .iter()
+            .map(|&row| row as usize)
+            .filter(move |&row| key & comp[row] == 0 && !key & full & tru[row] == 0);
+        exact.chain(wild)
+    }
+
+    /// Re-derives the pattern index and wildcard list from the planes.
+    fn rebuild_index(&mut self) {
+        self.index.clear();
+        self.wildcards.clear();
+        for (row, (&tru, &comp)) in self.tru.iter().zip(&self.comp).enumerate() {
+            if tru & comp != 0 {
+                continue;
+            }
+            if tru | comp == self.full {
+                self.index.push((tru, row as u32));
+            } else {
+                self.wildcards.push(row as u32);
+            }
+        }
+        self.index.sort_unstable();
+        self.index_stale = false;
     }
 
     /// Energy/latency of one parallel search cycle.
     pub fn search_cost(&self) -> OpCost {
-        let rows = self.geometry.rows();
-        let cols = self.geometry.cols();
-        let ml = PeripheralLibrary::matchline(cols);
-        let sa = PeripheralLibrary::sense_amp();
-        // Search-line drive: one driver toggle per physical column.
-        let drive = star_device::DriverSpec::wordline32().energy_per_toggle() * cols as f64;
-        // Roughly half the cells conduct during evaluation for one read
-        // voltage pulse.
-        let cell = self.tech.cell_search_energy(self.tech.g_lrs()) * (rows * cols) as f64 * 0.5;
-        let energy: Energy =
-            ml.energy_per_op() * rows as f64 + sa.energy_per_op() * rows as f64 + drive + cell;
-        let latency = Latency::new(self.tech.cam_search_ns);
-        OpCost::new(energy, latency)
+        self.search_cost
     }
 
     /// Itemized area/power budget of the array (cells + matchline periphery
@@ -217,6 +309,7 @@ impl CamCrossbar {
     pub fn inject_fault(&mut self, row: usize, bit: usize, pair_half: usize, fault: StuckFault) {
         assert!(pair_half < 2, "pair half must be 0 or 1");
         self.cells[row][2 * bit + pair_half].set_fault(fault);
+        self.refresh_row(row);
     }
 
     /// Total cell-array area.
@@ -225,9 +318,28 @@ impl CamCrossbar {
     }
 }
 
+/// Energy/latency of one parallel search cycle over an array of
+/// `geometry`.
+fn search_cost(geometry: Geometry, tech: &TechnologyParams) -> OpCost {
+    let rows = geometry.rows();
+    let cols = geometry.cols();
+    let ml = PeripheralLibrary::matchline(cols);
+    let sa = PeripheralLibrary::sense_amp();
+    // Search-line drive: one driver toggle per physical column.
+    let drive = star_device::DriverSpec::wordline32().energy_per_toggle() * cols as f64;
+    // Roughly half the cells conduct during evaluation for one read
+    // voltage pulse.
+    let cell = tech.cell_search_energy(tech.g_lrs()) * (rows * cols) as f64 * 0.5;
+    let energy: Energy =
+        ml.energy_per_op() * rows as f64 + sa.energy_per_op() * rows as f64 + drive + cell;
+    let latency = Latency::new(tech.cam_search_ns);
+    OpCost::new(energy, latency)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -235,6 +347,18 @@ mod tests {
         let tech = TechnologyParams::cmos32();
         let mut rng = ChaCha8Rng::seed_from_u64(42);
         CamCrossbar::new(rows, bits, &tech, NoiseModel::ideal(), &mut rng)
+    }
+
+    impl CamCrossbar {
+        /// The reference matchline model, walked cell by cell: the line
+        /// survives iff no cell on a discharge path conducts.
+        fn row_matches(&self, row: usize, key: &[bool]) -> bool {
+            key.iter().enumerate().all(|(i, &k)| {
+                let path_cell =
+                    if k { &self.cells[row][2 * i + 1] } else { &self.cells[row][2 * i] };
+                !path_cell.stores_one()
+            })
+        }
     }
 
     #[test]
@@ -263,6 +387,7 @@ mod tests {
         c.store_row(3, &p);
         let m = c.search(&p);
         assert_eq!(m, vec![false, true, false, true]);
+        assert_eq!(c.search_one_hot(0b110), None);
     }
 
     #[test]
@@ -313,6 +438,46 @@ mod tests {
     }
 
     #[test]
+    fn one_hot_search_finds_the_single_row() {
+        let mut c = cam(4, 2);
+        for r in 0..4 {
+            c.store_row(r, &[r & 2 != 0, r & 1 != 0]);
+        }
+        for r in 0..4 {
+            assert_eq!(c.search_one_hot(r as u64), Some(r));
+        }
+        // Row 0's LSB complement stuck off leaves a wildcard pair, so the
+        // row also answers key 0b01.
+        c.inject_fault(0, 1, 1, StuckFault::StuckOff);
+        assert_eq!(c.search_one_hot(0b01), None);
+        assert_eq!(c.ledger().ops, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "wider than")]
+    fn one_hot_search_rejects_wide_key() {
+        cam(4, 3).search_one_hot(0b1000);
+    }
+
+    #[test]
+    fn full_width_words() {
+        let mut c = cam(2, 64);
+        let bits: Vec<bool> = (0..64).map(|i| i % 3 == 0).collect();
+        c.store_row(0, &bits);
+        c.store_row(1, &[true; 64]);
+        let code = bits.iter().fold(0u64, |acc, &b| acc << 1 | u64::from(b));
+        assert_eq!(c.search_one_hot(code), Some(0));
+        assert_eq!(c.search_one_hot(u64::MAX), Some(1));
+        assert_eq!(c.stored_code(1), u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=64")]
+    fn rejects_words_wider_than_64_bits() {
+        cam(2, 65);
+    }
+
+    #[test]
     fn search_cost_positive_and_scales() {
         let small = cam(16, 4).search_cost();
         let large = cam(512, 9).search_cost();
@@ -349,5 +514,60 @@ mod tests {
     fn search_rejects_bad_width() {
         let mut c = cam(4, 3);
         c.search(&[true]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn packed_search_matches_the_cell_walk(
+            rows in 1usize..20,
+            word_bits in 1usize..8,
+            stuck_rate in prop::sample::select(vec![0.0, 0.05, 0.25]),
+            seed in any::<u64>(),
+            ops in prop::collection::vec((0u8..3, any::<u64>(), any::<u64>()), 0..40),
+        ) {
+            let tech = TechnologyParams::cmos32();
+            let noise = NoiseModel::new(0.0, 0.0, stuck_rate, stuck_rate);
+            let mut c = CamCrossbar::new(
+                rows, word_bits, &tech, noise, &mut ChaCha8Rng::seed_from_u64(seed),
+            );
+            let full = u64::MAX >> (64 - word_bits);
+            let bits_of = |code: u64| -> Vec<bool> {
+                (0..word_bits).rev().map(|b| (code >> b) & 1 == 1).collect()
+            };
+            // Last pattern stored per row, so searches often hit.
+            let mut stored = vec![0u64; rows];
+            for (op, a, b) in ops {
+                let row = (a % rows as u64) as usize;
+                match op {
+                    0 => {
+                        stored[row] = b & full;
+                        c.store_row(row, &bits_of(stored[row]));
+                    }
+                    1 => {
+                        let fault = [StuckFault::None, StuckFault::StuckOn, StuckFault::StuckOff]
+                            [(b >> 8) as usize % 3];
+                        c.inject_fault(row, (b % word_bits as u64) as usize, (b >> 4) as usize & 1, fault);
+                    }
+                    _ => {}
+                }
+                for key in [stored[(a >> 32) as usize % rows], b & full] {
+                    let bits = bits_of(key);
+                    let reference: Vec<bool> = (0..rows).map(|r| c.row_matches(r, &bits)).collect();
+                    prop_assert_eq!(c.search(&bits), reference.clone());
+                    let one_hot = match reference.iter().filter(|&&m| m).count() {
+                        1 => reference.iter().position(|&m| m),
+                        _ => None,
+                    };
+                    prop_assert_eq!(c.search_one_hot(key), one_hot);
+                    for r in 0..rows {
+                        let effective = (0..word_bits)
+                            .fold(0u64, |acc, i| acc << 1 | u64::from(c.cells[r][2 * i].stores_one()));
+                        prop_assert_eq!(c.stored_code(r), effective);
+                    }
+                }
+            }
+        }
     }
 }

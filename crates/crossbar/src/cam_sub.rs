@@ -88,7 +88,8 @@ pub struct MaxSearchResult {
 pub struct CamSubCrossbar {
     format: QFormat,
     cam: CamCrossbar,
-    tech: TechnologyParams,
+    merge_cost: OpCost,
+    subtract_cost: OpCost,
     ledger: Ledger,
 }
 
@@ -109,7 +110,21 @@ impl CamSubCrossbar {
             let bits = encoding::to_twos_complement(Fixed::from_raw(raw, format));
             cam.store_row(row, &bits);
         }
-        CamSubCrossbar { format, cam, tech: *tech, ledger: Ledger::new() }
+        let or = PeripheralLibrary::or_tree(rows);
+        let pe = PeripheralLibrary::priority_encoder(rows);
+        let merge_cost = OpCost::new(
+            or.energy_per_op() + pe.energy_per_op(),
+            Latency::new(or.latency_per_op().value() + pe.latency_per_op().value()),
+        );
+        let cols = cam.geometry().cols();
+        let sa = PeripheralLibrary::sense_amp();
+        let add = PeripheralLibrary::int_adder(format.total_bits());
+        let cell = tech.cell_search_energy(tech.g_lrs()) * cols as f64;
+        let subtract_cost = OpCost::new(
+            cell + sa.energy_per_op() * cols as f64 + add.energy_per_op(),
+            Latency::new(tech.cam_search_ns),
+        );
+        CamSubCrossbar { format, cam, merge_cost, subtract_cost, ledger: Ledger::new() }
     }
 
     /// The value format the array is built for.
@@ -153,29 +168,31 @@ impl CamSubCrossbar {
             return Err(SearchError::EmptyInput);
         }
         let rows = self.geometry().rows();
-        let mut merged = vec![false; rows];
+        let mut hot = vec![0u64; rows.div_ceil(64)];
         let mut per_input_rows = Vec::with_capacity(inputs.len());
         for &x in inputs {
             debug_assert_eq!(x.format(), self.format, "input format mismatch");
-            let key = encoding::to_twos_complement(x);
-            let hits = self.cam.search(&key);
-            let mut first = None;
-            for (r, hit) in hits.iter().enumerate() {
-                if *hit {
-                    merged[r] = true;
-                    if first.is_none() {
-                        first = Some(r);
-                    }
-                }
+            let mut first: Option<usize> = None;
+            for r in self.cam.search_rows(encoding::twos_complement_code(x)) {
+                hot[r / 64] |= 1 << (r % 64);
+                first = Some(first.map_or(r, |f| f.min(r)));
             }
             per_input_rows.push(first);
         }
-        let merge = self.merge_cost();
+        let merge = self.merge_cost;
         self.ledger.record(merge);
         star_telemetry::count("crossbar.camsub.max_searches", 1);
         star_telemetry::add("crossbar.camsub.energy_pj", merge.energy.value());
+        let merged: Vec<bool> = (0..rows).map(|r| (hot[r / 64] >> (r % 64)) & 1 == 1).collect();
         let row = merged.iter().position(|&h| h).ok_or(SearchError::NoMatch)?;
         Ok(MaxSearchResult { max: self.value_of(row), row, merged, per_input_rows })
+    }
+
+    /// The value a row *effectively* stores: its true cells, read through
+    /// stuck faults, as a two's-complement code.
+    fn stored_raw(&self, row: usize) -> i64 {
+        let unused = 64 - u32::from(self.format.total_bits());
+        ((self.cam.stored_code(row) << unused) as i64) >> unused
     }
 
     /// SUB phase for one input (Fig. 1 steps ④–⑤): drives `x`'s row
@@ -189,12 +206,10 @@ impl CamSubCrossbar {
     pub fn subtract(&mut self, x: Fixed, max: Fixed) -> Fixed {
         debug_assert_eq!(x.format(), self.format);
         debug_assert_eq!(max.format(), self.format);
-        let bits_x = self.cam.effective_row(self.row_of(x));
-        let bits_m = self.cam.effective_row(self.row_of(max));
-        let vx = encoding::from_twos_complement(&bits_x, self.format);
-        let vm = encoding::from_twos_complement(&bits_m, self.format);
-        let raw = (vx.raw() - vm.raw()).min(0); // differences are ≤ 0 by construction
-        let sub = self.subtract_cost();
+        let vx = self.stored_raw(self.row_of(x));
+        let vm = self.stored_raw(self.row_of(max));
+        let raw = (vx - vm).min(0); // differences are ≤ 0 by construction
+        let sub = self.subtract_cost;
         self.ledger.record(sub);
         star_telemetry::count("crossbar.camsub.subtracts", 1);
         star_telemetry::add("crossbar.camsub.energy_pj", sub.energy.value());
@@ -213,20 +228,20 @@ impl CamSubCrossbar {
         // Per-column ternary sense: noise shifts the normalized differential
         // current; the ±0.5 thresholds absorb it unless it exceeds half a
         // unit current.
-        let row_x = self.row_of(x);
-        let row_m = self.row_of(max);
-        let bits_x = self.cam.effective_row(row_x);
-        let bits_m = self.cam.effective_row(row_m);
-        let n = bits_x.len();
+        let code_x = self.cam.stored_code(self.row_of(x));
+        let code_m = self.cam.stored_code(self.row_of(max));
+        let n = self.format.total_bits() as usize;
         let mut raw: i64 = 0;
+        // Bitlines MSB first, the MSB weighted negatively.
         for j in 0..n {
-            let ideal = i64::from(bits_x[j]) - i64::from(bits_m[j]);
+            let shift = n - 1 - j;
+            let ideal = ((code_x >> shift) & 1) as i64 - ((code_m >> shift) & 1) as i64;
             let sensed = noise.read(ideal as f64, rng);
             let digit = sensed.round().clamp(-1.0, 1.0) as i64;
-            let weight = 1i64 << (n - 1 - j);
+            let weight = 1i64 << shift;
             raw += if j == 0 { -digit * weight } else { digit * weight };
         }
-        let sub = self.subtract_cost();
+        let sub = self.subtract_cost;
         self.ledger.record(sub);
         star_telemetry::count("crossbar.camsub.subtracts", 1);
         star_telemetry::add("crossbar.camsub.energy_pj", sub.energy.value());
@@ -252,25 +267,12 @@ impl CamSubCrossbar {
 
     /// Cost of the OR-merge + priority-encode step after all searches.
     pub fn merge_cost(&self) -> OpCost {
-        let rows = self.geometry().rows();
-        let or = PeripheralLibrary::or_tree(rows);
-        let pe = PeripheralLibrary::priority_encoder(rows);
-        OpCost::new(
-            or.energy_per_op() + pe.energy_per_op(),
-            Latency::new(or.latency_per_op().value() + pe.latency_per_op().value()),
-        )
+        self.merge_cost
     }
 
     /// Cost of one subtraction cycle (one array read + recombination add).
     pub fn subtract_cost(&self) -> OpCost {
-        let cols = self.geometry().cols();
-        let sa = PeripheralLibrary::sense_amp();
-        let add = PeripheralLibrary::int_adder(self.format.total_bits());
-        let cell = self.tech.cell_search_energy(self.tech.g_lrs()) * cols as f64;
-        OpCost::new(
-            cell + sa.energy_per_op() * cols as f64 + add.energy_per_op(),
-            Latency::new(self.tech.cam_search_ns),
-        )
+        self.subtract_cost
     }
 
     /// Total cost of stage 1 over `n` inputs: `n` searches, one merge,

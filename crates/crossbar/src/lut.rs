@@ -31,7 +31,11 @@ pub struct LutCrossbar {
     geometry: Geometry,
     word_bits: usize,
     cells: Vec<Vec<RramCell>>,
+    /// The word each row effectively stores (faults included), refreshed
+    /// by every cell write.
+    words: Vec<u64>,
     tech: TechnologyParams,
+    read_cost: OpCost,
     ledger: Ledger,
 }
 
@@ -61,7 +65,32 @@ impl LutCrossbar {
                     .collect()
             })
             .collect();
-        LutCrossbar { geometry, word_bits, cells, tech: *tech, ledger: Ledger::new() }
+        let sa = PeripheralLibrary::sense_amp();
+        let drv = star_device::DriverSpec::wordline32();
+        // One driven row: up to `word_bits` conducting cells + column
+        // sense amps.
+        let cell = tech.cell_search_energy(tech.g_lrs()) * word_bits as f64;
+        let energy: Energy = cell + sa.energy_per_op() * word_bits as f64 + drv.energy_per_toggle();
+        let mut lut = LutCrossbar {
+            geometry,
+            word_bits,
+            cells,
+            words: vec![0; rows],
+            tech: *tech,
+            read_cost: OpCost::new(energy, Latency::new(tech.cam_search_ns)),
+            ledger: Ledger::new(),
+        };
+        for row in 0..rows {
+            lut.refresh_word(row);
+        }
+        lut
+    }
+
+    /// Re-reads one row's cells into its word.
+    fn refresh_word(&mut self, row: usize) {
+        self.words[row] = self.cells[row]
+            .iter()
+            .fold(0u64, |word, cell| word << 1 | u64::from(cell.stores_one()));
     }
 
     /// Array shape.
@@ -93,6 +122,7 @@ impl LutCrossbar {
             let bit = (word >> (self.word_bits - 1 - j)) & 1 == 1;
             self.cells[row][j].program_ideal(u16::from(bit));
         }
+        self.refresh_word(row);
     }
 
     /// Reads one row (the one-hot driven lookup), recording its cost.
@@ -102,20 +132,16 @@ impl LutCrossbar {
     /// Panics if `row` is out of range.
     pub fn read_row(&mut self, row: usize) -> u64 {
         assert!(row < self.geometry.rows(), "row {row} out of range");
-        let cost = self.read_cost();
+        let cost = self.read_cost;
         self.ledger.record(cost);
         star_telemetry::count("crossbar.lut.reads", 1);
         star_telemetry::add("crossbar.lut.energy_pj", cost.energy.value());
-        self.peek_row(row)
+        self.words[row]
     }
 
     /// Reads a row without recording cost (for assertions).
     pub fn peek_row(&self, row: usize) -> u64 {
-        let mut word = 0u64;
-        for j in 0..self.word_bits {
-            word = (word << 1) | u64::from(self.cells[row][j].stores_one());
-        }
-        word
+        self.words[row]
     }
 
     /// Reads the row selected by a one-hot drive vector.
@@ -135,13 +161,7 @@ impl LutCrossbar {
 
     /// Energy/latency of one row read.
     pub fn read_cost(&self) -> OpCost {
-        let cols = self.geometry.cols();
-        let sa = PeripheralLibrary::sense_amp();
-        let drv = star_device::DriverSpec::wordline32();
-        // One driven row: up to `cols` conducting cells + column sense amps.
-        let cell = self.tech.cell_search_energy(self.tech.g_lrs()) * cols as f64;
-        let energy: Energy = cell + sa.energy_per_op() * cols as f64 + drv.energy_per_toggle();
-        OpCost::new(energy, Latency::new(self.tech.cam_search_ns))
+        self.read_cost
     }
 
     /// Itemized area/power budget (cells + column sense amps + row driver).

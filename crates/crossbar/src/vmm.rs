@@ -94,9 +94,15 @@ pub struct VmmCrossbar {
     /// Physical cells: `cells[row][col * slices + slice]`, slice 0 = most
     /// significant digit.
     cells: Vec<Vec<RramCell>>,
+    /// Each cell's level fraction `(g − g_hrs)/(g_lrs − g_hrs)` (faults
+    /// included), bitline-major: `fractions[physical_col * rows + row]`.
+    /// Refreshed by every cell write.
+    fractions: Vec<f64>,
     noise: NoiseModel,
     tech: TechnologyParams,
     ir_drop: Option<IrDropModel>,
+    /// Cost of one bit-serial input cycle.
+    cycle_cost: OpCost,
     ledger: Ledger,
 }
 
@@ -158,7 +164,23 @@ impl VmmCrossbar {
                     .collect()
             })
             .collect();
-        VmmCrossbar {
+        let drv = DriverSpec::wordline32();
+        let cell = tech.cell_read_energy(tech.g_lrs()) * (rows * physical_cols) as f64 * 0.5;
+        let convert = match readout {
+            Readout::Ideal => star_device::Energy::ZERO,
+            Readout::Adc(adc) => adc.conversion_energy() * physical_cols as f64,
+        };
+        let sa = PeripheralLibrary::shift_add(32);
+        let cycle_energy = drv.energy_per_toggle() * rows as f64
+            + cell
+            + convert
+            + sa.energy_per_op() * physical_cols as f64;
+        let convert_latency = match readout {
+            Readout::Adc(adc) => adc.conversion_latency().value(),
+            Readout::Ideal => 0.0,
+        };
+        let cycle_latency = Latency::new(tech.crossbar_read_ns + convert_latency);
+        let mut vmm = VmmCrossbar {
             rows,
             cols,
             weight_bits,
@@ -166,10 +188,24 @@ impl VmmCrossbar {
             slices,
             readout,
             cells,
+            fractions: vec![0.0; rows * physical_cols],
             noise,
             tech: *tech,
             ir_drop: None,
+            cycle_cost: OpCost::new(cycle_energy, cycle_latency),
             ledger: Ledger::new(),
+        };
+        vmm.refresh_fractions();
+        vmm
+    }
+
+    /// Re-reads every cell's conductance into `fractions`.
+    fn refresh_fractions(&mut self) {
+        let (g_hrs, unit) = (self.tech.g_hrs(), self.tech.g_lrs() - self.tech.g_hrs());
+        for (r, row) in self.cells.iter().enumerate() {
+            for (pc, cell) in row.iter().enumerate() {
+                self.fractions[pc * self.rows + r] = (cell.conductance() - g_hrs) / unit;
+            }
         }
     }
 
@@ -230,14 +266,16 @@ impl VmmCrossbar {
                 }
             }
         }
+        self.refresh_fractions();
     }
 
     /// The weight code a logical cell *effectively* stores (through
     /// faults).
     pub fn effective_weight(&self, row: usize, col: usize) -> u32 {
+        assert!(row < self.rows && col < self.cols, "cell ({row}, {col}) out of range");
         let mut w = 0u32;
         for s in 0..self.slices {
-            let digit = self.effective_level(&self.cells[row][col * self.slices + s]);
+            let digit = self.effective_level(row, col * self.slices + s);
             w = (w << self.bits_per_cell) | u32::from(digit);
         }
         w
@@ -245,10 +283,9 @@ impl VmmCrossbar {
 
     /// The digit a cell effectively stores: its (possibly faulted)
     /// conductance mapped back onto the level grid.
-    fn effective_level(&self, cell: &RramCell) -> u16 {
+    fn effective_level(&self, row: usize, physical_col: usize) -> u16 {
         let levels = (1u16 << self.bits_per_cell) as f64;
-        let norm =
-            (cell.conductance() - self.tech.g_hrs()) / (self.tech.g_lrs() - self.tech.g_hrs());
+        let norm = self.fractions[physical_col * self.rows + row];
         (norm * (levels - 1.0)).round().clamp(0.0, levels - 1.0) as u16
     }
 
@@ -306,31 +343,34 @@ impl VmmCrossbar {
         let mut outputs = vec![0.0f64; self.cols];
         let unit = self.tech.g_lrs() - self.tech.g_hrs();
         let level_span = ((1u16 << self.bits_per_cell) - 1) as f64;
+        // The rows each bit cycle drives, ascending: only their cells add
+        // current, in the bitline's summation order.
+        let driven: Vec<Vec<usize>> = (0..input_bits)
+            .map(|b| (0..self.rows).filter(|&r| (inputs[r] >> b) & 1 == 1).collect())
+            .collect();
         // One cycle per input bit, MSB first.
         #[allow(clippy::needless_range_loop)] // c indexes both cells and outputs
         for b in (0..input_bits as usize).rev() {
             for c in 0..self.cols {
                 for s in 0..self.slices {
-                    // Normalized bitline current: each active cell adds its
+                    // Normalized bitline current: each driven cell adds its
                     // level fraction level/(levels−1) ∈ [0, 1].
-                    let mut current = 0.0f64;
                     let physical_col = c * self.slices + s;
-                    for (r, &x) in inputs.iter().enumerate() {
-                        if (x >> b) & 1 == 1 {
+                    let column = &self.fractions[physical_col * self.rows..][..self.rows];
+                    let current = match self.ir_drop {
+                        None => driven[b].iter().fold(0.0f64, |sum, &r| sum + column[r]),
+                        Some(m) => driven[b].iter().fold(0.0f64, |sum, &r| {
+                            let atten = m.attenuation(
+                                r,
+                                physical_col,
+                                self.rows,
+                                self.cols * self.slices,
+                                self.tech.g_lrs(),
+                            );
                             let g = self.cells[r][physical_col].conductance();
-                            let atten = match self.ir_drop {
-                                Some(m) => m.attenuation(
-                                    r,
-                                    physical_col,
-                                    self.rows,
-                                    self.cols * self.slices,
-                                    self.tech.g_lrs(),
-                                ),
-                                None => 1.0,
-                            };
-                            current += atten * (g - self.tech.g_hrs()) / unit;
-                        }
-                    }
+                            sum + atten * (g - self.tech.g_hrs()) / unit
+                        }),
+                    };
                     let current = if self.noise.read_sigma > 0.0 {
                         self.noise.read(current, rng).max(0.0)
                     } else {
@@ -365,27 +405,7 @@ impl VmmCrossbar {
     /// Cost of one full VMM (all input bits): per cycle, wordline drives +
     /// cell reads + one conversion per physical column, then shift-add.
     pub fn vmm_cost(&self, input_bits: u8) -> OpCost {
-        let cycles = input_bits as u64;
-        let physical_cols = self.cols * self.slices;
-        let drv = DriverSpec::wordline32();
-        let cell = self.tech.cell_read_energy(self.tech.g_lrs())
-            * (self.rows * physical_cols) as f64
-            * 0.5;
-        let convert = match self.readout {
-            Readout::Ideal => star_device::Energy::ZERO,
-            Readout::Adc(adc) => adc.conversion_energy() * physical_cols as f64,
-        };
-        let sa = PeripheralLibrary::shift_add(32);
-        let per_cycle_energy = drv.energy_per_toggle() * self.rows as f64
-            + cell
-            + convert
-            + sa.energy_per_op() * physical_cols as f64;
-        let convert_latency = match self.readout {
-            Readout::Adc(adc) => adc.conversion_latency().value(),
-            Readout::Ideal => 0.0,
-        };
-        let per_cycle_latency = Latency::new(self.tech.crossbar_read_ns + convert_latency);
-        OpCost::new(per_cycle_energy, per_cycle_latency).repeat(cycles)
+        self.cycle_cost.repeat(input_bits as u64)
     }
 
     /// Itemized area/power budget (cells + drivers + ADCs + shift-add).
@@ -530,6 +550,7 @@ mod tests {
         assert_eq!(x.effective_weight(0, 0), 0b1010);
         // MSB slice of weight (0,0) stuck off: 0b1010 -> 0b0010.
         x.cells[0][0].set_fault(star_device::StuckFault::StuckOff);
+        x.refresh_fractions();
         assert_eq!(x.effective_weight(0, 0), 0b0010);
         let y = x.multiply_exact(&[1, 1]);
         assert_eq!(y[0], 0b0010 + 0b0101);

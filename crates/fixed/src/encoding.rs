@@ -30,10 +30,28 @@ use crate::{Fixed, QFormat};
 /// # Ok::<(), star_fixed::FormatError>(())
 /// ```
 pub fn to_twos_complement(value: Fixed) -> Vec<bool> {
+    let code = twos_complement_code(value);
+    (0..value.format().total_bits()).rev().map(|i| (code >> i) & 1 == 1).collect()
+}
+
+/// The two's-complement code of a value as an integer of
+/// `format.total_bits()` bits: bit `total_bits − 1 − i` is element `i` of
+/// [`to_twos_complement`].
+///
+/// # Examples
+///
+/// ```
+/// use star_fixed::{encoding, Fixed, QFormat, Rounding};
+///
+/// let q = QFormat::new(2, 1)?; // 4 bits total
+/// let x = Fixed::from_f64(-1.5, q, Rounding::Nearest); // raw = -3
+/// assert_eq!(encoding::twos_complement_code(x), 0b1101);
+/// # Ok::<(), star_fixed::FormatError>(())
+/// ```
+pub fn twos_complement_code(value: Fixed) -> u64 {
     let bits = value.format().total_bits();
     let mask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
-    let code = (value.raw() as u64) & mask;
-    (0..bits).rev().map(|i| (code >> i) & 1 == 1).collect()
+    (value.raw() as u64) & mask
 }
 
 /// Decodes an MSB-first two's-complement bit vector into a [`Fixed`] value.

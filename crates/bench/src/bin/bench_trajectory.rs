@@ -12,14 +12,15 @@
 //! bench_trajectory check              # gate: counters vs recorded budgets
 //! bench_trajectory measure [ITERS]    # report-only wall-clock medians
 //! bench_trajectory update LABEL [ITERS]  # rewrite budgets, append medians
-//! bench_trajectory golden             # write results/{profile_work,incident,star_faults}.json
+//! bench_trajectory golden             # write results/{profile_work,incident,star_faults,serve_telemetry}.json
 //! ```
 //!
 //! `check` exits nonzero when any counter grew more than the recorded
 //! tolerance over its budget — the machine-independent regression gate.
 //! `golden` regenerates the deterministic fixtures the `star-bench`
 //! golden tests pin — the work-counter snapshot, the flight-recorder
-//! incident dump, and the faulty-array softmax pin (copy
+//! incident dump, the faulty-array softmax pin, and the serve loop's
+//! metric snapshot across consecutive runs (copy
 //! `results/<name>.json` to `crates/bench/tests/golden/` to accept a
 //! deliberate change).
 
@@ -137,6 +138,7 @@ fn cmd_golden() {
         ("profile_work", star_bench::profile_work_result as fn() -> _),
         ("incident", star_bench::incident_result),
         ("star_faults", star_bench::star_faults_result),
+        ("serve_telemetry", star_bench::serve_telemetry_result),
     ] {
         let path = star_bench::write_json(name, &build()).expect("write results/");
         println!("  wrote {}", path.display());

@@ -1132,3 +1132,55 @@ pub fn profile_work_result() -> serde_json::Value {
         "events_per_request": profile.work.events_per_request(),
     })
 }
+
+/// The machine-readable `serve_telemetry` result: the metric snapshot of
+/// one scoped registry that several simulations record into, one after
+/// another — the shape of the A8 experiment, where a plain `simulate`
+/// records into a registry that already holds a whole sweep.
+///
+/// Inside one [`star_telemetry::with_scoped`] region it runs, in order:
+///
+/// 1. a two-case [`star_serve::run_sweep`] (each case in its own scope,
+///    absorbed in case order),
+/// 2. a plain open-loop `simulate` overloaded enough to reject, expire
+///    and finish late,
+/// 3. a two-class closed-loop `simulate` sharing one class with the
+///    runs before it.
+///
+/// Every `serve.*` name the event loop records therefore already exists
+/// when the later runs start, with f64 sums that a run must continue
+/// rather than restart. The golden pins the resulting bytes.
+pub fn serve_telemetry_result() -> serde_json::Value {
+    use star_serve::{
+        simulate, ArrivalProcess, BatchPolicy, ModelKind, RequestClass, ServeConfig, WorkloadMix,
+    };
+    let short = RequestClass::new(ModelKind::Tiny, 16);
+    let long = RequestClass::new(ModelKind::Tiny, 32);
+    let base = ServeConfig { horizon_ns: 2e7, ..ServeConfig::example() };
+    let cases = star_serve::grid(
+        &base,
+        &[20_000.0, 60_000.0],
+        &[BatchPolicy::new(4, 50_000.0)],
+        &[base.fleet],
+    );
+    let overload = ServeConfig {
+        fleet: 1,
+        arrival: ArrivalProcess::poisson(150_000.0),
+        max_queue: 24,
+        deadline_ns: 2e5,
+        seed: 7,
+        ..base.clone()
+    };
+    let closed = ServeConfig {
+        arrival: ArrivalProcess::closed_loop(12, 40_000.0),
+        mix: WorkloadMix::new(vec![(short, 0.7), (long, 0.3)]),
+        seed: 11,
+        ..base
+    };
+    let ((), snap) = star_telemetry::with_scoped(|| {
+        star_serve::run_sweep(&cases, &star_exec::Executor::from_env());
+        simulate(&overload);
+        simulate(&closed);
+    });
+    snap.to_json()
+}

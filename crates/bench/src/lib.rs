@@ -18,8 +18,9 @@ pub use experiments::{
     a11_blame_whatif_result, a8_serving_cases, a8_serving_result, a9_device_health_cases,
     a9_device_health_result, e2_table1_result, e3_fig3_result, e4_bitwidth_json,
     e4_bitwidth_result, e4_sweeps, fig3_reports, finalize_experiment, incident_config,
-    incident_result, profile_fixture_config, profile_work_result, star_faults_result,
-    table1_engines, E4Sweep, A10_SLO_ATTAINMENT, A10_STATIC_FLEETS, A9_HORIZONS, E4_BAR,
+    incident_result, profile_fixture_config, profile_work_result, serve_telemetry_result,
+    star_faults_result, table1_engines, E4Sweep, A10_SLO_ATTAINMENT, A10_STATIC_FLEETS,
+    A9_HORIZONS, E4_BAR,
 };
 pub use trajectory::{
     matrix_config, matrix_points, trajectory_file_path, TrajectoryEntry, TrajectoryFile,

@@ -20,9 +20,11 @@
 //! not a fuzzy tolerance miss.
 //!
 //! `e4_bitwidth` is compared against the committed
-//! `results/e4_bitwidth.json` directly, and `star_faults` pins the
+//! `results/e4_bitwidth.json` directly, `star_faults` pins the
 //! functional crossbars on defective arrays (seeded stuck cells, read
-//! noise, hand-injected faults), which no experiment exercises.
+//! noise, hand-injected faults), which no experiment exercises, and
+//! `serve_telemetry` pins the serve loop's metrics when several runs
+//! record into one registry.
 //!
 //! When a deliberate model change moves the numbers, regenerate with:
 //!
@@ -34,7 +36,7 @@
 //!    results/a9_device_health.json results/a10_fleet_control.json \
 //!    results/a11_blame_whatif.json crates/bench/tests/golden/
 //! cargo run --release -p star-bench --bin bench_trajectory -- golden
-//! cp results/star_faults.json crates/bench/tests/golden/
+//! cp results/star_faults.json results/serve_telemetry.json crates/bench/tests/golden/
 //! ```
 
 use serde_json::Value;
@@ -257,6 +259,39 @@ fn profile_work_matches_golden() {
 }
 
 #[test]
+fn serve_telemetry_matches_golden() {
+    // The serve loop's metrics from a sweep, an open-loop run and a
+    // closed-loop run recorded one after another into one registry:
+    // every count, bucket and f64 sum, byte for byte. Regenerate
+    // deliberately with `bench_trajectory golden` and copy from
+    // `results/`.
+    assert_matches_golden("serve_telemetry", &star_bench::serve_telemetry_result());
+}
+
+#[test]
+fn serve_telemetry_golden_covers_every_serve_metric() {
+    let golden = fixture("serve_telemetry");
+    let counters = number_at(&golden, "counters/serve.requests.arrived");
+    for outcome in ["admitted", "rejected", "expired", "completed", "late"] {
+        let n = number_at(&golden, &format!("counters/serve.requests.{outcome}"));
+        assert!(n > 0.0 && n < counters, "{outcome}: {n} of {counters} arrivals");
+    }
+    // Per-class names hold a `/`, so these are looked up key by key.
+    let histograms = golden.get("histograms").expect("histograms");
+    for hist in [
+        "serve.latency_us",
+        "serve.queue_us",
+        "serve.batch.size",
+        "serve.class.tiny/seq16.latency_us",
+        "serve.class.tiny/seq32.queue_us",
+    ] {
+        let h = histograms.get(hist).unwrap_or_else(|| panic!("fixture missing {hist}"));
+        assert!(number_at(h, "total") > 0.0, "{hist}");
+    }
+    assert!(number_at(&golden, "gauges/serve.energy.total_pj") > 0.0);
+}
+
+#[test]
 fn profile_work_golden_reconciles_with_itself() {
     // The fixture must satisfy the same accounting identities the serve
     // crate's property tests enforce — a regenerated fixture that broke
@@ -266,6 +301,11 @@ fn profile_work_golden_reconciles_with_itself() {
     assert_eq!(number_at(&p, "work/batches_formed"), number_at(&p, "report/batches"));
     assert_eq!(number_at(&p, "work/batch_members"), number_at(&p, "report/completed"));
     assert_eq!(number_at(&p, "work/heap_pushes"), number_at(&p, "work/heap_pops"));
+    // Open-loop arrivals come off the cursor; every other event is a pop.
+    assert_eq!(
+        number_at(&p, "work/heap_pops") + number_at(&p, "work/events_arrive"),
+        number_at(&p, "work/events_total")
+    );
     assert_eq!(
         number_at(&p, "work/events_total"),
         number_at(&p, "work/events_arrive")

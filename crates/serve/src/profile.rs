@@ -15,9 +15,9 @@
 //! trust properties:
 //!
 //! 1. [`WorkCounters`] — **deterministic work accounting**: events
-//!    processed per type, heap push/pop totals and peak, dispatcher
-//!    rounds and queue scans, batches formed, telemetry facade calls,
-//!    plus power-of-two histograms of queue depth and event backlog.
+//!    processed per type, event-heap push/pop totals and peak, dispatcher
+//!    rounds and queue scans, batches formed, metric updates, plus
+//!    power-of-two histograms of queue depth and event backlog.
 //!    These depend only on the [`crate::ServeConfig`], never on the
 //!    machine, thread count, or load — so CI can gate them as hard
 //!    budgets and goldens can pin them byte-exactly.
@@ -57,7 +57,7 @@ pub mod phase {
     pub const INSTANCE_FREE: usize = 2;
     /// Post-event sampling: trace timeseries + health monitor grid.
     pub const SAMPLE_HOOKS: usize = 3;
-    /// Report assembly after the heap drains.
+    /// Report assembly (and the metric publish) after the loop drains.
     pub const FINALIZE: usize = 4;
     /// Nested: the greedy dispatcher (`try_dispatch`).
     pub const DISPATCH: usize = 5;
@@ -134,7 +134,8 @@ impl Pow2Hist {
 /// without schema coupling.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct WorkCounters {
-    /// Events popped from the heap, total.
+    /// Events processed, total: arrivals popped off the open-loop
+    /// cursor plus events popped off the heap.
     pub events_total: u64,
     /// `Arrive` events processed.
     pub events_arrive: u64,
@@ -144,13 +145,16 @@ pub struct WorkCounters {
     pub events_instance_free: u64,
     /// `ScaleCheck` events processed (0 without an autoscaler).
     pub events_scale_check: u64,
-    /// Events pushed onto the heap (arrivals seeded + windows armed +
-    /// invocations scheduled).
+    /// Events pushed onto the binary heap: windows armed, invocations
+    /// scheduled, scale checks and closed-loop arrivals. Open-loop
+    /// arrivals ride the arrival cursor and are never pushed.
     pub heap_pushes: u64,
-    /// Events popped off the heap (equals `events_total`; kept separate
-    /// so the push/pop conservation identity is checkable, not assumed).
+    /// Events popped off the binary heap: `events_total` minus the
+    /// open-loop arrivals. Equals `heap_pushes` once the run drains — a
+    /// conservation identity kept checkable, not assumed.
     pub heap_pops: u64,
-    /// Largest heap length observed after any push.
+    /// Largest binary-heap length observed after any push: O(fleet +
+    /// classes) in an open-loop run, O(clients) in a closed one.
     pub heap_peak: u64,
     /// Calls into the greedy dispatcher (`try_dispatch`).
     pub dispatch_rounds: u64,
@@ -177,13 +181,14 @@ pub struct WorkCounters {
     pub batch_members: u64,
     /// Requests dropped at dispatch because their deadline lapsed queued.
     pub expired_drops: u64,
-    /// Telemetry facade calls issued by the event loop (count / add /
-    /// observe sites in `sim.rs`; the health monitor's internal telemetry
-    /// is not included).
+    /// Metric updates issued by the event loop: count / add / observe
+    /// calls on its per-run [`star_telemetry::Tally`], recorded or not.
+    /// The health monitor's own telemetry is not included.
     pub telemetry_ops: u64,
     /// Queued-request total observed after each event.
     pub queue_depth_hist: Pow2Hist,
-    /// Heap length (event backlog) observed after each event.
+    /// Pending events observed after each event: the heap's length plus
+    /// the open-loop arrivals still on the cursor.
     pub backlog_hist: Pow2Hist,
 }
 

@@ -8,8 +8,24 @@
 //! deterministically (`BTreeMap` / `BTreeSet`). Two runs with the same
 //! [`ServeConfig`] therefore produce bitwise-identical reports.
 //!
-//! Events live in one binary heap keyed by `(time, seq)`, the same
-//! single total order STAR's global pipeline runs its stages in.
+//! Events are popped in one `(time, seq)` order, the same single total
+//! order STAR's global pipeline runs its stages in. They come from two
+//! sources merged at every pop:
+//!
+//! - an **open-loop arrival cursor** — the generated arrival trace, kept
+//!   as it was generated instead of being pushed up front. Arrival `i`
+//!   is event `i`, so on an exact time tie the cursor pops before the
+//!   heap, whose events number from the trace length on;
+//! - **one binary heap** for everything else (window expiries,
+//!   invocation completions, scale checks, closed-loop arrivals). It
+//!   holds O(fleet + classes) events in an open-loop run.
+//!
+//! Every metric the loop records goes through one per-run
+//! [`star_telemetry::Tally`]: accumulators registered at construction,
+//! seeded from the active registry and published back at finalize, so
+//! the registry holds the same bytes as per-call facade updates would
+//! have left, without a lock or a map lookup per event.
+//!
 //! Parallelism lives *outside* the event loop: parameter sweeps fan whole
 //! simulations out over `star-exec` (see [`crate::sweep`]).
 //!
@@ -47,7 +63,7 @@ use crate::trace::{
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use star_telemetry::Span;
+use star_telemetry::{CounterId, GaugeId, HistogramId, Span, Tally};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::time::Instant;
@@ -136,8 +152,9 @@ enum EventKind {
 }
 
 /// Per-class running totals (always maintained — they cost a handful of
-/// integer bumps per request and feed [`ServeReport::per_class`]).
-#[derive(Debug, Clone, Default)]
+/// integer bumps per request and feed [`ServeReport::per_class`]), plus
+/// the class's two span-duration histograms in the run's tally.
+#[derive(Debug, Clone)]
 struct ClassAccum {
     arrivals: u64,
     rejected: u64,
@@ -146,6 +163,30 @@ struct ClassAccum {
     good: u64,
     late: u64,
     latencies_ns: Vec<f64>,
+    latency_us: HistogramId,
+    queue_us: HistogramId,
+}
+
+impl ClassAccum {
+    fn new(class: RequestClass, tel: &mut Tally) -> Self {
+        ClassAccum {
+            arrivals: 0,
+            rejected: 0,
+            expired: 0,
+            completed: 0,
+            good: 0,
+            late: 0,
+            latencies_ns: Vec::new(),
+            latency_us: tel.histogram(
+                &format!("serve.class.{class}.latency_us"),
+                &star_telemetry::DEFAULT_BUCKET_BOUNDS,
+            ),
+            queue_us: tel.histogram(
+                &format!("serve.class.{class}.queue_us"),
+                &star_telemetry::DEFAULT_BUCKET_BOUNDS,
+            ),
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -174,53 +215,40 @@ impl Ord for Event {
     }
 }
 
-/// Telemetry facade sink. Identical registry effects to calling
-/// `star_telemetry` directly, plus one deterministic op-count bump per
-/// call when profiling — folded into `WorkCounters::telemetry_ops` at
-/// finalize. Lives in its own field so the hot path can call it while
-/// the cached metric-name table is borrowed.
+/// Handles to the fleet-wide metrics in the run's [`Tally`] (the
+/// per-class histograms live in [`ClassAccum`]).
 #[derive(Debug)]
-struct TelSink {
-    profiled: bool,
-    ops: u64,
+struct MetricIds {
+    arrived: CounterId,
+    rejected: CounterId,
+    admitted: CounterId,
+    expired: CounterId,
+    completed: CounterId,
+    late: CounterId,
+    dispatched: CounterId,
+    latency_us: HistogramId,
+    queue_us: HistogramId,
+    batch_size: HistogramId,
+    energy_pj: GaugeId,
 }
 
-impl TelSink {
-    #[inline]
-    fn bump(&mut self) {
-        if self.profiled {
-            self.ops += 1;
+impl MetricIds {
+    fn register(tel: &mut Tally) -> Self {
+        let decade = &star_telemetry::DEFAULT_BUCKET_BOUNDS;
+        MetricIds {
+            arrived: tel.counter("serve.requests.arrived"),
+            rejected: tel.counter("serve.requests.rejected"),
+            admitted: tel.counter("serve.requests.admitted"),
+            expired: tel.counter("serve.requests.expired"),
+            completed: tel.counter("serve.requests.completed"),
+            late: tel.counter("serve.requests.late"),
+            dispatched: tel.counter("serve.batches.dispatched"),
+            latency_us: tel.histogram("serve.latency_us", decade),
+            queue_us: tel.histogram("serve.queue_us", decade),
+            batch_size: tel.histogram("serve.batch.size", &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0]),
+            energy_pj: tel.gauge("serve.energy.total_pj"),
         }
     }
-
-    fn count(&mut self, name: &str, n: u64) {
-        self.bump();
-        star_telemetry::count(name, n);
-    }
-
-    fn add(&mut self, name: &str, v: f64) {
-        self.bump();
-        star_telemetry::add(name, v);
-    }
-
-    fn observe(&mut self, name: &str, v: f64) {
-        self.bump();
-        star_telemetry::observe(name, v);
-    }
-
-    fn observe_with(&mut self, name: &str, v: f64, bounds: &[f64]) {
-        self.bump();
-        star_telemetry::observe_with(name, v, bounds);
-    }
-}
-
-/// Pre-formatted per-class metric names, built once per run. (The loop
-/// used to `format!` two strings per completed request — a measurable
-/// slice of the instance-free phase the self-profiler flagged.)
-#[derive(Debug)]
-struct ClassNames {
-    latency_us: String,
-    queue_us: String,
 }
 
 /// The simulator state.
@@ -232,7 +260,11 @@ struct Sim<'a> {
     services: Vec<ServiceModel>,
     /// Instance slot → index into `services`.
     model_of: Vec<usize>,
-    /// Pending events, popped in `(time, seq)` order.
+    /// Open-loop arrivals not yet popped, in trace order; empty for a
+    /// closed loop. Arrival `i` has id `i` and is event seq `i` (see
+    /// [`Sim::next_event`]).
+    arrivals_ahead: std::vec::IntoIter<Request>,
+    /// Every other pending event, popped in `(time, seq)` order.
     events: BinaryHeap<Reverse<Event>>,
     event_seq: u64,
     next_request_id: u64,
@@ -256,8 +288,9 @@ struct Sim<'a> {
     attained_ns: BTreeMap<RequestClass, f64>,
     /// Autoscaler runtime state (present iff configured).
     scaler: Option<ScalerState>,
-    class_names: BTreeMap<RequestClass, ClassNames>,
-    tel: TelSink,
+    /// Every metric the loop records, published at finalize.
+    tel: Tally,
+    ids: MetricIds,
     // Accounting.
     arrivals: u64,
     rejected: u64,
@@ -350,21 +383,15 @@ impl<'a> Sim<'a> {
                 cfg.control.placement.name(),
             ))
         });
+        let mut tel = Tally::new();
+        let ids = MetricIds::register(&mut tel);
         let mut queues = BTreeMap::new();
         let mut per_class = BTreeMap::new();
-        let mut class_names = BTreeMap::new();
         let mut attained_ns = BTreeMap::new();
         for class in classes {
             queues.insert(class, VecDeque::new());
-            per_class.insert(class, ClassAccum::default());
+            per_class.insert(class, ClassAccum::new(class, &mut tel));
             attained_ns.insert(class, 0.0);
-            class_names.insert(
-                class,
-                ClassNames {
-                    latency_us: format!("serve.class.{class}.latency_us"),
-                    queue_us: format!("serve.class.{class}.queue_us"),
-                },
-            );
         }
         let trace = traced.then(|| ServeTrace::new(capacity, cfg.deadline_ns));
         let health =
@@ -375,6 +402,7 @@ impl<'a> Sim<'a> {
             cfg,
             services,
             model_of,
+            arrivals_ahead: Vec::new().into_iter(),
             events: BinaryHeap::new(),
             event_seq: 0,
             next_request_id: 0,
@@ -388,8 +416,8 @@ impl<'a> Sim<'a> {
             active_count: initial_active,
             attained_ns,
             scaler,
-            class_names,
-            tel: TelSink { profiled, ops: 0 },
+            tel,
+            ids,
             arrivals: 0,
             rejected: 0,
             expired: 0,
@@ -463,6 +491,28 @@ impl<'a> Sim<'a> {
         t.samples.push(SystemSample { t_ns: now, queued, busy });
     }
 
+    /// Pops the next event in global `(time, seq)` order: the arrival
+    /// cursor's head or the heap's top, whichever comes first. The cursor
+    /// wins an exact time tie because its seq is below every heap
+    /// event's, so this is the order one heap holding both would pop in.
+    fn next_event(&mut self) -> Option<Event> {
+        let cursor_first = match (self.arrivals_ahead.as_slice().first(), self.events.peek()) {
+            (Some(req), Some(Reverse(top))) => req.arrive_ns.total_cmp(&top.time).is_le(),
+            (Some(_), None) => true,
+            (None, _) => false,
+        };
+        if cursor_first {
+            // An open-loop arrival's id is its trace index, i.e. its seq.
+            let req = self.arrivals_ahead.next()?;
+            return Some(Event { time: req.arrive_ns, seq: req.id, kind: EventKind::Arrive(req) });
+        }
+        let Reverse(event) = self.events.pop()?;
+        if let Some(p) = self.profile.as_deref_mut() {
+            p.work.heap_pops += 1;
+        }
+        Some(event)
+    }
+
     fn push_event(&mut self, time: f64, kind: EventKind) {
         debug_assert!(time.is_finite(), "event times must be finite");
         let seq = self.event_seq;
@@ -474,7 +524,7 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Seeds the event queue with the entire open-loop trace, or the
+    /// Loads the open-loop trace into the arrival cursor, or pushes the
     /// first request of every closed-loop client.
     fn seed_arrivals(&mut self) {
         match self.cfg.arrival {
@@ -485,10 +535,14 @@ impl<'a> Sim<'a> {
                     self.cfg.horizon_ns,
                     self.cfg.seed,
                 );
+                debug_assert!(
+                    reqs.windows(2).all(|w| w[0].arrive_ns <= w[1].arrive_ns),
+                    "the cursor pops in trace order, so the trace must be time-sorted"
+                );
                 self.next_request_id = reqs.len() as u64;
-                for req in reqs {
-                    self.push_event(req.arrive_ns, EventKind::Arrive(req));
-                }
+                // Arrivals own seqs 0..n; every pushed event numbers from n.
+                self.event_seq = reqs.len() as u64;
+                self.arrivals_ahead = reqs.into_iter();
             }
             ArrivalProcess::ClosedLoop(crate::arrival::ClosedLoopArrival { clients, think_ns }) => {
                 assert!(clients > 0, "closed loop needs at least one client");
@@ -528,14 +582,14 @@ impl<'a> Sim<'a> {
     fn on_arrive(&mut self, now: f64, req: Request) {
         self.arrivals += 1;
         self.per_class.get_mut(&req.class).expect("mix classes pre-registered").arrivals += 1;
-        self.tel.count("serve.requests.arrived", 1);
+        self.tel.count(self.ids.arrived, 1);
         if self.queued_total >= self.cfg.max_queue {
             self.rejected += 1;
             self.per_class.get_mut(&req.class).expect("class registered").rejected += 1;
             if let Some(s) = self.scaler.as_mut() {
                 s.note_violation(req.class);
             }
-            self.tel.count("serve.requests.rejected", 1);
+            self.tel.count(self.ids.rejected, 1);
             let tt = self.tick_if(self.trace.is_some());
             if let Some(t) = self.trace.as_mut() {
                 // A rejected request's whole lifecycle is one instant.
@@ -567,7 +621,7 @@ impl<'a> Sim<'a> {
             self.client_think_and_reissue(req.client, now);
             return;
         }
-        self.tel.count("serve.requests.admitted", 1);
+        self.tel.count(self.ids.admitted, 1);
         self.in_system += 1;
         self.max_in_system = self.max_in_system.max(self.in_system);
         self.queued_total += 1;
@@ -652,17 +706,15 @@ impl<'a> Sim<'a> {
                 if let Some(s) = self.scaler.as_mut() {
                     s.note_violation(req.class);
                 }
-                self.tel.count("serve.requests.late", 1);
+                self.tel.count(self.ids.late, 1);
             }
-            self.tel.count("serve.requests.completed", 1);
-            self.tel.observe("serve.latency_us", latency / 1e3);
-            self.tel.observe("serve.queue_us", queue_ns / 1e3);
+            self.tel.count(self.ids.completed, 1);
+            self.tel.observe(self.ids.latency_us, latency / 1e3);
+            self.tel.observe(self.ids.queue_us, queue_ns / 1e3);
             // Per-class span-duration histograms: the dashboard view of
-            // the per-request span tree's two lifecycle children (names
-            // pre-formatted at construction — no per-request `format!`).
-            let names = self.class_names.get(&req.class).expect("class registered");
-            self.tel.observe(&names.latency_us, latency / 1e3);
-            self.tel.observe(&names.queue_us, queue_ns / 1e3);
+            // the per-request span tree's two lifecycle children.
+            self.tel.observe(acc.latency_us, latency / 1e3);
+            self.tel.observe(acc.queue_us, queue_ns / 1e3);
             let tt = self.tick_if(self.trace.is_some());
             if let (Some(t), Some(p)) = (self.trace.as_mut(), phases.as_ref()) {
                 let span = Span::leaf(
@@ -910,13 +962,9 @@ impl<'a> Sim<'a> {
                 p.work.batches_formed += 1;
                 p.work.batch_members += size as u64;
             }
-            self.tel.count("serve.batches.dispatched", 1);
-            self.tel.observe_with(
-                "serve.batch.size",
-                size as f64,
-                &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
-            );
-            self.tel.add("serve.energy.total_pj", cost.energy_pj);
+            self.tel.count(self.ids.dispatched, 1);
+            self.tel.observe(self.ids.batch_size, size as f64);
+            self.tel.add(self.ids.energy_pj, cost.energy_pj);
             let finish = now + cost.latency_ns;
             self.push_event(
                 finish,
@@ -996,9 +1044,9 @@ impl<'a> Sim<'a> {
             }
         }
         if !dead.is_empty() {
-            // One facade call for the whole sweep: `count(name, n)` folds
+            // One update for the whole sweep: `count(id, n)` folds
             // identically to n unit counts in every registry snapshot.
-            self.tel.count("serve.requests.expired", dead.len() as u64);
+            self.tel.count(self.ids.expired, dead.len() as u64);
             if let Some(p) = self.profile.as_deref_mut() {
                 p.work.expired_drops += dead.len() as u64;
             }
@@ -1058,8 +1106,7 @@ impl<'a> Sim<'a> {
         self.seed_arrivals();
         if let Some(s) = &self.scaler {
             // The first decision point; each check arms its successor
-            // until the horizon. Seeded after the arrival trace, so every
-            // open-loop arrival's seq equals its trace index.
+            // until the horizon. Its seq follows the arrival trace's.
             let first = s.cfg.check_interval_ns;
             if first <= self.cfg.horizon_ns {
                 self.push_event(first, EventKind::ScaleCheck);
@@ -1067,11 +1114,10 @@ impl<'a> Sim<'a> {
         }
         // One pop per event, in global (time, seq) order — the single
         // total order that makes every run bitwise replayable.
-        while let Some(Reverse(event)) = self.events.pop() {
+        while let Some(event) = self.next_event() {
             self.makespan_ns = self.makespan_ns.max(event.time);
             if let Some(p) = self.profile.as_deref_mut() {
                 p.work.events_total += 1;
-                p.work.heap_pops += 1;
                 match &event.kind {
                     EventKind::Arrive(_) => p.work.events_arrive += 1,
                     EventKind::WindowExpire(_) => p.work.events_window_expire += 1,
@@ -1120,7 +1166,7 @@ impl<'a> Sim<'a> {
                 // Post-event settled state, same convention as the trace
                 // timeseries sample below.
                 p.work.queue_depth_hist.record(self.queued_total as u64);
-                p.work.backlog_hist.record(self.events.len() as u64);
+                p.work.backlog_hist.record((self.events.len() + self.arrivals_ahead.len()) as u64);
             }
             let ts = self.tick();
             self.record_sample(event.time);
@@ -1143,6 +1189,8 @@ impl<'a> Sim<'a> {
         debug_assert_eq!(self.queued_total, 0, "drain leaves no queued request");
         debug_assert_eq!(self.in_system, 0, "every admitted request completes or expires");
         let tf = self.tick();
+        let tel_ops = self.tel.updates();
+        self.tel.publish();
         let makespan_s = (self.makespan_ns * 1e-9).max(f64::MIN_POSITIVE);
         if let Some(t) = self.trace.as_mut() {
             t.makespan_ns = self.makespan_ns;
@@ -1267,7 +1315,6 @@ impl<'a> Sim<'a> {
             }
             health_report
         });
-        let tel_ops = self.tel.ops;
         let profile = self.profile.take().map(|mut p| {
             p.work.telemetry_ops = tel_ops;
             if let Some(tf) = tf {
@@ -1443,6 +1490,46 @@ mod tests {
         assert!(r.arrivals > 0);
         assert_eq!(r.arrivals, r.completed + r.rejected + r.expired);
         assert_eq!(r.completed, r.good + r.late);
+    }
+
+    #[test]
+    fn next_event_pops_the_cursor_first_on_a_time_tie() {
+        let cfg = ServeConfig::example();
+        let class = cfg.mix.classes()[0];
+        let mut sim = Sim::new(&cfg, false, None, false, None, false);
+        sim.seed_arrivals();
+        let n = sim.arrivals_ahead.len() as u64;
+        assert!(n > 2, "the example trace has arrivals");
+        let first = sim.arrivals_ahead.as_slice()[0].arrive_ns;
+        sim.push_event(first, EventKind::WindowExpire(class));
+        let arrival = sim.next_event().expect("arrival 0");
+        assert!(matches!(arrival.kind, EventKind::Arrive(ref r) if r.id == 0));
+        assert_eq!((arrival.time, arrival.seq), (first, 0));
+        let tied = sim.next_event().expect("the tied heap event");
+        assert!(matches!(tied.kind, EventKind::WindowExpire(_)));
+        assert_eq!((tied.time, tied.seq), (first, n), "heap events number from n");
+        let rest: Vec<u64> = std::iter::from_fn(|| sim.next_event()).map(|e| e.seq).collect();
+        assert_eq!(rest, (1..n).collect::<Vec<_>>(), "the cursor drains in trace order");
+    }
+
+    #[test]
+    fn next_event_pops_the_heap_alone_when_the_cursor_is_empty() {
+        let mut cfg = ServeConfig::example();
+        cfg.arrival = ArrivalProcess::closed_loop(3, 50_000.0);
+        let class = cfg.mix.classes()[0];
+        let mut sim = Sim::new(&cfg, false, None, false, None, false);
+        sim.seed_arrivals();
+        assert_eq!(sim.arrivals_ahead.len(), 0, "a closed loop has no cursor");
+        let mut clients: Vec<u64> =
+            std::iter::from_fn(|| sim.next_event()).map(|e| e.seq).collect();
+        clients.sort_unstable();
+        assert_eq!(clients, vec![0, 1, 2], "one pushed first request per client");
+        sim.push_event(5.0, EventKind::WindowExpire(class));
+        sim.push_event(5.0, EventKind::ScaleCheck);
+        sim.push_event(1.0, EventKind::ScaleCheck);
+        let order: Vec<(f64, u64)> =
+            std::iter::from_fn(|| sim.next_event()).map(|e| (e.time, e.seq)).collect();
+        assert_eq!(order, vec![(1.0, 5), (5.0, 3), (5.0, 4)]);
     }
 
     #[test]

@@ -118,7 +118,9 @@ proptest! {
         prop_assert_eq!(w.expired_drops, plain.expired);
         // Conservation: every pushed event pops, the type counts tile the
         // total, and each event contributes one sample to each histogram.
+        // Open-loop arrivals ride the cursor; the heap pops the rest.
         prop_assert_eq!(w.heap_pushes, w.heap_pops);
+        prop_assert_eq!(w.heap_pops + w.events_arrive, w.events_total);
         prop_assert_eq!(
             w.events_total,
             w.events_arrive + w.events_window_expire + w.events_instance_free

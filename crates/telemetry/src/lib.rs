@@ -1,6 +1,6 @@
 //! star-telemetry: the instrumentation layer of the STAR reproduction.
 //!
-//! Three pieces:
+//! Six pieces:
 //!
 //! 1. [`Registry`] — named counters, accumulating/level gauges, and
 //!    fixed-bucket histograms with snapshot / diff / reset and pretty +
@@ -23,6 +23,13 @@
 //!    *simulator's own* execution time to named phases. Unlike everything
 //!    above, these measure real machine time, so their numbers belong only
 //!    in report-only sidecars — never in deterministic outputs.
+//! 6. [`Tally`] — per-run metric handles ([`tally`]): typed, `Vec`-indexed
+//!    accumulators registered once against the active registry, seeded
+//!    from its current state and published back under one lock, for hot
+//!    loops that would otherwise pay the facade's lookup and lock per
+//!    update. The serving simulator records all its metrics this way;
+//!    the registry ends up byte-identical to what the facade calls
+//!    would have left.
 //!
 //! # Naming convention
 //!
@@ -49,6 +56,7 @@ pub mod chrome;
 pub mod profile;
 pub mod registry;
 pub mod span;
+pub mod tally;
 
 pub use chrome::{ChromeTrace, CounterEvent, TraceEvent};
 pub use profile::{PhaseProfiler, PhaseStats};
@@ -56,6 +64,7 @@ pub use registry::{
     geometric_bounds, HistogramSnapshot, Registry, Snapshot, DEFAULT_BUCKET_BOUNDS,
 };
 pub use span::{Span, SPAN_EPS_NS};
+pub use tally::{CounterId, GaugeId, HistogramId, Tally};
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -108,9 +117,13 @@ pub fn with_scoped<R>(f: impl FnOnce() -> R) -> (R, Snapshot) {
     (out, snap)
 }
 
+/// This thread's innermost scoped registry, if any.
+fn active_scope() -> Option<Rc<Registry>> {
+    SCOPED.with(|s| s.borrow().last().map(Rc::clone))
+}
+
 fn dispatch(f: impl FnOnce(&Registry)) {
-    let scoped = SCOPED.with(|s| s.borrow().last().map(Rc::clone));
-    match scoped {
+    match active_scope() {
         Some(reg) => f(&reg),
         None => f(global()),
     }
@@ -169,8 +182,7 @@ pub fn absorb(snap: &Snapshot) {
 
 /// Snapshot the active (scoped-or-global) registry.
 pub fn snapshot() -> Snapshot {
-    let scoped = SCOPED.with(|s| s.borrow().last().map(Rc::clone));
-    match scoped {
+    match active_scope() {
         Some(reg) => reg.snapshot(),
         None => global().snapshot(),
     }

@@ -55,7 +55,7 @@ pub fn geometric_bounds(rel_err: f64, min: f64, max: f64) -> Vec<f64> {
 }
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct Histogram {
+pub(crate) struct Histogram {
     /// Upper bounds of the finite buckets (ascending).
     bounds: Vec<f64>,
     /// One count per finite bucket plus a trailing overflow bucket:
@@ -66,7 +66,7 @@ struct Histogram {
 }
 
 impl Histogram {
-    fn new(bounds: &[f64]) -> Self {
+    pub(crate) fn new(bounds: &[f64]) -> Self {
         debug_assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
             "histogram bounds must be strictly ascending"
@@ -74,13 +74,13 @@ impl Histogram {
         Histogram { bounds: bounds.to_vec(), counts: vec![0; bounds.len() + 1], sum: 0.0 }
     }
 
-    fn observe(&mut self, value: f64) {
+    pub(crate) fn observe(&mut self, value: f64) {
         let idx = self.bounds.iter().position(|&b| value <= b).unwrap_or(self.bounds.len());
         self.counts[idx] += 1;
         self.sum += value;
     }
 
-    fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
 }
@@ -293,11 +293,14 @@ impl Registry {
             return;
         }
         let mut inner = self.lock();
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(value);
+        match inner.histograms.get_mut(name) {
+            Some(h) => h.observe(value),
+            None => {
+                let mut h = Histogram::new(bounds);
+                h.observe(value);
+                inner.histograms.insert(name.to_string(), h);
+            }
+        }
     }
 
     /// Read one counter (0 when absent).
@@ -308,6 +311,63 @@ impl Registry {
     /// Read one gauge (0.0 when absent).
     pub fn gauge_value(&self, name: &str) -> f64 {
         self.lock().gauges.get(name).copied().unwrap_or(0.0)
+    }
+
+    /// Gauge `name`'s current value, `None` when absent — the seed a
+    /// [`crate::Tally`] continues an accumulating gauge from.
+    pub(crate) fn read_gauge(&self, name: &str) -> Option<f64> {
+        self.lock().gauges.get(name).copied()
+    }
+
+    /// Histogram `name`'s bounds and sum with its counts zeroed, `None`
+    /// when absent — the seed a [`crate::Tally`] continues a histogram
+    /// from (it publishes bucket increments, not totals).
+    pub(crate) fn read_histogram(&self, name: &str) -> Option<Histogram> {
+        self.lock().histograms.get(name).map(|h| Histogram {
+            bounds: h.bounds.clone(),
+            counts: vec![0; h.counts.len()],
+            sum: h.sum,
+        })
+    }
+
+    /// Writes a [`crate::Tally`]'s accumulators back under one lock.
+    /// Counters and histogram buckets are *added*, so no integer update
+    /// is ever lost; gauge values and histogram sums are *stored*, which
+    /// is exact as long as nothing else wrote those names since the
+    /// tally read its seeds. A histogram whose resident bounds no longer
+    /// match folds the increments into its overflow bucket, as
+    /// [`Registry::merge`] does.
+    pub(crate) fn write_back<'a>(
+        &self,
+        counters: impl IntoIterator<Item = (&'a str, u64)>,
+        gauges: impl IntoIterator<Item = (&'a str, f64)>,
+        histograms: impl IntoIterator<Item = (&'a str, &'a Histogram)>,
+    ) {
+        let mut inner = self.lock();
+        for (name, n) in counters {
+            *inner.counters.entry(name.to_string()).or_insert(0) += n;
+        }
+        for (name, v) in gauges {
+            inner.gauges.insert(name.to_string(), v);
+        }
+        for (name, h) in histograms {
+            match inner.histograms.get_mut(name) {
+                None => {
+                    inner.histograms.insert(name.to_string(), h.clone());
+                }
+                Some(mine) if mine.bounds == h.bounds => {
+                    for (a, b) in mine.counts.iter_mut().zip(&h.counts) {
+                        *a += b;
+                    }
+                    mine.sum = h.sum;
+                }
+                Some(mine) => {
+                    *mine.counts.last_mut().expect("histograms have an overflow bucket") +=
+                        h.total();
+                    mine.sum = h.sum;
+                }
+            }
+        }
     }
 
     /// Capture the current state of every metric.

@@ -15,9 +15,8 @@
 //!
 //! # Subset selection
 //!
-//! `repro_all e2_table1 e3_fig3` (or `STAR_REPRO_ONLY=e2_table1,e3_fig3`)
-//! runs a subset — the CI smoke leg uses this to regenerate just the
-//! golden-fixture experiments.
+//! `repro_all e2_table1 e3_fig3` runs just the named experiments; an
+//! unknown name exits 2.
 
 use star_exec::Executor;
 use std::path::Path;
@@ -58,17 +57,11 @@ fn run_one(dir: &Path, name: &'static str) -> Outcome {
     Outcome { name, run: Some(Command::new(&bin).output()) }
 }
 
-/// The selected experiment subset: CLI args win, then `STAR_REPRO_ONLY`
-/// (comma/space separated), then the full list. Unknown names abort —
-/// silently running nothing would look like success.
+/// The selected experiment subset: the CLI args, else the full list.
+/// Unknown names abort — silently running nothing would look like
+/// success.
 fn selection() -> Vec<&'static str> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let from_env = std::env::var("STAR_REPRO_ONLY").unwrap_or_default();
-    let requested: Vec<String> = if !args.is_empty() {
-        args
-    } else {
-        from_env.split([',', ' ']).filter(|s| !s.is_empty()).map(String::from).collect()
-    };
+    let requested: Vec<String> = std::env::args().skip(1).collect();
     if requested.is_empty() {
         return EXPERIMENTS.to_vec();
     }

@@ -18,6 +18,7 @@ use star_crossbar::CamSubCrossbar;
 use star_device::{NoiseModel, StuckFault, TechnologyParams};
 use star_fixed::{Fixed, QFormat, Rounding};
 use star_workload::{Dataset, ScoreTrace};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// Writes `results/<name>.json` **and** the `results/<name>.telemetry.json`
@@ -1131,6 +1132,64 @@ pub fn profile_work_result() -> serde_json::Value {
         "work": profile.work_json(),
         "events_per_request": profile.work.events_per_request(),
     })
+}
+
+/// One point of the `serve_work` matrix: the Tiny/16 class offered at
+/// `rate_rps` to `fleet` batch-8 / 50 µs-window instances over a 50 ms
+/// horizon, seed 7. The model is small, so event-loop overhead (heap,
+/// queues, dispatch) dominates over hardware modeling.
+pub fn serve_work_config(rate_rps: f64, fleet: usize) -> star_serve::ServeConfig {
+    use star_serve::{
+        ArrivalProcess, BatchPolicy, ControlConfig, ModelKind, RequestClass, ServeConfig,
+        ServiceModelConfig, WorkloadMix,
+    };
+    ServeConfig {
+        fleet,
+        policy: BatchPolicy::new(8, 50_000.0),
+        arrival: ArrivalProcess::poisson(rate_rps),
+        mix: WorkloadMix::single(RequestClass::new(ModelKind::Tiny, 16)),
+        horizon_ns: 5e7,
+        seed: 7,
+        max_queue: 256,
+        deadline_ns: 2e6,
+        service: ServiceModelConfig::default(),
+        control: ControlConfig::default(),
+    }
+}
+
+/// The machine-readable `serve_work` result: the deterministic work
+/// counters at every [`serve_work_config`] point, keyed `r<rate>_f<fleet>`.
+/// Each point holds the profiler's 17 [`star_serve::WorkCounters`]
+/// scalars and the flight recorder's six `flight_*` scalars from a
+/// recorder-attached run of the same config (default
+/// [`star_serve::FlightConfig`]).
+///
+/// 20 krps keeps the Tiny/16 fleet below saturation, 40 krps is the knee
+/// and 80 krps saturates it, so the queue and window machinery runs;
+/// fleet 8 scales the instance-free traffic. The golden pins every count
+/// exactly.
+///
+/// # Panics
+///
+/// Panics if a profiled run returns no profile or a flight run no flight
+/// outcome (programming errors).
+pub fn serve_work_result() -> serde_json::Value {
+    let flight_cfg = star_serve::FlightConfig::default();
+    let mut points: BTreeMap<String, BTreeMap<String, u64>> = BTreeMap::new();
+    for rate in [20_000.0, 40_000.0, 80_000.0] {
+        for fleet in [2, 8] {
+            let cfg = serve_work_config(rate, fleet);
+            let profile = star_serve::simulate_profiled(&cfg).profile.expect("profiled run");
+            let flight =
+                star_serve::simulate_flight(&cfg, &flight_cfg).flight.expect("flight outcome");
+            let counters = profile.work.scalars().into_iter().chain(flight.scalars());
+            points.insert(
+                format!("r{}_f{fleet}", rate as u64),
+                counters.map(|(k, v)| (k.to_string(), v)).collect(),
+            );
+        }
+    }
+    serde_json::to_value(&points).expect("work counters serialize")
 }
 
 /// The machine-readable `serve_telemetry` result: the metric snapshot of

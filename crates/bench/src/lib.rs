@@ -11,7 +11,6 @@ use serde::Serialize;
 use std::path::{Path, PathBuf};
 
 pub mod experiments;
-pub mod trajectory;
 
 pub use experiments::{
     a10_autoscaler, a10_fleet_control_base, a10_fleet_control_result, a11_blame_config,
@@ -19,12 +18,8 @@ pub use experiments::{
     a9_device_health_result, e2_table1_result, e3_fig3_result, e4_bitwidth_json,
     e4_bitwidth_result, e4_sweeps, fig3_reports, finalize_experiment, incident_config,
     incident_result, profile_fixture_config, profile_work_result, serve_telemetry_result,
-    star_faults_result, table1_engines, E4Sweep, A10_SLO_ATTAINMENT, A10_STATIC_FLEETS,
-    A9_HORIZONS, E4_BAR,
-};
-pub use trajectory::{
-    matrix_config, matrix_points, trajectory_file_path, TrajectoryEntry, TrajectoryFile,
-    BENCH_FILE, MATRIX_FLEETS, MATRIX_RATES, WORK_BUDGET_TOLERANCE_PCT,
+    serve_work_config, serve_work_result, star_faults_result, table1_engines, E4Sweep,
+    A10_SLO_ATTAINMENT, A10_STATIC_FLEETS, A9_HORIZONS, E4_BAR,
 };
 
 /// Directory experiment results are written to: `$STAR_RESULTS_DIR` or

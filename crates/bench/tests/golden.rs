@@ -20,11 +20,15 @@
 //! not a fuzzy tolerance miss.
 //!
 //! `e4_bitwidth` is compared against the committed
-//! `results/e4_bitwidth.json` directly, `star_faults` pins the
-//! functional crossbars on defective arrays (seeded stuck cells, read
-//! noise, hand-injected faults), which no experiment exercises, and
-//! `serve_telemetry` pins the serve loop's metrics when several runs
-//! record into one registry.
+//! `results/e4_bitwidth.json` directly. The fixtures that are not
+//! experiment results come from the `goldens` binary: `profile_work` and
+//! `serve_work` pin the serve loop's deterministic work counters (at the
+//! A8 point, and exactly at every point of a 3-rate × 2-fleet matrix),
+//! `incident` the flight recorder's dump, `star_faults` the functional
+//! crossbars on defective arrays (seeded stuck cells, read noise,
+//! hand-injected faults), which no experiment exercises, and
+//! `serve_telemetry` the serve loop's metrics when several runs record
+//! into one registry.
 //!
 //! When a deliberate model change moves the numbers, regenerate with:
 //!
@@ -35,8 +39,9 @@
 //! cp results/e2_table1.json results/e3_fig3.json results/a8_serving.json \
 //!    results/a9_device_health.json results/a10_fleet_control.json \
 //!    results/a11_blame_whatif.json crates/bench/tests/golden/
-//! cargo run --release -p star-bench --bin bench_trajectory -- golden
-//! cp results/star_faults.json results/serve_telemetry.json crates/bench/tests/golden/
+//! cargo run --release -p star-bench --bin goldens
+//! cp results/profile_work.json results/serve_work.json results/incident.json \
+//!    results/star_faults.json results/serve_telemetry.json crates/bench/tests/golden/
 //! ```
 
 use serde_json::Value;
@@ -253,8 +258,8 @@ fn profile_work_matches_golden() {
     // The self-profiler's deterministic work counters for the fixed A8
     // operating point. Any silent change to event-loop behaviour — an
     // extra heap push, a reordered dispatch, a new telemetry call —
-    // shows up as a byte diff here. Regenerate deliberately with
-    // `bench_trajectory golden` and copy from `results/`.
+    // shows up as a byte diff here. Regenerate deliberately with the
+    // `goldens` binary and copy from `results/`.
     assert_matches_golden("profile_work", &star_bench::profile_work_result());
 }
 
@@ -263,8 +268,7 @@ fn serve_telemetry_matches_golden() {
     // The serve loop's metrics from a sweep, an open-loop run and a
     // closed-loop run recorded one after another into one registry:
     // every count, bucket and f64 sum, byte for byte. Regenerate
-    // deliberately with `bench_trajectory golden` and copy from
-    // `results/`.
+    // deliberately with the `goldens` binary and copy from `results/`.
     assert_matches_golden("serve_telemetry", &star_bench::serve_telemetry_result());
 }
 
@@ -317,32 +321,74 @@ fn profile_work_golden_reconciles_with_itself() {
 }
 
 #[test]
+fn serve_work_matches_golden() {
+    // The serve loop's 23 deterministic work counters at six rate × fleet
+    // points, exactly: one more heap push, dispatch scan, telemetry
+    // update or recorded flight event anywhere fails here. The counters
+    // are a pure function of the configuration, so CI's two
+    // `STAR_EXEC_THREADS` legs both run this. Regenerate deliberately
+    // with the `goldens` binary and copy from `results/`.
+    assert_matches_golden("serve_work", &star_bench::serve_work_result());
+}
+
+#[test]
+fn serve_work_golden_reconciles_with_itself() {
+    // A regenerated fixture that lost a counter or broke the event
+    // accounting would otherwise be accepted byte for byte.
+    let w = fixture("serve_work");
+    let Value::Map(points) = &w else { panic!("serve_work is a map of points") };
+    assert_eq!(points.len(), 6, "3 rates × 2 fleets");
+    for (point, counters) in points {
+        let Value::Map(keys) = counters else { panic!("{point}: counters are a map") };
+        assert_eq!(keys.len(), 23, "{point}: 17 profiler + 6 flight counters");
+        let n = |key: &str| number_at(counters, key);
+        assert!(n("events_total") > 0.0, "{point}: the run did work");
+        // The recorder sees exactly the events the profiler counts, and
+        // one terminal per arrival.
+        assert_eq!(n("flight_events_seen"), n("events_total"), "{point}");
+        assert_eq!(n("flight_terminals_seen"), n("events_arrive"), "{point}");
+        // Open-loop arrivals come off the cursor; every other event is a
+        // heap pop, and every push is popped.
+        assert_eq!(n("heap_pushes"), n("heap_pops"), "{point}");
+        assert_eq!(n("heap_pops") + n("events_arrive"), n("events_total"), "{point}");
+        assert_eq!(
+            n("events_total"),
+            n("events_arrive")
+                + n("events_window_expire")
+                + n("events_instance_free")
+                + n("events_scale_check"),
+            "{point}"
+        );
+    }
+}
+
+/// `dispatch_scans` at one `serve_work` point, from the fixture
+/// `serve_work_matches_golden` pins to the code.
+fn serve_work_scans(point: &str) -> f64 {
+    let w = fixture("serve_work");
+    let counters = w.get(point).unwrap_or_else(|| panic!("serve_work has no point {point}"));
+    number_at(counters, "dispatch_scans")
+}
+
+#[test]
 fn indexed_dispatcher_beats_prior_scan_budgets() {
     // Before the ready-queue index, `dispatch_scans` counted linear
     // per-class queue sweeps: 3171 at the profile fixture point and
-    // 2520 / 2524 / 6486 at the tracked r20000_f2 / r20000_f8 /
-    // r80000_f8 budget points (the ceilings recorded in BENCH_serve.json
-    // before the index landed). The indexed dispatcher pops ready
-    // classes directly, so it must do strictly fewer — this pins the
-    // order of the win, not a ±5% tolerance band.
+    // 2520 / 2524 / 6486 at the r20000_f2 / r20000_f8 / r80000_f8
+    // `serve_work` points (the budgets recorded before the index
+    // landed). The indexed dispatcher pops ready classes directly, so it
+    // must do strictly fewer — this pins the order of the win.
     let p = fixture("profile_work");
     let fixture_scans = number_at(&p, "work/dispatch_scans");
     assert!(
         fixture_scans < 3171.0,
         "fixture dispatch_scans {fixture_scans} is not below the pre-index 3171"
     );
-    for (rate, fleet, prior) in
-        [(20_000.0, 2usize, 2520u64), (20_000.0, 8, 2524), (80_000.0, 8, 6486)]
-    {
-        let cfg = star_bench::matrix_config(rate, fleet);
-        let scans = star_serve::simulate_profiled(&cfg)
-            .profile
-            .expect("profiled run carries a profile")
-            .work
-            .dispatch_scans;
+    for (point, prior) in [("r20000_f2", 2520.0), ("r20000_f8", 2524.0), ("r80000_f8", 6486.0)] {
+        let scans = serve_work_scans(point);
         assert!(
             scans < prior,
-            "r{rate}_f{fleet}: {scans} dispatch scans, not below the pre-index budget {prior}"
+            "{point}: {scans} dispatch scans, not below the pre-index budget {prior}"
         );
     }
 }
@@ -355,18 +401,9 @@ fn dispatch_scans_is_a_pure_function_of_workload() {
     // dispatch loop sweeping classes that had nothing to send). The
     // indexed dispatcher charges one scan per ready-class pop, which the
     // workload's batch sequence alone determines.
-    let scans_per_fleet: Vec<u64> = [2usize, 8]
-        .iter()
-        .map(|&fleet| {
-            star_serve::simulate_profiled(&star_bench::matrix_config(20_000.0, fleet))
-                .profile
-                .expect("profiled run carries a profile")
-                .work
-                .dispatch_scans
-        })
-        .collect();
     assert_eq!(
-        scans_per_fleet[0], scans_per_fleet[1],
+        serve_work_scans("r20000_f2"),
+        serve_work_scans("r20000_f8"),
         "fleet size must not change dispatch_scans at a sub-saturation operating point"
     );
 }
@@ -476,8 +513,8 @@ fn incident_matches_golden() {
     // 80 krps / 1-instance overload, byte-for-byte. The recorder
     // consumes no RNG and performs no event arithmetic, so the dump is a
     // pure function of the configuration; CI additionally diffs the
-    // regenerated file at both `STAR_EXEC_THREADS` legs. Regenerate deliberately with `bench_trajectory golden` and
-    // copy from `results/`.
+    // regenerated file at both `STAR_EXEC_THREADS` legs. Regenerate
+    // deliberately with the `goldens` binary and copy from `results/`.
     assert_matches_golden("incident", &star_bench::incident_result());
 }
 

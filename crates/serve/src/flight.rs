@@ -742,8 +742,8 @@ pub struct FlightOutcome {
 
 impl FlightOutcome {
     /// The deterministic scalar counters as `(name, value)` pairs — the
-    /// flight analogue of `WorkCounters::scalars`, gated by the
-    /// `BENCH_serve.json` work budgets under `flight_*` keys.
+    /// flight analogue of `WorkCounters::scalars`, pinned exactly by the
+    /// `serve_work` golden under `flight_*` keys.
     pub fn scalars(&self) -> [(&'static str, u64); 6] {
         [
             ("flight_events_seen", self.events_seen),

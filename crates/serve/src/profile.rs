@@ -6,8 +6,8 @@
 //! [`crate::sim`] performs to produce a report, and where its wall-clock
 //! time goes. The ROADMAP's scale arc (fleet-of-hundreds sweeps, 2k–32k
 //! sequence lengths) multiplies event counts by orders of magnitude;
-//! making the loop faster needs data on *where* its work goes and a
-//! trajectory proving each change didn't regress it.
+//! making the loop faster needs data on *where* its work goes and exact
+//! counts proving each change did no more of it.
 //!
 //! # Dual-track design
 //!
@@ -130,7 +130,7 @@ impl Pow2Hist {
 /// Every field is a pure function of the [`crate::ServeConfig`]: two runs
 /// of the same config produce identical counters on any machine at any
 /// `STAR_EXEC_THREADS`. Scalar counters are exposed by name through
-/// [`WorkCounters::scalars`] so budget gates and goldens can iterate them
+/// [`WorkCounters::scalars`] so the work goldens can iterate them
 /// without schema coupling.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct WorkCounters {
@@ -252,7 +252,7 @@ impl SimProfile {
     }
 
     /// Simulated events processed per wall-clock second — the headline
-    /// simulator-speed figure tracked in `BENCH_serve.json`.
+    /// simulator-speed figure `star_cli profile` prints.
     pub fn events_per_sec(&self) -> f64 {
         if self.wall_total_ns == 0 {
             0.0

@@ -903,7 +903,7 @@ impl<'a> Sim<'a> {
                 // serial dispatcher counted full queue sweeps here,
                 // which also made the count fleet-dependent). Also
                 // attributed to the active dequeue-policy branch so the
-                // ±5% work budgets stay meaningful per policy.
+                // work goldens pin each policy's share.
                 p.work.dispatch_scans += 1;
                 match &self.cfg.control.dequeue {
                     DequeuePolicy::Fifo => p.work.dispatch_scans_fifo += 1,

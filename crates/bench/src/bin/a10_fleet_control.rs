@@ -1,101 +1,3 @@
-//! A10 (extension) — fleet control: what the cheapest fleet that meets
-//! the 2 ms SLO looks like, and what it costs to find it statically.
-//!
-//! The bursty mixed-tenant workload (A8's 70/30 premium/economy mix
-//! under an MMPP ramp) is served three ways: statically provisioned
-//! fleets of 1–4 instances, autoscaled fleets under each dequeue policy
-//! (FIFO, weighted-fair, earliest-deadline-first) with least-loaded
-//! placement, and a heterogeneous q5.3/q3.5 fleet under energy-greedy
-//! placement. The headline: every autoscaled policy meets the SLO bar
-//! at strictly fewer instance-seconds than the best static fleet, with
-//! convergence time and over-provisioning quantified per policy.
-//!
-//! Deterministic by construction: seeded arrivals, a totally ordered
-//! event loop with scale decisions as ordinary `(time, seq)` events,
-//! and index-ordered reduction make the JSON result byte-identical
-//! across reruns and worker counts.
-
-use serde_json::Value;
-use star_bench::{finalize_experiment, header, A10_SLO_ATTAINMENT};
-
-/// Follows a `.`-separated path through nested maps.
-fn walk<'a>(value: &'a Value, path: &str) -> &'a Value {
-    let mut v = value;
-    for key in path.split('.') {
-        v = v.get(key).unwrap_or_else(|| panic!("result field {path} missing at {key}"));
-    }
-    v
-}
-
-fn num(value: &Value, path: &str) -> f64 {
-    walk(value, path).as_f64().unwrap_or_else(|| panic!("result field {path} not numeric"))
-}
-
 fn main() {
-    let result = star_bench::a10_fleet_control_result();
-
-    header("A10: static provisioning sweep (mixed 70/30, MMPP 8/40 krps, 2 ms SLO)");
-    println!(
-        "  {:<26} {:>10} {:>9} {:>11} {:>9} {:>8}",
-        "case", "attainment", "meets", "inst-sec", "overprov", "p99 ms"
-    );
-    for s in walk(&result, "static_sweep").as_array().expect("static_sweep array") {
-        println!(
-            "  {:<26} {:>10.4} {:>9} {:>11.4} {:>9.2} {:>8.3}",
-            walk(s, "label").as_str().unwrap_or("?"),
-            num(s, "slo_attainment"),
-            walk(s, "meets_slo").as_bool().unwrap_or(false),
-            num(s, "instance_seconds"),
-            num(s, "over_provisioning"),
-            num(s, "p99_ms"),
-        );
-    }
-    let best_fleet = num(&result, "best_static.fleet");
-    let best_seconds = num(&result, "best_static.instance_seconds");
-    println!("  best static fleet: {best_fleet:.0} instances at {best_seconds:.4} inst-sec");
-
-    header("A10: autoscaled fleets, per dequeue policy");
-    println!(
-        "  {:<26} {:>10} {:>11} {:>8} {:>9} {:>12} {:>6}",
-        "case", "attainment", "inst-sec", "saved", "overprov", "converge ms", "peak"
-    );
-    for a in walk(&result, "autoscaled").as_array().expect("autoscaled array") {
-        let att = num(a, "slo_attainment");
-        let seconds = num(a, "instance_seconds");
-        println!(
-            "  {:<26} {:>10.4} {:>11.4} {:>7.1}% {:>9.2} {:>12.2} {:>6.0}",
-            walk(a, "label").as_str().unwrap_or("?"),
-            att,
-            seconds,
-            num(a, "savings_vs_best_static") * 100.0,
-            num(a, "over_provisioning"),
-            num(a, "converge_ms"),
-            num(a, "peak_active"),
-        );
-        // The builder already asserts these; restate them where the
-        // transcript shows the numbers.
-        assert!(att >= A10_SLO_ATTAINMENT, "autoscaled leg misses the SLO bar");
-        assert!(seconds < best_seconds, "autoscaled leg costs more than static");
-        assert!(num(a, "converge_ms") > 0.0, "convergence time recorded");
-        assert!(!walk(a, "scale_events").as_array().expect("timeline").is_empty());
-    }
-
-    header("A10: heterogeneous fleet (q3.5 economy + q5.3 paper build)");
-    let ratio = num(&result, "heterogeneous.energy_per_request_ratio");
-    println!(
-        "  energy/request   energy-greedy {:>9.1} nJ   first-idle {:>9.1} nJ   ratio {ratio:.3}",
-        num(&result, "heterogeneous.energy_greedy.energy_per_request_nj"),
-        num(&result, "heterogeneous.first_idle.energy_per_request_nj"),
-    );
-    println!(
-        "  p99              energy-greedy {:>9.3} ms   first-idle {:>9.3} ms",
-        num(&result, "heterogeneous.energy_greedy.p99_ms"),
-        num(&result, "heterogeneous.first_idle.p99_ms"),
-    );
-    assert!(ratio < 1.0, "energy-greedy placement must beat first-idle on the heterogeneous fleet");
-
-    let (path, telemetry) =
-        finalize_experiment("a10_fleet_control", &result).expect("write results");
-    println!("\nwrote {}", path.display());
-    println!("wrote {}", telemetry.display());
+    star_bench::experiment_main(env!("CARGO_BIN_NAME"))
 }

@@ -1,73 +1,3 @@
-//! A1 (ablation) — pipeline granularity: STAR's vector-grained pipeline
-//! against the operand-grained discipline of prior work and no pipelining
-//! at all, across sequence lengths. Isolates the contribution of the §II
-//! "vector-grained pipeline" from the softmax engine itself.
-
-use star_arch::{Accelerator, RramAccelerator};
-use star_attention::AttentionConfig;
-use star_bench::{finalize_experiment, header};
-use star_core::PipelineMode;
-
 fn main() {
-    header("A1: STAR efficiency vs pipeline granularity");
-    println!(
-        "  {:>6} {:>18} {:>18} {:>18} {:>14}",
-        "seq", "unpipelined", "operand-grained", "vector-grained", "vec/operand"
-    );
-    let mut rows = Vec::new();
-    for n in [64usize, 128, 256, 384, 512] {
-        let cfg = AttentionConfig::bert_base(n);
-        let effs: Vec<f64> = PipelineMode::ALL
-            .iter()
-            .map(|&m| {
-                RramAccelerator::star_with_pipeline(m).evaluate(&cfg).efficiency_gops_per_watt
-            })
-            .collect();
-        let speedup = effs[2] / effs[1];
-        println!(
-            "  {:>6} {:>18.2} {:>18.2} {:>18.2} {:>13.3}x",
-            n, effs[0], effs[1], effs[2], speedup
-        );
-        rows.push(serde_json::json!({
-            "seq_len": n,
-            "unpipelined_gops_per_watt": effs[0],
-            "operand_grained_gops_per_watt": effs[1],
-            "vector_grained_gops_per_watt": effs[2],
-            "vector_over_operand": speedup,
-        }));
-    }
-
-    header("A1: isolating the two contributions at seq 128 (vs ReTransformer)");
-    let cfg = AttentionConfig::bert_base(128);
-    let retx = RramAccelerator::retransformer().evaluate(&cfg);
-    // Engine only: STAR softmax hardware but operand-grained scheduling.
-    let engine_only =
-        RramAccelerator::star_with_pipeline(PipelineMode::OperandGrained).evaluate(&cfg);
-    let full = RramAccelerator::star().evaluate(&cfg);
-    println!("  retransformer             {:>10.2} GOPs/s/W", retx.efficiency_gops_per_watt);
-    println!(
-        "  + rram softmax engine     {:>10.2} GOPs/s/W ({:+.1} %)",
-        engine_only.efficiency_gops_per_watt,
-        (engine_only.efficiency_gain_over(&retx) - 1.0) * 100.0
-    );
-    println!(
-        "  + vector-grained pipeline {:>10.2} GOPs/s/W ({:+.1} % over engine-only)",
-        full.efficiency_gops_per_watt,
-        (full.efficiency_gain_over(&engine_only) - 1.0) * 100.0
-    );
-
-    let (path, telemetry) = finalize_experiment(
-        "a1_pipeline_ablation",
-        &serde_json::json!({
-            "sweep": rows,
-            "contributions_seq128": {
-                "retransformer": retx.efficiency_gops_per_watt,
-                "engine_only": engine_only.efficiency_gops_per_watt,
-                "engine_plus_pipeline": full.efficiency_gops_per_watt,
-            },
-        }),
-    )
-    .expect("write");
-    println!("\nwrote {}", path.display());
-    println!("wrote {}", telemetry.display());
+    star_bench::experiment_main(env!("CARGO_BIN_NAME"))
 }

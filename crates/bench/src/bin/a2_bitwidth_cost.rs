@@ -1,62 +1,3 @@
-//! A2 (ablation) — the §II precision/efficiency trade-off: how engine
-//! area, power, and attention accuracy move as the softmax bitwidth steps
-//! through the three paper formats (7, 8, 9 bits) and beyond.
-
-use star_bench::{finalize_experiment, header};
-use star_core::precision::evaluate_format;
-use star_core::{SoftmaxEngine, StarSoftmax, StarSoftmaxConfig};
-use star_fixed::QFormat;
-use star_workload::{Dataset, ScoreTrace};
-
 fn main() {
-    // A fixed evaluation trace with wide coverage: the MRPC proxy (the
-    // most demanding distribution).
-    let trace = ScoreTrace::generate(Dataset::Mrpc, 128, 64, 0xA2);
-
-    header("A2: softmax engine bitwidth vs cost and accuracy (MRPC proxy)");
-    println!(
-        "  {:>8} {:>6} {:>12} {:>12} {:>12} {:>10} {:>8}",
-        "format", "bits", "area[um^2]", "power[mW]", "meanAbsErr", "KL", "top1"
-    );
-    let formats = [
-        QFormat::new(4, 1).expect("valid"),
-        QFormat::COLA,                      // 7 bits
-        QFormat::CNEWS,                     // 8 bits
-        QFormat::MRPC,                      // 9 bits
-        QFormat::new(6, 4).expect("valid"), // 11 bits
-    ];
-    let mut rows = Vec::new();
-    for fmt in formats {
-        let point = evaluate_format(fmt, &trace.rows).expect("engine builds");
-        let engine = StarSoftmax::new(StarSoftmaxConfig::new(fmt)).expect("engine builds");
-        let row_cost = engine.row_cost(128);
-        println!(
-            "  {:>8} {:>6} {:>12.1} {:>12.3} {:>12.2e} {:>10.2e} {:>8.3}",
-            fmt.to_string(),
-            fmt.total_bits(),
-            point.engine_area_um2,
-            point.engine_power_mw,
-            point.mean_abs_error,
-            point.mean_kl,
-            point.top1_agreement
-        );
-        rows.push(serde_json::json!({
-            "format": fmt.to_string(),
-            "total_bits": fmt.total_bits(),
-            "area_um2": point.engine_area_um2,
-            "power_mw": point.engine_power_mw,
-            "mean_abs_error": point.mean_abs_error,
-            "mean_kl": point.mean_kl,
-            "top1_agreement": point.top1_agreement,
-            "row_latency_ns": row_cost.latency.value(),
-            "row_energy_pj": row_cost.energy.value(),
-        }));
-    }
-
-    println!("\n  shape check: area/power grow with bits, error falls with bits");
-    let (path, telemetry) =
-        finalize_experiment("a2_bitwidth_cost", &serde_json::json!({"sweep": rows}))
-            .expect("write");
-    println!("wrote {}", path.display());
-    println!("wrote {}", telemetry.display());
+    star_bench::experiment_main(env!("CARGO_BIN_NAME"))
 }

@@ -1,101 +1,3 @@
-//! A3 (ablation) — MatMul engine design space: ADC resolution and
-//! crossbar size sweep around the paper's §III operating point (128×128,
-//! 5-bit ADC), evaluated on the tile VMM cost and the resulting STAR-style
-//! layer efficiency.
-
-use star_arch::{gops_per_watt, MatMulEngine, MatMulEngineConfig};
-use star_attention::AttentionConfig;
-use star_bench::{finalize_experiment, header};
-use star_device::Energy;
-
 fn main() {
-    let cfg = AttentionConfig::bert_base(128);
-    let ops = cfg.attention_ops().matmul_ops();
-
-    header("A3: ADC resolution sweep (128x128 arrays)");
-    println!(
-        "  {:>9} {:>16} {:>16} {:>16}",
-        "adc bits", "tile E [pJ]", "layer E [uJ]", "matmul GOPs/J"
-    );
-    let mut adc_rows = Vec::new();
-    for bits in [4u8, 5, 6, 7, 8] {
-        let engine = MatMulEngine::new(MatMulEngineConfig::paper().with_adc_bits(bits));
-        let (layer_energy, _) = layer_matmul_cost(&engine, &cfg);
-        let eff = gops_per_watt(ops, layer_energy);
-        println!(
-            "  {:>9} {:>16.1} {:>16.1} {:>16.1}",
-            bits,
-            engine.tile_vmm_cost().energy.value(),
-            layer_energy.value() * 1e-6,
-            eff
-        );
-        adc_rows.push(serde_json::json!({
-            "adc_bits": bits,
-            "tile_energy_pj": engine.tile_vmm_cost().energy.value(),
-            "layer_energy_uj": layer_energy.value() * 1e-6,
-            "matmul_gops_per_joule": eff,
-        }));
-    }
-
-    header("A3: crossbar size sweep (5-bit ADC)");
-    println!("  {:>9} {:>10} {:>16} {:>16}", "size", "tiles", "layer E [uJ]", "matmul GOPs/J");
-    let mut size_rows = Vec::new();
-    for size in [64usize, 128, 256] {
-        let engine = MatMulEngine::new(MatMulEngineConfig::paper().with_crossbar_size(size));
-        let tiles = engine.tile_count(cfg.d_model, cfg.d_model);
-        let (layer_energy, _) = layer_matmul_cost(&engine, &cfg);
-        let eff = gops_per_watt(ops, layer_energy);
-        println!("  {:>9} {:>10} {:>16.1} {:>16.1}", size, tiles, layer_energy.value() * 1e-6, eff);
-        size_rows.push(serde_json::json!({
-            "crossbar_size": size,
-            "proj_tiles": tiles,
-            "layer_energy_uj": layer_energy.value() * 1e-6,
-            "matmul_gops_per_joule": eff,
-        }));
-    }
-
-    header("A3: cell density sweep (128x128 arrays, 5-bit ADC)");
-    println!(
-        "  {:>14} {:>10} {:>16} {:>16}",
-        "bits/cell", "tiles", "layer E [uJ]", "matmul GOPs/J"
-    );
-    let mut mlc_rows = Vec::new();
-    for bpc in [1u8, 2, 4] {
-        let engine = MatMulEngine::new(MatMulEngineConfig::paper().with_bits_per_cell(bpc));
-        let tiles = engine.tile_count(cfg.d_model, cfg.d_model);
-        let (layer_energy, _) = layer_matmul_cost(&engine, &cfg);
-        let eff = gops_per_watt(ops, layer_energy);
-        println!("  {:>14} {:>10} {:>16.1} {:>16.1}", bpc, tiles, layer_energy.value() * 1e-6, eff);
-        mlc_rows.push(serde_json::json!({
-            "bits_per_cell": bpc,
-            "proj_tiles": tiles,
-            "layer_energy_uj": layer_energy.value() * 1e-6,
-            "matmul_gops_per_joule": eff,
-        }));
-    }
-
-    let (path, telemetry) = finalize_experiment(
-        "a3_matmul_sweep",
-        &serde_json::json!({"adc_sweep": adc_rows, "size_sweep": size_rows, "mlc_sweep": mlc_rows}),
-    )
-    .expect("write");
-    println!("\nwrote {}", path.display());
-    println!("wrote {}", telemetry.display());
-}
-
-/// Matmul-only energy/latency of one attention layer (projections +
-/// per-head score/context GEMMs).
-fn layer_matmul_cost(
-    engine: &MatMulEngine,
-    cfg: &AttentionConfig,
-) -> (Energy, star_device::Latency) {
-    let n = cfg.seq_len;
-    let d = cfg.d_model;
-    let dh = cfg.d_head();
-    let heads = cfg.num_heads as f64;
-    let proj = engine.gemm_cost(n, d, d).repeat(4);
-    let qk = engine.gemm_cost(n, dh, n);
-    let av = engine.gemm_cost(n, n, dh);
-    let energy = proj.energy + (qk.energy + av.energy) * heads;
-    (energy, proj.latency + qk.latency + av.latency)
+    star_bench::experiment_main(env!("CARGO_BIN_NAME"))
 }

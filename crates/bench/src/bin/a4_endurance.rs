@@ -1,53 +1,3 @@
-//! A4 (ablation) — endurance: STAR's softmax tables (and ReTransformer's
-//! decomposed dataflow) never write RRAM after deployment, while PipeLayer
-//! reprograms crossbars with K/V/score matrices on every inference. Under
-//! a cycling-endurance model this translates into device lifetime.
-
-use star_arch::RramAccelerator;
-use star_attention::AttentionConfig;
-use star_bench::{finalize_experiment, header};
-use star_device::{EnduranceModel, RetentionModel};
-
 fn main() {
-    let cfg = AttentionConfig::bert_base(128);
-    let endurance = EnduranceModel::typical();
-    let target = 1e-4; // per-cell failure budget
-
-    header("A4: write traffic and lifetime (BERT-base, 12 layers)");
-    println!("  {:>16} {:>20} {:>22}", "design", "hot-cell writes/inf", "lifetime [inferences]");
-    let mut rows = Vec::new();
-    for accel in
-        [RramAccelerator::pipelayer(), RramAccelerator::retransformer(), RramAccelerator::star()]
-    {
-        let writes = accel.hot_cell_writes_per_layer() * cfg.num_layers as u64;
-        let life = accel.lifetime_inferences(&cfg, &endurance, target);
-        let life_str =
-            if life.is_infinite() { "unlimited".to_owned() } else { format!("{life:.3e}") };
-        println!("  {:>16} {:>20} {:>22}", star_arch::Accelerator::name(&accel), writes, life_str);
-        rows.push(serde_json::json!({
-            "design": star_arch::Accelerator::name(&accel),
-            "hot_cell_writes_per_inference": writes,
-            "lifetime_inferences": if life.is_infinite() { None } else { Some(life) },
-        }));
-    }
-
-    // Retention: how long the STAR engine's one-time-programmed tables
-    // hold their sense margin.
-    let retention = RetentionModel::typical();
-    let years = retention.seconds_to_margin(0.9) / 3.15e7;
-    header("A4: retention of STAR's one-time-programmed tables");
-    println!("  conductance window holds 90 % margin for {years:.1} years");
-
-    let (path, telemetry) = finalize_experiment(
-        "a4_endurance",
-        &serde_json::json!({
-            "endurance_model": endurance,
-            "failure_target": target,
-            "designs": rows,
-            "star_table_retention_years_at_90pct": years,
-        }),
-    )
-    .expect("write");
-    println!("\nwrote {}", path.display());
-    println!("wrote {}", telemetry.display());
+    star_bench::experiment_main(env!("CARGO_BIN_NAME"))
 }

@@ -1,97 +1,3 @@
-//! A5 (ablation) — model-level sweep: computing efficiency of all four
-//! designs across sequence lengths, at both attention-layer and full
-//! 12-layer BERT-base granularity. Shows where STAR's advantage grows
-//! (softmax-heavy long sequences) and how the FFN dilutes it.
-//!
-//! The per-sequence-length evaluations are independent, so they fan out
-//! across the `star-exec` pool; rows are computed in parallel and printed
-//! in sweep order, byte-identical for every worker count.
-
-use star_arch::{Accelerator, GpuModel, RramAccelerator};
-use star_attention::AttentionConfig;
-use star_bench::{finalize_experiment, header};
-use star_exec::Executor;
-
 fn main() {
-    let seq_lens = [64usize, 128, 256, 512];
-    let exec = Executor::from_env();
-
-    // One task per sequence length: evaluate all four designs at both
-    // granularities. Results come back in sweep order.
-    let evaluated = exec.par_map(&seq_lens, |_, &n| {
-        let (rows, snap) = star_telemetry::with_scoped(|| {
-            let gpu = GpuModel::titan_rtx();
-            let pl = RramAccelerator::pipelayer();
-            let rt = RramAccelerator::retransformer();
-            let st = RramAccelerator::star();
-            let cfg = AttentionConfig::bert_base(n);
-            let layer = [
-                gpu.evaluate(&cfg).efficiency_gops_per_watt,
-                pl.evaluate(&cfg).efficiency_gops_per_watt,
-                rt.evaluate(&cfg).efficiency_gops_per_watt,
-                st.evaluate(&cfg).efficiency_gops_per_watt,
-            ];
-            let model = [
-                gpu.model_efficiency(&cfg),
-                pl.evaluate_model(&cfg).efficiency_gops_per_watt,
-                rt.evaluate_model(&cfg).efficiency_gops_per_watt,
-                st.evaluate_model(&cfg).efficiency_gops_per_watt,
-            ];
-            (layer, model)
-        });
-        (n, rows, snap)
-    });
-    for (_, _, snap) in &evaluated {
-        star_telemetry::absorb(snap);
-    }
-
-    header("A5: attention-layer efficiency vs sequence length [GOPs/s/W]");
-    println!(
-        "  {:>6} {:>10} {:>12} {:>15} {:>10} {:>12}",
-        "seq", "gpu", "pipelayer", "retransformer", "star", "star/retx"
-    );
-    let mut layer_rows = Vec::new();
-    for (n, (e, _), _) in &evaluated {
-        println!(
-            "  {:>6} {:>10.2} {:>12.2} {:>15.2} {:>10.2} {:>11.3}x",
-            n,
-            e[0],
-            e[1],
-            e[2],
-            e[3],
-            e[3] / e[2]
-        );
-        layer_rows.push(serde_json::json!({
-            "seq_len": n, "gpu": e[0], "pipelayer": e[1], "retransformer": e[2], "star": e[3],
-        }));
-    }
-
-    header("A5: full 12-layer model efficiency vs sequence length [GOPs/s/W]");
-    println!(
-        "  {:>6} {:>10} {:>12} {:>15} {:>10} {:>12}",
-        "seq", "gpu", "pipelayer", "retransformer", "star", "star/retx"
-    );
-    let mut model_rows = Vec::new();
-    for (n, (_, e), _) in &evaluated {
-        println!(
-            "  {:>6} {:>10.2} {:>12.2} {:>15.2} {:>10.2} {:>11.3}x",
-            n,
-            e[0],
-            e[1],
-            e[2],
-            e[3],
-            e[3] / e[2]
-        );
-        model_rows.push(serde_json::json!({
-            "seq_len": n, "gpu": e[0], "pipelayer": e[1], "retransformer": e[2], "star": e[3],
-        }));
-    }
-
-    let (path, telemetry) = finalize_experiment(
-        "a5_model_sweep",
-        &serde_json::json!({"attention_layer": layer_rows, "full_model": model_rows}),
-    )
-    .expect("write");
-    println!("\nwrote {}", path.display());
-    println!("wrote {}", telemetry.display());
+    star_bench::experiment_main(env!("CARGO_BIN_NAME"))
 }

@@ -1,114 +1,3 @@
-//! A6 (ablation) — does the STAR story survive model scale? The paper
-//! evaluates BERT-base; here the same accelerators run BERT-large and a
-//! GPT-2-small-shaped decoder, at layer and full-model granularity.
-//!
-//! Models are evaluated in parallel on the `star-exec` pool and reported
-//! in zoo order, byte-identical for every worker count.
-
-use star_arch::{Accelerator, GpuModel, RramAccelerator};
-use star_attention::AttentionConfig;
-use star_bench::{finalize_experiment, header};
-use star_exec::Executor;
-
-struct ModelEval {
-    layer_eff: [f64; 4],
-    latency_ms: f64,
-    energy_mj: f64,
-    chip_area_mm2: f64,
-    model_eff: f64,
-}
-
 fn main() {
-    let models: [(&str, AttentionConfig); 3] = [
-        ("bert-base", AttentionConfig::bert_base(128)),
-        ("bert-large", AttentionConfig::bert_large(128)),
-        ("gpt2-small", AttentionConfig::gpt2_small(256)),
-    ];
-
-    let evaluated = Executor::from_env().par_map(&models, |_, (name, cfg)| {
-        let (eval, snap) = star_telemetry::with_scoped(|| {
-            let gpu = GpuModel::titan_rtx();
-            let pl = RramAccelerator::pipelayer();
-            let rt = RramAccelerator::retransformer();
-            let st = RramAccelerator::star();
-            let layer_eff = [
-                gpu.evaluate(cfg).efficiency_gops_per_watt,
-                pl.evaluate(cfg).efficiency_gops_per_watt,
-                rt.evaluate(cfg).efficiency_gops_per_watt,
-                st.evaluate(cfg).efficiency_gops_per_watt,
-            ];
-            assert!(
-                layer_eff[0] < layer_eff[1]
-                    && layer_eff[1] < layer_eff[2]
-                    && layer_eff[2] < layer_eff[3],
-                "{name}: ordering broke: {layer_eff:?}"
-            );
-            let r = st.evaluate_model(cfg);
-            let area = st.area_sheet(cfg).total_area();
-            ModelEval {
-                layer_eff,
-                latency_ms: r.latency.as_us() / 1000.0,
-                energy_mj: r.total_energy.value() * 1e-9,
-                chip_area_mm2: area.as_mm2(),
-                model_eff: r.efficiency_gops_per_watt,
-            }
-        });
-        (eval, snap)
-    });
-    for (_, snap) in &evaluated {
-        star_telemetry::absorb(snap);
-    }
-
-    header("A6: attention-layer efficiency per model [GOPs/s/W]");
-    println!(
-        "  {:<12} {:>6} {:>8} {:>10} {:>14} {:>10} {:>11}",
-        "model", "seq", "gpu", "pipelayer", "retransformer", "star", "star/retx"
-    );
-    let mut rows = Vec::new();
-    for ((name, cfg), (eval, _)) in models.iter().zip(&evaluated) {
-        let e = eval.layer_eff;
-        println!(
-            "  {:<12} {:>6} {:>8.2} {:>10.2} {:>14.2} {:>10.2} {:>10.3}x",
-            name,
-            cfg.seq_len,
-            e[0],
-            e[1],
-            e[2],
-            e[3],
-            e[3] / e[2]
-        );
-        rows.push(serde_json::json!({
-            "model": name, "seq_len": cfg.seq_len, "d_model": cfg.d_model,
-            "num_layers": cfg.num_layers,
-            "gpu": e[0], "pipelayer": e[1], "retransformer": e[2], "star": e[3],
-        }));
-    }
-
-    header("A6: full-model latency and chip area (STAR)");
-    println!(
-        "  {:<12} {:>14} {:>16} {:>18}",
-        "model", "latency [ms]", "energy [mJ]", "chip area [mm^2]"
-    );
-    let mut model_rows = Vec::new();
-    for ((name, _), (eval, _)) in models.iter().zip(&evaluated) {
-        println!(
-            "  {:<12} {:>14.3} {:>16.3} {:>18.1}",
-            name, eval.latency_ms, eval.energy_mj, eval.chip_area_mm2
-        );
-        model_rows.push(serde_json::json!({
-            "model": name,
-            "latency_ms": eval.latency_ms,
-            "energy_mj": eval.energy_mj,
-            "chip_area_mm2": eval.chip_area_mm2,
-            "efficiency_gops_per_watt": eval.model_eff,
-        }));
-    }
-
-    let (path, telemetry) = finalize_experiment(
-        "a6_model_zoo",
-        &serde_json::json!({"attention_layer": rows, "star_full_model": model_rows}),
-    )
-    .expect("write");
-    println!("\nwrote {}", path.display());
-    println!("wrote {}", telemetry.display());
+    star_bench::experiment_main(env!("CARGO_BIN_NAME"))
 }

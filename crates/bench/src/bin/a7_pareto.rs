@@ -1,67 +1,3 @@
-//! A7 (ablation) — engine design-space exploration: evaluate the
-//! neighbourhood of the paper's operating points over (input format ×
-//! exponential word width × divider precision) and report the Pareto
-//! frontier of (area, power, accuracy). Shows the paper's configuration
-//! choices sit on (or next to) the frontier.
-
-use star_bench::{finalize_experiment, header};
-use star_core::design_space::{pareto_front, DesignSpace};
-use star_exec::Executor;
-use star_workload::{Dataset, ScoreTrace};
-
 fn main() {
-    let trace = ScoreTrace::generate(Dataset::Mrpc, 96, 64, 0xA7);
-    let space = DesignSpace::paper_neighborhood();
-    let exec = Executor::from_env();
-    header(&format!("A7: evaluating {} engine configurations on the MRPC proxy", space.len()));
-    // Worker count goes to stderr: stdout must be byte-identical for
-    // every `STAR_EXEC_THREADS`.
-    eprintln!("a7_pareto: {} worker(s)", exec.threads());
-
-    // Configurations fan out across the pool; results (and telemetry, via
-    // the scoped-capture + ordered-merge protocol) are byte-identical for
-    // every worker count.
-    let points = space.evaluate_par(&exec, &trace.rows).expect("all configurations build");
-    let front = pareto_front(&points);
-
-    println!(
-        "  {:>8} {:>8} {:>8} {:>12} {:>10} {:>12} {:>8} {:>7}",
-        "format", "expbits", "quot", "area[um^2]", "power[mW]", "meanAbsErr", "top1", "pareto"
-    );
-    for p in &points {
-        let on_front = front.contains(p);
-        println!(
-            "  {:>8} {:>8} {:>8} {:>12.1} {:>10.3} {:>12.2e} {:>8.3} {:>7}",
-            p.format.to_string(),
-            p.exp_word_bits,
-            p.quotient_bits,
-            p.area_um2,
-            p.power_mw,
-            p.mean_abs_error,
-            p.top1_agreement,
-            if on_front { "*" } else { "" }
-        );
-    }
-
-    header("A7: Pareto frontier (area ↑ / error ↓ trade)");
-    for p in &front {
-        println!(
-            "  {:>8} exp{:<2} q{:<2}  {:>10.1} um^2  {:>8.3} mW  err {:.2e}",
-            p.format.to_string(),
-            p.exp_word_bits,
-            p.quotient_bits,
-            p.area_um2,
-            p.power_mw,
-            p.mean_abs_error
-        );
-    }
-    println!("  frontier size: {} of {}", front.len(), points.len());
-
-    let (path, telemetry) = finalize_experiment(
-        "a7_pareto",
-        &serde_json::json!({"points": points, "pareto_front": front}),
-    )
-    .expect("write");
-    println!("\nwrote {}", path.display());
-    println!("wrote {}", telemetry.display());
+    star_bench::experiment_main(env!("CARGO_BIN_NAME"))
 }

@@ -1,107 +1,3 @@
-//! A8 (extension) — serving: a fleet of STAR accelerators under load.
-//!
-//! The paper evaluates one attention layer in isolation; this experiment
-//! asks the system question one level up: what latency, goodput, and
-//! energy does a *fleet* of STAR instances deliver against an SLO when
-//! requests arrive stochastically? The `star-serve` discrete-event
-//! simulator sweeps arrival rate × batch policy × fleet size over
-//! `star-exec`, and the headline compares dynamic batching (batch 8,
-//! 50 µs window) against the batch-1 baseline at saturating load.
-//!
-//! Deterministic by construction: seeded arrivals, a totally ordered
-//! event loop, and index-ordered sweep reduction make the JSON result
-//! byte-identical across reruns and worker counts.
-
-use serde_json::Value;
-use star_bench::{finalize_experiment, header};
-
-/// Follows a `.`-separated path through nested maps.
-fn walk<'a>(value: &'a Value, path: &str) -> &'a Value {
-    let mut v = value;
-    for key in path.split('.') {
-        v = v.get(key).unwrap_or_else(|| panic!("result field {path} missing at {key}"));
-    }
-    v
-}
-
-fn num(value: &Value, path: &str) -> f64 {
-    walk(value, path).as_f64().unwrap_or_else(|| panic!("result field {path} not numeric"))
-}
-
-fn int(value: &Value, path: &str) -> u64 {
-    walk(value, path).as_u64().unwrap_or_else(|| panic!("result field {path} not an integer"))
-}
-
 fn main() {
-    let result = star_bench::a8_serving_result();
-
-    header("A8: serving sweep (BERT-base seq 128, 2 ms SLO)");
-    println!(
-        "  {:<30} {:>9} {:>9} {:>8} {:>7} {:>7} {:>7}",
-        "case", "offered", "goodput", "p99 ms", "batch", "reject", "expire"
-    );
-    let cases = walk(&result, "cases").as_array().expect("cases array");
-    for case in cases {
-        println!(
-            "  {:<30} {:>9.0} {:>9.0} {:>8.3} {:>7.2} {:>7} {:>7}",
-            walk(case, "label").as_str().unwrap_or("?"),
-            num(case, "offered_rps"),
-            num(case, "report.goodput_rps"),
-            num(case, "report.latency.p99_ms"),
-            num(case, "report.mean_batch_size"),
-            int(case, "report.rejected"),
-            int(case, "report.expired"),
-        );
-    }
-
-    header("A8: dynamic batching vs batch-1 baseline at saturating load");
-    let gain = num(&result, "headline.goodput_gain");
-    println!(
-        "  goodput  baseline {:>10.0} rps   batched {:>10.0} rps   ({gain:.2}x)",
-        num(&result, "headline.baseline.report.goodput_rps"),
-        num(&result, "headline.batched.report.goodput_rps"),
-    );
-    println!(
-        "  p99      baseline {:>10.3} ms    batched {:>10.3} ms",
-        num(&result, "headline.p99_ms.baseline"),
-        num(&result, "headline.p99_ms.batched"),
-    );
-    println!(
-        "  dropped  baseline {:>10} req   batched {:>10} req",
-        int(&result, "headline.dropped.baseline"),
-        int(&result, "headline.dropped.batched"),
-    );
-    assert!(gain > 1.0, "dynamic batching must beat the baseline at saturation, got {gain}");
-
-    header("A8: per-class SLO under a mixed workload (batched, saturating)");
-    println!(
-        "  {:<24} {:>9} {:>7} {:>7} {:>7} {:>7} {:>9} {:>8}",
-        "class", "arrivals", "good", "late", "reject", "expire", "goodput", "p99 ms"
-    );
-    let classes = walk(&result, "mixed_workload.per_class").as_array().expect("per_class array");
-    let mut goodput_sum = 0.0;
-    for c in classes {
-        goodput_sum += num(c, "goodput_rps");
-        println!(
-            "  {:<24} {:>9} {:>7} {:>7} {:>7} {:>7} {:>9.0} {:>8.3}",
-            walk(c, "class").as_str().unwrap_or("?"),
-            int(c, "arrivals"),
-            int(c, "good"),
-            int(c, "late"),
-            int(c, "rejected"),
-            int(c, "expired"),
-            num(c, "goodput_rps"),
-            num(c, "p99_ms"),
-        );
-    }
-    let aggregate = num(&result, "mixed_workload.goodput_rps");
-    println!("  {:<24} {:>58.0} rps aggregate", "", aggregate);
-    assert!(
-        (goodput_sum - aggregate).abs() <= 1e-6 * aggregate.max(1.0),
-        "per-class goodput must sum to the aggregate: {goodput_sum} vs {aggregate}"
-    );
-
-    let (path, telemetry) = finalize_experiment("a8_serving", &result).expect("write results");
-    println!("\nwrote {}", path.display());
-    println!("wrote {}", telemetry.display());
+    star_bench::experiment_main(env!("CARGO_BIN_NAME"))
 }

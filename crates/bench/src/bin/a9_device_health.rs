@@ -1,130 +1,3 @@
-//! A9 (extension) — device health: wear, drift, and lifetime of a STAR
-//! fleet under sustained serving load.
-//!
-//! The paper's energy and latency tables assume pristine RRAM; this
-//! experiment asks how long that assumption holds. Three sustained load
-//! points run through the monitored `star-serve` event loop (observation
-//! only: the serving report is bitwise identical to an unmonitored run),
-//! the hottest instance's steady-state wear rates are extracted from the
-//! 100 ms window, and the closed-form `HealthModel` projects them over
-//! hours-to-years of wall time: time-to-first-degradation, lifetime
-//! inferences, drift/stuck-cell/accuracy-margin trajectories. A
-//! wear-leveling on/off comparison at the light load point shows the
-//! round-robin placement flattening the ledger skew without moving a
-//! single latency number.
-//!
-//! Deterministic by construction: seeded arrivals, a totally ordered
-//! event loop, zero-RNG health sampling, and index-ordered sweep
-//! reduction make the JSON result byte-identical across reruns and
-//! worker counts.
-
-use serde_json::Value;
-use star_bench::{finalize_experiment, header};
-
-/// Follows a `.`-separated path through nested maps.
-fn walk<'a>(value: &'a Value, path: &str) -> &'a Value {
-    let mut v = value;
-    for key in path.split('.') {
-        v = v.get(key).unwrap_or_else(|| panic!("result field {path} missing at {key}"));
-    }
-    v
-}
-
-fn num(value: &Value, path: &str) -> f64 {
-    walk(value, path).as_f64().unwrap_or_else(|| panic!("result field {path} not numeric"))
-}
-
 fn main() {
-    let result = star_bench::a9_device_health_result();
-
-    header("A9: sustained load points (BERT-base seq 128, fleet 2, batch 8)");
-    println!(
-        "  {:<34} {:>9} {:>9} {:>7} {:>11} {:>12}",
-        "case", "offered", "goodput", "util", "nJ/request", "reads/s"
-    );
-    let points = walk(&result, "load_points").as_array().expect("load_points array");
-    for p in points {
-        println!(
-            "  {:<34} {:>9.0} {:>9.0} {:>7.3} {:>11.1} {:>12.3e}",
-            walk(p, "label").as_str().unwrap_or("?"),
-            num(p, "offered_rps"),
-            num(p, "goodput_rps"),
-            num(p, "mean_utilization"),
-            num(p, "energy_per_request_nj"),
-            num(p, "rates.reads_per_s"),
-        );
-    }
-
-    header("A9: time to first degradation and lifetime");
-    println!("  {:<34} {:>12} {:>12} {:>18}", "case", "ttfd [days]", "temp [K]", "lifetime [inf]");
-    let mut prev_ttfd = f64::INFINITY;
-    let mut prev_rate = 0.0;
-    for p in points {
-        let ttfd_days = num(p, "time_to_first_degradation_days");
-        let lifetime = num(p, "lifetime_inferences");
-        let year = walk(p, "projections")
-            .as_array()
-            .expect("projections array")
-            .iter()
-            .find(|h| walk(h, "horizon").as_str() == Some("year"))
-            .expect("year horizon present");
-        println!(
-            "  {:<34} {:>12.1} {:>12.2} {:>18.3e}",
-            walk(p, "label").as_str().unwrap_or("?"),
-            ttfd_days,
-            num(year, "projection.temperature_kelvin"),
-            lifetime,
-        );
-        let rate = num(p, "offered_rps");
-        assert!(ttfd_days > 0.0, "degradation time must be positive");
-        assert!(lifetime > 0.0, "lifetime must be positive");
-        if rate > prev_rate {
-            assert!(
-                num(p, "time_to_first_degradation_s") <= prev_ttfd,
-                "heavier sustained load cannot degrade later"
-            );
-        }
-        prev_ttfd = num(p, "time_to_first_degradation_s");
-        prev_rate = rate;
-    }
-    assert!(points.len() >= 3, "need at least three sustained load points");
-
-    header("A9: accuracy-margin trajectory (saturating load)");
-    let top = points.last().expect("load points");
-    println!(
-        "  {:>12} {:>12} {:>14} {:>16} {:>14}",
-        "horizon", "drift", "stuck frac", "margin", "inferences"
-    );
-    let mut prev_margin = f64::INFINITY;
-    for h in walk(top, "projections").as_array().expect("projections") {
-        let margin = num(h, "projection.accuracy_margin");
-        println!(
-            "  {:>12} {:>12.6} {:>14.3e} {:>16.6} {:>14.3e}",
-            walk(h, "horizon").as_str().unwrap_or("?"),
-            num(h, "projection.drift_factor"),
-            num(h, "projection.stuck_fraction"),
-            margin,
-            num(h, "projection.inferences"),
-        );
-        assert!(margin <= prev_margin, "margin must degrade monotonically with horizon");
-        prev_margin = margin;
-    }
-
-    header("A9: wear leveling at the light load point");
-    let skew_off = num(&result, "wear_leveling.wear_skew_off");
-    let skew_on = num(&result, "wear_leveling.wear_skew_on");
-    println!("  ledger row skew   off {skew_off:>8.4}   on {skew_on:>8.4}");
-    println!(
-        "  goodput identical at {:>8.0} rps (placement never feeds back into timing)",
-        num(&result, "wear_leveling.goodput_rps_identical")
-    );
-    assert!(
-        skew_on < skew_off,
-        "round-robin placement must flatten wear skew: on {skew_on} vs off {skew_off}"
-    );
-
-    let (path, telemetry) =
-        finalize_experiment("a9_device_health", &result).expect("write results");
-    println!("\nwrote {}", path.display());
-    println!("wrote {}", telemetry.display());
+    star_bench::experiment_main(env!("CARGO_BIN_NAME"))
 }

@@ -1,68 +1,3 @@
-//! E1 — the intro observation: softmax latency share of BERT-base
-//! attention on the GPU grows with sequence length, overtaking matrix
-//! multiplication at sequence length 512 (the paper quotes a share
-//! reaching up to 59.20 %).
-
-use serde::Serialize;
-use star_arch::GpuModel;
-use star_attention::AttentionConfig;
-use star_bench::{compare_line, finalize_experiment, header};
-
-#[derive(Serialize)]
-struct SharePoint {
-    seq_len: usize,
-    matmul_us: f64,
-    softmax_us: f64,
-    softmax_share: f64,
-    softmax_exceeds_matmul: bool,
-}
-
 fn main() {
-    let gpu = GpuModel::titan_rtx();
-    let seq_lens = [64usize, 128, 256, 384, 512, 640, 768, 896, 1024];
-
-    header("E1: softmax latency share on GPU (BERT-base attention)");
-    println!(
-        "  {:>7} {:>12} {:>12} {:>9} {:>10}",
-        "seq", "matmul[us]", "softmax[us]", "share", "sm>mm"
-    );
-    let mut points = Vec::new();
-    for n in seq_lens {
-        let b = gpu.attention_breakdown(&AttentionConfig::bert_base(n));
-        let p = SharePoint {
-            seq_len: n,
-            matmul_us: b.matmul().as_us(),
-            softmax_us: b.softmax.as_us(),
-            softmax_share: b.softmax_share(),
-            softmax_exceeds_matmul: b.softmax > b.matmul(),
-        };
-        println!(
-            "  {:>7} {:>12.1} {:>12.1} {:>8.1}% {:>10}",
-            p.seq_len,
-            p.matmul_us,
-            p.softmax_us,
-            p.softmax_share * 100.0,
-            p.softmax_exceeds_matmul
-        );
-        points.push(p);
-    }
-
-    let crossover = gpu.crossover_seq_len(&seq_lens).expect("crossover exists");
-    let max_share = points.iter().map(|p| p.softmax_share).fold(0.0, f64::max);
-    header("E1: paper anchors");
-    println!("{}", compare_line("crossover sequence length", 512.0, crossover as f64));
-    println!("{}", compare_line("max softmax share (%)", 59.20, max_share * 100.0));
-
-    let (path, telemetry) = finalize_experiment(
-        "e1_softmax_share",
-        &serde_json::json!({
-            "points": points,
-            "crossover_seq_len": crossover,
-            "max_share": max_share,
-            "paper": {"crossover_seq_len": 512, "max_share": 0.592},
-        }),
-    )
-    .expect("write results");
-    println!("\nwrote {}", path.display());
-    println!("wrote {}", telemetry.display());
+    star_bench::experiment_main(env!("CARGO_BIN_NAME"))
 }

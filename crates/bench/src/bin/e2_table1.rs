@@ -1,57 +1,3 @@
-//! E2 — Table I: area and power of the softmax designs, normalized to the
-//! baseline CMOS softmax. Evaluated as in the paper at the BERT-base /
-//! CNEWS operating point (8-bit softmax, sequence length 128).
-
-use star_bench::{compare_line, finalize_experiment, header, table1_engines};
-use star_core::{RowSoftmax, SoftmaxEngine};
-
 fn main() {
-    // The paper's Table I operating point: CNEWS 8-bit, seq len 128.
-    let (baseline, softermax, star) = table1_engines();
-
-    let base_sheet = baseline.cost_sheet();
-    let soft_sheet = softermax.cost_sheet();
-    let star_sheet = star.cost_sheet();
-
-    header("E2 / Table I: itemized budgets");
-    for sheet in [&base_sheet, &soft_sheet, &star_sheet] {
-        println!("{}", sheet.to_table());
-    }
-
-    let soft_area = soft_sheet.area_ratio_to(&base_sheet);
-    let soft_power = soft_sheet.power_ratio_to(&base_sheet);
-    let star_area = star_sheet.area_ratio_to(&base_sheet);
-    let star_power = star_sheet.power_ratio_to(&base_sheet);
-
-    header("E2 / Table I: normalized to baseline CMOS softmax");
-    println!("{}", compare_line("softermax area ratio", 0.33, soft_area));
-    println!("{}", compare_line("softermax power ratio", 0.12, soft_power));
-    println!("{}", compare_line("ours (8-bit) area ratio", 0.06, star_area));
-    println!("{}", compare_line("ours (8-bit) power ratio", 0.05, star_power));
-
-    header("E2: derived vs-Softermax ratios quoted in the text");
-    println!("{}", compare_line("ours/softermax area", 0.20, star_area / soft_area));
-    println!("{}", compare_line("ours/softermax power", 0.44, star_power / soft_power));
-
-    // Throughput context at the Table I operating point.
-    header("E2: per-row cost at seq len 128 (context)");
-    for (name, cost) in [
-        (baseline.name().to_owned(), baseline.row_cost(128)),
-        (softermax.name().to_owned(), softermax.row_cost(128)),
-        (star.name().to_owned(), star.row_cost(128)),
-    ] {
-        println!(
-            "  {:<28} {:>10.1} ns {:>12.2} pJ",
-            name,
-            cost.latency.value(),
-            cost.energy.value()
-        );
-    }
-
-    // The JSON result is built by the shared builder so this binary and
-    // the golden-file regression test cannot drift apart.
-    let (path, telemetry) =
-        finalize_experiment("e2_table1", &star_bench::e2_table1_result()).expect("write results");
-    println!("\nwrote {}", path.display());
-    println!("wrote {}", telemetry.display());
+    star_bench::experiment_main(env!("CARGO_BIN_NAME"))
 }

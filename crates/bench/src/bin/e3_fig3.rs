@@ -1,49 +1,3 @@
-//! E3 — Fig. 3: computing efficiency (GOPs/s/W) of GPU, PipeLayer,
-//! ReTransformer and STAR on one BERT-base attention layer (seq 128), and
-//! STAR's improvement factors over each.
-
-use star_arch::PerfReport;
-use star_bench::{compare_line, fig3_reports, finalize_experiment, header};
-
 fn main() {
-    let reports: Vec<PerfReport> = fig3_reports(128);
-
-    header("E3 / Fig. 3: per-design evaluation (BERT-base attention, seq 128)");
-    println!(
-        "  {:<18} {:>12} {:>14} {:>14} {:>12}",
-        "design", "latency[us]", "energy[uJ]", "avg power[W]", "GOPs/s/W"
-    );
-    for r in &reports {
-        println!(
-            "  {:<18} {:>12.1} {:>14.1} {:>14.2} {:>12.2}",
-            r.name,
-            r.latency.as_us(),
-            r.total_energy.value() * 1e-6,
-            r.avg_power.as_watts(),
-            r.efficiency_gops_per_watt
-        );
-    }
-
-    let star = &reports[3];
-    header("E3 / Fig. 3: paper anchors");
-    println!(
-        "{}",
-        compare_line("STAR efficiency (GOPs/s/W)", 612.66, star.efficiency_gops_per_watt)
-    );
-    println!("{}", compare_line("gain over GPU", 30.63, star.efficiency_gain_over(&reports[0])));
-    println!(
-        "{}",
-        compare_line("gain over PipeLayer", 4.32, star.efficiency_gain_over(&reports[1]))
-    );
-    println!(
-        "{}",
-        compare_line("gain over ReTransformer", 1.31, star.efficiency_gain_over(&reports[2]))
-    );
-
-    // The JSON result is built by the shared builder so this binary and
-    // the golden-file regression test cannot drift apart.
-    let (path, telemetry) =
-        finalize_experiment("e3_fig3", &star_bench::e3_fig3_result()).expect("write results");
-    println!("\nwrote {}", path.display());
-    println!("wrote {}", telemetry.display());
+    star_bench::experiment_main(env!("CARGO_BIN_NAME"))
 }

@@ -1,57 +1,3 @@
-//! E5 — the §III engine sizing facts: the CAM/SUB crossbar is 512×18 and
-//! the CAM/LUT/VMM crossbars 256×18 for 9-bit data; removing the sign bit
-//! halves the exponential-stage CAM.
-
-use star_bench::{finalize_experiment, header};
-use star_core::{StarSoftmax, StarSoftmaxConfig};
-use star_fixed::QFormat;
-
 fn main() {
-    header("E5: crossbar geometry per input format");
-    println!(
-        "  {:>8} {:>6} {:>12} {:>12} {:>12} {:>12}",
-        "format", "bits", "cam/sub", "exp-cam", "lut", "vmm(phys)"
-    );
-    let mut rows = Vec::new();
-    for (name, fmt) in [("CoLA", QFormat::COLA), ("CNEWS", QFormat::CNEWS), ("MRPC", QFormat::MRPC)]
-    {
-        let engine = StarSoftmax::new(StarSoftmaxConfig::new(fmt)).expect("valid engine");
-        let g = engine.geometry();
-        println!(
-            "  {:>8} {:>6} {:>12} {:>12} {:>12} {:>12}",
-            name,
-            fmt.total_bits(),
-            g.cam_sub.to_string(),
-            g.exp_cam.to_string(),
-            g.lut.to_string(),
-            g.vmm.to_string()
-        );
-        rows.push(serde_json::json!({
-            "dataset": name,
-            "total_bits": fmt.total_bits(),
-            "cam_sub": [g.cam_sub.rows(), g.cam_sub.cols()],
-            "exp_cam": [g.exp_cam.rows(), g.exp_cam.cols()],
-            "lut": [g.lut.rows(), g.lut.cols()],
-            "vmm": [g.vmm.rows(), g.vmm.cols()],
-        }));
-    }
-
-    // The paper's quoted sizes are for the 9-bit configuration.
-    let nine = StarSoftmax::new(StarSoftmaxConfig::new(QFormat::MRPC)).expect("valid engine");
-    let g = nine.geometry();
-    header("E5: paper anchors (9-bit configuration)");
-    println!(
-        "  cam/sub {} (paper 512x18)   lut {} (paper 256x18)   sign removal halves exp rows: {}",
-        g.cam_sub,
-        g.lut,
-        g.exp_cam.rows() * 2 == g.cam_sub.rows()
-    );
-    assert_eq!((g.cam_sub.rows(), g.cam_sub.cols()), (512, 18));
-    assert_eq!((g.lut.rows(), g.lut.cols()), (256, 18));
-
-    let (path, telemetry) =
-        finalize_experiment("e5_geometry", &serde_json::json!({"configurations": rows}))
-            .expect("write");
-    println!("\nwrote {}", path.display());
-    println!("wrote {}", telemetry.display());
+    star_bench::experiment_main(env!("CARGO_BIN_NAME"))
 }

@@ -15,31 +15,19 @@
 //!
 //! # Subset selection
 //!
-//! `repro_all e2_table1 e3_fig3` runs just the named experiments; an
-//! unknown name exits 2.
+//! `repro_all <name>...` runs just the named experiments; an unknown name
+//! exits 2.
+//!
+//! # One process per experiment
+//!
+//! The experiment list is `star_bench::EXPERIMENTS`, and each entry runs
+//! as its own binary. A process per experiment keeps the peak resident
+//! set at the largest single experiment's; one process running them all
+//! would hold several experiments' peaks at once.
 
 use star_exec::Executor;
 use std::path::Path;
 use std::process::Command;
-
-const EXPERIMENTS: [&str; 16] = [
-    "e1_softmax_share",
-    "e2_table1",
-    "e3_fig3",
-    "e4_bitwidth",
-    "e5_geometry",
-    "a1_pipeline_ablation",
-    "a2_bitwidth_cost",
-    "a3_matmul_sweep",
-    "a4_endurance",
-    "a5_model_sweep",
-    "a6_model_zoo",
-    "a7_pareto",
-    "a8_serving",
-    "a9_device_health",
-    "a10_fleet_control",
-    "a11_blame_whatif",
-];
 
 /// Outcome of one experiment child process.
 struct Outcome {
@@ -61,15 +49,16 @@ fn run_one(dir: &Path, name: &'static str) -> Outcome {
 /// Unknown names abort — silently running nothing would look like
 /// success.
 fn selection() -> Vec<&'static str> {
+    let known: Vec<&'static str> = star_bench::EXPERIMENTS.iter().map(|e| e.name).collect();
     let requested: Vec<String> = std::env::args().skip(1).collect();
     if requested.is_empty() {
-        return EXPERIMENTS.to_vec();
+        return known;
     }
     requested
         .iter()
         .map(|r| {
-            EXPERIMENTS.iter().copied().find(|e| e == r).unwrap_or_else(|| {
-                eprintln!("unknown experiment {r:?}; known: {EXPERIMENTS:?}");
+            known.iter().copied().find(|e| e == r).unwrap_or_else(|| {
+                eprintln!("unknown experiment {r:?}; known: {known:?}");
                 std::process::exit(2);
             })
         })

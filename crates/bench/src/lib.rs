@@ -1,8 +1,15 @@
-//! Shared harness utilities for the experiment binaries.
+//! The STAR reproduction's experiments, and the harness that runs them.
 //!
-//! Each `e*`/`a*` binary regenerates one table or figure of the paper,
-//! prints a human-readable comparison (paper value next to measured value)
-//! and writes a machine-readable JSON file under `results/`.
+//! [`EXPERIMENTS`] is the one list of experiments. Each entry regenerates
+//! one table, figure, ablation or extension of the paper: it prints a
+//! human-readable comparison (paper value next to measured value) and
+//! returns the JSON that [`experiment_main`] writes to
+//! `results/<name>.json`, next to a telemetry sidecar. Every
+//! `src/bin/<name>.rs` is the same one-line wrapper over
+//! [`experiment_main`], and `repro_all` runs them all. [`FIXTURES`] lists
+//! the deterministic artifacts that are not experiment results; the
+//! `goldens` binary writes them. The golden test pins every entry of both
+//! lists byte for byte against its committed file.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -10,17 +17,80 @@
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 
-pub mod experiments;
+mod ablations;
+mod fixtures;
+mod paper;
+mod serving;
 
-pub use experiments::{
-    a10_autoscaler, a10_fleet_control_base, a10_fleet_control_result, a11_blame_config,
-    a11_blame_whatif_result, a8_serving_cases, a8_serving_result, a9_device_health_cases,
-    a9_device_health_result, e2_table1_result, e3_fig3_result, e4_bitwidth_json,
-    e4_bitwidth_result, e4_sweeps, fig3_reports, finalize_experiment, incident_config,
-    incident_result, profile_fixture_config, profile_work_result, serve_telemetry_result,
-    serve_work_config, serve_work_result, star_faults_result, table1_engines, E4Sweep,
-    A10_SLO_ATTAINMENT, A10_STATIC_FLEETS, A9_HORIZONS, E4_BAR,
-};
+/// A pinned artifact: a name and the function that builds its JSON.
+///
+/// Every `run` is a pure function of the code: seeded RNGs, no clock, and
+/// the same bytes for every `STAR_EXEC_THREADS`.
+#[derive(Clone, Copy)]
+pub struct Artifact {
+    /// The committed file's stem: `<name>.json`.
+    pub name: &'static str,
+    /// Builds the JSON. An experiment also prints its tables to stdout
+    /// and asserts its claims, so it panics rather than return a result
+    /// that breaks one.
+    pub run: fn() -> serde_json::Value,
+}
+
+/// Every experiment, in the order `repro_all` runs and reports them.
+pub const EXPERIMENTS: [Artifact; 16] = [
+    Artifact { name: "e1_softmax_share", run: paper::e1 },
+    Artifact { name: "e2_table1", run: paper::e2 },
+    Artifact { name: "e3_fig3", run: paper::e3 },
+    Artifact { name: "e4_bitwidth", run: paper::e4 },
+    Artifact { name: "e5_geometry", run: paper::e5 },
+    Artifact { name: "a1_pipeline_ablation", run: ablations::a1 },
+    Artifact { name: "a2_bitwidth_cost", run: ablations::a2 },
+    Artifact { name: "a3_matmul_sweep", run: ablations::a3 },
+    Artifact { name: "a4_endurance", run: ablations::a4 },
+    Artifact { name: "a5_model_sweep", run: ablations::a5 },
+    Artifact { name: "a6_model_zoo", run: ablations::a6 },
+    Artifact { name: "a7_pareto", run: ablations::a7 },
+    Artifact { name: "a8_serving", run: serving::a8 },
+    Artifact { name: "a9_device_health", run: serving::a9 },
+    Artifact { name: "a10_fleet_control", run: serving::a10 },
+    Artifact { name: "a11_blame_whatif", run: serving::a11 },
+];
+
+/// The fixtures that are not experiment results, in the order the
+/// `goldens` binary writes them.
+pub const FIXTURES: [Artifact; 5] = [
+    Artifact { name: "profile_work", run: fixtures::profile_work },
+    Artifact { name: "serve_work", run: fixtures::serve_work },
+    Artifact { name: "incident", run: fixtures::incident },
+    Artifact { name: "star_faults", run: fixtures::star_faults },
+    Artifact { name: "serve_telemetry", run: fixtures::serve_telemetry },
+];
+
+/// The `main` of every experiment binary: runs the [`EXPERIMENTS`] entry
+/// `name`, then writes `results/<name>.json` and the
+/// `results/<name>.telemetry.json` sidecar and prints both paths. A run
+/// that panics writes nothing.
+///
+/// # Panics
+///
+/// Panics if `name` is not in [`EXPERIMENTS`], if the run panics, or if a
+/// write fails.
+// Inlined so that in a release build the lookup folds to the one entry
+// `name` names: each binary then links only its own experiment, and its
+// peak resident set (which bounds `repro_all`'s) does not grow with the
+// registry.
+#[inline(always)]
+pub fn experiment_main(name: &str) {
+    let experiment = EXPERIMENTS
+        .iter()
+        .find(|e| e.name == name)
+        .unwrap_or_else(|| panic!("{name} is not in star_bench::EXPERIMENTS"));
+    let result = (experiment.run)();
+    let path = write_json(name, &result).expect("write results");
+    let sidecar = write_telemetry_sidecar(name).expect("write results");
+    println!("\nwrote {}", path.display());
+    println!("wrote {}", sidecar.display());
+}
 
 /// Directory experiment results are written to: `$STAR_RESULTS_DIR` or
 /// `./results`.
@@ -116,8 +186,8 @@ pub fn paper_point_utilization() -> Vec<star_core::UtilizationReport> {
 }
 
 /// Snapshots the active telemetry registry and writes
-/// `results/<name>.telemetry.json`. Call at the end of an experiment
-/// `main` so every counter the run touched lands in the sidecar.
+/// `results/<name>.telemetry.json`. Called after an experiment's run, so
+/// every counter the run touched lands in the sidecar.
 ///
 /// # Errors
 ///
@@ -141,6 +211,27 @@ pub fn assert_written(path: &Path) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_experiment_has_a_binary_and_every_binary_an_experiment() {
+        // A wrapper with no entry fails only when someone runs it; an
+        // entry with no wrapper is invisible to per-binary runs.
+        let bins = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        for e in EXPERIMENTS {
+            assert!(bins.join(format!("{}.rs", e.name)).is_file(), "no src/bin/{}.rs", e.name);
+        }
+        for entry in std::fs::read_dir(&bins).expect("src/bin is readable") {
+            let path = entry.expect("src/bin entry").path();
+            let stem = path.file_stem().and_then(|s| s.to_str()).expect("UTF-8 file name");
+            if stem == "repro_all" || stem == "goldens" {
+                continue;
+            }
+            assert!(
+                EXPERIMENTS.iter().any(|e| e.name == stem),
+                "src/bin/{stem}.rs names no EXPERIMENTS entry"
+            );
+        }
+    }
 
     #[test]
     fn deviation_math() {

@@ -1,47 +1,28 @@
-//! Golden-file regression tests for the machine-readable experiment
-//! results.
+//! Golden-file regression tests: every pinned artifact, byte for byte.
 //!
-//! The `e2_table1`, `e3_fig3`, `a8_serving`, `a9_device_health`,
-//! `a10_fleet_control`, and `a11_blame_whatif` binaries write
-//! `results/*.json` through the shared builders in
-//! `star_bench::experiments`; these tests call the *same* builders and
-//! compare against fixtures checked in under `tests/golden/`. The e2/e3
-//! builders are pure closed-form cost models (no RNG, no clock, no
-//! environment); the a8/a9 builders drive seeded discrete-event
-//! simulations whose event loops are totally ordered and whose sweeps
-//! reduce in case order (a9's health monitor additionally consumes zero
-//! RNG draws, and a10's control plane folds scale decisions into the
-//! same ordered event stream, and a11's blame recorder observes without
-//! perturbing before replaying each what-if leg as an ordinary seeded
-//! simulation), so they are equally deterministic — including across
-//! `STAR_EXEC_THREADS` worker counts. The vendored `serde_json`
-//! round-trips `f64` exactly, so the comparison is field-level *exact*
-//! equality — any drift in the cost model shows up as a named JSON path,
-//! not a fuzzy tolerance miss.
+//! Each `star_bench::EXPERIMENTS` entry has a `<name>_matches_golden` test
+//! that runs it and compares its pretty-printed JSON with the committed
+//! `results/<name>.json`; each `star_bench::FIXTURES` entry has one that
+//! compares with `crates/bench/tests/golden/<name>.json`. A guard test
+//! checks that these tests and the two lists name the same artifacts, so
+//! no entry goes unpinned. Every builder is deterministic — closed-form
+//! cost models, or seeded simulations whose event loops are totally
+//! ordered and whose sweeps reduce in case order — so the bytes are the
+//! same at any `STAR_EXEC_THREADS`. On a mismatch the test names the file
+//! and, through `diff`, each field path that moved.
 //!
-//! `e4_bitwidth` is compared against the committed
-//! `results/e4_bitwidth.json` directly. The fixtures that are not
-//! experiment results come from the `goldens` binary: `profile_work` and
-//! `serve_work` pin the serve loop's deterministic work counters (at the
-//! A8 point, and exactly at every point of a 3-rate × 2-fleet matrix),
-//! `incident` the flight recorder's dump, `star_faults` the functional
-//! crossbars on defective arrays (seeded stuck cells, read noise,
-//! hand-injected faults), which no experiment exercises, and
-//! `serve_telemetry` the serve loop's metrics when several runs record
-//! into one registry.
+//! The experiments assert their own claims while they run, so a committed
+//! result can only come from a run that passed them. The tests after the
+//! pinned ones check what the fixtures must contain: conservation
+//! identities, coverage of the fault and metric paths, and the paper
+//! anchors.
 //!
-//! When a deliberate model change moves the numbers, regenerate with:
+//! When a deliberate change moves the bytes, regenerate, review
+//! `git diff`, and commit:
 //!
 //! ```text
-//! cargo run --release -p star-bench --bin repro_all -- \
-//!     e2_table1 e3_fig3 e4_bitwidth a8_serving a9_device_health \
-//!     a10_fleet_control a11_blame_whatif
-//! cp results/e2_table1.json results/e3_fig3.json results/a8_serving.json \
-//!    results/a9_device_health.json results/a10_fleet_control.json \
-//!    results/a11_blame_whatif.json crates/bench/tests/golden/
-//! cargo run --release -p star-bench --bin goldens
-//! cp results/profile_work.json results/serve_work.json results/incident.json \
-//!    results/star_faults.json results/serve_telemetry.json crates/bench/tests/golden/
+//! cargo run --release -p star-bench --bin repro_all
+//! STAR_RESULTS_DIR=crates/bench/tests/golden cargo run --release -p star-bench --bin goldens
 //! ```
 
 use serde_json::Value;
@@ -83,33 +64,114 @@ fn diff(path: &str, got: &Value, want: &Value, out: &mut Vec<String>) {
     }
 }
 
-/// Reads a fixture, given relative to this crate's manifest directory.
-fn read_fixture(relative: &str) -> Value {
-    let path = format!("{}/{relative}", env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("golden fixture {path} unreadable: {e}"));
-    serde_json::from_str(&text).unwrap_or_else(|e| panic!("golden fixture {path} invalid: {e}"))
+/// The committed text at `relative`, a path from the repository root.
+fn committed(relative: &str) -> String {
+    let path = format!("{}/../../{relative}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{relative} unreadable: {e}"))
 }
 
+fn parse(relative: &str) -> Value {
+    serde_json::from_str(&committed(relative)).unwrap_or_else(|e| panic!("{relative} invalid: {e}"))
+}
+
+/// A committed `FIXTURES` entry.
 fn fixture(name: &str) -> Value {
-    read_fixture(&format!("tests/golden/{name}.json"))
+    parse(&format!("crates/bench/tests/golden/{name}.json"))
 }
 
-fn assert_matches_golden(name: &str, got: &Value) {
-    assert_matches_fixture(&format!("tests/golden/{name}.json"), got);
+/// A committed `EXPERIMENTS` result.
+fn result(name: &str) -> Value {
+    parse(&format!("results/{name}.json"))
 }
 
-fn assert_matches_fixture(relative: &str, got: &Value) {
-    let want = read_fixture(relative);
-    let mut mismatches = Vec::new();
-    diff("", got, &want, &mut mismatches);
-    assert!(
-        mismatches.is_empty(),
-        "result drifted from {relative} in {} field(s):\n  {}\n\
-         (if the change is intentional, regenerate the fixture — see module docs)",
-        mismatches.len(),
-        mismatches.join("\n  ")
+/// Runs the `EXPERIMENTS` or `FIXTURES` entry `name` and fails unless its
+/// JSON is the committed bytes, naming the file and the field paths that
+/// moved.
+fn assert_matches_golden(name: &str) {
+    let (relative, artifact) = match star_bench::EXPERIMENTS.iter().find(|a| a.name == name) {
+        Some(a) => (format!("results/{name}.json"), a),
+        None => {
+            let a = star_bench::FIXTURES
+                .iter()
+                .find(|a| a.name == name)
+                .unwrap_or_else(|| panic!("{name} is in neither EXPERIMENTS nor FIXTURES"));
+            (format!("crates/bench/tests/golden/{name}.json"), a)
+        }
+    };
+    let got = (artifact.run)();
+    let want = committed(&relative);
+    if serde_json::to_string_pretty(&got).expect("artifact serializes") == want {
+        return;
+    }
+    let mut moved = Vec::new();
+    match serde_json::from_str::<Value>(&want) {
+        Ok(want) => diff("", &got, &want, &mut moved),
+        Err(e) => moved.push(format!("committed file is not JSON: {e}")),
+    }
+    if moved.is_empty() {
+        moved.push("equal values in different bytes (key order or number formatting)".into());
+    }
+    panic!(
+        "{relative}: {} difference(s)\n  {}\n\
+         (if the change is intentional, regenerate it — see the module docs)",
+        moved.len(),
+        moved.join("\n  ")
     );
+}
+
+/// The artifact a `<name>_matches_golden` test pins.
+fn pinned_name(test: &str) -> &str {
+    test.strip_suffix("_matches_golden").expect("pinned tests end in _matches_golden")
+}
+
+/// One `<name>_matches_golden` test per pinned artifact, and `PINNED`,
+/// their names, for the guard test below.
+macro_rules! pinned {
+    ($($test:ident),* $(,)?) => {
+        $(
+            #[test]
+            fn $test() {
+                assert_matches_golden(pinned_name(stringify!($test)));
+            }
+        )*
+        const PINNED: &[&str] = &[$(stringify!($test)),*];
+    };
+}
+
+pinned! {
+    e1_softmax_share_matches_golden,
+    e2_table1_matches_golden,
+    e3_fig3_matches_golden,
+    e4_bitwidth_matches_golden,
+    e5_geometry_matches_golden,
+    a1_pipeline_ablation_matches_golden,
+    a2_bitwidth_cost_matches_golden,
+    a3_matmul_sweep_matches_golden,
+    a4_endurance_matches_golden,
+    a5_model_sweep_matches_golden,
+    a6_model_zoo_matches_golden,
+    a7_pareto_matches_golden,
+    a8_serving_matches_golden,
+    a9_device_health_matches_golden,
+    a10_fleet_control_matches_golden,
+    a11_blame_whatif_matches_golden,
+    profile_work_matches_golden,
+    serve_work_matches_golden,
+    incident_matches_golden,
+    star_faults_matches_golden,
+    serve_telemetry_matches_golden,
+}
+
+#[test]
+fn every_artifact_has_a_golden_test() {
+    // An entry added to either list without a test here would be written
+    // by its binary but pinned by nothing.
+    let mut tested: Vec<&str> = PINNED.iter().map(|t| pinned_name(t)).collect();
+    let mut listed: Vec<&str> =
+        star_bench::EXPERIMENTS.iter().chain(&star_bench::FIXTURES).map(|a| a.name).collect();
+    tested.sort_unstable();
+    listed.sort_unstable();
+    assert_eq!(tested, listed, "the *_matches_golden tests and EXPERIMENTS + FIXTURES differ");
 }
 
 /// Follows a `/`-separated path of map keys and returns the number there.
@@ -119,33 +181,6 @@ fn number_at(root: &Value, path: &str) -> f64 {
         v = v.get(key).unwrap_or_else(|| panic!("fixture missing {path:?} (at {key:?})"));
     }
     v.as_f64().unwrap_or_else(|| panic!("fixture field {path:?} is not numeric"))
-}
-
-#[test]
-fn e2_table1_matches_golden() {
-    assert_matches_golden("e2_table1", &star_bench::e2_table1_result());
-}
-
-#[test]
-fn e3_fig3_matches_golden() {
-    assert_matches_golden("e3_fig3", &star_bench::e3_fig3_result());
-}
-
-#[test]
-fn e4_bitwidth_matches_golden() {
-    // The committed result is the fixture: 60 engine builds and 11 520
-    // rows through the functional crossbars, so any drift in quantization,
-    // the CAM/SUB, the exp CAM/LUT, the VMM or the divider moves a sweep
-    // point.
-    assert_matches_fixture("../../results/e4_bitwidth.json", &star_bench::e4_bitwidth_result());
-}
-
-#[test]
-fn star_faults_matches_golden() {
-    // No benchmark workload runs a faulty array, so this fixture is what
-    // pins stuck-cell and read-noise behaviour of the functional
-    // crossbars byte for byte.
-    assert_matches_golden("star_faults", &star_bench::star_faults_result());
 }
 
 #[test]
@@ -169,107 +204,6 @@ fn star_faults_golden_exercises_the_fault_paths() {
         .expect("injected search");
     let per_input = search.get("per_input_rows").and_then(|v| v.as_array()).expect("rows");
     assert!(per_input.iter().any(|r| r.as_f64().is_none()), "a dead row leaves an input unmatched");
-}
-
-#[test]
-fn a8_serving_matches_golden() {
-    assert_matches_golden("a8_serving", &star_bench::a8_serving_result());
-}
-
-#[test]
-fn a9_device_health_matches_golden() {
-    assert_matches_golden("a9_device_health", &star_bench::a9_device_health_result());
-}
-
-#[test]
-fn a10_fleet_control_matches_golden() {
-    assert_matches_golden("a10_fleet_control", &star_bench::a10_fleet_control_result());
-}
-
-#[test]
-fn a11_blame_whatif_matches_golden() {
-    // The blame tables and the ranked what-if table at the A8
-    // saturating point, byte-for-byte. The blame recorder consumes no
-    // RNG and performs no event arithmetic, and each what-if leg is an
-    // ordinary seeded simulation, so both tables are pure functions of
-    // the configuration; CI additionally diffs the regenerated file
-    // at both `STAR_EXEC_THREADS` legs.
-    assert_matches_golden("a11_blame_whatif", &star_bench::a11_blame_whatif_result());
-}
-
-#[test]
-fn a11_golden_reconciles_with_itself() {
-    // The fixture must encode the experiment's claims — a regenerated
-    // fixture that broke conservation, mis-ranked the what-if table, or
-    // lost the headline win would otherwise be accepted byte-for-byte.
-    let a11 = fixture("a11_blame_whatif");
-    // Blame covered every completed request and conservation held.
-    assert_eq!(number_at(&a11, "conservation/requests"), number_at(&a11, "report/completed"));
-    assert_eq!(number_at(&a11, "conservation/bitwise_failures"), 0.0);
-    assert_eq!(number_at(&a11, "blame/overall/requests"), number_at(&a11, "report/completed"));
-    // The aggregated component milliseconds sum to the total latency
-    // (loose here — the bitwise identity lives on the per-request ns
-    // rows, which the serve crate's proptests pin).
-    for section in ["overall", "tail"] {
-        let total = number_at(&a11, &format!("blame/{section}/total_ms"));
-        let parts: f64 = [
-            "admission_ms",
-            "hold_ms",
-            "busy_ms",
-            "overhead_ms",
-            "projection_ms",
-            "qk_fill_ms",
-            "softmax_stream_ms",
-            "av_drain_ms",
-        ]
-        .iter()
-        .map(|c| number_at(&a11, &format!("blame/{section}/{c}")))
-        .sum();
-        assert!(
-            (parts - total).abs() <= 1e-6 * total.max(1.0),
-            "{section}: components {parts} do not sum to total {total}"
-        );
-    }
-    // The blame-side p99 threshold is the report's p99 and the what-if
-    // baseline reproduces it: three views of one number.
-    assert_eq!(number_at(&a11, "blame/p99_latency_ms"), number_at(&a11, "report/p99_ms"));
-    assert_eq!(number_at(&a11, "what_if/baseline/p99_ms"), number_at(&a11, "report/p99_ms"));
-    // The what-if table is ranked by d-p99 and its top row improves it.
-    let rows = a11
-        .get("what_if")
-        .and_then(|w| w.get("interventions"))
-        .and_then(|v| v.as_array())
-        .expect("interventions array");
-    assert_eq!(rows.len(), 8, "five phase scalings + window + instance + placement");
-    let mut prev = f64::NEG_INFINITY;
-    for r in rows {
-        let delta = number_at(r, "delta_p99_ms");
-        assert!(delta >= prev, "what-if rows are not ranked by d-p99");
-        prev = delta;
-    }
-    assert!(
-        number_at(&rows[0], "delta_p99_ms") < 0.0,
-        "fixture's top intervention does not improve p99 at the saturation point"
-    );
-}
-
-#[test]
-fn profile_work_matches_golden() {
-    // The self-profiler's deterministic work counters for the fixed A8
-    // operating point. Any silent change to event-loop behaviour — an
-    // extra heap push, a reordered dispatch, a new telemetry call —
-    // shows up as a byte diff here. Regenerate deliberately with the
-    // `goldens` binary and copy from `results/`.
-    assert_matches_golden("profile_work", &star_bench::profile_work_result());
-}
-
-#[test]
-fn serve_telemetry_matches_golden() {
-    // The serve loop's metrics from a sweep, an open-loop run and a
-    // closed-loop run recorded one after another into one registry:
-    // every count, bucket and f64 sum, byte for byte. Regenerate
-    // deliberately with the `goldens` binary and copy from `results/`.
-    assert_matches_golden("serve_telemetry", &star_bench::serve_telemetry_result());
 }
 
 #[test]
@@ -318,17 +252,6 @@ fn profile_work_golden_reconciles_with_itself() {
             + number_at(&p, "work/events_scale_check")
     );
     assert!(number_at(&p, "events_per_request") > 0.0);
-}
-
-#[test]
-fn serve_work_matches_golden() {
-    // The serve loop's 23 deterministic work counters at six rate × fleet
-    // points, exactly: one more heap push, dispatch scan, telemetry
-    // update or recorded flight event anywhere fails here. The counters
-    // are a pure function of the configuration, so CI's two
-    // `STAR_EXEC_THREADS` legs both run this. Regenerate deliberately
-    // with the `goldens` binary and copy from `results/`.
-    assert_matches_golden("serve_work", &star_bench::serve_work_result());
 }
 
 #[test]
@@ -406,116 +329,6 @@ fn dispatch_scans_is_a_pure_function_of_workload() {
         serve_work_scans("r20000_f8"),
         "fleet size must not change dispatch_scans at a sub-saturation operating point"
     );
-}
-
-#[test]
-fn a9_golden_reports_lifetime_at_three_loads() {
-    // The fixture must encode the experiment's claim: at least three
-    // sustained load points, each with a finite time-to-first-degradation
-    // and a positive lifetime, degrading no later as load rises.
-    let a9 = fixture("a9_device_health");
-    let points = a9.get("load_points").and_then(|v| v.as_array()).expect("load_points array");
-    assert!(points.len() >= 3, "need >= 3 sustained load points, got {}", points.len());
-    let mut prev_rate = 0.0;
-    let mut prev_ttfd = f64::INFINITY;
-    for p in points {
-        let rate = number_at(p, "offered_rps");
-        let ttfd = number_at(p, "time_to_first_degradation_s");
-        let lifetime = number_at(p, "lifetime_inferences");
-        assert!(rate > prev_rate, "load points must be sorted by offered rate");
-        assert!(ttfd > 0.0 && ttfd.is_finite(), "ttfd must be positive finite, got {ttfd}");
-        assert!(ttfd <= prev_ttfd, "heavier load cannot degrade later: {ttfd} vs {prev_ttfd}");
-        assert!(lifetime > 0.0, "lifetime must be positive");
-        // Lifetime is read-disturb limited, so finite — unlike the
-        // infinite write-endurance lifetime a4 grants STAR's tables.
-        assert!(lifetime.is_finite());
-        prev_rate = rate;
-        prev_ttfd = ttfd;
-    }
-}
-
-#[test]
-fn a9_golden_projections_degrade_monotonically() {
-    let a9 = fixture("a9_device_health");
-    for p in a9.get("load_points").and_then(|v| v.as_array()).expect("load_points") {
-        let horizons = p.get("projections").and_then(|v| v.as_array()).expect("projections array");
-        assert_eq!(horizons.len(), 5, "hour/day/month/year/five_years");
-        let mut prev_margin = f64::INFINITY;
-        let mut prev_stuck = -1.0;
-        for h in horizons {
-            let margin = number_at(h, "projection/accuracy_margin");
-            let stuck = number_at(h, "projection/stuck_fraction");
-            assert!(margin <= prev_margin, "margin must fall with horizon");
-            assert!(stuck >= prev_stuck, "stuck fraction must rise with horizon");
-            prev_margin = margin;
-            prev_stuck = stuck;
-        }
-    }
-}
-
-#[test]
-fn a9_golden_wear_leveling_reduces_skew() {
-    let a9 = fixture("a9_device_health");
-    let off = number_at(&a9, "wear_leveling/wear_skew_off");
-    let on = number_at(&a9, "wear_leveling/wear_skew_on");
-    assert!(on < off, "round-robin placement must flatten ledger skew: on {on} vs off {off}");
-}
-
-#[test]
-fn a8_golden_headline_shows_batching_win() {
-    // The fixture must encode the experiment's claim: at the saturating
-    // operating point, dynamic batching strictly beats the batch-1
-    // baseline on goodput.
-    let a8 = fixture("a8_serving");
-    let gain = number_at(&a8, "headline/goodput_gain");
-    assert!(gain > 1.0, "fixture headline gain {gain} does not show a batching win");
-    assert!(
-        number_at(&a8, "headline/p99_ms/batched") < number_at(&a8, "headline/p99_ms/baseline"),
-        "fixture batched p99 is not below the baseline p99"
-    );
-}
-
-#[test]
-fn a8_golden_surfaces_per_class_slo() {
-    // The mixed-workload section must carry one SLO row per request
-    // class, with per-class goodput summing to the aggregate — the
-    // machine-readable precursor to multi-tenant scheduling.
-    let a8 = fixture("a8_serving");
-    let mixed = a8.get("mixed_workload").expect("mixed_workload section");
-    let classes =
-        mixed.get("per_class").and_then(|v| v.as_array()).expect("mixed_workload/per_class array");
-    assert_eq!(classes.len(), 2, "the mixed workload has two classes");
-    let mut goodput_sum = 0.0;
-    for (i, c) in classes.iter().enumerate() {
-        assert!(c.get("class").and_then(|v| v.as_str()).is_some());
-        goodput_sum += number_at(c, "goodput_rps");
-        assert!(number_at(c, "p99_ms") > 0.0, "class row {i} has a p99");
-    }
-    let aggregate = number_at(&a8, "mixed_workload/goodput_rps");
-    assert!(
-        (goodput_sum - aggregate).abs() <= 1e-6 * aggregate,
-        "per-class goodput {goodput_sum} does not sum to the aggregate {aggregate}"
-    );
-    // Every sweep case report also carries per-class rows now.
-    for case in a8.get("cases").and_then(|v| v.as_array()).expect("cases") {
-        let rows = case
-            .get("report")
-            .and_then(|r| r.get("per_class"))
-            .and_then(|v| v.as_array())
-            .expect("case report per_class");
-        assert_eq!(rows.len(), 1, "single-class sweep cases have one SLO row");
-    }
-}
-
-#[test]
-fn incident_matches_golden() {
-    // The flight recorder's first incident dump on the saturating
-    // 80 krps / 1-instance overload, byte-for-byte. The recorder
-    // consumes no RNG and performs no event arithmetic, so the dump is a
-    // pure function of the configuration; CI additionally diffs the
-    // regenerated file at both `STAR_EXEC_THREADS` legs. Regenerate
-    // deliberately with the `goldens` binary and copy from `results/`.
-    assert_matches_golden("incident", &star_bench::incident_result());
 }
 
 #[test]
@@ -599,10 +412,10 @@ fn goldens_contain_paper_anchors() {
     // Guard against fixtures regenerated from a builder that silently
     // dropped the paper anchor fields: the anchors are the whole point
     // of the reproduction.
-    let e2 = fixture("e2_table1");
+    let e2 = result("e2_table1");
     assert_eq!(number_at(&e2, "softermax/paper/area_ratio"), 0.33);
     assert_eq!(number_at(&e2, "star_8bit/paper/power_ratio"), 0.05);
-    let e3 = fixture("e3_fig3");
+    let e3 = result("e3_fig3");
     assert_eq!(number_at(&e3, "paper/star_gops_per_watt"), 612.66);
     assert_eq!(number_at(&e3, "paper/gain_over_retransformer"), 1.31);
 }
@@ -611,7 +424,7 @@ fn goldens_contain_paper_anchors() {
 fn diff_reports_exact_paths() {
     // Sanity-check the comparator itself: a one-field perturbation must
     // be reported at its full path, and nothing else.
-    let base = fixture("e2_table1");
+    let base = result("e2_table1");
     let mut tweaked = base.clone();
     if let Value::Map(entries) = &mut tweaked {
         let (_, star) = entries.iter_mut().find(|(k, _)| k == "star_8bit").expect("field");

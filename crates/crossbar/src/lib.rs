@@ -41,14 +41,12 @@
 
 mod cam;
 mod cam_sub;
-mod diff_vmm;
 mod geometry;
 mod lut;
 mod vmm;
 
 pub use cam::CamCrossbar;
 pub use cam_sub::{CamSubCrossbar, MaxSearchResult, SearchError};
-pub use diff_vmm::DifferentialVmm;
 pub use geometry::{Geometry, Ledger, OpCost};
 pub use lut::LutCrossbar;
 pub use vmm::{IrDropModel, Readout, VmmCrossbar};

@@ -64,9 +64,8 @@ impl IrDropModel {
 /// An RRAM VMM crossbar storing an `rows × cols` matrix of unsigned weight
 /// codes of `weight_bits` bits each (one bit per cell slice).
 ///
-/// Signed operands are handled one level up (the MatMul engine maps signed
-/// matrices onto differential array pairs; the softmax-sum VMM is natively
-/// unsigned because exponentials and counts are non-negative).
+/// Weights and inputs are unsigned codes. The softmax-sum VMM needs
+/// nothing else, because exponentials and counts are non-negative.
 ///
 /// # Examples
 ///

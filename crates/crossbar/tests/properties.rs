@@ -3,9 +3,7 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use star_crossbar::{
-    CamCrossbar, CamSubCrossbar, DifferentialVmm, LutCrossbar, OpCost, Readout, VmmCrossbar,
-};
+use star_crossbar::{CamCrossbar, CamSubCrossbar, LutCrossbar, OpCost, Readout, VmmCrossbar};
 use star_device::{Energy, Latency, NoiseModel, TechnologyParams};
 use star_fixed::{Fixed, QFormat};
 
@@ -71,30 +69,6 @@ proptest! {
         let analog = xbar.multiply(&inputs, 4);
         for (a, e) in analog.iter().zip(&exact) {
             prop_assert!((a - *e as f64).abs() < 1e-9, "{} vs {}", a, e);
-        }
-    }
-
-    #[test]
-    fn differential_vmm_signed_reference(
-        weights in prop::collection::vec(prop::collection::vec(-31i32..=31, 2), 2..10),
-        seed in 0u64..1000,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let rows = weights.len();
-        let mut xbar = DifferentialVmm::new(
-            rows, 2, 5, Readout::Ideal, &tech(), NoiseModel::ideal(), &mut rng,
-        );
-        xbar.store_signed_weights(&weights);
-        use rand::Rng as _;
-        let inputs: Vec<u64> = (0..rows).map(|_| rng.gen_range(0..8)).collect();
-        let analog = xbar.multiply(&inputs, 3);
-        for c in 0..2 {
-            let reference: i64 = weights
-                .iter()
-                .enumerate()
-                .map(|(r, row)| inputs[r] as i64 * row[c] as i64)
-                .sum();
-            prop_assert!((analog[c] - reference as f64).abs() < 1e-9);
         }
     }
 

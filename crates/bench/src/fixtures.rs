@@ -4,16 +4,18 @@
 //! `goldens` binary and pinned byte for byte against
 //! `crates/bench/tests/golden/<name>.json`: the faulty-array softmax
 //! (`star_faults`), the serve loop's work counters (`profile_work`,
-//! `serve_work`), the flight recorder's first incident dump (`incident`)
-//! and the serve loop's metrics across consecutive runs in one registry
-//! (`serve_telemetry`). Each is a pure function of the code.
+//! `serve_work`), the flight recorder's first incident dump (`incident`),
+//! the serve loop's metrics across consecutive runs in one registry
+//! (`serve_telemetry`) and the STAR engine's metrics after array calls
+//! made outside it (`engine_telemetry`). Each is a pure function of the
+//! code.
 
 use crate::serving::a8_serving_cases;
 use rand::SeedableRng;
 use serde_json::Value;
 use star_attention::RowSoftmax;
 use star_core::{StarSoftmax, StarSoftmaxConfig};
-use star_crossbar::CamSubCrossbar;
+use star_crossbar::{CamSubCrossbar, LutCrossbar};
 use star_device::{NoiseModel, StuckFault, TechnologyParams};
 use star_fixed::{Fixed, QFormat, Rounding};
 use star_workload::{Dataset, ScoreTrace};
@@ -33,17 +35,12 @@ use std::collections::BTreeMap;
 ///   cells — the OR-merged hot rows, each input's first matched row, and
 ///   each input's subtraction from the found maximum.
 pub(crate) fn star_faults() -> Value {
-    let settings = [
-        ("stuck_on_0.02_off_0.02", NoiseModel::new(0.0, 0.0, 0.02, 0.02)),
-        ("read_sigma_0.03", NoiseModel::new(0.0, 0.03, 0.0, 0.0)),
-    ];
     let mut engines = Vec::new();
     for dataset in Dataset::ALL {
         let format = dataset.paper_format();
-        let trace = ScoreTrace::generate(dataset, 6, 48, 0xFA17 + dataset as u64);
-        for (setting, noise) in settings {
-            let cfg = StarSoftmaxConfig::new(format).with_max_row_len(48).with_noise(noise);
-            let mut engine = StarSoftmax::new(cfg).expect("paper formats build engines");
+        let trace = fault_trace(dataset);
+        for (setting, noise) in fault_settings() {
+            let mut engine = fault_engine(format, noise);
             let rows: Vec<Vec<f64>> = trace.rows.iter().map(|r| engine.softmax_row(r)).collect();
             engines.push(serde_json::json!({
                 "dataset": dataset.to_string(),
@@ -107,6 +104,96 @@ pub(crate) fn star_faults() -> Value {
             }).collect::<Vec<_>>(), "search": hand},
             "sampled_mrpc": sampled,
         },
+    })
+}
+
+/// The defective-array settings of `star_faults`: stuck-at cells (2 %
+/// stuck-on, 2 % stuck-off) and read noise (σ = 0.03).
+fn fault_settings() -> [(&'static str, NoiseModel); 2] {
+    [
+        ("stuck_on_0.02_off_0.02", NoiseModel::new(0.0, 0.0, 0.02, 0.02)),
+        ("read_sigma_0.03", NoiseModel::new(0.0, 0.03, 0.0, 0.0)),
+    ]
+}
+
+/// The six 48-wide score rows `star_faults` softmaxes for `dataset`.
+fn fault_trace(dataset: Dataset) -> ScoreTrace {
+    ScoreTrace::generate(dataset, 6, 48, 0xFA17 + dataset as u64)
+}
+
+/// A `star_faults` engine: `format`, rows up to 48 wide, `noise`.
+fn fault_engine(format: QFormat, noise: NoiseModel) -> StarSoftmax {
+    let cfg = StarSoftmaxConfig::new(format).with_max_row_len(48).with_noise(noise);
+    StarSoftmax::new(cfg).expect("paper formats build engines")
+}
+
+/// The machine-readable `engine_telemetry` result: the metric snapshot
+/// of one scoped registry that standalone array calls and then several
+/// STAR engines record into, plus each engine's `fault_events` and
+/// measured array energy.
+///
+/// Inside one [`star_telemetry::with_scoped`] region it runs, in order:
+///
+/// 1. a CAM/SUB `find_max` and its subtractions, and a LUT `read_row`,
+///    on arrays of their own, so the `crossbar.{cam,camsub,lut}`
+///    energy gauges already hold sums when the first engine starts;
+/// 2. for each paper format, an ideal engine on rows of 1, 7 and 48
+///    scores, then the stuck-at and the read-noise engine of
+///    `star_faults` on its six rows.
+///
+/// Every engine therefore continues f64 sums it did not start, in the
+/// order its array ops run. The golden pins the resulting bytes.
+pub(crate) fn engine_telemetry() -> Value {
+    let (engines, snap) = star_telemetry::with_scoped(|| {
+        let mrpc = QFormat::MRPC;
+        let tech = TechnologyParams::cmos32();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xE7);
+        let mut xbar = CamSubCrossbar::new(mrpc, &tech, NoiseModel::ideal(), &mut rng);
+        let inputs: Vec<Fixed> = [2.5, -7.125, 11.0, 0.375]
+            .iter()
+            .map(|&v| Fixed::from_f64(v, mrpc, Rounding::Nearest))
+            .collect();
+        let found = xbar.find_max(&inputs).expect("ideal array matches");
+        for &x in &inputs {
+            xbar.subtract(x, found.max);
+        }
+        let mut lut = LutCrossbar::new(4, 18, &tech, NoiseModel::ideal(), &mut rng);
+        lut.store_word(2, 0x2_A5A5);
+        lut.read_row(2);
+
+        let mut engines = Vec::new();
+        for dataset in Dataset::ALL {
+            let format = dataset.paper_format();
+            let mut ideal = StarSoftmax::new(StarSoftmaxConfig::new(format))
+                .expect("paper formats build engines");
+            let trace = ScoreTrace::generate(dataset, 3, 48, 0xE1 + dataset as u64);
+            for (row, len) in trace.rows.iter().zip([1, 7, 48]) {
+                ideal.softmax_row(&row[..len]);
+            }
+            let mut runs = vec![("ideal", ideal)];
+            for (setting, noise) in fault_settings() {
+                let mut engine = fault_engine(format, noise);
+                for row in &fault_trace(dataset).rows {
+                    engine.softmax_row(row);
+                }
+                runs.push((setting, engine));
+            }
+            for (setting, engine) in runs {
+                engines.push(serde_json::json!({
+                    "dataset": dataset.to_string(),
+                    "format": format.to_string(),
+                    "setting": setting,
+                    "fault_events": engine.fault_events(),
+                    "measured_energy_pj": engine.measured_energy().value(),
+                }));
+            }
+        }
+        engines
+    });
+    serde_json::json!({
+        "experiment": "engine_telemetry",
+        "engines": engines,
+        "metrics": snap.to_json(),
     })
 }
 

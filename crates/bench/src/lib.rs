@@ -58,12 +58,13 @@ pub const EXPERIMENTS: [Artifact; 16] = [
 
 /// The fixtures that are not experiment results, in the order the
 /// `goldens` binary writes them.
-pub const FIXTURES: [Artifact; 5] = [
+pub const FIXTURES: [Artifact; 6] = [
     Artifact { name: "profile_work", run: fixtures::profile_work },
     Artifact { name: "serve_work", run: fixtures::serve_work },
     Artifact { name: "incident", run: fixtures::incident },
     Artifact { name: "star_faults", run: fixtures::star_faults },
     Artifact { name: "serve_telemetry", run: fixtures::serve_telemetry },
+    Artifact { name: "engine_telemetry", run: fixtures::engine_telemetry },
 ];
 
 /// The `main` of every experiment binary: runs the [`EXPERIMENTS`] entry

@@ -160,6 +160,7 @@ pinned! {
     incident_matches_golden,
     star_faults_matches_golden,
     serve_telemetry_matches_golden,
+    engine_telemetry_matches_golden,
 }
 
 #[test]
@@ -227,6 +228,37 @@ fn serve_telemetry_golden_covers_every_serve_metric() {
         assert!(number_at(h, "total") > 0.0, "{hist}");
     }
     assert!(number_at(&golden, "gauges/serve.energy.total_pj") > 0.0);
+}
+
+#[test]
+fn engine_telemetry_golden_covers_every_engine_metric() {
+    // A regenerated fixture that skipped a stage, or never reached a
+    // recovery path, would pin less than the engine records.
+    let golden = fixture("engine_telemetry");
+    let engines = golden.get("engines").and_then(|v| v.as_array()).expect("engines array");
+    assert_eq!(engines.len(), 9, "three paper formats × ideal, stuck and noisy");
+    let metrics = golden.get("metrics").expect("metrics");
+    for counter in [
+        "star.softmax.rows",
+        "star.softmax.elements",
+        "star.exp.lut_hits",
+        "star.div.quotients",
+        "star.faults.recovered",
+        "crossbar.cam.searches",
+        "crossbar.camsub.max_searches",
+        "crossbar.camsub.subtracts",
+        "crossbar.lut.reads",
+        "crossbar.vmm.activations",
+        "crossbar.vmm.bit_cycles",
+    ] {
+        assert!(number_at(metrics, &format!("counters/{counter}")) > 0.0, "{counter}");
+    }
+    for gauge in ["cam", "camsub", "lut", "vmm"] {
+        assert!(number_at(metrics, &format!("gauges/crossbar.{gauge}.energy_pj")) > 0.0, "{gauge}");
+    }
+    let histograms = metrics.get("histograms").expect("histograms");
+    let row_len = histograms.get("star.softmax.row_len").expect("row-length histogram");
+    assert_eq!(number_at(row_len, "total"), number_at(metrics, "counters/star.softmax.rows"));
 }
 
 #[test]

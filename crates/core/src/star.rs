@@ -17,6 +17,27 @@
 //!    producing `Σ_j exp(x_j − x_max)` in one analog shot.
 //! 5. **Division**: a fixed-point divider produces
 //!    `exp(x_i − x_max) / Σ` for each element.
+//!
+//! # Counter-bank evaluation
+//!
+//! Without read noise every array answers each code the same way every
+//! time, stuck cells included, and an array only ever sees `2^bits`
+//! distinct codes. So the engine asks each code once. On its first row it
+//! reads per-code tables back from its arrays without recording anything:
+//! the first CAM/SUB row each input code matches, each CAM/SUB row's
+//! effective stored value, the exp CAM's one-hot row for each magnitude,
+//! and each LUT row's effective word. An element then costs a quantize,
+//! table loads, a counter bump and a divide, and the counter histogram
+//! feeds one VMM, which an ideal readout answers with its exact integer
+//! dot product.
+//!
+//! Every array op is still charged one by one, in the order the dataflow
+//! above performs them, to each array's ledger and to one
+//! [`star_telemetry::Tally`] per row: `n` CAM/SUB searches, the merge, `n`
+//! subtractions, `n` exp-CAM searches, `n` LUT reads and the VMM. Ledgers
+//! and metrics therefore hold what op-by-op calls would leave, f64 sums
+//! included. Per-element evaluation in order remains only where an RNG
+//! is drawn: the noisy SUB, and the noisy VMM.
 
 use crate::engine::{fixed_divide, SoftmaxEngine};
 use rand::SeedableRng;
@@ -28,6 +49,7 @@ use star_crossbar::{
 use star_device::peripherals::PeripheralLibrary;
 use star_device::{AdcSpec, CostSheet, Latency, NoiseModel, TechnologyParams};
 use star_fixed::{encoding, Fixed, QFormat, Rounding};
+use star_telemetry::Tally;
 use std::error::Error;
 use std::fmt;
 
@@ -191,6 +213,41 @@ pub struct StarSoftmax {
     fault_events: u64,
     rng: ChaCha8Rng,
     name: String,
+    /// The arrays' per-code answers, read back on the first row.
+    tables: Option<CodeTables>,
+}
+
+/// What the engine's arrays answer for each code, read back once without
+/// recording a single op. The arrays are private to the engine and
+/// written only in [`StarSoftmax::new`], so the tables never go stale;
+/// engines built only for their cost models never read them.
+#[derive(Debug)]
+struct CodeTables {
+    /// Per CAM/SUB row: the first row that the row's nominal value
+    /// matches when searched (`None` if none does).
+    first_match: Vec<Option<u32>>,
+    /// Per CAM/SUB row: its effective stored raw code.
+    stored: Vec<i64>,
+    /// Per difference magnitude: the exp CAM's one-hot row (`None` where
+    /// a defect leaves zero or several rows matching).
+    one_hot: Vec<Option<u32>>,
+    /// Per exp-CAM/LUT row: the LUT's effective word.
+    lut_words: Vec<u32>,
+}
+
+impl CodeTables {
+    fn read(cam_sub: &mut CamSubCrossbar, exp_cam: &mut CamCrossbar, lut: &LutCrossbar) -> Self {
+        let codes = cam_sub.geometry().rows();
+        let first_match = (0..codes)
+            .map(|row| cam_sub.first_match(cam_sub.value_of(row)).map(|m| m as u32))
+            .collect();
+        let stored = (0..codes).map(|row| cam_sub.stored_value(row).raw()).collect();
+        let magnitudes = exp_cam.geometry().rows();
+        let one_hot =
+            (0..magnitudes).map(|m| exp_cam.peek_one_hot(m as u64).map(|r| r as u32)).collect();
+        let lut_words = (0..magnitudes).map(|row| lut.peek_row(row) as u32).collect();
+        CodeTables { first_match, stored, one_hot, lut_words }
+    }
 }
 
 impl StarSoftmax {
@@ -268,6 +325,7 @@ impl StarSoftmax {
             fault_events: 0,
             rng,
             name: format!("star-rram-{}bit", fmt.total_bits()),
+            tables: None,
         })
     }
 
@@ -300,22 +358,6 @@ impl StarSoftmax {
     /// Quantizes a raw score into the engine's input format.
     pub fn quantize(&self, score: f64) -> Fixed {
         Fixed::from_f64(score, self.config.format, Rounding::Nearest)
-    }
-
-    /// Runs the exponential stage for one difference, returning the exp
-    /// code read from the LUT (and updating the histogram + fault count).
-    fn exp_lookup(&mut self, diff: Fixed, histogram: &mut [u64]) -> u32 {
-        let mag = encoding::clamp_for_magnitude(diff).magnitude_code();
-        let row = self.exp_cam.search_one_hot(mag).unwrap_or_else(|| {
-            // Fault recovery: a defective CAM produced zero or multiple
-            // matchlines; the controller falls back to the nominal row.
-            self.fault_events += 1;
-            star_telemetry::count("star.faults.recovered", 1);
-            mag as usize
-        });
-        histogram[row] += 1;
-        star_telemetry::count("star.exp.lut_hits", 1);
-        self.lut.read_row(row) as u32
     }
 
     /// Softmaxes every row of a score matrix through the engine.
@@ -392,53 +434,93 @@ impl RowSoftmax for StarSoftmax {
             scores.len(),
             self.config.max_row_len
         );
+        let n = scores.len();
         let xs: Vec<Fixed> = scores.iter().map(|&s| self.quantize(s)).collect();
-        star_telemetry::count("star.softmax.rows", 1);
-        star_telemetry::count("star.softmax.elements", scores.len() as u64);
-        star_telemetry::observe_with(
-            "star.softmax.row_len",
-            scores.len() as f64,
-            &[8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0],
-        );
+        let rows: Vec<usize> = xs.iter().map(|&x| self.cam_sub.row_of(x)).collect();
+        let tables = self.tables.get_or_insert_with(|| {
+            CodeTables::read(&mut self.cam_sub, &mut self.exp_cam, &self.lut)
+        });
+        let mut recovered = 0u64;
 
-        // Stage 1: x_i − x_max on the CAM/SUB crossbar.
-        let max = match self.cam_sub.find_max(&xs) {
-            Ok(found) => found.max,
-            Err(_) => {
-                // Fault recovery: digital max (the controller's safe path).
-                self.fault_events += 1;
-                star_telemetry::count("star.faults.recovered", 1);
-                xs.iter().copied().max().expect("non-empty")
+        // Stage 1: x_max is the least of the inputs' first matching rows
+        // (the priority encoder over the OR-merged match vectors).
+        let max_row = match rows.iter().filter_map(|&r| tables.first_match[r]).min() {
+            Some(row) => row as usize,
+            None => {
+                // Fault recovery: no input matched, so the controller takes
+                // the digital max, the input on the lowest nominal row.
+                recovered += 1;
+                *rows.iter().min().expect("non-empty")
             }
         };
+        // x_i − x_max on the CAM/SUB crossbar, through the effective rows.
         let noise = self.config.noise;
         let diffs: Vec<Fixed> = if noise.read_sigma > 0.0 {
-            let mut rng = self.rng.clone();
-            let out =
-                xs.iter().map(|&x| self.cam_sub.subtract_noisy(x, max, &noise, &mut rng)).collect();
-            self.rng = rng;
-            out
+            let max = self.cam_sub.value_of(max_row);
+            xs.iter()
+                .map(|&x| self.cam_sub.peek_subtract_noisy(x, max, &noise, &mut self.rng))
+                .collect()
         } else {
-            xs.iter().map(|&x| self.cam_sub.subtract(x, max)).collect()
+            let vm = tables.stored[max_row];
+            let format = self.config.format;
+            rows.iter().map(|&r| Fixed::from_raw((tables.stored[r] - vm).min(0), format)).collect()
         };
 
-        // Stage 2: exponential lookups + histogram counting.
-        let magnitudes = self.config.format.num_magnitudes() as usize;
-        let mut histogram = vec![0u64; magnitudes];
-        let codes: Vec<u32> = diffs.iter().map(|&d| self.exp_lookup(d, &mut histogram)).collect();
+        // Stage 2: the exp CAM's one-hot row bumps its counter and selects
+        // the LUT word.
+        let mut histogram = vec![0u64; tables.lut_words.len()];
+        let codes: Vec<u32> = diffs
+            .iter()
+            .map(|&d| {
+                let mag = encoding::clamp_for_magnitude(d).magnitude_code() as usize;
+                let row = tables.one_hot[mag].map_or_else(
+                    || {
+                        // Fault recovery: a defective CAM produced zero or
+                        // multiple matchlines; the controller falls back to
+                        // the nominal row.
+                        recovered += 1;
+                        mag
+                    },
+                    |row| row as usize,
+                );
+                histogram[row] += 1;
+                tables.lut_words[row]
+            })
+            .collect();
 
-        // Summation on the VMM crossbar, then fixed-point division.
-        let sum_raw = if noise.read_sigma > 0.0 {
-            let mut rng = self.rng.clone();
-            let s = self.vmm.multiply_with(&histogram, self.counter_bits, &mut rng)[0];
-            self.rng = rng;
-            s
-        } else {
-            self.vmm.multiply(&histogram, self.counter_bits)[0]
-        };
+        // Summation on the VMM crossbar.
+        let sum_raw = self.vmm.peek_multiply(&histogram, self.counter_bits, &mut self.rng)[0];
         let sum = sum_raw.round().max(1.0) as u64;
-        star_telemetry::count("star.div.quotients", codes.len() as u64);
-        codes.iter().map(|&c| fixed_divide(c as u64, sum, self.config.quotient_bits)).collect()
+
+        // Charge every array op, in dataflow order, and publish the row.
+        let mut tally = Tally::new();
+        let (rows_id, elements) =
+            (tally.counter("star.softmax.rows"), tally.counter("star.softmax.elements"));
+        let row_len = tally.histogram(
+            "star.softmax.row_len",
+            &[8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0],
+        );
+        tally.count(rows_id, 1);
+        tally.count(elements, n as u64);
+        tally.observe(row_len, n as f64);
+        self.cam_sub.charge_find_max(n, &mut tally);
+        self.cam_sub.charge_subtracts(n, &mut tally);
+        self.exp_cam.charge_searches(n, &mut tally);
+        self.lut.charge_reads(n, &mut tally);
+        let lut_hits = tally.counter("star.exp.lut_hits");
+        tally.count(lut_hits, n as u64);
+        self.vmm.charge_multiply(self.counter_bits, &mut tally);
+        let quotients = tally.counter("star.div.quotients");
+        tally.count(quotients, n as u64);
+        if recovered > 0 {
+            let id = tally.counter("star.faults.recovered");
+            tally.count(id, recovered);
+            self.fault_events += recovered;
+        }
+        tally.publish();
+
+        // Division.
+        codes.iter().map(|&c| fixed_divide(u64::from(c), sum, self.config.quotient_bits)).collect()
     }
 
     fn name(&self) -> &str {

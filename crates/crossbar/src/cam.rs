@@ -6,6 +6,12 @@ use star_device::peripherals::PeripheralLibrary;
 use star_device::{
     Area, CostSheet, Energy, Latency, NoiseModel, RramCell, StuckFault, TechnologyParams,
 };
+use star_telemetry::Tally;
+
+/// Counter of CAM searches, on every CAM (the CAM/SUB array's included).
+const SEARCHES: &str = "crossbar.cam.searches";
+/// Gauge of CAM search energy.
+const SEARCH_ENERGY: &str = "crossbar.cam.energy_pj";
 
 /// An RRAM TCAM crossbar: each row stores a bit pattern as complementary
 /// cell pairs; a search key drives all searchlines and every matchline
@@ -188,29 +194,52 @@ impl CamCrossbar {
     ///
     /// Panics if `key` has bits set at or above `word_bits`.
     pub fn search_one_hot(&mut self, key: u64) -> Option<usize> {
+        let row = self.peek_one_hot(key);
+        self.ledger.record_op(self.search_cost, SEARCHES, SEARCH_ENERGY);
+        row
+    }
+
+    /// The row [`CamCrossbar::search_one_hot`] returns for `key`, without
+    /// recording a search: a read-back of the match logic for callers
+    /// that tabulate it per key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` has bits set at or above `word_bits`.
+    pub fn peek_one_hot(&mut self, key: u64) -> Option<usize> {
         assert_eq!(key & !self.full, 0, "search key {key:#x} wider than {} bits", self.word_bits);
-        let mut rows = self.search_rows(key);
+        let mut rows = self.matching_rows(key);
         match (rows.next(), rows.next()) {
             (Some(row), None) => Some(row),
             _ => None,
         }
     }
 
+    /// Records `n` searches on the ledger and on `tally`, exactly as `n`
+    /// calls to [`CamCrossbar::search`] record them through the
+    /// telemetry facade.
+    pub fn charge_searches(&mut self, n: usize, tally: &mut Tally) {
+        self.ledger.charge_ops(self.search_cost, n, tally, SEARCHES, SEARCH_ENERGY);
+    }
+
     /// One parallel search for an MSB-first `key` of at most `word_bits`
-    /// bits: records its cost and yields every matching row. A row matches
-    /// iff no cell on a discharge path conducts — searching bit `1` puts
-    /// the complement cell on the path, searching `0` the true cell — so a
-    /// stuck-on cell on the path forces a mismatch and a stuck-off cell
-    /// can mask one. Rows come from the pattern index (ascending), then
-    /// from the wildcard list (ascending).
+    /// bits: records its cost and yields every matching row (see
+    /// [`CamCrossbar::matching_rows`]).
     pub(crate) fn search_rows(&mut self, key: u64) -> impl Iterator<Item = usize> + '_ {
+        self.ledger.record_op(self.search_cost, SEARCHES, SEARCH_ENERGY);
+        self.matching_rows(key)
+    }
+
+    /// Every row an MSB-first `key` matches, without recording a search.
+    /// A row matches iff no cell on a discharge path conducts — searching
+    /// bit `1` puts the complement cell on the path, searching `0` the
+    /// true cell — so a stuck-on cell on the path forces a mismatch and a
+    /// stuck-off cell can mask one. Rows come from the pattern index
+    /// (ascending), then from the wildcard list (ascending).
+    pub(crate) fn matching_rows(&mut self, key: u64) -> impl Iterator<Item = usize> + '_ {
         if self.index_stale {
             self.rebuild_index();
         }
-        let cost = self.search_cost;
-        self.ledger.record(cost);
-        star_telemetry::count("crossbar.cam.searches", 1);
-        star_telemetry::add("crossbar.cam.energy_pj", cost.energy.value());
         let start = self.index.partition_point(|&(pattern, _)| pattern < key);
         let exact = self.index[start..]
             .iter()

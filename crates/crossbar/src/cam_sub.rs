@@ -19,8 +19,17 @@ use serde::{Deserialize, Serialize};
 use star_device::peripherals::PeripheralLibrary;
 use star_device::{CostSheet, Latency, NoiseModel, TechnologyParams};
 use star_fixed::{encoding, Fixed, QFormat};
+use star_telemetry::Tally;
 use std::error::Error;
 use std::fmt;
+
+/// Counter of max searches (one OR-merge + priority encode each).
+const MAX_SEARCHES: &str = "crossbar.camsub.max_searches";
+/// Counter of SUB-phase subtractions.
+const SUBTRACTS: &str = "crossbar.camsub.subtracts";
+/// Gauge of merge and subtraction energy (the searches are the inner
+/// CAM's).
+const ENERGY: &str = "crossbar.camsub.energy_pj";
 
 /// Error from a CAM max search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -179,17 +188,37 @@ impl CamSubCrossbar {
             }
             per_input_rows.push(first);
         }
-        let merge = self.merge_cost;
-        self.ledger.record(merge);
-        star_telemetry::count("crossbar.camsub.max_searches", 1);
-        star_telemetry::add("crossbar.camsub.energy_pj", merge.energy.value());
+        self.ledger.record_op(self.merge_cost, MAX_SEARCHES, ENERGY);
         let merged: Vec<bool> = (0..rows).map(|r| (hot[r / 64] >> (r % 64)) & 1 == 1).collect();
         let row = merged.iter().position(|&h| h).ok_or(SearchError::NoMatch)?;
         Ok(MaxSearchResult { max: self.value_of(row), row, merged, per_input_rows })
     }
 
+    /// The first row `x`'s search matches, without recording a search:
+    /// the row the priority encoder picks when `x` is the only input to
+    /// [`CamSubCrossbar::find_max`], and `None` where stuck faults leave
+    /// `x` matching nothing. Over several inputs, `find_max` picks the
+    /// least of their first rows.
+    pub fn first_match(&mut self, x: Fixed) -> Option<usize> {
+        debug_assert_eq!(x.format(), self.format, "input format mismatch");
+        self.cam.matching_rows(encoding::twos_complement_code(x)).min()
+    }
+
+    /// Records the cost of a [`CamSubCrossbar::find_max`] over `n` inputs
+    /// on the ledgers and on `tally`, exactly as the call records it
+    /// through the telemetry facade: `n` searches, then the merge.
+    pub fn charge_find_max(&mut self, n: usize, tally: &mut Tally) {
+        self.cam.charge_searches(n, tally);
+        self.ledger.charge_ops(self.merge_cost, 1, tally, MAX_SEARCHES, ENERGY);
+    }
+
     /// The value a row *effectively* stores: its true cells, read through
-    /// stuck faults, as a two's-complement code.
+    /// stuck faults. [`CamSubCrossbar::subtract`] computes with it.
+    pub fn stored_value(&self, row: usize) -> Fixed {
+        Fixed::from_raw(self.stored_raw(row), self.format)
+    }
+
+    /// The value a row *effectively* stores, as a two's-complement code.
     fn stored_raw(&self, row: usize) -> i64 {
         let unused = 64 - u32::from(self.format.total_bits());
         ((self.cam.stored_code(row) << unused) as i64) >> unused
@@ -209,17 +238,35 @@ impl CamSubCrossbar {
         let vx = self.stored_raw(self.row_of(x));
         let vm = self.stored_raw(self.row_of(max));
         let raw = (vx - vm).min(0); // differences are ≤ 0 by construction
-        let sub = self.subtract_cost;
-        self.ledger.record(sub);
-        star_telemetry::count("crossbar.camsub.subtracts", 1);
-        star_telemetry::add("crossbar.camsub.energy_pj", sub.energy.value());
+        self.ledger.record_op(self.subtract_cost, SUBTRACTS, ENERGY);
         Fixed::from_raw(raw, self.format)
+    }
+
+    /// Records `n` subtractions on the ledger and on `tally`, exactly as
+    /// `n` calls to [`CamSubCrossbar::subtract`] record them through the
+    /// telemetry facade.
+    pub fn charge_subtracts(&mut self, n: usize, tally: &mut Tally) {
+        self.ledger.charge_ops(self.subtract_cost, n, tally, SUBTRACTS, ENERGY);
     }
 
     /// Like [`CamSubCrossbar::subtract`], additionally applying per-bitline
     /// read noise from `noise` before the sense threshold.
     pub fn subtract_noisy<R: Rng + ?Sized>(
         &mut self,
+        x: Fixed,
+        max: Fixed,
+        noise: &NoiseModel,
+        rng: &mut R,
+    ) -> Fixed {
+        let diff = self.peek_subtract_noisy(x, max, noise, rng);
+        self.ledger.record_op(self.subtract_cost, SUBTRACTS, ENERGY);
+        diff
+    }
+
+    /// The result of [`CamSubCrossbar::subtract_noisy`], drawing the same
+    /// noise from `rng`, without recording a subtraction.
+    pub fn peek_subtract_noisy<R: Rng + ?Sized>(
+        &self,
         x: Fixed,
         max: Fixed,
         noise: &NoiseModel,
@@ -241,10 +288,6 @@ impl CamSubCrossbar {
             let weight = 1i64 << shift;
             raw += if j == 0 { -digit * weight } else { digit * weight };
         }
-        let sub = self.subtract_cost;
-        self.ledger.record(sub);
-        star_telemetry::count("crossbar.camsub.subtracts", 1);
-        star_telemetry::add("crossbar.camsub.energy_pj", sub.energy.value());
         Fixed::from_raw(raw.min(0), self.format)
     }
 

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use star_device::{Area, Energy, Latency, TechnologyParams};
+use star_telemetry::Tally;
 use std::fmt;
 
 /// Rows × columns shape of a crossbar array.
@@ -140,6 +141,36 @@ impl Ledger {
         self.ops += 1;
         self.energy += cost.energy;
         self.busy += cost.latency;
+    }
+
+    /// Records one operation and mirrors it through the telemetry
+    /// facade: one on counter `ops`, its energy onto gauge `energy`.
+    pub(crate) fn record_op(&mut self, cost: OpCost, ops: &str, energy: &str) {
+        self.record(cost);
+        star_telemetry::count(ops, 1);
+        star_telemetry::add(energy, cost.energy.value());
+    }
+
+    /// Records `n` operations and mirrors them on `tally`, leaving the
+    /// ledger and the metrics exactly as `n` [`Ledger::record_op`] calls
+    /// would: one ledger record and one gauge add per operation, in
+    /// order, so the f64 sums match.
+    pub(crate) fn charge_ops(
+        &mut self,
+        cost: OpCost,
+        n: usize,
+        tally: &mut Tally,
+        ops: &str,
+        energy: &str,
+    ) {
+        let (ops, gauge) = (tally.counter(ops), tally.gauge(energy));
+        for _ in 0..n {
+            self.record(cost);
+            tally.add(gauge, cost.energy.value());
+        }
+        if n > 0 {
+            tally.count(ops, n as u64);
+        }
     }
 
     /// Resets all totals.

@@ -4,6 +4,12 @@ use crate::geometry::{Geometry, Ledger, OpCost};
 use rand::Rng;
 use star_device::peripherals::PeripheralLibrary;
 use star_device::{CostSheet, Energy, Latency, NoiseModel, RramCell, TechnologyParams};
+use star_telemetry::Tally;
+
+/// Counter of LUT row reads.
+const READS: &str = "crossbar.lut.reads";
+/// Gauge of LUT read energy.
+const READ_ENERGY: &str = "crossbar.lut.energy_pj";
 
 /// An RRAM crossbar used as a read-only lookup table: each row stores one
 /// output word; driving a single wordline (the one-hot match vector coming
@@ -132,16 +138,22 @@ impl LutCrossbar {
     /// Panics if `row` is out of range.
     pub fn read_row(&mut self, row: usize) -> u64 {
         assert!(row < self.geometry.rows(), "row {row} out of range");
-        let cost = self.read_cost;
-        self.ledger.record(cost);
-        star_telemetry::count("crossbar.lut.reads", 1);
-        star_telemetry::add("crossbar.lut.energy_pj", cost.energy.value());
+        self.ledger.record_op(self.read_cost, READS, READ_ENERGY);
         self.words[row]
     }
 
-    /// Reads a row without recording cost (for assertions).
+    /// Reads a row without recording cost: the word
+    /// [`LutCrossbar::read_row`] returns, for assertions and for callers
+    /// that tabulate it per row.
     pub fn peek_row(&self, row: usize) -> u64 {
         self.words[row]
+    }
+
+    /// Records `n` row reads on the ledger and on `tally`, exactly as `n`
+    /// calls to [`LutCrossbar::read_row`] record them through the
+    /// telemetry facade.
+    pub fn charge_reads(&mut self, n: usize, tally: &mut Tally) {
+        self.ledger.charge_ops(self.read_cost, n, tally, READS, READ_ENERGY);
     }
 
     /// Reads the row selected by a one-hot drive vector.

@@ -19,6 +19,14 @@ use star_device::peripherals::PeripheralLibrary;
 use star_device::{
     AdcSpec, CostSheet, DriverSpec, Latency, NoiseModel, RramCell, TechnologyParams,
 };
+use star_telemetry::Tally;
+
+/// Counter of full VMM operations.
+const ACTIVATIONS: &str = "crossbar.vmm.activations";
+/// Counter of bit-serial input cycles.
+const BIT_CYCLES: &str = "crossbar.vmm.bit_cycles";
+/// Gauge of VMM read energy.
+const ENERGY: &str = "crossbar.vmm.energy_pj";
 
 /// How bitline currents are converted back to digits.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -97,6 +105,10 @@ pub struct VmmCrossbar {
     /// included), bitline-major: `fractions[physical_col * rows + row]`.
     /// Refreshed by every cell write.
     fractions: Vec<f64>,
+    /// Each logical cell's effective weight, its slices' levels read from
+    /// `fractions`, column-major: `weights[col * rows + row]`. Refreshed
+    /// with `fractions`.
+    weights: Vec<u64>,
     noise: NoiseModel,
     tech: TechnologyParams,
     ir_drop: Option<IrDropModel>,
@@ -188,6 +200,7 @@ impl VmmCrossbar {
             readout,
             cells,
             fractions: vec![0.0; rows * physical_cols],
+            weights: vec![0; rows * cols],
             noise,
             tech: *tech,
             ir_drop: None,
@@ -198,12 +211,21 @@ impl VmmCrossbar {
         vmm
     }
 
-    /// Re-reads every cell's conductance into `fractions`.
+    /// Re-reads every cell's conductance into `fractions`, and the
+    /// effective weights from them.
     fn refresh_fractions(&mut self) {
         let (g_hrs, unit) = (self.tech.g_hrs(), self.tech.g_lrs() - self.tech.g_hrs());
         for (r, row) in self.cells.iter().enumerate() {
             for (pc, cell) in row.iter().enumerate() {
                 self.fractions[pc * self.rows + r] = (cell.conductance() - g_hrs) / unit;
+            }
+        }
+        for c in 0..self.cols {
+            for r in 0..self.rows {
+                self.weights[c * self.rows + r] = (0..self.slices).fold(0u64, |w, s| {
+                    w << self.bits_per_cell
+                        | u64::from(self.effective_level(r, c * self.slices + s))
+                });
             }
         }
     }
@@ -269,15 +291,10 @@ impl VmmCrossbar {
     }
 
     /// The weight code a logical cell *effectively* stores (through
-    /// faults).
+    /// faults), truncated to 32 bits.
     pub fn effective_weight(&self, row: usize, col: usize) -> u32 {
         assert!(row < self.rows && col < self.cols, "cell ({row}, {col}) out of range");
-        let mut w = 0u32;
-        for s in 0..self.slices {
-            let digit = self.effective_level(row, col * self.slices + s);
-            w = (w << self.bits_per_cell) | u32::from(digit);
-        }
-        w
+        self.weights[col * self.rows + row] as u32
     }
 
     /// The digit a cell effectively stores: its (possibly faulted)
@@ -333,11 +350,55 @@ impl VmmCrossbar {
         input_bits: u8,
         rng: &mut R,
     ) -> Vec<f64> {
+        let outputs = self.peek_multiply(inputs, input_bits, rng);
+        self.ledger.record_op(self.vmm_cost(input_bits), ACTIVATIONS, ENERGY);
+        star_telemetry::count(BIT_CYCLES, input_bits as u64);
+        outputs
+    }
+
+    /// The outputs of [`VmmCrossbar::multiply_with`], drawing the same
+    /// read noise from `rng`, without recording the operation.
+    ///
+    /// An ideal readout without IR drop or read noise returns the exact
+    /// integer dot products `Σ_r x_r · w_eff(r, c)` whenever every one is
+    /// below 2^53. That is the bit-serial loop's result bit for bit: each
+    /// cycle's bitline sum of level fractions rounds to its integer digit
+    /// count, so every partial sum is an integer below the total, and f64
+    /// holds those exactly. Larger sums, and every other readout, run the
+    /// loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input length mismatches, `input_bits` is outside
+    /// `1..=32`, or any input overflows `input_bits`.
+    pub fn peek_multiply<R: Rng + ?Sized>(
+        &self,
+        inputs: &[u64],
+        input_bits: u8,
+        rng: &mut R,
+    ) -> Vec<f64> {
         assert_eq!(inputs.len(), self.rows, "input length mismatch");
         assert!((1..=32).contains(&input_bits), "input bits must be in 1..=32");
         let limit = if input_bits == 64 { u64::MAX } else { 1u64 << input_bits };
         for &x in inputs {
             assert!(x < limit, "input {x} overflows {input_bits} bits");
+        }
+        if matches!(self.readout, Readout::Ideal)
+            && self.ir_drop.is_none()
+            && self.noise.read_sigma == 0.0
+        {
+            let exact: Option<Vec<f64>> = self
+                .weights
+                .chunks_exact(self.rows)
+                .map(|column| {
+                    let sum: u128 =
+                        inputs.iter().zip(column).map(|(&x, &w)| x as u128 * w as u128).sum();
+                    (sum < 1 << 53).then_some(sum as f64)
+                })
+                .collect();
+            if let Some(exact) = exact {
+                return exact;
+            }
         }
         let mut outputs = vec![0.0f64; self.cols];
         let unit = self.tech.g_lrs() - self.tech.g_hrs();
@@ -393,12 +454,16 @@ impl VmmCrossbar {
                 }
             }
         }
-        let cost = self.vmm_cost(input_bits);
-        self.ledger.record(cost);
-        star_telemetry::count("crossbar.vmm.activations", 1);
-        star_telemetry::count("crossbar.vmm.bit_cycles", input_bits as u64);
-        star_telemetry::add("crossbar.vmm.energy_pj", cost.energy.value());
         outputs
+    }
+
+    /// Records one VMM of `input_bits`-bit inputs on the ledger and on
+    /// `tally`, exactly as [`VmmCrossbar::multiply_with`] records it
+    /// through the telemetry facade.
+    pub fn charge_multiply(&mut self, input_bits: u8, tally: &mut Tally) {
+        self.ledger.charge_ops(self.vmm_cost(input_bits), 1, tally, ACTIVATIONS, ENERGY);
+        let cycles = tally.counter(BIT_CYCLES);
+        tally.count(cycles, input_bits as u64);
     }
 
     /// Cost of one full VMM (all input bits): per cycle, wordline drives +
@@ -512,7 +577,7 @@ mod tests {
         let exact = x.multiply_exact(&inputs);
         let analog = x.multiply(&inputs, 4);
         for (a, e) in analog.iter().zip(&exact) {
-            assert!((a - *e as f64).abs() < 1e-9, "analog {a} vs exact {e}");
+            assert_eq!(*a, *e as f64, "analog {a} vs exact {e}");
         }
     }
 
@@ -629,7 +694,7 @@ mod tests {
         let exact = x.multiply_exact(&inputs);
         let analog = x.multiply(&inputs, 3);
         for (a, e) in analog.iter().zip(&exact) {
-            assert!((a - *e as f64).abs() < 1e-9, "analog {a} vs exact {e}");
+            assert_eq!(*a, *e as f64, "analog {a} vs exact {e}");
         }
         // Effective weights reconstruct the programmed codes.
         for (r, row) in w.iter().enumerate() {

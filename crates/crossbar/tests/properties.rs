@@ -3,7 +3,9 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use star_crossbar::{CamCrossbar, CamSubCrossbar, LutCrossbar, OpCost, Readout, VmmCrossbar};
+use star_crossbar::{
+    CamCrossbar, CamSubCrossbar, IrDropModel, LutCrossbar, OpCost, Readout, VmmCrossbar,
+};
 use star_device::{Energy, Latency, NoiseModel, TechnologyParams};
 use star_fixed::{Fixed, QFormat};
 
@@ -70,6 +72,44 @@ proptest! {
         for (a, e) in analog.iter().zip(&exact) {
             prop_assert!((a - *e as f64).abs() < 1e-9, "{} vs {}", a, e);
         }
+    }
+
+    #[test]
+    fn vmm_exact_path_matches_the_bit_serial_loop(
+        rows in 1usize..64,
+        cols in 1usize..4,
+        weight_bits in 1u8..=24,
+        bits_per_cell in 1u8..=4,
+        input_bits in 1u8..=16,
+        stuck_rate in prop::sample::select(vec![0.0, 0.02, 0.25]),
+        seed in any::<u64>(),
+    ) {
+        // An ideal readout answers with the exact integer dot product; a
+        // zero-resistance IR-drop model attenuates by exactly 1.0 and so
+        // forces the bit-serial loop over the same level fractions. At most
+        // 2^6 rows × 2^16 inputs × 2^27 effective weights (a stuck-on top
+        // slice can exceed `weight_bits`) keeps every sum below 2^53.
+        use rand::Rng as _;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let noise = NoiseModel::new(0.0, 0.0, stuck_rate, stuck_rate);
+        let mut xbar = VmmCrossbar::with_mlc(
+            rows, cols, weight_bits, bits_per_cell, Readout::Ideal, &tech(), noise, &mut rng,
+        );
+        let weights: Vec<Vec<u32>> = (0..rows)
+            .map(|_| (0..cols).map(|_| rng.gen_range(0..1u64 << weight_bits) as u32).collect())
+            .collect();
+        xbar.store_weights(&weights);
+        let inputs: Vec<u64> = (0..rows).map(|_| rng.gen_range(0..1u64 << input_bits)).collect();
+        let mut looped = xbar.clone();
+        looped.set_ir_drop(Some(IrDropModel { wire_resistance_ohm: 0.0 }));
+        let exact = xbar.multiply_exact(&inputs);
+        let fast: Vec<u64> = xbar.multiply(&inputs, input_bits).iter().map(|y| y.to_bits()).collect();
+        let slow: Vec<u64> =
+            looped.multiply(&inputs, input_bits).iter().map(|y| y.to_bits()).collect();
+        prop_assert!(exact.iter().all(|&y| y < 1 << 53), "case seed {}: sums {:?}", seed, exact);
+        prop_assert_eq!(&fast, &slow, "case seed {}: exact path vs loop", seed);
+        let exact: Vec<u64> = exact.iter().map(|&y| (y as f64).to_bits()).collect();
+        prop_assert_eq!(&fast, &exact, "case seed {}: vs multiply_exact", seed);
     }
 
     #[test]

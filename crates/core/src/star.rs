@@ -22,22 +22,24 @@
 //!
 //! Without read noise every array answers each code the same way every
 //! time, stuck cells included, and an array only ever sees `2^bits`
-//! distinct codes. So the engine asks each code once. On its first row it
-//! reads per-code tables back from its arrays without recording anything:
-//! the first CAM/SUB row each input code matches, each CAM/SUB row's
-//! effective stored value, the exp CAM's one-hot row for each magnitude,
-//! and each LUT row's effective word. An element then costs a quantize,
-//! table loads, a counter bump and a divide, and the counter histogram
-//! feeds one VMM, which an ideal readout answers with its exact integer
-//! dot product.
+//! distinct codes. So each search is answered once per code, from a
+//! table read without recording an op: the CAM/SUB array keeps each
+//! value's first matching row for its max search
+//! ([`CamSubCrossbar::peek_find_max`]), and on its first row the engine
+//! reads the exp CAM's one-hot row for each magnitude. The SUB and the
+//! LUT need no table: their non-recording reads (`peek_subtract`,
+//! `peek_row`) are a shift and an index. An element then costs a
+//! quantize, a subtraction, two table loads, a counter bump and a
+//! divide, and the counter histogram feeds one VMM, which an ideal
+//! readout answers with its exact integer dot product.
 //!
 //! Every array op is still charged one by one, in the order the dataflow
 //! above performs them, to each array's ledger and to one
 //! [`star_telemetry::Tally`] per row: `n` CAM/SUB searches, the merge, `n`
 //! subtractions, `n` exp-CAM searches, `n` LUT reads and the VMM. Ledgers
 //! and metrics therefore hold what op-by-op calls would leave, f64 sums
-//! included. Per-element evaluation in order remains only where an RNG
-//! is drawn: the noisy SUB, and the noisy VMM.
+//! included. Evaluation that draws from the RNG runs per element in
+//! dataflow order: the noisy SUB, then the noisy VMM.
 
 use crate::engine::{fixed_divide, SoftmaxEngine};
 use rand::SeedableRng;
@@ -213,41 +215,12 @@ pub struct StarSoftmax {
     fault_events: u64,
     rng: ChaCha8Rng,
     name: String,
-    /// The arrays' per-code answers, read back on the first row.
-    tables: Option<CodeTables>,
-}
-
-/// What the engine's arrays answer for each code, read back once without
-/// recording a single op. The arrays are private to the engine and
-/// written only in [`StarSoftmax::new`], so the tables never go stale;
-/// engines built only for their cost models never read them.
-#[derive(Debug)]
-struct CodeTables {
-    /// Per CAM/SUB row: the first row that the row's nominal value
-    /// matches when searched (`None` if none does).
-    first_match: Vec<Option<u32>>,
-    /// Per CAM/SUB row: its effective stored raw code.
-    stored: Vec<i64>,
-    /// Per difference magnitude: the exp CAM's one-hot row (`None` where
-    /// a defect leaves zero or several rows matching).
-    one_hot: Vec<Option<u32>>,
-    /// Per exp-CAM/LUT row: the LUT's effective word.
-    lut_words: Vec<u32>,
-}
-
-impl CodeTables {
-    fn read(cam_sub: &mut CamSubCrossbar, exp_cam: &mut CamCrossbar, lut: &LutCrossbar) -> Self {
-        let codes = cam_sub.geometry().rows();
-        let first_match = (0..codes)
-            .map(|row| cam_sub.first_match(cam_sub.value_of(row)).map(|m| m as u32))
-            .collect();
-        let stored = (0..codes).map(|row| cam_sub.stored_value(row).raw()).collect();
-        let magnitudes = exp_cam.geometry().rows();
-        let one_hot =
-            (0..magnitudes).map(|m| exp_cam.peek_one_hot(m as u64).map(|r| r as u32)).collect();
-        let lut_words = (0..magnitudes).map(|row| lut.peek_row(row) as u32).collect();
-        CodeTables { first_match, stored, one_hot, lut_words }
-    }
+    /// The exp CAM's one-hot row per difference magnitude (`None` where a
+    /// defect leaves zero or several rows matching), read back without
+    /// recording on the first row. The exp CAM is private to the engine
+    /// and written only in [`StarSoftmax::new`], so the table never goes
+    /// stale; engines built only for their cost models never read it.
+    one_hot: Option<Vec<Option<u32>>>,
 }
 
 impl StarSoftmax {
@@ -325,7 +298,7 @@ impl StarSoftmax {
             fault_events: 0,
             rng,
             name: format!("star-rram-{}bit", fmt.total_bits()),
-            tables: None,
+            one_hot: None,
         })
     }
 
@@ -436,44 +409,38 @@ impl RowSoftmax for StarSoftmax {
         );
         let n = scores.len();
         let xs: Vec<Fixed> = scores.iter().map(|&s| self.quantize(s)).collect();
-        let rows: Vec<usize> = xs.iter().map(|&x| self.cam_sub.row_of(x)).collect();
-        let tables = self.tables.get_or_insert_with(|| {
-            CodeTables::read(&mut self.cam_sub, &mut self.exp_cam, &self.lut)
-        });
         let mut recovered = 0u64;
 
-        // Stage 1: x_max is the least of the inputs' first matching rows
-        // (the priority encoder over the OR-merged match vectors).
-        let max_row = match rows.iter().filter_map(|&r| tables.first_match[r]).min() {
-            Some(row) => row as usize,
+        // Stage 1: x_max on the CAM/SUB crossbar.
+        let max = match self.cam_sub.peek_find_max(&xs) {
+            Some(row) => self.cam_sub.value_of(row),
             None => {
-                // Fault recovery: no input matched, so the controller takes
-                // the digital max, the input on the lowest nominal row.
+                // Fault recovery: digital max (the controller's safe path).
                 recovered += 1;
-                *rows.iter().min().expect("non-empty")
+                xs.iter().copied().max().expect("non-empty")
             }
         };
-        // x_i − x_max on the CAM/SUB crossbar, through the effective rows.
         let noise = self.config.noise;
-        let diffs: Vec<Fixed> = if noise.read_sigma > 0.0 {
-            let max = self.cam_sub.value_of(max_row);
-            xs.iter()
-                .map(|&x| self.cam_sub.peek_subtract_noisy(x, max, &noise, &mut self.rng))
+        let one_hot = self.one_hot.get_or_insert_with(|| {
+            (0..self.exp_cam.geometry().rows())
+                .map(|mag| self.exp_cam.peek_one_hot(mag as u64).map(|row| row as u32))
                 .collect()
-        } else {
-            let vm = tables.stored[max_row];
-            let format = self.config.format;
-            rows.iter().map(|&r| Fixed::from_raw((tables.stored[r] - vm).min(0), format)).collect()
-        };
+        });
 
-        // Stage 2: the exp CAM's one-hot row bumps its counter and selects
-        // the LUT word.
-        let mut histogram = vec![0u64; tables.lut_words.len()];
-        let codes: Vec<u32> = diffs
+        // Per element: x_i − x_max on the CAM/SUB crossbar; the exp CAM's
+        // one-hot row for its magnitude bumps that row's counter and
+        // selects the LUT word.
+        let mut histogram = vec![0u64; one_hot.len()];
+        let codes: Vec<u32> = xs
             .iter()
-            .map(|&d| {
-                let mag = encoding::clamp_for_magnitude(d).magnitude_code() as usize;
-                let row = tables.one_hot[mag].map_or_else(
+            .map(|&x| {
+                let diff = if noise.read_sigma > 0.0 {
+                    self.cam_sub.peek_subtract_noisy(x, max, &noise, &mut self.rng)
+                } else {
+                    self.cam_sub.peek_subtract(x, max)
+                };
+                let mag = encoding::clamp_for_magnitude(diff).magnitude_code() as usize;
+                let row = one_hot[mag].map_or_else(
                     || {
                         // Fault recovery: a defective CAM produced zero or
                         // multiple matchlines; the controller falls back to
@@ -484,7 +451,7 @@ impl RowSoftmax for StarSoftmax {
                     |row| row as usize,
                 );
                 histogram[row] += 1;
-                tables.lut_words[row]
+                self.lut.peek_row(row) as u32
             })
             .collect();
 

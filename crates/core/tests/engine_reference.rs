@@ -1,12 +1,13 @@
 //! `StarSoftmax` against a per-op reference.
 //!
-//! The engine evaluates each distinct code once from tables it reads back
-//! from its arrays, and charges every array op in bulk through one
-//! `Tally` per row. The reference here is the op-by-op dataflow: arrays
-//! built with the same constructors, in the same order and from the same
-//! seed as `StarSoftmax::new`, driven through their public per-op methods
-//! (`find_max`, `subtract`, `search_one_hot`, `read_row`, `multiply`),
-//! each of which records through the telemetry facade.
+//! The engine answers each search once per code from a table, reads the
+//! SUB and the LUT without recording, and charges every array op in bulk
+//! through one `Tally` per row. The reference here is the op-by-op
+//! dataflow: arrays built with the same constructors, in the same order
+//! and from the same seed as `StarSoftmax::new`, driven through their
+//! public per-op methods (`find_max`, `subtract`, `search_one_hot`,
+//! `read_row`, `multiply`), each of which records through the telemetry
+//! facade.
 //!
 //! Each case draws everything from one seed: a format of 2 to 11 total
 //! bits, a stuck-at rate (0, 2 % or 25 % each way), a read-noise σ (0 or

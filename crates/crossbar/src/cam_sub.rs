@@ -97,6 +97,13 @@ pub struct MaxSearchResult {
 pub struct CamSubCrossbar {
     format: QFormat,
     cam: CamCrossbar,
+    /// Per row: the first row that a search for the row's nominal value
+    /// matches (`None` if stuck faults leave it matching nothing).
+    first_matches: Vec<Option<u32>>,
+    /// Set by `new` and by [`CamSubCrossbar::cam_mut`], the only ways to
+    /// write the inner CAM; the next [`CamSubCrossbar::peek_find_max`]
+    /// re-derives `first_matches`.
+    first_matches_stale: bool,
     merge_cost: OpCost,
     subtract_cost: OpCost,
     ledger: Ledger,
@@ -133,7 +140,15 @@ impl CamSubCrossbar {
             cell + sa.energy_per_op() * cols as f64 + add.energy_per_op(),
             Latency::new(tech.cam_search_ns),
         );
-        CamSubCrossbar { format, cam, merge_cost, subtract_cost, ledger: Ledger::new() }
+        CamSubCrossbar {
+            format,
+            cam,
+            first_matches: Vec::new(),
+            first_matches_stale: true,
+            merge_cost,
+            subtract_cost,
+            ledger: Ledger::new(),
+        }
     }
 
     /// The value format the array is built for.
@@ -194,14 +209,30 @@ impl CamSubCrossbar {
         Ok(MaxSearchResult { max: self.value_of(row), row, merged, per_input_rows })
     }
 
-    /// The first row `x`'s search matches, without recording a search:
-    /// the row the priority encoder picks when `x` is the only input to
-    /// [`CamSubCrossbar::find_max`], and `None` where stuck faults leave
-    /// `x` matching nothing. Over several inputs, `find_max` picks the
-    /// least of their first rows.
-    pub fn first_match(&mut self, x: Fixed) -> Option<usize> {
-        debug_assert_eq!(x.format(), self.format, "input format mismatch");
-        self.cam.matching_rows(encoding::twos_complement_code(x)).min()
+    /// The row [`CamSubCrossbar::find_max`] picks for `inputs`, without
+    /// recording anything: the least of the inputs' first matching rows,
+    /// which is the first hot row of the OR-merged match vector. `None`
+    /// where `find_max` returns an error. Reads a per-value table of
+    /// first matches, derived on the first call after a write.
+    pub fn peek_find_max(&mut self, inputs: &[Fixed]) -> Option<usize> {
+        if self.first_matches_stale {
+            let rows = self.geometry().rows();
+            let mut table = Vec::with_capacity(rows);
+            for row in 0..rows {
+                let code = encoding::twos_complement_code(self.value_of(row));
+                table.push(self.cam.matching_rows(code).min().map(|m| m as u32));
+            }
+            self.first_matches = table;
+            self.first_matches_stale = false;
+        }
+        inputs
+            .iter()
+            .filter_map(|&x| {
+                debug_assert_eq!(x.format(), self.format, "input format mismatch");
+                self.first_matches[self.row_of(x)]
+            })
+            .min()
+            .map(|row| row as usize)
     }
 
     /// Records the cost of a [`CamSubCrossbar::find_max`] over `n` inputs
@@ -213,12 +244,7 @@ impl CamSubCrossbar {
     }
 
     /// The value a row *effectively* stores: its true cells, read through
-    /// stuck faults. [`CamSubCrossbar::subtract`] computes with it.
-    pub fn stored_value(&self, row: usize) -> Fixed {
-        Fixed::from_raw(self.stored_raw(row), self.format)
-    }
-
-    /// The value a row *effectively* stores, as a two's-complement code.
+    /// stuck faults, as a two's-complement code.
     fn stored_raw(&self, row: usize) -> i64 {
         let unused = 64 - u32::from(self.format.total_bits());
         ((self.cam.stored_code(row) << unused) as i64) >> unused
@@ -233,12 +259,19 @@ impl CamSubCrossbar {
     /// anyway). Computed through the *effective* stored patterns, so stuck
     /// faults corrupt the result exactly as they would on silicon.
     pub fn subtract(&mut self, x: Fixed, max: Fixed) -> Fixed {
+        let diff = self.peek_subtract(x, max);
+        self.ledger.record_op(self.subtract_cost, SUBTRACTS, ENERGY);
+        diff
+    }
+
+    /// The result of [`CamSubCrossbar::subtract`], without recording a
+    /// subtraction.
+    pub fn peek_subtract(&self, x: Fixed, max: Fixed) -> Fixed {
         debug_assert_eq!(x.format(), self.format);
         debug_assert_eq!(max.format(), self.format);
         let vx = self.stored_raw(self.row_of(x));
         let vm = self.stored_raw(self.row_of(max));
         let raw = (vx - vm).min(0); // differences are ≤ 0 by construction
-        self.ledger.record_op(self.subtract_cost, SUBTRACTS, ENERGY);
         Fixed::from_raw(raw, self.format)
     }
 
@@ -344,6 +377,7 @@ impl CamSubCrossbar {
 
     /// Mutable access to the underlying CAM for fault injection in tests.
     pub fn cam_mut(&mut self) -> &mut CamCrossbar {
+        self.first_matches_stale = true;
         &mut self.cam
     }
 
@@ -504,6 +538,50 @@ mod tests {
         x.cam_mut().inject_fault(row, 0, 0, star_device::StuckFault::StuckOn);
         // Search only the now-unmatchable value.
         assert_eq!(x.find_max(&[v]), Err(SearchError::NoMatch));
+    }
+
+    #[test]
+    fn peek_find_max_is_the_row_find_max_picks() {
+        // Stuck cells leave some values matching another row, or none.
+        let fmt = QFormat::new(3, 1).unwrap();
+        let tech = TechnologyParams::cmos32();
+        let noise = NoiseModel::new(0.0, 0.0, 0.05, 0.05);
+        let mut x = CamSubCrossbar::new(fmt, &tech, noise, &mut ChaCha8Rng::seed_from_u64(5));
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        assert_eq!(x.peek_find_max(&[]), None);
+        for _ in 0..500 {
+            let n = rng.gen_range(1..=6);
+            let inputs: Vec<Fixed> = (0..n)
+                .map(|_| Fixed::from_raw(rng.gen_range(fmt.min_raw()..=fmt.max_raw()), fmt))
+                .collect();
+            let energy = x.measured_energy();
+            let peeked = x.peek_find_max(&inputs);
+            assert_eq!(x.measured_energy(), energy, "a peek records nothing");
+            assert_eq!(peeked, x.find_max(&inputs).ok().map(|found| found.row), "{inputs:?}");
+        }
+    }
+
+    #[test]
+    fn peek_find_max_sees_later_faults() {
+        let fmt = QFormat::new(2, 0).unwrap();
+        let mut x = xbar(fmt);
+        let v = fx(1.0, fmt);
+        let row = x.row_of(v);
+        assert_eq!(x.peek_find_max(&[v]), Some(row));
+        x.cam_mut().inject_fault(row, 0, 1, star_device::StuckFault::StuckOn);
+        x.cam_mut().inject_fault(row, 0, 0, star_device::StuckFault::StuckOn);
+        assert_eq!(x.peek_find_max(&[v]), None);
+    }
+
+    #[test]
+    fn peek_subtract_is_subtract_unrecorded() {
+        let fmt = QFormat::new(3, 0).unwrap();
+        let mut x = xbar(fmt);
+        let (lo, hi) = (fx(-8.0, fmt), fx(7.0, fmt));
+        assert_eq!(x.peek_subtract(lo, hi), x.subtract(lo, hi));
+        let ledger = x.ledger();
+        assert_eq!(x.peek_subtract(fx(2.0, fmt), hi).to_f64(), -5.0);
+        assert_eq!(x.ledger(), ledger);
     }
 
     #[test]

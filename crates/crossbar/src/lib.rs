@@ -15,10 +15,9 @@
 //! [`Ledger`]) and produces an itemized area/power budget
 //! ([`star_device::CostSheet`]) so the experiment harnesses can assemble
 //! Table I and Fig. 3 from first principles. The per-op methods record
-//! through the `star_telemetry` facade. A caller that tabulates an
-//! array's answers instead reads them without recording (`peek_*`,
-//! [`CamSubCrossbar::first_match`], [`CamSubCrossbar::stored_value`])
-//! and charges the ops it stands for in bulk to its own
+//! through the `star_telemetry` facade. Each array also answers without
+//! recording (`peek_*`); a caller that tabulates its answers reads them
+//! that way and charges the ops it stands for in bulk to its own
 //! [`star_telemetry::Tally`] (`charge_*`), leaving ledgers and metrics
 //! as the per-op calls would.
 //!

@@ -6,9 +6,10 @@
 //! (`star_faults`), the serve loop's work counters (`profile_work`,
 //! `serve_work`), the flight recorder's first incident dump (`incident`),
 //! the serve loop's metrics across consecutive runs in one registry
-//! (`serve_telemetry`) and the STAR engine's metrics after array calls
-//! made outside it (`engine_telemetry`). Each is a pure function of the
-//! code.
+//! (`serve_telemetry`), the STAR engine's metrics after array calls
+//! made outside it (`engine_telemetry`) and one traced serve run's
+//! Perfetto file and SLO analysis (`serve_trace`). Each is a pure
+//! function of the code.
 
 use crate::serving::a8_serving_cases;
 use rand::SeedableRng;
@@ -295,6 +296,56 @@ pub(crate) fn incident() -> Value {
             "incidents": flight.incidents.len(),
         },
         "dump": dump.to_object_json(),
+    })
+}
+
+/// The fixed operating point pinned by the `serve_trace` golden: the
+/// serve trace tests' mixed Tiny/16 + Tiny/32 workload on one batch-4
+/// instance, pushed to 200 krps against a 16-deep queue and a 150 µs
+/// deadline for 0.3 simulated ms. Its 68 arrivals reach all four
+/// terminal states (good, late, expired, rejected) in 9 batches.
+fn serve_trace_config() -> star_serve::ServeConfig {
+    use star_serve::{
+        ArrivalProcess, BatchPolicy, ControlConfig, ModelKind, RequestClass, ServeConfig,
+        ServiceModelConfig, WorkloadMix,
+    };
+    ServeConfig {
+        fleet: 1,
+        policy: BatchPolicy::new(4, 50_000.0),
+        arrival: ArrivalProcess::poisson(200_000.0),
+        mix: WorkloadMix::new(vec![
+            (RequestClass::new(ModelKind::Tiny, 16), 0.8),
+            (RequestClass::new(ModelKind::Tiny, 32), 0.2),
+        ]),
+        horizon_ns: 3e5,
+        seed: 99,
+        max_queue: 16,
+        deadline_ns: 1.5e5,
+        service: ServiceModelConfig::default(),
+        control: ControlConfig::default(),
+    }
+}
+
+/// The machine-readable `serve_trace` result: the health-monitored traced
+/// run of [`serve_trace_config`] as `star_cli serve --trace` writes it
+/// (`trace`, the Perfetto object with the `starServe` sidecar) and as
+/// `trace-analyze` reads it (`slo`, the analysis with five exemplars).
+///
+/// The trace is a pure function of the configuration, so the golden pins
+/// every span, counter sample and health sample byte for byte.
+///
+/// # Panics
+///
+/// Panics if the traced run returns no trace (a programming error).
+pub(crate) fn serve_trace() -> Value {
+    let outcome = star_serve::simulate_traced_monitored(
+        &serve_trace_config(),
+        &star_serve::HealthConfig::default(),
+    );
+    let trace = outcome.trace.expect("traced run carries a trace");
+    serde_json::json!({
+        "trace": trace.to_object_json(),
+        "slo": star_serve::SloAnalysis::from_trace(&trace, star_serve::SloPolicy::default(), 5),
     })
 }
 

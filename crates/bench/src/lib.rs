@@ -58,13 +58,14 @@ pub const EXPERIMENTS: [Artifact; 16] = [
 
 /// The fixtures that are not experiment results, in the order the
 /// `goldens` binary writes them.
-pub const FIXTURES: [Artifact; 6] = [
+pub const FIXTURES: [Artifact; 7] = [
     Artifact { name: "profile_work", run: fixtures::profile_work },
     Artifact { name: "serve_work", run: fixtures::serve_work },
     Artifact { name: "incident", run: fixtures::incident },
     Artifact { name: "star_faults", run: fixtures::star_faults },
     Artifact { name: "serve_telemetry", run: fixtures::serve_telemetry },
     Artifact { name: "engine_telemetry", run: fixtures::engine_telemetry },
+    Artifact { name: "serve_trace", run: fixtures::serve_trace },
 ];
 
 /// The `main` of every experiment binary: runs the [`EXPERIMENTS`] entry

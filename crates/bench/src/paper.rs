@@ -133,23 +133,8 @@ pub(crate) fn e2() -> Value {
         );
     }
 
-    // The result comes from a second set of engines, so the telemetry
-    // sidecar counts both passes.
-    e2_table1_result()
-}
-
-/// The machine-readable E2 / Table I result: itemized area/power of the
-/// three softmax designs plus ratios normalized to the CMOS baseline, with
-/// the paper anchors embedded.
-fn e2_table1_result() -> Value {
-    let (baseline, softermax, star) = table1_engines();
-    let base_sheet = baseline.cost_sheet();
-    let soft_sheet = softermax.cost_sheet();
-    let star_sheet = star.cost_sheet();
-    let soft_area = soft_sheet.area_ratio_to(&base_sheet);
-    let soft_power = soft_sheet.power_ratio_to(&base_sheet);
-    let star_area = star_sheet.area_ratio_to(&base_sheet);
-    let star_power = star_sheet.power_ratio_to(&base_sheet);
+    // The machine-readable result: the sheets and ratios the tables above
+    // printed, with the paper anchors embedded.
     serde_json::json!({
         "baseline": {
             "area_um2": base_sheet.total_area().value(),
@@ -221,10 +206,8 @@ pub(crate) fn e3() -> Value {
         compare_line("gain over ReTransformer", 1.31, star.efficiency_gain_over(&reports[2]))
     );
 
-    // The result evaluates the four designs again, so the telemetry
-    // sidecar counts both passes.
     serde_json::json!({
-        "reports": fig3_reports(128),
+        "reports": reports,
         "paper": {
             "star_gops_per_watt": 612.66,
             "gain_over_gpu": 30.63,

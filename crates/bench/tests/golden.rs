@@ -161,6 +161,7 @@ pinned! {
     star_faults_matches_golden,
     serve_telemetry_matches_golden,
     engine_telemetry_matches_golden,
+    serve_trace_matches_golden,
 }
 
 #[test]

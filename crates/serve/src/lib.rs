@@ -105,6 +105,5 @@ pub use slo::{
 };
 pub use sweep::{grid, run_sweep, SweepCase, SweepResult};
 pub use trace::{
-    invocation_span, BatchTrace, RequestOutcome, RequestTrace, ServeTrace, SystemSample,
-    TRACE_SIDECAR_KEY,
+    BatchTrace, RequestOutcome, RequestTrace, ServeTrace, SystemSample, TRACE_SIDECAR_KEY,
 };

@@ -57,13 +57,11 @@ use crate::profile::{phase, SimProfile};
 use crate::ready::ReadyIndex;
 use crate::request::{Request, RequestClass, RequestRecord};
 use crate::slo::{ClassSloReport, LatencyStats, ServeReport};
-use crate::trace::{
-    invocation_span, BatchTrace, RequestOutcome, RequestTrace, ServeTrace, SystemSample,
-};
+use crate::trace::{BatchTrace, RequestOutcome, RequestTrace, ServeTrace, SystemSample};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use star_telemetry::{CounterId, GaugeId, HistogramId, Span, Tally};
+use star_telemetry::{CounterId, GaugeId, HistogramId, Tally};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::time::Instant;
@@ -599,7 +597,9 @@ impl<'a> Sim<'a> {
                     outcome: RequestOutcome::Rejected,
                     batch_size: 0,
                     instance: None,
-                    span: Span::leaf(format!("req{} {}", req.id, req.class), "request", now, 0.0),
+                    arrive_ns: now,
+                    latency_ns: 0.0,
+                    batch: None,
                 });
             }
             self.tock(phase::TRACE_EMIT, tt);
@@ -647,10 +647,10 @@ impl<'a> Sim<'a> {
             "batches never mix request classes"
         );
         // Hardware phase decomposition, computed once per batch and
-        // shared by the instance-lane span and every member's
-        // `"invocation"` sub-tree. Tracing consumes no RNG draws and
-        // changes no event arithmetic — the traced and untraced runs
-        // stay bitwise identical.
+        // stored on the batch's trace record, which every member's
+        // record indexes. Tracing consumes no RNG draws and changes no
+        // event arithmetic — the traced and untraced runs stay bitwise
+        // identical.
         let tt = self.tick_if(self.trace.is_some());
         // Blame reuses the same pure decomposition (no counters, no RNG)
         // — computing it for either observer perturbs nothing.
@@ -664,12 +664,9 @@ impl<'a> Sim<'a> {
                 instance,
                 class: batch.class,
                 size,
-                span: invocation_span(
-                    format!("{} x{size}", batch.class),
-                    batch.dispatch_ns,
-                    now - batch.dispatch_ns,
-                    p,
-                ),
+                dispatch_ns: batch.dispatch_ns,
+                dur_ns: now - batch.dispatch_ns,
+                phases: *p,
             });
         }
         self.tock(phase::TRACE_EMIT, tt);
@@ -716,27 +713,16 @@ impl<'a> Sim<'a> {
             self.tel.observe(acc.latency_us, latency / 1e3);
             self.tel.observe(acc.queue_us, queue_ns / 1e3);
             let tt = self.tick_if(self.trace.is_some());
-            if let (Some(t), Some(p)) = (self.trace.as_mut(), phases.as_ref()) {
-                let span = Span::leaf(
-                    format!("req{} {}", req.id, req.class),
-                    "request",
-                    req.arrive_ns,
-                    latency,
-                )
-                .with_child(Span::leaf("queue", "queue", req.arrive_ns, queue_ns))
-                .with_child(invocation_span(
-                    "invoke",
-                    batch.dispatch_ns,
-                    now - batch.dispatch_ns,
-                    p,
-                ));
+            if let Some(t) = self.trace.as_mut() {
                 t.requests.push(RequestTrace {
                     id: req.id,
                     class: req.class,
                     outcome: if good { RequestOutcome::Good } else { RequestOutcome::Late },
                     batch_size: size,
                     instance: Some(instance),
-                    span,
+                    arrive_ns: req.arrive_ns,
+                    latency_ns: latency,
+                    batch: Some(t.batches.len() - 1),
                 });
             }
             self.tock(phase::TRACE_EMIT, tt);
@@ -1058,26 +1044,15 @@ impl<'a> Sim<'a> {
             }
             let tt = self.tick_if(self.trace.is_some());
             if let Some(t) = self.trace.as_mut() {
-                // The whole (futile) lifetime was spent queued.
-                let wait = now - req.arrive_ns;
                 t.requests.push(RequestTrace {
                     id: req.id,
                     class: req.class,
                     outcome: RequestOutcome::Expired,
                     batch_size: 0,
                     instance: None,
-                    span: Span::leaf(
-                        format!("req{} {}", req.id, req.class),
-                        "request",
-                        req.arrive_ns,
-                        wait,
-                    )
-                    .with_child(Span::leaf(
-                        "queue",
-                        "queue",
-                        req.arrive_ns,
-                        wait,
-                    )),
+                    arrive_ns: req.arrive_ns,
+                    latency_ns: now - req.arrive_ns,
+                    batch: None,
                 });
             }
             self.tock(phase::TRACE_EMIT, tt);
@@ -1338,8 +1313,9 @@ pub struct SimOutcome {
     pub report: ServeReport,
     /// Per-request lifecycle records, completion order.
     pub records: Vec<RequestRecord>,
-    /// Span trees, batch invocations, and the system-state timeseries
-    /// (present when requested; see [`crate::trace`]).
+    /// One record per request and per batch, from which the span trees
+    /// are rendered when read, and the system-state timeseries (present
+    /// when requested; see [`crate::trace`]).
     pub trace: Option<ServeTrace>,
     /// Fleet device-health report (present when the run was monitored;
     /// see [`crate::health`]).
@@ -1372,10 +1348,10 @@ pub fn simulate(cfg: &ServeConfig) -> ServeReport {
 }
 
 /// Like [`simulate`], but also collects per-request records and the full
-/// [`ServeTrace`] (span tree per request, invocation spans per batch,
-/// queue-depth/busy timeseries). The report is bitwise identical to the
-/// untraced run: tracing consumes no RNG draws and perturbs no event
-/// arithmetic.
+/// [`ServeTrace`] (a trace record per request and per batch, rendered to
+/// span trees when read, and the queue-depth/busy timeseries). The
+/// report is bitwise identical to the untraced run: tracing consumes no
+/// RNG draws and perturbs no event arithmetic.
 pub fn simulate_traced(cfg: &ServeConfig) -> SimOutcome {
     Sim::new(cfg, true, None, false, None, false).run()
 }

@@ -383,7 +383,7 @@ impl SloAnalysis {
         let per_class = per_class_from_trace(trace);
 
         // K slowest completed requests, slowest first (ties by id so the
-        // table is deterministic).
+        // table is deterministic). Only these K render their span trees.
         let mut completed: Vec<&crate::trace::RequestTrace> =
             trace.requests.iter().filter(|r| r.outcome.is_completed()).collect();
         completed.sort_by(|a, b| b.latency_ns().total_cmp(&a.latency_ns()).then(a.id.cmp(&b.id)));
@@ -392,7 +392,7 @@ impl SloAnalysis {
             .take(k)
             .map(|r| {
                 let mut cats = BTreeMap::new();
-                r.span.accumulate_categories(&mut cats);
+                trace.request_span(r).accumulate_categories(&mut cats);
                 cats.remove("request");
                 Exemplar {
                     id: r.id,
@@ -506,22 +506,44 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    use crate::model::InvocationPhases;
     use crate::request::ModelKind;
-    use crate::trace::RequestTrace;
-    use star_telemetry::Span;
+    use crate::trace::{BatchTrace, RequestTrace};
 
+    /// One request per `(finish, outcome)`, each 1 µs long unless
+    /// rejected; a completed one runs alone in a 1 µs batch of pure
+    /// overhead, dispatched on arrival.
     fn synthetic_trace(outcomes: &[(f64, RequestOutcome)]) -> ServeTrace {
         let class = RequestClass::new(ModelKind::Tiny, 16);
         let mut trace = ServeTrace::new(1, 1e6);
         for (i, &(finish_ns, outcome)) in outcomes.iter().enumerate() {
             let dur = if outcome == RequestOutcome::Rejected { 0.0 } else { 1000.0 };
+            let completed = outcome.is_completed();
+            if completed {
+                trace.batches.push(BatchTrace {
+                    instance: 0,
+                    class,
+                    size: 1,
+                    dispatch_ns: finish_ns - dur,
+                    dur_ns: dur,
+                    phases: InvocationPhases {
+                        overhead_ns: dur,
+                        projection_ns: 0.0,
+                        qk_fill_ns: 0.0,
+                        softmax_stream_ns: 0.0,
+                        av_drain_ns: 0.0,
+                    },
+                });
+            }
             trace.requests.push(RequestTrace {
                 id: i as u64,
                 class,
                 outcome,
-                batch_size: usize::from(outcome.is_completed()),
-                instance: outcome.is_completed().then_some(0),
-                span: Span::leaf(format!("req{i}"), "request", finish_ns - dur, dur),
+                batch_size: usize::from(completed),
+                instance: completed.then_some(0),
+                arrive_ns: finish_ns - dur,
+                latency_ns: dur,
+                batch: completed.then(|| trace.batches.len() - 1),
             });
             trace.makespan_ns = trace.makespan_ns.max(finish_ns);
         }

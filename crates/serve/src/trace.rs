@@ -1,21 +1,36 @@
-//! Request-lifecycle tracing: span trees per request, invocation spans
-//! per batch, and a queue-depth / busy-instance timeseries sampler —
-//! everything the SLO monitor and the Perfetto export consume.
+//! Request-lifecycle tracing: one fixed-size record per request and per
+//! batch, span trees rendered from those records when they are read,
+//! and a queue-depth / busy-instance timeseries sampler — everything the
+//! SLO monitor and the Perfetto export consume.
 //!
 //! # Span model
 //!
-//! Every simulated request owns exactly one root [`Span`] (category
-//! `"request"`) covering arrival → terminal event:
+//! The event loop pushes one [`RequestTrace`] per terminal event and one
+//! [`BatchTrace`] per finished batch. Both are `Copy` records of the
+//! event-time operands (`arrive`, `terminal − arrive`, `dispatch`,
+//! `finish − dispatch`) plus the batch's [`InvocationPhases`]; a
+//! completed request holds the index of its batch. Span trees exist only
+//! while something reads them — the sidecar writer,
+//! [`ServeTrace::to_chrome`], [`ServeTrace::validate`] and the SLO
+//! exemplars — and [`ServeTrace::request_span`] and [`BatchTrace::span`]
+//! are the only code that knows their shape.
+//!
+//! Every request renders to exactly one root [`Span`] (category
+//! `"request"`, named `req{id} {class}`) covering arrival → terminal
+//! event:
 //!
 //! - **good / late** completions get a `"queue"` child (arrival →
-//!   dispatch) and an `"invocation"` child (dispatch → finish) whose
-//!   grandchildren are the five sequential hardware phases of
-//!   [`InvocationPhases`] (`overhead`, `projection`, `qk_fill`,
-//!   `softmax_stream`, `av_drain`);
+//!   dispatch) and an `"invoke"` child (dispatch → finish): their batch's
+//!   `"invocation"` span, whose children are the five sequential hardware
+//!   phases (`overhead`, `projection`, `qk_fill`, `softmax_stream`,
+//!   `av_drain`);
 //! - **expired** requests get a `"queue"` child spanning their whole
 //!   (futile) wait;
-//! - **rejected** requests get a zero-duration root at their arrival
+//! - **rejected** requests get a zero-duration root at their rejection
 //!   instant.
+//!
+//! Every batch renders to that `"invocation"` span, named
+//! `{class} x{size}`, on its instance lane.
 //!
 //! Conservation therefore holds by construction: the number of root
 //! spans equals the number of arrivals, and every admitted request's
@@ -23,9 +38,15 @@
 //!
 //! # Determinism
 //!
-//! Spans are plain data appended by the totally ordered event loop —
-//! never a live enter/exit API — so the serialized trace is a pure
-//! function of the [`crate::ServeConfig`]. The CI byte-diff legs rerun
+//! Records are plain data appended by the totally ordered event loop —
+//! never a live enter/exit API — and the renderer repeats the f64
+//! operations that building each span in the event loop would (the
+//! queue child's `dispatch − arrive`, the phases laid end to end from
+//! dispatch), so the serialized trace is a pure function of the
+//! [`crate::ServeConfig`]. Reading a sidecar back inverts the rendering:
+//! [`ServeTrace::from_object_json`] rebuilds each record from its spans
+//! and rejects the file, naming the request or batch, when a span does
+//! not re-render to the same bits. The CI byte-diff legs rerun
 //! `star_cli serve --trace` under different `STAR_EXEC_THREADS` values
 //! and `diff` the files.
 //!
@@ -48,6 +69,7 @@ use crate::request::RequestClass;
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 use star_telemetry::{ChromeTrace, Span};
+use std::collections::HashMap;
 
 /// Top-level JSON key under which [`ServeTrace::to_object_json`] embeds
 /// the machine-readable trace next to `traceEvents`.
@@ -89,8 +111,10 @@ impl RequestOutcome {
     }
 }
 
-/// One request's closed lifecycle: outcome plus its span tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One request's closed lifecycle as a fixed-size record. Its span tree
+/// is rendered from the record when something reads it
+/// ([`ServeTrace::request_span`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestTrace {
     /// Request id (arrival order).
     pub id: u64,
@@ -102,24 +126,31 @@ pub struct RequestTrace {
     pub batch_size: usize,
     /// Instance that executed it (`None` unless completed).
     pub instance: Option<usize>,
-    /// Root span (category `"request"`), arrival → terminal event.
-    pub span: Span,
+    /// Arrival time, ns; a rejected request's is its rejection event's
+    /// time.
+    pub arrive_ns: f64,
+    /// The event loop's `terminal − arrive`, ns (0 for a rejected
+    /// request).
+    pub latency_ns: f64,
+    /// Index into [`ServeTrace::batches`] of the batch it executed in
+    /// (`None` unless completed).
+    pub batch: Option<usize>,
 }
 
 impl RequestTrace {
     /// Arrival → terminal-event duration, ns.
     pub fn latency_ns(&self) -> f64 {
-        self.span.dur_ns
+        self.latency_ns
     }
 
-    /// Terminal-event time, ns.
+    /// Terminal-event time, ns: the end of the request's root span.
     pub fn finish_ns(&self) -> f64 {
-        self.span.end_ns()
+        self.arrive_ns + self.latency_ns
     }
 }
 
-/// One batched invocation's span tree on its instance lane.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One batched invocation on its instance lane, as a fixed-size record.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchTrace {
     /// Instance that ran the batch.
     pub instance: usize,
@@ -127,8 +158,39 @@ pub struct BatchTrace {
     pub class: RequestClass,
     /// Number of member requests.
     pub size: usize,
-    /// Root span (category `"invocation"`) with the five phase children.
-    pub span: Span,
+    /// Dispatch time, ns.
+    pub dispatch_ns: f64,
+    /// The event loop's `finish − dispatch`, ns.
+    pub dur_ns: f64,
+    /// The five hardware phases the invocation splits into.
+    pub phases: InvocationPhases,
+}
+
+impl BatchTrace {
+    /// The batch's span (category `"invocation"`, named
+    /// `{class} x{size}`) with its five phase children.
+    pub fn span(&self) -> Span {
+        self.invocation(format!("{} x{}", self.class, self.size))
+    }
+
+    /// The `"invocation"` span under `name` — the batch's own span, or
+    /// a member request's `"invoke"` child — covering dispatch →
+    /// finish, whose children are the five sequential hardware phases
+    /// placed back to back from dispatch.
+    ///
+    /// `dur_ns` is the event loop's measured interval; the phase
+    /// durations sum to the service model's latency, which equals it up
+    /// to one ulp — inside [`star_telemetry::SPAN_EPS_NS`], so
+    /// [`Span::validate`] accepts the tree.
+    fn invocation(&self, name: impl Into<String>) -> Span {
+        let mut root = Span::leaf(name, "invocation", self.dispatch_ns, self.dur_ns);
+        let mut t = self.dispatch_ns;
+        for (cat, dur) in self.phases.as_categories() {
+            root.push_child(Span::leaf(cat, cat, t, dur));
+            t += dur;
+        }
+        root
+    }
 }
 
 /// One sample of system state, taken after every event.
@@ -143,7 +205,11 @@ pub struct SystemSample {
 }
 
 /// Everything one traced simulation emits.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// It serializes in the span-tree form described in the module docs,
+/// rendering each span as it is written, and deserializes only a file
+/// whose every span re-renders from its record to the same bits.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeTrace {
     /// Fleet size (number of instance lanes).
     pub fleet: usize,
@@ -166,29 +232,6 @@ pub struct ServeTrace {
     pub health: Vec<FleetHealthSample>,
 }
 
-/// Builds an `"invocation"` span covering `[start_ns, start_ns + dur_ns)`
-/// whose children are the five sequential hardware phases of `phases`,
-/// placed back-to-back from `start_ns`.
-///
-/// `dur_ns` is the event-loop's measured interval (finish − dispatch);
-/// the phase durations sum to the service model's latency, which equals
-/// it up to one ulp — inside [`star_telemetry::SPAN_EPS_NS`], so
-/// [`Span::validate`] accepts the tree.
-pub fn invocation_span(
-    name: impl Into<String>,
-    start_ns: f64,
-    dur_ns: f64,
-    phases: &InvocationPhases,
-) -> Span {
-    let mut root = Span::leaf(name, "invocation", start_ns, dur_ns);
-    let mut t = start_ns;
-    for (cat, dur) in phases.as_categories() {
-        root.push_child(Span::leaf(cat, cat, t, dur));
-        t += dur;
-    }
-    root
-}
-
 impl ServeTrace {
     /// A new, empty trace for a `fleet`-instance run under `deadline_ns`.
     pub fn new(fleet: usize, deadline_ns: f64) -> Self {
@@ -208,6 +251,36 @@ impl ServeTrace {
         self.requests.iter().filter(|r| r.outcome == outcome).count() as u64
     }
 
+    /// Renders `r`'s span tree (category `"request"`, named
+    /// `req{id} {class}`), arrival → terminal event, with the children
+    /// the module docs list for its outcome.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` completed but does not index one of
+    /// [`ServeTrace::batches`].
+    pub fn request_span(&self, r: &RequestTrace) -> Span {
+        let root =
+            Span::leaf(format!("req{} {}", r.id, r.class), "request", r.arrive_ns, r.latency_ns);
+        match r.outcome {
+            RequestOutcome::Rejected => root,
+            // The whole (futile) lifetime was spent queued.
+            RequestOutcome::Expired => {
+                root.with_child(Span::leaf("queue", "queue", r.arrive_ns, r.latency_ns))
+            }
+            RequestOutcome::Good | RequestOutcome::Late => {
+                let b = &self.batches[r.batch.expect("a completed request records its batch")];
+                root.with_child(Span::leaf(
+                    "queue",
+                    "queue",
+                    r.arrive_ns,
+                    b.dispatch_ns - r.arrive_ns,
+                ))
+                .with_child(b.invocation("invoke"))
+            }
+        }
+    }
+
     /// Validates every span tree in the trace (see [`Span::validate`]).
     ///
     /// # Errors
@@ -215,10 +288,10 @@ impl ServeTrace {
     /// Returns the first invariant violation found.
     pub fn validate(&self) -> Result<(), String> {
         for r in &self.requests {
-            r.span.validate().map_err(|e| format!("request {}: {e}", r.id))?;
+            self.request_span(r).validate().map_err(|e| format!("request {}: {e}", r.id))?;
         }
         for (i, b) in self.batches.iter().enumerate() {
-            b.span.validate().map_err(|e| format!("batch {i}: {e}"))?;
+            b.span().validate().map_err(|e| format!("batch {i}: {e}"))?;
         }
         Ok(())
     }
@@ -233,7 +306,7 @@ impl ServeTrace {
             t.name_process(100 + i as u64, format!("instance {i}"));
         }
         for r in &self.requests {
-            r.span.emit_chrome(
+            self.request_span(r).emit_chrome(
                 &mut t,
                 1,
                 r.id,
@@ -245,7 +318,7 @@ impl ServeTrace {
             );
         }
         for b in &self.batches {
-            b.span.emit_chrome(
+            b.span().emit_chrome(
                 &mut t,
                 100 + b.instance as u64,
                 0,
@@ -284,14 +357,177 @@ impl ServeTrace {
     ///
     /// # Errors
     ///
-    /// Returns a message when the sidecar key is missing or malformed.
+    /// Returns a message when the sidecar key is missing or malformed,
+    /// or when a request's or batch's span is not the one its record
+    /// renders (the message names it).
     pub fn from_object_json(v: &Value) -> Result<Self, String> {
         let sidecar = v
             .get(TRACE_SIDECAR_KEY)
             .ok_or_else(|| format!("not a serve trace: missing `{TRACE_SIDECAR_KEY}` key"))?;
-        serde_json::from_value(sidecar.clone())
+        ServeTrace::from_content(sidecar)
             .map_err(|e| format!("malformed `{TRACE_SIDECAR_KEY}` sidecar: {e}"))
     }
+}
+
+/// A [`RequestTrace`] as the sidecar stores it: the record's fields and
+/// its rendered span tree.
+#[derive(Serialize, Deserialize)]
+struct WireRequest {
+    id: u64,
+    class: RequestClass,
+    outcome: RequestOutcome,
+    batch_size: usize,
+    instance: Option<usize>,
+    span: Span,
+}
+
+/// A [`BatchTrace`] as the sidecar stores it.
+#[derive(Serialize, Deserialize)]
+struct WireBatch {
+    instance: usize,
+    class: RequestClass,
+    size: usize,
+    span: Span,
+}
+
+/// The sidecar as it is read, before its spans become records.
+#[derive(Deserialize)]
+struct WireTrace {
+    fleet: usize,
+    deadline_ns: f64,
+    makespan_ns: f64,
+    requests: Vec<WireRequest>,
+    batches: Vec<WireBatch>,
+    samples: Vec<SystemSample>,
+    health: Vec<FleetHealthSample>,
+}
+
+impl Serialize for ServeTrace {
+    fn to_content(&self) -> Value {
+        let requests = self.requests.iter().map(|r| {
+            WireRequest {
+                id: r.id,
+                class: r.class,
+                outcome: r.outcome,
+                batch_size: r.batch_size,
+                instance: r.instance,
+                span: self.request_span(r),
+            }
+            .to_content()
+        });
+        let batches = self.batches.iter().map(|b| {
+            WireBatch { instance: b.instance, class: b.class, size: b.size, span: b.span() }
+                .to_content()
+        });
+        Value::Map(vec![
+            ("fleet".into(), self.fleet.to_content()),
+            ("deadline_ns".into(), self.deadline_ns.to_content()),
+            ("makespan_ns".into(), self.makespan_ns.to_content()),
+            ("requests".into(), Value::Seq(requests.collect())),
+            ("batches".into(), Value::Seq(batches.collect())),
+            ("samples".into(), self.samples.to_content()),
+            ("health".into(), self.health.to_content()),
+        ])
+    }
+}
+
+impl Deserialize for ServeTrace {
+    fn from_content(content: &Value) -> Result<Self, serde::DeError> {
+        let wire = WireTrace::from_content(content)?;
+        ServeTrace::from_wire(wire).map_err(serde::DeError::custom)
+    }
+}
+
+impl ServeTrace {
+    /// Turns each wire span back into its record and keeps it only if
+    /// the record renders that span to the same bits. A completed request
+    /// finds its batch by instance and dispatch time.
+    fn from_wire(wire: WireTrace) -> Result<Self, String> {
+        let mut trace = ServeTrace {
+            fleet: wire.fleet,
+            deadline_ns: wire.deadline_ns,
+            makespan_ns: wire.makespan_ns,
+            requests: Vec::with_capacity(wire.requests.len()),
+            batches: Vec::with_capacity(wire.batches.len()),
+            samples: wire.samples,
+            health: wire.health,
+        };
+        let mut by_dispatch = HashMap::with_capacity(wire.batches.len());
+        for (i, b) in wire.batches.into_iter().enumerate() {
+            let phases = match b.span.children.as_slice() {
+                [overhead, projection, qk_fill, softmax_stream, av_drain] => InvocationPhases {
+                    overhead_ns: overhead.dur_ns,
+                    projection_ns: projection.dur_ns,
+                    qk_fill_ns: qk_fill.dur_ns,
+                    softmax_stream_ns: softmax_stream.dur_ns,
+                    av_drain_ns: av_drain.dur_ns,
+                },
+                other => return Err(format!("batch {i}: {} phase spans, not 5", other.len())),
+            };
+            let record = BatchTrace {
+                instance: b.instance,
+                class: b.class,
+                size: b.size,
+                dispatch_ns: b.span.start_ns,
+                dur_ns: b.span.dur_ns,
+                phases,
+            };
+            if !same_bits(&record.span(), &b.span) {
+                return Err(format!("batch {i}: its span is not the one its record renders"));
+            }
+            by_dispatch.insert((record.instance, record.dispatch_ns.to_bits()), i);
+            trace.batches.push(record);
+        }
+        for r in wire.requests {
+            let batch = if r.outcome.is_completed() {
+                let dispatch_ns = r.span.children.get(1).map(|invoke| invoke.start_ns);
+                let found = r
+                    .instance
+                    .zip(dispatch_ns)
+                    .and_then(|(inst, t)| by_dispatch.get(&(inst, t.to_bits())).copied())
+                    .filter(|&i| {
+                        (trace.batches[i].class, trace.batches[i].size) == (r.class, r.batch_size)
+                    });
+                Some(found.ok_or_else(|| {
+                    format!(
+                        "request {}: no {} x{} batch on its instance starts where its \
+                         invoke span does",
+                        r.id, r.class, r.batch_size
+                    )
+                })?)
+            } else {
+                None
+            };
+            let record = RequestTrace {
+                id: r.id,
+                class: r.class,
+                outcome: r.outcome,
+                batch_size: r.batch_size,
+                instance: r.instance,
+                arrive_ns: r.span.start_ns,
+                latency_ns: r.span.dur_ns,
+                batch,
+            };
+            if !same_bits(&trace.request_span(&record), &r.span) {
+                return Err(format!(
+                    "request {}: its span is not the one its record renders",
+                    r.id
+                ));
+            }
+            trace.requests.push(record);
+        }
+        Ok(trace)
+    }
+}
+
+/// Whether two span trees are equal down to the bits of every time.
+fn same_bits(a: &Span, b: &Span) -> bool {
+    a.name == b.name
+        && a.cat == b.cat
+        && a.start_ns.to_bits() == b.start_ns.to_bits()
+        && a.dur_ns.to_bits() == b.dur_ns.to_bits()
+        && a.children.len() == b.children.len()
+        && a.children.iter().zip(&b.children).all(|(x, y)| same_bits(x, y))
 }
 
 #[cfg(test)]
@@ -309,7 +545,15 @@ mod tests {
     #[test]
     fn invocation_span_children_are_the_five_phases() {
         let phases = tiny_phases(4);
-        let span = invocation_span("invoke", 1000.0, phases.sum(), &phases);
+        let batch = BatchTrace {
+            instance: 0,
+            class: RequestClass::new(ModelKind::Tiny, 16),
+            size: 4,
+            dispatch_ns: 1000.0,
+            dur_ns: phases.sum(),
+            phases,
+        };
+        let span = batch.span();
         span.validate().expect("valid invocation span");
         assert_eq!(span.children.len(), 5);
         let cats: Vec<&str> = span.children.iter().map(|c| c.cat.as_str()).collect();
@@ -339,23 +583,36 @@ mod tests {
         let class = RequestClass::new(ModelKind::Tiny, 16);
         let mut trace = ServeTrace::new(2, 2e6);
         trace.makespan_ns = 5000.0;
+        trace.batches.push(BatchTrace {
+            instance: 1,
+            class,
+            size: 2,
+            dispatch_ns: 1000.0,
+            dur_ns: 4000.0,
+            phases,
+        });
         trace.requests.push(RequestTrace {
             id: 0,
             class,
             outcome: RequestOutcome::Good,
             batch_size: 2,
             instance: Some(1),
-            span: Span::leaf("req0", "request", 0.0, 5000.0)
-                .with_child(Span::leaf("queue", "queue", 0.0, 1000.0))
-                .with_child(invocation_span("invoke", 1000.0, 4000.0, &phases)),
-        });
-        trace.batches.push(BatchTrace {
-            instance: 1,
-            class,
-            size: 2,
-            span: invocation_span("tiny/seq16 x2", 1000.0, 4000.0, &phases),
+            arrive_ns: 0.0,
+            latency_ns: 5000.0,
+            batch: Some(0),
         });
         trace.samples.push(SystemSample { t_ns: 0.0, queued: 1, busy: 0 });
+        // The records render the request's tree: queued until dispatch,
+        // then its batch's invocation span under the name `invoke`.
+        let mut invoke = trace.batches[0].span();
+        assert_eq!(invoke.name, format!("{class} x2"));
+        invoke.name = "invoke".into();
+        assert_eq!(
+            trace.request_span(&trace.requests[0]),
+            Span::leaf(format!("req0 {class}"), "request", 0.0, 5000.0)
+                .with_child(Span::leaf("queue", "queue", 0.0, 1000.0))
+                .with_child(invoke)
+        );
         let obj = trace.to_object_json();
         assert!(obj.get("traceEvents").is_some(), "Perfetto needs traceEvents");
         let back = ServeTrace::from_object_json(&obj).expect("round trip");

@@ -1,6 +1,7 @@
 //! Integration tests for the serving trace: span-tree structural
-//! invariants, request conservation, latency reconciliation, and
-//! byte-determinism of the serialized trace.
+//! invariants, request conservation, latency reconciliation,
+//! byte-determinism of the serialized trace, and the sidecar reader's
+//! round trip. Every span is read through the trace's renderer.
 
 use star_serve::{
     simulate, simulate_profiled, simulate_profiled_with, simulate_traced,
@@ -74,22 +75,30 @@ fn span_durations_reconcile_with_lifecycle_records() {
             .find(|t| t.id == rec.id)
             .expect("every completed record has a span tree");
         assert!(t.outcome.is_completed());
+        let span = trace.request_span(t);
         // Root span == end-to-end latency, bit for bit (both are the
         // same event-time subtraction).
-        assert_eq!(t.span.start_ns, rec.arrive_ns);
-        assert_eq!(t.span.dur_ns, rec.latency_ns());
+        assert_eq!(span.start_ns, rec.arrive_ns);
+        assert_eq!(span.dur_ns, rec.latency_ns());
+        assert_eq!(span.end_ns(), t.finish_ns());
         // The lifecycle children tile the root: queue then invocation.
-        let queue = t.span.find("queue").expect("queue child");
-        let invoke = t.span.find("invocation").expect("invocation child");
+        let queue = span.find("queue").expect("queue child");
+        let invoke = span.find("invocation").expect("invocation child");
         assert_eq!(queue.dur_ns, rec.queue_ns());
         assert!((invoke.start_ns - rec.dispatch_ns).abs() <= SPAN_EPS_NS);
         assert!((invoke.end_ns() - rec.finish_ns).abs() <= SPAN_EPS_NS);
-        let child_sum: f64 = t.span.children.iter().map(|c| c.dur_ns).sum();
-        assert!((child_sum - t.span.dur_ns).abs() <= SPAN_EPS_NS);
+        let child_sum: f64 = span.children.iter().map(|c| c.dur_ns).sum();
+        assert!((child_sum - span.dur_ns).abs() <= SPAN_EPS_NS);
         // The five hardware phases tile the invocation.
         assert_eq!(invoke.children.len(), 5);
         let phase_sum: f64 = invoke.children.iter().map(|c| c.dur_ns).sum();
         assert!((phase_sum - invoke.dur_ns).abs() <= SPAN_EPS_NS);
+        // The invocation is the request's batch's own span, renamed.
+        let batch = &trace.batches[t.batch.expect("completed requests index their batch")];
+        assert_eq!((batch.instance, batch.size), (rec.instance, rec.batch_size));
+        let mut batch_span = batch.span();
+        batch_span.name = "invoke".into();
+        assert_eq!(*invoke, batch_span);
     }
 }
 
@@ -143,7 +152,9 @@ fn health_trace_round_trips_byte_identical() {
     // With the health monitor enabled, the serialized trace (now
     // carrying the fleet-health timeseries) must parse back and re-emit
     // to the *same bytes* — the invariant the CI legs additionally diff
-    // across STAR_EXEC_THREADS={1,8} processes.
+    // across STAR_EXEC_THREADS={1,8} processes. Parsing rebuilds every
+    // request and batch record from its spans, and emitting renders the
+    // spans from those records again.
     let cfg = stress_config();
     let outcome = simulate_traced_monitored(&cfg, &HealthConfig::default());
     let trace = outcome.trace.expect("trace requested");

@@ -1483,6 +1483,70 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// The `key` entry of a JSON map, for editing.
+    fn entry<'a>(v: &'a mut serde_json::Value, key: &str) -> &'a mut serde_json::Value {
+        match v {
+            serde_json::Value::Map(entries) => {
+                &mut entries.iter_mut().find(|(k, _)| k == key).expect("key present").1
+            }
+            other => panic!("expected a map holding `{key}`, got {other:?}"),
+        }
+    }
+
+    /// Element `i` of a JSON array, for editing.
+    fn element(v: &mut serde_json::Value, i: usize) -> &mut serde_json::Value {
+        match v {
+            serde_json::Value::Seq(items) => &mut items[i],
+            other => panic!("expected an array, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn trace_analyze_rejects_spans_no_record_renders() {
+        use serde_json::Value;
+        use star::serve::{ServeTrace, TRACE_SIDECAR_KEY};
+        let path =
+            std::env::temp_dir().join(format!("star_cli_tamper_{}.json", std::process::id()));
+        let path_str = path.to_str().expect("utf8 temp path").to_string();
+        cmd_serve(&["8000".into(), "1".into(), format!("--trace={path_str}")])
+            .expect("serve --trace");
+        let text = std::fs::read_to_string(&path).expect("trace written");
+        let dump: Value = serde_json::from_str(&text).expect("valid JSON");
+        let trace = ServeTrace::from_object_json(&dump).expect("the written dump reads back");
+        assert!(trace.requests[0].outcome.is_completed());
+        // Each edit leaves a span the trace's records could not have
+        // rendered; both readers must refuse it and name the request.
+        type Edit = fn(&mut Value);
+        let shift_invoke: Edit = |span| {
+            let start = entry(element(entry(span, "children"), 1), "start_ns");
+            *start = Value::F64(start.as_f64().expect("number") + 1.0);
+        };
+        let lengthen_phase: Edit = |span| {
+            let invoke = element(entry(span, "children"), 1);
+            let dur = entry(element(entry(invoke, "children"), 2), "dur_ns");
+            *dur = Value::F64(dur.as_f64().expect("number") + 1.0);
+        };
+        let rename_root: Edit = |span| *entry(span, "name") = Value::Str("renamed".into());
+        let last = trace.requests.len() - 1;
+        for (what, index, edit) in [
+            ("invoke start shifted by 1 ns", 0, shift_invoke),
+            ("projection phase 1 ns longer", 0, lengthen_phase),
+            ("root span renamed", last, rename_root),
+        ] {
+            let mut bad = dump.clone();
+            let requests = entry(entry(&mut bad, TRACE_SIDECAR_KEY), "requests");
+            edit(entry(element(requests, index), "span"));
+            let id = format!("request {}:", trace.requests[index].id);
+            let err = ServeTrace::from_object_json(&bad).expect_err(what);
+            assert!(err.contains(&id), "{what}: {err}");
+            std::fs::write(&path, serde_json::to_string(&bad).expect("serialize"))
+                .expect("write tampered dump");
+            let err = cmd_trace_analyze(std::slice::from_ref(&path_str)).expect_err(what);
+            assert!(err.contains(&id), "{what}: {err}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn serve_flight_dump_round_trips_through_both_analyzers() {
         // The 80k rps single-instance point saturates the queue, so the

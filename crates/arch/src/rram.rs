@@ -193,11 +193,6 @@ impl RramAccelerator {
         a
     }
 
-    /// The pipeline mode in use.
-    pub fn pipeline_mode(&self) -> PipelineMode {
-        self.pipeline
-    }
-
     /// The MatMul engine model.
     pub fn matmul_engine(&self) -> &MatMulEngine {
         &self.matmul

@@ -87,7 +87,7 @@ pub fn multi_head_attention<S: RowSoftmax + ?Sized>(
 }
 
 /// Checks that `q`, `k`, `v` are all `config.seq_len × config.d_model`.
-pub(crate) fn validate_mha_inputs(
+fn validate_mha_inputs(
     config: &AttentionConfig,
     q: &Matrix,
     k: &Matrix,
@@ -103,19 +103,14 @@ pub(crate) fn validate_mha_inputs(
 }
 
 /// The contiguous `d_head`-column slice of head `h`.
-pub(crate) fn head_slice(config: &AttentionConfig, m: &Matrix, h: usize) -> Matrix {
+fn head_slice(config: &AttentionConfig, m: &Matrix, h: usize) -> Matrix {
     let d_head = config.d_head();
     Matrix::from_fn(config.seq_len, d_head, |r, c| m.get(r, h * d_head + c))
 }
 
 /// Concatenates per-head outputs back into the `seq_len × d_model` context
 /// and the stacked `(heads · seq_len) × seq_len` score/prob matrices.
-/// Purely positional, so the result is identical whether the head outputs
-/// were produced serially or in parallel.
-pub(crate) fn assemble_heads(
-    config: &AttentionConfig,
-    heads: &[AttentionOutput],
-) -> AttentionOutput {
+fn assemble_heads(config: &AttentionConfig, heads: &[AttentionOutput]) -> AttentionOutput {
     let d_head = config.d_head();
     let n = config.seq_len;
     let mut context = Matrix::zeros(n, config.d_model);

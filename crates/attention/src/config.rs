@@ -77,11 +77,6 @@ impl AttentionConfig {
         self.d_model / self.num_heads
     }
 
-    /// The score scaling factor `1/√d_head`.
-    pub fn score_scale(&self) -> f64 {
-        1.0 / (self.d_head() as f64).sqrt()
-    }
-
     /// Operation counts for one attention block at this configuration.
     pub fn attention_ops(&self) -> OpCounts {
         let n = self.seq_len as u64;
@@ -158,7 +153,6 @@ mod tests {
         let c = AttentionConfig::bert_base(512);
         assert_eq!(c.d_model, 768);
         assert_eq!(c.d_head(), 64);
-        assert!((c.score_scale() - 0.125).abs() < 1e-12);
     }
 
     #[test]

@@ -32,23 +32,12 @@
 
 mod attention;
 mod config;
-mod mask;
 mod matrix;
 mod metrics;
-mod parallel;
-mod quantized;
 mod softmax_fn;
-mod transformer;
 
 pub use attention::{multi_head_attention, scaled_dot_attention, AttentionOutput};
 pub use config::{AttentionConfig, OpCounts};
-pub use mask::{masked_attention, AttentionMask};
 pub use matrix::{Matrix, ShapeError};
 pub use metrics::{argmax, cosine_similarity, kl_divergence, AccuracyReport};
-pub use parallel::{multi_head_attention_par, softmax_rows_par};
-pub use quantized::{quantize_matrix, quantized_attention};
 pub use softmax_fn::{softmax_rows, ExactF32Softmax, ExactSoftmax, RowSoftmax};
-pub use transformer::{
-    encoder_layer, encoder_stack, gelu, gelu_matrix, layer_norm, EncoderLayerOutput,
-    EncoderLayerParams,
-};

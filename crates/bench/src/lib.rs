@@ -15,7 +15,7 @@
 #![warn(missing_docs)]
 
 use serde::Serialize;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 mod ablations;
 mod fixtures;
@@ -205,11 +205,6 @@ pub fn write_telemetry_sidecar(name: &str) -> std::io::Result<PathBuf> {
     write_json(&format!("{name}.telemetry"), &sidecar)
 }
 
-/// Asserts `path` exists after a write (used by the harness self-tests).
-pub fn assert_written(path: &Path) {
-    assert!(path.exists(), "result file {} missing", path.display());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,7 +213,7 @@ mod tests {
     fn every_experiment_has_a_binary_and_every_binary_an_experiment() {
         // A wrapper with no entry fails only when someone runs it; an
         // entry with no wrapper is invisible to per-binary runs.
-        let bins = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        let bins = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
         for e in EXPERIMENTS {
             assert!(bins.join(format!("{}.rs", e.name)).is_file(), "no src/bin/{}.rs", e.name);
         }
@@ -290,7 +285,6 @@ mod tests {
         let ((), _) = star_telemetry::with_scoped(|| {
             star_telemetry::count("bench.test.events", 7);
             let path = write_telemetry_sidecar("unit_sidecar").expect("sidecar");
-            assert_written(&path);
             let body = std::fs::read_to_string(&path).expect("read");
             assert!(body.contains("bench.test.events"), "{body}");
             assert!(body.contains("makespan_ns"));
@@ -309,7 +303,6 @@ mod tests {
         let dir = std::env::temp_dir().join("star-bench-test");
         std::env::set_var("STAR_RESULTS_DIR", &dir);
         let path = write_json("unit_test", &serde_json::json!({"a": 1})).expect("write");
-        assert_written(&path);
         let body = std::fs::read_to_string(&path).expect("read");
         assert!(body.contains("\"a\": 1"));
         std::env::remove_var("STAR_RESULTS_DIR");

@@ -134,6 +134,9 @@ mod tests {
         for o in &outputs[1..] {
             assert_eq!(o, &outputs[0]); // ideal engines are identical
         }
+        // … and equal to a standalone engine of the same configuration.
+        let mut single = StarSoftmax::new(StarSoftmaxConfig::new(QFormat::CNEWS)).expect("valid");
+        assert_eq!(single.softmax_row(&row), outputs[0]);
     }
 
     #[test]

@@ -43,7 +43,6 @@ mod cmos_baseline;
 pub mod design_space;
 mod engine;
 mod event_sim;
-mod function_unit;
 mod pipeline;
 pub mod precision;
 mod schedule;
@@ -55,7 +54,6 @@ pub use bank::EngineBank;
 pub use cmos_baseline::CmosBaselineSoftmax;
 pub use engine::{fixed_divide, RowSoftmax, SoftmaxEngine};
 pub use event_sim::{simulate_pipeline, RowDurations, RowTimeline, SimResult};
-pub use function_unit::LutFunctionUnit;
 pub use pipeline::{attention_pipeline_latency, PipelineMode, PipelineReport, RowStageLatency};
 pub use schedule::{EnginePhase, RowSchedule, ScheduledOp};
 pub use softermax::Softermax;

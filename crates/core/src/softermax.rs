@@ -83,11 +83,6 @@ impl Softermax {
         self.lanes
     }
 
-    /// The input fixed-point format.
-    pub fn input_format(&self) -> QFormat {
-        self.format
-    }
-
     /// `2^y` for a non-positive fixed-point exponent, as the hardware
     /// computes it: LUT on the fractional part, barrel shift by the
     /// integer part. Returns a code in `exp2_bits` precision.
@@ -285,7 +280,6 @@ mod tests {
     fn reports_format() {
         let soft = Softermax::new(QFormat::COLA, 2);
         assert_eq!(SoftmaxEngine::format(&soft), Some(QFormat::COLA));
-        assert_eq!(soft.input_format(), QFormat::COLA);
         assert_eq!(soft.lanes(), 2);
     }
 }

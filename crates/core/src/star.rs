@@ -162,12 +162,6 @@ impl StarSoftmaxConfig {
         self.seed = seed;
         self
     }
-
-    /// Enables an ADC readout on the summation VMM.
-    pub fn with_vmm_adc(mut self, adc: AdcSpec) -> Self {
-        self.vmm_adc = Some(adc);
-        self
-    }
 }
 
 /// The crossbar shapes of a built engine (the paper's §III sizing facts).
@@ -331,15 +325,6 @@ impl StarSoftmax {
     /// Quantizes a raw score into the engine's input format.
     pub fn quantize(&self, score: f64) -> Fixed {
         Fixed::from_f64(score, self.config.format, Rounding::Nearest)
-    }
-
-    /// Softmaxes every row of a score matrix through the engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any row exceeds the configured maximum length.
-    pub fn softmax_matrix(&mut self, scores: &star_attention::Matrix) -> star_attention::Matrix {
-        star_attention::softmax_rows(self, scores)
     }
 
     /// Total *measured* dynamic energy recorded by the array ledgers since
@@ -694,7 +679,7 @@ mod tests {
         let mut e = engine(QFormat::MRPC);
         let m =
             star_attention::Matrix::from_fn(4, 8, |r, c| ((r * 8 + c) as f64 * 0.41).sin() * 6.0);
-        let p = e.softmax_matrix(&m);
+        let p = star_attention::softmax_rows(&mut e, &m);
         assert_eq!(p.shape(), (4, 8));
         for r in 0..4 {
             let sum: f64 = p.row(r).iter().sum();

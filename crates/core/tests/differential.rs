@@ -249,7 +249,9 @@ fn single_spike_rows_are_one_hot() {
 fn max_negative_rows_saturate_gracefully() {
     // Scores far below the representable range clamp to the format
     // minimum. All-saturated rows become all-equal rows (uniform output);
-    // one in-range score against a saturated floor is a spike.
+    // one in-range score against a saturated floor is a spike. STAR's
+    // exponential code for the floor underflows to 0, so there the floor
+    // gets exactly nothing and the spike exactly everything.
     for (_, format) in paper_points() {
         for c in &mut contenders(format) {
             let name = c.engine.name().to_string();
@@ -266,6 +268,11 @@ fn max_negative_rows_saturate_gracefully() {
             assert_valid_distribution(&name, &spiked, &probs, c.sum_tol);
             assert_eq!(argmax(&probs), 17, "{name}: in-range score lost to saturated floor");
             assert!(probs[17] >= 0.95, "{name}: winner got {}", probs[17]);
+            if name.starts_with("star-rram") {
+                for (i, &p) in probs.iter().enumerate() {
+                    assert_eq!(p, if i == 17 { 1.0 } else { 0.0 }, "{name} {format}: entry {i}");
+                }
+            }
         }
     }
 }

@@ -156,21 +156,6 @@ impl LutCrossbar {
         self.ledger.charge_ops(self.read_cost, n, tally, READS, READ_ENERGY);
     }
 
-    /// Reads the row selected by a one-hot drive vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vector length mismatches or is not exactly one-hot
-    /// (a multi-hot drive would superimpose currents — the engine
-    /// guarantees one-hot via the CAM).
-    pub fn read_one_hot(&mut self, one_hot: &[bool]) -> u64 {
-        assert_eq!(one_hot.len(), self.geometry.rows(), "drive vector length mismatch");
-        let hot: Vec<usize> =
-            one_hot.iter().enumerate().filter(|(_, &h)| h).map(|(i, _)| i).collect();
-        assert_eq!(hot.len(), 1, "LUT drive must be exactly one-hot, got {} hot lines", hot.len());
-        self.read_row(hot[0])
-    }
-
     /// Energy/latency of one row read.
     pub fn read_cost(&self) -> OpCost {
         self.read_cost
@@ -223,22 +208,6 @@ mod tests {
         for r in 0..16 {
             assert_eq!(l.read_row(r), (r as u64 * 273) & 0xFFF, "row {r}");
         }
-    }
-
-    #[test]
-    fn one_hot_read() {
-        let mut l = lut(8, 4);
-        l.store_word(5, 0b1001);
-        let mut drive = vec![false; 8];
-        drive[5] = true;
-        assert_eq!(l.read_one_hot(&drive), 0b1001);
-    }
-
-    #[test]
-    #[should_panic(expected = "exactly one-hot")]
-    fn multi_hot_rejected() {
-        let mut l = lut(4, 4);
-        l.read_one_hot(&[true, false, true, false]);
     }
 
     #[test]

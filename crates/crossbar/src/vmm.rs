@@ -255,11 +255,6 @@ impl VmmCrossbar {
         Geometry::new(self.rows, self.cols * self.slices)
     }
 
-    /// Logical matrix shape (inputs × outputs).
-    pub fn logical_shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
     /// Weight resolution in bits.
     pub fn weight_bits(&self) -> u8 {
         self.weight_bits

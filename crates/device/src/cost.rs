@@ -132,19 +132,9 @@ impl Area {
     pub fn as_mm2(self) -> f64 {
         self.0 * 1e-6
     }
-
-    /// Creates an area from mm².
-    pub fn from_mm2(mm2: f64) -> Self {
-        Area::new(mm2 * 1e6)
-    }
 }
 
 impl Energy {
-    /// Converts to nJ for reporting.
-    pub fn as_nj(self) -> f64 {
-        self.0 * 1e-3
-    }
-
     /// Creates an energy from fJ.
     pub fn from_fj(fj: f64) -> Self {
         Energy::new(fj * 1e-3)
@@ -160,11 +150,6 @@ impl Latency {
     /// Converts to seconds for reporting.
     pub fn as_seconds(self) -> f64 {
         self.0 * 1e-9
-    }
-
-    /// Creates a latency from µs.
-    pub fn from_us(us: f64) -> Self {
-        Latency::new(us * 1e3)
     }
 
     /// Creates a latency from seconds.
@@ -288,11 +273,6 @@ impl CostSheet {
         self.items.iter().max_by(|a, b| a.area.partial_cmp(&b.area).expect("finite"))
     }
 
-    /// The item with the largest power, if any.
-    pub fn dominant_by_power(&self) -> Option<&CostItem> {
-        self.items.iter().max_by(|a, b| a.power.partial_cmp(&b.power).expect("finite"))
-    }
-
     /// Area ratio `self / baseline` (the Table-I normalization).
     ///
     /// # Panics
@@ -372,10 +352,8 @@ mod tests {
 
     #[test]
     fn conversions() {
-        assert_eq!(Area::from_mm2(1.5).value(), 1.5e6);
         assert!((Area::new(2e6).as_mm2() - 2.0).abs() < 1e-12);
         assert_eq!(Energy::from_fj(1000.0).value(), 1.0);
-        assert_eq!(Latency::from_us(2.0).value(), 2000.0);
         assert_eq!(Latency::from_seconds(1e-6).value(), 1000.0);
         assert!((Latency::new(1000.0).as_seconds() - 1e-6).abs() < 1e-18);
         assert_eq!(Power::from_watts(0.28).value(), 280.0);
@@ -398,7 +376,6 @@ mod tests {
         assert_eq!(ours.area_ratio_to(&base), 0.06);
         assert_eq!(ours.power_ratio_to(&base), 0.05);
         assert_eq!(base.dominant_by_area().unwrap().name, "exp unit");
-        assert_eq!(base.dominant_by_power().unwrap().name, "exp unit");
     }
 
     #[test]

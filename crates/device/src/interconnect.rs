@@ -9,7 +9,7 @@
 //! assembles those from per-component constants so the accelerator models'
 //! shared background-power figure is *derived* rather than asserted.
 
-use crate::cost::{Area, Energy, Power};
+use crate::cost::{Energy, Power};
 use serde::{Deserialize, Serialize};
 
 /// On-chip interconnect (H-tree / shared bus) energy model.
@@ -98,11 +98,6 @@ impl ChipInfrastructure {
             + self.interconnect.power_at_bandwidth(self.sustained_bandwidth)
             + self.array_leakage
     }
-
-    /// Approximate silicon area of the buffers (400 µm²/KiB SRAM-equivalent).
-    pub fn buffer_area(&self) -> Area {
-        Area::new(self.buffer_mib * 1024.0 * 400.0)
-    }
 }
 
 impl Default for ChipInfrastructure {
@@ -148,7 +143,6 @@ mod tests {
         let chip = ChipInfrastructure::isaac_class();
         let buffers = (chip.buffer_power_per_mib * chip.buffer_mib).as_watts();
         assert!(buffers > chip.background_power().as_watts() * 0.5);
-        assert!(chip.buffer_area().as_mm2() > 10.0);
     }
 
     #[test]

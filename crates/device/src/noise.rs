@@ -36,9 +36,9 @@ pub enum StuckFault {
 /// use star_device::NoiseModel;
 ///
 /// let ideal = NoiseModel::ideal();
-/// assert!(ideal.is_ideal());
+/// assert_eq!(ideal, NoiseModel::new(0.0, 0.0, 0.0, 0.0));
 /// let noisy = NoiseModel::new(0.05, 0.02, 1e-4, 1e-4);
-/// assert!(!noisy.is_ideal());
+/// assert_ne!(noisy, ideal);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NoiseModel {
@@ -82,14 +82,6 @@ impl NoiseModel {
     /// spread, 1 % read noise, 10⁻⁴ stuck cells of each polarity.
     pub fn typical() -> Self {
         NoiseModel::new(0.03, 0.01, 1e-4, 1e-4)
-    }
-
-    /// True when every knob is zero.
-    pub fn is_ideal(&self) -> bool {
-        self.program_sigma == 0.0
-            && self.read_sigma == 0.0
-            && self.stuck_on_rate == 0.0
-            && self.stuck_off_rate == 0.0
     }
 
     /// Applies programming variation to a target conductance.
@@ -166,7 +158,6 @@ mod tests {
         assert_eq!(m.program(1e-5, &mut r), 1e-5);
         assert_eq!(m.read(0.4, &mut r), 0.4);
         assert_eq!(m.sample_fault(&mut r), StuckFault::None);
-        assert!(m.is_ideal());
     }
 
     #[test]

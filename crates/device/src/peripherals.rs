@@ -72,11 +72,6 @@ impl BlockSpec {
         self.energy_per_op * n as f64
     }
 
-    /// Latency of `n` back-to-back operations.
-    pub fn latency_for_ops(self, n: u64) -> Latency {
-        self.latency_per_op * n as f64
-    }
-
     /// Average power at a given activity factor (operations per possible
     /// cycle, in `[0, 1]`): dynamic power at full duty scaled by activity,
     /// plus leakage.
@@ -352,7 +347,6 @@ mod tests {
     fn energy_for_ops_linear() {
         let b = PeripheralLibrary::int_adder(8);
         assert!((b.energy_for_ops(100).value() - 100.0 * b.energy_per_op().value()).abs() < 1e-12);
-        assert_eq!(b.latency_for_ops(3).value(), 3.0);
     }
 
     #[test]

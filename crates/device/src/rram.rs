@@ -1,6 +1,5 @@
 //! RRAM cell model.
 
-use crate::cost::Energy;
 use crate::noise::{NoiseModel, StuckFault};
 use crate::tech::TechnologyParams;
 use rand::Rng;
@@ -113,27 +112,9 @@ impl RramCell {
         }
     }
 
-    /// Current (A) through the cell when `voltage` (V) is applied, with read
-    /// noise from the model.
-    pub fn read_current<R: Rng + ?Sized>(
-        &self,
-        voltage: f64,
-        noise: &NoiseModel,
-        rng: &mut R,
-    ) -> f64 {
-        star_telemetry::count("device.rram.reads", 1);
-        noise.read(self.conductance() * voltage, rng)
-    }
-
     /// Ideal (noiseless) current through the cell at `voltage`.
     pub fn ideal_current(&self, voltage: f64) -> f64 {
         self.conductance() * voltage
-    }
-
-    /// Read energy of this cell for one crossbar cycle at the technology's
-    /// read voltage.
-    pub fn read_energy(&self, tech: &TechnologyParams) -> Energy {
-        tech.cell_read_energy(self.conductance())
     }
 
     /// True if the cell currently stores a "1" (top half of the window) —
@@ -234,6 +215,7 @@ mod tests {
         let mut hi = RramCell::new(2, &t);
         hi.program_ideal(1);
         let lo = RramCell::new(2, &t);
-        assert!(hi.read_energy(&t).value() > lo.read_energy(&t).value());
+        let energy = |c: &RramCell| t.cell_read_energy(c.conductance()).value();
+        assert!(energy(&hi) > energy(&lo));
     }
 }

@@ -1,4 +1,4 @@
-//! Error types for fixed-point construction and quantization.
+//! The error type for fixed-point format construction.
 
 use std::error::Error;
 use std::fmt;
@@ -31,40 +31,6 @@ impl fmt::Display for FormatError {
 
 impl Error for FormatError {}
 
-/// Error returned by checked quantization of a floating-point value.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum QuantizeError {
-    /// The input was NaN or infinite.
-    NonFinite {
-        /// The offending input.
-        value: f64,
-    },
-    /// The input falls outside the representable range of the format.
-    OutOfRange {
-        /// The offending input.
-        value: f64,
-        /// Smallest representable value.
-        min: f64,
-        /// Largest representable value.
-        max: f64,
-    },
-}
-
-impl fmt::Display for QuantizeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            QuantizeError::NonFinite { value } => {
-                write!(f, "cannot quantize non-finite value {value}")
-            }
-            QuantizeError::OutOfRange { value, min, max } => {
-                write!(f, "value {value} outside representable range [{min}, {max}]")
-            }
-        }
-    }
-}
-
-impl Error for QuantizeError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,17 +47,8 @@ mod tests {
     }
 
     #[test]
-    fn display_out_of_range() {
-        let err = QuantizeError::OutOfRange { value: 99.0, min: -64.0, max: 63.75 };
-        let s = err.to_string();
-        assert!(s.contains("99"));
-        assert!(s.contains("63.75"));
-    }
-
-    #[test]
     fn errors_are_send_sync() {
         fn assert_traits<T: std::error::Error + Send + Sync + 'static>() {}
         assert_traits::<FormatError>();
-        assert_traits::<QuantizeError>();
     }
 }

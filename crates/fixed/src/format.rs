@@ -140,18 +140,6 @@ impl QFormat {
     pub fn contains(self, value: f64) -> bool {
         value.is_finite() && value >= self.min_value() && value <= self.max_value()
     }
-
-    /// Returns the format obtained by widening each field to at least the
-    /// other's corresponding field — the smallest format that can represent
-    /// every value representable in either `self` or `other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FormatError::TooWide`] if the union exceeds the supported
-    /// width.
-    pub fn union(self, other: QFormat) -> Result<QFormat, FormatError> {
-        QFormat::new(self.int_bits.max(other.int_bits), self.frac_bits.max(other.frac_bits))
-    }
 }
 
 impl fmt::Display for QFormat {
@@ -206,14 +194,6 @@ mod tests {
         assert!(!q.contains(-8.1));
         assert!(!q.contains(f64::NAN));
         assert!(!q.contains(f64::INFINITY));
-    }
-
-    #[test]
-    fn union_widens() {
-        let a = QFormat::new(6, 2).unwrap();
-        let b = QFormat::new(4, 5).unwrap();
-        let u = a.union(b).unwrap();
-        assert_eq!(u, QFormat::new(6, 5).unwrap());
     }
 
     #[test]

@@ -42,7 +42,7 @@ mod stats;
 mod value;
 
 pub use analyzer::{AnalyzerReport, FormatRequirement, RangeAnalyzer};
-pub use error::{FormatError, QuantizeError};
+pub use error::FormatError;
 pub use format::QFormat;
 pub use stats::QuantStats;
 pub use value::{Fixed, Rounding};

@@ -30,7 +30,6 @@ pub struct QuantStats {
     format: QFormat,
     count: u64,
     saturated: u64,
-    sum_sq_error: f64,
     sum_abs_error: f64,
     max_abs_error: f64,
     min_seen: f64,
@@ -44,7 +43,6 @@ impl QuantStats {
             format,
             count: 0,
             saturated: 0,
-            sum_sq_error: 0.0,
             sum_abs_error: 0.0,
             max_abs_error: 0.0,
             min_seen: f64::INFINITY,
@@ -61,7 +59,6 @@ impl QuantStats {
         if !self.format.contains(value) {
             self.saturated += 1;
         }
-        self.sum_sq_error += err * err;
         self.sum_abs_error += err;
         if err > self.max_abs_error {
             self.max_abs_error = err;
@@ -86,15 +83,6 @@ impl QuantStats {
         self.saturated
     }
 
-    /// Fraction of observed values that saturated (0 when empty).
-    pub fn saturation_rate(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.saturated as f64 / self.count as f64
-        }
-    }
-
     /// Largest absolute quantization error seen.
     pub fn max_abs_error(&self) -> f64 {
         self.max_abs_error
@@ -106,15 +94,6 @@ impl QuantStats {
             0.0
         } else {
             self.sum_abs_error / self.count as f64
-        }
-    }
-
-    /// Root-mean-square quantization error (0 when empty).
-    pub fn rms_error(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            (self.sum_sq_error / self.count as f64).sqrt()
         }
     }
 
@@ -137,7 +116,6 @@ impl QuantStats {
         assert_eq!(self.format, other.format, "cannot merge stats across formats");
         self.count += other.count;
         self.saturated += other.saturated;
-        self.sum_sq_error += other.sum_sq_error;
         self.sum_abs_error += other.sum_abs_error;
         self.max_abs_error = self.max_abs_error.max(other.max_abs_error);
         self.min_seen = self.min_seen.min(other.min_seen);
@@ -154,8 +132,6 @@ mod tests {
         let s = QuantStats::new(QFormat::CNEWS);
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean_abs_error(), 0.0);
-        assert_eq!(s.rms_error(), 0.0);
-        assert_eq!(s.saturation_rate(), 0.0);
     }
 
     #[test]
@@ -167,7 +143,6 @@ mod tests {
         }
         assert_eq!(s.saturated(), 0);
         assert!(s.max_abs_error() <= q.resolution() / 2.0 + 1e-12);
-        assert!(s.rms_error() <= s.max_abs_error());
         assert!(s.mean_abs_error() <= s.max_abs_error());
     }
 
@@ -178,7 +153,6 @@ mod tests {
         s.observe(100.0);
         s.observe(-0.25);
         assert_eq!(s.saturated(), 1);
-        assert_eq!(s.saturation_rate(), 0.5);
         assert!(s.max_abs_error() > 90.0);
         assert_eq!(s.min_seen(), -0.25);
         assert_eq!(s.max_seen(), 100.0);

@@ -1,6 +1,6 @@
 //! Fixed-point value type with saturating arithmetic.
 
-use crate::{QFormat, QuantizeError};
+use crate::QFormat;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
@@ -72,8 +72,7 @@ impl Fixed {
     /// Quantizes a floating-point value, saturating out-of-range inputs.
     ///
     /// Non-finite inputs saturate: `+∞`/NaN map to the maximum code and
-    /// `−∞` to the minimum (NaN-to-max keeps the function total; use
-    /// [`Fixed::try_from_f64`] to reject such inputs instead).
+    /// `−∞` to the minimum (NaN-to-max keeps the function total).
     pub fn from_f64(value: f64, format: QFormat, rounding: Rounding) -> Self {
         if value.is_nan() {
             return Fixed { raw: format.max_raw(), format };
@@ -118,31 +117,6 @@ impl Fixed {
             code as i64
         };
         Fixed { raw, format }
-    }
-
-    /// Quantizes a floating-point value, rejecting non-finite or
-    /// out-of-range inputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantizeError::NonFinite`] for NaN/infinite input and
-    /// [`QuantizeError::OutOfRange`] when the value exceeds the format range.
-    pub fn try_from_f64(
-        value: f64,
-        format: QFormat,
-        rounding: Rounding,
-    ) -> Result<Self, QuantizeError> {
-        if !value.is_finite() {
-            return Err(QuantizeError::NonFinite { value });
-        }
-        if !format.contains(value) {
-            return Err(QuantizeError::OutOfRange {
-                value,
-                min: format.min_value(),
-                max: format.max_value(),
-            });
-        }
-        Ok(Self::from_f64(value, format, rounding))
     }
 
     /// The zero value in the given format.
@@ -198,16 +172,6 @@ impl Fixed {
     /// its negation saturates as a signed code.
     pub fn magnitude_code(self) -> u64 {
         self.raw.unsigned_abs()
-    }
-
-    /// True if the value is exactly zero.
-    pub fn is_zero(self) -> bool {
-        self.raw == 0
-    }
-
-    /// True if the value is negative.
-    pub fn is_negative(self) -> bool {
-        self.raw < 0
     }
 
     /// The quantization error `self.to_f64() − original` for a given
@@ -333,20 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn try_from_rejects() {
-        let q = q62();
-        assert!(matches!(
-            Fixed::try_from_f64(f64::NAN, q, Rounding::Nearest),
-            Err(QuantizeError::NonFinite { .. })
-        ));
-        assert!(matches!(
-            Fixed::try_from_f64(64.0, q, Rounding::Nearest),
-            Err(QuantizeError::OutOfRange { .. })
-        ));
-        assert!(Fixed::try_from_f64(63.75, q, Rounding::Nearest).is_ok());
-    }
-
-    #[test]
     fn arithmetic_saturates() {
         let q = q62();
         let max = Fixed::max(q);
@@ -393,8 +343,6 @@ mod tests {
     fn neg_zero_is_zero() {
         let z = Fixed::zero(q62());
         assert_eq!((-z).to_f64(), 0.0);
-        assert!(z.is_zero());
-        assert!(!z.is_negative());
     }
 
     #[test]

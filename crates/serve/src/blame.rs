@@ -977,7 +977,7 @@ pub fn run_what_ifs(cfg: &ServeConfig, interventions: &[WhatIf]) -> WhatIfReport
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{simulate, simulate_blamed};
+    use crate::sim::{simulate, simulate_blamed, simulate_full};
 
     fn blamed_example() -> BlameOutcome {
         let cfg = ServeConfig::example();
@@ -1004,21 +1004,24 @@ mod tests {
     #[test]
     fn decomposition_matches_lifecycle_records() {
         let cfg = ServeConfig::example();
-        let outcome = simulate_blamed(&cfg);
+        let outcome = simulate_full(&cfg, 1, true, None, false, None, true);
         let blame = outcome.blame.as_ref().expect("blame attached");
-        assert_eq!(blame.requests.len(), outcome.records.len());
-        for (b, rec) in blame.requests.iter().zip(&outcome.records) {
+        let trace = outcome.trace.as_ref().expect("trace attached");
+        let completed: Vec<_> =
+            trace.requests.iter().filter(|r| r.outcome.is_completed()).collect();
+        assert_eq!(blame.requests.len(), completed.len());
+        for (b, rec) in blame.requests.iter().zip(completed) {
             assert_eq!(b.id, rec.id);
             assert_eq!(b.arrive_ns, rec.arrive_ns);
             assert_eq!(b.latency_ns, rec.latency_ns());
-            assert_eq!(u64::from(b.instance), rec.instance as u64);
+            assert_eq!(Some(b.instance as usize), rec.instance);
             // Queue-side components recompose to the record's queue
             // delay up to rounding; service-side to the service time.
+            let queue_ns = trace.batches[rec.batch.expect("completed")].dispatch_ns - rec.arrive_ns;
             let queue = (b.admission_ns + b.hold_ns) + b.busy_ns;
             assert!(
-                (queue - rec.queue_ns()).abs() <= 1e-6 * rec.queue_ns().abs().max(1.0),
-                "queue side: {queue} vs {}",
-                rec.queue_ns()
+                (queue - queue_ns).abs() <= 1e-6 * queue_ns.abs().max(1.0),
+                "queue side: {queue} vs {queue_ns}"
             );
         }
         let report = &blame.report;

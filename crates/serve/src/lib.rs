@@ -12,7 +12,7 @@
 //!
 //! | Module | Role |
 //! |---|---|
-//! | [`request`] | Request classes (model × sequence length), lifecycle records |
+//! | [`request`] | Request classes (model × sequence length) and requests |
 //! | [`arrival`] | Seeded Poisson / bursty MMPP / closed-loop arrival processes |
 //! | [`batch`] | The size-or-timeout dynamic batching policy |
 //! | [`model`] | Service costs per batched invocation, grounded in `star-arch` |
@@ -93,11 +93,11 @@ pub use model::{
     BatchCost, ClassService, InvocationPhases, ServiceModel, ServiceModelConfig, ServicePhase,
 };
 pub use profile::{Pow2Hist, SimProfile, WorkCounters, HIST_BUCKETS, PROFILE_SIDECAR_KEY};
-pub use request::{ModelKind, Request, RequestClass, RequestRecord};
+pub use request::{ModelKind, Request, RequestClass};
 pub use sim::{
     simulate, simulate_blamed, simulate_flight, simulate_full, simulate_monitored,
-    simulate_profiled, simulate_profiled_with, simulate_scaled, simulate_traced,
-    simulate_traced_monitored, ServeConfig, SimOutcome,
+    simulate_profiled, simulate_scaled, simulate_traced, simulate_traced_monitored, ServeConfig,
+    SimOutcome,
 };
 pub use slo::{
     BurnSweep, BurnWindow, ClassSloReport, Exemplar, LatencyStats, ServeReport, SloAnalysis,

@@ -98,37 +98,6 @@ pub struct Request {
     pub client: Option<usize>,
 }
 
-/// The full lifecycle record of a completed request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RequestRecord {
-    /// Request id.
-    pub id: u64,
-    /// Batching class.
-    pub class: RequestClass,
-    /// Arrival time (ns).
-    pub arrive_ns: f64,
-    /// Dispatch (execution start) time (ns).
-    pub dispatch_ns: f64,
-    /// Completion time (ns).
-    pub finish_ns: f64,
-    /// Size of the batch it executed in.
-    pub batch_size: usize,
-    /// Accelerator instance that executed it.
-    pub instance: usize,
-}
-
-impl RequestRecord {
-    /// End-to-end latency (arrival → completion), ns.
-    pub fn latency_ns(&self) -> f64 {
-        self.finish_ns - self.arrive_ns
-    }
-
-    /// Time spent queued before execution started, ns.
-    pub fn queue_ns(&self) -> f64 {
-        self.dispatch_ns - self.arrive_ns
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,21 +113,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_seq_rejected() {
         let _ = RequestClass::new(ModelKind::Tiny, 0);
-    }
-
-    #[test]
-    fn record_latency_math() {
-        let r = RequestRecord {
-            id: 1,
-            class: RequestClass::new(ModelKind::Tiny, 8),
-            arrive_ns: 100.0,
-            dispatch_ns: 250.0,
-            finish_ns: 400.0,
-            batch_size: 2,
-            instance: 0,
-        };
-        assert_eq!(r.latency_ns(), 300.0);
-        assert_eq!(r.queue_ns(), 150.0);
     }
 
     #[test]

@@ -55,7 +55,7 @@ use crate::health::{FleetHealthReport, HealthConfig, HealthMonitor};
 use crate::model::{ServiceModel, ServiceModelConfig, ServicePhase};
 use crate::profile::{phase, SimProfile};
 use crate::ready::ReadyIndex;
-use crate::request::{Request, RequestClass, RequestRecord};
+use crate::request::{Request, RequestClass};
 use crate::slo::{ClassSloReport, LatencyStats, ServeReport};
 use crate::trace::{BatchTrace, RequestOutcome, RequestTrace, ServeTrace, SystemSample};
 use rand::SeedableRng;
@@ -300,7 +300,6 @@ struct Sim<'a> {
     batched_requests: u64,
     latencies_ns: Vec<f64>,
     queue_delays_ns: Vec<f64>,
-    records: Vec<RequestRecord>,
     busy_ns: Vec<f64>,
     energy_pj: f64,
     in_system: u64,
@@ -426,7 +425,6 @@ impl<'a> Sim<'a> {
             batched_requests: 0,
             latencies_ns: Vec::new(),
             queue_delays_ns: Vec::new(),
-            records: Vec::new(),
             busy_ns: vec![0.0; capacity],
             energy_pj: 0.0,
             in_system: 0,
@@ -728,15 +726,6 @@ impl<'a> Sim<'a> {
             self.tock(phase::TRACE_EMIT, tt);
             self.latencies_ns.push(latency);
             self.queue_delays_ns.push(queue_ns);
-            self.records.push(RequestRecord {
-                id: req.id,
-                class: req.class,
-                arrive_ns: req.arrive_ns,
-                dispatch_ns: batch.dispatch_ns,
-                finish_ns: now,
-                batch_size: size,
-                instance,
-            });
             self.client_think_and_reissue(req.client, now);
         }
         self.idle.insert(instance);
@@ -1302,17 +1291,16 @@ impl<'a> Sim<'a> {
         });
         let flight = self.flight.take().map(|f| f.finalize(&self.services, &self.model_of));
         let blame = self.blame.take().map(|b| b.finalize());
-        SimOutcome { report, records: self.records, trace, health, profile, control, flight, blame }
+        SimOutcome { report, trace, health, profile, control, flight, blame }
     }
 }
 
-/// Everything a traced simulation produces.
+/// One simulation's report plus the output of every observer it ran
+/// with; an observer that was not attached leaves its field `None`.
 #[derive(Debug)]
 pub struct SimOutcome {
     /// The SLO report.
     pub report: ServeReport,
-    /// Per-request lifecycle records, completion order.
-    pub records: Vec<RequestRecord>,
     /// One record per request and per batch, from which the span trees
     /// are rendered when read, and the system-state timeseries (present
     /// when requested; see [`crate::trace`]).
@@ -1347,11 +1335,11 @@ pub fn simulate(cfg: &ServeConfig) -> ServeReport {
     Sim::new(cfg, false, None, false, None, false).run().report
 }
 
-/// Like [`simulate`], but also collects per-request records and the full
-/// [`ServeTrace`] (a trace record per request and per batch, rendered to
-/// span trees when read, and the queue-depth/busy timeseries). The
-/// report is bitwise identical to the untraced run: tracing consumes no
-/// RNG draws and perturbs no event arithmetic.
+/// Like [`simulate`], but also collects the full [`ServeTrace`] (a trace
+/// record per request and per batch, rendered to span trees when read,
+/// and the queue-depth/busy timeseries). The report is bitwise identical
+/// to the untraced run: tracing consumes no RNG draws and perturbs no
+/// event arithmetic.
 pub fn simulate_traced(cfg: &ServeConfig) -> SimOutcome {
     Sim::new(cfg, true, None, false, None, false).run()
 }
@@ -1383,18 +1371,6 @@ pub fn simulate_traced_monitored(cfg: &ServeConfig, health: &HealthConfig) -> Si
 /// (a test pins this).
 pub fn simulate_profiled(cfg: &ServeConfig) -> SimOutcome {
     Sim::new(cfg, false, None, true, None, false).run()
-}
-
-/// The self-profiler plus any combination of tracing and health
-/// monitoring. Every optional subsystem preserves the no-perturbation
-/// invariant (wear-leveling, when explicitly enabled in `health`, is the
-/// single documented exception).
-pub fn simulate_profiled_with(
-    cfg: &ServeConfig,
-    traced: bool,
-    health: Option<&HealthConfig>,
-) -> SimOutcome {
-    Sim::new(cfg, traced, health, true, None, false).run()
 }
 
 /// Like [`simulate`], with the incident flight recorder attached: the
@@ -1525,11 +1501,12 @@ mod tests {
         let plain = simulate(&cfg);
         let traced = simulate_traced(&cfg);
         assert_eq!(plain, traced.report);
-        assert_eq!(traced.records.len() as u64, plain.completed);
         let trace = traced.trace.expect("trace requested");
         // Conservation: one root span per arrival, one invocation span
         // per batch; every tree satisfies the span invariants.
         assert_eq!(trace.requests.len() as u64, plain.arrivals);
+        let completed = trace.requests.iter().filter(|r| r.outcome.is_completed()).count();
+        assert_eq!(completed as u64, plain.completed);
         assert_eq!(trace.batches.len() as u64, plain.batches);
         assert_eq!(trace.makespan_ns, plain.makespan_ns);
         trace.validate().expect("all span trees valid");
@@ -1754,7 +1731,7 @@ mod tests {
         let cfg = ServeConfig::example();
         let plain = simulate(&cfg);
         let hc = HealthConfig::default();
-        let full = simulate_profiled_with(&cfg, true, Some(&hc));
+        let full = simulate_full(&cfg, 1, true, Some(&hc), true, None, false);
         assert_eq!(plain, full.report, "all three observers attached, still bitwise equal");
         let p = full.profile.expect("profile requested");
         assert!(p.wall.stats(phase::TRACE_EMIT).calls > 0);

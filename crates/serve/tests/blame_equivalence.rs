@@ -4,8 +4,8 @@
 //! Three contracts, mirroring `flight_equivalence`:
 //!
 //! - **No perturbation**: blame-on runs produce bitwise-identical
-//!   reports, lifecycle records, and trace JSON bytes to blame-off
-//!   runs, across the shared config gallery (`common`).
+//!   reports, trace records, and trace JSON bytes to blame-off runs,
+//!   across the shared config gallery (`common`).
 //! - **Determinism of the tables themselves**: the serialized
 //!   [`BlameOutcome`] is byte-identical across replays.
 //! - **Conservation**: every request's eight blame components
@@ -39,7 +39,7 @@ fn blame_never_perturbs_report_trace_or_records() {
         let off = simulate_full(&cfg, 1, true, None, false, None, false);
         let on = simulate_full(&cfg, 1, true, None, false, None, true);
         assert_eq!(off.report, on.report, "{name}: report diverged");
-        assert_eq!(off.records, on.records, "{name}: records diverged");
+        assert_eq!(off.trace, on.trace, "{name}: trace records diverged");
         assert_eq!(trace_bytes(&off), trace_bytes(&on), "{name}: trace bytes diverged");
         assert!(off.blame.is_none() && on.blame.is_some());
     }
@@ -57,10 +57,13 @@ fn blame_tables_replay_bitwise() {
 #[test]
 fn conservation_and_structure_hold_across_the_gallery() {
     for (name, cfg) in configs() {
-        let outcome = simulate_full(&cfg, 1, false, None, true, None, true);
+        let outcome = simulate_full(&cfg, 1, true, None, true, None, true);
         let blame = outcome.blame.as_ref().expect("blame");
-        assert_eq!(blame.requests.len(), outcome.records.len(), "{name}");
-        for (b, rec) in blame.requests.iter().zip(&outcome.records) {
+        let trace = outcome.trace.as_ref().expect("trace");
+        let completed: Vec<_> =
+            trace.requests.iter().filter(|r| r.outcome.is_completed()).collect();
+        assert_eq!(blame.requests.len(), completed.len(), "{name}");
+        for (b, rec) in blame.requests.iter().zip(completed) {
             assert_eq!(b.components_sum(), b.latency_ns, "{name}: req {}", b.id);
             assert_eq!(b.latency_ns, rec.latency_ns(), "{name}: req {}", b.id);
         }

@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 use star_serve::{
     simulate, simulate_full, simulate_traced, ArrivalProcess, AutoscaleConfig, BatchPolicy,
-    ControlConfig, DequeuePolicy, ModelKind, PlacementPolicy, RequestClass, ServeConfig,
-    ServiceModel, ServiceModelConfig, WorkloadMix,
+    ControlConfig, DequeuePolicy, ModelKind, PlacementPolicy, RequestClass, RequestTrace,
+    ServeConfig, ServiceModel, ServiceModelConfig, SimOutcome, WorkloadMix,
 };
 
 fn class16() -> RequestClass {
@@ -15,6 +15,13 @@ fn class16() -> RequestClass {
 
 fn class32() -> RequestClass {
     RequestClass::new(ModelKind::Tiny, 32)
+}
+
+/// Every completed request of a traced run, with its batch's dispatch
+/// time, in completion order.
+fn dispatched(outcome: &SimOutcome) -> Vec<(RequestTrace, f64)> {
+    let trace = outcome.trace.as_ref().expect("trace requested");
+    trace.requests.iter().filter_map(|r| Some((*r, trace.batches[r.batch?].dispatch_ns))).collect()
 }
 
 /// A two-class overloaded base: both classes stay backlogged, so the
@@ -112,8 +119,8 @@ proptest! {
             dequeue: DequeuePolicy::weighted_fair(vec![(class16(), w), (class32(), 1.0)]),
             ..ControlConfig::default()
         };
-        let outcome = simulate_full(&cfg, 1, false, None, false, None, false);
-        let c = outcome.control.expect("control plane active");
+        let outcome = simulate_full(&cfg, 1, true, None, false, None, false);
+        let c = outcome.control.as_ref().expect("control plane active");
         prop_assert_eq!(c.dequeue.as_str(), "wfq");
         // Attained service per class while contention lasted: each
         // record carries its batch size, so a request's slice of its
@@ -121,7 +128,7 @@ proptest! {
         let model = ServiceModel::new(cfg.service.clone(), &[class16(), class32()]);
         let mut att16 = 0.0;
         let mut att32 = 0.0;
-        for r in outcome.records.iter().filter(|r| r.dispatch_ns < cfg.horizon_ns) {
+        for (r, _) in dispatched(&outcome).iter().filter(|&&(_, d)| d < cfg.horizon_ns) {
             let slice = model.batch_cost(r.class, r.batch_size).latency_ns / r.batch_size as f64;
             if r.class == class16() {
                 att16 += slice;
@@ -166,17 +173,17 @@ proptest! {
             ]),
             ..ControlConfig::default()
         };
-        let outcome = simulate_full(&cfg, 1, false, None, false, None, false);
+        let outcome = simulate_full(&cfg, 1, true, None, false, None, false);
+        let dispatched = dispatched(&outcome);
         for class in [class16(), class32()] {
-            let mut per_class: Vec<_> =
-                outcome.records.iter().filter(|r| r.class == class).collect();
-            per_class.sort_by(|a, b| a.arrive_ns.total_cmp(&b.arrive_ns));
+            let mut per_class: Vec<_> = dispatched.iter().filter(|(r, _)| r.class == class).collect();
+            per_class.sort_by(|a, b| a.0.arrive_ns.total_cmp(&b.0.arrive_ns));
             for pair in per_class.windows(2) {
                 prop_assert!(
-                    pair[0].dispatch_ns <= pair[1].dispatch_ns,
+                    pair[0].1 <= pair[1].1,
                     "{class}: arrival at {} dispatched after arrival at {}",
-                    pair[0].arrive_ns,
-                    pair[1].arrive_ns
+                    pair[0].0.arrive_ns,
+                    pair[1].0.arrive_ns
                 );
             }
         }

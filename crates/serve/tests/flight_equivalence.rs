@@ -4,7 +4,7 @@
 //! Two contracts, both byte-level:
 //!
 //! 1. *No perturbation*: with the recorder attached, the `ServeReport`,
-//!    lifecycle records, serialized trace JSON, and scoped-telemetry
+//!    trace records, serialized trace JSON, and scoped-telemetry
 //!    snapshot are bitwise identical to the recorder-off run — the
 //!    recorder consumes zero RNG draws and performs no event arithmetic.
 //! 2. *Reproducible dumps*: the serialized incident dump (trigger
@@ -57,7 +57,7 @@ fn recorder_output_is_bitwise_invisible_across_the_gallery() {
         let off = simulate_full(&cfg, 1, true, Some(&health), false, None, false);
         let on = simulate_full(&cfg, 1, true, Some(&health), false, Some(&fc), false);
         assert_eq!(off.report, on.report, "{name}: report diverged");
-        assert_eq!(off.records, on.records, "{name}: records diverged");
+        assert_eq!(off.trace, on.trace, "{name}: trace records diverged");
         assert_eq!(trace_bytes(&off), trace_bytes(&on), "{name}: trace bytes diverged");
         assert_eq!(off.health, on.health, "{name}: health diverged");
         assert!(off.flight.is_none());
@@ -110,8 +110,8 @@ fn flight_outcome_conserves_and_replays() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random operating points: recorder-on reports and records equal
-    /// recorder-off bitwise.
+    /// Random operating points: recorder-on reports and trace records
+    /// equal recorder-off bitwise.
     #[test]
     fn random_grids_keep_the_recorder_invisible(
         seed in any::<u64>(),
@@ -120,10 +120,10 @@ proptest! {
         let mut cfg = stress_config();
         cfg.seed = seed;
         cfg.arrival = ArrivalProcess::poisson(rate);
-        let off = simulate_full(&cfg, 1, false, None, false, None, false);
-        let on = simulate_flight(&cfg, &flight_config());
+        let off = simulate_full(&cfg, 1, true, None, false, None, false);
+        let on = simulate_full(&cfg, 1, true, None, false, Some(&flight_config()), false);
         prop_assert_eq!(&off.report, &on.report);
-        prop_assert_eq!(&off.records, &on.records);
+        prop_assert_eq!(&off.trace, &on.trace);
     }
 
     /// Terminal conservation: every arrival reaches exactly one terminal

@@ -4,10 +4,10 @@
 //! round trip. Every span is read through the trace's renderer.
 
 use star_serve::{
-    simulate, simulate_profiled, simulate_profiled_with, simulate_traced,
-    simulate_traced_monitored, ArrivalProcess, BatchPolicy, ControlConfig, HealthConfig, ModelKind,
-    RequestClass, RequestOutcome, ServeConfig, ServeTrace, ServiceModelConfig, SloAnalysis,
-    SloPolicy, WorkloadMix,
+    simulate, simulate_full, simulate_profiled, simulate_traced, simulate_traced_monitored,
+    ArrivalProcess, BatchPolicy, ControlConfig, HealthConfig, ModelKind, RequestClass,
+    RequestOutcome, ServeConfig, ServeTrace, ServiceModelConfig, SloAnalysis, SloPolicy,
+    WorkloadMix,
 };
 use star_telemetry::SPAN_EPS_NS;
 
@@ -66,27 +66,31 @@ fn root_span_conservation() {
 
 #[test]
 fn span_durations_reconcile_with_lifecycle_records() {
-    let outcome = simulate_traced(&stress_config());
+    // The blame recorder keeps its own row per completed request and per
+    // batch, both in completion order; every span must agree with them.
+    let outcome = simulate_full(&stress_config(), 1, true, None, false, None, true);
     let trace = outcome.trace.expect("trace requested");
-    for rec in &outcome.records {
-        let t = trace
-            .requests
-            .iter()
-            .find(|t| t.id == rec.id)
-            .expect("every completed record has a span tree");
-        assert!(t.outcome.is_completed());
+    let blame = outcome.blame.expect("blame requested");
+    let completed: Vec<_> = trace.requests.iter().filter(|t| t.outcome.is_completed()).collect();
+    assert_eq!(completed.len(), blame.requests.len());
+    assert_eq!(trace.batches.len(), blame.batches.len());
+    for (t, rec) in completed.into_iter().zip(&blame.requests) {
+        assert_eq!(t.id, rec.id);
+        let batch_index = t.batch.expect("completed requests index their batch");
+        assert_eq!(rec.batch, batch_index as u64);
+        let rec_batch = &blame.batches[batch_index];
         let span = trace.request_span(t);
         // Root span == end-to-end latency, bit for bit (both are the
         // same event-time subtraction).
         assert_eq!(span.start_ns, rec.arrive_ns);
-        assert_eq!(span.dur_ns, rec.latency_ns());
+        assert_eq!(span.dur_ns, rec.latency_ns);
         assert_eq!(span.end_ns(), t.finish_ns());
         // The lifecycle children tile the root: queue then invocation.
         let queue = span.find("queue").expect("queue child");
         let invoke = span.find("invocation").expect("invocation child");
-        assert_eq!(queue.dur_ns, rec.queue_ns());
-        assert!((invoke.start_ns - rec.dispatch_ns).abs() <= SPAN_EPS_NS);
-        assert!((invoke.end_ns() - rec.finish_ns).abs() <= SPAN_EPS_NS);
+        assert_eq!(queue.dur_ns, rec_batch.dispatch_ns - rec.arrive_ns);
+        assert!((invoke.start_ns - rec_batch.dispatch_ns).abs() <= SPAN_EPS_NS);
+        assert!((invoke.end_ns() - rec_batch.done_ns).abs() <= SPAN_EPS_NS);
         let child_sum: f64 = span.children.iter().map(|c| c.dur_ns).sum();
         assert!((child_sum - span.dur_ns).abs() <= SPAN_EPS_NS);
         // The five hardware phases tile the invocation.
@@ -94,8 +98,11 @@ fn span_durations_reconcile_with_lifecycle_records() {
         let phase_sum: f64 = invoke.children.iter().map(|c| c.dur_ns).sum();
         assert!((phase_sum - invoke.dur_ns).abs() <= SPAN_EPS_NS);
         // The invocation is the request's batch's own span, renamed.
-        let batch = &trace.batches[t.batch.expect("completed requests index their batch")];
-        assert_eq!((batch.instance, batch.size), (rec.instance, rec.batch_size));
+        let batch = &trace.batches[batch_index];
+        assert_eq!(
+            (batch.instance, batch.size),
+            (rec_batch.instance as usize, rec_batch.size as usize)
+        );
         let mut batch_span = batch.span();
         batch_span.name = "invoke".into();
         assert_eq!(*invoke, batch_span);
@@ -207,7 +214,7 @@ fn profiling_never_perturbs_report_or_trace_bytes() {
         assert!(profiled.profile.is_some());
 
         let traced = simulate_traced(&cfg);
-        let traced_profiled = simulate_profiled_with(&cfg, true, None);
+        let traced_profiled = simulate_full(&cfg, 1, true, None, true, None, false);
         assert_eq!(traced.report, traced_profiled.report, "seed {seed}");
         let ja = serde_json::to_string(&traced.trace.expect("trace").to_object_json())
             .expect("serialize");
@@ -226,7 +233,7 @@ fn profiled_work_counters_are_seed_stable_and_trace_independent() {
     let solo = simulate_profiled(&cfg).profile.expect("profile");
     let replay = simulate_profiled(&cfg).profile.expect("profile");
     assert_eq!(solo.work, replay.work, "replay must reproduce counters exactly");
-    let observed = simulate_profiled_with(&cfg, true, Some(&HealthConfig::default()))
+    let observed = simulate_full(&cfg, 1, true, Some(&HealthConfig::default()), true, None, false)
         .profile
         .expect("profile");
     assert_eq!(solo.work, observed.work, "observers must not change work counters");

@@ -107,15 +107,9 @@ impl ChromeTrace {
         self
     }
 
-    /// Number of duration events recorded (counter samples not included;
-    /// see [`ChromeTrace::counter_len`]).
+    /// Number of duration events recorded (counter samples not included).
     pub fn len(&self) -> usize {
         self.events.len()
-    }
-
-    /// Number of counter samples recorded.
-    pub fn counter_len(&self) -> usize {
-        self.counters.len()
     }
 
     /// True when no duration event has been recorded.
@@ -228,7 +222,6 @@ mod tests {
     fn counter_events_render_as_ph_c() {
         let mut t = ChromeTrace::new();
         t.counter_ns("queue depth", 2000.0, 9, vec![("queued".into(), 3.0), ("busy".into(), 1.0)]);
-        assert_eq!(t.counter_len(), 1);
         assert_eq!(t.len(), 0, "counters are not duration events");
         let arr = match t.to_json() {
             Value::Seq(v) => v,

@@ -308,11 +308,6 @@ impl Registry {
         self.lock().counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Read one gauge (0.0 when absent).
-    pub fn gauge_value(&self, name: &str) -> f64 {
-        self.lock().gauges.get(name).copied().unwrap_or(0.0)
-    }
-
     /// Gauge `name`'s current value, `None` when absent — the seed a
     /// [`crate::Tally`] continues an accumulating gauge from.
     pub(crate) fn read_gauge(&self, name: &str) -> Option<f64> {
@@ -531,18 +526,6 @@ impl Snapshot {
         reg.snapshot()
     }
 
-    /// Counter names that start with `prefix` (used by reports and tests
-    /// to slice one subsystem out of the hierarchy).
-    pub fn counters_with_prefix<'a>(
-        &'a self,
-        prefix: &'a str,
-    ) -> impl Iterator<Item = (&'a str, u64)> + 'a {
-        self.counters
-            .iter()
-            .filter(move |(k, _)| k.starts_with(prefix))
-            .map(|(k, &v)| (k.as_str(), v))
-    }
-
     /// Aligned, human-readable table of every metric.
     pub fn render_pretty(&self) -> String {
         let mut out = String::new();
@@ -666,8 +649,8 @@ mod tests {
         r.add("energy", 2.5);
         r.set("level", 7.0);
         r.set("level", 3.0);
-        assert!((r.gauge_value("energy") - 4.0).abs() < 1e-12);
-        assert!((r.gauge_value("level") - 3.0).abs() < 1e-12);
+        assert_eq!(r.read_gauge("energy"), Some(4.0));
+        assert_eq!(r.read_gauge("level"), Some(3.0));
     }
 
     #[test]
@@ -925,17 +908,5 @@ mod tests {
         assert!(entry.get("p99").is_some());
         let pretty = snap.render_pretty();
         assert!(pretty.contains("p99~"), "{pretty}");
-    }
-
-    #[test]
-    fn prefix_slicing() {
-        let r = Registry::new();
-        r.count("device.adc.conversions", 3);
-        r.count("device.rram.writes", 1);
-        r.count("crossbar.vmm.activations", 2);
-        let snap = r.snapshot();
-        let device: Vec<_> = snap.counters_with_prefix("device.").collect();
-        assert_eq!(device.len(), 2);
-        assert!(device.iter().all(|(k, _)| k.starts_with("device.")));
     }
 }

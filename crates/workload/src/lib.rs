@@ -21,10 +21,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod capture;
 mod datasets;
 mod traces;
 
-pub use capture::CapturedScores;
 pub use datasets::{Dataset, DatasetProfile};
 pub use traces::{random_matrix, ScoreTrace};

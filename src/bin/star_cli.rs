@@ -343,64 +343,13 @@ fn parse_positive<T: std::str::FromStr + PartialOrd + Default>(
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    use star::serve::{
-        simulate_full, ArrivalProcess, BatchPolicy, ControlConfig, FlightConfig, ModelKind,
-        RequestClass, ServeConfig, ServiceModel, ServiceModelConfig, SloAnalysis, SloPolicy,
-        WorkloadMix,
-    };
-    // Split flags from positionals so --trace/--flight compose
-    // with every positional combination.
-    let mut trace_path: Option<std::path::PathBuf> = None;
-    let mut flight_path: Option<std::path::PathBuf> = None;
-    let mut positional: Vec<&String> = Vec::new();
-    for a in args {
-        if a == "--trace" {
-            trace_path = Some(std::path::PathBuf::from("serve_trace.json"));
-        } else if let Some(p) = a.strip_prefix("--trace=") {
-            if p.is_empty() {
-                return Err("--trace= needs a path".into());
-            }
-            trace_path = Some(p.into());
-        } else if a == "--flight" {
-            flight_path = Some(std::path::PathBuf::from("flight_incident.json"));
-        } else if let Some(p) = a.strip_prefix("--flight=") {
-            if p.is_empty() {
-                return Err("--flight= needs a path".into());
-            }
-            flight_path = Some(p.into());
-        } else if a.starts_with("--") {
-            return Err(format!("unknown flag `{a}`"));
-        } else {
-            positional.push(a);
-        }
-    }
-    let rate: f64 = parse_positive(positional.first().copied(), 16_000.0, "arrival rate (rps)")?;
-    if !rate.is_finite() {
-        return Err("arrival rate must be finite".into());
-    }
-    let fleet: usize = parse_positive(positional.get(1).copied(), 2, "fleet size")?;
-    let batch: usize = parse_positive(positional.get(2).copied(), 8, "batch size")?;
-    let window_us: f64 = match positional.get(3) {
-        Some(a) => a.parse().map_err(|_| format!("`{a}` is not a window in us"))?,
-        None => 50.0,
-    };
-    if !(window_us.is_finite() && window_us >= 0.0) {
-        return Err("window must be finite and non-negative".into());
-    }
-
-    let class = RequestClass::new(ModelKind::BertBase, 128);
-    let cfg = ServeConfig {
-        fleet,
-        policy: BatchPolicy::new(batch, window_us * 1e3),
-        arrival: ArrivalProcess::poisson(rate),
-        mix: WorkloadMix::single(class),
-        horizon_ns: 1e8,
-        seed: 2023,
-        max_queue: 256,
-        deadline_ns: 2e6,
-        service: ServiceModelConfig::default(),
-        control: ControlConfig::default(),
-    };
+    use star::serve::{simulate_full, FlightConfig, ServiceModel, SloAnalysis, SloPolicy};
+    let (positional, [trace_path, flight_path]) = split_output_flags(
+        args,
+        [("--trace", "serve_trace.json"), ("--flight", "flight_incident.json")],
+    )?;
+    let cfg = serve_point_config(&positional)?;
+    let (class, fleet, batch) = (cfg.mix.classes()[0], cfg.fleet, cfg.policy.max_batch);
     let service = ServiceModel::new(cfg.service.clone(), &[class]);
     let flight_cfg = flight_path.is_some().then(FlightConfig::default);
     let outcome =
@@ -477,10 +426,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_health(args: &[String]) -> Result<(), String> {
-    use star::serve::{
-        simulate_monitored, ArrivalProcess, BatchPolicy, ControlConfig, HealthConfig, HealthModel,
-        ModelKind, RequestClass, ServeConfig, ServiceModelConfig, WearRates, WorkloadMix,
-    };
+    use star::serve::{simulate_monitored, HealthConfig, HealthModel, WearRates};
     let mut wear_leveling = false;
     let mut positional: Vec<&String> = Vec::new();
     for a in args {
@@ -492,33 +438,8 @@ fn cmd_health(args: &[String]) -> Result<(), String> {
             positional.push(a);
         }
     }
-    let rate: f64 = parse_positive(positional.first().copied(), 16_000.0, "arrival rate (rps)")?;
-    if !rate.is_finite() {
-        return Err("arrival rate must be finite".into());
-    }
-    let fleet: usize = parse_positive(positional.get(1).copied(), 2, "fleet size")?;
-    let batch: usize = parse_positive(positional.get(2).copied(), 8, "batch size")?;
-    let window_us: f64 = match positional.get(3) {
-        Some(a) => a.parse().map_err(|_| format!("`{a}` is not a window in us"))?,
-        None => 50.0,
-    };
-    if !(window_us.is_finite() && window_us >= 0.0) {
-        return Err("window must be finite and non-negative".into());
-    }
-
-    let class = RequestClass::new(ModelKind::BertBase, 128);
-    let cfg = ServeConfig {
-        fleet,
-        policy: BatchPolicy::new(batch, window_us * 1e3),
-        arrival: ArrivalProcess::poisson(rate),
-        mix: WorkloadMix::single(class),
-        horizon_ns: 1e8,
-        seed: 2023,
-        max_queue: 256,
-        deadline_ns: 2e6,
-        service: ServiceModelConfig::default(),
-        control: ControlConfig::default(),
-    };
+    let cfg = serve_point_config(&positional)?;
+    let (class, rate, fleet) = (cfg.mix.classes()[0], cfg.arrival.offered_rps(), cfg.fleet);
     let health_cfg = HealthConfig { wear_leveling, ..HealthConfig::default() };
     let outcome = simulate_monitored(&cfg, &health_cfg);
     let r = &outcome.report;
@@ -597,53 +518,10 @@ fn cmd_health(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_profile(args: &[String]) -> Result<(), String> {
-    use star::serve::{
-        simulate_profiled, ArrivalProcess, BatchPolicy, ControlConfig, ModelKind, RequestClass,
-        ServeConfig, ServiceModelConfig, WorkloadMix,
-    };
-    let mut trace_path: Option<std::path::PathBuf> = None;
-    let mut positional: Vec<&String> = Vec::new();
-    for a in args {
-        if a == "--trace" {
-            trace_path = Some(std::path::PathBuf::from("profile_trace.json"));
-        } else if let Some(p) = a.strip_prefix("--trace=") {
-            if p.is_empty() {
-                return Err("--trace= needs a path".into());
-            }
-            trace_path = Some(p.into());
-        } else if a.starts_with("--") {
-            return Err(format!("unknown flag `{a}`"));
-        } else {
-            positional.push(a);
-        }
-    }
-    let rate: f64 = parse_positive(positional.first().copied(), 16_000.0, "arrival rate (rps)")?;
-    if !rate.is_finite() {
-        return Err("arrival rate must be finite".into());
-    }
-    let fleet: usize = parse_positive(positional.get(1).copied(), 2, "fleet size")?;
-    let batch: usize = parse_positive(positional.get(2).copied(), 8, "batch size")?;
-    let window_us: f64 = match positional.get(3) {
-        Some(a) => a.parse().map_err(|_| format!("`{a}` is not a window in us"))?,
-        None => 50.0,
-    };
-    if !(window_us.is_finite() && window_us >= 0.0) {
-        return Err("window must be finite and non-negative".into());
-    }
-
-    let class = RequestClass::new(ModelKind::BertBase, 128);
-    let cfg = ServeConfig {
-        fleet,
-        policy: BatchPolicy::new(batch, window_us * 1e3),
-        arrival: ArrivalProcess::poisson(rate),
-        mix: WorkloadMix::single(class),
-        horizon_ns: 1e8,
-        seed: 2023,
-        max_queue: 256,
-        deadline_ns: 2e6,
-        service: ServiceModelConfig::default(),
-        control: ControlConfig::default(),
-    };
+    use star::serve::simulate_profiled;
+    let (positional, [trace_path]) = split_output_flags(args, [("--trace", "profile_trace.json")])?;
+    let cfg = serve_point_config(&positional)?;
+    let (class, rate, fleet) = (cfg.mix.classes()[0], cfg.arrival.offered_rps(), cfg.fleet);
     let outcome = simulate_profiled(&cfg);
     let r = &outcome.report;
     let profile = outcome.profile.as_ref().expect("profiled run carries a profile");
@@ -837,6 +715,33 @@ fn cmd_control(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Splits a serve-family command's arguments into its positionals and
+/// one output path per `(flag, default path)` in `outputs`: `FLAG`
+/// writes to the default path and `FLAG=PATH` to `PATH`, in any order
+/// among the positionals. Any other `--` argument is an unknown flag.
+fn split_output_flags<'a, const N: usize>(
+    args: &'a [String],
+    outputs: [(&str, &str); N],
+) -> Result<(Vec<&'a String>, [Option<std::path::PathBuf>; N]), String> {
+    let mut paths = [(); N].map(|()| None);
+    let mut positional = Vec::new();
+    for a in args {
+        let (flag, value) = a.split_once('=').map_or((a.as_str(), None), |(f, v)| (f, Some(v)));
+        match outputs.iter().position(|&(name, _)| name == flag) {
+            Some(i) => {
+                paths[i] = Some(match value {
+                    None => outputs[i].1.into(),
+                    Some("") => return Err(format!("{flag}= needs a path")),
+                    Some(path) => path.into(),
+                });
+            }
+            None if a.starts_with("--") => return Err(format!("unknown flag `{a}`")),
+            None => positional.push(a),
+        }
+    }
+    Ok((positional, paths))
+}
+
 /// Builds the serve-family default config (BERT-base/128 Poisson
 /// traffic against a 2 ms SLO) from the shared positional arguments.
 fn serve_point_config(positional: &[&String]) -> Result<star::serve::ServeConfig, String> {
@@ -873,22 +778,7 @@ fn serve_point_config(positional: &[&String]) -> Result<star::serve::ServeConfig
 
 fn cmd_blame(args: &[String]) -> Result<(), String> {
     use star::serve::{simulate_blamed, BLAME_SIDECAR_KEY};
-    let mut trace_path: Option<std::path::PathBuf> = None;
-    let mut positional: Vec<&String> = Vec::new();
-    for a in args {
-        if a == "--trace" {
-            trace_path = Some(std::path::PathBuf::from("blame_trace.json"));
-        } else if let Some(p) = a.strip_prefix("--trace=") {
-            if p.is_empty() {
-                return Err("--trace= needs a path".into());
-            }
-            trace_path = Some(p.into());
-        } else if a.starts_with("--") {
-            return Err(format!("unknown flag `{a}`"));
-        } else {
-            positional.push(a);
-        }
-    }
+    let (positional, [trace_path]) = split_output_flags(args, [("--trace", "blame_trace.json")])?;
     let cfg = serve_point_config(&positional)?;
     let outcome = simulate_blamed(&cfg);
     let r = &outcome.report;
@@ -922,14 +812,7 @@ fn cmd_blame(args: &[String]) -> Result<(), String> {
 
 fn cmd_whatif(args: &[String]) -> Result<(), String> {
     use star::serve::{run_what_ifs, WhatIf};
-    let mut positional: Vec<&String> = Vec::new();
-    for a in args {
-        if a.starts_with("--") {
-            return Err(format!("unknown flag `{a}`"));
-        } else {
-            positional.push(a);
-        }
-    }
+    let (positional, []) = split_output_flags(args, [])?;
     let cfg = serve_point_config(&positional)?;
     let report = run_what_ifs(&cfg, &WhatIf::standard());
 

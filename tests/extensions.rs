@@ -1,75 +1,10 @@
-//! Integration tests over the extension surfaces: masked attention through
-//! the crossbar engine, the generalized function units, the engine bank,
-//! and the design-space explorer — all via the facade crate.
+//! Integration tests over the extension surfaces — the design-space
+//! explorer, the temperature model behind the digital CAM, and stochastic
+//! rounding — all via the facade crate.
 
-use star::attention::{masked_attention, AttentionMask, ExactSoftmax, Matrix};
 use star::core::design_space::{pareto_front, DesignSpace};
-use star::core::{EngineBank, LutFunctionUnit, StarSoftmax, StarSoftmaxConfig};
 use star::fixed::QFormat;
 use star::workload::{Dataset, ScoreTrace};
-
-#[test]
-fn causal_masking_through_the_crossbar_engine() {
-    // The STAR engine sees masked positions as the format's most negative
-    // score; their exponential code underflows to 0, so the masked
-    // probability is exactly zero — same as the reference.
-    let x = Matrix::from_fn(6, 4, |r, c| ((r * 4 + c) as f64 * 0.43).sin() * 3.0);
-    let mut engine = StarSoftmax::new(StarSoftmaxConfig::new(QFormat::MRPC)).expect("engine");
-    let star =
-        masked_attention(&x, &x, &x, &AttentionMask::Causal, -1e4, &mut engine).expect("shapes ok");
-    let exact = masked_attention(
-        &x,
-        &x,
-        &x,
-        &AttentionMask::Causal,
-        f64::NEG_INFINITY,
-        &mut ExactSoftmax::new(),
-    )
-    .expect("shapes ok");
-    for q in 0..6 {
-        for k in 0..6 {
-            if k > q {
-                assert_eq!(star.probs.get(q, k), 0.0, "({q},{k}) must be masked");
-            } else {
-                let err = (star.probs.get(q, k) - exact.probs.get(q, k)).abs();
-                assert!(err < 0.02, "({q},{k}) err {err}");
-            }
-        }
-    }
-}
-
-#[test]
-fn padding_mask_with_engine_and_bank_agree() {
-    let x = Matrix::from_fn(5, 4, |r, c| ((r + 2 * c) as f64 * 0.7).cos() * 2.0);
-    let mask = AttentionMask::Padding(vec![true, true, false, true, false]);
-    let mut engine = StarSoftmax::new(StarSoftmaxConfig::new(QFormat::MRPC)).expect("engine");
-    let mut bank = EngineBank::new(StarSoftmaxConfig::new(QFormat::MRPC), 3).expect("bank");
-    let a = masked_attention(&x, &x, &x, &mask, -1e4, &mut engine).expect("shapes");
-    let b = masked_attention(&x, &x, &x, &mask, -1e4, &mut bank).expect("shapes");
-    assert!(a.probs.max_abs_diff(&b.probs).expect("shape") < 1e-12);
-    for q in 0..5 {
-        assert_eq!(a.probs.get(q, 2), 0.0);
-        assert_eq!(a.probs.get(q, 4), 0.0);
-    }
-}
-
-#[test]
-fn function_units_cover_transformer_nonlinearities() {
-    let fmt = QFormat::new(3, 4).expect("valid");
-    let mut gelu = LutFunctionUnit::gelu(fmt, 16);
-    let mut sigmoid = LutFunctionUnit::sigmoid(fmt, 16);
-    let mut tanh = LutFunctionUnit::tanh(fmt, 16);
-    for i in -24..=24 {
-        let x = i as f64 / 4.0;
-        assert!((gelu.evaluate(x) - star::attention::gelu(x)).abs() < 0.05, "gelu({x})");
-        assert!((sigmoid.evaluate(x) - 1.0 / (1.0 + (-x).exp())).abs() < 0.02, "sigmoid({x})");
-        assert!((tanh.evaluate(x) - x.tanh()).abs() < 0.04, "tanh({x})");
-    }
-    // The units share the softmax engine's cost structure: one search + one
-    // read per evaluation.
-    let cost = gelu.evaluate_cost();
-    assert!(cost.latency.value() <= 2.5, "search+read cycles, got {}", cost.latency);
-}
 
 #[test]
 fn design_space_keeps_paper_config_on_frontier() {

@@ -7,9 +7,10 @@
 //! `serve_work`), the flight recorder's first incident dump (`incident`),
 //! the serve loop's metrics across consecutive runs in one registry
 //! (`serve_telemetry`), the STAR engine's metrics after array calls
-//! made outside it (`engine_telemetry`) and one traced serve run's
-//! Perfetto file and SLO analysis (`serve_trace`). Each is a pure
-//! function of the code.
+//! made outside it (`engine_telemetry`), one traced serve run's
+//! Perfetto file and SLO analysis (`serve_trace`) and the dispatcher's
+//! choices among four request classes under each dequeue policy
+//! (`serve_classes`). Each is a pure function of the code.
 
 use crate::serving::a8_serving_cases;
 use rand::SeedableRng;
@@ -445,6 +446,92 @@ pub(crate) fn serve_work() -> Value {
         }
     }
     serde_json::to_value(&points).expect("work counters serialize")
+}
+
+/// The machine-readable `serve_classes` result: the dispatcher's choices
+/// among four request classes, under each dequeue policy and both arrival
+/// processes.
+///
+/// Two batch-8 / 50 µs instances serve Tiny/16, Tiny/32, Tiny/64 and
+/// BERT-base/64 (shares 0.4, 0.3, 0.2, 0.1) behind a 64-deep queue with
+/// a 1 ms deadline for 5 simulated ms, seed 7, under FIFO, weighted-fair
+/// (weights 1, 3, 5, 7) and earliest-deadline-first (offsets 0.3, 0.5,
+/// 0.7, 0.9 ms), each at 120 krps Poisson and under a closed loop of 48
+/// clients thinking 100 µs. At this load every class completes requests
+/// while others finish late, expire or are rejected. Each run records
+/// its report, its control report and its profile's work counters;
+/// `telemetry` is one scoped registry over all six runs.
+///
+/// # Panics
+///
+/// Panics if a profiled run returns no profile (a programming error).
+pub(crate) fn serve_classes() -> Value {
+    use star_serve::{
+        ArrivalProcess, BatchPolicy, ControlConfig, DequeuePolicy, ModelKind, RequestClass,
+        ServeConfig, ServiceModelConfig, WorkloadMix,
+    };
+    // Listed out of class order (BERT-base sorts first), so the fixture
+    // also pins that reports follow class order.
+    let mix = [
+        (RequestClass::new(ModelKind::Tiny, 16), 0.4),
+        (RequestClass::new(ModelKind::Tiny, 32), 0.3),
+        (RequestClass::new(ModelKind::Tiny, 64), 0.2),
+        (RequestClass::new(ModelKind::BertBase, 64), 0.1),
+    ];
+    let per_class = |values: [f64; 4]| mix.iter().map(|&(c, _)| c).zip(values).collect();
+    let policies = [
+        DequeuePolicy::Fifo,
+        DequeuePolicy::weighted_fair(per_class([1.0, 3.0, 5.0, 7.0])),
+        DequeuePolicy::earliest_deadline(per_class([3e5, 5e5, 7e5, 9e5])),
+    ];
+    let arrivals = [
+        ("poisson", ArrivalProcess::poisson(120_000.0)),
+        ("closed", ArrivalProcess::closed_loop(48, 100_000.0)),
+    ];
+    let (runs, snap) = star_telemetry::with_scoped(|| {
+        let mut runs = Vec::new();
+        for dequeue in &policies {
+            for (arrival_name, arrival) in &arrivals {
+                let cfg = ServeConfig {
+                    fleet: 2,
+                    policy: BatchPolicy::new(8, 50_000.0),
+                    arrival: arrival.clone(),
+                    mix: WorkloadMix::new(mix.to_vec()),
+                    horizon_ns: 5e6,
+                    seed: 7,
+                    max_queue: 64,
+                    deadline_ns: 1e6,
+                    service: ServiceModelConfig::default(),
+                    control: ControlConfig { dequeue: dequeue.clone(), ..ControlConfig::default() },
+                };
+                let outcome = star_serve::simulate_profiled(&cfg);
+                let profile = outcome.profile.expect("profiled run carries a profile");
+                runs.push(serde_json::json!({
+                    "dequeue": dequeue.name(),
+                    "arrival": arrival_name,
+                    "report": outcome.report,
+                    "control": outcome.control,
+                    "work": profile.work_json(),
+                }));
+            }
+        }
+        runs
+    });
+    serde_json::json!({
+        "experiment": "serve_classes",
+        "config": {
+            "classes": mix.iter().map(|(c, _)| c.to_string()).collect::<Vec<_>>(),
+            "shares": mix.iter().map(|&(_, w)| w).collect::<Vec<_>>(),
+            "fleet": 2,
+            "policy": BatchPolicy::new(8, 50_000.0).to_string(),
+            "horizon_ns": 5e6,
+            "seed": 7,
+            "max_queue": 64,
+            "deadline_ns": 1e6,
+        },
+        "runs": runs,
+        "telemetry": snap.to_json(),
+    })
 }
 
 /// The machine-readable `serve_telemetry` result: the metric snapshot of

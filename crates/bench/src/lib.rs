@@ -58,7 +58,7 @@ pub const EXPERIMENTS: [Artifact; 16] = [
 
 /// The fixtures that are not experiment results, in the order the
 /// `goldens` binary writes them.
-pub const FIXTURES: [Artifact; 7] = [
+pub const FIXTURES: [Artifact; 8] = [
     Artifact { name: "profile_work", run: fixtures::profile_work },
     Artifact { name: "serve_work", run: fixtures::serve_work },
     Artifact { name: "incident", run: fixtures::incident },
@@ -66,6 +66,7 @@ pub const FIXTURES: [Artifact; 7] = [
     Artifact { name: "serve_telemetry", run: fixtures::serve_telemetry },
     Artifact { name: "engine_telemetry", run: fixtures::engine_telemetry },
     Artifact { name: "serve_trace", run: fixtures::serve_trace },
+    Artifact { name: "serve_classes", run: fixtures::serve_classes },
 ];
 
 /// The `main` of every experiment binary: runs the [`EXPERIMENTS`] entry

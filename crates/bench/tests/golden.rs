@@ -162,6 +162,7 @@ pinned! {
     serve_telemetry_matches_golden,
     engine_telemetry_matches_golden,
     serve_trace_matches_golden,
+    serve_classes_matches_golden,
 }
 
 #[test]
@@ -332,8 +333,9 @@ fn indexed_dispatcher_beats_prior_scan_budgets() {
     // per-class queue sweeps: 3171 at the profile fixture point and
     // 2520 / 2524 / 6486 at the r20000_f2 / r20000_f8 / r80000_f8
     // `serve_work` points (the budgets recorded before the index
-    // landed). The indexed dispatcher pops ready classes directly, so it
-    // must do strictly fewer — this pins the order of the win.
+    // landed). The index, and the class-table pass that replaced it,
+    // count one scan per dispatch attempt, so they must do strictly
+    // fewer — this pins the order of the win.
     let p = fixture("profile_work");
     let fixture_scans = number_at(&p, "work/dispatch_scans");
     assert!(
@@ -355,13 +357,31 @@ fn dispatch_scans_is_a_pure_function_of_workload() {
     // differs. The linear dispatcher leaked fleet size into the scan
     // count (2520 vs 2524 at 20 krps: spare idle instances kept the
     // dispatch loop sweeping classes that had nothing to send). The
-    // indexed dispatcher charges one scan per ready-class pop, which the
+    // dispatcher now charges one scan per dispatch attempt, which the
     // workload's batch sequence alone determines.
     assert_eq!(
         serve_work_scans("r20000_f2"),
         serve_work_scans("r20000_f8"),
         "fleet size must not change dispatch_scans at a sub-saturation operating point"
     );
+}
+
+#[test]
+fn serve_classes_golden_completes_every_class() {
+    // A run in which a class never dispatched would pin nothing about
+    // how the dispatcher chooses among classes.
+    let golden = fixture("serve_classes");
+    let runs = golden.get("runs").and_then(|v| v.as_array()).expect("runs array");
+    assert_eq!(runs.len(), 6, "three dequeue policies × two arrival processes");
+    for run in runs {
+        let per_class =
+            run.get("report").and_then(|r| r.get("per_class")).and_then(|v| v.as_array());
+        let per_class = per_class.expect("per-class report");
+        assert_eq!(per_class.len(), 4, "four classes");
+        for class in per_class {
+            assert!(number_at(class, "completed") > 0.0, "a class completed nothing: {class:?}");
+        }
+    }
 }
 
 #[test]

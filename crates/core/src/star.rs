@@ -49,7 +49,7 @@ use star_crossbar::{
     CamCrossbar, CamSubCrossbar, Geometry, LutCrossbar, OpCost, Readout, VmmCrossbar,
 };
 use star_device::peripherals::PeripheralLibrary;
-use star_device::{AdcSpec, CostSheet, Latency, NoiseModel, TechnologyParams};
+use star_device::{CostSheet, Latency, NoiseModel, TechnologyParams};
 use star_fixed::{encoding, Fixed, QFormat, Rounding};
 use star_telemetry::Tally;
 use std::error::Error;
@@ -110,10 +110,6 @@ pub struct StarSoftmaxConfig {
     pub noise: NoiseModel,
     /// Technology operating point.
     pub tech: TechnologyParams,
-    /// Optional ADC on the summation VMM readout (`None` = ideal digital
-    /// readout; the sum feeds a digital divider, so a real design would
-    /// size this ADC to the exp word width).
-    pub vmm_adc: Option<AdcSpec>,
     /// RNG seed for fault sampling and noisy operations.
     pub seed: u64,
 }
@@ -128,7 +124,6 @@ impl StarSoftmaxConfig {
             max_row_len: 512,
             noise: NoiseModel::ideal(),
             tech: TechnologyParams::cmos32(),
-            vmm_adc: None,
             seed: 0x57A5,
         }
     }
@@ -249,15 +244,11 @@ impl StarSoftmax {
             config.noise,
             &mut rng,
         );
-        let readout = match config.vmm_adc {
-            Some(adc) => Readout::Adc(adc),
-            None => Readout::Ideal,
-        };
         let mut vmm = VmmCrossbar::new(
             magnitudes,
             1,
             config.exp_word_bits,
-            readout,
+            Readout::Ideal,
             &config.tech,
             config.noise,
             &mut rng,

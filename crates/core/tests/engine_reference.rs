@@ -53,9 +53,8 @@ impl Reference {
         let word = cfg.exp_word_bits;
         let mut exp_cam = CamCrossbar::new(magnitudes, mag_bits, &cfg.tech, cfg.noise, &mut rng);
         let mut lut = LutCrossbar::new(magnitudes, word as usize, &cfg.tech, cfg.noise, &mut rng);
-        let readout = cfg.vmm_adc.map_or(Readout::Ideal, Readout::Adc);
         let mut vmm =
-            VmmCrossbar::new(magnitudes, 1, word, readout, &cfg.tech, cfg.noise, &mut rng);
+            VmmCrossbar::new(magnitudes, 1, word, Readout::Ideal, &cfg.tech, cfg.noise, &mut rng);
         let scale = (1u64 << word) - 1;
         let mut weights = Vec::with_capacity(magnitudes);
         for m in 0..magnitudes {

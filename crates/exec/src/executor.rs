@@ -1,7 +1,7 @@
 //! The executor: fork–join parallel regions with deterministic,
 //! index-ordered reduction.
 
-use crate::deque::WorkDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Hard ceiling on worker threads, guarding against absurd
@@ -16,20 +16,20 @@ pub const THREADS_ENV: &str = "STAR_EXEC_THREADS";
 ///
 /// Every parallel region spawns its workers inside [`std::thread::scope`],
 /// so closures may borrow from the caller and no `unsafe` lifetime erasure
-/// is needed; the tasks themselves are distributed through per-worker
-/// work-stealing deques ([`WorkDeque`]). Spawning a handful of OS threads
-/// per region costs tens of microseconds — noise next to the
-/// coarse-grained tasks this workspace runs (whole attention heads, whole
-/// engine configurations, whole experiment processes).
+/// is needed. Each worker takes the next unstarted task index from one
+/// shared counter until none is left. Spawning a handful of OS threads per
+/// region costs tens of microseconds — noise next to the few dozen
+/// coarse-grained tasks a region runs here (whole engine configurations,
+/// whole serving simulations, whole experiment processes).
 ///
 /// # Determinism
 ///
-/// Results are written into per-index slots and reduced in index order, so
-/// the output of [`Executor::par_map`] / [`Executor::par_chunks`] is
-/// **byte-identical for any worker count** (including the serial `1`
-/// fallback) whenever the task function itself is deterministic per index.
-/// Work stealing only changes *which worker* runs a task, never what the
-/// task computes or where its result lands.
+/// Results are written into per-index slots and returned in index order,
+/// so the output of [`Executor::par_map`] is **byte-identical for any
+/// worker count** (including the serial `1` fallback) whenever the task
+/// function itself is deterministic per index. The counter only changes
+/// *which worker* runs a task, never what the task computes or where its
+/// result lands.
 ///
 /// # Examples
 ///
@@ -85,97 +85,32 @@ impl Executor {
     ///
     /// # Panics
     ///
-    /// Propagates the first worker panic after all workers have joined.
+    /// Panics once all workers have joined if any task panicked.
     pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        self.run_indexed(items.len(), |i| f(i, &items[i]))
-    }
-
-    /// Maps `f` over contiguous chunks of at most `chunk_size` items,
-    /// returning per-chunk results in chunk order. `f` receives
-    /// `(chunk_index, chunk_slice)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size == 0`; propagates worker panics.
-    pub fn par_chunks<T, R, F>(&self, items: &[T], chunk_size: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        assert!(chunk_size > 0, "chunk_size must be at least 1");
-        let n_chunks = items.len().div_ceil(chunk_size);
-        self.run_indexed(n_chunks, |c| {
-            let start = c * chunk_size;
-            let end = (start + chunk_size).min(items.len());
-            f(c, &items[start..end])
-        })
-    }
-
-    /// Runs a batch of heterogeneous fire-and-forget tasks: `build` spawns
-    /// closures onto the [`Scope`], then all of them execute across the
-    /// workers and `scope` returns once every task has finished.
-    ///
-    /// Tasks may borrow from the enclosing environment (they only need to
-    /// outlive this call). With one worker they run in spawn order on the
-    /// calling thread; tasks communicate results through their own shared
-    /// state (use [`Executor::par_map`] when a value per task is wanted).
-    pub fn scope<'env, B>(&self, build: B)
-    where
-        B: FnOnce(&mut Scope<'env>),
-    {
-        let mut scope = Scope { tasks: Vec::new() };
-        build(&mut scope);
-        let tasks = scope.tasks;
-        let n = tasks.len();
+        let n = items.len();
         let workers = self.threads.min(n);
         if workers <= 1 {
-            for task in tasks {
-                task();
-            }
-            return;
+            return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
         }
-        let deques: Vec<WorkDeque<Task<'env>>> = partition(tasks, workers);
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let deques = &deques;
-                s.spawn(move || {
-                    while let Some(task) = next_task(deques, w) {
-                        task();
-                    }
-                });
-            }
-        });
-    }
-
-    /// The shared fork–join engine: `n` independent index-addressed tasks,
-    /// results reduced in index order.
-    fn run_indexed<R, G>(&self, n: usize, g: G) -> Vec<R>
-    where
-        R: Send,
-        G: Fn(usize) -> R + Sync,
-    {
-        let workers = self.threads.min(n);
-        if workers <= 1 {
-            return (0..n).map(g).collect();
-        }
-        let deques: Vec<WorkDeque<usize>> = partition(0..n, workers);
+        let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|s| {
-            for w in 0..workers {
-                let deques = &deques;
-                let slots = &slots;
-                let g = &g;
-                s.spawn(move || {
-                    while let Some(i) = next_task(deques, w) {
-                        let r = g(i);
-                        *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
+            for _ in 0..workers {
+                s.spawn(|| loop {
+                    // Relaxed: the counter only hands out distinct
+                    // indices; results reach the caller through the
+                    // slots' locks and the scope's join.
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
                     }
+                    let r = f(i, &items[i]);
+                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
                 });
             }
         });
@@ -198,73 +133,9 @@ impl Default for Executor {
     }
 }
 
-/// A boxed task queued on a [`Scope`].
-type Task<'env> = Box<dyn FnOnce() + Send + 'env>;
-
-/// Collector for the heterogeneous tasks of one [`Executor::scope`] call.
-pub struct Scope<'env> {
-    tasks: Vec<Task<'env>>,
-}
-
-impl<'env> Scope<'env> {
-    /// Queues `task` for execution when the scope runs.
-    pub fn spawn(&mut self, task: impl FnOnce() + Send + 'env) {
-        self.tasks.push(Box::new(task));
-    }
-
-    /// Number of tasks queued so far.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// True when nothing has been spawned.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-}
-
-impl std::fmt::Debug for Scope<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Scope").field("tasks", &self.tasks.len()).finish()
-    }
-}
-
-/// Distributes `items` across `workers` deques in contiguous blocks (the
-/// first `len % workers` blocks get one extra item). Contiguous blocks keep
-/// the owner walking sequential indices (cache-friendly) while thieves
-/// steal from the *front* of another worker's block — the index furthest
-/// from where the owner is working.
-fn partition<T>(items: impl IntoIterator<Item = T>, workers: usize) -> Vec<WorkDeque<T>> {
-    let items: Vec<T> = items.into_iter().collect();
-    let n = items.len();
-    let base = n / workers;
-    let extra = n % workers;
-    let mut deques = Vec::with_capacity(workers);
-    let mut iter = items.into_iter();
-    for w in 0..workers {
-        let take = base + usize::from(w < extra);
-        deques.push(WorkDeque::seeded(iter.by_ref().take(take)));
-    }
-    deques
-}
-
-/// One scheduling step for worker `me`: prefer the own deque (LIFO), then
-/// scan the victims round-robin starting at the right-hand neighbour
-/// (FIFO steal). Returns `None` only when every deque is empty — correct
-/// as a termination condition because a parallel region's task set is
-/// fixed before the workers start.
-fn next_task<T>(deques: &[WorkDeque<T>], me: usize) -> Option<T> {
-    if let Some(task) = deques[me].pop() {
-        return Some(task);
-    }
-    let n = deques.len();
-    (1..n).find_map(|k| deques[(me + k) % n].steal())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn par_map_preserves_input_order() {
@@ -285,43 +156,6 @@ mod tests {
         let empty: Vec<u32> = vec![];
         assert!(exec.par_map(&empty, |_, &x| x).is_empty());
         assert_eq!(exec.par_map(&[5], |_, &x| x + 1), vec![6]);
-    }
-
-    #[test]
-    fn par_chunks_covers_every_item_once() {
-        let exec = Executor::new(4);
-        let input: Vec<usize> = (0..103).collect();
-        let sums = exec.par_chunks(&input, 10, |c, chunk| {
-            assert!(chunk.len() <= 10);
-            assert_eq!(chunk[0], c * 10);
-            chunk.iter().sum::<usize>()
-        });
-        assert_eq!(sums.len(), 11, "ceil(103/10) chunks");
-        assert_eq!(sums.iter().sum::<usize>(), (0..103).sum::<usize>());
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk_size")]
-    fn par_chunks_rejects_zero() {
-        Executor::serial().par_chunks(&[1, 2, 3], 0, |_, c| c.len());
-    }
-
-    #[test]
-    fn scope_runs_every_task() {
-        for threads in [1, 4] {
-            let exec = Executor::new(threads);
-            let hits = AtomicUsize::new(0);
-            exec.scope(|s| {
-                assert!(s.is_empty());
-                for _ in 0..25 {
-                    s.spawn(|| {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-                assert_eq!(s.len(), 25);
-            });
-            assert_eq!(hits.load(Ordering::Relaxed), 25, "threads={threads}");
-        }
     }
 
     #[test]
@@ -357,13 +191,5 @@ mod tests {
         assert_eq!(Executor::from_env().threads(), 1, "zero falls back to serial");
         std::env::remove_var(THREADS_ENV);
         assert!(Executor::from_env().threads() >= 1);
-    }
-
-    #[test]
-    fn partition_is_balanced_and_ordered() {
-        let deques = partition(0..10, 3);
-        let blocks: Vec<Vec<usize>> =
-            deques.iter().map(|d| std::iter::from_fn(|| d.steal()).collect::<Vec<_>>()).collect();
-        assert_eq!(blocks, vec![vec![0, 1, 2, 3], vec![4, 5, 6], vec![7, 8, 9]]);
     }
 }

@@ -1,30 +1,26 @@
-//! star-exec: the deterministic work-stealing parallel execution layer.
+//! star-exec: the deterministic parallel execution layer.
 //!
-//! Every hot path of the STAR reproduction that is *device-math-free* —
-//! per-head attention, per-row softmax dispatch, design-space sweeps, the
-//! experiment fan-out — is embarrassingly parallel (the paper's own
-//! pipeline exploits exactly this vector-grained head/row parallelism in
-//! hardware). This crate provides the shared substrate:
-//!
-//! - [`Executor`] — a fork–join executor with a fixed worker count,
-//!   configured explicitly ([`Executor::new`]) or from the
-//!   `STAR_EXEC_THREADS` environment variable ([`Executor::from_env`]),
-//! - [`Executor::par_map`] / [`Executor::par_chunks`] — data-parallel maps
-//!   with **deterministic, index-ordered reduction**,
-//! - [`Executor::scope`] — heterogeneous fork–join task batches,
-//! - [`WorkDeque`] — the per-worker owner-LIFO / thief-FIFO deque
-//!   (crossbeam-style semantics, implemented locally and lock-based so the
-//!   workspace stays `#![forbid(unsafe_code)]` and dependency-free).
+//! The coarse, device-math-free work of the STAR reproduction — A7's
+//! engine configurations, the serving sweeps' cases, `repro_all`'s
+//! experiment processes — is embarrassingly parallel (the paper's own
+//! pipeline exploits the same vector-grained parallelism in hardware).
+//! This crate provides the shared substrate: [`Executor`], a fork–join
+//! executor with a fixed worker count, configured explicitly
+//! ([`Executor::new`]) or from the `STAR_EXEC_THREADS` environment
+//! variable ([`Executor::from_env`]), whose [`Executor::par_map`] maps a
+//! slice with **deterministic, index-ordered reduction**. It is
+//! dependency-free and has no `unsafe`.
 //!
 //! # Determinism contract
 //!
 //! Same inputs ⇒ byte-identical outputs **regardless of worker count**.
-//! Work stealing reassigns *who* runs a task, never what it computes:
-//! results land in per-index slots and are reduced in index order, and the
-//! single-worker fallback is a plain ordered loop. Telemetry recorded by
-//! worker tasks is captured per task via `star_telemetry::with_scoped` at
-//! the call sites and folded into the parent registry with the commutative
-//! `Registry::merge`, so metric totals are also independent of scheduling.
+//! Workers take task indices from one shared counter, which decides *who*
+//! runs a task, never what it computes: results land in per-index slots
+//! and are returned in index order, and the single-worker fallback is a
+//! plain ordered loop. Telemetry recorded by worker tasks is captured per
+//! task via `star_telemetry::with_scoped` at the call sites and folded
+//! into the parent registry with the commutative `Registry::merge`, so
+//! metric totals are also independent of scheduling.
 //!
 //! # Example
 //!
@@ -39,8 +35,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod deque;
 mod executor;
 
-pub use deque::WorkDeque;
-pub use executor::{Executor, Scope, MAX_THREADS, THREADS_ENV};
+pub use executor::{Executor, MAX_THREADS, THREADS_ENV};

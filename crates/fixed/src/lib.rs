@@ -15,8 +15,7 @@
 //!   drops the sign bit for the always-negative `x_i − x_max` stage),
 //! - [`RangeAnalyzer`] — the §II precision study tool: observe a stream of
 //!   scores and recommend the minimal format meeting range and resolution
-//!   requirements,
-//! - [`QuantStats`] — quantization-error statistics.
+//!   requirements.
 //!
 //! # Examples
 //!
@@ -38,11 +37,9 @@ mod analyzer;
 pub mod encoding;
 mod error;
 mod format;
-mod stats;
 mod value;
 
 pub use analyzer::{AnalyzerReport, FormatRequirement, RangeAnalyzer};
 pub use error::FormatError;
 pub use format::QFormat;
-pub use stats::QuantStats;
 pub use value::{Fixed, Rounding};

@@ -51,9 +51,9 @@ impl BatchPolicy {
     /// The size-or-timeout readiness predicate: a class queue of
     /// `queue_len` requests whose head arrived at `head_arrive_ns` is
     /// dispatchable at `now_ns` when it fills a batch or its window has
-    /// elapsed. This is the single definition both the dispatcher's
-    /// ready-queue index and its window-arming sweep evaluate, so the
-    /// two can never disagree.
+    /// elapsed. This is the one readiness rule: the dispatcher's pass
+    /// over its class table evaluates it both to pick a class and to
+    /// arm a waiting class's window.
     pub fn head_ready(&self, queue_len: usize, now_ns: f64, head_arrive_ns: f64) -> bool {
         queue_len >= self.max_batch || now_ns >= self.expiry_ns(head_arrive_ns)
     }

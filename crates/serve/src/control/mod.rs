@@ -6,8 +6,9 @@
 //! dispatcher (FIFO dequeue, first-idle placement, no autoscaler, a
 //! homogeneous fleet). Each knob is independently switchable:
 //!
-//! - [`policy::DequeuePolicy`] reorders the ready-class index —
-//!   a comparator swap against `ReadyIndex`, not a new scan.
+//! - [`policy::DequeuePolicy`] sets the key the dispatcher's pass over
+//!   its class table orders ready classes by — a comparator swap, not
+//!   a new scan.
 //! - [`autoscale::AutoscaleConfig`] adds/drains instances from signals
 //!   already in the event loop; decisions ride ordinary `(time, seq)`
 //!   `ScaleCheck` events, so byte-identical replay survives any
@@ -38,7 +39,7 @@ use serde::{Deserialize, Serialize};
 /// a strict no-op.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ControlConfig {
-    /// How the ready-class index orders pending work.
+    /// How the dispatcher orders ready classes.
     pub dequeue: DequeuePolicy,
     /// How the dispatcher picks among idle instances.
     pub placement: PlacementPolicy,
@@ -52,8 +53,8 @@ pub struct ControlConfig {
 }
 
 impl ControlConfig {
-    /// True when every knob is at its no-op default — the simulator
-    /// then skips all control bookkeeping and emits no report.
+    /// True when every knob is at its no-op default — the run then
+    /// builds no [`ControlReport`].
     pub fn is_noop(&self) -> bool {
         self.dequeue.is_fifo()
             && self.placement == PlacementPolicy::FirstIdle

@@ -1,7 +1,7 @@
 //! Pluggable multi-tenant dequeue policies.
 //!
-//! The dispatcher's ready-class index (`ReadyIndex`, in `ready.rs`)
-//! orders classes by an integer key and pops the minimum. A dequeue
+//! On each dispatch attempt the dispatcher scans its class table once
+//! and picks the ready class with the least `(key, head id)`. A dequeue
 //! policy is nothing more than the function that computes that key from
 //! a class's queue head — so swapping policies swaps a comparator, not a
 //! scan:
@@ -15,8 +15,7 @@
 //!   offset, head id)` — the head whose deadline expires soonest goes
 //!   first; per-class offsets express tenant tiers.
 //!
-//! All keys are non-negative finite times (or virtual times), so they
-//! inherit the `ReadyIndex` bit-pattern ordering trick unchanged.
+//! Keys are compared with `f64::total_cmp`.
 
 use crate::request::RequestClass;
 use serde::{Deserialize, Serialize};
@@ -55,7 +54,7 @@ impl EdfPolicy {
     }
 }
 
-/// Which dequeue policy orders the ready-class index.
+/// Which dequeue policy orders the dispatcher's ready classes.
 ///
 /// (The variants wrap named structs rather than using struct variants
 /// because the vendored `serde_derive` supports only unit and newtype

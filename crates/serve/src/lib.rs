@@ -60,7 +60,6 @@ pub mod flight;
 pub mod health;
 pub mod model;
 pub mod profile;
-mod ready;
 pub mod request;
 pub mod sim;
 pub mod slo;

@@ -158,12 +158,10 @@ pub struct WorkCounters {
     pub heap_peak: u64,
     /// Calls into the greedy dispatcher (`try_dispatch`).
     pub dispatch_rounds: u64,
-    /// Dispatch attempts: indexed ready-class pops in the dispatcher's
-    /// match-and-dispatch loop (one per batch formed, plus one per
-    /// all-expired head sweep). A pure function of the workload's batch
-    /// sequence — fleet size does not change it. Before the ready-queue
-    /// index this counted full per-class queue sweeps, ≈ 1.1–1.3× the
-    /// event count and fleet-dependent.
+    /// Dispatch attempts: passes over the class table that found a ready
+    /// class in the dispatcher's match-and-dispatch loop (one per batch
+    /// formed, plus one per all-expired head sweep). A pure function of
+    /// the workload's batch sequence — fleet size does not change it.
     pub dispatch_scans: u64,
     /// `dispatch_scans` attributed to the FIFO dequeue branch (the
     /// whole count in the default config). The three policy-branch

@@ -5,8 +5,9 @@
 //! event loop is **fully ordered**: events are processed in `(time,
 //! sequence-number)` order, every random draw comes from one seeded
 //! `ChaCha8Rng` consumed in event order, and all collections iterate
-//! deterministically (`BTreeMap` / `BTreeSet`). Two runs with the same
-//! [`ServeConfig`] therefore produce bitwise-identical reports.
+//! deterministically (the class table in class order, the idle set in
+//! instance order). Two runs with the same [`ServeConfig`] therefore
+//! produce bitwise-identical reports.
 //!
 //! Events are popped in one `(time, seq)` order, the same single total
 //! order STAR's global pipeline runs its stages in. They come from two
@@ -39,9 +40,11 @@
 //!   the instance returns to the idle set.
 //!
 //! After every event the dispatcher greedily matches idle instances with
-//! *ready* class queues (full batch, expired window, or zero window).
-//! Requests whose deadline has already passed while queueing are dropped
-//! at dispatch time (they could only waste accelerator time).
+//! *ready* class queues (full batch, expired window, or zero window),
+//! scanning the class table once per dispatch attempt (see
+//! [`Sim::pick_ready`]). Requests whose deadline has already passed while
+//! queueing are dropped at dispatch time (they could only waste
+//! accelerator time).
 
 use crate::arrival::{exp_sample, generate_open_loop, ArrivalProcess, WorkloadMix};
 use crate::batch::BatchPolicy;
@@ -54,7 +57,6 @@ use crate::flight::{EventView, FlightConfig, FlightOutcome, FlightRecorder};
 use crate::health::{FleetHealthReport, HealthConfig, HealthMonitor};
 use crate::model::{ServiceModel, ServiceModelConfig, ServicePhase};
 use crate::profile::{phase, SimProfile};
-use crate::ready::ReadyIndex;
 use crate::request::{Request, RequestClass};
 use crate::slo::{ClassSloReport, LatencyStats, ServeReport};
 use crate::trace::{BatchTrace, RequestOutcome, RequestTrace, ServeTrace, SystemSample};
@@ -63,7 +65,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use star_telemetry::{CounterId, GaugeId, HistogramId, Tally};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::time::Instant;
 
 /// Complete description of one serving experiment.
@@ -149,11 +151,20 @@ enum EventKind {
     ScaleCheck,
 }
 
-/// Per-class running totals (always maintained — they cost a handful of
-/// integer bumps per request and feed [`ServeReport::per_class`]), plus
-/// the class's two span-duration histograms in the run's tally.
+/// One request class's row in the dispatcher's class table: its queue,
+/// its pending batch-window wake-up, its attained service, and its
+/// running totals (always maintained — they cost a handful of integer
+/// bumps per request and feed [`ServeReport::per_class`]), plus its two
+/// span-duration histograms in the run's tally.
 #[derive(Debug, Clone)]
-struct ClassAccum {
+struct ClassRow {
+    class: RequestClass,
+    queue: VecDeque<Request>,
+    /// When the class's pending `WindowExpire` wake-up fires, ns.
+    armed_ns: Option<f64>,
+    /// Busy time the class's batches have taken, ns: weighted-fair
+    /// queueing's virtual-time input and the control report's shares.
+    attained_ns: f64,
     arrivals: u64,
     rejected: u64,
     expired: u64,
@@ -165,9 +176,13 @@ struct ClassAccum {
     queue_us: HistogramId,
 }
 
-impl ClassAccum {
+impl ClassRow {
     fn new(class: RequestClass, tel: &mut Tally) -> Self {
-        ClassAccum {
+        ClassRow {
+            class,
+            queue: VecDeque::new(),
+            armed_ns: None,
+            attained_ns: 0.0,
             arrivals: 0,
             rejected: 0,
             expired: 0,
@@ -214,7 +229,7 @@ impl Ord for Event {
 }
 
 /// Handles to the fleet-wide metrics in the run's [`Tally`] (the
-/// per-class histograms live in [`ClassAccum`]).
+/// per-class histograms live in [`ClassRow`]).
 #[derive(Debug)]
 struct MetricIds {
     arrived: CounterId,
@@ -267,23 +282,15 @@ struct Sim<'a> {
     event_seq: u64,
     next_request_id: u64,
     rng: ChaCha8Rng,
-    queues: BTreeMap<RequestClass, VecDeque<Request>>,
+    /// One row per request class of the mix, sorted by class.
+    classes: Vec<ClassRow>,
     queued_total: usize,
     idle: BTreeSet<usize>,
-    armed_windows: BTreeMap<RequestClass, f64>,
-    /// Incremental ready/flagged class index — replaces the per-iteration
-    /// linear queue scan in the dispatcher. The control plane's dequeue
-    /// policy chooses the *key* each class is indexed under (FIFO head
-    /// arrival by default; WFQ virtual time; EDF absolute deadline).
-    ready: ReadyIndex,
-    /// True iff any control-plane knob is on; the hot path consults this
-    /// one flag to skip all control bookkeeping in the default config.
+    /// True iff any control-plane knob is on; only then does the run
+    /// build a [`ControlReport`].
     control_active: bool,
     /// Instances currently active (== fleet without an autoscaler).
     active_count: usize,
-    /// Per-class attained busy time, ns — WFQ's virtual-time input and
-    /// the fairness-share table (maintained only when control is on).
-    attained_ns: BTreeMap<RequestClass, f64>,
     /// Autoscaler runtime state (present iff configured).
     scaler: Option<ScalerState>,
     /// Every metric the loop records, published at finalize.
@@ -305,7 +312,6 @@ struct Sim<'a> {
     in_system: u64,
     max_in_system: u64,
     makespan_ns: f64,
-    per_class: BTreeMap<RequestClass, ClassAccum>,
     trace: Option<ServeTrace>,
     /// Device-health monitor (observation-only unless its wear-leveling
     /// policy is enabled; consumes zero RNG draws either way).
@@ -382,14 +388,9 @@ impl<'a> Sim<'a> {
         });
         let mut tel = Tally::new();
         let ids = MetricIds::register(&mut tel);
-        let mut queues = BTreeMap::new();
-        let mut per_class = BTreeMap::new();
-        let mut attained_ns = BTreeMap::new();
-        for class in classes {
-            queues.insert(class, VecDeque::new());
-            per_class.insert(class, ClassAccum::new(class, &mut tel));
-            attained_ns.insert(class, 0.0);
-        }
+        let mut rows: Vec<ClassRow> = classes.iter().map(|&c| ClassRow::new(c, &mut tel)).collect();
+        rows.sort_by_key(|r| r.class);
+        rows.dedup_by_key(|r| r.class);
         let trace = traced.then(|| ServeTrace::new(capacity, cfg.deadline_ns));
         let health =
             health.map(|hc| HealthMonitor::new(hc.clone(), capacity, cfg.service.qformat()));
@@ -404,14 +405,11 @@ impl<'a> Sim<'a> {
             event_seq: 0,
             next_request_id: 0,
             rng: ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x5EB5_E001),
-            queues,
+            classes: rows,
             queued_total: 0,
             idle: (0..initial_active).collect(),
-            armed_windows: BTreeMap::new(),
-            ready: ReadyIndex::new(),
             control_active: !cfg.control.is_noop(),
             active_count: initial_active,
-            attained_ns,
             scaler,
             tel,
             ids,
@@ -430,7 +428,6 @@ impl<'a> Sim<'a> {
             in_system: 0,
             max_in_system: 0,
             makespan_ns: 0.0,
-            per_class,
             trace,
             health,
             profile: profiled.then(|| Box::new(SimProfile::new())),
@@ -575,13 +572,19 @@ impl<'a> Sim<'a> {
         }
     }
 
+    /// The class table row of `class`.
+    fn row_of(&self, class: RequestClass) -> usize {
+        self.classes.binary_search_by_key(&class, |r| r.class).expect("mix classes pre-registered")
+    }
+
     fn on_arrive(&mut self, now: f64, req: Request) {
         self.arrivals += 1;
-        self.per_class.get_mut(&req.class).expect("mix classes pre-registered").arrivals += 1;
+        let row = self.row_of(req.class);
+        self.classes[row].arrivals += 1;
         self.tel.count(self.ids.arrived, 1);
         if self.queued_total >= self.cfg.max_queue {
             self.rejected += 1;
-            self.per_class.get_mut(&req.class).expect("class registered").rejected += 1;
+            self.classes[row].rejected += 1;
             if let Some(s) = self.scaler.as_mut() {
                 s.note_violation(req.class);
             }
@@ -623,17 +626,15 @@ impl<'a> Sim<'a> {
         self.in_system += 1;
         self.max_in_system = self.max_in_system.max(self.in_system);
         self.queued_total += 1;
-        let class = req.class;
-        self.queues.get_mut(&class).expect("mix classes pre-registered").push_back(req);
-        // Enqueue is one of the two points where class readiness can
-        // change; re-evaluate its slot in the ready index.
-        self.reindex_class(now, class);
+        self.classes[row].queue.push_back(req);
         self.try_dispatch(now);
     }
 
     fn on_window_expire(&mut self, now: f64, class: RequestClass) {
-        if self.armed_windows.get(&class) == Some(&now) {
-            self.armed_windows.remove(&class);
+        let row = self.row_of(class);
+        let armed = &mut self.classes[row].armed_ns;
+        if *armed == Some(now) {
+            *armed = None;
         }
         self.try_dispatch(now);
     }
@@ -668,6 +669,7 @@ impl<'a> Sim<'a> {
             });
         }
         self.tock(phase::TRACE_EMIT, tt);
+        let row = self.row_of(batch.class);
         for req in batch.members {
             let latency = now - req.arrive_ns;
             let queue_ns = batch.dispatch_ns - req.arrive_ns;
@@ -686,7 +688,7 @@ impl<'a> Sim<'a> {
             }
             self.in_system -= 1;
             self.completed += 1;
-            let acc = self.per_class.get_mut(&req.class).expect("class registered");
+            let acc = &mut self.classes[row];
             acc.completed += 1;
             acc.latencies_ns.push(latency);
             if good {
@@ -786,97 +788,59 @@ impl<'a> Sim<'a> {
         self.tock(phase::DISPATCH, td);
     }
 
-    /// The ready-index key of a class whose queue head arrived at
-    /// `arrive_ns` with request `id` — the dequeue policy's comparator.
-    /// FIFO keys by head arrival (the pre-control-plane order, bitwise
-    /// preserved); weighted-fair by the class's weighted attained
-    /// service (a virtual time — least-served-first); EDF by the head's
-    /// absolute deadline. All three are non-negative finite, so they
-    /// ride the same `ready_key` bit-pattern ordering.
-    fn priority_key(&self, class: RequestClass, arrive_ns: f64, id: u64) -> (u64, u64) {
-        match &self.cfg.control.dequeue {
-            DequeuePolicy::Fifo => ReadyIndex::ready_key(arrive_ns, id),
-            DequeuePolicy::WeightedFair(p) => {
-                let attained = self.attained_ns.get(&class).copied().unwrap_or(0.0);
-                ReadyIndex::ready_key(attained / p.weight(class), id)
-            }
+    /// The dequeue key of a class whose queue head is `head`: the
+    /// dequeue policy's comparator, ties broken by head id. FIFO keys by
+    /// head arrival; weighted-fair by the class's attained service over
+    /// its weight (a virtual time — least-served-first); EDF by the
+    /// head's absolute deadline.
+    fn priority_key(&self, row: &ClassRow, head: &Request) -> (f64, u64) {
+        let key = match &self.cfg.control.dequeue {
+            DequeuePolicy::Fifo => head.arrive_ns,
+            DequeuePolicy::WeightedFair(p) => row.attained_ns / p.weight(row.class),
             DequeuePolicy::EarliestDeadline(p) => {
-                ReadyIndex::ready_key(arrive_ns + p.deadline_ns(class, self.cfg.deadline_ns), id)
+                head.arrive_ns + p.deadline_ns(row.class, self.cfg.deadline_ns)
             }
-        }
+        };
+        (key, head.id)
     }
 
-    /// Re-evaluates `class`'s slot in the ready index from its queue
-    /// state. Called at the two points where readiness can change shape:
-    /// enqueue (length grows, or a first head appears) and batch
-    /// formation (the head changes or the queue empties). Between those
-    /// points readiness is monotone — queues only grow and time only
-    /// advances — so promotions *by time* are handled lazily by the
-    /// arming sweep inside the dispatch loop, exactly where the serial
-    /// scan used to notice them. (Weighted-fair keys also move when a
-    /// class attains service; the dispatch loop re-indexes the
-    /// dispatched class after charging it.)
-    fn reindex_class(&mut self, now: f64, class: RequestClass) {
-        let q = self.queues.get(&class).expect("class registered");
-        match q.front() {
-            None => self.ready.clear(class),
-            Some(head) => {
-                if self.cfg.policy.head_ready(q.len(), now, head.arrive_ns) {
-                    let key = self.priority_key(class, head.arrive_ns, head.id);
-                    self.ready.set_ready(class, key);
-                } else {
-                    self.ready.set_flagged(class);
+    /// One pass over the class table: returns the row of the ready class
+    /// with the least [`Sim::priority_key`] under `f64::total_cmp` (head
+    /// ids are unique, so the order is total), and arms a wake-up for
+    /// each queued class still waiting on its batch window.
+    ///
+    /// Readiness is [`BatchPolicy::head_ready`], evaluated afresh at
+    /// `now`. A waiting class gets one `WindowExpire` at its window's
+    /// end, re-armed only when no wake-up in `(now, end]` is pending.
+    /// Rows are visited in class order, so wake-ups are pushed in class
+    /// order.
+    fn pick_ready(&mut self, now: f64) -> Option<usize> {
+        let mut best: Option<(f64, u64, usize)> = None;
+        for row in 0..self.classes.len() {
+            let r = &self.classes[row];
+            let Some(head) = r.queue.front() else { continue };
+            if self.cfg.policy.head_ready(r.queue.len(), now, head.arrive_ns) {
+                let (key, id) = self.priority_key(r, head);
+                if best.is_none_or(|(k, i, _)| key.total_cmp(&k).then(id.cmp(&i)).is_lt()) {
+                    best = Some((key, id, row));
                 }
+                continue;
+            }
+            let (class, expiry) = (r.class, self.cfg.policy.expiry_ns(head.arrive_ns));
+            if !r.armed_ns.is_some_and(|t| t > now && t <= expiry) {
+                self.classes[row].armed_ns = Some(expiry);
+                self.push_event(expiry, EventKind::WindowExpire(class));
             }
         }
-    }
-
-    /// The window-arming sweep: walks the flagged classes in class
-    /// order, promoting any whose window has elapsed and arming one
-    /// wake-up event for the rest. This is push-for-push identical to
-    /// the serial scan's arming pass — same classes, same order, same
-    /// coverage check — which is what keeps the event stream (and
-    /// therefore every report, golden, and trace byte) unchanged.
-    fn arm_flagged(&mut self, now: f64) {
-        let mut cursor = self.ready.first_flagged();
-        while let Some(class) = cursor {
-            cursor = self.ready.next_flagged_after(class);
-            let head = self
-                .queues
-                .get(&class)
-                .and_then(|q| q.front())
-                .expect("flagged class has a queued head");
-            let (arrive_ns, id) = (head.arrive_ns, head.id);
-            let expiry = self.cfg.policy.expiry_ns(arrive_ns);
-            if now >= expiry {
-                let key = self.priority_key(class, arrive_ns, id);
-                self.ready.set_ready(class, key);
-            } else {
-                // Arm one wake-up per class; re-arm only if nothing
-                // earlier is pending (duplicates would be harmless but
-                // noisy).
-                let covered =
-                    self.armed_windows.get(&class).is_some_and(|&t| t > now && t <= expiry);
-                if !covered {
-                    self.armed_windows.insert(class, expiry);
-                    self.push_event(expiry, EventKind::WindowExpire(class));
-                }
-            }
-        }
+        best.map(|(_, _, row)| row)
     }
 
     fn dispatch_loop(&mut self, now: f64) {
         while !self.idle.is_empty() {
-            self.arm_flagged(now);
-            // The ready class whose head has waited longest (ties broken
-            // by request id; ids are unique), straight off the index —
-            // the serial loop rescanned every class queue here.
-            let Some(class) = self.ready.best() else { break };
+            let Some(row) = self.pick_ready(now) else { break };
             if let Some(p) = self.profile.as_deref_mut() {
-                // One "scan" per indexed ready-pop, i.e. per dispatch
-                // attempt — a pure function of the batch sequence (the
-                // serial dispatcher counted full queue sweeps here,
-                // which also made the count fleet-dependent). Also
+                // One scan per dispatch attempt — a pure function of the
+                // batch sequence, whatever the fleet size. Also
                 // attributed to the active dequeue-policy branch so the
                 // work goldens pin each policy's share.
                 p.work.dispatch_scans += 1;
@@ -886,26 +850,21 @@ impl<'a> Sim<'a> {
                     DequeuePolicy::EarliestDeadline(_) => p.work.dispatch_scans_edf += 1,
                 }
             }
-            let members = self.form_batch(now, class);
-            self.reindex_class(now, class);
+            let members = self.form_batch(now, row);
             if members.is_empty() {
                 continue; // everything at the head had expired
             }
+            let class = self.classes[row].class;
             let size = members.len();
-            // Placement: the lowest idle index by default. With the
-            // health monitor's wear-leveling policy on, a deterministic
-            // round-robin cursor spreads invocations across the fleet
-            // and keeps precedence over the control plane's placement
-            // policy (zero RNG draws on every path — placement chooses
-            // *which* instance runs the batch, never when or what).
-            let wear_pick = match self.health.as_mut() {
-                Some(h) if h.wear_leveling() => Some(h.pick_instance(&self.idle)),
-                _ => None,
-            };
-            let instance = match wear_pick {
-                Some(i) => i,
-                None if self.control_active => self.place_instance(class, size),
-                None => *self.idle.first().expect("loop guard: idle set non-empty"),
+            // Placement: the control plane's policy (the lowest idle
+            // index by default). With the health monitor's wear-leveling
+            // policy on, a deterministic round-robin cursor spreads
+            // invocations across the fleet and takes precedence (zero
+            // RNG draws on every path — placement chooses *which*
+            // instance runs the batch, never when or what).
+            let instance = match self.health.as_mut() {
+                Some(h) if h.wear_leveling() => h.pick_instance(&self.idle),
+                _ => self.place_instance(class, size),
             };
             debug_assert!(
                 self.scaler.as_ref().is_none_or(|s| s.is_active(instance)),
@@ -922,15 +881,7 @@ impl<'a> Sim<'a> {
             self.idle.remove(&instance);
             self.busy_ns[instance] += cost.latency_ns;
             self.energy_pj += cost.energy_pj;
-            if self.control_active {
-                // Charge the class its attained service. Under
-                // weighted-fair the charge moves the class's virtual
-                // time, so its index key must be recomputed.
-                *self.attained_ns.get_mut(&class).expect("class registered") += cost.latency_ns;
-                if matches!(self.cfg.control.dequeue, DequeuePolicy::WeightedFair(_)) {
-                    self.reindex_class(now, class);
-                }
-            }
+            self.classes[row].attained_ns += cost.latency_ns;
             self.batches += 1;
             self.batched_requests += size as u64;
             if let Some(p) = self.profile.as_deref_mut() {
@@ -998,13 +949,13 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Pops up to `max_batch` requests of `class`, dropping any whose
-    /// deadline already lapsed in the queue.
-    fn form_batch(&mut self, now: f64, class: RequestClass) -> Vec<Request> {
+    /// Pops up to `max_batch` requests from the queue of class table row
+    /// `row`, dropping any whose deadline already lapsed in the queue.
+    fn form_batch(&mut self, now: f64, row: usize) -> Vec<Request> {
         let mut members = Vec::new();
         let mut dead: Vec<Request> = Vec::new();
         {
-            let q = self.queues.get_mut(&class).expect("class registered");
+            let q = &mut self.classes[row].queue;
             while members.len() < self.cfg.policy.max_batch {
                 let Some(head) = q.front() else { break };
                 if now - head.arrive_ns > self.cfg.deadline_ns {
@@ -1027,7 +978,7 @@ impl<'a> Sim<'a> {
             }
         }
         for req in dead {
-            self.per_class.get_mut(&req.class).expect("class registered").expired += 1;
+            self.classes[row].expired += 1;
             if let Some(s) = self.scaler.as_mut() {
                 s.note_violation(req.class);
             }
@@ -1160,10 +1111,10 @@ impl<'a> Sim<'a> {
             t.makespan_ns = self.makespan_ns;
         }
         let per_class: Vec<ClassSloReport> = self
-            .per_class
+            .classes
             .iter()
-            .map(|(&class, a)| ClassSloReport {
-                class,
+            .map(|a| ClassSloReport {
+                class: a.class,
                 arrivals: a.arrivals,
                 completed: a.completed,
                 good: a.good,
@@ -1208,22 +1159,19 @@ impl<'a> Sim<'a> {
             per_class,
         };
         let control = self.control_active.then(|| {
-            let total_attained: f64 = self.attained_ns.values().sum();
+            let total_attained: f64 = self.classes.iter().map(|a| a.attained_ns).sum();
             let shares: Vec<ClassShare> = self
-                .per_class
+                .classes
                 .iter()
-                .map(|(&class, a)| {
-                    let attained = self.attained_ns.get(&class).copied().unwrap_or(0.0);
-                    ClassShare {
-                        class,
-                        completed: a.completed,
-                        attained_ns: attained,
-                        share: if total_attained > 0.0 { attained / total_attained } else { 0.0 },
-                        weight: match &self.cfg.control.dequeue {
-                            DequeuePolicy::WeightedFair(p) => p.weight(class),
-                            _ => 1.0,
-                        },
-                    }
+                .map(|a| ClassShare {
+                    class: a.class,
+                    completed: a.completed,
+                    attained_ns: a.attained_ns,
+                    share: if total_attained > 0.0 { a.attained_ns / total_attained } else { 0.0 },
+                    weight: match &self.cfg.control.dequeue {
+                        DequeuePolicy::WeightedFair(p) => p.weight(a.class),
+                        _ => 1.0,
+                    },
                 })
                 .collect();
             let (
@@ -1482,6 +1430,61 @@ mod tests {
         let order: Vec<(f64, u64)> =
             std::iter::from_fn(|| sim.next_event()).map(|e| (e.time, e.seq)).collect();
         assert_eq!(order, vec![(1.0, 5), (5.0, 3), (5.0, 4)]);
+    }
+
+    #[test]
+    fn pick_ready_orders_ready_classes_and_arms_waiting_ones() {
+        use crate::arrival::WorkloadMix;
+        let classes = [16, 32, 64].map(|seq| RequestClass::new(ModelKind::Tiny, seq));
+        let mut cfg = ServeConfig {
+            policy: BatchPolicy::new(4, 50_000.0),
+            mix: WorkloadMix::new(classes.iter().map(|&c| (c, 1.0)).collect()),
+            ..ServeConfig::example()
+        };
+        // A fresh three-class table with `(row, id, arrive_ns)` queued.
+        fn sim_with<'a>(cfg: &'a ServeConfig, queued: &[(usize, u64, f64)]) -> Sim<'a> {
+            let mut sim = Sim::new(cfg, false, None, false, None, false);
+            for &(row, id, arrive_ns) in queued {
+                let class = sim.classes[row].class;
+                sim.classes[row].queue.push_back(Request { id, class, arrive_ns, client: None });
+            }
+            sim
+        }
+
+        // FIFO, both windows over: equal head arrivals, the lower id wins.
+        let mut sim = sim_with(&cfg, &[(0, 9, 100.0), (1, 4, 100.0)]);
+        assert_eq!(sim.pick_ready(60_000.0), Some(1));
+        assert!(sim.events.is_empty(), "no class is waiting");
+
+        // A full queue is ready before its window ends, ahead of an older
+        // head still waiting; the waiting class is armed exactly once.
+        let full: Vec<(usize, u64, f64)> = (1..=4).map(|id| (2, id, 10.0 * id as f64)).collect();
+        let mut sim = sim_with(&cfg, &[&[(0, 0, 0.0)], full.as_slice()].concat());
+        assert_eq!(sim.pick_ready(20_000.0), Some(2));
+        assert_eq!(sim.events.len(), 1, "one wake-up for the waiting class");
+        let Reverse(wake) = sim.events.peek().expect("armed");
+        assert!(matches!(wake.kind, EventKind::WindowExpire(c) if c == classes[0]));
+        assert_eq!(wake.time, 50_000.0);
+        assert_eq!(sim.pick_ready(20_000.0), Some(2));
+        assert_eq!(sim.events.len(), 1, "a second pass at the same time arms nothing");
+
+        // Weighted-fair: the least attained service over weight wins.
+        cfg.control.dequeue =
+            DequeuePolicy::weighted_fair(vec![(classes[1], 2.0), (classes[2], 4.0)]);
+        let mut sim = sim_with(&cfg, &[(0, 0, 0.0), (1, 1, 10.0), (2, 2, 20.0)]);
+        for (row, attained) in [100.0, 150.0, 440.0].into_iter().enumerate() {
+            sim.classes[row].attained_ns = attained;
+        }
+        assert_eq!(sim.pick_ready(60_000.0), Some(1), "150 / 2 < 100 / 1 < 440 / 4");
+
+        // EDF: the earliest absolute deadline wins.
+        cfg.control.dequeue = DequeuePolicy::earliest_deadline(vec![
+            (classes[0], 900.0),
+            (classes[1], 500.0),
+            (classes[2], 100.0),
+        ]);
+        let mut sim = sim_with(&cfg, &[(0, 0, 0.0), (1, 1, 100.0), (2, 2, 650.0)]);
+        assert_eq!(sim.pick_ready(60_000.0), Some(1), "600 < 750 < 900");
     }
 
     #[test]

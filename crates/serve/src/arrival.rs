@@ -272,6 +272,45 @@ mod tests {
         assert_ne!(a, c);
     }
 
+    /// FNV-1a over `(id, class, arrive_ns bits)` of every arrival the
+    /// generator yields over 20 ms, each field as little-endian `u64`
+    /// bytes.
+    fn stream_digest(process: &ArrivalProcess, mix: &WorkloadMix, seed: u64) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let reqs = generate_open_loop(process, mix, 2e7, seed);
+        assert!(reqs.len() > 100, "{} arrivals", reqs.len());
+        for r in reqs.iter() {
+            let words = [r.id, r.class.model as u64, r.class.seq_len as u64, r.arrive_ns.to_bits()];
+            for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn arrival_streams_match_their_pinned_digests() {
+        // Listed out of class order, so a class's mix index is not its
+        // rank in class order.
+        let mix = WorkloadMix::new(vec![
+            (RequestClass::new(ModelKind::Tiny, 64), 1.0),
+            (RequestClass::new(ModelKind::BertBase, 128), 2.0),
+            (RequestClass::new(ModelKind::Tiny, 16), 3.0),
+        ]);
+        let poisson = ArrivalProcess::poisson(80_000.0);
+        let mmpp = ArrivalProcess::mmpp(20_000.0, 160_000.0, 1e6, 5e5);
+        let pinned: [(&ArrivalProcess, u64, u64); 4] = [
+            (&poisson, 7, 0x69ce_7b4f_5bc7_8620),
+            (&poisson, 11, 0x2f68_1071_980e_a1f0),
+            (&mmpp, 7, 0x9344_df89_325d_999f),
+            (&mmpp, 11, 0x5ea8_6249_3284_224f),
+        ];
+        for (process, seed, digest) in pinned {
+            let got = stream_digest(process, &mix, seed);
+            assert_eq!(got, digest, "{} at seed {seed}: {got:#018x}", process.label());
+        }
+    }
+
     #[test]
     fn poisson_arrivals_sorted_and_in_horizon() {
         let p = ArrivalProcess::poisson(50_000.0);

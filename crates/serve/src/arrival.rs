@@ -2,14 +2,14 @@
 //! and the closed-loop client population.
 //!
 //! Open-loop traffic is materialized ahead of the simulation as a sorted
-//! request list — the generator is a pure function of `(process, mix,
-//! horizon, seed)`, so the same inputs produce the bitwise-identical
-//! request stream on every run and every machine (the vendored
-//! `ChaCha8Rng` is a counter-based stream cipher; no platform-dependent
-//! state). Closed-loop traffic cannot be pregenerated — each client's next
-//! arrival depends on when its previous request completed — so the
-//! simulator draws its think times from the same seeded stream during the
-//! event loop.
+//! [`ArrivalTrace`], ten bytes per arrival — the generator is a pure
+//! function of `(process, mix, horizon, seed)`, so the same inputs
+//! produce the bitwise-identical request stream on every run and every
+//! machine (the vendored `ChaCha8Rng` is a counter-based stream cipher;
+//! no platform-dependent state). Closed-loop traffic cannot be
+//! pregenerated — each client's next arrival depends on when its previous
+//! request completed — so the simulator draws its think times from the
+//! same seeded stream during the event loop.
 
 use crate::request::{Request, RequestClass};
 use rand::Rng;
@@ -135,9 +135,12 @@ impl WorkloadMix {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is empty or any weight is not positive.
+    /// Panics if `entries` is empty or holds more than 65 536 classes
+    /// (an [`ArrivalTrace`] names a class by a `u16` index), or if any
+    /// weight is not positive.
     pub fn new(entries: Vec<(RequestClass, f64)>) -> Self {
         assert!(!entries.is_empty(), "workload mix needs at least one class");
+        assert!(entries.len() <= 1 << 16, "a workload mix holds at most 65 536 classes");
         assert!(
             entries.iter().all(|(_, w)| w.is_finite() && *w > 0.0),
             "mix weights must be positive"
@@ -157,16 +160,90 @@ impl WorkloadMix {
 
     /// Samples a class proportionally to the weights.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> RequestClass {
+        self.entries[self.sample_index(rng)].0
+    }
+
+    /// Samples an index into [`WorkloadMix::classes`] proportionally to
+    /// the weights, from one uniform draw.
+    fn sample_index<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let total: f64 = self.entries.iter().map(|(_, w)| w).sum();
         let mut x = rng.gen::<f64>() * total;
-        for (class, w) in &self.entries {
+        for (i, (_, w)) in self.entries.iter().enumerate() {
             if x < *w {
-                return *class;
+                return i;
             }
             x -= w;
         }
         // Floating-point edge: x consumed the entire mass.
-        self.entries.last().expect("mix is non-empty").0
+        self.entries.len() - 1
+    }
+}
+
+/// An open-loop arrival stream as [`generate_open_loop`] draws it, ten
+/// bytes per arrival: arrival `i` has id `i`, arrives at
+/// [`ArrivalTrace::time_ns`] and belongs to the mix class its `u16`
+/// index names.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ArrivalTrace {
+    /// Arrival times, ns, non-decreasing.
+    times_ns: Vec<f64>,
+    /// Each arrival's index into `classes`.
+    class_idx: Vec<u16>,
+    /// The mix's classes, in declaration order.
+    classes: Vec<RequestClass>,
+}
+
+impl ArrivalTrace {
+    /// Number of arrivals.
+    pub fn len(&self) -> usize {
+        self.times_ns.len()
+    }
+
+    /// True when no request arrives before the horizon.
+    pub fn is_empty(&self) -> bool {
+        self.times_ns.is_empty()
+    }
+
+    /// Arrival time of arrival `i`, ns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    pub fn time_ns(&self, i: usize) -> f64 {
+        self.times_ns[i]
+    }
+
+    /// Arrival `i` as a request.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    pub fn request(&self, i: usize) -> Request {
+        Request {
+            id: i as u64,
+            class: self.classes[usize::from(self.class_idx[i])],
+            arrive_ns: self.times_ns[i],
+            client: None,
+        }
+    }
+
+    /// Every arrival as a request, in arrival order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Request> + '_ {
+        (0..self.len()).map(|i| self.request(i))
+    }
+
+    /// How many arrivals each mix class has, in mix order.
+    pub(crate) fn class_counts(&self) -> Vec<(RequestClass, usize)> {
+        let mut counts = vec![0; self.classes.len()];
+        for &i in &self.class_idx {
+            counts[usize::from(i)] += 1;
+        }
+        self.classes.iter().copied().zip(counts).collect()
+    }
+
+    fn push(&mut self, arrive_ns: f64, class_idx: usize) {
+        self.times_ns.push(arrive_ns);
+        self.class_idx.push(u16::try_from(class_idx).expect("mix indices fit in u16"));
     }
 }
 
@@ -181,8 +258,8 @@ pub(crate) fn exp_sample<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> f64 {
 
 /// Materializes the open-loop arrival stream of `process` over
 /// `[0, horizon_ns)`: request ids are assigned in arrival order starting
-/// at 0 and classes are drawn from `mix`. Deterministic in `(process,
-/// mix, horizon_ns, seed)`.
+/// at 0 and classes are drawn from `mix`, one uniform draw after each
+/// arrival time's. Deterministic in `(process, mix, horizon_ns, seed)`.
 ///
 /// # Panics
 ///
@@ -194,19 +271,18 @@ pub fn generate_open_loop(
     mix: &WorkloadMix,
     horizon_ns: f64,
     seed: u64,
-) -> Vec<Request> {
+) -> ArrivalTrace {
     use rand::SeedableRng;
     assert!(horizon_ns > 0.0 && horizon_ns.is_finite(), "horizon must be positive");
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut out = Vec::new();
+    let mut out = ArrivalTrace { classes: mix.classes(), ..ArrivalTrace::default() };
     match *process {
         ArrivalProcess::Poisson(PoissonArrival { rate_rps }) => {
             assert!(rate_rps > 0.0, "Poisson rate must be positive");
             let mean_gap_ns = 1e9 / rate_rps;
             let mut t = exp_sample(&mut rng, mean_gap_ns);
             while t < horizon_ns {
-                let class = mix.sample(&mut rng);
-                out.push(Request { id: out.len() as u64, class, arrive_ns: t, client: None });
+                out.push(t, mix.sample_index(&mut rng));
                 t += exp_sample(&mut rng, mean_gap_ns);
             }
         }
@@ -237,8 +313,7 @@ pub fn generate_open_loop(
                     if t >= horizon_ns {
                         break;
                     }
-                    let class = mix.sample(&mut rng);
-                    out.push(Request { id: out.len() as u64, class, arrive_ns: t, client: None });
+                    out.push(t, mix.sample_index(&mut rng));
                 }
                 if t >= horizon_ns {
                     break;
@@ -314,8 +389,9 @@ mod tests {
     #[test]
     fn poisson_arrivals_sorted_and_in_horizon() {
         let p = ArrivalProcess::poisson(50_000.0);
-        let reqs = generate_open_loop(&p, &tiny_mix(), 1e8, 3);
-        assert!(!reqs.is_empty());
+        let trace = generate_open_loop(&p, &tiny_mix(), 1e8, 3);
+        assert!(!trace.is_empty());
+        let reqs: Vec<Request> = trace.iter().collect();
         for w in reqs.windows(2) {
             assert!(w[0].arrive_ns <= w[1].arrive_ns);
         }
@@ -326,9 +402,10 @@ mod tests {
     #[test]
     fn mmpp_bursts_beat_calm_rate() {
         let p = ArrivalProcess::mmpp(1_000.0, 100_000.0, 5e6, 5e6);
-        let reqs = generate_open_loop(&p, &tiny_mix(), 1e9, 11);
+        let trace = generate_open_loop(&p, &tiny_mix(), 1e9, 11);
         // Mean of the two states is ~50.5k rps over 1 s.
-        assert!(reqs.len() > 10_000, "{}", reqs.len());
+        assert!(trace.len() > 10_000, "{}", trace.len());
+        let reqs: Vec<Request> = trace.iter().collect();
         for w in reqs.windows(2) {
             assert!(w[0].arrive_ns <= w[1].arrive_ns);
         }
@@ -355,6 +432,30 @@ mod tests {
         let frac = hits_b as f64 / n as f64;
         assert!((frac - 0.1).abs() < 0.02, "{frac}");
         assert_eq!(mix.classes(), vec![a, b]);
+    }
+
+    #[test]
+    fn sample_and_sample_index_make_the_same_draw() {
+        let classes = [64, 8, 32].map(|seq| RequestClass::new(ModelKind::Tiny, seq));
+        let mix =
+            WorkloadMix::new(classes.iter().zip([3.0, 1.0, 0.5]).map(|(&c, w)| (c, w)).collect());
+        let mut by_class = ChaCha8Rng::seed_from_u64(13);
+        let mut by_index = ChaCha8Rng::seed_from_u64(13);
+        for _ in 0..1_000 {
+            assert_eq!(mix.sample(&mut by_class), classes[mix.sample_index(&mut by_index)]);
+        }
+        assert_eq!(
+            by_class.gen::<u64>(),
+            by_index.gen::<u64>(),
+            "both leave the stream in one state"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65 536 classes")]
+    fn oversized_mix_rejected() {
+        let class = RequestClass::new(ModelKind::Tiny, 8);
+        let _ = WorkloadMix::new(vec![(class, 1.0); (1 << 16) + 1]);
     }
 
     #[test]

@@ -697,16 +697,16 @@ impl BlameRecorder {
         let mut per_instance: BTreeMap<u32, (u64, BlameComponents)> = BTreeMap::new();
         let mut blocking: BTreeMap<(i16, i16), (u64, f64)> = BTreeMap::new();
         // The exact p99 order statistic, same convention as
-        // `LatencyStats::from_ns_samples`.
+        // `LatencyStats::from_ns_samples`. Under `total_cmp` it is one
+        // bit pattern, so selecting it reads what a full sort would.
         let threshold_ns = {
-            let mut sorted: Vec<f64> = requests.iter().map(|r| r.latency_ns).collect();
-            sorted.sort_by(f64::total_cmp);
-            if sorted.is_empty() {
+            let mut latencies: Vec<f64> = requests.iter().map(|r| r.latency_ns).collect();
+            if latencies.is_empty() {
                 f64::INFINITY
             } else {
-                let n = sorted.len();
+                let n = latencies.len();
                 let rank = ((0.99 * n as f64).ceil() as usize).clamp(1, n);
-                sorted[rank - 1]
+                *latencies.select_nth_unstable_by(rank - 1, f64::total_cmp).1
             }
         };
         for r in &requests {

@@ -66,7 +66,7 @@ pub mod slo;
 pub mod sweep;
 pub mod trace;
 
-pub use arrival::{generate_open_loop, ArrivalProcess, WorkloadMix};
+pub use arrival::{generate_open_loop, ArrivalProcess, ArrivalTrace, WorkloadMix};
 pub use batch::BatchPolicy;
 pub use blame::{
     run_what_ifs, BatchBlame, BlameComponents, BlameOutcome, BlameRecorder, BlameReport,

@@ -13,10 +13,11 @@
 //! order STAR's global pipeline runs its stages in. They come from two
 //! sources merged at every pop:
 //!
-//! - an **open-loop arrival cursor** — the generated arrival trace, kept
-//!   as it was generated instead of being pushed up front. Arrival `i`
-//!   is event `i`, so on an exact time tie the cursor pops before the
-//!   heap, whose events number from the trace length on;
+//! - an **open-loop arrival cursor** — the generated [`ArrivalTrace`]
+//!   and the index of its next arrival, instead of every arrival pushed
+//!   up front. Arrival `i` is event `i`, so on an exact time tie the
+//!   cursor pops before the heap, whose events number from the trace
+//!   length on;
 //! - **one binary heap** for everything else (window expiries,
 //!   invocation completions, scale checks, closed-loop arrivals). It
 //!   holds O(fleet + classes) events in an open-loop run.
@@ -37,7 +38,9 @@
 //! - `WindowExpire` — a class's oldest request has waited out the batch
 //!   window; the batcher may now dispatch a partial batch.
 //! - `InstanceFree` — an invocation finished; its requests complete and
-//!   the instance returns to the idle set.
+//!   the instance returns to the idle set. The event carries only the
+//!   instance: each instance owns one in-flight batch slot, filled at
+//!   dispatch and drained here with its capacity kept.
 //!
 //! After every event the dispatcher greedily matches idle instances with
 //! *ready* class queues (full batch, expired window, or zero window),
@@ -46,7 +49,7 @@
 //! queueing are dropped at dispatch time (they could only waste
 //! accelerator time).
 
-use crate::arrival::{exp_sample, generate_open_loop, ArrivalProcess, WorkloadMix};
+use crate::arrival::{exp_sample, generate_open_loop, ArrivalProcess, ArrivalTrace, WorkloadMix};
 use crate::batch::BatchPolicy;
 use crate::blame::{BlameOutcome, BlameRecorder};
 use crate::control::autoscale::ScalerState;
@@ -58,7 +61,7 @@ use crate::health::{FleetHealthReport, HealthConfig, HealthMonitor};
 use crate::model::{ServiceModel, ServiceModelConfig, ServicePhase};
 use crate::profile::{phase, SimProfile};
 use crate::request::{Request, RequestClass};
-use crate::slo::{ClassSloReport, LatencyStats, ServeReport};
+use crate::slo::{order_key, ClassSloReport, LatencyStats, ServeReport};
 use crate::trace::{BatchTrace, RequestOutcome, RequestTrace, ServeTrace, SystemSample};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -130,9 +133,11 @@ impl ServeConfig {
     }
 }
 
-/// One dispatched invocation in flight.
+/// An instance's in-flight batch slot: filled at dispatch, drained when
+/// the instance frees. `members` is empty while the instance is idle and
+/// keeps its capacity from batch to batch.
 #[derive(Debug, Clone)]
-struct Batch {
+struct InFlight {
     class: RequestClass,
     dispatch_ns: f64,
     members: Vec<Request>,
@@ -142,10 +147,8 @@ struct Batch {
 enum EventKind {
     Arrive(Request),
     WindowExpire(RequestClass),
-    InstanceFree {
-        instance: usize,
-        batch: Batch,
-    },
+    /// The instance's in-flight batch finished.
+    InstanceFree(usize),
     /// Periodic autoscaler decision point (only scheduled when an
     /// autoscaler is configured).
     ScaleCheck,
@@ -171,7 +174,9 @@ struct ClassRow {
     completed: u64,
     good: u64,
     late: u64,
-    latencies_ns: Vec<f64>,
+    /// [`order_key`]s of the class's completion latencies, ns; sorted
+    /// once at finalize.
+    latency_keys: Vec<u64>,
     latency_us: HistogramId,
     queue_us: HistogramId,
 }
@@ -189,7 +194,7 @@ impl ClassRow {
             completed: 0,
             good: 0,
             late: 0,
-            latencies_ns: Vec::new(),
+            latency_keys: Vec::new(),
             latency_us: tel.histogram(
                 &format!("serve.class.{class}.latency_us"),
                 &star_telemetry::DEFAULT_BUCKET_BOUNDS,
@@ -273,10 +278,11 @@ struct Sim<'a> {
     services: Vec<ServiceModel>,
     /// Instance slot → index into `services`.
     model_of: Vec<usize>,
-    /// Open-loop arrivals not yet popped, in trace order; empty for a
-    /// closed loop. Arrival `i` has id `i` and is event seq `i` (see
-    /// [`Sim::next_event`]).
-    arrivals_ahead: std::vec::IntoIter<Request>,
+    /// The open-loop arrivals; empty for a closed loop. Arrival `i` has
+    /// id `i` and is event seq `i` (see [`Sim::next_event`]).
+    arrival_trace: ArrivalTrace,
+    /// The arrival the cursor pops next.
+    next_arrival: usize,
     /// Every other pending event, popped in `(time, seq)` order.
     events: BinaryHeap<Reverse<Event>>,
     event_seq: u64,
@@ -286,6 +292,11 @@ struct Sim<'a> {
     classes: Vec<ClassRow>,
     queued_total: usize,
     idle: BTreeSet<usize>,
+    /// One batch slot per instance slot.
+    in_flight: Vec<InFlight>,
+    /// The batch being formed; dispatch swaps it with the chosen
+    /// instance's drained slot.
+    batch: Vec<Request>,
     /// True iff any control-plane knob is on; only then does the run
     /// build a [`ControlReport`].
     control_active: bool,
@@ -305,8 +316,9 @@ struct Sim<'a> {
     late: u64,
     batches: u64,
     batched_requests: u64,
-    latencies_ns: Vec<f64>,
-    queue_delays_ns: Vec<f64>,
+    /// [`order_key`]s of every completion's queueing delay, ns; sorted
+    /// once at finalize.
+    queue_delay_keys: Vec<u64>,
     busy_ns: Vec<f64>,
     energy_pj: f64,
     in_system: u64,
@@ -400,7 +412,8 @@ impl<'a> Sim<'a> {
             cfg,
             services,
             model_of,
-            arrivals_ahead: Vec::new().into_iter(),
+            arrival_trace: ArrivalTrace::default(),
+            next_arrival: 0,
             events: BinaryHeap::new(),
             event_seq: 0,
             next_request_id: 0,
@@ -408,6 +421,11 @@ impl<'a> Sim<'a> {
             classes: rows,
             queued_total: 0,
             idle: (0..initial_active).collect(),
+            in_flight: vec![
+                InFlight { class: classes[0], dispatch_ns: 0.0, members: Vec::new() };
+                capacity
+            ],
+            batch: Vec::new(),
             control_active: !cfg.control.is_noop(),
             active_count: initial_active,
             scaler,
@@ -421,8 +439,7 @@ impl<'a> Sim<'a> {
             late: 0,
             batches: 0,
             batched_requests: 0,
-            latencies_ns: Vec::new(),
-            queue_delays_ns: Vec::new(),
+            queue_delay_keys: Vec::new(),
             busy_ns: vec![0.0; capacity],
             energy_pj: 0.0,
             in_system: 0,
@@ -489,14 +506,15 @@ impl<'a> Sim<'a> {
     /// wins an exact time tie because its seq is below every heap
     /// event's, so this is the order one heap holding both would pop in.
     fn next_event(&mut self) -> Option<Event> {
-        let cursor_first = match (self.arrivals_ahead.as_slice().first(), self.events.peek()) {
-            (Some(req), Some(Reverse(top))) => req.arrive_ns.total_cmp(&top.time).is_le(),
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
+        let i = self.next_arrival;
+        let cursor_first = i < self.arrival_trace.len()
+            && self.events.peek().is_none_or(|Reverse(top)| {
+                self.arrival_trace.time_ns(i).total_cmp(&top.time).is_le()
+            });
         if cursor_first {
             // An open-loop arrival's id is its trace index, i.e. its seq.
-            let req = self.arrivals_ahead.next()?;
+            self.next_arrival += 1;
+            let req = self.arrival_trace.request(i);
             return Some(Event { time: req.arrive_ns, seq: req.id, kind: EventKind::Arrive(req) });
         }
         let Reverse(event) = self.events.pop()?;
@@ -522,20 +540,31 @@ impl<'a> Sim<'a> {
     fn seed_arrivals(&mut self) {
         match self.cfg.arrival {
             ArrivalProcess::Poisson(_) | ArrivalProcess::Mmpp(_) => {
-                let reqs = generate_open_loop(
+                let trace = generate_open_loop(
                     &self.cfg.arrival,
                     &self.cfg.mix,
                     self.cfg.horizon_ns,
                     self.cfg.seed,
                 );
                 debug_assert!(
-                    reqs.windows(2).all(|w| w[0].arrive_ns <= w[1].arrive_ns),
+                    (1..trace.len()).all(|i| trace.time_ns(i - 1) <= trace.time_ns(i)),
                     "the cursor pops in trace order, so the trace must be time-sorted"
                 );
-                self.next_request_id = reqs.len() as u64;
+                self.next_request_id = trace.len() as u64;
                 // Arrivals own seqs 0..n; every pushed event numbers from n.
-                self.event_seq = reqs.len() as u64;
-                self.arrivals_ahead = reqs.into_iter();
+                self.event_seq = trace.len() as u64;
+                // No class completes more requests than arrive in it, so
+                // reserving those bounds keeps the sample vectors from
+                // growing, and copying, during the loop.
+                self.queue_delay_keys.reserve_exact(trace.len());
+                let mut bounds = vec![0; self.classes.len()];
+                for (class, count) in trace.class_counts() {
+                    bounds[self.row_of(class)] += count;
+                }
+                for (row, bound) in self.classes.iter_mut().zip(bounds) {
+                    row.latency_keys.reserve_exact(bound);
+                }
+                self.arrival_trace = trace;
             }
             ArrivalProcess::ClosedLoop(crate::arrival::ClosedLoopArrival { clients, think_ns }) => {
                 assert!(clients > 0, "closed loop needs at least one client");
@@ -639,10 +668,15 @@ impl<'a> Sim<'a> {
         self.try_dispatch(now);
     }
 
-    fn on_instance_free(&mut self, now: f64, instance: usize, batch: Batch) {
-        let size = batch.members.len();
+    fn on_instance_free(&mut self, now: f64, instance: usize) {
+        // The members leave the slot for the loop below and return to it,
+        // drained with their capacity kept, before the instance idles.
+        let slot = &mut self.in_flight[instance];
+        let (class, dispatch_ns) = (slot.class, slot.dispatch_ns);
+        let mut members = std::mem::take(&mut slot.members);
+        let size = members.len();
         debug_assert!(
-            batch.members.iter().all(|r| r.class == batch.class),
+            members.iter().all(|r| r.class == class),
             "batches never mix request classes"
         );
         // Hardware phase decomposition, computed once per batch and
@@ -654,25 +688,25 @@ impl<'a> Sim<'a> {
         // Blame reuses the same pure decomposition (no counters, no RNG)
         // — computing it for either observer perturbs nothing.
         let phases = (self.trace.is_some() || self.blame.is_some())
-            .then(|| self.services[self.model_of[instance]].invocation_phases(batch.class, size));
+            .then(|| self.services[self.model_of[instance]].invocation_phases(class, size));
         if let (Some(b), Some(p)) = (self.blame.as_deref_mut(), phases.as_ref()) {
-            b.on_batch(instance, batch.class, batch.dispatch_ns, now, &batch.members, p);
+            b.on_batch(instance, class, dispatch_ns, now, &members, p);
         }
         if let (Some(t), Some(p)) = (self.trace.as_mut(), phases.as_ref()) {
             t.batches.push(BatchTrace {
                 instance,
-                class: batch.class,
+                class,
                 size,
-                dispatch_ns: batch.dispatch_ns,
-                dur_ns: now - batch.dispatch_ns,
+                dispatch_ns,
+                dur_ns: now - dispatch_ns,
                 phases: *p,
             });
         }
         self.tock(phase::TRACE_EMIT, tt);
-        let row = self.row_of(batch.class);
-        for req in batch.members {
+        let row = self.row_of(class);
+        for req in members.drain(..) {
             let latency = now - req.arrive_ns;
-            let queue_ns = batch.dispatch_ns - req.arrive_ns;
+            let queue_ns = dispatch_ns - req.arrive_ns;
             let good = latency <= self.cfg.deadline_ns;
             if let Some(f) = self.flight.as_deref_mut() {
                 f.on_terminal(
@@ -680,7 +714,7 @@ impl<'a> Sim<'a> {
                     req.class,
                     if good { RequestOutcome::Good } else { RequestOutcome::Late },
                     req.arrive_ns,
-                    Some(batch.dispatch_ns),
+                    Some(dispatch_ns),
                     now,
                     size,
                     Some(instance),
@@ -690,7 +724,7 @@ impl<'a> Sim<'a> {
             self.completed += 1;
             let acc = &mut self.classes[row];
             acc.completed += 1;
-            acc.latencies_ns.push(latency);
+            acc.latency_keys.push(order_key(latency));
             if good {
                 self.good += 1;
                 acc.good += 1;
@@ -726,10 +760,10 @@ impl<'a> Sim<'a> {
                 });
             }
             self.tock(phase::TRACE_EMIT, tt);
-            self.latencies_ns.push(latency);
-            self.queue_delays_ns.push(queue_ns);
+            self.queue_delay_keys.push(order_key(queue_ns));
             self.client_think_and_reissue(req.client, now);
         }
+        self.in_flight[instance].members = members;
         self.idle.insert(instance);
         self.try_dispatch(now);
     }
@@ -850,12 +884,12 @@ impl<'a> Sim<'a> {
                     DequeuePolicy::EarliestDeadline(_) => p.work.dispatch_scans_edf += 1,
                 }
             }
-            let members = self.form_batch(now, row);
-            if members.is_empty() {
+            self.form_batch(now, row);
+            if self.batch.is_empty() {
                 continue; // everything at the head had expired
             }
             let class = self.classes[row].class;
-            let size = members.len();
+            let size = self.batch.len();
             // Placement: the control plane's policy (the lowest idle
             // index by default). With the health monitor's wear-leveling
             // policy on, a deterministic round-robin cursor spreads
@@ -891,14 +925,15 @@ impl<'a> Sim<'a> {
             self.tel.count(self.ids.dispatched, 1);
             self.tel.observe(self.ids.batch_size, size as f64);
             self.tel.add(self.ids.energy_pj, cost.energy_pj);
-            let finish = now + cost.latency_ns;
-            self.push_event(
-                finish,
-                EventKind::InstanceFree {
-                    instance,
-                    batch: Batch { class, dispatch_ns: now, members },
-                },
-            );
+            // The batch moves into the instance's slot, and the slot's
+            // drained vector becomes the next batch: once every vector
+            // has grown, dispatch allocates nothing.
+            let slot = &mut self.in_flight[instance];
+            debug_assert!(slot.members.is_empty(), "only an idle instance is dispatched to");
+            slot.class = class;
+            slot.dispatch_ns = now;
+            std::mem::swap(&mut slot.members, &mut self.batch);
+            self.push_event(now + cost.latency_ns, EventKind::InstanceFree(instance));
         }
     }
 
@@ -950,13 +985,14 @@ impl<'a> Sim<'a> {
     }
 
     /// Pops up to `max_batch` requests from the queue of class table row
-    /// `row`, dropping any whose deadline already lapsed in the queue.
-    fn form_batch(&mut self, now: f64, row: usize) -> Vec<Request> {
-        let mut members = Vec::new();
+    /// `row` into the empty [`Sim::batch`], dropping any whose deadline
+    /// already lapsed in the queue.
+    fn form_batch(&mut self, now: f64, row: usize) {
+        debug_assert!(self.batch.is_empty(), "the last batch was dispatched");
         let mut dead: Vec<Request> = Vec::new();
         {
             let q = &mut self.classes[row].queue;
-            while members.len() < self.cfg.policy.max_batch {
+            while self.batch.len() < self.cfg.policy.max_batch {
                 let Some(head) = q.front() else { break };
                 if now - head.arrive_ns > self.cfg.deadline_ns {
                     dead.push(q.pop_front().expect("head exists"));
@@ -965,7 +1001,7 @@ impl<'a> Sim<'a> {
                     self.expired += 1;
                     continue;
                 }
-                members.push(q.pop_front().expect("head exists"));
+                self.batch.push(q.pop_front().expect("head exists"));
                 self.queued_total -= 1;
             }
         }
@@ -1013,7 +1049,6 @@ impl<'a> Sim<'a> {
             }
             self.client_think_and_reissue(req.client, now);
         }
-        members
     }
 
     fn run(mut self) -> SimOutcome {
@@ -1036,23 +1071,22 @@ impl<'a> Sim<'a> {
                 match &event.kind {
                     EventKind::Arrive(_) => p.work.events_arrive += 1,
                     EventKind::WindowExpire(_) => p.work.events_window_expire += 1,
-                    EventKind::InstanceFree { .. } => p.work.events_instance_free += 1,
+                    EventKind::InstanceFree(_) => p.work.events_instance_free += 1,
                     EventKind::ScaleCheck => p.work.events_scale_check += 1,
                 }
             }
             // Lower the event to its flight view before the handler
-            // consumes it (the recorder never sees the private event
+            // consumes it, and an instance's batch before the handler
+            // drains its slot (the recorder never sees the private event
             // enum; the view is a pure projection).
             let fview = if self.flight.is_some() {
                 Some(match &event.kind {
                     EventKind::Arrive(req) => EventView::arrive(req.class),
                     EventKind::WindowExpire(class) => EventView::window_expire(*class),
-                    EventKind::InstanceFree { instance, batch } => EventView::instance_free(
-                        *instance,
-                        batch.class,
-                        batch.members.len(),
-                        batch.dispatch_ns,
-                    ),
+                    &EventKind::InstanceFree(instance) => {
+                        let b = &self.in_flight[instance];
+                        EventView::instance_free(instance, b.class, b.members.len(), b.dispatch_ns)
+                    }
                     EventKind::ScaleCheck => EventView::scale_check(),
                 })
             } else {
@@ -1068,8 +1102,8 @@ impl<'a> Sim<'a> {
                     self.on_window_expire(event.time, class);
                     self.tock(phase::WINDOW_EXPIRE, t0);
                 }
-                EventKind::InstanceFree { instance, batch } => {
-                    self.on_instance_free(event.time, instance, batch);
+                EventKind::InstanceFree(instance) => {
+                    self.on_instance_free(event.time, instance);
                     self.tock(phase::INSTANCE_FREE, t0);
                 }
                 EventKind::ScaleCheck => {
@@ -1081,7 +1115,8 @@ impl<'a> Sim<'a> {
                 // Post-event settled state, same convention as the trace
                 // timeseries sample below.
                 p.work.queue_depth_hist.record(self.queued_total as u64);
-                p.work.backlog_hist.record((self.events.len() + self.arrivals_ahead.len()) as u64);
+                let ahead = self.arrival_trace.len() - self.next_arrival;
+                p.work.backlog_hist.record((self.events.len() + ahead) as u64);
             }
             let ts = self.tick();
             self.record_sample(event.time);
@@ -1110,6 +1145,14 @@ impl<'a> Sim<'a> {
         if let Some(t) = self.trace.as_mut() {
             t.makespan_ns = self.makespan_ns;
         }
+        // One in-place sort per sample set; the overall latency summary
+        // merges the sorted per-class sets.
+        for row in &mut self.classes {
+            row.latency_keys.sort_unstable();
+        }
+        self.queue_delay_keys.sort_unstable();
+        let latency_runs: Vec<&[u64]> =
+            self.classes.iter().map(|a| a.latency_keys.as_slice()).collect();
         let per_class: Vec<ClassSloReport> = self
             .classes
             .iter()
@@ -1122,7 +1165,7 @@ impl<'a> Sim<'a> {
                 rejected: a.rejected,
                 expired: a.expired,
                 goodput_rps: a.good as f64 / makespan_s,
-                latency: LatencyStats::from_ns_samples(&a.latencies_ns),
+                latency: LatencyStats::from_sorted_keys(&a.latency_keys),
             })
             .collect();
         let utilization: Vec<f64> =
@@ -1139,8 +1182,8 @@ impl<'a> Sim<'a> {
             offered_rps: self.cfg.arrival.offered_rps(),
             throughput_rps: self.completed as f64 / makespan_s,
             goodput_rps: self.good as f64 / makespan_s,
-            latency: LatencyStats::from_ns_samples(&self.latencies_ns),
-            queue_delay: LatencyStats::from_ns_samples(&self.queue_delays_ns),
+            latency: LatencyStats::from_sorted_runs(&latency_runs),
+            queue_delay: LatencyStats::from_sorted_keys(&self.queue_delay_keys),
             batches: self.batches,
             mean_batch_size: if self.batches == 0 {
                 0.0
@@ -1398,9 +1441,9 @@ mod tests {
         let class = cfg.mix.classes()[0];
         let mut sim = Sim::new(&cfg, false, None, false, None, false);
         sim.seed_arrivals();
-        let n = sim.arrivals_ahead.len() as u64;
+        let n = sim.arrival_trace.len() as u64;
         assert!(n > 2, "the example trace has arrivals");
-        let first = sim.arrivals_ahead.as_slice()[0].arrive_ns;
+        let first = sim.arrival_trace.time_ns(0);
         sim.push_event(first, EventKind::WindowExpire(class));
         let arrival = sim.next_event().expect("arrival 0");
         assert!(matches!(arrival.kind, EventKind::Arrive(ref r) if r.id == 0));
@@ -1419,7 +1462,7 @@ mod tests {
         let class = cfg.mix.classes()[0];
         let mut sim = Sim::new(&cfg, false, None, false, None, false);
         sim.seed_arrivals();
-        assert_eq!(sim.arrivals_ahead.len(), 0, "a closed loop has no cursor");
+        assert!(sim.arrival_trace.is_empty(), "a closed loop has no cursor");
         let mut clients: Vec<u64> =
             std::iter::from_fn(|| sim.next_event()).map(|e| e.seq).collect();
         clients.sort_unstable();

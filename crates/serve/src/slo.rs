@@ -1,9 +1,11 @@
 //! SLO accounting: exact latency quantiles, goodput, utilization, energy
 //! per request, and the burn-rate monitor.
 //!
-//! The tracker keeps every raw latency sample and sorts once at the end,
-//! so the reported p50/p95/p99 are **exact order statistics**, not bucket
-//! estimates (the `star-telemetry` histograms recorded alongside give the
+//! The tracker keeps every raw latency sample as an `order_key` and
+//! sorts each sample set once at the end, so the reported p50/p95/p99 are
+//! **exact order statistics**, not bucket estimates; the overall summary
+//! reads a merge of the sorted per-class sets, so no sample is stored or
+//! sorted twice (the `star-telemetry` histograms recorded alongside give the
 //! bucketed view for dashboards; see
 //! `star_telemetry::HistogramSnapshot::quantile` for the estimator's
 //! bounded-relative-error guarantee).
@@ -47,29 +49,89 @@ pub struct LatencyStats {
     pub max_ms: f64,
 }
 
+/// The `u64` image of `f64::total_cmp` order: `order_key(a) <
+/// order_key(b)` exactly when `a.total_cmp(&b)` is `Less`, and equal keys
+/// are equal bits, so an unstable sort of keys yields the one sequence a
+/// stable `total_cmp` sort of the values would. [`from_key`] inverts it.
+pub(crate) fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The value whose [`order_key`] is `key`, bit for bit.
+fn from_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 { key & !(1 << 63) } else { !key })
+}
+
 impl LatencyStats {
     /// Summary of `samples_ns` (nanosecond samples; order irrelevant).
     /// Returns the zero summary when empty.
     pub fn from_ns_samples(samples_ns: &[f64]) -> Self {
-        if samples_ns.is_empty() {
+        let mut keys: Vec<u64> = samples_ns.iter().map(|&x| order_key(x)).collect();
+        keys.sort_unstable();
+        LatencyStats::from_sorted_keys(&keys)
+    }
+
+    /// Summary of the samples whose [`order_key`]s are `keys`, which must
+    /// be ascending. Returns the zero summary when empty.
+    pub(crate) fn from_sorted_keys(keys: &[u64]) -> Self {
+        LatencyStats::from_ascending(keys.len(), keys.iter().copied())
+    }
+
+    /// Summary of the union of ascending key sets, read through one
+    /// k-way merge (the set itself when there is one).
+    pub(crate) fn from_sorted_runs(runs: &[&[u64]]) -> Self {
+        if let [keys] = runs {
+            return LatencyStats::from_sorted_keys(keys);
+        }
+        // A linear scan of the run heads per key: a mix holds a handful
+        // of classes.
+        let mut heads = vec![0; runs.len()];
+        let merged = std::iter::from_fn(|| {
+            let (run, key) = (0..runs.len())
+                .filter_map(|r| runs[r].get(heads[r]).map(|&k| (r, k)))
+                .min_by_key(|&(_, k)| k)?;
+            heads[run] += 1;
+            Some(key)
+        });
+        LatencyStats::from_ascending(runs.iter().map(|r| r.len()).sum(), merged)
+    }
+
+    /// Summary of the `n` ascending keys `keys` yields. The mean sums the
+    /// samples in ascending order.
+    fn from_ascending(n: usize, keys: impl Iterator<Item = u64>) -> Self {
+        if n == 0 {
             return LatencyStats::default();
         }
-        let mut sorted: Vec<f64> = samples_ns.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        let n = sorted.len();
-        let pick = |q: f64| -> f64 {
-            // Exact order statistic: rank ⌈q·n⌉ (1-based), clamped.
-            let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-            sorted[rank - 1] / 1e6
-        };
-        let sum: f64 = sorted.iter().sum();
+        // Exact order statistics: rank ⌈q·n⌉ (1-based), clamped.
+        let ranks = [0.50, 0.95, 0.99].map(|q| ((q * n as f64).ceil() as usize).clamp(1, n) - 1);
+        let mut picks = [0.0; 3];
+        let mut max = 0.0;
+        let sum: f64 = keys
+            .enumerate()
+            .map(|(i, key)| {
+                let x = from_key(key);
+                for (pick, &rank) in picks.iter_mut().zip(&ranks) {
+                    if i == rank {
+                        *pick = x;
+                    }
+                }
+                max = x;
+                x
+            })
+            .sum();
+        let [p50, p95, p99] = picks;
         LatencyStats {
             count: n as u64,
             mean_ms: sum / n as f64 / 1e6,
-            p50_ms: pick(0.50),
-            p95_ms: pick(0.95),
-            p99_ms: pick(0.99),
-            max_ms: sorted[n - 1] / 1e6,
+            p50_ms: p50 / 1e6,
+            p95_ms: p95 / 1e6,
+            p99_ms: p99 / 1e6,
+            max_ms: max / 1e6,
         }
     }
 }
@@ -504,6 +566,128 @@ mod tests {
         let a = LatencyStats::from_ns_samples(&[3.0, 1.0, 2.0]);
         let b = LatencyStats::from_ns_samples(&[1.0, 2.0, 3.0]);
         assert_eq!(a, b);
+    }
+
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// Runs 1 000 cases of `check`, case `i` drawing from a generator
+    /// seeded with `i`; a failure names its seed.
+    fn for_each_case(check: impl Fn(&mut ChaCha8Rng) -> Result<(), String>) {
+        for seed in 0..1_000 {
+            if let Err(e) = check(&mut ChaCha8Rng::seed_from_u64(seed)) {
+                panic!("case seed {seed}: {e}");
+            }
+        }
+    }
+
+    /// An `f64` of any bit pattern, weighted towards NaN of either sign,
+    /// ±0.0, ±inf and subnormals.
+    fn edgy_f64(rng: &mut ChaCha8Rng) -> f64 {
+        let bits: u64 = rng.gen();
+        match rng.gen_range(0..6u32) {
+            0 => f64::from_bits(bits | 0x7ff0_0000_0000_0001), // NaN
+            1 => f64::from_bits(bits & 1 << 63),               // ±0.0
+            2 => f64::from_bits(bits & 1 << 63 | 0x7ff0_0000_0000_0000), // ±inf
+            3 => f64::from_bits(bits & 0x800f_ffff_ffff_ffff), // subnormal
+            _ => f64::from_bits(bits),
+        }
+    }
+
+    /// The summary as written before sample keys: a copy, a stable
+    /// `total_cmp` sort and an ascending sum.
+    fn reference_stats(samples_ns: &[f64]) -> LatencyStats {
+        if samples_ns.is_empty() {
+            return LatencyStats::default();
+        }
+        let mut sorted: Vec<f64> = samples_ns.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let n = sorted.len();
+        let pick = |q: f64| -> f64 {
+            let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
+            sorted[rank - 1] / 1e6
+        };
+        let sum: f64 = sorted.iter().sum();
+        LatencyStats {
+            count: n as u64,
+            mean_ms: sum / n as f64 / 1e6,
+            p50_ms: pick(0.50),
+            p95_ms: pick(0.95),
+            p99_ms: pick(0.99),
+            max_ms: sorted[n - 1] / 1e6,
+        }
+    }
+
+    fn stats_bits(s: &LatencyStats) -> [u64; 6] {
+        let [mean, p50, p95, p99, max] =
+            [s.mean_ms, s.p50_ms, s.p95_ms, s.p99_ms, s.max_ms].map(f64::to_bits);
+        [s.count, mean, p50, p95, p99, max]
+    }
+
+    /// Up to 300 samples drawn from a pool of at most 12 values, so
+    /// values repeat; a third of the cases mix in edge values.
+    fn sample_set(rng: &mut ChaCha8Rng) -> Vec<f64> {
+        let edgy = rng.gen_range(0..3u32) == 0;
+        let pool: Vec<f64> = (0..rng.gen_range(1..=12usize))
+            .map(|_| if edgy { edgy_f64(rng) } else { rng.gen_range(0.0..5e6) })
+            .collect();
+        (0..rng.gen_range(0..=300usize)).map(|_| pool[rng.gen_range(0..pool.len())]).collect()
+    }
+
+    #[test]
+    fn order_keys_follow_total_cmp_and_invert_bit_for_bit() {
+        for_each_case(|rng| {
+            for _ in 0..64 {
+                let (a, b) = (edgy_f64(rng), edgy_f64(rng));
+                if order_key(a).cmp(&order_key(b)) != a.total_cmp(&b) {
+                    return Err(format!(
+                        "{a:e} ({:#x}) vs {b:e} ({:#x})",
+                        a.to_bits(),
+                        b.to_bits()
+                    ));
+                }
+                if from_key(order_key(a)).to_bits() != a.to_bits() {
+                    return Err(format!("{:#x} does not round-trip", a.to_bits()));
+                }
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn keyed_stats_match_the_stable_sort_reference() {
+        for_each_case(|rng| {
+            let samples = sample_set(rng);
+            let (got, want) = (LatencyStats::from_ns_samples(&samples), reference_stats(&samples));
+            if stats_bits(&got) != stats_bits(&want) {
+                let (g, w) = (stats_bits(&got), stats_bits(&want));
+                return Err(format!("bits {g:x?} != {w:x?} over {samples:?}"));
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn merged_class_runs_give_the_overall_stats() {
+        for_each_case(|rng| {
+            let samples = sample_set(rng);
+            let mut runs: Vec<Vec<u64>> = vec![Vec::new(); rng.gen_range(1..=4usize)];
+            for &x in &samples {
+                let class = rng.gen_range(0..runs.len());
+                runs[class].push(order_key(x));
+            }
+            for run in &mut runs {
+                run.sort_unstable();
+            }
+            let slices: Vec<&[u64]> = runs.iter().map(Vec::as_slice).collect();
+            let merged = LatencyStats::from_sorted_runs(&slices);
+            let want = reference_stats(&samples);
+            if stats_bits(&merged) != stats_bits(&want) {
+                let (g, w) = (stats_bits(&merged), stats_bits(&want));
+                return Err(format!("bits {g:x?} != {w:x?} over {} runs", runs.len()));
+            }
+            Ok(())
+        });
     }
 
     use crate::model::InvocationPhases;

@@ -36,7 +36,7 @@ proptest! {
         let a = generate_open_loop(&p, &mix, 1e7, seed);
         let b = generate_open_loop(&p, &mix, 1e7, seed);
         prop_assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
+        for (x, y) in a.iter().zip(b.iter()) {
             prop_assert_eq!(x.id, y.id);
             prop_assert_eq!(x.arrive_ns.to_bits(), y.arrive_ns.to_bits());
             prop_assert_eq!(x.class, y.class);
@@ -54,7 +54,7 @@ proptest! {
         let a = generate_open_loop(&p, &mix, 1e7, seed);
         let b = generate_open_loop(&p, &mix, 1e7, seed);
         prop_assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
+        for (x, y) in a.iter().zip(b.iter()) {
             prop_assert_eq!(x.arrive_ns.to_bits(), y.arrive_ns.to_bits());
         }
     }

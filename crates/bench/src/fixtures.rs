@@ -8,9 +8,10 @@
 //! the serve loop's metrics across consecutive runs in one registry
 //! (`serve_telemetry`), the STAR engine's metrics after array calls
 //! made outside it (`engine_telemetry`), one traced serve run's
-//! Perfetto file and SLO analysis (`serve_trace`) and the dispatcher's
-//! choices among four request classes under each dequeue policy
-//! (`serve_classes`). Each is a pure function of the code.
+//! Perfetto file and SLO analysis (`serve_trace`), the blame outcome of
+//! the same run (`serve_blame`) and the dispatcher's choices among four
+//! request classes under each dequeue policy (`serve_classes`). Each is a
+//! pure function of the code.
 
 use crate::serving::a8_serving_cases;
 use rand::SeedableRng;
@@ -20,6 +21,7 @@ use star_core::{StarSoftmax, StarSoftmaxConfig};
 use star_crossbar::{CamSubCrossbar, LutCrossbar};
 use star_device::{NoiseModel, StuckFault, TechnologyParams};
 use star_fixed::{Fixed, QFormat, Rounding};
+use star_serve::{simulate_observed, FlightConfig, HealthConfig, Observe};
 use star_workload::{Dataset, ScoreTrace};
 use std::collections::BTreeMap;
 
@@ -271,7 +273,8 @@ fn incident_config() -> star_serve::ServeConfig {
 /// trigger regression).
 pub(crate) fn incident() -> Value {
     let cfg = incident_config();
-    let outcome = star_serve::simulate_flight(&cfg, &star_serve::FlightConfig::default());
+    let observe = Observe { flight: Some(FlightConfig::default()), ..Observe::default() };
+    let outcome = simulate_observed(&cfg, &observe);
     let flight = outcome.flight.expect("flight run carries an outcome");
     let dump = flight.incidents.first().expect("saturating overload seals an incident");
     serde_json::json!({
@@ -339,15 +342,30 @@ fn serve_trace_config() -> star_serve::ServeConfig {
 ///
 /// Panics if the traced run returns no trace (a programming error).
 pub(crate) fn serve_trace() -> Value {
-    let outcome = star_serve::simulate_traced_monitored(
-        &serve_trace_config(),
-        &star_serve::HealthConfig::default(),
-    );
+    let observe =
+        Observe { trace: true, health: Some(HealthConfig::default()), ..Observe::default() };
+    let outcome = simulate_observed(&serve_trace_config(), &observe);
     let trace = outcome.trace.expect("traced run carries a trace");
     serde_json::json!({
         "trace": trace.to_object_json(),
         "slo": star_serve::SloAnalysis::from_trace(&trace, star_serve::SloPolicy::default(), 5),
     })
+}
+
+/// The machine-readable `serve_blame` result: the blame outcome of the
+/// [`serve_trace_config`] run as `star_cli blame --trace` writes it (the
+/// Perfetto object with the `starServeBlame` sidecar). Its requests reach
+/// all four terminal states, so it pins the rejected and expired counts,
+/// the futile expired wait and every per-request blame row.
+///
+/// # Panics
+///
+/// Panics if the blamed run returns no blame outcome (a programming
+/// error).
+pub(crate) fn serve_blame() -> Value {
+    let outcome =
+        simulate_observed(&serve_trace_config(), &Observe { blame: true, ..Observe::default() });
+    outcome.blame.expect("blamed run carries a blame outcome").to_object_json()
 }
 
 /// The machine-readable `profile_work` result: the deterministic half of
@@ -416,9 +434,8 @@ fn serve_work_config(rate_rps: f64, fleet: usize) -> star_serve::ServeConfig {
 /// The machine-readable `serve_work` result: the deterministic work
 /// counters at every [`serve_work_config`] point, keyed `r<rate>_f<fleet>`.
 /// Each point holds the profiler's 17 [`star_serve::WorkCounters`]
-/// scalars and the flight recorder's six `flight_*` scalars from a
-/// recorder-attached run of the same config (default
-/// [`star_serve::FlightConfig`]).
+/// scalars and the flight recorder's six `flight_*` scalars (default
+/// [`FlightConfig`]), both from one run with the two attached.
 ///
 /// 20 krps keeps the Tiny/16 fleet below saturation, 40 krps is the knee
 /// and 80 krps saturates it, so the queue and window machinery runs;
@@ -427,17 +444,17 @@ fn serve_work_config(rate_rps: f64, fleet: usize) -> star_serve::ServeConfig {
 ///
 /// # Panics
 ///
-/// Panics if a profiled run returns no profile or a flight run no flight
-/// outcome (programming errors).
+/// Panics if a run returns no profile or no flight outcome (programming
+/// errors).
 pub(crate) fn serve_work() -> Value {
-    let flight_cfg = star_serve::FlightConfig::default();
+    let observe =
+        Observe { profile: true, flight: Some(FlightConfig::default()), ..Observe::default() };
     let mut points: BTreeMap<String, BTreeMap<String, u64>> = BTreeMap::new();
     for rate in [20_000.0, 40_000.0, 80_000.0] {
         for fleet in [2, 8] {
-            let cfg = serve_work_config(rate, fleet);
-            let profile = star_serve::simulate_profiled(&cfg).profile.expect("profiled run");
-            let flight =
-                star_serve::simulate_flight(&cfg, &flight_cfg).flight.expect("flight outcome");
+            let outcome = simulate_observed(&serve_work_config(rate, fleet), &observe);
+            let profile = outcome.profile.expect("profiled run");
+            let flight = outcome.flight.expect("flight outcome");
             let counters = profile.work.scalars().into_iter().chain(flight.scalars());
             points.insert(
                 format!("r{}_f{fleet}", rate as u64),

@@ -330,11 +330,14 @@ const A9_HORIZONS: [(&str, f64); 5] = [
 /// case order, so the result and its telemetry sidecar are byte-identical
 /// for any `STAR_EXEC_THREADS`.
 fn a9_device_health_result() -> Value {
-    use star_serve::{simulate_monitored, HealthConfig, HealthModel, WearRates};
+    use star_serve::{simulate_observed, HealthConfig, HealthModel, Observe, WearRates};
     let (base, health_cfg, cases) = a9_device_health_cases();
+    let monitored = |cfg: &star_serve::ServeConfig, health: &HealthConfig| {
+        simulate_observed(cfg, &Observe { health: Some(health.clone()), ..Observe::default() })
+    };
     let exec = star_exec::Executor::from_env();
     let outcomes = exec.par_map(&cases, |_, case| {
-        star_telemetry::with_scoped(|| simulate_monitored(&case.config, &health_cfg))
+        star_telemetry::with_scoped(|| monitored(&case.config, &health_cfg))
     });
     let outcomes: Vec<star_serve::SimOutcome> = outcomes
         .into_iter()
@@ -385,8 +388,7 @@ fn a9_device_health_result() -> Value {
     // only permutes placement: the ServeReport must stay identical.
     let light_cfg = cases[0].config.clone();
     let off = &outcomes[0];
-    let on =
-        simulate_monitored(&light_cfg, &HealthConfig { wear_leveling: true, ..health_cfg.clone() });
+    let on = monitored(&light_cfg, &HealthConfig { wear_leveling: true, ..health_cfg.clone() });
     let off_health = off.health.as_ref().expect("health");
     let on_health = on.health.as_ref().expect("health");
     // Leveling only permutes which instance runs a batch: every
@@ -636,8 +638,8 @@ fn a10_autoscaler() -> star_serve::AutoscaleConfig {
 /// order, so the result is byte-identical for any `STAR_EXEC_THREADS`.
 fn a10_fleet_control_result() -> Value {
     use star_serve::{
-        simulate_full, ControlConfig, DequeuePolicy, ModelKind, PlacementPolicy, RequestClass,
-        ServeConfig, ServiceModelConfig,
+        simulate_observed, ControlConfig, DequeuePolicy, ModelKind, Observe, PlacementPolicy,
+        RequestClass, ServeConfig, ServiceModelConfig,
     };
     let base = a10_fleet_control_base();
     let premium = RequestClass::new(ModelKind::BertBase, 128);
@@ -692,7 +694,7 @@ fn a10_fleet_control_result() -> Value {
 
     let exec = star_exec::Executor::from_env();
     let outcomes = exec.par_map(&cases, |_, (_, cfg)| {
-        star_telemetry::with_scoped(|| simulate_full(cfg, 1, false, None, false, None, false))
+        star_telemetry::with_scoped(|| simulate_observed(cfg, &Observe::default()))
     });
     let outcomes: Vec<star_serve::SimOutcome> = outcomes
         .into_iter()
@@ -962,9 +964,9 @@ fn a11_blame_config() -> star_serve::ServeConfig {
 /// Panics when blame perturbs the report, a request's components fail
 /// to recompose bitwise, or no intervention improves p99 (regressions).
 fn a11_blame_whatif_result() -> Value {
-    use star_serve::{run_what_ifs, simulate, simulate_blamed, WhatIf};
+    use star_serve::{run_what_ifs, simulate, simulate_observed, Observe, WhatIf};
     let cfg = a11_blame_config();
-    let outcome = simulate_blamed(&cfg);
+    let outcome = simulate_observed(&cfg, &Observe { blame: true, ..Observe::default() });
     let blame = outcome.blame.as_ref().expect("blamed run carries blame tables");
 
     // Observation-only, re-proved at the experiment's own operating

@@ -162,6 +162,7 @@ pinned! {
     serve_telemetry_matches_golden,
     engine_telemetry_matches_golden,
     serve_trace_matches_golden,
+    serve_blame_matches_golden,
     serve_classes_matches_golden,
 }
 

@@ -1,7 +1,7 @@
 //! Pipeline-semantics-aware trace export and utilization reporting.
 //!
 //! `star-telemetry` owns the Chrome trace-event *format*; this module owns
-//! the mapping from [`simulate_pipeline`](crate::simulate_pipeline)
+//! the mapping from [`simulate_pipeline`]
 //! schedules onto it. Two products:
 //!
 //! - [`pipeline_chrome_trace`] — a Perfetto-loadable trace with one lane

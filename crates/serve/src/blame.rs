@@ -18,8 +18,9 @@
 //! # Conservation identity
 //!
 //! The eight components sum **bitwise** to the end-to-end latency. The
-//! same residual discipline as [`ServiceModel::invocation_phases`]
-//! (PR 4) makes that exact rather than approximate: `av_drain` is
+//! same residual discipline as
+//! [`ServiceModel::invocation_phases`](crate::model::ServiceModel::invocation_phases)
+//! makes that exact rather than approximate: `av_drain` is
 //! computed as `latency − analytic` with `analytic` accumulated in the
 //! *same left-associated grouping* [`RequestBlame::components_sum`]
 //! uses. The analytic prefix is within a factor of two of the latency
@@ -56,15 +57,15 @@
 //! The recorder consumes **zero RNG draws** and performs no event
 //! arithmetic: it only observes batch completions. Reports, traces,
 //! goldens, and telemetry are bitwise identical with blame on or off,
-//! at any `STAR_EXEC_THREADS` (the `blame_equivalence` suite and CI pin
-//! both).
+//! at any `STAR_EXEC_THREADS` (the `observers` suite and CI pin both).
 
 use crate::control::PlacementPolicy;
 use crate::flight::row_from_content;
 use crate::model::{InvocationPhases, ServicePhase};
 use crate::request::{Request, RequestClass};
-use crate::sim::{simulate_scaled, ServeConfig};
+use crate::sim::{simulate_scaled, ServeConfig, Terminal};
 use crate::slo::ServeReport;
+use crate::trace::RequestOutcome;
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 use star_telemetry::ChromeTrace;
@@ -384,7 +385,7 @@ pub struct BlameReport {
     pub per_instance: Vec<InstanceBlame>,
     /// Victim-class × blocker-class busy-wait matrix, class order.
     pub blocking: Vec<BlockedPair>,
-    /// Top-[`TOP_CHAINS`] maximal blocking chains by accumulated wait.
+    /// The five maximal blocking chains with the most accumulated wait.
     pub chains: Vec<BlockingChain>,
 }
 
@@ -532,7 +533,7 @@ impl BlameOutcome {
 /// The blame observer the simulator drives: one call per completed
 /// batch (plus terminal counts), zero RNG draws, no event arithmetic.
 #[derive(Debug)]
-pub struct BlameRecorder {
+pub(crate) struct BlameRecorder {
     classes: Vec<RequestClass>,
     window_ns: f64,
     dequeue: String,
@@ -570,16 +571,18 @@ impl BlameRecorder {
         self.classes.iter().position(|&c| c == class).map_or(-1, |i| i as i16)
     }
 
-    /// A rejected arrival (admission refused; nothing to decompose).
-    pub fn on_rejected(&mut self) {
-        self.rejected += 1;
-    }
-
-    /// A deadline-expired drop at dispatch after `wait_ns` of futile
-    /// queueing.
-    pub fn on_expired(&mut self, wait_ns: f64) {
-        self.expired += 1;
-        self.expired_wait_ns += wait_ns;
+    /// One request's end: counts a rejection (nothing to decompose), or
+    /// a deadline expiry and its futile queue wait. Completions are
+    /// decomposed per batch by [`BlameRecorder::on_batch`].
+    pub fn on_terminal(&mut self, t: &Terminal) {
+        match t.outcome {
+            RequestOutcome::Rejected => self.rejected += 1,
+            RequestOutcome::Expired => {
+                self.expired += 1;
+                self.expired_wait_ns += t.finish_ns - t.arrive_ns;
+            }
+            RequestOutcome::Good | RequestOutcome::Late => {}
+        }
     }
 
     /// One completed invocation: decomposes every member's latency.
@@ -977,11 +980,14 @@ pub fn run_what_ifs(cfg: &ServeConfig, interventions: &[WhatIf]) -> WhatIfReport
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{simulate, simulate_blamed, simulate_full};
+    use crate::sim::{simulate, simulate_observed, Observe, SimOutcome};
+
+    fn blamed(cfg: &ServeConfig, trace: bool) -> SimOutcome {
+        simulate_observed(cfg, &Observe { trace, blame: true, ..Observe::default() })
+    }
 
     fn blamed_example() -> BlameOutcome {
-        let cfg = ServeConfig::example();
-        simulate_blamed(&cfg).blame.expect("blame attached")
+        blamed(&ServeConfig::example(), false).blame.expect("blame attached")
     }
 
     #[test]
@@ -997,14 +1003,13 @@ mod tests {
     fn blame_is_observation_only() {
         let cfg = ServeConfig::example();
         let plain = simulate(&cfg);
-        let blamed = simulate_blamed(&cfg);
-        assert_eq!(plain, blamed.report);
+        assert_eq!(plain, blamed(&cfg, false).report);
     }
 
     #[test]
     fn decomposition_matches_lifecycle_records() {
         let cfg = ServeConfig::example();
-        let outcome = simulate_full(&cfg, 1, true, None, false, None, true);
+        let outcome = blamed(&cfg, true);
         let blame = outcome.blame.as_ref().expect("blame attached");
         let trace = outcome.trace.as_ref().expect("trace attached");
         let completed: Vec<_> =

@@ -41,8 +41,8 @@
 //! The first firing freezes the ring contents as the pre-incident
 //! window; recording continues until the first event past
 //! [`FlightConfig::post_trigger_ns`] (or the drain), then the incident
-//! is sealed. [`FlightRecorder::finalize`] attributes root cause from
-//! the captured window — see [`IncidentReport`].
+//! is sealed. At the drain the recorder attributes root cause from the
+//! captured window — see [`IncidentReport`].
 //!
 //! # Determinism
 //!
@@ -50,10 +50,11 @@
 //! arithmetic: it only observes. Reports, traces, and telemetry are
 //! bitwise identical with the recorder on or off, and dumps are
 //! byte-identical across replays and `STAR_EXEC_THREADS` (the
-//! `flight_equivalence` suite and CI pin both).
+//! `observers` suite and CI pin both).
 
 use crate::model::ServiceModel;
 use crate::request::RequestClass;
+use crate::sim::Terminal;
 use crate::slo::{BurnSweep, BurnWindow};
 use crate::trace::RequestOutcome;
 use serde::{Deserialize, Serialize};
@@ -760,17 +761,17 @@ impl FlightOutcome {
 /// cannot see the private event enum, so the loop lowers each event to
 /// this view before dispatching it).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EventView {
+pub(crate) struct EventView {
     /// Event kind tag.
-    pub kind: FlightEventKind,
+    kind: FlightEventKind,
     /// Request class of an arrive / window-expire / instance-free event.
-    pub class: Option<RequestClass>,
+    class: Option<RequestClass>,
     /// Instance of an instance-free event.
-    pub instance: Option<usize>,
+    instance: Option<usize>,
     /// Batch size of an instance-free event.
-    pub batch_size: usize,
+    batch_size: usize,
     /// Dispatch time of an instance-free event's batch, ns.
-    pub dispatch_ns: Option<f64>,
+    dispatch_ns: Option<f64>,
 }
 
 impl EventView {
@@ -840,7 +841,7 @@ struct ActiveIncident {
 /// The always-on flight recorder the event loop carries. Observation
 /// only: zero RNG draws, no event arithmetic.
 #[derive(Debug, Clone)]
-pub struct FlightRecorder {
+pub(crate) struct FlightRecorder {
     cfg: FlightConfig,
     classes: Vec<RequestClass>,
     fleet: usize,
@@ -924,38 +925,29 @@ impl FlightRecorder {
     /// Records one request terminal (called by the event loop's handler
     /// while it processes the terminal's event, i.e. before
     /// [`FlightRecorder::on_event`] for that event).
-    #[allow(clippy::too_many_arguments)] // mirrors the terminal field list
-    pub fn on_terminal(
-        &mut self,
-        id: u64,
-        class: RequestClass,
-        outcome: RequestOutcome,
-        arrive_ns: f64,
-        dispatch_ns: Option<f64>,
-        finish_ns: f64,
-        batch_size: usize,
-        instance: Option<usize>,
-    ) {
-        self.maybe_seal(finish_ns);
+    pub fn on_terminal(&mut self, t: &Terminal) {
+        self.maybe_seal(t.finish_ns);
+        let (dispatch_ns, instance, batch_size) =
+            t.ran.map_or((-1.0, -1, 0), |(dispatch, i, size)| (dispatch, i as i32, size as u32));
         let record = TerminalRecord {
-            id,
-            class: self.rank(class),
-            outcome,
-            arrive_ns,
-            dispatch_ns: dispatch_ns.unwrap_or(-1.0),
-            finish_ns,
-            batch_size: batch_size as u32,
-            instance: instance.map_or(-1, |i| i as i32),
+            id: t.id,
+            class: self.rank(t.class),
+            outcome: t.outcome,
+            arrive_ns: t.arrive_ns,
+            dispatch_ns,
+            finish_ns: t.finish_ns,
+            batch_size,
+            instance,
         };
         self.terminals.push(record);
         if let Some(inc) = self.active.as_mut() {
             inc.terminals.push(record);
         }
         if let Some(b) = self.burn.as_mut() {
-            b.push(finish_ns, outcome.is_violation());
+            b.push(t.finish_ns, t.outcome.is_violation());
         }
-        if self.cfg.expiry_burst.is_some() && outcome == RequestOutcome::Expired {
-            self.expiries.push_back(finish_ns);
+        if self.cfg.expiry_burst.is_some() && t.outcome == RequestOutcome::Expired {
+            self.expiries.push_back(t.finish_ns);
         }
     }
 
@@ -1276,6 +1268,18 @@ mod tests {
         r.on_event(t, seq, EventView::arrive(tiny_class()), queued, 0, 0);
     }
 
+    /// A tiny-class terminal; `ran` is a completion's `(dispatch_ns,
+    /// instance, batch_size)`.
+    fn terminal(
+        id: u64,
+        outcome: RequestOutcome,
+        arrive_ns: f64,
+        finish_ns: f64,
+        ran: Option<(f64, usize, usize)>,
+    ) -> Terminal {
+        Terminal { id, class: tiny_class(), outcome, arrive_ns, finish_ns, ran }
+    }
+
     #[test]
     fn ring_eviction_preserves_conservation() {
         let mut r = recorder(FlightConfig {
@@ -1288,16 +1292,8 @@ mod tests {
         });
         for i in 0..10u64 {
             arrive_event(&mut r, i as f64 * 10.0, i, 0);
-            r.on_terminal(
-                i,
-                tiny_class(),
-                RequestOutcome::Rejected,
-                i as f64 * 10.0,
-                None,
-                i as f64 * 10.0,
-                0,
-                None,
-            );
+            let t = i as f64 * 10.0;
+            r.on_terminal(&terminal(i, RequestOutcome::Rejected, t, t, None));
         }
         let model = ServiceModel::new(ServiceModelConfig::default(), &[tiny_class()]);
         let out = r.finalize(&[model], &[0, 0]);
@@ -1329,7 +1325,7 @@ mod tests {
         // Two expiries land while processing event (200.0, 1), which
         // also settles at queue depth 3.
         for id in [10u64, 11] {
-            r.on_terminal(id, tiny_class(), RequestOutcome::Expired, 50.0, None, 200.0, 0, None);
+            r.on_terminal(&terminal(id, RequestOutcome::Expired, 50.0, 200.0, None));
         }
         arrive_event(&mut r, 200.0, 1, 3);
         let model = ServiceModel::new(ServiceModelConfig::default(), &[tiny_class()]);
@@ -1379,8 +1375,8 @@ mod tests {
             health_alarms: false,
             ..FlightConfig::default()
         });
-        r.on_terminal(0, tiny_class(), RequestOutcome::Good, 0.0, Some(5.0), 10.0, 1, Some(0));
-        r.on_terminal(1, tiny_class(), RequestOutcome::Late, 0.0, Some(5.0), 10.0, 1, Some(0));
+        r.on_terminal(&terminal(0, RequestOutcome::Good, 0.0, 10.0, Some((5.0, 0, 1))));
+        r.on_terminal(&terminal(1, RequestOutcome::Late, 0.0, 10.0, Some((5.0, 0, 1))));
         arrive_event(&mut r, 10.0, 0, 0);
         assert_eq!(r.triggers_fired, 1);
         let model = ServiceModel::new(ServiceModelConfig::default(), &[tiny_class()]);
@@ -1429,7 +1425,7 @@ mod tests {
             health_alarms: false,
             ..FlightConfig::default()
         });
-        r.on_terminal(7, tiny_class(), RequestOutcome::Good, 0.0, Some(40.0), 90.0, 2, Some(1));
+        r.on_terminal(&terminal(7, RequestOutcome::Good, 0.0, 90.0, Some((40.0, 1, 2))));
         r.on_event(90.0, 3, EventView::instance_free(1, tiny_class(), 2, 40.0), 2, 0, 0);
         let model = ServiceModel::new(ServiceModelConfig::default(), &[tiny_class()]);
         let out = r.finalize(&[model], &[0, 0]);

@@ -25,7 +25,7 @@
 //!   bound the differential suite calibrated (one output ulp,
 //!   [`star_fixed::QFormat::resolution`], at the pristine operating
 //!   point).
-//! - [`HealthMonitor`] — the event-loop resident: accrues wear at
+//! - the monitor — the event-loop resident: accrues wear at
 //!   dispatch, samples fleet health on a fixed deterministic grid
 //!   (**zero RNG draws** — monitored and unmonitored runs produce
 //!   bitwise-identical [`crate::ServeReport`]s), raises threshold
@@ -616,7 +616,7 @@ impl FleetHealthReport {
 /// a deterministic grid, raises alarms, and (optionally) picks
 /// round-robin wear-leveled placements. Consumes **zero RNG draws**.
 #[derive(Debug, Clone)]
-pub struct HealthMonitor {
+pub(crate) struct HealthMonitor {
     model: HealthModel,
     ledgers: Vec<WearLedger>,
     temps: Vec<f64>,
@@ -669,11 +669,6 @@ impl HealthMonitor {
     /// monotone over the run).
     pub fn alarm_count(&self) -> usize {
         self.alarms.len()
-    }
-
-    /// The per-instance ledgers, instance order.
-    pub fn ledgers(&self) -> &[WearLedger] {
-        &self.ledgers
     }
 
     /// Round-robin placement over the idle set: the first idle instance

@@ -21,10 +21,13 @@
 //! | [`flight`] | Incident flight recorder: bounded event ring, trigger engine, root-cause dumps |
 //! | [`blame`] | Critical-path blame attribution + the deterministic what-if engine |
 //! | [`slo`] | Exact latency quantiles, goodput, per-class breakdowns, burn-rate monitor |
-//! | [`trace`] | Per-request span trees, batch invocation spans, Perfetto export |
+//! | [`trace`] | Per-request and per-batch trace records, span trees rendered when read, Perfetto export |
 //! | [`health`] | Wear ledgers, thermal/drift monitors, fleet degradation reporting |
 //! | [`profile`] | Simulator self-profiling: deterministic work counters, wall-clock phases |
 //! | [`sweep`] | Parameter sweeps fanned out over `star-exec` |
+//!
+//! [`simulate`] returns a run's report; [`simulate_observed`] also
+//! returns the output of each observer an [`Observe`] set attaches.
 //!
 //! # Determinism
 //!
@@ -41,12 +44,15 @@
 //! # Example
 //!
 //! ```
-//! use star_serve::{simulate, ServeConfig};
+//! use star_serve::{simulate, simulate_observed, Observe, ServeConfig};
 //!
-//! let report = simulate(&ServeConfig::example());
+//! let cfg = ServeConfig::example();
+//! let report = simulate(&cfg);
 //! assert_eq!(report.arrivals, report.completed + report.rejected + report.expired);
 //! assert!(report.goodput_rps > 0.0);
-//! assert_eq!(report, simulate(&ServeConfig::example())); // bitwise replay
+//! assert_eq!(report, simulate(&cfg)); // bitwise replay
+//! let traced = simulate_observed(&cfg, &Observe { trace: true, ..Observe::default() });
+//! assert_eq!(traced.report, report); // observers never move the report
 //! ```
 
 #![forbid(unsafe_code)]
@@ -69,24 +75,24 @@ pub mod trace;
 pub use arrival::{generate_open_loop, ArrivalProcess, ArrivalTrace, WorkloadMix};
 pub use batch::BatchPolicy;
 pub use blame::{
-    run_what_ifs, BatchBlame, BlameComponents, BlameOutcome, BlameRecorder, BlameReport,
-    BlockedPair, BlockingChain, ClassBlame, InstanceBlame, PhaseScale, RequestBlame, WhatIf,
-    WhatIfReport, WhatIfRow, BLAME_SIDECAR_KEY,
+    run_what_ifs, BatchBlame, BlameComponents, BlameOutcome, BlameReport, BlockedPair,
+    BlockingChain, ClassBlame, InstanceBlame, PhaseScale, RequestBlame, WhatIf, WhatIfReport,
+    WhatIfRow, BLAME_SIDECAR_KEY,
 };
 pub use control::{
     AutoscaleConfig, ClassShare, ControlConfig, ControlReport, DequeuePolicy, EdfPolicy,
     PlacementPolicy, ScaleDirection, ScaleEvent, WeightedFairPolicy,
 };
 pub use flight::{
-    ArrivalDelta, BurnTriggerConfig, ClassIncidentStats, EventRecord, EventView, ExpiryBurstConfig,
-    FlightConfig, FlightEventKind, FlightOutcome, FlightRecorder, IncidentDump, IncidentExemplar,
-    IncidentReport, InstanceIncidentStats, LatencyWaterfall, TerminalRecord, TriggerKind,
-    TriggerRecord, FLIGHT_SIDECAR_KEY,
+    ArrivalDelta, BurnTriggerConfig, ClassIncidentStats, EventRecord, ExpiryBurstConfig,
+    FlightConfig, FlightEventKind, FlightOutcome, IncidentDump, IncidentExemplar, IncidentReport,
+    InstanceIncidentStats, LatencyWaterfall, TerminalRecord, TriggerKind, TriggerRecord,
+    FLIGHT_SIDECAR_KEY,
 };
 pub use health::{
     invocation_wear, AlarmKind, FleetHealthReport, FleetHealthSample, HealthAlarm, HealthConfig,
-    HealthModel, HealthMonitor, HealthProjection, InstanceHealthReport, InstanceHealthSample,
-    WearCounts, WearLedger, WearRates,
+    HealthModel, HealthProjection, InstanceHealthReport, InstanceHealthSample, WearCounts,
+    WearLedger, WearRates,
 };
 pub use model::{
     BatchCost, ClassService, InvocationPhases, ServiceModel, ServiceModelConfig, ServicePhase,
@@ -94,9 +100,7 @@ pub use model::{
 pub use profile::{Pow2Hist, SimProfile, WorkCounters, HIST_BUCKETS, PROFILE_SIDECAR_KEY};
 pub use request::{ModelKind, Request, RequestClass};
 pub use sim::{
-    simulate, simulate_blamed, simulate_flight, simulate_full, simulate_monitored,
-    simulate_profiled, simulate_scaled, simulate_traced, simulate_traced_monitored, ServeConfig,
-    SimOutcome,
+    simulate, simulate_full, simulate_observed, simulate_profiled, Observe, ServeConfig, SimOutcome,
 };
 pub use slo::{
     BurnSweep, BurnWindow, ClassSloReport, Exemplar, LatencyStats, ServeReport, SloAnalysis,

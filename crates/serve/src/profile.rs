@@ -33,7 +33,7 @@
 //! profiled run's [`crate::ServeReport`] and trace bytes are bitwise
 //! identical to an unprofiled run at any `STAR_EXEC_THREADS` — the same
 //! contract tracing and health monitoring established, and
-//! `tests/span_invariants.rs` pins it.
+//! `tests/observers.rs` pins it.
 
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};

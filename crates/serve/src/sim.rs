@@ -44,10 +44,17 @@
 //!
 //! After every event the dispatcher greedily matches idle instances with
 //! *ready* class queues (full batch, expired window, or zero window),
-//! scanning the class table once per dispatch attempt (see
-//! [`Sim::pick_ready`]). Requests whose deadline has already passed while
-//! queueing are dropped at dispatch time (they could only waste
-//! accelerator time).
+//! scanning the class table once per dispatch attempt (`Sim::pick_ready`).
+//! Requests whose deadline has already passed while queueing are dropped
+//! at dispatch time (they could only waste accelerator time).
+//!
+//! # Observers
+//!
+//! [`simulate_observed`] attaches the observers an [`Observe`] set
+//! switches on; none of them moves the report. A request ends at one of
+//! three sites (rejection at admission, deadline expiry at dispatch,
+//! completion), and each builds one `Terminal` record that one
+//! `observe_terminal` call hands to every attached observer.
 
 use crate::arrival::{exp_sample, generate_open_loop, ArrivalProcess, ArrivalTrace, WorkloadMix};
 use crate::batch::BatchPolicy;
@@ -141,6 +148,33 @@ struct InFlight {
     class: RequestClass,
     dispatch_ns: f64,
     members: Vec<Request>,
+}
+
+/// One request's end as the event loop hands it to the observers: a
+/// rejection, a deadline expiry or a completion.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Terminal {
+    pub(crate) id: u64,
+    pub(crate) class: RequestClass,
+    pub(crate) outcome: RequestOutcome,
+    pub(crate) arrive_ns: f64,
+    /// The terminal event's time, ns.
+    pub(crate) finish_ns: f64,
+    /// A completed request's batch: `(dispatch_ns, instance, batch_size)`.
+    pub(crate) ran: Option<(f64, usize, usize)>,
+}
+
+impl Terminal {
+    fn of(req: &Request, outcome: RequestOutcome, finish_ns: f64) -> Self {
+        Terminal {
+            id: req.id,
+            class: req.class,
+            outcome,
+            arrive_ns: req.arrive_ns,
+            finish_ns,
+            ran: None,
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -307,15 +341,8 @@ struct Sim<'a> {
     /// Every metric the loop records, published at finalize.
     tel: Tally,
     ids: MetricIds,
-    // Accounting.
-    arrivals: u64,
-    rejected: u64,
-    expired: u64,
-    completed: u64,
-    good: u64,
-    late: u64,
+    // Accounting; outcome counts live in the class rows.
     batches: u64,
-    batched_requests: u64,
     /// [`order_key`]s of every completion's queueing delay, ns; sorted
     /// once at finalize.
     queue_delay_keys: Vec<u64>,
@@ -324,39 +351,18 @@ struct Sim<'a> {
     in_system: u64,
     max_in_system: u64,
     makespan_ns: f64,
+    // The observers an `Observe` set attaches (see the module doc). The
+    // boxed ones leave only an `is_some` check in the hot loop's cache
+    // footprint.
     trace: Option<ServeTrace>,
-    /// Device-health monitor (observation-only unless its wear-leveling
-    /// policy is enabled; consumes zero RNG draws either way).
     health: Option<HealthMonitor>,
-    /// Self-profile: deterministic work counters + wall-clock phase
-    /// attribution. Like tracing and health, profiling consumes zero RNG
-    /// draws and perturbs no event arithmetic — reports stay bitwise
-    /// identical (boxed: only the hot loop's `is_some` check stays in
-    /// the state's cache footprint).
     profile: Option<Box<SimProfile>>,
-    /// Incident flight recorder: bounded rings of compact per-event and
-    /// per-terminal rows plus the deterministic trigger engine. Like
-    /// every other observer it consumes zero RNG draws and perturbs no
-    /// event arithmetic — recorder-on output is bitwise identical to
-    /// recorder-off (see [`crate::flight`]).
     flight: Option<Box<FlightRecorder>>,
-    /// Critical-path blame recorder: per-request latency decomposition
-    /// and the blocking-chain table. Like every other observer it
-    /// consumes zero RNG draws and perturbs no event arithmetic —
-    /// blame-on output is bitwise identical to blame-off (see
-    /// [`crate::blame`]).
     blame: Option<Box<BlameRecorder>>,
 }
 
 impl<'a> Sim<'a> {
-    fn new(
-        cfg: &'a ServeConfig,
-        traced: bool,
-        health: Option<&HealthConfig>,
-        profiled: bool,
-        flight: Option<&FlightConfig>,
-        blamed: bool,
-    ) -> Self {
+    fn new(cfg: &'a ServeConfig, observe: &Observe) -> Self {
         cfg.validate();
         let classes = cfg.mix.classes();
         let capacity = cfg.control.capacity(cfg.fleet);
@@ -382,7 +388,7 @@ impl<'a> Sim<'a> {
             let services = distinct.into_iter().map(|c| ServiceModel::new(c, &classes)).collect();
             (services, model_of)
         };
-        let flight = flight.map(|fc| {
+        let flight = observe.flight.as_ref().map(|fc| {
             Box::new(FlightRecorder::new(
                 fc.clone(),
                 classes.clone(),
@@ -390,7 +396,7 @@ impl<'a> Sim<'a> {
                 cfg.policy.window_ns,
             ))
         });
-        let blame = blamed.then(|| {
+        let blame = observe.blame.then(|| {
             Box::new(BlameRecorder::new(
                 classes.clone(),
                 cfg.policy.window_ns,
@@ -403,9 +409,9 @@ impl<'a> Sim<'a> {
         let mut rows: Vec<ClassRow> = classes.iter().map(|&c| ClassRow::new(c, &mut tel)).collect();
         rows.sort_by_key(|r| r.class);
         rows.dedup_by_key(|r| r.class);
-        let trace = traced.then(|| ServeTrace::new(capacity, cfg.deadline_ns));
-        let health =
-            health.map(|hc| HealthMonitor::new(hc.clone(), capacity, cfg.service.qformat()));
+        let trace = observe.trace.then(|| ServeTrace::new(capacity, cfg.deadline_ns));
+        let format = cfg.service.qformat();
+        let health = observe.health.clone().map(|hc| HealthMonitor::new(hc, capacity, format));
         let scaler =
             cfg.control.autoscale.clone().map(|a| ScalerState::new(a, capacity, initial_active));
         Sim {
@@ -431,14 +437,7 @@ impl<'a> Sim<'a> {
             scaler,
             tel,
             ids,
-            arrivals: 0,
-            rejected: 0,
-            expired: 0,
-            completed: 0,
-            good: 0,
-            late: 0,
             batches: 0,
-            batched_requests: 0,
             queue_delay_keys: Vec::new(),
             busy_ns: vec![0.0; capacity],
             energy_pj: 0.0,
@@ -447,7 +446,7 @@ impl<'a> Sim<'a> {
             makespan_ns: 0.0,
             trace,
             health,
-            profile: profiled.then(|| Box::new(SimProfile::new())),
+            profile: observe.profile.then(|| Box::new(SimProfile::new())),
             flight,
             blame,
         }
@@ -606,48 +605,46 @@ impl<'a> Sim<'a> {
         self.classes.binary_search_by_key(&class, |r| r.class).expect("mix classes pre-registered")
     }
 
+    /// Hands one request's end to every attached observer: the trace
+    /// record (timed as the trace-emit phase), the flight recorder's
+    /// terminal row, and blame's rejection and expiry counts.
+    fn observe_terminal(&mut self, t: Terminal) {
+        let tt = self.tick_if(self.trace.is_some());
+        if let Some(trace) = self.trace.as_mut() {
+            trace.requests.push(RequestTrace {
+                id: t.id,
+                class: t.class,
+                outcome: t.outcome,
+                batch_size: t.ran.map_or(0, |(_, _, size)| size),
+                instance: t.ran.map(|(_, instance, _)| instance),
+                arrive_ns: t.arrive_ns,
+                latency_ns: t.finish_ns - t.arrive_ns,
+                // A completed request's batch is the one just pushed.
+                batch: t.ran.map(|_| trace.batches.len() - 1),
+            });
+        }
+        self.tock(phase::TRACE_EMIT, tt);
+        if let Some(f) = self.flight.as_deref_mut() {
+            f.on_terminal(&t);
+        }
+        if let Some(b) = self.blame.as_deref_mut() {
+            b.on_terminal(&t);
+        }
+    }
+
     fn on_arrive(&mut self, now: f64, req: Request) {
-        self.arrivals += 1;
         let row = self.row_of(req.class);
         self.classes[row].arrivals += 1;
         self.tel.count(self.ids.arrived, 1);
         if self.queued_total >= self.cfg.max_queue {
-            self.rejected += 1;
             self.classes[row].rejected += 1;
             if let Some(s) = self.scaler.as_mut() {
                 s.note_violation(req.class);
             }
             self.tel.count(self.ids.rejected, 1);
-            let tt = self.tick_if(self.trace.is_some());
-            if let Some(t) = self.trace.as_mut() {
-                // A rejected request's whole lifecycle is one instant.
-                t.requests.push(RequestTrace {
-                    id: req.id,
-                    class: req.class,
-                    outcome: RequestOutcome::Rejected,
-                    batch_size: 0,
-                    instance: None,
-                    arrive_ns: now,
-                    latency_ns: 0.0,
-                    batch: None,
-                });
-            }
-            self.tock(phase::TRACE_EMIT, tt);
-            if let Some(f) = self.flight.as_deref_mut() {
-                f.on_terminal(
-                    req.id,
-                    req.class,
-                    RequestOutcome::Rejected,
-                    req.arrive_ns,
-                    None,
-                    now,
-                    0,
-                    None,
-                );
-            }
-            if let Some(b) = self.blame.as_deref_mut() {
-                b.on_rejected();
-            }
+            // A rejected request's whole lifecycle is one instant: an
+            // arrival's event time is its `arrive_ns`.
+            self.observe_terminal(Terminal::of(&req, RequestOutcome::Rejected, now));
             self.client_think_and_reissue(req.client, now);
             return;
         }
@@ -679,14 +676,10 @@ impl<'a> Sim<'a> {
             members.iter().all(|r| r.class == class),
             "batches never mix request classes"
         );
-        // Hardware phase decomposition, computed once per batch and
-        // stored on the batch's trace record, which every member's
-        // record indexes. Tracing consumes no RNG draws and changes no
-        // event arithmetic — the traced and untraced runs stay bitwise
-        // identical.
+        // Hardware phase decomposition, computed once per batch for the
+        // trace's batch record, which every member's record indexes, and
+        // for blame.
         let tt = self.tick_if(self.trace.is_some());
-        // Blame reuses the same pure decomposition (no counters, no RNG)
-        // — computing it for either observer perturbs nothing.
         let phases = (self.trace.is_some() || self.blame.is_some())
             .then(|| self.services[self.model_of[instance]].invocation_phases(class, size));
         if let (Some(b), Some(p)) = (self.blame.as_deref_mut(), phases.as_ref()) {
@@ -708,31 +701,16 @@ impl<'a> Sim<'a> {
             let latency = now - req.arrive_ns;
             let queue_ns = dispatch_ns - req.arrive_ns;
             let good = latency <= self.cfg.deadline_ns;
-            if let Some(f) = self.flight.as_deref_mut() {
-                f.on_terminal(
-                    req.id,
-                    req.class,
-                    if good { RequestOutcome::Good } else { RequestOutcome::Late },
-                    req.arrive_ns,
-                    Some(dispatch_ns),
-                    now,
-                    size,
-                    Some(instance),
-                );
-            }
             self.in_system -= 1;
-            self.completed += 1;
             let acc = &mut self.classes[row];
             acc.completed += 1;
             acc.latency_keys.push(order_key(latency));
             if good {
-                self.good += 1;
                 acc.good += 1;
                 if let Some(s) = self.scaler.as_mut() {
                     s.note_completed(req.class);
                 }
             } else {
-                self.late += 1;
                 acc.late += 1;
                 if let Some(s) = self.scaler.as_mut() {
                     s.note_violation(req.class);
@@ -746,20 +724,9 @@ impl<'a> Sim<'a> {
             // the per-request span tree's two lifecycle children.
             self.tel.observe(acc.latency_us, latency / 1e3);
             self.tel.observe(acc.queue_us, queue_ns / 1e3);
-            let tt = self.tick_if(self.trace.is_some());
-            if let Some(t) = self.trace.as_mut() {
-                t.requests.push(RequestTrace {
-                    id: req.id,
-                    class: req.class,
-                    outcome: if good { RequestOutcome::Good } else { RequestOutcome::Late },
-                    batch_size: size,
-                    instance: Some(instance),
-                    arrive_ns: req.arrive_ns,
-                    latency_ns: latency,
-                    batch: Some(t.batches.len() - 1),
-                });
-            }
-            self.tock(phase::TRACE_EMIT, tt);
+            let outcome = if good { RequestOutcome::Good } else { RequestOutcome::Late };
+            let ran = Some((dispatch_ns, instance, size));
+            self.observe_terminal(Terminal { ran, ..Terminal::of(&req, outcome, now) });
             self.queue_delay_keys.push(order_key(queue_ns));
             self.client_think_and_reissue(req.client, now);
         }
@@ -917,7 +884,6 @@ impl<'a> Sim<'a> {
             self.energy_pj += cost.energy_pj;
             self.classes[row].attained_ns += cost.latency_ns;
             self.batches += 1;
-            self.batched_requests += size as u64;
             if let Some(p) = self.profile.as_deref_mut() {
                 p.work.batches_formed += 1;
                 p.work.batch_members += size as u64;
@@ -998,7 +964,6 @@ impl<'a> Sim<'a> {
                     dead.push(q.pop_front().expect("head exists"));
                     self.queued_total -= 1;
                     self.in_system -= 1;
-                    self.expired += 1;
                     continue;
                 }
                 self.batch.push(q.pop_front().expect("head exists"));
@@ -1018,35 +983,7 @@ impl<'a> Sim<'a> {
             if let Some(s) = self.scaler.as_mut() {
                 s.note_violation(req.class);
             }
-            let tt = self.tick_if(self.trace.is_some());
-            if let Some(t) = self.trace.as_mut() {
-                t.requests.push(RequestTrace {
-                    id: req.id,
-                    class: req.class,
-                    outcome: RequestOutcome::Expired,
-                    batch_size: 0,
-                    instance: None,
-                    arrive_ns: req.arrive_ns,
-                    latency_ns: now - req.arrive_ns,
-                    batch: None,
-                });
-            }
-            self.tock(phase::TRACE_EMIT, tt);
-            if let Some(f) = self.flight.as_deref_mut() {
-                f.on_terminal(
-                    req.id,
-                    req.class,
-                    RequestOutcome::Expired,
-                    req.arrive_ns,
-                    None,
-                    now,
-                    0,
-                    None,
-                );
-            }
-            if let Some(b) = self.blame.as_deref_mut() {
-                b.on_expired(now - req.arrive_ns);
-            }
+            self.observe_terminal(Terminal::of(&req, RequestOutcome::Expired, now));
             self.client_think_and_reissue(req.client, now);
         }
     }
@@ -1171,32 +1108,37 @@ impl<'a> Sim<'a> {
         let utilization: Vec<f64> =
             self.busy_ns.iter().map(|b| b / self.makespan_ns.max(f64::MIN_POSITIVE)).collect();
         let mean_utilization = utilization.iter().sum::<f64>() / utilization.len() as f64;
+        // Fleet totals are the class rows' exact integer sums; once the run
+        // drains, every batched request has completed.
+        let total = |count: fn(&ClassSloReport) -> u64| per_class.iter().map(count).sum::<u64>();
+        let completed = total(|c| c.completed);
+        let good = total(|c| c.good);
         let report = ServeReport {
-            arrivals: self.arrivals,
-            completed: self.completed,
-            good: self.good,
-            late: self.late,
-            rejected: self.rejected,
-            expired: self.expired,
+            arrivals: total(|c| c.arrivals),
+            completed,
+            good,
+            late: total(|c| c.late),
+            rejected: total(|c| c.rejected),
+            expired: total(|c| c.expired),
             makespan_ns: self.makespan_ns,
             offered_rps: self.cfg.arrival.offered_rps(),
-            throughput_rps: self.completed as f64 / makespan_s,
-            goodput_rps: self.good as f64 / makespan_s,
+            throughput_rps: completed as f64 / makespan_s,
+            goodput_rps: good as f64 / makespan_s,
             latency: LatencyStats::from_sorted_runs(&latency_runs),
             queue_delay: LatencyStats::from_sorted_keys(&self.queue_delay_keys),
             batches: self.batches,
             mean_batch_size: if self.batches == 0 {
                 0.0
             } else {
-                self.batched_requests as f64 / self.batches as f64
+                completed as f64 / self.batches as f64
             },
             utilization,
             mean_utilization,
             total_energy_pj: self.energy_pj,
-            energy_per_request_nj: if self.completed == 0 {
+            energy_per_request_nj: if completed == 0 {
                 0.0
             } else {
-                self.energy_pj / 1e3 / self.completed as f64
+                self.energy_pj / 1e3 / completed as f64
             },
             max_in_system: self.max_in_system,
             per_class,
@@ -1316,6 +1258,26 @@ pub struct SimOutcome {
     pub blame: Option<BlameOutcome>,
 }
 
+/// The observers a run attaches; the default attaches none. No observer
+/// draws from the RNG or feeds back into event arithmetic, so the report
+/// is the plain run's bit for bit whatever the set (wear-leveling
+/// placement, opt-in through [`HealthConfig::wear_leveling`], is the one
+/// exception).
+#[derive(Debug, Clone, Default)]
+pub struct Observe {
+    /// Per-request and per-batch trace records (see [`crate::trace`]).
+    pub trace: bool,
+    /// The device-health monitor (see [`crate::health`]); a traced run
+    /// then also carries the health timeseries.
+    pub health: Option<HealthConfig>,
+    /// The self-profiler (see [`crate::profile`]).
+    pub profile: bool,
+    /// The incident flight recorder (see [`crate::flight`]).
+    pub flight: Option<FlightConfig>,
+    /// Critical-path blame (see [`crate::blame`]).
+    pub blame: bool,
+}
+
 /// Runs the serving simulation and returns its report.
 ///
 /// # Panics
@@ -1323,66 +1285,25 @@ pub struct SimOutcome {
 /// Panics on invalid configuration (zero fleet, non-positive deadline,
 /// horizon, or queue bound; unknown classes).
 pub fn simulate(cfg: &ServeConfig) -> ServeReport {
-    Sim::new(cfg, false, None, false, None, false).run().report
+    Sim::new(cfg, &Observe::default()).run().report
 }
 
-/// Like [`simulate`], but also collects the full [`ServeTrace`] (a trace
-/// record per request and per batch, rendered to span trees when read,
-/// and the queue-depth/busy timeseries). The report is bitwise identical
-/// to the untraced run: tracing consumes no RNG draws and perturbs no
-/// event arithmetic.
-pub fn simulate_traced(cfg: &ServeConfig) -> SimOutcome {
-    Sim::new(cfg, true, None, false, None, false).run()
+/// Runs the simulation with the observers `observe` attaches; each one
+/// that is attached fills its field of the returned [`SimOutcome`].
+///
+/// # Panics
+///
+/// Panics on an invalid configuration, as [`simulate`] does, or an
+/// invalid [`FlightConfig`].
+pub fn simulate_observed(cfg: &ServeConfig, observe: &Observe) -> SimOutcome {
+    Sim::new(cfg, observe).run()
 }
 
-/// Like [`simulate`], with the device-health monitor attached: wear
-/// ledgers accrue from every costed invocation and fleet health is
-/// sampled on the monitor's deterministic grid. With
-/// [`HealthConfig::wear_leveling`] off (the default) monitoring is
-/// **observation-only**: the returned [`ServeReport`] is bitwise
-/// identical to the unmonitored run (the monitor consumes no RNG draws
-/// and perturbs no event arithmetic — a test pins this).
-pub fn simulate_monitored(cfg: &ServeConfig, health: &HealthConfig) -> SimOutcome {
-    Sim::new(cfg, false, Some(health), false, None, false).run()
-}
-
-/// [`simulate_traced`] plus the device-health monitor: the trace also
-/// carries the fleet-health timeseries (rendered as per-instance
-/// temperature / accuracy-margin / wear counter tracks in the Perfetto
-/// export).
-pub fn simulate_traced_monitored(cfg: &ServeConfig, health: &HealthConfig) -> SimOutcome {
-    Sim::new(cfg, true, Some(health), false, None, false).run()
-}
-
-/// Like [`simulate`], with the simulator's self-profiler attached: the
-/// outcome carries a [`SimProfile`] of deterministic work counters and
-/// wall-clock phase attribution. Profiling is observation-only — it
-/// consumes zero RNG draws and perturbs no event arithmetic, so the
-/// returned [`ServeReport`] is bitwise identical to the unprofiled run
-/// (a test pins this).
+/// [`simulate_observed`] with the self-profiler alone. It stays beside
+/// [`simulate_observed`] because the benchmark package (`benchmark/`)
+/// calls it.
 pub fn simulate_profiled(cfg: &ServeConfig) -> SimOutcome {
-    Sim::new(cfg, false, None, true, None, false).run()
-}
-
-/// Like [`simulate`], with the incident flight recorder attached: the
-/// outcome carries a [`FlightOutcome`] of sealed incident dumps and
-/// ring conservation counters. Recording is observation-only — it
-/// consumes zero RNG draws and perturbs no event arithmetic, so the
-/// returned [`ServeReport`] is bitwise identical to the unrecorded run
-/// (the `flight_equivalence` suite pins this).
-pub fn simulate_flight(cfg: &ServeConfig, flight: &FlightConfig) -> SimOutcome {
-    Sim::new(cfg, false, None, false, Some(flight), false).run()
-}
-
-/// Like [`simulate`], with the critical-path blame recorder attached:
-/// the outcome carries a [`BlameOutcome`] splitting every request's
-/// latency into causally-attributed waits with a bitwise conservation
-/// identity. Blame is observation-only — it consumes zero RNG draws
-/// and perturbs no event arithmetic, so the returned [`ServeReport`]
-/// is bitwise identical to the unblamed run (the `blame_equivalence`
-/// suite pins this).
-pub fn simulate_blamed(cfg: &ServeConfig) -> SimOutcome {
-    Sim::new(cfg, false, None, false, None, true).run()
+    simulate_observed(cfg, &Observe { profile: true, ..Observe::default() })
 }
 
 /// Runs the simulation with one service phase's latency lever scaled —
@@ -1390,8 +1311,11 @@ pub fn simulate_blamed(cfg: &ServeConfig) -> SimOutcome {
 /// The scaling is applied to the constructed service models, not the
 /// configuration, so intervention runs never perturb config
 /// serialization; `scale = None` is exactly [`simulate`].
-pub fn simulate_scaled(cfg: &ServeConfig, scale: Option<(ServicePhase, f64)>) -> ServeReport {
-    let mut sim = Sim::new(cfg, false, None, false, None, false);
+pub(crate) fn simulate_scaled(
+    cfg: &ServeConfig,
+    scale: Option<(ServicePhase, f64)>,
+) -> ServeReport {
+    let mut sim = Sim::new(cfg, &Observe::default());
     if let Some((phase, factor)) = scale {
         for s in &mut sim.services {
             s.scale_phase(phase, factor);
@@ -1400,25 +1324,24 @@ pub fn simulate_scaled(cfg: &ServeConfig, scale: Option<(ServicePhase, f64)>) ->
     sim.run().report
 }
 
-/// The fully general entry point: any combination of tracing, health
-/// monitoring, self-profiling, the incident flight recorder, and blame.
-/// Every observer preserves the no-perturbation invariant (wear-leveling,
-/// when explicitly enabled in `health`, is the single documented
-/// exception).
-///
-/// `_shards` is accepted and ignored. It once chose how many heaps the
-/// event queue was split across; every count produced the one-heap
-/// loop's bytes, so ignoring it changes no output.
+/// [`simulate_observed`] with the [`Observe`] fields as positional
+/// arguments. It stays because the benchmark package (`benchmark/`)
+/// calls it. `_shards` is ignored: it once chose how many heaps the event
+/// queue was split across, and every count produced the one-heap loop's
+/// bytes.
 pub fn simulate_full(
     cfg: &ServeConfig,
     _shards: usize,
-    traced: bool,
+    trace: bool,
     health: Option<&HealthConfig>,
-    profiled: bool,
+    profile: bool,
     flight: Option<&FlightConfig>,
-    blamed: bool,
+    blame: bool,
 ) -> SimOutcome {
-    Sim::new(cfg, traced, health, profiled, flight, blamed).run()
+    simulate_observed(
+        cfg,
+        &Observe { trace, health: health.cloned(), profile, flight: flight.cloned(), blame },
+    )
 }
 
 #[cfg(test)]
@@ -1439,7 +1362,7 @@ mod tests {
     fn next_event_pops_the_cursor_first_on_a_time_tie() {
         let cfg = ServeConfig::example();
         let class = cfg.mix.classes()[0];
-        let mut sim = Sim::new(&cfg, false, None, false, None, false);
+        let mut sim = Sim::new(&cfg, &Observe::default());
         sim.seed_arrivals();
         let n = sim.arrival_trace.len() as u64;
         assert!(n > 2, "the example trace has arrivals");
@@ -1460,7 +1383,7 @@ mod tests {
         let mut cfg = ServeConfig::example();
         cfg.arrival = ArrivalProcess::closed_loop(3, 50_000.0);
         let class = cfg.mix.classes()[0];
-        let mut sim = Sim::new(&cfg, false, None, false, None, false);
+        let mut sim = Sim::new(&cfg, &Observe::default());
         sim.seed_arrivals();
         assert!(sim.arrival_trace.is_empty(), "a closed loop has no cursor");
         let mut clients: Vec<u64> =
@@ -1486,7 +1409,7 @@ mod tests {
         };
         // A fresh three-class table with `(row, id, arrive_ns)` queued.
         fn sim_with<'a>(cfg: &'a ServeConfig, queued: &[(usize, u64, f64)]) -> Sim<'a> {
-            let mut sim = Sim::new(cfg, false, None, false, None, false);
+            let mut sim = Sim::new(cfg, &Observe::default());
             for &(row, id, arrive_ns) in queued {
                 let class = sim.classes[row].class;
                 sim.classes[row].queue.push_back(Request { id, class, arrive_ns, client: None });
@@ -1543,18 +1466,19 @@ mod tests {
 
     #[test]
     fn traced_run_matches_untraced_report() {
+        // tests/observers.rs pins every observer's invisibility; this
+        // checks the trace's own accounting against its report.
         let cfg = ServeConfig::example();
-        let plain = simulate(&cfg);
-        let traced = simulate_traced(&cfg);
-        assert_eq!(plain, traced.report);
+        let traced = simulate_observed(&cfg, &Observe { trace: true, ..Observe::default() });
+        let report = &traced.report;
         let trace = traced.trace.expect("trace requested");
         // Conservation: one root span per arrival, one invocation span
         // per batch; every tree satisfies the span invariants.
-        assert_eq!(trace.requests.len() as u64, plain.arrivals);
+        assert_eq!(trace.requests.len() as u64, report.arrivals);
         let completed = trace.requests.iter().filter(|r| r.outcome.is_completed()).count();
-        assert_eq!(completed as u64, plain.completed);
-        assert_eq!(trace.batches.len() as u64, plain.batches);
-        assert_eq!(trace.makespan_ns, plain.makespan_ns);
+        assert_eq!(completed as u64, report.completed);
+        assert_eq!(trace.batches.len() as u64, report.batches);
+        assert_eq!(trace.makespan_ns, report.makespan_ns);
         trace.validate().expect("all span trees valid");
         assert!(!trace.samples.is_empty());
     }
@@ -1673,12 +1597,13 @@ mod tests {
 
     #[test]
     fn health_monitoring_is_observation_only() {
+        // tests/observers.rs pins that the monitor perturbs nothing; this
+        // checks its ledgers against the report.
         let cfg = ServeConfig::example();
-        let plain = simulate(&cfg);
-        let monitored = simulate_monitored(&cfg, &HealthConfig::default());
-        // The acceptance invariant: with wear-leveling off the monitor
-        // never perturbs the simulation — bitwise-equal reports.
-        assert_eq!(plain, monitored.report);
+        let hc = HealthConfig::default();
+        let monitored =
+            simulate_observed(&cfg, &Observe { health: Some(hc.clone()), ..Observe::default() });
+        let report = &monitored.report;
         let health = monitored.health.expect("health requested");
         assert_eq!(health.instances.len(), cfg.fleet);
         assert!(!health.wear_leveling);
@@ -1689,21 +1614,24 @@ mod tests {
         // utilization vector.
         let inv: u64 = health.instances.iter().map(|i| i.ledger.invocations).sum();
         let req: u64 = health.instances.iter().map(|i| i.ledger.requests).sum();
-        assert_eq!(inv, plain.batches);
-        assert_eq!(req, plain.completed);
-        for (i, u) in plain.utilization.iter().enumerate() {
+        assert_eq!(inv, report.batches);
+        assert_eq!(req, report.completed);
+        for (i, u) in report.utilization.iter().enumerate() {
             let ledger_busy = health.instances[i].ledger.busy_ns;
             assert!(
-                (ledger_busy - u * plain.makespan_ns).abs() <= 1e-6 * ledger_busy.max(1.0),
+                (ledger_busy - u * report.makespan_ns).abs() <= 1e-6 * ledger_busy.max(1.0),
                 "instance {i}"
             );
         }
         let energy: f64 = health.instances.iter().map(|i| i.ledger.energy_pj).sum();
-        assert!((energy - plain.total_energy_pj).abs() <= 1e-9 * energy.max(1.0));
+        assert!((energy - report.total_energy_pj).abs() <= 1e-9 * energy.max(1.0));
 
         // The per-op accounting identity: ledger ops equal costed
         // invocations × ops/invocation, summed over the trace's batches.
-        let traced = simulate_traced_monitored(&cfg, &HealthConfig::default());
+        let traced = simulate_observed(
+            &cfg,
+            &Observe { trace: true, health: Some(hc), ..Observe::default() },
+        );
         let trace = traced.trace.expect("trace requested");
         let health = traced.health.expect("health requested");
         let mut expected = 0u64;
@@ -1713,23 +1641,23 @@ mod tests {
         let cam: u64 = health.instances.iter().map(|i| i.ledger.cam_searches).sum();
         assert_eq!(cam, expected, "ledger writes == costed invocations x writes/invocation");
         assert!(!trace.health.is_empty(), "trace carries the health timeseries");
-        assert_eq!(traced.report, plain, "traced + monitored still bitwise equal");
     }
 
     #[test]
     fn profiled_run_matches_unprofiled_report() {
+        // tests/observers.rs pins that profiling perturbs nothing; this
+        // checks the work counters against the report.
         let cfg = ServeConfig::example();
-        let plain = simulate(&cfg);
         let profiled = simulate_profiled(&cfg);
-        assert_eq!(plain, profiled.report, "profiling never perturbs the simulation");
+        let report = &profiled.report;
         let p = profiled.profile.expect("profile requested");
 
         // Work-counter accounting identities against the report.
         let w = &p.work;
-        assert_eq!(w.events_arrive, plain.arrivals);
-        assert_eq!(w.batches_formed, plain.batches);
-        assert_eq!(w.batch_members, plain.completed);
-        assert_eq!(w.expired_drops, plain.expired);
+        assert_eq!(w.events_arrive, report.arrivals);
+        assert_eq!(w.batches_formed, report.batches);
+        assert_eq!(w.batch_members, report.completed);
+        assert_eq!(w.expired_drops, report.expired);
         assert_eq!(
             w.events_total,
             w.events_arrive
@@ -1740,7 +1668,7 @@ mod tests {
         assert_eq!(w.events_scale_check, 0, "no autoscaler configured");
         assert_eq!(w.dispatch_scans_fifo, w.dispatch_scans, "FIFO default owns every scan");
         assert_eq!(w.dispatch_scans_wfq + w.dispatch_scans_edf, 0);
-        assert_eq!(w.events_instance_free, plain.batches, "one free event per invocation");
+        assert_eq!(w.events_instance_free, report.batches, "one free event per invocation");
         assert_eq!(w.heap_pushes, w.heap_pops, "the heap drains completely");
         assert_eq!(w.queue_depth_hist.total(), w.events_total);
         assert_eq!(w.backlog_hist.total(), w.events_total);
@@ -1764,39 +1692,19 @@ mod tests {
     }
 
     #[test]
-    fn profiled_work_counters_replay_bitwise() {
-        let cfg = ServeConfig::example();
-        let a = simulate_profiled(&cfg);
-        let b = simulate_profiled(&cfg);
-        let (wa, wb) = (a.profile.expect("profile").work, b.profile.expect("profile").work);
-        assert_eq!(wa, wb, "work counters are deterministic");
-    }
-
-    #[test]
     fn profiled_with_composes_with_trace_and_health() {
         let cfg = ServeConfig::example();
-        let plain = simulate(&cfg);
-        let hc = HealthConfig::default();
-        let full = simulate_full(&cfg, 1, true, Some(&hc), true, None, false);
-        assert_eq!(plain, full.report, "all three observers attached, still bitwise equal");
+        let health = Some(HealthConfig::default());
+        let full = simulate_observed(
+            &cfg,
+            &Observe { trace: true, health, profile: true, ..Observe::default() },
+        );
         let p = full.profile.expect("profile requested");
-        assert!(p.wall.stats(phase::TRACE_EMIT).calls > 0);
+        // One trace-emit interval per batch and per request.
+        let trace = full.trace.expect("trace requested");
+        let emits = (trace.batches.len() + trace.requests.len()) as u64;
+        assert_eq!(p.wall.stats(phase::TRACE_EMIT).calls, emits);
         assert_eq!(p.wall.stats(phase::HEALTH_DISPATCH).calls, p.work.batches_formed);
-        // The work counters do not depend on which observers ride along.
-        let solo = simulate_profiled(&cfg).profile.expect("profile");
-        assert_eq!(p.work, solo.work);
-        assert!(full.trace.is_some());
-        assert!(full.health.is_some());
-    }
-
-    #[test]
-    fn monitored_runs_replay_bitwise() {
-        let cfg = ServeConfig::example();
-        let hc = HealthConfig::default();
-        let a = simulate_monitored(&cfg, &hc);
-        let b = simulate_monitored(&cfg, &hc);
-        assert_eq!(a.report, b.report);
-        assert_eq!(a.health, b.health);
     }
 
     #[test]
@@ -1806,9 +1714,11 @@ mod tests {
         let mut cfg = ServeConfig::example();
         cfg.fleet = 4;
         cfg.arrival = ArrivalProcess::poisson(5_000.0);
-        let off = simulate_monitored(&cfg, &HealthConfig::default());
-        let on_cfg = HealthConfig { wear_leveling: true, ..HealthConfig::default() };
-        let on = simulate_monitored(&cfg, &on_cfg);
+        let monitored = |wear_leveling| {
+            let health = HealthConfig { wear_leveling, ..HealthConfig::default() };
+            simulate_observed(&cfg, &Observe { health: Some(health), ..Observe::default() })
+        };
+        let (off, on) = (monitored(false), monitored(true));
         let (off_h, on_h) = (off.health.expect("health"), on.health.expect("health"));
         assert!(off_h.wear_skew > on_h.wear_skew, "{} vs {}", off_h.wear_skew, on_h.wear_skew);
         assert!(on_h.wear_leveling);
@@ -1826,8 +1736,10 @@ mod tests {
     #[test]
     fn monitored_telemetry_publishes_health_gauges() {
         let cfg = ServeConfig::example();
-        let (outcome, snap) =
-            star_telemetry::with_scoped(|| simulate_monitored(&cfg, &HealthConfig::default()));
+        let health = Some(HealthConfig::default());
+        let (outcome, snap) = star_telemetry::with_scoped(|| {
+            simulate_observed(&cfg, &Observe { health, ..Observe::default() })
+        });
         let health = outcome.health.expect("health");
         for i in 0..cfg.fleet {
             let reads = snap.gauges[&format!("serve.health.i{i}.reads")];
@@ -1840,12 +1752,13 @@ mod tests {
 
     #[test]
     fn flight_recording_is_observation_only() {
+        // tests/observers.rs pins that the recorder perturbs nothing; this
+        // checks its rings against the report and the profiler.
         let cfg = ServeConfig::example();
-        let plain = simulate(&cfg);
-        let recorded = simulate_flight(&cfg, &crate::flight::FlightConfig::default());
-        // The acceptance invariant: the recorder never perturbs the
-        // simulation — bitwise-equal reports.
-        assert_eq!(plain, recorded.report);
+        let flight = Some(FlightConfig::default());
+        let recorded =
+            simulate_observed(&cfg, &Observe { flight, profile: true, ..Observe::default() });
+        let report = &recorded.report;
         let flight = recorded.flight.expect("flight requested");
 
         // Ring conservation and accounting identities against the
@@ -1854,39 +1767,11 @@ mod tests {
         assert_eq!(flight.terminals_seen, flight.terminals_retained + flight.terminals_evicted);
         assert_eq!(
             flight.terminals_seen,
-            plain.completed + plain.rejected + plain.expired,
+            report.completed + report.rejected + report.expired,
             "every request reaches exactly one terminal row"
         );
-        let profiled = simulate_profiled(&cfg).profile.expect("profile");
-        assert_eq!(flight.events_seen, profiled.work.events_total);
-    }
-
-    #[test]
-    fn flight_composes_with_all_observers() {
-        let cfg = ServeConfig::example();
-        let plain = simulate(&cfg);
-        let hc = HealthConfig::default();
-        let fc = crate::flight::FlightConfig::default();
-        let full = simulate_full(&cfg, 1, true, Some(&hc), true, Some(&fc), true);
-        assert_eq!(plain, full.report, "all four observers attached, still bitwise equal");
-        // The work counters do not depend on which observers ride along
-        // (flight on_event runs inside SAMPLE_HOOKS, not a new phase).
-        let solo = simulate_profiled(&cfg).profile.expect("profile");
-        let p = full.profile.expect("profile requested");
-        assert_eq!(p.work, solo.work);
-        assert!(full.trace.is_some());
-        assert!(full.health.is_some());
-        // The trace bytes equal a flight-off run's with the same
-        // observers attached.
-        let traced = simulate_traced_monitored(&cfg, &hc).trace.expect("trace");
-        let full_trace = full.trace.expect("trace");
-        assert_eq!(
-            serde_json::to_string(&full_trace.to_object_json()).expect("trace json"),
-            serde_json::to_string(&traced.to_object_json()).expect("trace json"),
-        );
-        // Flight outcome itself replays bitwise.
-        let again = simulate_flight(&cfg, &fc).flight.expect("flight");
-        assert_eq!(full.flight.expect("flight"), again);
+        let work = recorded.profile.expect("profile requested").work;
+        assert_eq!(flight.events_seen, work.events_total);
     }
 
     #[test]
@@ -1901,11 +1786,8 @@ mod tests {
             deadline_ns: 1e6,
             ..ServeConfig::example()
         };
-        let fc = crate::flight::FlightConfig {
-            queue_depth_threshold: Some(8),
-            ..crate::flight::FlightConfig::default()
-        };
-        let out = simulate_flight(&cfg, &fc);
+        let fc = FlightConfig { queue_depth_threshold: Some(8), ..FlightConfig::default() };
+        let out = simulate_observed(&cfg, &Observe { flight: Some(fc), ..Observe::default() });
         let flight = out.flight.expect("flight requested");
         assert!(flight.triggers_fired > 0, "overload must trip a trigger");
         assert_eq!(flight.incidents.len(), 1, "one incident budgeted");

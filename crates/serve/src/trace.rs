@@ -225,10 +225,9 @@ pub struct ServeTrace {
     /// event time, post-event state).
     pub samples: Vec<SystemSample>,
     /// Device-health timeseries (empty unless the run was health-
-    /// monitored; see [`crate::health::HealthMonitor`]). Sampled on the
-    /// monitor's deterministic grid, rendered as per-instance
-    /// temperature / accuracy-margin / wear counter tracks in the
-    /// Perfetto export.
+    /// monitored; see [`crate::health`]). Sampled on the monitor's
+    /// deterministic grid, rendered as per-instance temperature /
+    /// accuracy-margin / wear counter tracks in the Perfetto export.
     pub health: Vec<FleetHealthSample>,
 }
 

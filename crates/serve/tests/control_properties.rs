@@ -4,10 +4,15 @@
 
 use proptest::prelude::*;
 use star_serve::{
-    simulate, simulate_full, simulate_traced, ArrivalProcess, AutoscaleConfig, BatchPolicy,
-    ControlConfig, DequeuePolicy, ModelKind, PlacementPolicy, RequestClass, RequestTrace,
-    ServeConfig, ServiceModel, ServiceModelConfig, SimOutcome, WorkloadMix,
+    simulate, simulate_observed, ArrivalProcess, AutoscaleConfig, BatchPolicy, ControlConfig,
+    DequeuePolicy, ModelKind, Observe, PlacementPolicy, RequestClass, RequestTrace, ServeConfig,
+    ServiceModel, ServiceModelConfig, SimOutcome, WorkloadMix,
 };
+
+/// A run with the trace attached, or with no observer.
+fn run(cfg: &ServeConfig, trace: bool) -> SimOutcome {
+    simulate_observed(cfg, &Observe { trace, ..Observe::default() })
+}
 
 fn class16() -> RequestClass {
     RequestClass::new(ModelKind::Tiny, 16)
@@ -72,7 +77,7 @@ proptest! {
                 autoscale: Some(AutoscaleConfig::new(1, 4)),
                 instance_services: Vec::new(),
             };
-            let outcome = simulate_full(&cfg, 1, false, None, false, None, false);
+            let outcome = run(&cfg, false);
             let r = &outcome.report;
             prop_assert_eq!(
                 r.arrivals,
@@ -119,7 +124,7 @@ proptest! {
             dequeue: DequeuePolicy::weighted_fair(vec![(class16(), w), (class32(), 1.0)]),
             ..ControlConfig::default()
         };
-        let outcome = simulate_full(&cfg, 1, true, None, false, None, false);
+        let outcome = run(&cfg, true);
         let c = outcome.control.as_ref().expect("control plane active");
         prop_assert_eq!(c.dequeue.as_str(), "wfq");
         // Attained service per class while contention lasted: each
@@ -173,7 +178,7 @@ proptest! {
             ]),
             ..ControlConfig::default()
         };
-        let outcome = simulate_full(&cfg, 1, true, None, false, None, false);
+        let outcome = run(&cfg, true);
         let dispatched = dispatched(&outcome);
         for class in [class16(), class32()] {
             let mut per_class: Vec<_> = dispatched.iter().filter(|(r, _)| r.class == class).collect();
@@ -198,7 +203,7 @@ fn noop_control_is_bitwise_invisible() {
     let cfg = ServeConfig::example();
     assert!(cfg.control.is_noop());
     let plain = simulate(&cfg);
-    let traced = simulate_traced(&cfg);
+    let traced = run(&cfg, true);
     assert_eq!(plain, traced.report);
     assert!(traced.control.is_none(), "no-op control emits no report");
 }
@@ -214,7 +219,7 @@ fn autoscaler_grows_into_a_burst_and_drains_after() {
     cfg.max_queue = 512;
     cfg.control =
         ControlConfig { autoscale: Some(AutoscaleConfig::new(1, 6)), ..ControlConfig::default() };
-    let outcome = simulate_full(&cfg, 1, false, None, false, None, false);
+    let outcome = run(&cfg, false);
     let c = outcome.control.expect("control plane active");
     assert!(c.peak_active > 1, "burst must trigger scale-up: {c:?}");
     assert!(!c.scale_events.is_empty());
@@ -223,6 +228,6 @@ fn autoscaler_grows_into_a_burst_and_drains_after() {
     let static_peak = c.peak_active as f64 * outcome.report.makespan_ns * 1e-9;
     assert!(c.instance_seconds < static_peak, "{} !< {static_peak}", c.instance_seconds);
     // Replay determinism extends to the control report.
-    let again = simulate_full(&cfg, 1, false, None, false, None, false);
+    let again = run(&cfg, false);
     assert_eq!(Some(c), again.control);
 }

@@ -4,10 +4,9 @@
 //! round trip. Every span is read through the trace's renderer.
 
 use star_serve::{
-    simulate, simulate_full, simulate_profiled, simulate_traced, simulate_traced_monitored,
-    ArrivalProcess, BatchPolicy, ControlConfig, HealthConfig, ModelKind, RequestClass,
-    RequestOutcome, ServeConfig, ServeTrace, ServiceModelConfig, SloAnalysis, SloPolicy,
-    WorkloadMix,
+    simulate, simulate_observed, ArrivalProcess, BatchPolicy, ControlConfig, HealthConfig,
+    ModelKind, Observe, RequestClass, RequestOutcome, ServeConfig, ServeTrace, ServiceModelConfig,
+    SimOutcome, SloAnalysis, SloPolicy, WorkloadMix,
 };
 use star_telemetry::SPAN_EPS_NS;
 
@@ -32,16 +31,27 @@ fn stress_config() -> ServeConfig {
     }
 }
 
+/// A traced run of `cfg`.
+fn traced(cfg: &ServeConfig) -> SimOutcome {
+    simulate_observed(cfg, &Observe { trace: true, ..Observe::default() })
+}
+
+/// A traced, health-monitored run of `cfg`.
+fn traced_monitored(cfg: &ServeConfig) -> SimOutcome {
+    let health = Some(HealthConfig::default());
+    simulate_observed(cfg, &Observe { trace: true, health, ..Observe::default() })
+}
+
 #[test]
 fn every_span_tree_is_valid() {
-    let outcome = simulate_traced(&stress_config());
+    let outcome = traced(&stress_config());
     let trace = outcome.trace.expect("trace requested");
     trace.validate().expect("all request and batch span trees satisfy the invariants");
 }
 
 #[test]
 fn root_span_conservation() {
-    let outcome = simulate_traced(&stress_config());
+    let outcome = traced(&stress_config());
     let trace = outcome.trace.expect("trace requested");
     let r = &outcome.report;
     // Exactly one closed root span per arrival …
@@ -68,7 +78,8 @@ fn root_span_conservation() {
 fn span_durations_reconcile_with_lifecycle_records() {
     // The blame recorder keeps its own row per completed request and per
     // batch, both in completion order; every span must agree with them.
-    let outcome = simulate_full(&stress_config(), 1, true, None, false, None, true);
+    let observe = Observe { trace: true, blame: true, ..Observe::default() };
+    let outcome = simulate_observed(&stress_config(), &observe);
     let trace = outcome.trace.expect("trace requested");
     let blame = outcome.blame.expect("blame requested");
     let completed: Vec<_> = trace.requests.iter().filter(|t| t.outcome.is_completed()).collect();
@@ -112,8 +123,8 @@ fn span_durations_reconcile_with_lifecycle_records() {
 #[test]
 fn same_seed_trace_json_is_byte_identical() {
     let cfg = stress_config();
-    let a = simulate_traced(&cfg).trace.expect("trace");
-    let b = simulate_traced(&cfg).trace.expect("trace");
+    let a = traced(&cfg).trace.expect("trace");
+    let b = traced(&cfg).trace.expect("trace");
     let ja = serde_json::to_string(&a.to_object_json()).expect("serialize");
     let jb = serde_json::to_string(&b.to_object_json()).expect("serialize");
     assert_eq!(ja, jb, "same-seed traces must serialize to identical bytes");
@@ -121,23 +132,14 @@ fn same_seed_trace_json_is_byte_identical() {
     // vacuous).
     let mut other = cfg;
     other.seed ^= 1;
-    let jc = serde_json::to_string(&simulate_traced(&other).trace.expect("trace").to_object_json())
+    let jc = serde_json::to_string(&traced(&other).trace.expect("trace").to_object_json())
         .expect("serialize");
     assert_ne!(ja, jc);
 }
 
 #[test]
-fn tracing_never_perturbs_the_simulation() {
-    for seed in [1u64, 7, 42] {
-        let mut cfg = stress_config();
-        cfg.seed = seed;
-        assert_eq!(simulate(&cfg), simulate_traced(&cfg).report, "seed {seed}");
-    }
-}
-
-#[test]
 fn slo_analysis_agrees_with_report() {
-    let outcome = simulate_traced(&stress_config());
+    let outcome = traced(&stress_config());
     let trace = outcome.trace.expect("trace");
     let r = &outcome.report;
     let a = SloAnalysis::from_trace(&trace, SloPolicy::default(), 10);
@@ -163,7 +165,7 @@ fn health_trace_round_trips_byte_identical() {
     // request and batch record from its spans, and emitting renders the
     // spans from those records again.
     let cfg = stress_config();
-    let outcome = simulate_traced_monitored(&cfg, &HealthConfig::default());
+    let outcome = traced_monitored(&cfg);
     let trace = outcome.trace.expect("trace requested");
     assert!(!trace.health.is_empty(), "monitored run samples fleet health");
     for h in &trace.health {
@@ -182,72 +184,16 @@ fn health_trace_round_trips_byte_identical() {
     // Monitoring never perturbed the traced simulation either.
     assert_eq!(outcome.report, simulate(&cfg), "monitored trace run bitwise equals plain run");
     // Same-seed monitored traces are byte-stable across reruns.
-    let again = simulate_traced_monitored(&cfg, &HealthConfig::default());
+    let again = traced_monitored(&cfg);
     let again_bytes =
         serde_json::to_string(&again.trace.expect("trace").to_object_json()).expect("serialize");
     assert_eq!(bytes, again_bytes);
 }
 
 #[test]
-fn health_report_consistent_between_traced_and_untraced() {
-    let cfg = stress_config();
-    let hc = HealthConfig::default();
-    let untraced = star_serve::simulate_monitored(&cfg, &hc);
-    let traced = simulate_traced_monitored(&cfg, &hc);
-    assert_eq!(untraced.report, traced.report);
-    assert_eq!(untraced.health, traced.health, "health report independent of tracing");
-}
-
-#[test]
-fn profiling_never_perturbs_report_or_trace_bytes() {
-    // The self-profiler's no-perturbation invariant, across seeds: a
-    // profiled run's report is bitwise equal to the unprofiled run, and a
-    // profiled *traced* run serializes its trace to the exact bytes the
-    // plain traced run produces. (CI additionally diffs the golden
-    // fixtures across STAR_EXEC_THREADS={1,8} processes.)
-    for seed in [1u64, 7, 42, 99] {
-        let mut cfg = stress_config();
-        cfg.seed = seed;
-        let plain = simulate(&cfg);
-        let profiled = simulate_profiled(&cfg);
-        assert_eq!(plain, profiled.report, "seed {seed}: profiled report diverged");
-        assert!(profiled.profile.is_some());
-
-        let traced = simulate_traced(&cfg);
-        let traced_profiled = simulate_full(&cfg, 1, true, None, true, None, false);
-        assert_eq!(traced.report, traced_profiled.report, "seed {seed}");
-        let ja = serde_json::to_string(&traced.trace.expect("trace").to_object_json())
-            .expect("serialize");
-        let jb = serde_json::to_string(&traced_profiled.trace.expect("trace").to_object_json())
-            .expect("serialize");
-        assert_eq!(ja, jb, "seed {seed}: profiling changed trace bytes");
-    }
-}
-
-#[test]
-fn profiled_work_counters_are_seed_stable_and_trace_independent() {
-    // Deterministic work accounting: identical counters on replay, and
-    // identical whether or not tracing / health monitoring ride along —
-    // the counters measure the simulation, not its observers.
-    let cfg = stress_config();
-    let solo = simulate_profiled(&cfg).profile.expect("profile");
-    let replay = simulate_profiled(&cfg).profile.expect("profile");
-    assert_eq!(solo.work, replay.work, "replay must reproduce counters exactly");
-    let observed = simulate_full(&cfg, 1, true, Some(&HealthConfig::default()), true, None, false)
-        .profile
-        .expect("profile");
-    assert_eq!(solo.work, observed.work, "observers must not change work counters");
-    // JSON round-trip of the deterministic half is byte-stable (the
-    // property the golden fixture in star-bench pins).
-    let a = serde_json::to_string(&solo.work).expect("serialize");
-    let b = serde_json::to_string(&replay.work).expect("serialize");
-    assert_eq!(a, b);
-}
-
-#[test]
 fn queue_and_busy_samples_bound_by_config() {
     let cfg = stress_config();
-    let trace = simulate_traced(&cfg).trace.expect("trace");
+    let trace = traced(&cfg).trace.expect("trace");
     assert!(!trace.samples.is_empty());
     for pair in trace.samples.windows(2) {
         assert!(pair[0].t_ns < pair[1].t_ns, "one sample per distinct event time");

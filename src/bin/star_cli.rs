@@ -343,7 +343,9 @@ fn parse_positive<T: std::str::FromStr + PartialOrd + Default>(
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    use star::serve::{simulate_full, FlightConfig, ServiceModel, SloAnalysis, SloPolicy};
+    use star::serve::{
+        simulate_observed, FlightConfig, Observe, ServiceModel, SloAnalysis, SloPolicy,
+    };
     let (positional, [trace_path, flight_path]) = split_output_flags(
         args,
         [("--trace", "serve_trace.json"), ("--flight", "flight_incident.json")],
@@ -351,9 +353,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let cfg = serve_point_config(&positional)?;
     let (class, fleet, batch) = (cfg.mix.classes()[0], cfg.fleet, cfg.policy.max_batch);
     let service = ServiceModel::new(cfg.service.clone(), &[class]);
-    let flight_cfg = flight_path.is_some().then(FlightConfig::default);
-    let outcome =
-        simulate_full(&cfg, 1, trace_path.is_some(), None, false, flight_cfg.as_ref(), false);
+    let flight = flight_path.is_some().then(FlightConfig::default);
+    let observe = Observe { trace: trace_path.is_some(), flight, ..Observe::default() };
+    let outcome = simulate_observed(&cfg, &observe);
     let (r, trace, flight) = (outcome.report, outcome.trace, outcome.flight);
 
     println!("serving {class} on {fleet} STAR instance(s), policy {}:", cfg.policy);
@@ -426,7 +428,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_health(args: &[String]) -> Result<(), String> {
-    use star::serve::{simulate_monitored, HealthConfig, HealthModel, WearRates};
+    use star::serve::{simulate_observed, HealthConfig, HealthModel, Observe, WearRates};
     let mut wear_leveling = false;
     let mut positional: Vec<&String> = Vec::new();
     for a in args {
@@ -441,7 +443,8 @@ fn cmd_health(args: &[String]) -> Result<(), String> {
     let cfg = serve_point_config(&positional)?;
     let (class, rate, fleet) = (cfg.mix.classes()[0], cfg.arrival.offered_rps(), cfg.fleet);
     let health_cfg = HealthConfig { wear_leveling, ..HealthConfig::default() };
-    let outcome = simulate_monitored(&cfg, &health_cfg);
+    let observe = Observe { health: Some(health_cfg.clone()), ..Observe::default() };
+    let outcome = simulate_observed(&cfg, &observe);
     let r = &outcome.report;
     let health = outcome.health.as_ref().expect("monitored run reports fleet health");
 
@@ -555,9 +558,9 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 
 fn cmd_control(args: &[String]) -> Result<(), String> {
     use star::serve::{
-        simulate_full, ArrivalProcess, AutoscaleConfig, BatchPolicy, ControlConfig, DequeuePolicy,
-        ModelKind, PlacementPolicy, RequestClass, ScaleDirection, ServeConfig, ServiceModelConfig,
-        WorkloadMix,
+        simulate_observed, ArrivalProcess, AutoscaleConfig, BatchPolicy, ControlConfig,
+        DequeuePolicy, ModelKind, Observe, PlacementPolicy, RequestClass, ScaleDirection,
+        ServeConfig, ServiceModelConfig, WorkloadMix,
     };
     let premium = RequestClass::new(ModelKind::BertBase, 128);
     let economy = RequestClass::new(ModelKind::BertBase, 64);
@@ -643,7 +646,7 @@ fn cmd_control(args: &[String]) -> Result<(), String> {
         service: ServiceModelConfig::default(),
         control: ControlConfig { dequeue, placement, autoscale, instance_services: Vec::new() },
     };
-    let outcome = simulate_full(&cfg, 1, false, None, false, None, false);
+    let outcome = simulate_observed(&cfg, &Observe::default());
     let r = &outcome.report;
 
     println!(
@@ -777,10 +780,10 @@ fn serve_point_config(positional: &[&String]) -> Result<star::serve::ServeConfig
 }
 
 fn cmd_blame(args: &[String]) -> Result<(), String> {
-    use star::serve::{simulate_blamed, BLAME_SIDECAR_KEY};
+    use star::serve::{simulate_observed, Observe, BLAME_SIDECAR_KEY};
     let (positional, [trace_path]) = split_output_flags(args, [("--trace", "blame_trace.json")])?;
     let cfg = serve_point_config(&positional)?;
-    let outcome = simulate_blamed(&cfg);
+    let outcome = simulate_observed(&cfg, &Observe { blame: true, ..Observe::default() });
     let r = &outcome.report;
     let blame = outcome.blame.as_ref().expect("blamed run carries blame tables");
 

@@ -353,7 +353,7 @@ pub(crate) fn serve_trace() -> Value {
 }
 
 /// The machine-readable `serve_blame` result: the blame outcome of the
-/// [`serve_trace_config`] run as `star_cli blame --trace` writes it (the
+/// [`serve_trace_config`] run as `star_cli serve --blame` writes it (the
 /// Perfetto object with the `starServeBlame` sidecar). Its requests reach
 /// all four terminal states, so it pins the rejected and expired counts,
 /// the futile expired wait and every per-request blame row.

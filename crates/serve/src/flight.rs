@@ -2,12 +2,13 @@
 //! recent event window, dumped retroactively when an incident trigger
 //! fires.
 //!
-//! Full span tracing costs ~1.8–2.1× the untraced loop, so the long,
-//! heavy runs (fleet sweeps, long-context scenarios) run untraced — and
-//! an SLO burn or deadline-expiry burst at minute 40 leaves no record of
-//! the events that caused it. The flight recorder closes that gap the
-//! way production serving stacks do: a capacity-bounded ring of compact
-//! fixed-width per-event records is always on, a deterministic trigger
+//! Full span tracing keeps one record per request, so its memory grows
+//! with the run; the long, heavy runs (fleet sweeps, long-context
+//! scenarios) run untraced — and an SLO burn or deadline-expiry burst at
+//! minute 40 leaves no record of the events that caused it. The flight
+//! recorder closes that gap the way production serving stacks do: a ring
+//! of `capacity` compact fixed-width per-event rows is always on, so its
+//! memory stays bounded however long the run; a deterministic trigger
 //! engine watches the same event stream, and only when a trigger fires
 //! is the captured window frozen and dumped with a root-cause report.
 //!
@@ -54,7 +55,7 @@
 
 use crate::model::ServiceModel;
 use crate::request::RequestClass;
-use crate::sim::Terminal;
+use crate::sim::{EventKind, InFlight, Terminal};
 use crate::slo::{BurnSweep, BurnWindow};
 use crate::trace::RequestOutcome;
 use serde::{Deserialize, Serialize};
@@ -509,15 +510,9 @@ impl LatencyWaterfall {
             + self.batch_window_ms
             + self.overhead_ms
             + self.projection_ms
-            + self.qk_fill_ns_alias()
+            + self.qk_fill_ms
             + self.softmax_stream_ms
             + self.av_drain_ms
-    }
-
-    // Named helper so the sum above stays greppable against the field
-    // list (qk_fill is the one phase whose name differs from its unit).
-    fn qk_fill_ns_alias(&self) -> f64 {
-        self.qk_fill_ms
     }
 }
 
@@ -757,75 +752,6 @@ impl FlightOutcome {
     }
 }
 
-/// One event as the simulator hands it to the recorder (the recorder
-/// cannot see the private event enum, so the loop lowers each event to
-/// this view before dispatching it).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct EventView {
-    /// Event kind tag.
-    kind: FlightEventKind,
-    /// Request class of an arrive / window-expire / instance-free event.
-    class: Option<RequestClass>,
-    /// Instance of an instance-free event.
-    instance: Option<usize>,
-    /// Batch size of an instance-free event.
-    batch_size: usize,
-    /// Dispatch time of an instance-free event's batch, ns.
-    dispatch_ns: Option<f64>,
-}
-
-impl EventView {
-    /// An arrive event of `class`.
-    pub fn arrive(class: RequestClass) -> Self {
-        EventView {
-            kind: FlightEventKind::Arrive,
-            class: Some(class),
-            instance: None,
-            batch_size: 0,
-            dispatch_ns: None,
-        }
-    }
-
-    /// A window-expire event of `class`.
-    pub fn window_expire(class: RequestClass) -> Self {
-        EventView {
-            kind: FlightEventKind::WindowExpire,
-            class: Some(class),
-            instance: None,
-            batch_size: 0,
-            dispatch_ns: None,
-        }
-    }
-
-    /// An instance-free event: `instance` finished a `batch_size` batch
-    /// of `class` dispatched at `dispatch_ns`.
-    pub fn instance_free(
-        instance: usize,
-        class: RequestClass,
-        batch_size: usize,
-        dispatch_ns: f64,
-    ) -> Self {
-        EventView {
-            kind: FlightEventKind::InstanceFree,
-            class: Some(class),
-            instance: Some(instance),
-            batch_size,
-            dispatch_ns: Some(dispatch_ns),
-        }
-    }
-
-    /// An autoscaler decision point.
-    pub fn scale_check() -> Self {
-        EventView {
-            kind: FlightEventKind::ScaleCheck,
-            class: None,
-            instance: None,
-            batch_size: 0,
-            dispatch_ns: None,
-        }
-    }
-}
-
 /// An incident being recorded: the frozen pre-window plus everything
 /// captured since the trigger.
 #[derive(Debug, Clone)]
@@ -951,35 +877,58 @@ impl FlightRecorder {
         }
     }
 
-    /// Records one processed event and evaluates the trigger engine on
-    /// the settled post-event state. `queue_depth` is the queued-request
-    /// total, `batch_occupancy` the executing-request total, and
-    /// `alarm_count` the health monitor's cumulative alarm count (0 when
-    /// unmonitored).
-    pub fn on_event(
-        &mut self,
+    /// The row of the event `kind` at `(t_ns, seq)`, its post-event
+    /// fields left zero for [`FlightRecorder::on_event`]. Built before the
+    /// event's handler runs: an `InstanceFree` handler drains the
+    /// instance's batch slot in `in_flight`.
+    pub fn row(
+        &self,
         t_ns: f64,
         seq: u64,
-        view: EventView,
+        kind: &EventKind,
+        in_flight: &[InFlight],
+    ) -> EventRecord {
+        let (kind, class, instance) = match kind {
+            EventKind::Arrive(req) => (FlightEventKind::Arrive, Some(req.class), None),
+            EventKind::WindowExpire(class) => (FlightEventKind::WindowExpire, Some(*class), None),
+            &EventKind::InstanceFree(i) => {
+                (FlightEventKind::InstanceFree, Some(in_flight[i].class), Some(i))
+            }
+            EventKind::ScaleCheck => (FlightEventKind::ScaleCheck, None, None),
+        };
+        let slot = instance.map(|i| &in_flight[i]);
+        EventRecord {
+            t_ns,
+            seq,
+            kind,
+            class: class.map_or(-1, |c| self.rank(c)),
+            instance: instance.map_or(-1, |i| i as i32),
+            batch_size: slot.map_or(0, |b| b.members.len() as u32),
+            queue_depth: 0,
+            batch_occupancy: 0,
+            dispatch_ns: slot.map_or(-1.0, |b| b.dispatch_ns),
+        }
+    }
+
+    /// Records one processed event's [`FlightRecorder::row`] and evaluates
+    /// the trigger engine on the settled post-event state. `queue_depth`
+    /// is the queued-request total, `batch_occupancy` the
+    /// executing-request total, and `alarm_count` the health monitor's
+    /// cumulative alarm count (0 when unmonitored).
+    pub fn on_event(
+        &mut self,
+        mut record: EventRecord,
         queue_depth: usize,
         batch_occupancy: usize,
         alarm_count: usize,
     ) {
+        let (t_ns, seq) = (record.t_ns, record.seq);
         self.maybe_seal(t_ns);
-        if view.kind == FlightEventKind::Arrive {
+        if record.kind == FlightEventKind::Arrive {
             self.arrivals_seen += 1;
         }
-        let record = EventRecord {
-            t_ns,
-            seq,
-            kind: view.kind,
-            class: view.class.map_or(-1, |c| self.rank(c)),
-            instance: view.instance.map_or(-1, |i| i as i32),
-            batch_size: view.batch_size as u32,
-            queue_depth: queue_depth as u32,
-            batch_occupancy: batch_occupancy as u32,
-            dispatch_ns: view.dispatch_ns.unwrap_or(-1.0),
-        };
+        record.queue_depth = queue_depth as u32;
+        record.batch_occupancy = batch_occupancy as u32;
         self.events.push(record);
         if let Some(inc) = self.active.as_mut() {
             inc.events.push(record);
@@ -1254,7 +1203,7 @@ impl FlightRecorder {
 mod tests {
     use super::*;
     use crate::model::{ServiceModel, ServiceModelConfig};
-    use crate::request::ModelKind;
+    use crate::request::{ModelKind, Request};
 
     fn tiny_class() -> RequestClass {
         RequestClass::new(ModelKind::Tiny, 16)
@@ -1264,8 +1213,13 @@ mod tests {
         FlightRecorder::new(cfg, vec![tiny_class()], 2, 50_000.0)
     }
 
+    fn request(id: u64, arrive_ns: f64) -> Request {
+        Request { id, class: tiny_class(), arrive_ns, client: None }
+    }
+
     fn arrive_event(r: &mut FlightRecorder, t: f64, seq: u64, queued: usize) {
-        r.on_event(t, seq, EventView::arrive(tiny_class()), queued, 0, 0);
+        let row = r.row(t, seq, &EventKind::Arrive(request(seq, t)), &[]);
+        r.on_event(row, queued, 0, 0);
     }
 
     /// A tiny-class terminal; `ran` is a completion's `(dispatch_ns,
@@ -1426,7 +1380,11 @@ mod tests {
             ..FlightConfig::default()
         });
         r.on_terminal(&terminal(7, RequestOutcome::Good, 0.0, 90.0, Some((40.0, 1, 2))));
-        r.on_event(90.0, 3, EventView::instance_free(1, tiny_class(), 2, 40.0), 2, 0, 0);
+        let idle = InFlight { class: tiny_class(), dispatch_ns: 0.0, members: Vec::new() };
+        let busy =
+            InFlight { dispatch_ns: 40.0, members: vec![request(7, 0.0); 2], ..idle.clone() };
+        let row = r.row(90.0, 3, &EventKind::InstanceFree(1), &[idle, busy]);
+        r.on_event(row, 2, 0, 0);
         let model = ServiceModel::new(ServiceModelConfig::default(), &[tiny_class()]);
         let out = r.finalize(&[model], &[0, 0]);
         assert_eq!(out.incidents.len(), 1);

@@ -250,7 +250,7 @@ impl SimProfile {
     }
 
     /// Simulated events processed per wall-clock second — the headline
-    /// simulator-speed figure `star_cli profile` prints.
+    /// simulator-speed figure `star_cli serve --profile` prints.
     pub fn events_per_sec(&self) -> f64 {
         if self.wall_total_ns == 0 {
             0.0

@@ -63,7 +63,7 @@ use crate::control::autoscale::ScalerState;
 use crate::control::{
     ClassShare, ControlConfig, ControlReport, DequeuePolicy, PlacementPolicy, ScaleDirection,
 };
-use crate::flight::{EventView, FlightConfig, FlightOutcome, FlightRecorder};
+use crate::flight::{FlightConfig, FlightOutcome, FlightRecorder};
 use crate::health::{FleetHealthReport, HealthConfig, HealthMonitor};
 use crate::model::{ServiceModel, ServiceModelConfig, ServicePhase};
 use crate::profile::{phase, SimProfile};
@@ -144,10 +144,10 @@ impl ServeConfig {
 /// the instance frees. `members` is empty while the instance is idle and
 /// keeps its capacity from batch to batch.
 #[derive(Debug, Clone)]
-struct InFlight {
-    class: RequestClass,
-    dispatch_ns: f64,
-    members: Vec<Request>,
+pub(crate) struct InFlight {
+    pub(crate) class: RequestClass,
+    pub(crate) dispatch_ns: f64,
+    pub(crate) members: Vec<Request>,
 }
 
 /// One request's end as the event loop hands it to the observers: a
@@ -178,7 +178,7 @@ impl Terminal {
 }
 
 #[derive(Debug, Clone)]
-enum EventKind {
+pub(crate) enum EventKind {
     Arrive(Request),
     WindowExpire(RequestClass),
     /// The instance's in-flight batch finished.
@@ -1012,23 +1012,12 @@ impl<'a> Sim<'a> {
                     EventKind::ScaleCheck => p.work.events_scale_check += 1,
                 }
             }
-            // Lower the event to its flight view before the handler
-            // consumes it, and an instance's batch before the handler
-            // drains its slot (the recorder never sees the private event
-            // enum; the view is a pure projection).
-            let fview = if self.flight.is_some() {
-                Some(match &event.kind {
-                    EventKind::Arrive(req) => EventView::arrive(req.class),
-                    EventKind::WindowExpire(class) => EventView::window_expire(*class),
-                    &EventKind::InstanceFree(instance) => {
-                        let b = &self.in_flight[instance];
-                        EventView::instance_free(instance, b.class, b.members.len(), b.dispatch_ns)
-                    }
-                    EventKind::ScaleCheck => EventView::scale_check(),
-                })
-            } else {
-                None
-            };
+            // The flight row reads an instance's batch slot before the
+            // handler drains it.
+            let frow = self
+                .flight
+                .as_ref()
+                .map(|f| f.row(event.time, event.seq, &event.kind, &self.in_flight));
             let t0 = self.tick();
             match event.kind {
                 EventKind::Arrive(req) => {
@@ -1060,7 +1049,7 @@ impl<'a> Sim<'a> {
             if let Some(h) = self.health.as_mut() {
                 h.maybe_sample(event.time);
             }
-            if let Some(view) = fview {
+            if let Some(row) = frow {
                 // Post-event settled state, same convention as the
                 // sample hooks above; occupancy = in-flight requests
                 // currently executing in batches.
@@ -1068,8 +1057,8 @@ impl<'a> Sim<'a> {
                 let occupancy = (self.in_system as usize).saturating_sub(self.queued_total);
                 self.flight
                     .as_deref_mut()
-                    .expect("view captured only when the recorder is attached")
-                    .on_event(event.time, event.seq, view, self.queued_total, occupancy, alarms);
+                    .expect("row built only when the recorder is attached")
+                    .on_event(row, self.queued_total, occupancy, alarms);
             }
             self.tock(phase::SAMPLE_HOOKS, ts);
         }

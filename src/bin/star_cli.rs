@@ -15,6 +15,7 @@ use star::core::{
     SoftmaxEngine, StarSoftmax, StarSoftmaxConfig, UtilizationReport,
 };
 use star::fixed::QFormat;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "star-cli — STAR (DATE 2023) RRAM softmax engine reproduction
@@ -34,55 +35,39 @@ COMMANDS:
                                    utilization summary goes to stderr
     metrics <format> [seq]         run a representative softmax workload and
                                    print the telemetry counter/gauge table
-    serve [rate] [fleet] [batch] [window_us] [--trace[=PATH]] [--flight[=PATH]]
+    serve [rate] [fleet] [batch] [window_us] [flags]
                                    simulate a fleet of STAR instances serving
                                    Poisson BERT-base/128 traffic against a
                                    2 ms SLO and print the goodput/latency
                                    report (defaults: 16000 rps, 2 instances,
-                                   batch 8, 50 us window). With --trace,
-                                   also write per-request span trees plus
-                                   queue/utilization counter tracks as
-                                   Perfetto-loadable JSON (default path
-                                   serve_trace.json) and print the SLO
-                                   burn-rate analysis. --flight arms the
-                                   always-on incident flight recorder
-                                   (bounded event ring +
-                                   deterministic triggers: SLO burn,
-                                   expiry burst, queue depth); when a
-                                   trigger fires the captured window and
-                                   a root-cause report are written as
-                                   Perfetto-loadable JSON (default path
-                                   flight_incident.json)
-    trace-analyze <file> [k]       re-analyze a `serve --trace` file:
-                                   availability, burn-rate windows,
-                                   time-to-first-violation, per-class
-                                   goodput/p99, and the k slowest requests
-                                   with their span decomposition (default 5).
-                                   Incident dumps from `serve --flight` and
-                                   blame dumps from `blame --trace` are
-                                   recognized and re-analyzed too
-    incident-analyze <file>        re-analyze a `serve --flight` incident
-                                   dump: triggers, captured window, latency
-                                   waterfall, arrival-rate delta, per-class
-                                   and per-instance saturation, and the
-                                   slowest exemplars
-    health [rate] [fleet] [batch] [window_us] [--level]
-                                   run the serve simulation with the device
-                                   health monitor: per-instance wear ledgers,
-                                   temperature/drift/accuracy-margin gauges,
-                                   wear skew, alarms, and the sustained-load
-                                   projection (time to first degradation,
-                                   lifetime inferences). --level enables
-                                   round-robin wear-leveling placement
-    profile [rate] [fleet] [batch] [window_us] [--trace[=PATH]]
-                                   run the serve simulation with the
-                                   simulator self-profiler: deterministic
-                                   work counters (events, heap traffic,
-                                   dispatch scans — machine-independent)
-                                   plus the wall-clock top-phases table.
-                                   With --trace, also write a Chrome
-                                   meta-trace of the simulator's own time
-                                   (default path profile_trace.json)
+                                   batch 8, 50 us window). Each flag attaches
+                                   an observer to the same run and prints its
+                                   block after the report, in this order:
+      --trace[=PATH]               span trees + queue/utilization counter
+                                   tracks as Perfetto JSON (default
+                                   serve_trace.json); SLO burn-rate analysis
+      --flight[=PATH]              incident flight recorder (event ring; SLO
+                                   burn, expiry burst, queue depth triggers);
+                                   a firing dumps the window and a root-cause
+                                   report (default flight_incident.json)
+      --health                     per-instance wear, thermal, drift and
+                                   accuracy-margin table, wear skew, alarms,
+                                   sustained-load lifetime projection
+      --level                      --health plus round-robin wear-leveling
+                                   placement (may move the report)
+      --profile[=PATH]             deterministic work counters, wall-clock
+                                   top phases, and a meta-trace of the
+                                   simulator's own time (profile_trace.json)
+      --blame[=PATH]               every request's latency split into eight
+                                   waits that sum back bitwise: class,
+                                   instance and p99-tail tables, blocking
+                                   chains, Perfetto view (blame_trace.json)
+      --whatif                     ranked Δp99/Δgoodput/Δenergy table of the
+                                   seeded workload under each intervention
+    trace-analyze <file> [k]       re-analyze a `serve --trace`, `--flight`
+                                   or `--blame` dump by its sidecar key; a
+                                   trace gets the SLO analysis with its k
+                                   slowest requests (default 5)
     control [rate] [fleet] [batch] [window_us] [--policy=P] [--placement=P]
             [--autoscale=MIN:MAX|off]
                                    run the fleet control plane on the mixed
@@ -99,65 +84,40 @@ COMMANDS:
                                    fleet (default 1:4, `off` pins it).
                                    Defaults: 8000 rps low phase, fleet 1,
                                    batch 8, 50 us window, wfq/least-loaded
-    blame [rate] [fleet] [batch] [window_us] [--trace[=PATH]]
-                                   run the serve simulation with the
-                                   critical-path blame recorder: every
-                                   request's latency split into causally
-                                   attributed waits (admission queueing,
-                                   batch-window hold, instance-busy, and
-                                   the five invocation phases) that sum
-                                   back to the latency bitwise, plus
-                                   per-class/per-instance blame tables,
-                                   mean-vs-p99-tail comparison, and the
-                                   top blocking chains. With --trace,
-                                   also write the tables plus a Perfetto
-                                   view as JSON (default path
-                                   blame_trace.json). Blame is pure
-                                   observation: the report is bitwise
-                                   identical to an unblamed run
-    whatif [rate] [fleet] [batch] [window_us]
-                                   deterministic what-if profiling: re-run
-                                   the same seeded workload under each
-                                   standard intervention (halve each
-                                   service phase, zero the batch window,
-                                   +1 instance, least-loaded placement)
-                                   and print the ranked Δp99/Δgoodput/
-                                   Δenergy table — an exact, replayable
-                                   form of causal profiling
     help                           this message
 
 Paper formats: CNEWS = q5.2 (8 bits), MRPC = q5.3 (9 bits), CoLA = q4.2 (7 bits).";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("help");
-    let result = match cmd {
-        "softmax" => cmd_softmax(&args[1..]),
-        "geometry" => cmd_geometry(&args[1..]),
-        "engines" => cmd_engines(),
-        "fig3" => cmd_fig3(&args[1..]),
-        "trace" => cmd_trace(&args[1..]),
-        "metrics" => cmd_metrics(&args[1..]),
-        "serve" => cmd_serve(&args[1..]),
-        "trace-analyze" => cmd_trace_analyze(&args[1..]),
-        "incident-analyze" => cmd_incident_analyze(&args[1..]),
-        "health" => cmd_health(&args[1..]),
-        "profile" => cmd_profile(&args[1..]),
-        "control" => cmd_control(&args[1..]),
-        "blame" => cmd_blame(&args[1..]),
-        "whatif" => cmd_whatif(&args[1..]),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n\n{USAGE}")),
-    };
-    match result {
+    match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("error: {message}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Runs the command `args` names with the rest of `args`.
+fn run(args: &[String]) -> Result<(), String> {
+    let cmd = args.first().map(String::as_str).unwrap_or("help");
+    let rest = args.get(1..).unwrap_or_default();
+    match cmd {
+        "softmax" => cmd_softmax(rest),
+        "geometry" => cmd_geometry(rest),
+        "engines" => cmd_engines(),
+        "fig3" => cmd_fig3(rest),
+        "trace" => cmd_trace(rest),
+        "metrics" => cmd_metrics(rest),
+        "serve" => cmd_serve(rest).map(|text| print!("{text}")),
+        "trace-analyze" => cmd_trace_analyze(rest),
+        "control" => cmd_control(rest),
+        "help" | "--help" | "-h" => {
+            println!("{USAGE}");
+            Ok(())
+        }
+        other => Err(format!("unknown command `{other}`\n\n{USAGE}")),
     }
 }
 
@@ -238,13 +198,7 @@ fn cmd_engines() -> Result<(), String> {
 }
 
 fn cmd_fig3(args: &[String]) -> Result<(), String> {
-    let seq: usize = match args.first() {
-        Some(a) => a.parse().map_err(|_| format!("`{a}` is not a sequence length"))?,
-        None => 128,
-    };
-    if seq == 0 {
-        return Err("sequence length must be positive".into());
-    }
+    let seq = parse_seq(args.first())?;
     let cfg = AttentionConfig::bert_base(seq);
     println!("computing efficiency, BERT-base attention layer, seq {seq}:");
     println!("{:<18} {:>12} {:>12}", "design", "latency[us]", "GOPs/s/W");
@@ -342,67 +296,53 @@ fn parse_positive<T: std::str::FromStr + PartialOrd + Default>(
     Ok(v)
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+/// Runs one serve simulation with the observers the flags attach and
+/// returns the text to print: the report, then one block per observer in
+/// the order trace, flight, health, profile, blame, what-if.
+fn cmd_serve(args: &[String]) -> Result<String, String> {
     use star::serve::{
-        simulate_observed, FlightConfig, Observe, ServiceModel, SloAnalysis, SloPolicy,
+        run_what_ifs, simulate_observed, FlightConfig, HealthConfig, Observe, SloAnalysis,
+        SloPolicy, WhatIf, BLAME_SIDECAR_KEY, PROFILE_SIDECAR_KEY,
     };
-    let (positional, [trace_path, flight_path]) = split_output_flags(
-        args,
-        [("--trace", "serve_trace.json"), ("--flight", "flight_incident.json")],
+    const SWITCHES: [&str; 3] = ["--health", "--level", "--whatif"];
+    let [health, level, whatif] = SWITCHES.map(|s| args.iter().any(|a| a == s));
+    let rest: Vec<String> =
+        args.iter().filter(|a| !SWITCHES.contains(&a.as_str())).cloned().collect();
+    let (positional, [trace_path, flight_path, profile_path, blame_path]) = split_output_flags(
+        &rest,
+        [
+            ("--trace", "serve_trace.json"),
+            ("--flight", "flight_incident.json"),
+            ("--profile", "profile_trace.json"),
+            ("--blame", "blame_trace.json"),
+        ],
     )?;
     let cfg = serve_point_config(&positional)?;
-    let (class, fleet, batch) = (cfg.mix.classes()[0], cfg.fleet, cfg.policy.max_batch);
-    let service = ServiceModel::new(cfg.service.clone(), &[class]);
-    let flight = flight_path.is_some().then(FlightConfig::default);
-    let observe = Observe { trace: trace_path.is_some(), flight, ..Observe::default() };
+    let observe = Observe {
+        trace: trace_path.is_some(),
+        health: (health || level)
+            .then(|| HealthConfig { wear_leveling: level, ..HealthConfig::default() }),
+        profile: profile_path.is_some(),
+        flight: flight_path.is_some().then(FlightConfig::default),
+        blame: blame_path.is_some(),
+    };
     let outcome = simulate_observed(&cfg, &observe);
-    let (r, trace, flight) = (outcome.report, outcome.trace, outcome.flight);
+    let mut out = render_report(&cfg, &outcome.report);
 
-    println!("serving {class} on {fleet} STAR instance(s), policy {}:", cfg.policy);
-    println!(
-        "  zero-load floor {:.1} us/request, fleet capacity {:.0} rps at batch 1, {:.0} at batch {batch}",
-        service.unit_latency_ns(class) / 1e3,
-        service.peak_rps(class, 1) * fleet as f64,
-        service.peak_rps(class, batch) * fleet as f64,
-    );
-    println!(
-        "  arrivals {}   completed {}   good {}   late {}   rejected {}   expired {}",
-        r.arrivals, r.completed, r.good, r.late, r.rejected, r.expired
-    );
-    println!(
-        "  offered {:.0} rps   throughput {:.0} rps   goodput {:.0} rps (2 ms SLO)",
-        r.offered_rps, r.throughput_rps, r.goodput_rps
-    );
-    println!(
-        "  latency ms  p50 {:.3}   p95 {:.3}   p99 {:.3}   max {:.3}",
-        r.latency.p50_ms, r.latency.p95_ms, r.latency.p99_ms, r.latency.max_ms
-    );
-    println!(
-        "  queue   ms  p50 {:.3}   p95 {:.3}   p99 {:.3}",
-        r.queue_delay.p50_ms, r.queue_delay.p95_ms, r.queue_delay.p99_ms
-    );
-    println!(
-        "  batches {}   mean size {:.2}   utilization {:.1} %   energy/request {:.1} nJ",
-        r.batches,
-        r.mean_batch_size,
-        r.mean_utilization * 100.0,
-        r.energy_per_request_nj
-    );
-    if let (Some(path), Some(trace)) = (trace_path, trace) {
-        let json = serde_json::to_string(&trace.to_object_json()).map_err(|e| e.to_string())?;
-        std::fs::write(&path, &json).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        println!(
-            "  trace: {} root spans, {} batch spans, {} samples -> {} (open in https://ui.perfetto.dev)",
+    if let (Some(path), Some(trace)) = (trace_path, &outcome.trace) {
+        write_json(&path, &trace.to_object_json())?;
+        out += &format!(
+            "  trace: {} root spans, {} batch spans, {} samples -> {} (open in https://ui.perfetto.dev)\n",
             trace.requests.len(),
             trace.batches.len(),
             trace.samples.len(),
             path.display()
         );
-        print_slo_analysis(&SloAnalysis::from_trace(&trace, SloPolicy::default(), 5));
+        out += &render_slo_analysis(&SloAnalysis::from_trace(trace, SloPolicy::default(), 5));
     }
-    if let (Some(path), Some(flight)) = (flight_path, flight) {
-        println!(
-            "  flight: {} event rows seen ({} retained / {} evicted), {} terminals, {} trigger(s)",
+    if let (Some(path), Some(flight)) = (flight_path, &outcome.flight) {
+        out += &format!(
+            "  flight: {} event rows seen ({} retained / {} evicted), {} terminals, {} trigger(s)\n",
             flight.events_seen,
             flight.events_retained,
             flight.events_evicted,
@@ -410,65 +350,114 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             flight.triggers_fired
         );
         match flight.incidents.first() {
-            None => println!("  flight: no trigger fired; nothing dumped"),
+            None => out += "  flight: no trigger fired; nothing dumped\n",
             Some(dump) => {
-                let json =
-                    serde_json::to_string(&dump.to_object_json()).map_err(|e| e.to_string())?;
-                std::fs::write(&path, &json)
-                    .map_err(|e| format!("writing {}: {e}", path.display()))?;
-                println!(
-                    "  flight: incident dump -> {} (open in https://ui.perfetto.dev, or `star-cli incident-analyze`)",
+                write_json(&path, &dump.to_object_json())?;
+                out += &format!(
+                    "  flight: incident dump -> {} (open in https://ui.perfetto.dev, or `star-cli trace-analyze`)\n",
                     path.display()
                 );
-                print_incident(dump);
+                out += &render_incident(dump);
             }
         }
     }
-    Ok(())
+    if let (Some(health_cfg), Some(health)) = (&observe.health, &outcome.health) {
+        out += &render_health(&cfg, health_cfg, health, outcome.report.makespan_ns);
+    }
+    if let (Some(path), Some(profile)) = (profile_path, &outcome.profile) {
+        write_json(&path, &profile.to_object_json())?;
+        out += &profile.render();
+        out += &format!(
+            "  meta-trace: {} phases -> {} (open in https://ui.perfetto.dev; \
+             work counters ride in the `{PROFILE_SIDECAR_KEY}` sidecar)\n",
+            profile.wall.entries().filter(|(_, s)| s.calls > 0).count(),
+            path.display(),
+        );
+    }
+    if let (Some(path), Some(blame)) = (blame_path, &outcome.blame) {
+        write_json(&path, &blame.to_object_json())?;
+        out += &blame.render();
+        out += &format!(
+            "  blame dump: {} requests, {} batches -> {} (open in https://ui.perfetto.dev; \
+             tables ride in the `{BLAME_SIDECAR_KEY}` sidecar)\n",
+            blame.requests.len(),
+            blame.batches.len(),
+            path.display()
+        );
+    }
+    if whatif {
+        let report = run_what_ifs(&cfg, &WhatIf::standard());
+        out += &report.render();
+        out += &match report.best() {
+            Some(best) if best.delta_p99_ms < 0.0 => format!(
+                "  optimize this next: {} ({:+.3} ms p99, {:+.0} rps goodput)\n",
+                best.label, best.delta_p99_ms, best.delta_goodput_rps
+            ),
+            Some(_) => {
+                "  no intervention in the menu improves p99 at this operating point\n".into()
+            }
+            None => String::new(),
+        };
+    }
+    Ok(out)
 }
 
-fn cmd_health(args: &[String]) -> Result<(), String> {
-    use star::serve::{simulate_observed, HealthConfig, HealthModel, Observe, WearRates};
-    let mut wear_leveling = false;
-    let mut positional: Vec<&String> = Vec::new();
-    for a in args {
-        if a == "--level" {
-            wear_leveling = true;
-        } else if a.starts_with("--") {
-            return Err(format!("unknown flag `{a}`"));
-        } else {
-            positional.push(a);
-        }
-    }
-    let cfg = serve_point_config(&positional)?;
-    let (class, rate, fleet) = (cfg.mix.classes()[0], cfg.arrival.offered_rps(), cfg.fleet);
-    let health_cfg = HealthConfig { wear_leveling, ..HealthConfig::default() };
-    let observe = Observe { health: Some(health_cfg.clone()), ..Observe::default() };
-    let outcome = simulate_observed(&cfg, &observe);
-    let r = &outcome.report;
-    let health = outcome.health.as_ref().expect("monitored run reports fleet health");
+/// Renders `serve`'s goodput/latency report of one run of `cfg`.
+fn render_report(cfg: &star::serve::ServeConfig, r: &star::serve::ServeReport) -> String {
+    let (class, fleet, batch) = (cfg.mix.classes()[0], cfg.fleet, cfg.policy.max_batch);
+    let service = star::serve::ServiceModel::new(cfg.service.clone(), &[class]);
+    let mut out = format!("serving {class} on {fleet} STAR instance(s), policy {}:\n", cfg.policy);
+    out += &format!(
+        "  zero-load floor {:.1} us/request, fleet capacity {:.0} rps at batch 1, {:.0} at batch {batch}\n",
+        service.unit_latency_ns(class) / 1e3,
+        service.peak_rps(class, 1) * fleet as f64,
+        service.peak_rps(class, batch) * fleet as f64,
+    );
+    out += &format!(
+        "  arrivals {}   completed {}   good {}   late {}   rejected {}   expired {}\n",
+        r.arrivals, r.completed, r.good, r.late, r.rejected, r.expired
+    );
+    out += &format!(
+        "  offered {:.0} rps   throughput {:.0} rps   goodput {:.0} rps (2 ms SLO)\n",
+        r.offered_rps, r.throughput_rps, r.goodput_rps
+    );
+    out += &format!(
+        "  latency ms  p50 {:.3}   p95 {:.3}   p99 {:.3}   max {:.3}\n",
+        r.latency.p50_ms, r.latency.p95_ms, r.latency.p99_ms, r.latency.max_ms
+    );
+    out += &format!(
+        "  queue   ms  p50 {:.3}   p95 {:.3}   p99 {:.3}\n",
+        r.queue_delay.p50_ms, r.queue_delay.p95_ms, r.queue_delay.p99_ms
+    );
+    out += &format!(
+        "  batches {}   mean size {:.2}   utilization {:.1} %   energy/request {:.1} nJ\n",
+        r.batches,
+        r.mean_batch_size,
+        r.mean_utilization * 100.0,
+        r.energy_per_request_nj
+    );
+    out
+}
 
-    println!(
-        "fleet health: {class} at {rate:.0} rps on {fleet} instance(s), policy {}, \
-         wear leveling {}:",
-        cfg.policy,
-        if wear_leveling { "on" } else { "off" }
-    );
-    println!(
-        "  completed {}/{}   goodput {:.0} rps   p99 {:.3} ms   window {:.1} ms",
-        r.completed,
-        r.arrivals,
-        r.goodput_rps,
-        r.latency.p99_ms,
-        r.makespan_ns / 1e6
-    );
-    println!(
-        "  {:>4} {:>12} {:>14} {:>14} {:>9} {:>9} {:>12} {:>9}",
+/// Renders the device-health block of a monitored run of `cfg` that
+/// spanned `makespan_ns`: the per-instance wear and thermal table, wear
+/// skew, alarms, and the hottest instance's sustained-load projection.
+fn render_health(
+    cfg: &star::serve::ServeConfig,
+    health_cfg: &star::serve::HealthConfig,
+    health: &star::serve::FleetHealthReport,
+    makespan_ns: f64,
+) -> String {
+    use star::serve::{HealthModel, WearRates};
+    let leveling = if health_cfg.wear_leveling { "on" } else { "off" };
+    let mut out = format!("fleet health (wear leveling {leveling}):\n");
+    out += &format!(
+        "  {:>4} {:>12} {:>14} {:>14} {:>9} {:>9} {:>12} {:>9}\n",
         "inst", "rows", "reads", "eff writes", "temp K", "peak K", "stuck frac", "margin"
     );
     for i in &health.instances {
-        println!(
-            "  {:>4} {:>12} {:>14} {:>14.4} {:>9.2} {:>9.2} {:>12.3e} {:>9.4}",
+        out += &format!(
+            "  {:>4} {:>12} {:>14} {:>14.4} {:>9.2} {:>9.2} {:>12.3e} {:>9.4}\n",
             i.instance,
             i.ledger.rows,
             i.ledger.reads(),
@@ -479,81 +468,45 @@ fn cmd_health(args: &[String]) -> Result<(), String> {
             i.health.accuracy_margin,
         );
     }
-    println!("  wear skew {:.4} (max-min over mean of per-instance rows)", health.wear_skew);
+    out +=
+        &format!("  wear skew {:.4} (max-min over mean of per-instance rows)\n", health.wear_skew);
     if health.alarms.is_empty() {
-        println!("  alarms: none inside the simulated window");
-    } else {
-        for a in &health.alarms {
-            println!(
-                "  alarm: instance {} {} at {:.3} ms (value {:.4}, threshold {:.4})",
-                a.instance,
-                a.kind.as_str(),
-                a.t_ns / 1e6,
-                a.value,
-                a.threshold
-            );
-        }
+        out += "  alarms: none inside the simulated window\n";
+    }
+    for a in &health.alarms {
+        out += &format!(
+            "  alarm: instance {} {} at {:.3} ms (value {:.4}, threshold {:.4})\n",
+            a.instance,
+            a.kind.as_str(),
+            a.t_ns / 1e6,
+            a.value,
+            a.threshold
+        );
     }
 
     // Sustained-load projection from the hottest instance's wear rates.
     let hottest =
         health.instances.iter().max_by_key(|i| i.ledger.rows).expect("fleet is non-empty");
-    let rates = WearRates::from_ledger(&hottest.ledger, r.makespan_ns);
+    let rates = WearRates::from_ledger(&hottest.ledger, makespan_ns);
     let model = HealthModel::new(health_cfg.clone(), cfg.service.qformat());
-    println!(
+    out += &format!(
         "  sustained (instance {}): {:.3e} reads/s, {:.0} inferences/s, {:.0} mW \
-         -> steady {:.2} K",
+         -> steady {:.2} K\n",
         hottest.instance,
         rates.reads_per_s,
         rates.inferences_per_s,
         rates.power_mw,
         model.steady_temperature(rates.power_mw)
     );
-    match model.time_to_first_degradation_s(&rates) {
-        Some(t) => println!(
-            "  first degradation after {:.1} days  ({:.3e} inferences served)",
+    out += &match model.time_to_first_degradation_s(&rates) {
+        Some(t) => format!(
+            "  first degradation after {:.1} days  ({:.3e} inferences served)\n",
             t / 8.64e4,
             t * rates.inferences_per_s
         ),
-        None => println!("  no degradation threshold is ever crossed at this load"),
-    }
-    Ok(())
-}
-
-fn cmd_profile(args: &[String]) -> Result<(), String> {
-    use star::serve::simulate_profiled;
-    let (positional, [trace_path]) = split_output_flags(args, [("--trace", "profile_trace.json")])?;
-    let cfg = serve_point_config(&positional)?;
-    let (class, rate, fleet) = (cfg.mix.classes()[0], cfg.arrival.offered_rps(), cfg.fleet);
-    let outcome = simulate_profiled(&cfg);
-    let r = &outcome.report;
-    let profile = outcome.profile.as_ref().expect("profiled run carries a profile");
-
-    println!(
-        "simulator self-profile: {class} at {rate:.0} rps on {fleet} instance(s), policy {}:",
-        cfg.policy
-    );
-    println!(
-        "  simulated: arrivals {}   completed {}   goodput {:.0} rps   window {:.1} ms",
-        r.arrivals,
-        r.completed,
-        r.goodput_rps,
-        r.makespan_ns / 1e6
-    );
-    println!("  (the report above is bitwise identical to an unprofiled run)\n");
-    print!("{}", profile.render());
-    if let Some(path) = trace_path {
-        let json = serde_json::to_string(&profile.to_object_json()).map_err(|e| e.to_string())?;
-        std::fs::write(&path, &json).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        println!(
-            "  meta-trace: {} phases -> {} (open in https://ui.perfetto.dev; \
-             work counters ride in the `{}` sidecar)",
-            profile.wall.entries().filter(|(_, s)| s.calls > 0).count(),
-            path.display(),
-            star::serve::PROFILE_SIDECAR_KEY
-        );
-    }
-    Ok(())
+        None => "  no degradation threshold is ever crossed at this load\n".into(),
+    };
+    out
 }
 
 fn cmd_control(args: &[String]) -> Result<(), String> {
@@ -565,44 +518,25 @@ fn cmd_control(args: &[String]) -> Result<(), String> {
     let premium = RequestClass::new(ModelKind::BertBase, 128);
     let economy = RequestClass::new(ModelKind::BertBase, 64);
 
-    let mut policy_flag: Option<&str> = None;
-    let mut placement_flag: Option<&str> = None;
-    let mut autoscale_flag: Option<&str> = None;
+    let (mut policy, mut placement, mut autoscale) = ("wfq", "least-loaded", "1:4");
     let mut positional: Vec<&String> = Vec::new();
     for a in args {
-        if let Some(p) = a.strip_prefix("--policy=") {
-            policy_flag = Some(p);
-        } else if let Some(p) = a.strip_prefix("--placement=") {
-            placement_flag = Some(p);
-        } else if let Some(p) = a.strip_prefix("--autoscale=") {
-            autoscale_flag = Some(p);
-        } else if a.starts_with("--") {
-            return Err(format!("unknown flag `{a}`"));
-        } else {
-            positional.push(a);
+        match a.split_once('=') {
+            Some(("--policy", p)) => policy = p,
+            Some(("--placement", p)) => placement = p,
+            Some(("--autoscale", p)) => autoscale = p,
+            _ if a.starts_with("--") => return Err(format!("unknown flag `{a}`")),
+            _ => positional.push(a),
         }
     }
-    let rate: f64 = parse_positive(positional.first().copied(), 8_000.0, "arrival rate (rps)")?;
-    if !rate.is_finite() {
-        return Err("arrival rate must be finite".into());
-    }
-    let fleet: usize = parse_positive(positional.get(1).copied(), 1, "fleet size")?;
-    let batch: usize = parse_positive(positional.get(2).copied(), 8, "batch size")?;
-    let window_us: f64 = match positional.get(3) {
-        Some(a) => a.parse().map_err(|_| format!("`{a}` is not a window in us"))?,
-        None => 50.0,
-    };
-    if !(window_us.is_finite() && window_us >= 0.0) {
-        return Err("window must be finite and non-negative".into());
-    }
-
-    let dequeue = match policy_flag.unwrap_or("wfq") {
+    let (rate, fleet, batch, window_ns) = parse_operating_point(&positional, 8_000.0, 1)?;
+    let dequeue = match policy {
         "fifo" => DequeuePolicy::Fifo,
         "wfq" => DequeuePolicy::weighted_fair(vec![(premium, 2.0), (economy, 1.0)]),
         "edf" => DequeuePolicy::earliest_deadline(vec![(premium, 2e6), (economy, 1e6)]),
         other => return Err(format!("`{other}` is not a dequeue policy (fifo, wfq, edf)")),
     };
-    let placement = match placement_flag.unwrap_or("least-loaded") {
+    let placement = match placement {
         "first-idle" => PlacementPolicy::FirstIdle,
         "least-loaded" => PlacementPolicy::LeastLoaded,
         "fastest" => PlacementPolicy::FastestEligible,
@@ -614,7 +548,7 @@ fn cmd_control(args: &[String]) -> Result<(), String> {
             ))
         }
     };
-    let autoscale = match autoscale_flag.unwrap_or("1:4") {
+    let autoscale = match autoscale {
         "off" => None,
         bounds => {
             let (lo, hi) = bounds
@@ -636,7 +570,7 @@ fn cmd_control(args: &[String]) -> Result<(), String> {
 
     let cfg = ServeConfig {
         fleet,
-        policy: BatchPolicy::new(batch, window_us * 1e3),
+        policy: BatchPolicy::new(batch, window_ns),
         arrival: ArrivalProcess::mmpp(rate, 5.0 * rate, 1e7, 1e7),
         mix: WorkloadMix::new(vec![(premium, 0.7), (economy, 0.3)]),
         horizon_ns: 1e8,
@@ -718,14 +652,14 @@ fn cmd_control(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Splits a serve-family command's arguments into its positionals and
-/// one output path per `(flag, default path)` in `outputs`: `FLAG`
-/// writes to the default path and `FLAG=PATH` to `PATH`, in any order
-/// among the positionals. Any other `--` argument is an unknown flag.
+/// Splits `serve`'s arguments into its positionals and one output path
+/// per `(flag, default path)` in `outputs`: `FLAG` writes to the default
+/// path and `FLAG=PATH` to `PATH`, in any order among the positionals.
+/// Any other `--` argument is an unknown flag.
 fn split_output_flags<'a, const N: usize>(
     args: &'a [String],
     outputs: [(&str, &str); N],
-) -> Result<(Vec<&'a String>, [Option<std::path::PathBuf>; N]), String> {
+) -> Result<(Vec<&'a String>, [Option<PathBuf>; N]), String> {
     let mut paths = [(); N].map(|()| None);
     let mut positional = Vec::new();
     for a in args {
@@ -745,29 +679,45 @@ fn split_output_flags<'a, const N: usize>(
     Ok((positional, paths))
 }
 
-/// Builds the serve-family default config (BERT-base/128 Poisson
-/// traffic against a 2 ms SLO) from the shared positional arguments.
-fn serve_point_config(positional: &[&String]) -> Result<star::serve::ServeConfig, String> {
-    use star::serve::{
-        ArrivalProcess, BatchPolicy, ControlConfig, ModelKind, RequestClass, ServeConfig,
-        ServiceModelConfig, WorkloadMix,
-    };
-    let rate: f64 = parse_positive(positional.first().copied(), 16_000.0, "arrival rate (rps)")?;
+/// Parses the positionals `[rate] [fleet] [batch] [window_us]` that
+/// `serve` and `control` share into `(rate, fleet, batch, window_ns)`;
+/// the rate and fleet defaults differ by command.
+fn parse_operating_point(
+    positional: &[&String],
+    default_rate: f64,
+    default_fleet: usize,
+) -> Result<(f64, usize, usize, f64), String> {
+    let rate: f64 =
+        parse_positive(positional.first().copied(), default_rate, "arrival rate (rps)")?;
     if !rate.is_finite() {
         return Err("arrival rate must be finite".into());
     }
-    let fleet: usize = parse_positive(positional.get(1).copied(), 2, "fleet size")?;
+    let fleet: usize = parse_positive(positional.get(1).copied(), default_fleet, "fleet size")?;
     let batch: usize = parse_positive(positional.get(2).copied(), 8, "batch size")?;
     let window_us: f64 = match positional.get(3) {
         Some(a) => a.parse().map_err(|_| format!("`{a}` is not a window in us"))?,
         None => 50.0,
     };
-    if !(window_us.is_finite() && window_us >= 0.0) {
+    // Checked in ns, the unit the batch policy takes: a finite window in
+    // us can overflow to an infinite one.
+    let window_ns = window_us * 1e3;
+    if !(window_ns.is_finite() && window_ns >= 0.0) {
         return Err("window must be finite and non-negative".into());
     }
+    Ok((rate, fleet, batch, window_ns))
+}
+
+/// Builds `serve`'s config (BERT-base/128 Poisson traffic against a
+/// 2 ms SLO) from its positional arguments.
+fn serve_point_config(positional: &[&String]) -> Result<star::serve::ServeConfig, String> {
+    use star::serve::{
+        ArrivalProcess, BatchPolicy, ControlConfig, ModelKind, RequestClass, ServeConfig,
+        ServiceModelConfig, WorkloadMix,
+    };
+    let (rate, fleet, batch, window_ns) = parse_operating_point(positional, 16_000.0, 2)?;
     Ok(ServeConfig {
         fleet,
-        policy: BatchPolicy::new(batch, window_us * 1e3),
+        policy: BatchPolicy::new(batch, window_ns),
         arrival: ArrivalProcess::poisson(rate),
         mix: WorkloadMix::single(RequestClass::new(ModelKind::BertBase, 128)),
         horizon_ns: 1e8,
@@ -779,102 +729,53 @@ fn serve_point_config(positional: &[&String]) -> Result<star::serve::ServeConfig
     })
 }
 
-fn cmd_blame(args: &[String]) -> Result<(), String> {
-    use star::serve::{simulate_observed, Observe, BLAME_SIDECAR_KEY};
-    let (positional, [trace_path]) = split_output_flags(args, [("--trace", "blame_trace.json")])?;
-    let cfg = serve_point_config(&positional)?;
-    let outcome = simulate_observed(&cfg, &Observe { blame: true, ..Observe::default() });
-    let r = &outcome.report;
-    let blame = outcome.blame.as_ref().expect("blamed run carries blame tables");
-
-    println!(
-        "critical-path blame: {} on {} STAR instance(s), policy {}:",
-        cfg.mix.classes()[0],
-        cfg.fleet,
-        cfg.policy
-    );
-    println!(
-        "  simulated: arrivals {}   completed {}   goodput {:.0} rps   p99 {:.3} ms",
-        r.arrivals, r.completed, r.goodput_rps, r.latency.p99_ms
-    );
-    println!("  (the report above is bitwise identical to an unblamed run)\n");
-    print!("{}", blame.render());
-    if let Some(path) = trace_path {
-        let json = serde_json::to_string(&blame.to_object_json()).map_err(|e| e.to_string())?;
-        std::fs::write(&path, &json).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        println!(
-            "  blame dump: {} requests, {} batches -> {} (open in https://ui.perfetto.dev; \
-             tables ride in the `{BLAME_SIDECAR_KEY}` sidecar)",
-            blame.requests.len(),
-            blame.batches.len(),
-            path.display()
-        );
-    }
-    Ok(())
-}
-
-fn cmd_whatif(args: &[String]) -> Result<(), String> {
-    use star::serve::{run_what_ifs, WhatIf};
-    let (positional, []) = split_output_flags(args, [])?;
-    let cfg = serve_point_config(&positional)?;
-    let report = run_what_ifs(&cfg, &WhatIf::standard());
-
-    println!(
-        "what-if profile: {} on {} STAR instance(s), policy {} — each row is the \
-         same seeded workload re-simulated under one intervention:",
-        cfg.mix.classes()[0],
-        cfg.fleet,
-        cfg.policy
-    );
-    print!("{}", report.render());
-    if let Some(best) = report.best() {
-        if best.delta_p99_ms < 0.0 {
-            println!(
-                "  optimize this next: {} ({:+.3} ms p99, {:+.0} rps goodput)",
-                best.label, best.delta_p99_ms, best.delta_goodput_rps
-            );
-        } else {
-            println!("  no intervention in the menu improves p99 at this operating point");
-        }
-    }
-    Ok(())
+/// Writes `value` to `path` as compact JSON.
+fn write_json(path: &Path, value: &serde_json::Value) -> Result<(), String> {
+    let json = serde_json::to_string(value).map_err(|e| e.to_string())?;
+    std::fs::write(path, json).map_err(|e| format!("writing {}: {e}", path.display()))
 }
 
 /// Renders an [`star::serve::SloAnalysis`] as the burn-rate / per-class /
 /// exemplar table block shared by `serve --trace` and `trace-analyze`.
-fn print_slo_analysis(a: &star::serve::SloAnalysis) {
-    println!("SLO analysis (target {:.2}% of requests within deadline):", a.policy.target * 100.0);
-    println!(
-        "  availability {:.4}%   violations {}/{}",
+fn render_slo_analysis(a: &star::serve::SloAnalysis) -> String {
+    let mut out = format!(
+        "SLO analysis (target {:.2}% of requests within deadline):\n",
+        a.policy.target * 100.0
+    );
+    out += &format!(
+        "  availability {:.4}%   violations {}/{}\n",
         a.availability * 100.0,
         a.violations,
         a.total
     );
     match a.time_to_first_violation_ns {
-        Some(t) => println!("  first violation at {:.3} ms", t / 1e6),
-        None => println!("  no violations"),
+        Some(t) => out += &format!("  first violation at {:.3} ms\n", t / 1e6),
+        None => out += "  no violations\n",
     }
-    println!("  {:>10} {:>12} {:>12} {:>16}", "window", "peak err %", "peak burn", "first breach");
+    out += &format!(
+        "  {:>10} {:>12} {:>12} {:>16}\n",
+        "window", "peak err %", "peak burn", "first breach"
+    );
     for w in &a.windows {
         let breach = match w.first_breach_ns {
             Some(t) => format!("{:.3} ms", t / 1e6),
             None => "-".to_string(),
         };
-        println!(
-            "  {:>8.1}ms {:>12.2} {:>12.1} {:>16}",
+        out += &format!(
+            "  {:>8.1}ms {:>12.2} {:>12.1} {:>16}\n",
             w.window_ns / 1e6,
             w.peak_error_rate * 100.0,
             w.peak_burn_rate,
             breach
         );
     }
-    println!(
-        "  {:<20} {:>9} {:>7} {:>6} {:>8} {:>8} {:>12} {:>10}",
+    out += &format!(
+        "  {:<20} {:>9} {:>7} {:>6} {:>8} {:>8} {:>12} {:>10}\n",
         "class", "arrivals", "good", "late", "expired", "rejected", "goodput rps", "p99 ms"
     );
     for c in &a.per_class {
-        println!(
-            "  {:<20} {:>9} {:>7} {:>6} {:>8} {:>8} {:>12.0} {:>10.3}",
+        out += &format!(
+            "  {:<20} {:>9} {:>7} {:>6} {:>8} {:>8} {:>12.0} {:>10.3}\n",
             c.class.to_string(),
             c.arrivals,
             c.good,
@@ -886,15 +787,15 @@ fn print_slo_analysis(a: &star::serve::SloAnalysis) {
         );
     }
     if !a.exemplars.is_empty() {
-        println!("  slowest {} requests:", a.exemplars.len());
-        println!(
-            "  {:>8} {:<20} {:>8} {:>11} {:>10} {:>10}",
+        out += &format!("  slowest {} requests:\n", a.exemplars.len());
+        out += &format!(
+            "  {:>8} {:<20} {:>8} {:>11} {:>10} {:>10}\n",
             "id", "class", "outcome", "latency ms", "queue ms", "invoke ms"
         );
         for e in &a.exemplars {
             let get = |k: &str| e.breakdown_ms.get(k).copied().unwrap_or(0.0);
-            println!(
-                "  {:>8} {:<20} {:>8} {:>11.3} {:>10.3} {:>10.3}",
+            out += &format!(
+                "  {:>8} {:<20} {:>8} {:>11.3} {:>10.3} {:>10.3}\n",
                 e.id,
                 e.class.to_string(),
                 e.outcome.as_str(),
@@ -904,37 +805,38 @@ fn print_slo_analysis(a: &star::serve::SloAnalysis) {
             );
         }
     }
+    out
 }
 
 /// Renders an incident dump's root-cause report: the triggers that
 /// fired, the captured window, and where the window's latency went.
-fn print_incident(dump: &star::serve::IncidentDump) {
-    println!(
-        "incident: window {:.3} -> {:.3} ms ({:.3} ms captured, post-trigger {:.3} ms)",
+fn render_incident(dump: &star::serve::IncidentDump) -> String {
+    let mut out = format!(
+        "incident: window {:.3} -> {:.3} ms ({:.3} ms captured, post-trigger {:.3} ms)\n",
         dump.window_start_ns / 1e6,
         dump.window_end_ns / 1e6,
         dump.window_ns() / 1e6,
         dump.post_trigger_ns / 1e6
     );
-    println!(
-        "  captured {} event rows / {} terminals (pre-window evicted: {} / {})",
+    out += &format!(
+        "  captured {} event rows / {} terminals (pre-window evicted: {} / {})\n",
         dump.events.len(),
         dump.terminals.len(),
         dump.pre_events_evicted,
         dump.pre_terminals_evicted
     );
-    println!("  {:>14} {:>12} {:>12} {:>12}", "trigger", "at ms", "value", "threshold");
+    out += &format!("  {:>14} {:>12} {:>12} {:>12}\n", "trigger", "at ms", "value", "threshold");
     for t in &dump.triggers {
-        println!(
-            "  {:>14} {:>12.3} {:>12.2} {:>12.2}",
+        out += &format!(
+            "  {:>14} {:>12.3} {:>12.2} {:>12.2}\n",
             t.kind.as_str(),
             t.t_ns / 1e6,
             t.value,
             t.threshold
         );
         if let Some(b) = &t.burn {
-            println!(
-                "  {:>14} window {:.1} ms, peak error {:.2} %, peak burn {:.1}",
+            out += &format!(
+                "  {:>14} window {:.1} ms, peak error {:.2} %, peak burn {:.1}\n",
                 "",
                 b.window_ns / 1e6,
                 b.peak_error_rate * 100.0,
@@ -945,7 +847,10 @@ fn print_incident(dump: &star::serve::IncidentDump) {
     let rep = &dump.report;
     let w = &rep.waterfall;
     if w.completed > 0 {
-        println!("  latency waterfall ({} completed, {:.3} ms total):", w.completed, w.total_ms);
+        out += &format!(
+            "  latency waterfall ({} completed, {:.3} ms total):\n",
+            w.completed, w.total_ms
+        );
         let pct = |part: f64| if w.total_ms > 0.0 { part / w.total_ms * 100.0 } else { 0.0 };
         for (name, part) in [
             ("queueing", w.queueing_ms),
@@ -956,23 +861,23 @@ fn print_incident(dump: &star::serve::IncidentDump) {
             ("softmax stream", w.softmax_stream_ms),
             ("av drain", w.av_drain_ms),
         ] {
-            println!("    {name:<16} {part:>10.3} ms  {:>5.1} %", pct(part));
+            out += &format!("    {name:<16} {part:>10.3} ms  {:>5.1} %\n", pct(part));
         }
     }
-    println!(
-        "  arrivals: {} in window at {:.0} rps vs trailing baseline {:.0} rps (x{:.2})",
+    out += &format!(
+        "  arrivals: {} in window at {:.0} rps vs trailing baseline {:.0} rps (x{:.2})\n",
         rep.arrival.window_arrivals,
         rep.arrival.window_rps,
         rep.arrival.baseline_rps,
         rep.arrival.ratio
     );
-    println!(
-        "  {:<20} {:>9} {:>7} {:>6} {:>8} {:>8}",
+    out += &format!(
+        "  {:<20} {:>9} {:>7} {:>6} {:>8} {:>8}\n",
         "class", "arrivals", "good", "late", "expired", "rejected"
     );
     for c in &rep.per_class {
-        println!(
-            "  {:<20} {:>9} {:>7} {:>6} {:>8} {:>8}",
+        out += &format!(
+            "  {:<20} {:>9} {:>7} {:>6} {:>8} {:>8}\n",
             c.class.to_string(),
             c.arrivals,
             c.good,
@@ -981,10 +886,10 @@ fn print_incident(dump: &star::serve::IncidentDump) {
             c.rejected
         );
     }
-    println!("  {:>9} {:>8} {:>12} {:>8}", "instance", "batches", "completions", "busy %");
+    out += &format!("  {:>9} {:>8} {:>12} {:>8}\n", "instance", "batches", "completions", "busy %");
     for i in &rep.per_instance {
-        println!(
-            "  {:>9} {:>8} {:>12} {:>8.1}",
+        out += &format!(
+            "  {:>9} {:>8} {:>12} {:>8.1}\n",
             i.instance,
             i.batches,
             i.completions,
@@ -992,14 +897,14 @@ fn print_incident(dump: &star::serve::IncidentDump) {
         );
     }
     if !rep.exemplars.is_empty() {
-        println!("  slowest {} requests in window:", rep.exemplars.len());
-        println!(
-            "  {:>8} {:<20} {:>8} {:>11} {:>10} {:>6} {:>9}",
+        out += &format!("  slowest {} requests in window:\n", rep.exemplars.len());
+        out += &format!(
+            "  {:>8} {:<20} {:>8} {:>11} {:>10} {:>6} {:>9}\n",
             "id", "class", "outcome", "latency ms", "queue ms", "batch", "instance"
         );
         for e in &rep.exemplars {
-            println!(
-                "  {:>8} {:<20} {:>8} {:>11.3} {:>10.3} {:>6} {:>9}",
+            out += &format!(
+                "  {:>8} {:<20} {:>8} {:>11.3} {:>10.3} {:>6} {:>9}\n",
                 e.id,
                 e.class.to_string(),
                 e.outcome.as_str(),
@@ -1010,26 +915,7 @@ fn print_incident(dump: &star::serve::IncidentDump) {
             );
         }
     }
-}
-
-fn cmd_incident_analyze(args: &[String]) -> Result<(), String> {
-    use star::serve::IncidentDump;
-    let path = args
-        .first()
-        .ok_or("incident-analyze needs an incident dump (produce one with `serve --flight`)")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let value: serde_json::Value =
-        serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-    let dump = IncidentDump::from_object_json(&value)?;
-    println!(
-        "{path}: {} trigger(s), {} classes, {} event rows, {} terminals",
-        dump.triggers.len(),
-        dump.classes.len(),
-        dump.events.len(),
-        dump.terminals.len()
-    );
-    print_incident(&dump);
-    Ok(())
+    out
 }
 
 fn cmd_trace_analyze(args: &[String]) -> Result<(), String> {
@@ -1070,7 +956,7 @@ fn cmd_trace_analyze(args: &[String]) -> Result<(), String> {
             dump.events.len(),
             dump.terminals.len()
         );
-        print_incident(&dump);
+        print!("{}", render_incident(&dump));
         return Ok(());
     }
     if value.get(TRACE_SIDECAR_KEY).is_none() {
@@ -1096,13 +982,42 @@ fn cmd_trace_analyze(args: &[String]) -> Result<(), String> {
         trace.requests.len(),
         trace.batches.len()
     );
-    print_slo_analysis(&SloAnalysis::from_trace(&trace, SloPolicy::default(), k));
+    print!("{}", render_slo_analysis(&SloAnalysis::from_trace(&trace, SloPolicy::default(), k)));
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `text` split on whitespace, as a shell passes it.
+    fn argv(text: &str) -> Vec<String> {
+        text.split_whitespace().map(String::from).collect()
+    }
+
+    /// A per-process temporary file path for a test's dump.
+    fn temp_path(name: &str) -> String {
+        let path =
+            std::env::temp_dir().join(format!("star_cli_{name}_{}.json", std::process::id()));
+        path.to_str().expect("utf8 temp path").to_string()
+    }
+
+    /// Asserts that `serve` rejects each argument line in `bad`.
+    fn serve_rejects(bad: &[&str]) {
+        for bad in bad {
+            assert!(cmd_serve(&argv(bad)).is_err(), "{bad}");
+        }
+    }
+
+    /// Runs `serve --FLAG=PATH` at two points; each output has a `heading` line.
+    fn serve_block_runs(flag: &str, heading: &str) {
+        let path = temp_path(&format!("{flag}_runs"));
+        for point in ["", "8000 1 1 0"] {
+            let text = cmd_serve(&argv(&format!("{point} --{flag}={path}"))).expect(point);
+            assert!(text.contains(&format!("\n{heading}")), "{text}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
 
     #[test]
     fn parse_format_accepts_paper_formats() {
@@ -1152,20 +1067,14 @@ mod tests {
     fn serve_command_runs() {
         // Defaults, and an explicit no-batching single-instance run.
         cmd_serve(&[]).expect("serve defaults");
-        cmd_serve(&["8000".into(), "1".into(), "1".into(), "0".into()]).expect("serve explicit");
+        cmd_serve(&argv("8000 1 1 0")).expect("serve explicit");
     }
 
     #[test]
     fn serve_command_rejects_bad_arguments() {
-        assert!(cmd_serve(&["abc".into()]).is_err());
-        assert!(cmd_serve(&["0".into()]).is_err());
-        assert!(cmd_serve(&["8000".into(), "0".into()]).is_err());
-        assert!(cmd_serve(&["8000".into(), "1".into(), "0".into()]).is_err());
-        assert!(cmd_serve(&["8000".into(), "1".into(), "2".into(), "-5".into()]).is_err());
-        assert!(cmd_serve(&["inf".into()]).is_err());
-        assert!(cmd_serve(&["--trace=".into()]).is_err());
-        assert!(cmd_serve(&["--flight=".into()]).is_err());
-        assert!(cmd_serve(&["--bogus".into()]).is_err());
+        // `1e308` us is finite, but infinite in ns.
+        serve_rejects(&["abc", "0", "8000 0", "8000 1 0", "8000 1 2 -5", "inf", "8000 1 8 1e308"]);
+        serve_rejects(&["--trace=", "--flight=", "--bogus"]);
     }
 
     #[test]
@@ -1177,121 +1086,126 @@ mod tests {
     }
 
     #[test]
+    fn observer_commands_are_serve_flags() {
+        for cmd in ["health", "profile", "blame", "whatif", "incident-analyze"] {
+            let err = run(&argv(cmd)).expect_err(cmd);
+            assert!(err.starts_with(&format!("unknown command `{cmd}`")), "{err}");
+        }
+    }
+
+    #[test]
+    fn serve_flags_attach_observers_to_one_run() {
+        // No flight trigger fires at this point, so the recorder is compared
+        // by its counter lines and an unwritten dump.
+        let point = "32000 2 8 50";
+        let [trace, flight, profile, blame] =
+            &["trace", "flight", "profile", "blame"].map(|f| temp_path(&format!("all_{f}")));
+        let all = [("trace", trace), ("flight", flight), ("profile", profile), ("blame", blame)];
+        let flags: String = all.iter().map(|(flag, path)| format!(" --{flag}={path}")).collect();
+        let combined = cmd_serve(&argv(&format!("{point}{flags}"))).expect("every path flag");
+        let flight_lines = |text: &str| -> Vec<String> {
+            text.lines().filter(|l| l.starts_with("  flight:")).map(String::from).collect()
+        };
+        for (flag, path) in [("trace", trace), ("flight", flight), ("blame", blame)] {
+            let together = std::fs::read(path).ok();
+            std::fs::remove_file(path).ok();
+            let alone = cmd_serve(&argv(&format!("{point} --{flag}={path}"))).expect(flag);
+            assert_eq!(std::fs::read(path).ok(), together, "--{flag} dump");
+            if flag == "flight" {
+                assert_eq!(flight_lines(&alone), flight_lines(&combined));
+                assert!(!flight_lines(&alone).is_empty());
+            }
+            std::fs::remove_file(path).ok();
+        }
+        let plain = cmd_serve(&argv(point)).expect("plain");
+        assert!(combined.starts_with(&plain), "report lines move:\n{combined}\nvs\n{plain}");
+        let alone = cmd_serve(&argv(&format!("{point} --profile={profile}"))).expect("profile");
+        std::fs::remove_file(profile).ok();
+        let counters = |text: &str| -> Vec<String> {
+            let block = text.lines().skip_while(|l| !l.starts_with("work counters"));
+            block.take_while(|l| !l.is_empty()).map(String::from).collect()
+        };
+        assert!(counters(&alone).len() > 1, "{alone}");
+        assert_eq!(counters(&combined), counters(&alone));
+    }
+
+    #[test]
     fn health_command_runs() {
-        cmd_health(&[]).expect("health defaults");
-        cmd_health(&["4000".into(), "2".into(), "8".into(), "50".into()]).expect("health explicit");
-        cmd_health(&["4000".into(), "2".into(), "--level".into()]).expect("health leveled");
+        // `serve --health`, and `--level`, which implies it.
+        let runs = [("--health", "off"), ("4000 2 8 50 --health", "off"), ("4000 2 --level", "on")];
+        for (args, on) in runs {
+            let text = cmd_serve(&argv(args)).expect(args);
+            assert!(text.contains(&format!("\nfleet health (wear leveling {on}):\n")), "{text}");
+        }
     }
 
     #[test]
     fn health_command_rejects_bad_arguments() {
-        assert!(cmd_health(&["abc".into()]).is_err());
-        assert!(cmd_health(&["0".into()]).is_err());
-        assert!(cmd_health(&["8000".into(), "0".into()]).is_err());
-        assert!(cmd_health(&["8000".into(), "1".into(), "0".into()]).is_err());
-        assert!(cmd_health(&["8000".into(), "1".into(), "2".into(), "-5".into()]).is_err());
-        assert!(cmd_health(&["--bogus".into()]).is_err());
-        assert!(cmd_health(&["inf".into()]).is_err());
+        serve_rejects(&["abc --health", "0 --health", "inf --level", "--health=x", "--level=on"]);
     }
 
     #[test]
     fn profile_command_runs() {
-        cmd_profile(&[]).expect("profile defaults");
-        cmd_profile(&["8000".into(), "1".into(), "1".into(), "0".into()])
-            .expect("profile explicit");
+        serve_block_runs("profile", "work counters (deterministic):");
     }
 
     #[test]
     fn profile_command_rejects_bad_arguments() {
-        assert!(cmd_profile(&["abc".into()]).is_err());
-        assert!(cmd_profile(&["0".into()]).is_err());
-        assert!(cmd_profile(&["8000".into(), "0".into()]).is_err());
-        assert!(cmd_profile(&["8000".into(), "1".into(), "0".into()]).is_err());
-        assert!(cmd_profile(&["8000".into(), "1".into(), "2".into(), "-5".into()]).is_err());
-        assert!(cmd_profile(&["inf".into()]).is_err());
-        assert!(cmd_profile(&["--trace=".into()]).is_err());
-        assert!(cmd_profile(&["--bogus".into()]).is_err());
+        serve_rejects(&["--profile=", "abc --profile", "8000 1 2 -5 --profile"]);
     }
 
     #[test]
     fn control_command_runs() {
         cmd_control(&[]).expect("control defaults");
-        cmd_control(&["8000".into(), "1".into(), "8".into(), "50".into()])
-            .expect("control explicit");
+        cmd_control(&argv("8000 1 8 50")).expect("control explicit");
         for policy in ["fifo", "wfq", "edf"] {
             cmd_control(&[format!("--policy={policy}")]).expect(policy);
         }
         for placement in ["first-idle", "least-loaded", "fastest", "energy-greedy"] {
             cmd_control(&[format!("--placement={placement}")]).expect(placement);
         }
-        cmd_control(&["--autoscale=2:3".into()]).expect("control bounded");
-        cmd_control(&["--autoscale=off".into()]).expect("control static");
+        cmd_control(&argv("--autoscale=2:3")).expect("control bounded");
+        cmd_control(&argv("--autoscale=off")).expect("control static");
         // Every knob at its no-op default: the baseline path, no report.
-        cmd_control(&[
-            "--policy=fifo".into(),
-            "--placement=first-idle".into(),
-            "--autoscale=off".into(),
-        ])
-        .expect("control no-op");
+        cmd_control(&argv("--policy=fifo --placement=first-idle --autoscale=off"))
+            .expect("control no-op");
     }
 
     #[test]
     fn control_command_rejects_bad_arguments() {
-        assert!(cmd_control(&["abc".into()]).is_err());
-        assert!(cmd_control(&["0".into()]).is_err());
-        assert!(cmd_control(&["8000".into(), "0".into()]).is_err());
-        assert!(cmd_control(&["8000".into(), "1".into(), "0".into()]).is_err());
-        assert!(cmd_control(&["8000".into(), "1".into(), "2".into(), "-5".into()]).is_err());
-        assert!(cmd_control(&["inf".into()]).is_err());
-        assert!(cmd_control(&["--bogus".into()]).is_err());
-        assert!(cmd_control(&["--policy=lifo".into()]).is_err());
-        assert!(cmd_control(&["--placement=random".into()]).is_err());
-        assert!(cmd_control(&["--autoscale=4".into()]).is_err());
-        assert!(cmd_control(&["--autoscale=0:4".into()]).is_err());
-        assert!(cmd_control(&["--autoscale=4:1".into()]).is_err());
-        assert!(cmd_control(&["--autoscale=a:b".into()]).is_err());
+        let bad = ["abc", "0", "8000 0", "8000 1 0", "8000 1 2 -5", "inf", "8000 1 8 1e308"];
+        let flags = ["--bogus", "--policy=lifo", "--placement=random", "--autoscale=4"];
+        let bounds = ["--autoscale=0:4", "--autoscale=4:1", "--autoscale=a:b"];
+        for bad in bad.into_iter().chain(flags).chain(bounds) {
+            assert!(cmd_control(&argv(bad)).is_err(), "{bad}");
+        }
     }
 
     #[test]
     fn blame_command_runs() {
-        cmd_blame(&[]).expect("blame defaults");
-        cmd_blame(&["8000".into(), "1".into(), "1".into(), "0".into()]).expect("blame explicit");
+        serve_block_runs("blame", "critical-path blame (");
     }
 
     #[test]
     fn blame_command_rejects_bad_arguments() {
-        assert!(cmd_blame(&["abc".into()]).is_err());
-        assert!(cmd_blame(&["0".into()]).is_err());
-        assert!(cmd_blame(&["8000".into(), "0".into()]).is_err());
-        assert!(cmd_blame(&["8000".into(), "1".into(), "0".into()]).is_err());
-        assert!(cmd_blame(&["8000".into(), "1".into(), "2".into(), "-5".into()]).is_err());
-        assert!(cmd_blame(&["inf".into()]).is_err());
-        assert!(cmd_blame(&["--trace=".into()]).is_err());
-        assert!(cmd_blame(&["--bogus".into()]).is_err());
+        serve_rejects(&["--blame=", "abc --blame", "8000 1 0 --blame", "--blames"]);
     }
 
     #[test]
     fn whatif_command_runs() {
-        cmd_whatif(&["8000".into(), "1".into(), "4".into(), "50".into()]).expect("whatif explicit");
+        let text = cmd_serve(&argv("8000 1 4 50 --whatif")).expect("whatif explicit");
+        assert!(text.contains("what-if (baseline: "), "{text}");
     }
 
     #[test]
     fn whatif_command_rejects_bad_arguments() {
-        assert!(cmd_whatif(&["abc".into()]).is_err());
-        assert!(cmd_whatif(&["0".into()]).is_err());
-        assert!(cmd_whatif(&["8000".into(), "0".into()]).is_err());
-        assert!(cmd_whatif(&["8000".into(), "1".into(), "0".into()]).is_err());
-        assert!(cmd_whatif(&["8000".into(), "1".into(), "2".into(), "-5".into()]).is_err());
-        assert!(cmd_whatif(&["inf".into()]).is_err());
-        assert!(cmd_whatif(&["--trace".into()]).is_err());
+        serve_rejects(&["--whatif=x", "abc --whatif", "inf --whatif", "8000 1 2 1e308 --whatif"]);
     }
 
     #[test]
     fn blame_dump_round_trips_through_trace_analyze() {
-        let path = std::env::temp_dir().join(format!("star_cli_blame_{}.json", std::process::id()));
-        let path_str = path.to_str().expect("utf8 temp path").to_string();
-        cmd_blame(&["8000".into(), "1".into(), format!("--trace={path_str}")])
-            .expect("blame --trace");
+        let path = temp_path("blame");
+        cmd_serve(&argv(&format!("8000 1 --blame={path}"))).expect("serve --blame");
         let text = std::fs::read_to_string(&path).expect("blame dump written");
         let value: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
         assert!(value.get("traceEvents").is_some(), "Perfetto object form");
@@ -1299,16 +1213,15 @@ mod tests {
         for b in &blame.requests {
             assert_eq!(b.components_sum(), b.latency_ns, "conservation survives the round trip");
         }
-        cmd_trace_analyze(std::slice::from_ref(&path_str)).expect("trace-analyze dispatch");
+        cmd_trace_analyze(std::slice::from_ref(&path)).expect("trace-analyze dispatch");
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn unknown_sidecar_error_names_all_keys() {
-        let path = std::env::temp_dir().join(format!("star_cli_nokey_{}.json", std::process::id()));
+        let path = temp_path("nokey");
         std::fs::write(&path, "{\"traceEvents\": []}").expect("write plain object");
-        let err = cmd_trace_analyze(&[path.to_str().expect("utf8").to_string()])
-            .expect_err("plain chrome object rejected");
+        let err = cmd_trace_analyze(std::slice::from_ref(&path)).expect_err("plain object");
         for key in ["starServe", "starServeIncident", "starServeBlame", "starServeProfile"] {
             assert!(err.contains(key), "error must name `{key}`: {err}");
         }
@@ -1317,11 +1230,8 @@ mod tests {
 
     #[test]
     fn profile_trace_is_valid_chrome_object_with_sidecar() {
-        let path =
-            std::env::temp_dir().join(format!("star_cli_profile_{}.json", std::process::id()));
-        let path_str = path.to_str().expect("utf8 temp path").to_string();
-        cmd_profile(&["8000".into(), "1".into(), format!("--trace={path_str}")])
-            .expect("profile --trace");
+        let path = temp_path("profile");
+        cmd_serve(&argv(&format!("8000 1 --profile={path}"))).expect("serve --profile");
         let text = std::fs::read_to_string(&path).expect("meta-trace written");
         let value: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
         assert!(value.get("traceEvents").is_some());
@@ -1339,10 +1249,8 @@ mod tests {
 
     #[test]
     fn serve_trace_round_trips_through_trace_analyze() {
-        let path = std::env::temp_dir().join(format!("star_cli_trace_{}.json", std::process::id()));
-        let path_str = path.to_str().expect("utf8 temp path").to_string();
-        cmd_serve(&["8000".into(), "1".into(), format!("--trace={path_str}")])
-            .expect("serve --trace");
+        let path = temp_path("trace");
+        cmd_serve(&argv(&format!("8000 1 --trace={path}"))).expect("serve --trace");
         // The file is Perfetto's object form with our sidecar, and the
         // analyzer accepts it.
         let text = std::fs::read_to_string(&path).expect("trace written");
@@ -1350,8 +1258,8 @@ mod tests {
         assert!(value.get("traceEvents").is_some());
         let trace = star::serve::ServeTrace::from_object_json(&value).expect("sidecar");
         trace.validate().expect("span invariants hold");
-        cmd_trace_analyze(&[path_str.clone(), "3".into()]).expect("trace-analyze");
-        assert!(cmd_trace_analyze(&[path_str, "nope".into()]).is_err());
+        cmd_trace_analyze(&[path.clone(), "3".into()]).expect("trace-analyze");
+        assert!(cmd_trace_analyze(&[path.clone(), "nope".into()]).is_err());
         std::fs::remove_file(&path).ok();
     }
 
@@ -1361,10 +1269,9 @@ mod tests {
         assert!(cmd_trace_analyze(&["/definitely/not/here.json".into()]).is_err());
         // A plain Chrome trace (no sidecar) is rejected with a pointer to
         // the sidecar key.
-        let path = std::env::temp_dir().join(format!("star_cli_plain_{}.json", std::process::id()));
+        let path = temp_path("plain");
         std::fs::write(&path, "[]").expect("write plain trace");
-        let err = cmd_trace_analyze(&[path.to_str().expect("utf8").to_string()])
-            .expect_err("plain array rejected");
+        let err = cmd_trace_analyze(std::slice::from_ref(&path)).expect_err("plain array");
         assert!(err.contains("starServe"), "{err}");
         std::fs::remove_file(&path).ok();
     }
@@ -1391,11 +1298,8 @@ mod tests {
     fn trace_analyze_rejects_spans_no_record_renders() {
         use serde_json::Value;
         use star::serve::{ServeTrace, TRACE_SIDECAR_KEY};
-        let path =
-            std::env::temp_dir().join(format!("star_cli_tamper_{}.json", std::process::id()));
-        let path_str = path.to_str().expect("utf8 temp path").to_string();
-        cmd_serve(&["8000".into(), "1".into(), format!("--trace={path_str}")])
-            .expect("serve --trace");
+        let path = temp_path("tamper");
+        cmd_serve(&argv(&format!("8000 1 --trace={path}"))).expect("serve --trace");
         let text = std::fs::read_to_string(&path).expect("trace written");
         let dump: Value = serde_json::from_str(&text).expect("valid JSON");
         let trace = ServeTrace::from_object_json(&dump).expect("the written dump reads back");
@@ -1427,30 +1331,24 @@ mod tests {
             assert!(err.contains(&id), "{what}: {err}");
             std::fs::write(&path, serde_json::to_string(&bad).expect("serialize"))
                 .expect("write tampered dump");
-            let err = cmd_trace_analyze(std::slice::from_ref(&path_str)).expect_err(what);
+            let err = cmd_trace_analyze(std::slice::from_ref(&path)).expect_err(what);
             assert!(err.contains(&id), "{what}: {err}");
         }
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn serve_flight_dump_round_trips_through_both_analyzers() {
+    fn serve_flight_dump_round_trips_through_trace_analyze() {
         // The 80k rps single-instance point saturates the queue, so the
         // default triggers fire deterministically and a dump is written.
-        let path =
-            std::env::temp_dir().join(format!("star_cli_flight_{}.json", std::process::id()));
-        let path_str = path.to_str().expect("utf8 temp path").to_string();
-        cmd_serve(&["80000".into(), "1".into(), format!("--flight={path_str}")])
-            .expect("serve --flight");
+        let path = temp_path("flight");
+        cmd_serve(&argv(&format!("80000 1 --flight={path}"))).expect("serve --flight");
         let text = std::fs::read_to_string(&path).expect("incident dump written");
         let value: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
         assert!(value.get("traceEvents").is_some(), "Perfetto object form");
         let dump = star::serve::IncidentDump::from_object_json(&value).expect("sidecar");
         assert!(!dump.triggers.is_empty());
-        // Both the dedicated analyzer and trace-analyze (via sidecar
-        // detection) accept the file.
-        cmd_incident_analyze(std::slice::from_ref(&path_str)).expect("incident-analyze");
-        cmd_trace_analyze(std::slice::from_ref(&path_str)).expect("trace-analyze dispatch");
+        cmd_trace_analyze(std::slice::from_ref(&path)).expect("trace-analyze dispatch");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1458,37 +1356,19 @@ mod tests {
     fn serve_flight_without_trigger_writes_nothing() {
         // The default 16k rps / 2-instance point is underloaded: no
         // trigger fires, and the dump path stays untouched.
-        let path =
-            std::env::temp_dir().join(format!("star_cli_noflight_{}.json", std::process::id()));
+        let path = temp_path("noflight");
         std::fs::remove_file(&path).ok();
-        cmd_serve(&["--flight=".to_string() + path.to_str().expect("utf8")])
-            .expect("serve --flight quiet");
-        assert!(!path.exists(), "no incident, no dump file");
-    }
-
-    #[test]
-    fn incident_analyze_rejects_bad_inputs() {
-        assert!(cmd_incident_analyze(&[]).is_err());
-        assert!(cmd_incident_analyze(&["/definitely/not/here.json".into()]).is_err());
-        let path =
-            std::env::temp_dir().join(format!("star_cli_notdump_{}.json", std::process::id()));
-        std::fs::write(&path, "{\"traceEvents\": []}").expect("write plain object");
-        let err = cmd_incident_analyze(&[path.to_str().expect("utf8").to_string()])
-            .expect_err("plain chrome object rejected");
-        assert!(err.contains("starServeIncident"), "{err}");
-        std::fs::remove_file(&path).ok();
+        cmd_serve(&[format!("--flight={path}")]).expect("serve --flight quiet");
+        assert!(!std::path::Path::new(&path).exists(), "no incident, no dump file");
     }
 
     #[test]
     fn trace_analyze_identifies_profiler_meta_traces() {
         // A profiler meta-trace has a sidecar, just not a span sidecar —
         // the error must say what the file *is*, not just what it isn't.
-        let path =
-            std::env::temp_dir().join(format!("star_cli_profdump_{}.json", std::process::id()));
-        let path_str = path.to_str().expect("utf8 temp path").to_string();
-        cmd_profile(&["8000".into(), "1".into(), format!("--trace={path_str}")])
-            .expect("profile --trace");
-        let err = cmd_trace_analyze(&[path_str]).expect_err("meta-trace rejected");
+        let path = temp_path("profdump");
+        cmd_serve(&argv(&format!("8000 1 --profile={path}"))).expect("serve --profile");
+        let err = cmd_trace_analyze(std::slice::from_ref(&path)).expect_err("meta-trace rejected");
         assert!(err.contains("starServeProfile"), "{err}");
         std::fs::remove_file(&path).ok();
     }

@@ -35,10 +35,9 @@ pub struct WriteModel {
 impl WriteModel {
     /// NeuroSim-flavoured defaults: 410 ns multi-pulse programming per row
     /// (between a bare 100 ns SET and a 1 µs full write-verify), 10 pJ per
-    /// cell SET/RESET — the same constants as
-    /// [`star_device::TechnologyParams::cmos32`]'s `write_row_ns` /
-    /// `write_cell_pj`, so the analytical model and the functional
-    /// [`star_crossbar::VmmCrossbar::reprogram_weights`] path agree.
+    /// cell SET/RESET — the constants
+    /// [`star_device::TechnologyParams::cmos32`] keeps as `write_row_ns` /
+    /// `write_cell_pj`.
     pub fn typical() -> Self {
         let tech = star_device::TechnologyParams::cmos32();
         WriteModel {

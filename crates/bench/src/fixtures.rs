@@ -91,7 +91,7 @@ pub(crate) fn star_faults() -> Value {
     let mut xbar = CamSubCrossbar::new(
         mrpc,
         &TechnologyParams::cmos32(),
-        NoiseModel::new(0.0, 0.0, 0.02, 0.02),
+        NoiseModel::new(0.0, 0.02, 0.02),
         &mut rand_chacha::ChaCha8Rng::seed_from_u64(0xFB),
     );
     let trace = ScoreTrace::generate(Dataset::Mrpc, 1, 48, 0xFC);
@@ -115,8 +115,8 @@ pub(crate) fn star_faults() -> Value {
 /// stuck-on, 2 % stuck-off) and read noise (σ = 0.03).
 fn fault_settings() -> [(&'static str, NoiseModel); 2] {
     [
-        ("stuck_on_0.02_off_0.02", NoiseModel::new(0.0, 0.0, 0.02, 0.02)),
-        ("read_sigma_0.03", NoiseModel::new(0.0, 0.03, 0.0, 0.0)),
+        ("stuck_on_0.02_off_0.02", NoiseModel::new(0.0, 0.02, 0.02)),
+        ("read_sigma_0.03", NoiseModel::new(0.03, 0.0, 0.0)),
     ]
 }
 

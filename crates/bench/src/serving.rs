@@ -971,7 +971,8 @@ fn a11_blame_whatif_result() -> Value {
 
     // Observation-only, re-proved at the experiment's own operating
     // point: the blamed run's report equals the plain run's bitwise.
-    assert_eq!(outcome.report, simulate(&cfg), "blame perturbed the serve report");
+    let plain = simulate(&cfg);
+    assert_eq!(outcome.report, plain, "blame perturbed the serve report");
     // The conservation identity over every completed request: the eight
     // components recompose to the end-to-end latency with float
     // equality, not a tolerance.
@@ -984,7 +985,7 @@ fn a11_blame_whatif_result() -> Value {
         );
     }
 
-    let what_if = run_what_ifs(&cfg, &WhatIf::standard());
+    let what_if = run_what_ifs(&cfg, &plain, &WhatIf::standard());
     let best = what_if.best().expect("standard menu is non-empty");
     assert!(
         best.delta_p99_ms < 0.0,

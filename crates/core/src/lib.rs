@@ -45,7 +45,6 @@ mod engine;
 mod event_sim;
 mod pipeline;
 pub mod precision;
-mod schedule;
 mod softermax;
 mod star;
 pub mod trace;
@@ -55,7 +54,6 @@ pub use cmos_baseline::CmosBaselineSoftmax;
 pub use engine::{fixed_divide, RowSoftmax, SoftmaxEngine};
 pub use event_sim::{simulate_pipeline, RowDurations, RowTimeline, SimResult};
 pub use pipeline::{attention_pipeline_latency, PipelineMode, PipelineReport, RowStageLatency};
-pub use schedule::{EnginePhase, RowSchedule, ScheduledOp};
 pub use softermax::Softermax;
 pub use star::{BuildStarError, StarGeometry, StarSoftmax, StarSoftmaxConfig};
 pub use trace::{pipeline_chrome_trace, StageUtilization, UtilizationReport};

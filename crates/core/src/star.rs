@@ -365,13 +365,6 @@ impl StarSoftmax {
     pub fn normalize_cost(&self, n: usize) -> OpCost {
         self.sum_cost().then(self.divide_cost(n))
     }
-
-    /// The CAM/SUB array's per-op costs: `(search, merge, subtract)` —
-    /// the raw material of the controller schedule
-    /// ([`crate::RowSchedule`]).
-    pub fn cam_sub_costs(&self) -> (OpCost, OpCost, OpCost) {
-        (self.cam_sub.search_cost(), self.cam_sub.merge_cost(), self.cam_sub.subtract_cost())
-    }
 }
 
 impl RowSoftmax for StarSoftmax {
@@ -625,8 +618,7 @@ mod tests {
 
     #[test]
     fn noisy_engine_still_ranks() {
-        let cfg =
-            StarSoftmaxConfig::new(QFormat::MRPC).with_noise(NoiseModel::new(0.0, 0.03, 0.0, 0.0));
+        let cfg = StarSoftmaxConfig::new(QFormat::MRPC).with_noise(NoiseModel::new(0.03, 0.0, 0.0));
         let mut star = StarSoftmax::new(cfg).unwrap();
         let p = star.softmax_row(&[3.0, 0.0, -3.0]);
         assert!(p[0] > p[1] && p[1] > p[2]);
@@ -637,7 +629,7 @@ mod tests {
         // High stuck rates: fault recovery paths must keep the output a
         // (roughly) normalized distribution, and events must be counted.
         let cfg = StarSoftmaxConfig::new(QFormat::COLA)
-            .with_noise(NoiseModel::new(0.0, 0.0, 0.02, 0.02))
+            .with_noise(NoiseModel::new(0.0, 0.02, 0.02))
             .with_seed(99);
         let mut star = StarSoftmax::new(cfg).unwrap();
         let p = star.softmax_row(&[2.0, 1.0, 0.0, -1.0, 3.5, 0.5, 1.5, -2.0]);

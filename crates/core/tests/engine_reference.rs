@@ -188,7 +188,7 @@ fn check(seed: u64, format: Option<QFormat>) -> Result<(), String> {
     let sigma = [0.0, 0.03][rng.gen_range(0..2usize)];
     let cfg = StarSoftmaxConfig::new(format)
         .with_max_row_len(64)
-        .with_noise(NoiseModel::new(0.0, sigma, stuck, stuck))
+        .with_noise(NoiseModel::new(sigma, stuck, stuck))
         .with_seed(rng.gen());
     let rows: Vec<Vec<f64>> = (0..rng.gen_range(1..=4usize))
         .map(|_| {

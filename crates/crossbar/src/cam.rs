@@ -98,7 +98,7 @@ impl CamCrossbar {
             .map(|_| {
                 (0..word_bits * 2)
                     .map(|_| {
-                        let mut c = RramCell::new(2, tech);
+                        let mut c = RramCell::new(tech);
                         c.set_fault(noise.sample_fault(rng));
                         c
                     })
@@ -557,7 +557,7 @@ mod tests {
             ops in prop::collection::vec((0u8..3, any::<u64>(), any::<u64>()), 0..40),
         ) {
             let tech = TechnologyParams::cmos32();
-            let noise = NoiseModel::new(0.0, 0.0, stuck_rate, stuck_rate);
+            let noise = NoiseModel::new(0.0, stuck_rate, stuck_rate);
             let mut c = CamCrossbar::new(
                 rows, word_bits, &tech, noise, &mut ChaCha8Rng::seed_from_u64(seed),
             );

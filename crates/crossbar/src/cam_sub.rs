@@ -324,18 +324,6 @@ impl CamSubCrossbar {
         Fixed::from_raw(raw.min(0), self.format)
     }
 
-    /// Full stage 1 of the softmax: max-find followed by per-input
-    /// subtraction.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SearchError`] from the max search.
-    pub fn stage1(&mut self, inputs: &[Fixed]) -> Result<(Fixed, Vec<Fixed>), SearchError> {
-        let found = self.find_max(inputs)?;
-        let diffs = inputs.iter().map(|&x| self.subtract(x, found.max)).collect();
-        Ok((found.max, diffs))
-    }
-
     /// Cost of one CAM search cycle (per input).
     pub fn search_cost(&self) -> OpCost {
         self.cam.search_cost()
@@ -504,11 +492,12 @@ mod tests {
         let mut x = xbar(fmt);
         let vals: Vec<Fixed> =
             [-8.0, 3.125, 7.0, 0.25, -0.125].iter().map(|&v| fx(v, fmt)).collect();
-        let (max, diffs) = x.stage1(&vals).unwrap();
+        let max = x.find_max(&vals).unwrap().max;
         assert_eq!(max.to_f64(), 7.0);
-        for (i, d) in diffs.iter().enumerate() {
+        for (i, &v) in vals.iter().enumerate() {
+            let d = x.subtract(v, max);
             assert!(d.to_f64() <= 0.0);
-            assert_eq!(d.to_f64(), vals[i].to_f64() - 7.0, "input {i}");
+            assert_eq!(d.to_f64(), v.to_f64() - 7.0, "input {i}");
         }
     }
 
@@ -545,7 +534,7 @@ mod tests {
         // Stuck cells leave some values matching another row, or none.
         let fmt = QFormat::new(3, 1).unwrap();
         let tech = TechnologyParams::cmos32();
-        let noise = NoiseModel::new(0.0, 0.0, 0.05, 0.05);
+        let noise = NoiseModel::new(0.0, 0.05, 0.05);
         let mut x = CamSubCrossbar::new(fmt, &tech, noise, &mut ChaCha8Rng::seed_from_u64(5));
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         assert_eq!(x.peek_find_max(&[]), None);
@@ -588,7 +577,7 @@ mod tests {
     fn noisy_subtract_small_noise_is_exact() {
         let fmt = QFormat::new(5, 2).unwrap();
         let mut x = xbar(fmt);
-        let noise = NoiseModel::new(0.0, 0.05, 0.0, 0.0);
+        let noise = NoiseModel::new(0.05, 0.0, 0.0);
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         for _ in 0..50 {
             let d = x.subtract_noisy(fx(1.25, fmt), fx(9.0, fmt), &noise, &mut rng);

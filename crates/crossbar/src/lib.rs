@@ -3,8 +3,8 @@
 //! Four array types cover everything the paper's engines need:
 //!
 //! - [`VmmCrossbar`] — analog vector–matrix multiply with bit-serial
-//!   inputs, bit-sliced weights and per-column ADC readout (the MatMul
-//!   engine substrate and the softmax summation array),
+//!   inputs, bit-sliced weights and an ideal column readout (the softmax
+//!   summation array),
 //! - [`CamCrossbar`] — TCAM search with complementary cell pairs and a
 //!   matchline discharge model,
 //! - [`LutCrossbar`] — one-hot-driven row lookup (the exponential table),
@@ -35,9 +35,9 @@
 //! let mut xbar = CamSubCrossbar::new(fmt, &tech, NoiseModel::ideal(), &mut rng);
 //! let xs: Vec<Fixed> =
 //!     [0.5, -2.0, 3.125].iter().map(|&v| Fixed::from_f64(v, fmt, Rounding::Nearest)).collect();
-//! let (max, diffs) = xbar.stage1(&xs)?;
+//! let max = xbar.find_max(&xs)?.max;
 //! assert_eq!(max.to_f64(), 3.125);
-//! assert!(diffs.iter().all(|d| d.to_f64() <= 0.0));
+//! assert!(xs.iter().all(|&x| xbar.subtract(x, max).to_f64() <= 0.0));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -54,4 +54,4 @@ pub use cam::CamCrossbar;
 pub use cam_sub::{CamSubCrossbar, MaxSearchResult, SearchError};
 pub use geometry::{Geometry, Ledger, OpCost};
 pub use lut::LutCrossbar;
-pub use vmm::{IrDropModel, Readout, VmmCrossbar};
+pub use vmm::{Readout, VmmCrossbar};

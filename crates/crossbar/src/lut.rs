@@ -64,7 +64,7 @@ impl LutCrossbar {
             .map(|_| {
                 (0..word_bits)
                     .map(|_| {
-                        let mut c = RramCell::new(2, tech);
+                        let mut c = RramCell::new(tech);
                         c.set_fault(noise.sample_fault(rng));
                         c
                     })

@@ -19,9 +19,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// let adc = AdcSpec::sar(5);
 /// assert_eq!(adc.bits(), 5);
-/// // Full-scale 1.0: code 16 of 32 represents the midpoint band.
-/// assert_eq!(adc.quantize(0.5, 1.0), 16);
-/// assert_eq!(adc.quantize(2.0, 1.0), 31); // clips at full scale
+/// // Three bits below the 8-bit anchor: an eighth of its area.
+/// assert_eq!(adc.area().value(), 150.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AdcSpec {
@@ -57,26 +56,6 @@ impl AdcSpec {
         }
     }
 
-    /// Creates a flash ADC: one comparator per code, so area and energy
-    /// scale with `2^bits` from a 5-bit anchor (≈3000 µm², 0.9 pJ), but the
-    /// conversion completes in a single comparator delay — the choice when
-    /// conversion latency, not energy, limits the pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is outside `1..=8` (flash beyond 8 bits is
-    /// impractical: 256+ comparators).
-    pub fn flash(bits: u8) -> Self {
-        assert!((1..=8).contains(&bits), "flash model fitted for 1..=8 bits, got {bits}");
-        let scale = 2f64.powi(bits as i32 - 5);
-        AdcSpec {
-            bits,
-            area: Area::new(3000.0 * scale),
-            conversion_energy: Energy::new(0.9 * scale),
-            conversion_latency: Latency::new(0.15),
-        }
-    }
-
     /// Creates an ADC with explicit costs (for calibration studies).
     pub fn custom(
         bits: u8,
@@ -93,11 +72,6 @@ impl AdcSpec {
         self.bits
     }
 
-    /// Number of output codes.
-    pub fn codes(self) -> u32 {
-        1u32 << self.bits
-    }
-
     /// Silicon area of one converter.
     pub fn area(self) -> Area {
         self.area
@@ -111,35 +85,6 @@ impl AdcSpec {
     /// Time per conversion.
     pub fn conversion_latency(self) -> Latency {
         self.conversion_latency
-    }
-
-    /// Quantizes an analog value in `[0, full_scale]` to an output code,
-    /// clipping out-of-range inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `full_scale` is not positive.
-    pub fn quantize(self, value: f64, full_scale: f64) -> u32 {
-        assert!(full_scale > 0.0, "ADC full scale must be positive");
-        star_telemetry::count("device.adc.conversions", 1);
-        let max_code = self.codes() - 1;
-        if !value.is_finite() || value <= 0.0 {
-            return 0;
-        }
-        let code = (value / full_scale * self.codes() as f64).floor();
-        if code >= self.codes() as f64 {
-            // Input above full scale: the converter saturates. Worth
-            // counting — persistent clipping means the full-scale
-            // calibration of the readout chain is wrong.
-            star_telemetry::count("device.adc.clips", 1);
-        }
-        (code as u32).min(max_code)
-    }
-
-    /// Reconstructs the analog value at a code's band centre.
-    pub fn dequantize(self, code: u32, full_scale: f64) -> f64 {
-        assert!(full_scale > 0.0, "ADC full scale must be positive");
-        (code.min(self.codes() - 1) as f64 + 0.5) / self.codes() as f64 * full_scale
     }
 }
 
@@ -193,62 +138,9 @@ mod tests {
     }
 
     #[test]
-    fn quantize_bands() {
-        let adc = AdcSpec::sar(5);
-        assert_eq!(adc.codes(), 32);
-        assert_eq!(adc.quantize(0.0, 1.0), 0);
-        assert_eq!(adc.quantize(0.031249, 1.0), 0);
-        assert_eq!(adc.quantize(0.03125, 1.0), 1);
-        assert_eq!(adc.quantize(0.999, 1.0), 31);
-        assert_eq!(adc.quantize(5.0, 1.0), 31);
-        assert_eq!(adc.quantize(-1.0, 1.0), 0);
-        assert_eq!(adc.quantize(f64::NAN, 1.0), 0);
-    }
-
-    #[test]
-    fn dequantize_band_centres() {
-        let adc = AdcSpec::sar(4);
-        assert!((adc.dequantize(0, 1.0) - 1.0 / 32.0).abs() < 1e-12);
-        assert!((adc.dequantize(15, 1.0) - 31.0 / 32.0).abs() < 1e-12);
-        // Codes beyond range clamp.
-        assert_eq!(adc.dequantize(99, 1.0), adc.dequantize(15, 1.0));
-    }
-
-    #[test]
-    fn quantize_round_trip_error_bounded() {
-        let adc = AdcSpec::sar(6);
-        let fs = 2.0;
-        for i in 0..100 {
-            let v = i as f64 / 100.0 * fs;
-            let rec = adc.dequantize(adc.quantize(v, fs), fs);
-            assert!((rec - v).abs() <= fs / 64.0, "v={v} rec={rec}");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "fitted for")]
     fn sar_rejects_out_of_range_bits() {
         let _ = AdcSpec::sar(13);
-    }
-
-    #[test]
-    fn flash_trades_area_for_speed() {
-        let sar = AdcSpec::sar(5);
-        let flash = AdcSpec::flash(5);
-        assert!(flash.conversion_latency().value() < sar.conversion_latency().value() / 2.0);
-        assert!(flash.area().value() > sar.area().value());
-        assert!(flash.conversion_energy().value() > sar.conversion_energy().value());
-        // Exponential growth with bits.
-        let f8 = AdcSpec::flash(8);
-        assert!((f8.area().value() / flash.area().value() - 8.0).abs() < 1e-9);
-        // Same quantization behaviour regardless of architecture.
-        assert_eq!(flash.quantize(0.5, 1.0), sar.quantize(0.5, 1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "fitted for")]
-    fn flash_rejects_wide() {
-        let _ = AdcSpec::flash(9);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! - [`TechnologyParams`] — the 32 nm process operating point,
 //! - [`RramCell`] + [`NoiseModel`] — programmable crosspoint devices with
 //!   injectable non-idealities,
-//! - [`AdcSpec`] / [`DriverSpec`] — data converters and wordline drivers,
+//! - [`AdcSpec`] / [`DriverSpec`] — data-converter and wordline-driver
+//!   costs,
 //! - [`peripherals`] — CMOS digital blocks (sense amps, counters, dividers,
 //!   FP units, SRAM) with per-op energy/latency and leakage,
 //! - [`cost`] — unit newtypes (µm², pJ, ns, mW) and itemized
@@ -24,12 +25,14 @@
 //! use star_device::{AdcSpec, RramCell, TechnologyParams};
 //!
 //! let tech = TechnologyParams::cmos32();
-//! let mut cell = RramCell::new(2, &tech);
+//! let mut cell = RramCell::new(&tech);
 //! cell.program_ideal(1);
-//! let adc = AdcSpec::sar(5);
+//! assert!(cell.stores_one());
 //! let current = cell.ideal_current(tech.read_voltage);
-//! let code = adc.quantize(current, tech.read_voltage * tech.g_lrs() * 128.0);
-//! assert_eq!(code, 0); // one LRS cell of a possible 128 ≈ the bottom code
+//! assert!((current - tech.read_voltage * tech.g_lrs()).abs() < 1e-12);
+//! // The MatMul engine's 5-bit SAR ADC costs an eighth of the 8-bit anchor.
+//! let adc = AdcSpec::sar(5);
+//! assert_eq!(adc.area().value(), AdcSpec::sar(8).area().value() / 8.0);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -1,7 +1,7 @@
 //! Analog non-ideality models.
 //!
-//! NeuroSim (the paper's crossbar simulator) models device-to-device and
-//! cycle-to-cycle variation; we expose the same knobs as an injectable
+//! NeuroSim (the paper's crossbar simulator) models device
+//! non-idealities; we expose read noise and stuck cells as an injectable
 //! [`NoiseModel`] so experiments run both ideal and noisy. All randomness is
 //! drawn from caller-provided RNGs so simulations stay reproducible.
 
@@ -22,9 +22,6 @@ pub enum StuckFault {
 
 /// Stochastic non-ideality parameters for RRAM cells.
 ///
-/// - `program_sigma`: relative (lognormal) spread of the programmed
-///   conductance around its target, applied once at write time
-///   (device-to-device variation).
 /// - `read_sigma`: relative Gaussian spread of each read current
 ///   (cycle-to-cycle / thermal noise).
 /// - `stuck_on_rate` / `stuck_off_rate`: probability that a cell is
@@ -36,14 +33,12 @@ pub enum StuckFault {
 /// use star_device::NoiseModel;
 ///
 /// let ideal = NoiseModel::ideal();
-/// assert_eq!(ideal, NoiseModel::new(0.0, 0.0, 0.0, 0.0));
-/// let noisy = NoiseModel::new(0.05, 0.02, 1e-4, 1e-4);
+/// assert_eq!(ideal, NoiseModel::new(0.0, 0.0, 0.0));
+/// let noisy = NoiseModel::new(0.02, 1e-4, 1e-4);
 /// assert_ne!(noisy, ideal);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NoiseModel {
-    /// Relative lognormal sigma of programmed conductance.
-    pub program_sigma: f64,
     /// Relative Gaussian sigma of read current.
     pub read_sigma: f64,
     /// Probability a cell is stuck-on.
@@ -57,44 +52,19 @@ impl NoiseModel {
     ///
     /// # Panics
     ///
-    /// Panics if any sigma is negative/non-finite or any rate is outside
+    /// Panics if the sigma is negative/non-finite or any rate is outside
     /// `[0, 1]` (or the two rates sum above 1).
-    pub fn new(
-        program_sigma: f64,
-        read_sigma: f64,
-        stuck_on_rate: f64,
-        stuck_off_rate: f64,
-    ) -> Self {
-        assert!(program_sigma >= 0.0 && program_sigma.is_finite(), "program sigma must be >= 0");
+    pub fn new(read_sigma: f64, stuck_on_rate: f64, stuck_off_rate: f64) -> Self {
         assert!(read_sigma >= 0.0 && read_sigma.is_finite(), "read sigma must be >= 0");
         assert!((0.0..=1.0).contains(&stuck_on_rate), "stuck-on rate must be a probability");
         assert!((0.0..=1.0).contains(&stuck_off_rate), "stuck-off rate must be a probability");
         assert!(stuck_on_rate + stuck_off_rate <= 1.0, "fault rates must sum to at most 1");
-        NoiseModel { program_sigma, read_sigma, stuck_on_rate, stuck_off_rate }
+        NoiseModel { read_sigma, stuck_on_rate, stuck_off_rate }
     }
 
     /// The ideal (noise-free, fault-free) model.
     pub fn ideal() -> Self {
-        NoiseModel { program_sigma: 0.0, read_sigma: 0.0, stuck_on_rate: 0.0, stuck_off_rate: 0.0 }
-    }
-
-    /// NeuroSim-style defaults for a mature HfO₂ process: 3 % programming
-    /// spread, 1 % read noise, 10⁻⁴ stuck cells of each polarity.
-    pub fn typical() -> Self {
-        NoiseModel::new(0.03, 0.01, 1e-4, 1e-4)
-    }
-
-    /// Applies programming variation to a target conductance.
-    ///
-    /// Lognormal multiplicative noise: the result stays positive, matching
-    /// measured RRAM conductance distributions.
-    pub fn program<R: Rng + ?Sized>(&self, target_g: f64, rng: &mut R) -> f64 {
-        if self.program_sigma == 0.0 || target_g == 0.0 {
-            return target_g;
-        }
-        star_telemetry::count("device.noise.program_draws", 1);
-        let z: f64 = sample_standard_normal(rng);
-        target_g * (self.program_sigma * z).exp()
+        NoiseModel { read_sigma: 0.0, stuck_on_rate: 0.0, stuck_off_rate: 0.0 }
     }
 
     /// Applies read noise to a sensed current/conductance.
@@ -155,26 +125,13 @@ mod tests {
     fn ideal_is_identity() {
         let m = NoiseModel::ideal();
         let mut r = rng();
-        assert_eq!(m.program(1e-5, &mut r), 1e-5);
         assert_eq!(m.read(0.4, &mut r), 0.4);
         assert_eq!(m.sample_fault(&mut r), StuckFault::None);
     }
 
     #[test]
-    fn program_noise_stays_positive_and_centered() {
-        let m = NoiseModel::new(0.1, 0.0, 0.0, 0.0);
-        let mut r = rng();
-        let target = 2e-5;
-        let samples: Vec<f64> = (0..4000).map(|_| m.program(target, &mut r)).collect();
-        assert!(samples.iter().all(|&g| g > 0.0));
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        // Lognormal mean is target·exp(σ²/2) ≈ 1.005·target; allow 3 %.
-        assert!((mean / target - 1.0).abs() < 0.03, "mean ratio {}", mean / target);
-    }
-
-    #[test]
     fn read_noise_spread_matches_sigma() {
-        let m = NoiseModel::new(0.0, 0.05, 0.0, 0.0);
+        let m = NoiseModel::new(0.05, 0.0, 0.0);
         let mut r = rng();
         let samples: Vec<f64> = (0..4000).map(|_| m.read(1.0, &mut r)).collect();
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
@@ -184,7 +141,7 @@ mod tests {
 
     #[test]
     fn fault_rates_respected() {
-        let m = NoiseModel::new(0.0, 0.0, 0.02, 0.03);
+        let m = NoiseModel::new(0.0, 0.02, 0.03);
         let mut r = rng();
         let mut on = 0;
         let mut off = 0;
@@ -202,17 +159,18 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let m = NoiseModel::typical();
+        let m = NoiseModel::new(0.01, 1e-4, 1e-4);
         let mut r1 = rng();
         let mut r2 = rng();
         for _ in 0..100 {
-            assert_eq!(m.program(1e-5, &mut r1), m.program(1e-5, &mut r2));
+            assert_eq!(m.read(1e-5, &mut r1), m.read(1e-5, &mut r2));
+            assert_eq!(m.sample_fault(&mut r1), m.sample_fault(&mut r2));
         }
     }
 
     #[test]
     #[should_panic(expected = "sum to at most 1")]
     fn rejects_rates_above_one() {
-        let _ = NoiseModel::new(0.0, 0.0, 0.6, 0.6);
+        let _ = NoiseModel::new(0.0, 0.6, 0.6);
     }
 }

@@ -1,16 +1,14 @@
 //! RRAM cell model.
 
-use crate::noise::{NoiseModel, StuckFault};
+use crate::noise::StuckFault;
 use crate::tech::TechnologyParams;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// One programmable RRAM crosspoint cell.
+/// One programmable single-bit RRAM crosspoint cell.
 ///
-/// A cell stores a discrete *level* in `[0, levels)` mapped linearly onto
-/// the conductance window `[g_hrs, g_lrs]`. Single-bit cells (`levels = 2`)
-/// are what the CAM, LUT and bit-sliced VMM arrays use; multi-level cells
-/// are available for denser VMM mappings.
+/// A cell stores a *level*, 0 or 1, mapped onto the ends of the
+/// conductance window `[g_hrs, g_lrs]`: the CAM, LUT and bit-sliced VMM
+/// arrays all store one bit per cell.
 ///
 /// # Examples
 ///
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// use star_device::{RramCell, TechnologyParams};
 ///
 /// let tech = TechnologyParams::cmos32();
-/// let mut cell = RramCell::new(2, &tech);
+/// let mut cell = RramCell::new(&tech);
 /// cell.program_ideal(1);
 /// assert!((cell.conductance() - tech.g_lrs()).abs() < 1e-12);
 /// cell.program_ideal(0);
@@ -26,7 +24,6 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RramCell {
-    levels: u16,
     level: u16,
     conductance: f64,
     g_hrs: f64,
@@ -35,26 +32,15 @@ pub struct RramCell {
 }
 
 impl RramCell {
-    /// Creates a fresh cell (erased to HRS) with the given number of levels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `levels < 2`.
-    pub fn new(levels: u16, tech: &TechnologyParams) -> Self {
-        assert!(levels >= 2, "a memory cell needs at least two levels");
+    /// Creates a fresh cell, erased to HRS.
+    pub fn new(tech: &TechnologyParams) -> Self {
         RramCell {
-            levels,
             level: 0,
             conductance: tech.g_hrs(),
             g_hrs: tech.g_hrs(),
             g_lrs: tech.g_lrs(),
             fault: StuckFault::None,
         }
-    }
-
-    /// Number of programmable levels.
-    pub fn levels(&self) -> u16 {
-        self.levels
     }
 
     /// The last programmed level (defects ignore it at read time).
@@ -72,34 +58,24 @@ impl RramCell {
         self.fault = fault;
     }
 
-    /// Target conductance for a level under the linear mapping.
-    pub fn target_conductance(&self, level: u16) -> f64 {
-        assert!(level < self.levels, "level {level} out of range 0..{}", self.levels);
-        let t = level as f64 / (self.levels - 1) as f64;
-        self.g_hrs + t * (self.g_lrs - self.g_hrs)
-    }
-
-    /// Programs the cell to `level` with no variation.
+    /// Target conductance for a level: `g_hrs + level·(g_lrs − g_hrs)`.
     ///
     /// # Panics
     ///
-    /// Panics if `level >= levels`.
+    /// Panics if `level > 1`.
+    pub fn target_conductance(&self, level: u16) -> f64 {
+        assert!(level < 2, "level {level} out of range 0..2");
+        self.g_hrs + level as f64 * (self.g_lrs - self.g_hrs)
+    }
+
+    /// Programs the cell to `level`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level > 1`.
     pub fn program_ideal(&mut self, level: u16) {
         star_telemetry::count("device.rram.writes", 1);
         self.conductance = self.target_conductance(level);
-        self.level = level;
-    }
-
-    /// Programs the cell to `level`, applying the noise model's
-    /// device-to-device variation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level >= levels`.
-    pub fn program<R: Rng + ?Sized>(&mut self, level: u16, noise: &NoiseModel, rng: &mut R) {
-        star_telemetry::count("device.rram.writes", 1);
-        let target = self.target_conductance(level);
-        self.conductance = noise.program(target, rng).clamp(self.g_hrs * 0.1, self.g_lrs * 10.0);
         self.level = level;
     }
 
@@ -127,8 +103,6 @@ impl RramCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     fn tech() -> TechnologyParams {
         TechnologyParams::cmos32()
@@ -136,7 +110,7 @@ mod tests {
 
     #[test]
     fn fresh_cell_is_hrs() {
-        let c = RramCell::new(2, &tech());
+        let c = RramCell::new(&tech());
         assert_eq!(c.level(), 0);
         assert!(!c.stores_one());
     }
@@ -144,7 +118,7 @@ mod tests {
     #[test]
     fn binary_programming() {
         let t = tech();
-        let mut c = RramCell::new(2, &t);
+        let mut c = RramCell::new(&t);
         c.program_ideal(1);
         assert!(c.stores_one());
         assert!((c.conductance() - t.g_lrs()).abs() < 1e-15);
@@ -153,29 +127,16 @@ mod tests {
     }
 
     #[test]
-    fn multilevel_targets_are_monotone() {
-        let t = tech();
-        let c = RramCell::new(16, &t);
-        let mut prev = 0.0;
-        for lvl in 0..16 {
-            let g = c.target_conductance(lvl);
-            assert!(g > prev, "level {lvl}");
-            prev = g;
-        }
-        assert!((c.target_conductance(15) - t.g_lrs()).abs() < 1e-15);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn program_rejects_bad_level() {
-        let mut c = RramCell::new(4, &tech());
-        c.program_ideal(4);
+        let mut c = RramCell::new(&tech());
+        c.program_ideal(2);
     }
 
     #[test]
     fn stuck_faults_override() {
         let t = tech();
-        let mut c = RramCell::new(2, &t);
+        let mut c = RramCell::new(&t);
         c.program_ideal(1);
         c.set_fault(StuckFault::StuckOff);
         assert!(!c.stores_one());
@@ -185,25 +146,9 @@ mod tests {
     }
 
     #[test]
-    fn noisy_program_near_target() {
-        let t = tech();
-        let mut c = RramCell::new(2, &t);
-        let noise = NoiseModel::new(0.03, 0.0, 0.0, 0.0);
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let mut sum = 0.0;
-        let n = 2000;
-        for _ in 0..n {
-            c.program(1, &noise, &mut rng);
-            sum += c.conductance();
-        }
-        let mean = sum / n as f64;
-        assert!((mean / t.g_lrs() - 1.0).abs() < 0.01, "ratio {}", mean / t.g_lrs());
-    }
-
-    #[test]
     fn ohms_law() {
         let t = tech();
-        let mut c = RramCell::new(2, &t);
+        let mut c = RramCell::new(&t);
         c.program_ideal(1);
         let i = c.ideal_current(0.2);
         assert!((i - 0.2 * t.g_lrs()).abs() < 1e-15);
@@ -212,9 +157,9 @@ mod tests {
     #[test]
     fn read_energy_higher_for_lrs() {
         let t = tech();
-        let mut hi = RramCell::new(2, &t);
+        let mut hi = RramCell::new(&t);
         hi.program_ideal(1);
-        let lo = RramCell::new(2, &t);
+        let lo = RramCell::new(&t);
         let energy = |c: &RramCell| t.cell_read_energy(c.conductance()).value();
         assert!(energy(&hi) > energy(&lo));
     }

@@ -2,34 +2,25 @@
 
 use proptest::prelude::*;
 use star_device::{
-    AdcSpec, Area, EnduranceModel, Energy, Latency, NoiseModel, Power, RetentionModel, RramCell,
+    AdcSpec, Area, EnduranceModel, Energy, Latency, Power, RetentionModel, RramCell,
     TechnologyParams,
 };
 
+#[test]
+fn cell_levels_monotone_conductance() {
+    let tech = TechnologyParams::cmos32();
+    let conductance = |level| {
+        let mut cell = RramCell::new(&tech);
+        cell.program_ideal(level);
+        cell.conductance()
+    };
+    let (off, on) = (conductance(0), conductance(1));
+    assert!(off >= tech.g_hrs() - 1e-15 && on <= tech.g_lrs() + 1e-15);
+    assert!(on > off);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn adc_quantize_dequantize_bounded(bits in 1u8..=12, v in 0.0f64..10.0, fs in 0.1f64..10.0) {
-        let adc = AdcSpec::sar(bits);
-        let code = adc.quantize(v, fs);
-        prop_assert!(code < adc.codes());
-        let rec = adc.dequantize(code, fs);
-        if v <= fs {
-            // In-range values reconstruct within one LSB band.
-            prop_assert!((rec - v).abs() <= fs / adc.codes() as f64 + 1e-12);
-        } else {
-            // Clipped values reconstruct at the top band.
-            prop_assert_eq!(code, adc.codes() - 1);
-        }
-    }
-
-    #[test]
-    fn adc_quantize_monotone(bits in 1u8..=10, a in 0.0f64..1.0, b in 0.0f64..1.0) {
-        let adc = AdcSpec::sar(bits);
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        prop_assert!(adc.quantize(lo, 1.0) <= adc.quantize(hi, 1.0));
-    }
 
     #[test]
     fn adc_cost_scaling_monotone(bits in 1u8..=11) {
@@ -53,21 +44,6 @@ proptest! {
             let p = x / Latency::new(b);
             let e = p * Latency::new(b);
             prop_assert!((e.value() - a).abs() < 1e-9 * a.max(1.0));
-        }
-    }
-
-    #[test]
-    fn cell_levels_monotone_conductance(levels in 2u16..=16, lvl in 0u16..16) {
-        let tech = TechnologyParams::cmos32();
-        let mut cell = RramCell::new(levels, &tech);
-        let lvl = lvl % levels;
-        cell.program_ideal(lvl);
-        let g = cell.conductance();
-        prop_assert!(g >= tech.g_hrs() - 1e-15 && g <= tech.g_lrs() + 1e-15);
-        if lvl + 1 < levels {
-            let mut next = RramCell::new(levels, &tech);
-            next.program_ideal(lvl + 1);
-            prop_assert!(next.conductance() > g);
         }
     }
 
@@ -134,16 +110,6 @@ proptest! {
         let (lo, hi) = if t1 <= t2 { (t1, t2) } else { (t2, t1) };
         prop_assert!(r.drift_factor(hi) <= r.drift_factor(lo) + 1e-15);
         prop_assert!(r.drift_factor(hi) > 0.0);
-    }
-
-    #[test]
-    fn noise_program_positive(sigma in 0.0f64..0.3, seed in 0u64..10_000) {
-        use rand::SeedableRng;
-        let m = NoiseModel::new(sigma, 0.0, 0.0, 0.0);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        for _ in 0..32 {
-            prop_assert!(m.program(1e-5, &mut rng) > 0.0);
-        }
     }
 
     #[test]

@@ -958,19 +958,22 @@ impl WhatIfReport {
     }
 }
 
-/// Runs the baseline plus every intervention on the same seeded
-/// workload and ranks the outcomes by Δp99. Deterministic end to end:
-/// each run is an ordinary simulation, so the table is bitwise
-/// reproducible at any thread count.
-pub fn run_what_ifs(cfg: &ServeConfig, interventions: &[WhatIf]) -> WhatIfReport {
-    let base = simulate_scaled(cfg, None);
-    let baseline = WhatIfRow::from_report("baseline".to_string(), &base, &base);
+/// Runs every intervention on the same seeded workload as `base`, the
+/// report of `cfg`'s own run, and ranks the outcomes by Δp99 against it.
+/// Deterministic end to end: each run is an ordinary simulation, so the
+/// table is bitwise reproducible at any thread count.
+pub fn run_what_ifs(
+    cfg: &ServeConfig,
+    base: &ServeReport,
+    interventions: &[WhatIf],
+) -> WhatIfReport {
+    let baseline = WhatIfRow::from_report("baseline".to_string(), base, base);
     let mut rows: Vec<WhatIfRow> = interventions
         .iter()
         .map(|w| {
             let (wcfg, scale) = w.apply(cfg);
             let r = simulate_scaled(&wcfg, scale);
-            WhatIfRow::from_report(w.label(), &r, &base)
+            WhatIfRow::from_report(w.label(), &r, base)
         })
         .collect();
     rows.sort_by(|a, b| a.delta_p99_ms.total_cmp(&b.delta_p99_ms).then(a.label.cmp(&b.label)));
@@ -1130,7 +1133,7 @@ mod tests {
     #[test]
     fn what_if_identity_reproduces_the_baseline_bitwise() {
         let cfg = ServeConfig::example();
-        let report = run_what_ifs(&cfg, &[WhatIf::Identity]);
+        let report = run_what_ifs(&cfg, &simulate(&cfg), &[WhatIf::Identity]);
         let id = &report.interventions[0];
         assert_eq!(id.label, "identity");
         assert_eq!(id.p99_ms, report.baseline.p99_ms);
@@ -1144,7 +1147,7 @@ mod tests {
     #[test]
     fn what_if_ranks_by_delta_p99() {
         let cfg = ServeConfig::example();
-        let report = run_what_ifs(&cfg, &WhatIf::standard());
+        let report = run_what_ifs(&cfg, &simulate(&cfg), &WhatIf::standard());
         assert_eq!(report.interventions.len(), WhatIf::standard().len());
         for pair in report.interventions.windows(2) {
             assert!(pair[0].delta_p99_ms <= pair[1].delta_p99_ms);

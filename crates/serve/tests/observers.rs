@@ -249,7 +249,7 @@ proptest! {
     fn what_if_identity_is_bitwise_neutral(seed in any::<u64>()) {
         let mut cfg = ServeConfig::example();
         cfg.seed = seed;
-        let report = run_what_ifs(&cfg, &[WhatIf::Identity]);
+        let report = run_what_ifs(&cfg, &simulate(&cfg), &[WhatIf::Identity]);
         let id = &report.interventions[0];
         prop_assert_eq!(id.p99_ms, report.baseline.p99_ms);
         prop_assert_eq!(id.goodput_rps, report.baseline.goodput_rps);

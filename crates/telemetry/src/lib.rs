@@ -34,7 +34,7 @@
 //! # Naming convention
 //!
 //! Metric names are dot-separated `<layer>.<unit>.<event>` hierarchies:
-//! `device.adc.conversions`, `crossbar.cam.searches`, `star.exp.lut_hits`,
+//! `device.rram.writes`, `crossbar.cam.searches`, `star.exp.lut_hits`,
 //! `pipeline.softmax.stall_ns`. Accumulating physical quantities carry a
 //! unit suffix (`_pj`, `_ns`).
 //!

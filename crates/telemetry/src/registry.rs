@@ -3,7 +3,7 @@
 //!
 //! Names are dot-separated hierarchies, lowest-frequency component first:
 //! `<layer>.<unit>.<event>` — e.g. `crossbar.cam.searches`,
-//! `device.adc.conversions`, `star.exp.lut_hits`,
+//! `device.rram.writes`, `star.exp.lut_hits`,
 //! `pipeline.softmax.stall_ns`. The registry itself imposes no schema;
 //! the convention keeps the pretty renderer's grouping meaningful.
 

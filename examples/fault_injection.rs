@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (read_sigma, stuck) in
         [(0.0, 0.0), (0.02, 0.0), (0.05, 0.0), (0.0, 1e-3), (0.0, 1e-2), (0.05, 1e-2)]
     {
-        let noise = NoiseModel::new(0.0, read_sigma, stuck, stuck);
+        let noise = NoiseModel::new(read_sigma, stuck, stuck);
         let cfg = StarSoftmaxConfig::new(QFormat::MRPC).with_noise(noise).with_seed(0xFA);
         let mut engine = StarSoftmax::new(cfg)?;
 

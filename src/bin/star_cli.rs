@@ -143,6 +143,7 @@ fn cmd_softmax(args: &[String]) -> Result<(), String> {
         .collect::<Result<_, _>>()?;
 
     let mut engine = StarSoftmax::new(StarSoftmaxConfig::new(format)).map_err(|e| e.to_string())?;
+    check_row_len(&engine, scores.len())?;
     let star = engine.softmax_row(&scores);
     let exact = ExactSoftmax::new().softmax_row(&scores);
     println!("STAR softmax engine at {format} ({} bits)", format.total_bits());
@@ -151,6 +152,15 @@ fn cmd_softmax(args: &[String]) -> Result<(), String> {
         println!("{s:>10.4} {p:>10.6} {q:>10.6} {:>10.2e}", (p - q).abs());
     }
     println!("engine sum: {:.6}", star.iter().sum::<f64>());
+    Ok(())
+}
+
+/// Rejects a row longer than `engine`'s counters can histogram.
+fn check_row_len(engine: &StarSoftmax, len: usize) -> Result<(), String> {
+    let max = engine.config().max_row_len;
+    if len > max {
+        return Err(format!("row of {len} scores exceeds the engine's maximum row length {max}"));
+    }
     Ok(())
 }
 
@@ -260,6 +270,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     let (result, snap) = star::telemetry::with_scoped(|| -> Result<(), String> {
         let mut engine =
             StarSoftmax::new(StarSoftmaxConfig::new(format)).map_err(|e| e.to_string())?;
+        check_row_len(&engine, seq)?;
         let mut baseline = CmosBaselineSoftmax::new(8);
         let mut softermax = Softermax::new(format, 8);
         // A deterministic, dynamic-range-covering score row.
@@ -386,7 +397,7 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
         );
     }
     if whatif {
-        let report = run_what_ifs(&cfg, &WhatIf::standard());
+        let report = run_what_ifs(&cfg, &outcome.report, &WhatIf::standard());
         out += &report.render();
         out += &match report.best() {
             Some(best) if best.delta_p99_ms < 0.0 => format!(
@@ -1055,6 +1066,13 @@ mod tests {
         assert!(cmd_trace(&["q5.3".into(), "0".into()]).is_err());
         assert!(cmd_metrics(&[]).is_err());
         assert!(cmd_metrics(&["nope".into()]).is_err());
+        // Rows past the engine's 512-entry counters are rejected, not run.
+        let long: Vec<String> =
+            std::iter::once("q5.2".to_string()).chain((0..513).map(|i| i.to_string())).collect();
+        let err = cmd_softmax(&long).expect_err("513 scores");
+        assert!(err.contains("513") && err.contains("512"), "{err}");
+        let err = cmd_metrics(&argv("q5.2 600")).expect_err("seq 600");
+        assert!(err.contains("600") && err.contains("512"), "{err}");
     }
 
     #[test]

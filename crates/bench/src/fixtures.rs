@@ -21,7 +21,7 @@ use star_core::{StarSoftmax, StarSoftmaxConfig};
 use star_crossbar::{CamSubCrossbar, LutCrossbar};
 use star_device::{NoiseModel, StuckFault, TechnologyParams};
 use star_fixed::{Fixed, QFormat, Rounding};
-use star_serve::{simulate_observed, FlightConfig, HealthConfig, Observe};
+use star_serve::{simulate_observed, HealthConfig, Observe};
 use star_workload::{Dataset, ScoreTrace};
 use std::collections::BTreeMap;
 
@@ -242,9 +242,8 @@ fn profile_fixture_config() -> star_serve::ServeConfig {
 /// The fixed operating point pinned by the `incident` golden: 80 krps of
 /// BERT-base/128 offered to a single batch-8 instance — the saturating
 /// shape `star_cli serve 80000 1 --flight` runs, far past the
-/// ~17.6 krps batched capacity, so the default
-/// [`star_serve::FlightConfig`] triggers (SLO burn, expiry burst, queue
-/// depth) all fire early in the run.
+/// ~17.6 krps batched capacity, so the flight recorder's SLO burn,
+/// expiry-burst and queue-depth triggers all fire early in the run.
 fn incident_config() -> star_serve::ServeConfig {
     use star_serve::{ArrivalProcess, BatchPolicy};
     let (base, _) = a8_serving_cases();
@@ -273,8 +272,7 @@ fn incident_config() -> star_serve::ServeConfig {
 /// trigger regression).
 pub(crate) fn incident() -> Value {
     let cfg = incident_config();
-    let observe = Observe { flight: Some(FlightConfig::default()), ..Observe::default() };
-    let outcome = simulate_observed(&cfg, &observe);
+    let outcome = simulate_observed(&cfg, &Observe { flight: true, ..Observe::default() });
     let flight = outcome.flight.expect("flight run carries an outcome");
     let dump = flight.incidents.first().expect("saturating overload seals an incident");
     serde_json::json!({
@@ -348,7 +346,7 @@ pub(crate) fn serve_trace() -> Value {
     let trace = outcome.trace.expect("traced run carries a trace");
     serde_json::json!({
         "trace": trace.to_object_json(),
-        "slo": star_serve::SloAnalysis::from_trace(&trace, star_serve::SloPolicy::default(), 5),
+        "slo": star_serve::SloAnalysis::from_trace(&trace, 5),
     })
 }
 
@@ -434,8 +432,8 @@ fn serve_work_config(rate_rps: f64, fleet: usize) -> star_serve::ServeConfig {
 /// The machine-readable `serve_work` result: the deterministic work
 /// counters at every [`serve_work_config`] point, keyed `r<rate>_f<fleet>`.
 /// Each point holds the profiler's 17 [`star_serve::WorkCounters`]
-/// scalars and the flight recorder's six `flight_*` scalars (default
-/// [`FlightConfig`]), both from one run with the two attached.
+/// scalars and the flight recorder's six `flight_*` scalars, both from
+/// one run with the two attached.
 ///
 /// 20 krps keeps the Tiny/16 fleet below saturation, 40 krps is the knee
 /// and 80 krps saturates it, so the queue and window machinery runs;
@@ -447,8 +445,7 @@ fn serve_work_config(rate_rps: f64, fleet: usize) -> star_serve::ServeConfig {
 /// Panics if a run returns no profile or no flight outcome (programming
 /// errors).
 pub(crate) fn serve_work() -> Value {
-    let observe =
-        Observe { profile: true, flight: Some(FlightConfig::default()), ..Observe::default() };
+    let observe = Observe { profile: true, flight: true, ..Observe::default() };
     let mut points: BTreeMap<String, BTreeMap<String, u64>> = BTreeMap::new();
     for rate in [20_000.0, 40_000.0, 80_000.0] {
         for fleet in [2, 8] {

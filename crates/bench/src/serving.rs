@@ -332,12 +332,12 @@ const A9_HORIZONS: [(&str, f64); 5] = [
 fn a9_device_health_result() -> Value {
     use star_serve::{simulate_observed, HealthConfig, HealthModel, Observe, WearRates};
     let (base, health_cfg, cases) = a9_device_health_cases();
-    let monitored = |cfg: &star_serve::ServeConfig, health: &HealthConfig| {
-        simulate_observed(cfg, &Observe { health: Some(health.clone()), ..Observe::default() })
+    let monitored = |cfg: &star_serve::ServeConfig, health: HealthConfig| {
+        simulate_observed(cfg, &Observe { health: Some(health), ..Observe::default() })
     };
     let exec = star_exec::Executor::from_env();
     let outcomes = exec.par_map(&cases, |_, case| {
-        star_telemetry::with_scoped(|| monitored(&case.config, &health_cfg))
+        star_telemetry::with_scoped(|| monitored(&case.config, health_cfg))
     });
     let outcomes: Vec<star_serve::SimOutcome> = outcomes
         .into_iter()
@@ -346,7 +346,7 @@ fn a9_device_health_result() -> Value {
             outcome
         })
         .collect();
-    let model = HealthModel::new(health_cfg.clone(), base.service.qformat());
+    let model = HealthModel::new(base.service.qformat());
 
     let load_points: Vec<serde_json::Value> = cases
         .iter()
@@ -377,8 +377,8 @@ fn a9_device_health_result() -> Value {
                 "fleet_health": health,
                 "projections": projections,
                 "time_to_first_degradation_s": ttfd_s,
-                "time_to_first_degradation_days": ttfd_s.map(|t| t / 8.64e4),
-                "lifetime_inferences": ttfd_s.map(|t| t * rates.inferences_per_s),
+                "time_to_first_degradation_days": ttfd_s / 8.64e4,
+                "lifetime_inferences": ttfd_s * rates.inferences_per_s,
             })
         })
         .collect();
@@ -388,7 +388,7 @@ fn a9_device_health_result() -> Value {
     // only permutes placement: the ServeReport must stay identical.
     let light_cfg = cases[0].config.clone();
     let off = &outcomes[0];
-    let on = monitored(&light_cfg, &HealthConfig { wear_leveling: true, ..health_cfg.clone() });
+    let on = monitored(&light_cfg, HealthConfig { wear_leveling: true });
     let off_health = off.health.as_ref().expect("health");
     let on_health = on.health.as_ref().expect("health");
     // Leveling only permutes which instance runs a batch: every

@@ -324,28 +324,15 @@ impl CamSubCrossbar {
         Fixed::from_raw(raw.min(0), self.format)
     }
 
-    /// Cost of one CAM search cycle (per input).
-    pub fn search_cost(&self) -> OpCost {
-        self.cam.search_cost()
-    }
-
-    /// Cost of the OR-merge + priority-encode step after all searches.
-    pub fn merge_cost(&self) -> OpCost {
-        self.merge_cost
-    }
-
-    /// Cost of one subtraction cycle (one array read + recombination add).
-    pub fn subtract_cost(&self) -> OpCost {
-        self.subtract_cost
-    }
-
-    /// Total cost of stage 1 over `n` inputs: `n` searches, one merge,
-    /// `n` subtractions.
+    /// Total cost of stage 1 over `n` inputs: `n` CAM search cycles, one
+    /// OR-merge + priority-encode step, and `n` subtraction cycles (one
+    /// array read + recombination add each).
     pub fn stage1_cost(&self, n: usize) -> OpCost {
-        self.search_cost()
+        self.cam
+            .search_cost()
             .repeat(n as u64)
-            .then(self.merge_cost())
-            .then(self.subtract_cost().repeat(n as u64))
+            .then(self.merge_cost)
+            .then(self.subtract_cost.repeat(n as u64))
     }
 
     /// Itemized area/power budget (CAM array + merge/encode periphery +

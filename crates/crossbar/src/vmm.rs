@@ -159,11 +159,6 @@ impl VmmCrossbar {
         Geometry::new(self.rows, self.cols * self.weight_bits as usize)
     }
 
-    /// Weight resolution in bits.
-    pub fn weight_bits(&self) -> u8 {
-        self.weight_bits
-    }
-
     /// Programs the full weight matrix (`weights[row][col]`, unsigned
     /// codes).
     ///

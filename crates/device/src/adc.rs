@@ -56,17 +56,6 @@ impl AdcSpec {
         }
     }
 
-    /// Creates an ADC with explicit costs (for calibration studies).
-    pub fn custom(
-        bits: u8,
-        area: Area,
-        conversion_energy: Energy,
-        conversion_latency: Latency,
-    ) -> Self {
-        assert!(bits >= 1, "ADC needs at least one bit");
-        AdcSpec { bits, area, conversion_energy, conversion_latency }
-    }
-
     /// Resolution in bits.
     pub fn bits(self) -> u8 {
         self.bits
@@ -104,11 +93,6 @@ impl DriverSpec {
     /// chain driving a 128-cell line at 0.2 V).
     pub fn wordline32() -> Self {
         DriverSpec { area: Area::new(0.6), energy_per_toggle: Energy::from_fj(1.0) }
-    }
-
-    /// Creates a driver with explicit costs.
-    pub fn custom(area: Area, energy_per_toggle: Energy) -> Self {
-        DriverSpec { area, energy_per_toggle }
     }
 
     /// Area of one driver.

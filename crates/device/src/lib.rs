@@ -28,8 +28,7 @@
 //! let mut cell = RramCell::new(&tech);
 //! cell.program_ideal(1);
 //! assert!(cell.stores_one());
-//! let current = cell.ideal_current(tech.read_voltage);
-//! assert!((current - tech.read_voltage * tech.g_lrs()).abs() < 1e-12);
+//! assert!((cell.conductance() - tech.g_lrs()).abs() < 1e-12);
 //! // The MatMul engine's 5-bit SAR ADC costs an eighth of the 8-bit anchor.
 //! let adc = AdcSpec::sar(5);
 //! assert_eq!(adc.area().value(), AdcSpec::sar(8).area().value() / 8.0);

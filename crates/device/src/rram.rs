@@ -24,7 +24,6 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RramCell {
-    level: u16,
     conductance: f64,
     g_hrs: f64,
     g_lrs: f64,
@@ -35,17 +34,11 @@ impl RramCell {
     /// Creates a fresh cell, erased to HRS.
     pub fn new(tech: &TechnologyParams) -> Self {
         RramCell {
-            level: 0,
             conductance: tech.g_hrs(),
             g_hrs: tech.g_hrs(),
             g_lrs: tech.g_lrs(),
             fault: StuckFault::None,
         }
-    }
-
-    /// The last programmed level (defects ignore it at read time).
-    pub fn level(&self) -> u16 {
-        self.level
     }
 
     /// The cell's fault state.
@@ -76,7 +69,6 @@ impl RramCell {
     pub fn program_ideal(&mut self, level: u16) {
         star_telemetry::count("device.rram.writes", 1);
         self.conductance = self.target_conductance(level);
-        self.level = level;
     }
 
     /// The effective conductance, honouring stuck faults.
@@ -86,11 +78,6 @@ impl RramCell {
             StuckFault::StuckOn => self.g_lrs,
             StuckFault::StuckOff => self.g_hrs,
         }
-    }
-
-    /// Ideal (noiseless) current through the cell at `voltage`.
-    pub fn ideal_current(&self, voltage: f64) -> f64 {
-        self.conductance() * voltage
     }
 
     /// True if the cell currently stores a "1" (top half of the window) —
@@ -110,8 +97,9 @@ mod tests {
 
     #[test]
     fn fresh_cell_is_hrs() {
-        let c = RramCell::new(&tech());
-        assert_eq!(c.level(), 0);
+        let t = tech();
+        let c = RramCell::new(&t);
+        assert_eq!(c.conductance(), t.g_hrs());
         assert!(!c.stores_one());
     }
 
@@ -143,15 +131,6 @@ mod tests {
         assert!((c.conductance() - t.g_hrs()).abs() < 1e-15);
         c.set_fault(StuckFault::StuckOn);
         assert!(c.stores_one());
-    }
-
-    #[test]
-    fn ohms_law() {
-        let t = tech();
-        let mut c = RramCell::new(&t);
-        c.program_ideal(1);
-        let i = c.ideal_current(0.2);
-        assert!((i - 0.2 * t.g_lrs()).abs() < 1e-15);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! scenarios) run untraced — and an SLO burn or deadline-expiry burst at
 //! minute 40 leaves no record of the events that caused it. The flight
 //! recorder closes that gap the way production serving stacks do: a ring
-//! of `capacity` compact fixed-width per-event rows is always on, so its
+//! of 4 096 compact fixed-width per-event rows is always on, so its
 //! memory stays bounded however long the run; a deterministic trigger
 //! engine watches the same event stream, and only when a trigger fires
 //! is the captured window frozen and dumped with a root-cause report.
@@ -30,6 +30,16 @@
 //!
 //! # Trigger semantics
 //!
+//! Four triggers are always armed:
+//!
+//! - [`TriggerKind::BurnRate`] — the trailing 10 ms error rate reaches
+//!   the 1 % budget of a 99 % availability target (burn ≥ 1) once 64
+//!   terminals are in the window;
+//! - [`TriggerKind::ExpiryBurst`] — 32 deadline expiries inside 1 ms;
+//! - [`TriggerKind::QueueDepth`] — 192 queued requests;
+//! - [`TriggerKind::HealthAlarm`] — the health monitor's first alarm
+//!   (never, when the run is not health-monitored).
+//!
 //! Triggers are evaluated once per event, in event order, **after** the
 //! event's handler ran (so they see the settled post-event state and
 //! every terminal the event produced). Each trigger latches: it fires on
@@ -40,10 +50,11 @@
 //! [`TriggerKind::QueueDepth`] < [`TriggerKind::HealthAlarm`].
 //!
 //! The first firing freezes the ring contents as the pre-incident
-//! window; recording continues until the first event past
-//! [`FlightConfig::post_trigger_ns`] (or the drain), then the incident
-//! is sealed. At the drain the recorder attributes root cause from the
-//! captured window — see [`IncidentReport`].
+//! window; recording continues until the first event more than 10 ms
+//! later (or the drain), then the incident is sealed. A run dumps one
+//! incident; later firings only count. At the drain the recorder
+//! attributes root cause from the captured window — see
+//! [`IncidentReport`].
 //!
 //! # Determinism
 //!
@@ -68,116 +79,38 @@ use std::collections::VecDeque;
 /// analogue of [`crate::trace::TRACE_SIDECAR_KEY`]).
 pub const FLIGHT_SIDECAR_KEY: &str = "starServeIncident";
 
-/// SLO burn-rate trigger: fires when the trailing-window error rate,
-/// divided by the policy's error budget, reaches the burn threshold.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BurnTriggerConfig {
-    /// Availability target in `(0, 1)`; the budget is `1 − target`.
-    pub target: f64,
-    /// Trailing window length, ns.
-    pub window_ns: f64,
-    /// Burn rate (error rate / budget) at which the trigger fires.
-    pub threshold: f64,
-    /// Minimum terminals in the window before the rate is meaningful
-    /// (suppresses one-request 100%-bad startup windows).
-    pub min_events: usize,
-}
+/// What [`crate::simulate_full`] takes to attach the flight recorder.
+/// It has no fields: the rings, the post-trigger window, the incident
+/// budget and the triggers are constants of this module. It stays
+/// because the benchmark package (`benchmark/`) passes
+/// `FlightConfig::default()`.
+#[derive(Debug, Default)]
+pub struct FlightConfig;
 
-impl Default for BurnTriggerConfig {
-    /// 99% target over a 10 ms trailing window, firing at burn ≥ 1 once
-    /// 64 terminals are in the window.
-    fn default() -> Self {
-        BurnTriggerConfig { target: 0.99, window_ns: 1e7, threshold: 1.0, min_events: 64 }
-    }
-}
-
-/// Deadline-expiry burst trigger: fires when this many requests expire
-/// at dispatch within the trailing window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ExpiryBurstConfig {
-    /// Trailing window length, ns.
-    pub window_ns: f64,
-    /// Expiries in the window at which the trigger fires.
-    pub count: usize,
-}
-
-impl Default for ExpiryBurstConfig {
-    /// 32 expiries inside 1 ms.
-    fn default() -> Self {
-        ExpiryBurstConfig { window_ns: 1e6, count: 32 }
-    }
-}
-
-/// Flight-recorder configuration: ring capacity, the post-trigger
-/// window, and which triggers are armed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FlightConfig {
-    /// Ring capacity, records (applies to both rings).
-    pub capacity: usize,
-    /// How long past the trigger the incident keeps recording, ns.
-    pub post_trigger_ns: f64,
-    /// Maximum incidents dumped per run (later triggers only count).
-    pub max_incidents: usize,
-    /// K-slowest exemplars kept in each incident report.
-    pub k_exemplars: usize,
-    /// SLO burn-rate trigger (`None` disarms it).
-    pub burn: Option<BurnTriggerConfig>,
-    /// Deadline-expiry burst trigger (`None` disarms it).
-    pub expiry_burst: Option<ExpiryBurstConfig>,
-    /// Queue-depth trigger: fires when the post-event queue depth
-    /// reaches this many requests (`None` disarms it).
-    pub queue_depth_threshold: Option<usize>,
-    /// Fire on the health monitor's first alarm (no-op when the run is
-    /// not health-monitored).
-    pub health_alarms: bool,
-}
-
-impl Default for FlightConfig {
-    /// 4096-record rings, a 10 ms post-trigger window, one incident,
-    /// every trigger armed (queue depth at 192 — three quarters of the
-    /// default 256 admission bound).
-    fn default() -> Self {
-        FlightConfig {
-            capacity: 4096,
-            post_trigger_ns: 1e7,
-            max_incidents: 1,
-            k_exemplars: 5,
-            burn: Some(BurnTriggerConfig::default()),
-            expiry_burst: Some(ExpiryBurstConfig::default()),
-            queue_depth_threshold: Some(192),
-            health_alarms: true,
-        }
-    }
-}
-
-impl FlightConfig {
-    /// Validates the configuration (used by the simulator entry points).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero capacity, non-positive windows or thresholds,
-    /// or zero `max_incidents`.
-    pub fn validate(&self) {
-        assert!(self.capacity > 0, "flight ring capacity must be positive");
-        assert!(
-            self.post_trigger_ns.is_finite() && self.post_trigger_ns >= 0.0,
-            "post-trigger window must be finite and non-negative"
-        );
-        assert!(self.max_incidents > 0, "max_incidents must be positive");
-        if let Some(b) = &self.burn {
-            assert!(b.target > 0.0 && b.target < 1.0, "burn target must be in (0, 1)");
-            assert!(b.window_ns.is_finite() && b.window_ns > 0.0, "burn window must be positive");
-            assert!(b.threshold > 0.0, "burn threshold must be positive");
-        }
-        if let Some(e) = &self.expiry_burst {
-            assert!(e.window_ns.is_finite() && e.window_ns > 0.0, "expiry window must be positive");
-            assert!(e.count > 0, "expiry count must be positive");
-        }
-        if let Some(q) = self.queue_depth_threshold {
-            assert!(q > 0, "queue-depth threshold must be positive");
-        }
-    }
-}
+/// Rows each ring holds (the event ring and the terminal ring).
+const RING_ROWS: usize = 4096;
+/// How long past its first trigger an incident keeps recording, ns.
+const POST_TRIGGER_NS: f64 = 1e7;
+/// K-slowest completed requests each incident report keeps.
+const EXEMPLARS: usize = 5;
+/// Availability target of the burn-rate trigger; the budget is
+/// `1 − target`.
+const BURN_TARGET: f64 = 0.99;
+/// Trailing window of the burn-rate trigger, ns.
+const BURN_WINDOW_NS: f64 = 1e7;
+/// Burn rate (error rate / budget) at which the burn-rate trigger fires.
+const BURN_THRESHOLD: f64 = 1.0;
+/// Terminals the burn window must hold before its rate counts
+/// (suppresses one-request 100%-bad startup windows).
+const BURN_MIN_EVENTS: usize = 64;
+/// Trailing window of the expiry-burst trigger, ns.
+const EXPIRY_WINDOW_NS: f64 = 1e6;
+/// Expiries in that window at which the expiry-burst trigger fires.
+const EXPIRY_BURST: usize = 32;
+/// Post-event queued requests at which the queue-depth trigger fires:
+/// three quarters of the 256-request admission bound the serve points
+/// use.
+const QUEUE_DEPTH: usize = 192;
 
 /// Event kind tag of an [`EventRecord`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -404,25 +337,24 @@ impl Deserialize for TerminalRecord {
     }
 }
 
-/// A capacity-bounded ring with exact conservation accounting:
+/// A ring of [`RING_ROWS`] rows with exact conservation accounting:
 /// `seen == retained (len) + evicted` at every instant.
 #[derive(Debug, Clone)]
 struct Ring<T> {
     buf: VecDeque<T>,
-    capacity: usize,
     seen: u64,
     evicted: u64,
 }
 
 impl<T> Ring<T> {
-    fn new(capacity: usize) -> Self {
-        Ring { buf: VecDeque::with_capacity(capacity.min(4096)), capacity, seen: 0, evicted: 0 }
+    fn new() -> Self {
+        Ring { buf: VecDeque::with_capacity(RING_ROWS), seen: 0, evicted: 0 }
     }
 
     #[inline]
     fn push(&mut self, item: T) {
         self.seen += 1;
-        if self.buf.len() == self.capacity {
+        if self.buf.len() == RING_ROWS {
             self.buf.pop_front();
             self.evicted += 1;
         }
@@ -468,7 +400,7 @@ pub struct TriggerRecord {
     /// Observed value at the crossing (burn rate, expiries in window,
     /// queue depth, or alarm count).
     pub value: f64,
-    /// The configured threshold it crossed.
+    /// The threshold it crossed.
     pub threshold: f64,
     /// Burn-window summary at the crossing (burn-rate triggers only) —
     /// the same [`BurnWindow`] shape `SloAnalysis` reports.
@@ -608,7 +540,7 @@ pub struct IncidentDump {
     pub window_start_ns: f64,
     /// Latest captured record time, ns.
     pub window_end_ns: f64,
-    /// The configured post-trigger recording window, ns.
+    /// The post-trigger recording window, ns (10 ms).
     pub post_trigger_ns: f64,
     /// Class legend: rank → class (ranks in [`EventRecord::class`] and
     /// [`TerminalRecord::class`] index this).
@@ -714,8 +646,8 @@ impl IncidentDump {
 /// dumps plus run-level ring conservation counters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlightOutcome {
-    /// Sealed incidents, trigger order (at most
-    /// [`FlightConfig::max_incidents`]).
+    /// The sealed incident, if a trigger fired (a run dumps at most
+    /// one; later firings only count in `triggers_fired`).
     pub incidents: Vec<IncidentDump>,
     /// Class legend shared by every dump.
     pub classes: Vec<RequestClass>,
@@ -731,8 +663,8 @@ pub struct FlightOutcome {
     pub terminals_retained: u64,
     /// Terminal rows evicted by capacity.
     pub terminals_evicted: u64,
-    /// Trigger firings across the run (including firings past the
-    /// incident budget, which only count).
+    /// Trigger firings across the run (including firings after the
+    /// incident sealed, which only count).
     pub triggers_fired: u64,
 }
 
@@ -768,7 +700,6 @@ struct ActiveIncident {
 /// only: zero RNG draws, no event arithmetic.
 #[derive(Debug, Clone)]
 pub(crate) struct FlightRecorder {
-    cfg: FlightConfig,
     classes: Vec<RequestClass>,
     fleet: usize,
     policy_window_ns: f64,
@@ -776,7 +707,7 @@ pub(crate) struct FlightRecorder {
     terminals: Ring<TerminalRecord>,
     /// The shared trailing-window sweep from [`crate::slo`], run online
     /// over the live terminal stream at the trigger's threshold/gate.
-    burn: Option<BurnSweep>,
+    burn: BurnSweep,
     /// Expiry times inside the expiry-burst trailing window.
     expiries: VecDeque<f64>,
     /// Per-trigger "condition currently true" latches (indexed by
@@ -784,45 +715,35 @@ pub(crate) struct FlightRecorder {
     latched: [bool; 4],
     arrivals_seen: u64,
     active: Option<ActiveIncident>,
-    /// Sealed incidents as `(incident, window_end_ns, arrivals_at_seal)`
-    /// — the arrival count is snapshotted at seal so the baseline rate
-    /// covers only the pre-window run, not arrivals after the incident.
-    sealed: Vec<(ActiveIncident, f64, u64)>,
+    /// The sealed incident as `(incident, window_end_ns,
+    /// arrivals_at_seal)` — the arrival count is snapshotted at seal so
+    /// the baseline rate covers only the pre-window run, not arrivals
+    /// after the incident.
+    sealed: Option<(ActiveIncident, f64, u64)>,
     triggers_fired: u64,
 }
 
 impl FlightRecorder {
     /// A recorder for a run over `classes` on a `fleet`-instance fleet
     /// batching under `policy_window_ns`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid [`FlightConfig`].
-    pub fn new(
-        cfg: FlightConfig,
-        classes: Vec<RequestClass>,
-        fleet: usize,
-        policy_window_ns: f64,
-    ) -> Self {
-        cfg.validate();
-        let burn = cfg
-            .burn
-            .as_ref()
-            .map(|c| BurnSweep::new(c.window_ns, 1.0 - c.target, c.threshold, c.min_events));
-        let capacity = cfg.capacity;
+    pub fn new(classes: Vec<RequestClass>, fleet: usize, policy_window_ns: f64) -> Self {
         FlightRecorder {
-            cfg,
             classes,
             fleet,
             policy_window_ns,
-            events: Ring::new(capacity),
-            terminals: Ring::new(capacity),
-            burn,
+            events: Ring::new(),
+            terminals: Ring::new(),
+            burn: BurnSweep::new(
+                BURN_WINDOW_NS,
+                1.0 - BURN_TARGET,
+                BURN_THRESHOLD,
+                BURN_MIN_EVENTS,
+            ),
             expiries: VecDeque::new(),
             latched: [false; 4],
             arrivals_seen: 0,
             active: None,
-            sealed: Vec::new(),
+            sealed: None,
             triggers_fired: 0,
         }
     }
@@ -837,14 +758,17 @@ impl FlightRecorder {
     /// window. Called before recording anything at `now`, so the sealed
     /// window never includes records past its end.
     fn maybe_seal(&mut self, now: f64) {
-        let expired = self
-            .active
-            .as_ref()
-            .is_some_and(|inc| now > inc.trigger_t_ns + self.cfg.post_trigger_ns);
-        if expired {
-            let inc = self.active.take().expect("checked above");
+        if self.active.as_ref().is_some_and(|inc| now > inc.trigger_t_ns + POST_TRIGGER_NS) {
+            self.seal();
+        }
+    }
+
+    /// Seals the active incident, if any, its window ending at its last
+    /// captured event.
+    fn seal(&mut self) {
+        if let Some(inc) = self.active.take() {
             let end = inc.events.last().map_or(inc.trigger_t_ns, |e| e.t_ns);
-            self.sealed.push((inc, end, self.arrivals_seen));
+            self.sealed = Some((inc, end, self.arrivals_seen));
         }
     }
 
@@ -869,10 +793,8 @@ impl FlightRecorder {
         if let Some(inc) = self.active.as_mut() {
             inc.terminals.push(record);
         }
-        if let Some(b) = self.burn.as_mut() {
-            b.push(t.finish_ns, t.outcome.is_violation());
-        }
-        if self.cfg.expiry_burst.is_some() && t.outcome == RequestOutcome::Expired {
+        self.burn.push(t.finish_ns, t.outcome.is_violation());
+        if t.outcome == RequestOutcome::Expired {
             self.expiries.push_back(t.finish_ns);
         }
     }
@@ -934,84 +856,39 @@ impl FlightRecorder {
             inc.events.push(record);
         }
 
-        // Evaluate every armed trigger on the settled state, in priority
-        // order. Each latches: it fires on the upward crossing and
-        // re-arms when its condition clears.
-        let mut fired: Vec<TriggerRecord> = Vec::new();
-        if let Some(b) = self.burn.as_mut() {
-            let (burn_rate, in_window) = b.evaluate(t_ns);
-            let trigger_cfg = self.cfg.burn.as_ref().expect("sweep is armed iff configured");
-            let threshold = trigger_cfg.threshold;
-            let min_events = trigger_cfg.min_events;
-            let condition = in_window >= min_events && burn_rate >= threshold;
-            if condition && !self.latched[0] {
-                fired.push(TriggerRecord {
-                    kind: TriggerKind::BurnRate,
-                    t_ns,
-                    seq,
-                    value: burn_rate,
-                    threshold,
-                    burn: Some(b.burn_window()),
-                });
-            }
-            self.latched[0] = condition;
+        // Evaluate every trigger on the settled state, in priority order,
+        // as `(kind, condition, value, threshold)`. Each latches: it fires
+        // on the upward crossing and re-arms when its condition clears.
+        use TriggerKind::{BurnRate, ExpiryBurst, HealthAlarm, QueueDepth};
+        let (burn_rate, in_window) = self.burn.evaluate(t_ns);
+        let burning = in_window >= BURN_MIN_EVENTS && burn_rate >= BURN_THRESHOLD;
+        while self.expiries.front().is_some_and(|&t| t <= t_ns - EXPIRY_WINDOW_NS) {
+            self.expiries.pop_front();
         }
-        if let Some(e) = &self.cfg.expiry_burst {
-            while self.expiries.front().is_some_and(|&t| t <= t_ns - e.window_ns) {
-                self.expiries.pop_front();
+        let expiries = self.expiries.len();
+        let checks = [
+            (BurnRate, burning, burn_rate, BURN_THRESHOLD),
+            (ExpiryBurst, expiries >= EXPIRY_BURST, expiries as f64, EXPIRY_BURST as f64),
+            (QueueDepth, queue_depth >= QUEUE_DEPTH, queue_depth as f64, QUEUE_DEPTH as f64),
+            (HealthAlarm, alarm_count > 0, alarm_count as f64, 1.0),
+        ];
+        for (latched, (kind, condition, value, threshold)) in self.latched.iter_mut().zip(checks) {
+            let fires = condition && !*latched;
+            *latched = condition;
+            if !fires {
+                continue;
             }
-            let condition = self.expiries.len() >= e.count;
-            if condition && !self.latched[1] {
-                fired.push(TriggerRecord {
-                    kind: TriggerKind::ExpiryBurst,
-                    t_ns,
-                    seq,
-                    value: self.expiries.len() as f64,
-                    threshold: e.count as f64,
-                    burn: None,
-                });
-            }
-            self.latched[1] = condition;
-        }
-        if let Some(q) = self.cfg.queue_depth_threshold {
-            let condition = queue_depth >= q;
-            if condition && !self.latched[2] {
-                fired.push(TriggerRecord {
-                    kind: TriggerKind::QueueDepth,
-                    t_ns,
-                    seq,
-                    value: queue_depth as f64,
-                    threshold: q as f64,
-                    burn: None,
-                });
-            }
-            self.latched[2] = condition;
-        }
-        if self.cfg.health_alarms {
-            let condition = alarm_count > 0;
-            if condition && !self.latched[3] {
-                fired.push(TriggerRecord {
-                    kind: TriggerKind::HealthAlarm,
-                    t_ns,
-                    seq,
-                    value: alarm_count as f64,
-                    threshold: 1.0,
-                    burn: None,
-                });
-            }
-            self.latched[3] = condition;
-        }
-
-        for trigger in fired {
+            let burn = (kind == BurnRate).then(|| self.burn.burn_window());
+            let trigger = TriggerRecord { kind, t_ns, seq, value, threshold, burn };
             self.triggers_fired += 1;
             match self.active.as_mut() {
                 Some(inc) => inc.triggers.push(trigger),
-                None if self.sealed.len() < self.cfg.max_incidents => {
+                None if self.sealed.is_none() => {
                     // Freeze the pre-incident window: the ring contents
                     // (which already include this event and its
                     // terminals) become the incident's capture base.
                     self.active = Some(ActiveIncident {
-                        trigger_t_ns: trigger.t_ns,
+                        trigger_t_ns: t_ns,
                         triggers: vec![trigger],
                         events: self.events.buf.iter().copied().collect(),
                         terminals: self.terminals.buf.iter().copied().collect(),
@@ -1019,7 +896,7 @@ impl FlightRecorder {
                         pre_terminals_evicted: self.terminals.evicted,
                     });
                 }
-                // Past the incident budget: firings only count.
+                // The incident is sealed: firings only count.
                 None => {}
             }
         }
@@ -1030,10 +907,7 @@ impl FlightRecorder {
     /// captured rows — the service models quote invocation phases), and
     /// returns the outcome.
     pub fn finalize(mut self, services: &[ServiceModel], model_of: &[usize]) -> FlightOutcome {
-        if let Some(inc) = self.active.take() {
-            let end = inc.events.last().map_or(inc.trigger_t_ns, |e| e.t_ns);
-            self.sealed.push((inc, end, self.arrivals_seen));
-        }
+        self.seal();
         let incidents = self
             .sealed
             .iter()
@@ -1172,7 +1046,7 @@ impl FlightRecorder {
         completed.sort_by(|a, b| b.latency_ns().total_cmp(&a.latency_ns()).then(a.id.cmp(&b.id)));
         let exemplars = completed
             .iter()
-            .take(self.cfg.k_exemplars)
+            .take(EXEMPLARS)
             .map(|r| IncidentExemplar {
                 id: r.id,
                 class: self.classes[r.class.max(0) as usize],
@@ -1188,7 +1062,7 @@ impl FlightRecorder {
             triggers: inc.triggers.clone(),
             window_start_ns,
             window_end_ns,
-            post_trigger_ns: self.cfg.post_trigger_ns,
+            post_trigger_ns: POST_TRIGGER_NS,
             classes: self.classes.clone(),
             events: inc.events.clone(),
             terminals: inc.terminals.clone(),
@@ -1209,17 +1083,19 @@ mod tests {
         RequestClass::new(ModelKind::Tiny, 16)
     }
 
-    fn recorder(cfg: FlightConfig) -> FlightRecorder {
-        FlightRecorder::new(cfg, vec![tiny_class()], 2, 50_000.0)
+    fn recorder() -> FlightRecorder {
+        FlightRecorder::new(vec![tiny_class()], 2, 50_000.0)
     }
 
     fn request(id: u64, arrive_ns: f64) -> Request {
         Request { id, class: tiny_class(), arrive_ns, client: None }
     }
 
-    fn arrive_event(r: &mut FlightRecorder, t: f64, seq: u64, queued: usize) {
+    /// An arrival at `(t, seq)` that settles at `queued` requests, with
+    /// `alarms` health alarms raised so far.
+    fn arrive_event(r: &mut FlightRecorder, t: f64, seq: u64, queued: usize, alarms: usize) {
         let row = r.row(t, seq, &EventKind::Arrive(request(seq, t)), &[]);
-        r.on_event(row, queued, 0, 0);
+        r.on_event(row, queued, 0, alarms);
     }
 
     /// A tiny-class terminal; `ran` is a completion's `(dispatch_ns,
@@ -1234,56 +1110,48 @@ mod tests {
         Terminal { id, class: tiny_class(), outcome, arrive_ns, finish_ns, ran }
     }
 
+    fn finalize(r: FlightRecorder) -> FlightOutcome {
+        let model = ServiceModel::new(ServiceModelConfig::default(), &[tiny_class()]);
+        r.finalize(&[model], &[0, 0])
+    }
+
     #[test]
     fn ring_eviction_preserves_conservation() {
-        let mut r = recorder(FlightConfig {
-            capacity: 4,
-            burn: None,
-            expiry_burst: None,
-            queue_depth_threshold: None,
-            health_alarms: false,
-            ..FlightConfig::default()
-        });
-        for i in 0..10u64 {
-            arrive_event(&mut r, i as f64 * 10.0, i, 0);
+        // Ten rows more than a ring holds, none of which trips a trigger
+        // (an empty queue, every request good).
+        let mut r = recorder();
+        let n = RING_ROWS as u64 + 10;
+        for i in 0..n {
             let t = i as f64 * 10.0;
-            r.on_terminal(&terminal(i, RequestOutcome::Rejected, t, t, None));
+            arrive_event(&mut r, t, i, 0, 0);
+            r.on_terminal(&terminal(i, RequestOutcome::Good, t, t, Some((t, 0, 1))));
         }
-        let model = ServiceModel::new(ServiceModelConfig::default(), &[tiny_class()]);
-        let out = r.finalize(&[model], &[0, 0]);
-        assert_eq!(out.events_seen, 10);
-        assert_eq!(out.events_retained, 4);
-        assert_eq!(out.events_evicted, 6);
+        let out = finalize(r);
+        assert_eq!(out.events_seen, n);
+        assert_eq!(out.events_retained, RING_ROWS as u64);
+        assert_eq!(out.events_evicted, 10);
         assert_eq!(out.events_seen, out.events_retained + out.events_evicted);
         assert_eq!(out.terminals_seen, out.terminals_retained + out.terminals_evicted);
-        assert_eq!(out.terminals_evicted, 6);
-        assert!(out.incidents.is_empty(), "every trigger disarmed");
+        assert_eq!(out.terminals_evicted, 10);
+        assert!(out.incidents.is_empty(), "no trigger fired");
         assert_eq!(out.triggers_fired, 0);
     }
 
     #[test]
     fn two_triggers_on_one_event_record_in_priority_order() {
-        // Arm the expiry-burst and queue-depth triggers so both
-        // conditions cross on the same (time, seq) event; the incident
-        // must record ExpiryBurst before QueueDepth with identical
-        // timestamps.
-        let mut r = recorder(FlightConfig {
-            capacity: 64,
-            burn: None,
-            expiry_burst: Some(ExpiryBurstConfig { window_ns: 1e6, count: 2 }),
-            queue_depth_threshold: Some(3),
-            health_alarms: false,
-            ..FlightConfig::default()
-        });
-        arrive_event(&mut r, 100.0, 0, 1);
-        // Two expiries land while processing event (200.0, 1), which
-        // also settles at queue depth 3.
-        for id in [10u64, 11] {
+        // An expiry burst and the queue-depth threshold cross on the same
+        // (time, seq) event; the incident must record ExpiryBurst before
+        // QueueDepth with identical timestamps. The 32 terminals stay
+        // below the burn trigger's 64-terminal gate.
+        let mut r = recorder();
+        arrive_event(&mut r, 100.0, 0, 1, 0);
+        // The expiries land while processing event (200.0, 1), which
+        // also settles at the threshold queue depth.
+        for id in 10..10 + EXPIRY_BURST as u64 {
             r.on_terminal(&terminal(id, RequestOutcome::Expired, 50.0, 200.0, None));
         }
-        arrive_event(&mut r, 200.0, 1, 3);
-        let model = ServiceModel::new(ServiceModelConfig::default(), &[tiny_class()]);
-        let out = r.finalize(&[model], &[0, 0]);
+        arrive_event(&mut r, 200.0, 1, QUEUE_DEPTH, 0);
+        let out = finalize(r);
         assert_eq!(out.triggers_fired, 2);
         assert_eq!(out.incidents.len(), 1);
         let triggers = &out.incidents[0].triggers;
@@ -1292,53 +1160,43 @@ mod tests {
         assert_eq!(triggers[1].kind, TriggerKind::QueueDepth);
         assert_eq!((triggers[0].t_ns, triggers[0].seq), (200.0, 1));
         assert_eq!((triggers[1].t_ns, triggers[1].seq), (200.0, 1));
-        assert_eq!(triggers[0].value, 2.0);
-        assert_eq!(triggers[1].value, 3.0);
+        assert_eq!((triggers[0].value, triggers[0].threshold), (32.0, 32.0));
+        assert_eq!((triggers[1].value, triggers[1].threshold), (192.0, 192.0));
     }
 
     #[test]
     fn triggers_latch_and_rearm_on_condition_clear() {
-        let mut r = recorder(FlightConfig {
-            capacity: 64,
-            max_incidents: 8,
-            burn: None,
-            expiry_burst: None,
-            queue_depth_threshold: Some(2),
-            health_alarms: false,
-            ..FlightConfig::default()
-        });
-        arrive_event(&mut r, 10.0, 0, 2); // crossing: fires
-        arrive_event(&mut r, 20.0, 1, 3); // still high: latched, no fire
-        arrive_event(&mut r, 30.0, 2, 1); // clears: re-arms
-        arrive_event(&mut r, 40.0, 3, 2); // crossing again: fires
+        let mut r = recorder();
+        arrive_event(&mut r, 10.0, 0, QUEUE_DEPTH, 0); // crossing: fires
+        arrive_event(&mut r, 20.0, 1, QUEUE_DEPTH + 1, 0); // still high: latched, no fire
+        arrive_event(&mut r, 30.0, 2, 1, 0); // clears: re-arms
+        arrive_event(&mut r, 40.0, 3, QUEUE_DEPTH, 0); // crossing again: fires
         assert_eq!(r.triggers_fired, 2);
+        let out = finalize(r);
+        let at: Vec<f64> = out.incidents[0].triggers.iter().map(|t| t.t_ns).collect();
+        assert_eq!(at, [10.0, 40.0], "both firings land in the open incident");
     }
 
     #[test]
     fn burn_trigger_embeds_a_burn_window() {
-        let mut r = recorder(FlightConfig {
-            capacity: 64,
-            burn: Some(BurnTriggerConfig {
-                target: 0.99,
-                window_ns: 1e6,
-                threshold: 1.0,
-                min_events: 2,
-            }),
-            expiry_burst: None,
-            queue_depth_threshold: None,
-            health_alarms: false,
-            ..FlightConfig::default()
-        });
-        r.on_terminal(&terminal(0, RequestOutcome::Good, 0.0, 10.0, Some((5.0, 0, 1))));
-        r.on_terminal(&terminal(1, RequestOutcome::Late, 0.0, 10.0, Some((5.0, 0, 1))));
-        arrive_event(&mut r, 10.0, 0, 0);
+        // 32 good and 32 late terminals at 10 ns: an error rate of 0.5,
+        // burn 50, which counts only once all 64 are in the window.
+        let mut r = recorder();
+        let outcome = |id: u64| if id < 32 { RequestOutcome::Good } else { RequestOutcome::Late };
+        let last = BURN_MIN_EVENTS as u64 - 1;
+        for id in 0..last {
+            r.on_terminal(&terminal(id, outcome(id), 0.0, 10.0, Some((5.0, 0, 1))));
+        }
+        arrive_event(&mut r, 10.0, 0, 0, 0);
+        assert_eq!(r.triggers_fired, 0, "63 terminals are below the gate");
+        r.on_terminal(&terminal(last, outcome(last), 0.0, 10.0, Some((5.0, 0, 1))));
+        arrive_event(&mut r, 10.0, 1, 0, 0);
         assert_eq!(r.triggers_fired, 1);
-        let model = ServiceModel::new(ServiceModelConfig::default(), &[tiny_class()]);
-        let out = r.finalize(&[model], &[0, 0]);
+        let out = finalize(r);
         let trigger = &out.incidents[0].triggers[0];
         assert_eq!(trigger.kind, TriggerKind::BurnRate);
         let burn = trigger.burn.as_ref().expect("burn trigger embeds its window");
-        assert_eq!(burn.window_ns, 1e6);
+        assert_eq!(burn.window_ns, 1e7);
         assert!((burn.peak_error_rate - 0.5).abs() < 1e-12);
         assert!((burn.peak_burn_rate - 50.0).abs() < 1e-9);
         assert_eq!(burn.first_breach_ns, Some(10.0));
@@ -1346,47 +1204,49 @@ mod tests {
 
     #[test]
     fn incident_seals_after_post_trigger_window() {
-        let mut r = recorder(FlightConfig {
-            capacity: 64,
-            post_trigger_ns: 100.0,
-            burn: None,
-            expiry_burst: None,
-            queue_depth_threshold: Some(1),
-            health_alarms: false,
-            ..FlightConfig::default()
-        });
-        arrive_event(&mut r, 10.0, 0, 1); // trigger
-        arrive_event(&mut r, 60.0, 1, 1); // inside the post window
-        arrive_event(&mut r, 500.0, 2, 1); // past it: seals first
-        let model = ServiceModel::new(ServiceModelConfig::default(), &[tiny_class()]);
-        let out = r.finalize(&[model], &[0, 0]);
+        let mut r = recorder();
+        let end = 10.0 + POST_TRIGGER_NS;
+        arrive_event(&mut r, 10.0, 0, QUEUE_DEPTH, 0); // trigger
+        arrive_event(&mut r, end, 1, 1, 0); // the window's last instant
+        arrive_event(&mut r, end + 10.0, 2, QUEUE_DEPTH, 0); // past it: seals first
+        let out = finalize(r);
         assert_eq!(out.incidents.len(), 1);
         let inc = &out.incidents[0];
         assert_eq!(inc.events.len(), 2, "the sealing event stays outside the window");
-        assert_eq!(inc.window_end_ns, 60.0);
-        // Only the first incident is kept (max_incidents 1); the later
-        // crossing would re-fire only after the condition cleared.
+        assert_eq!(inc.window_end_ns, end);
+        assert_eq!(inc.post_trigger_ns, 1e7);
+        // The sealing event crosses the threshold again, but the run's one
+        // incident is sealed: the firing only counts.
+        assert_eq!(out.triggers_fired, 2);
+        assert_eq!(inc.triggers.len(), 1);
         assert_eq!(out.events_seen, 3);
     }
 
     #[test]
+    fn health_alarm_trigger_fires_on_the_first_alarm() {
+        let mut r = recorder();
+        arrive_event(&mut r, 10.0, 0, 0, 0);
+        assert_eq!(r.triggers_fired, 0, "no alarm yet");
+        arrive_event(&mut r, 20.0, 1, 0, 1);
+        assert_eq!(r.triggers_fired, 1);
+        let inc = r.active.as_ref().expect("the first alarm opens an incident");
+        let t = &inc.triggers[0];
+        assert_eq!((t.kind, t.value, t.threshold), (TriggerKind::HealthAlarm, 1.0, 1.0));
+        // The monitor's count never falls, so the trigger stays latched.
+        arrive_event(&mut r, 30.0, 2, 0, 2);
+        assert_eq!(r.triggers_fired, 1);
+    }
+
+    #[test]
     fn dump_round_trips_through_object_json() {
-        let mut r = recorder(FlightConfig {
-            capacity: 64,
-            burn: None,
-            expiry_burst: None,
-            queue_depth_threshold: Some(1),
-            health_alarms: false,
-            ..FlightConfig::default()
-        });
+        let mut r = recorder();
         r.on_terminal(&terminal(7, RequestOutcome::Good, 0.0, 90.0, Some((40.0, 1, 2))));
         let idle = InFlight { class: tiny_class(), dispatch_ns: 0.0, members: Vec::new() };
         let busy =
             InFlight { dispatch_ns: 40.0, members: vec![request(7, 0.0); 2], ..idle.clone() };
         let row = r.row(90.0, 3, &EventKind::InstanceFree(1), &[idle, busy]);
-        r.on_event(row, 2, 0, 0);
-        let model = ServiceModel::new(ServiceModelConfig::default(), &[tiny_class()]);
-        let out = r.finalize(&[model], &[0, 0]);
+        r.on_event(row, QUEUE_DEPTH, 0, 0);
+        let out = finalize(r);
         assert_eq!(out.incidents.len(), 1);
         let dump = &out.incidents[0];
         let obj = dump.to_object_json();
@@ -1438,11 +1298,5 @@ mod tests {
         let json = serde_json::to_string(&t).expect("serializes");
         assert!(json.starts_with('['), "compact row encoding: {json}");
         assert_eq!(serde_json::from_str::<TerminalRecord>(&json).expect("parses"), t);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity")]
-    fn zero_capacity_rejected() {
-        let _ = recorder(FlightConfig { capacity: 0, ..FlightConfig::default() });
     }
 }

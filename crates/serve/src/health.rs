@@ -57,7 +57,7 @@ use std::collections::BTreeSet;
 /// subtractions, `n` exp-CAM searches, and `n` exponent-LUT (VMM) reads.
 /// STAR's tables are programmed once at manufacture and only ever read,
 /// so `table_writes` is zero here — wear accrues through read disturb
-/// (see [`HealthConfig::read_disturb_per_read`]).
+/// (see [`WearLedger::effective_writes`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WearCounts {
     /// Value-CAM max-search operations.
@@ -141,116 +141,92 @@ impl WearLedger {
     }
 
     /// Effective program-cycle count: real writes plus read-disturb
-    /// write-equivalents at `disturb_per_read`.
-    pub fn effective_writes(&self, disturb_per_read: f64) -> f64 {
-        self.table_writes as f64 + self.reads() as f64 * disturb_per_read
+    /// write-equivalents, 10⁻¹⁰ per read.
+    pub fn effective_writes(&self) -> f64 {
+        self.table_writes as f64 + self.reads() as f64 * READ_DISTURB_PER_READ
     }
 }
 
-/// Configuration of the device-health model and monitor.
+/// Ambient (and initial die) temperature, K.
+const AMBIENT_KELVIN: f64 = 300.0;
+/// Junction-to-ambient thermal resistance, K per mW of sustained power:
+/// a heatsinked 1 K/W package (the STAR fleet instances sustain watts of
+/// draw, so this keeps the die in the 300–320 K band across the serving
+/// load range).
+const THERMAL_RESISTANCE_K_PER_MW: f64 = 0.001;
+/// Thermal RC time constant, ns (scaled so short simulated windows reach
+/// thermal steady state).
+const THERMAL_TAU_NS: f64 = 1e6;
+/// Write-equivalent program-cycle disturb per crossbar read operation
+/// (read-disturb wear of the one-time-programmed tables).
+const READ_DISTURB_PER_READ: f64 = 1e-10;
+/// Per-cell reliability target the operating point states for lifetime
+/// statements; no alarm reads it.
+const RELIABILITY_TARGET: f64 = 1e-4;
+/// Health sampling grid, ns (samples land on the first event at or after
+/// each grid point — fully deterministic).
+const SAMPLE_INTERVAL_NS: f64 = 1e6;
+/// Temperature alarm threshold, K (commercial 85 °C).
+const MAX_TEMPERATURE_KELVIN: f64 = 358.15;
+/// Accuracy-margin alarm threshold (fraction of the error budget left).
+const MIN_ACCURACY_MARGIN: f64 = 0.1;
+/// Expected stuck-cell-fraction alarm threshold.
+const MAX_STUCK_FRACTION: f64 = 1e-4;
+/// Retention drift-factor alarm threshold.
+const MIN_DRIFT_FACTOR: f64 = 0.9;
+
+/// The device-health monitor's one setting. Everything else about the
+/// monitor is fixed: mature-HfO₂ device models
+/// ([`EnduranceModel::typical`], [`RetentionModel::typical`],
+/// [`TemperatureModel::typical`]), the thermal package, the 1 ms
+/// sampling grid and the alarm thresholds are constants of this module.
 ///
 /// Health monitoring is **observation-only by default**: with
 /// `wear_leveling` off the monitor never changes a scheduling decision,
 /// consumes no RNG, and the [`crate::ServeReport`] stays bitwise
 /// identical to an unmonitored run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HealthConfig {
-    /// Cycling-endurance model of the crossbar cells.
-    pub endurance: EnduranceModel,
-    /// Conductance-retention (drift) model.
-    pub retention: RetentionModel,
-    /// Arrhenius temperature model of the on/off window.
-    pub temperature: TemperatureModel,
-    /// Ambient (and initial die) temperature, K.
-    pub ambient_kelvin: f64,
-    /// Junction-to-ambient thermal resistance, K per mW of sustained
-    /// power.
-    pub thermal_resistance_k_per_mw: f64,
-    /// Thermal RC time constant, ns.
-    pub thermal_tau_ns: f64,
-    /// Write-equivalent program-cycle disturb per crossbar read
-    /// operation (read-disturb wear of the one-time-programmed tables).
-    pub read_disturb_per_read: f64,
-    /// Per-cell reliability target used for lifetime statements.
-    pub reliability_target: f64,
-    /// Health sampling grid, ns (samples land on the first event at or
-    /// after each grid point — fully deterministic).
-    pub sample_interval_ns: f64,
-    /// Temperature alarm threshold, K.
-    pub max_temperature_kelvin: f64,
-    /// Accuracy-margin alarm threshold (fraction of error budget left).
-    pub min_accuracy_margin: f64,
-    /// Expected stuck-cell-fraction alarm threshold.
-    pub max_stuck_fraction: f64,
-    /// Retention drift-factor alarm threshold.
-    pub min_drift_factor: f64,
     /// Round-robin wear-leveling placement (off by default: observation
     /// only).
     pub wear_leveling: bool,
 }
 
-impl Default for HealthConfig {
-    /// Mature-HfO₂ device models, a heatsinked 1 K/W package (the STAR
-    /// fleet instances sustain watts of draw, so 0.001 K/mW keeps the
-    /// die in the 300–320 K band across the serving load range), a 1 ms
-    /// thermal time constant (scaled so short simulated windows reach
-    /// thermal steady state), 10⁻¹⁰ write-equivalents per read,
-    /// commercial 85 °C / 10 % margin alarm thresholds, wear-leveling
-    /// off.
-    fn default() -> Self {
-        HealthConfig {
-            endurance: EnduranceModel::typical(),
-            retention: RetentionModel::typical(),
-            temperature: TemperatureModel::typical(),
-            ambient_kelvin: 300.0,
-            thermal_resistance_k_per_mw: 0.001,
-            thermal_tau_ns: 1e6,
-            read_disturb_per_read: 1e-10,
-            reliability_target: 1e-4,
-            sample_interval_ns: 1e6,
-            max_temperature_kelvin: 358.15,
-            min_accuracy_margin: 0.1,
-            max_stuck_fraction: 1e-4,
-            min_drift_factor: 0.9,
-            wear_leveling: false,
-        }
-    }
-}
-
-impl HealthConfig {
-    fn validate(&self) {
-        assert!(
-            self.ambient_kelvin > 0.0 && self.ambient_kelvin.is_finite(),
-            "ambient temperature must be positive kelvin"
-        );
-        assert!(
-            self.thermal_resistance_k_per_mw >= 0.0 && self.thermal_resistance_k_per_mw.is_finite(),
-            "thermal resistance must be non-negative"
-        );
-        assert!(
-            self.thermal_tau_ns > 0.0 && self.thermal_tau_ns.is_finite(),
-            "thermal time constant must be positive"
-        );
-        assert!(self.read_disturb_per_read >= 0.0, "read disturb must be non-negative");
-        assert!(
-            self.sample_interval_ns > 0.0 && self.sample_interval_ns.is_finite(),
-            "sample interval must be positive"
-        );
+impl Serialize for HealthConfig {
+    /// The whole operating point: the device models, the thermal
+    /// package, the read disturb, the reliability target, the sampling
+    /// grid and the alarm thresholds, then `wear_leveling`.
+    fn to_content(&self) -> serde::Content {
+        let number = |key: &str, value: f64| (key.to_string(), value.to_content());
+        serde::Content::Map(vec![
+            ("endurance".to_string(), EnduranceModel::typical().to_content()),
+            ("retention".to_string(), RetentionModel::typical().to_content()),
+            ("temperature".to_string(), TemperatureModel::typical().to_content()),
+            number("ambient_kelvin", AMBIENT_KELVIN),
+            number("thermal_resistance_k_per_mw", THERMAL_RESISTANCE_K_PER_MW),
+            number("thermal_tau_ns", THERMAL_TAU_NS),
+            number("read_disturb_per_read", READ_DISTURB_PER_READ),
+            number("reliability_target", RELIABILITY_TARGET),
+            number("sample_interval_ns", SAMPLE_INTERVAL_NS),
+            number("max_temperature_kelvin", MAX_TEMPERATURE_KELVIN),
+            number("min_accuracy_margin", MIN_ACCURACY_MARGIN),
+            number("max_stuck_fraction", MAX_STUCK_FRACTION),
+            number("min_drift_factor", MIN_DRIFT_FACTOR),
+            ("wear_leveling".to_string(), self.wear_leveling.to_content()),
+        ])
     }
 }
 
 /// The degradation dimension that tripped an alarm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum AlarmKind {
-    /// Die temperature crossed [`HealthConfig::max_temperature_kelvin`].
+    /// Die temperature crossed 358.15 K (85 °C).
     Temperature,
-    /// Accuracy margin fell below [`HealthConfig::min_accuracy_margin`].
+    /// Accuracy margin fell below 0.1 (a tenth of the error budget left).
     AccuracyMargin,
-    /// Expected stuck-cell fraction crossed
-    /// [`HealthConfig::max_stuck_fraction`].
+    /// Expected stuck-cell fraction crossed 10⁻⁴.
     StuckCells,
-    /// Retention drift factor fell below
-    /// [`HealthConfig::min_drift_factor`].
+    /// Retention drift factor fell below 0.9.
     Drift,
 }
 
@@ -278,7 +254,7 @@ pub struct HealthAlarm {
     pub kind: AlarmKind,
     /// Observed value at the crossing.
     pub value: f64,
-    /// The configured threshold.
+    /// The threshold it crossed.
     pub threshold: f64,
 }
 
@@ -311,7 +287,6 @@ pub struct FleetHealthSample {
 /// temperature, drift, stuck cells, accuracy margin.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthModel {
-    cfg: HealthConfig,
     /// Pristine per-element softmax error bound: one output ulp
     /// ([`QFormat::resolution`]), the bound the differential suite
     /// calibrates for the STAR engine.
@@ -323,45 +298,32 @@ pub struct HealthModel {
 
 impl HealthModel {
     /// Builds the model for the fleet's softmax operating format.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-physical configuration (non-positive ambient
-    /// temperature, time constant, or sample interval).
-    pub fn new(cfg: HealthConfig, format: QFormat) -> Self {
-        cfg.validate();
+    pub fn new(format: QFormat) -> Self {
         let base_bound = format.resolution();
-        HealthModel { cfg, base_bound, allowed_error: 2.0 * base_bound }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
+        HealthModel { base_bound, allowed_error: 2.0 * base_bound }
     }
 
     /// Steady-state die temperature under `power_mw` sustained power, K.
     pub fn steady_temperature(&self, power_mw: f64) -> f64 {
-        self.cfg.ambient_kelvin + self.cfg.thermal_resistance_k_per_mw * power_mw
+        AMBIENT_KELVIN + THERMAL_RESISTANCE_K_PER_MW * power_mw
     }
 
     /// One-pole RC update: the temperature after holding `power_mw` for
     /// `dt_ns` starting from `kelvin`.
     pub fn advance_temperature(&self, kelvin: f64, power_mw: f64, dt_ns: f64) -> f64 {
         let t_ss = self.steady_temperature(power_mw);
-        t_ss + (kelvin - t_ss) * (-dt_ns / self.cfg.thermal_tau_ns).exp()
+        t_ss + (kelvin - t_ss) * (-dt_ns / THERMAL_TAU_NS).exp()
     }
 
     /// Retention drift factor after `t_ns` of simulated wall time.
     pub fn drift_factor(&self, t_ns: f64) -> f64 {
-        self.cfg.retention.drift_factor(t_ns.max(0.0) * 1e-9)
+        RetentionModel::typical().drift_factor(t_ns.max(0.0) * 1e-9)
     }
 
     /// Expected stuck-cell fraction for a ledger (effective program
     /// cycles through the Weibull endurance curve).
     pub fn stuck_fraction(&self, ledger: &WearLedger) -> f64 {
-        self.cfg
-            .endurance
-            .failure_probability_at(ledger.effective_writes(self.cfg.read_disturb_per_read))
+        EnduranceModel::typical().failure_probability_at(ledger.effective_writes())
     }
 
     /// The accuracy-margin gauge: the fraction of the error budget still
@@ -370,7 +332,7 @@ impl HealthModel {
     /// 0.5 when pristine, 0 when the inflated bound consumes the whole
     /// budget, negative past it (clamped at −1).
     pub fn accuracy_margin(&self, drift_factor: f64, kelvin: f64) -> f64 {
-        let window = (drift_factor * self.cfg.temperature.on_off_factor(kelvin).min(1.0))
+        let window = (drift_factor * TemperatureModel::typical().on_off_factor(kelvin).min(1.0))
             .clamp(f64::MIN_POSITIVE, 1.0);
         let bound = self.base_bound / window;
         ((self.allowed_error - bound) / self.allowed_error).max(-1.0)
@@ -397,21 +359,17 @@ impl HealthModel {
     /// Threshold checks for one sample, in a fixed kind order.
     pub fn check(&self, s: &InstanceHealthSample) -> Vec<(AlarmKind, f64, f64)> {
         let mut out = Vec::new();
-        if s.temperature_kelvin > self.cfg.max_temperature_kelvin {
-            out.push((
-                AlarmKind::Temperature,
-                s.temperature_kelvin,
-                self.cfg.max_temperature_kelvin,
-            ));
+        if s.temperature_kelvin > MAX_TEMPERATURE_KELVIN {
+            out.push((AlarmKind::Temperature, s.temperature_kelvin, MAX_TEMPERATURE_KELVIN));
         }
-        if s.accuracy_margin < self.cfg.min_accuracy_margin {
-            out.push((AlarmKind::AccuracyMargin, s.accuracy_margin, self.cfg.min_accuracy_margin));
+        if s.accuracy_margin < MIN_ACCURACY_MARGIN {
+            out.push((AlarmKind::AccuracyMargin, s.accuracy_margin, MIN_ACCURACY_MARGIN));
         }
-        if s.stuck_fraction > self.cfg.max_stuck_fraction {
-            out.push((AlarmKind::StuckCells, s.stuck_fraction, self.cfg.max_stuck_fraction));
+        if s.stuck_fraction > MAX_STUCK_FRACTION {
+            out.push((AlarmKind::StuckCells, s.stuck_fraction, MAX_STUCK_FRACTION));
         }
-        if s.drift_factor < self.cfg.min_drift_factor {
-            out.push((AlarmKind::Drift, s.drift_factor, self.cfg.min_drift_factor));
+        if s.drift_factor < MIN_DRIFT_FACTOR {
+            out.push((AlarmKind::Drift, s.drift_factor, MIN_DRIFT_FACTOR));
         }
         out
     }
@@ -422,9 +380,9 @@ impl HealthModel {
     pub fn project(&self, rates: &WearRates, seconds: f64) -> HealthProjection {
         assert!(seconds >= 0.0 && seconds.is_finite(), "projection horizon must be finite");
         let kelvin = self.steady_temperature(rates.power_mw);
-        let drift_factor = self.cfg.retention.drift_factor(seconds);
-        let effective_writes = rates.reads_per_s * seconds * self.cfg.read_disturb_per_read;
-        let stuck_fraction = self.cfg.endurance.failure_probability_at(effective_writes);
+        let drift_factor = RetentionModel::typical().drift_factor(seconds);
+        let effective_writes = rates.reads_per_s * seconds * READ_DISTURB_PER_READ;
+        let stuck_fraction = EnduranceModel::typical().failure_probability_at(effective_writes);
         let accuracy_margin = self.accuracy_margin(drift_factor, kelvin);
         HealthProjection {
             seconds,
@@ -439,73 +397,56 @@ impl HealthModel {
 
     /// The first wall-clock instant (seconds) at which **any** alarm
     /// threshold is crossed under sustained `rates`, solved in closed
-    /// form per dimension; `None` when the load never degrades the
-    /// device past the thresholds.
-    pub fn time_to_first_degradation_s(&self, rates: &WearRates) -> Option<f64> {
-        let mut first: Option<f64> = None;
-        let mut consider = |t: Option<f64>| {
-            if let Some(t) = t {
-                first = Some(first.map_or(t, |f| f.min(t)));
-            }
-        };
-        consider(self.temperature_crossing_s(rates.power_mw));
-        consider(self.drift_crossing_s());
-        consider(self.margin_crossing_s(rates.power_mw));
-        consider(self.stuck_crossing_s(rates.reads_per_s));
-        first
+    /// form per dimension. Retention drift ages the tables under any
+    /// load, so some alarm always crosses.
+    pub fn time_to_first_degradation_s(&self, rates: &WearRates) -> f64 {
+        let drift_or_margin = self.drift_crossing_s().min(self.margin_crossing_s(rates.power_mw));
+        [self.temperature_crossing_s(rates.power_mw), self.stuck_crossing_s(rates.reads_per_s)]
+            .into_iter()
+            .flatten()
+            .fold(drift_or_margin, f64::min)
     }
 
-    /// RC crossing time of the temperature alarm (seconds), `Some(0)` if
-    /// already hot, `None` if the steady state never reaches it.
+    /// RC crossing time of the temperature alarm (seconds), `None` if the
+    /// steady state never reaches it.
     fn temperature_crossing_s(&self, power_mw: f64) -> Option<f64> {
-        let t_max = self.cfg.max_temperature_kelvin;
-        if self.cfg.ambient_kelvin > t_max {
-            return Some(0.0);
-        }
         let t_ss = self.steady_temperature(power_mw);
-        if t_ss <= t_max {
+        if t_ss <= MAX_TEMPERATURE_KELVIN {
             return None;
         }
         // ambient + (t_ss − ambient)(1 − e^{−t/τ}) = t_max
-        let ratio = (t_ss - self.cfg.ambient_kelvin) / (t_ss - t_max);
-        Some(self.cfg.thermal_tau_ns * 1e-9 * ratio.ln())
+        let ratio = (t_ss - AMBIENT_KELVIN) / (t_ss - MAX_TEMPERATURE_KELVIN);
+        Some(THERMAL_TAU_NS * 1e-9 * ratio.ln())
     }
 
     /// Closed-form crossing of the drift-factor alarm (seconds).
-    fn drift_crossing_s(&self) -> Option<f64> {
-        let min_drift = self.cfg.min_drift_factor;
-        if min_drift <= 0.0 || min_drift >= 1.0 {
-            return (min_drift >= 1.0).then_some(0.0);
-        }
-        Some(self.cfg.retention.seconds_to_margin(min_drift))
+    fn drift_crossing_s(&self) -> f64 {
+        RetentionModel::typical().seconds_to_margin(MIN_DRIFT_FACTOR)
     }
 
     /// Closed-form crossing of the accuracy-margin alarm (seconds): the
     /// drift factor at which the inflated bound eats past the margin
     /// threshold, at the steady-state temperature's window factor.
-    fn margin_crossing_s(&self, power_mw: f64) -> Option<f64> {
+    fn margin_crossing_s(&self, power_mw: f64) -> f64 {
         let kelvin = self.steady_temperature(power_mw);
-        let thermal_window = self.cfg.temperature.on_off_factor(kelvin).min(1.0);
+        let thermal_window = TemperatureModel::typical().on_off_factor(kelvin).min(1.0);
         // margin(d) = 1 − base/(allowed·d·w); margin < m ⇔ d < d_req.
-        let d_req = self.base_bound
-            / (self.allowed_error * thermal_window * (1.0 - self.cfg.min_accuracy_margin));
+        let d_req =
+            self.base_bound / (self.allowed_error * thermal_window * (1.0 - MIN_ACCURACY_MARGIN));
         if d_req >= 1.0 {
-            return Some(0.0); // the thermal collapse alone trips it
+            return 0.0; // the thermal collapse alone trips it
         }
-        if d_req <= 0.0 {
-            return None;
-        }
-        Some(self.cfg.retention.seconds_to_margin(d_req))
+        RetentionModel::typical().seconds_to_margin(d_req)
     }
 
     /// Closed-form crossing of the stuck-cell alarm (seconds) under a
-    /// sustained read rate.
+    /// sustained read rate, `None` without reads.
     fn stuck_crossing_s(&self, reads_per_s: f64) -> Option<f64> {
-        let write_rate = reads_per_s * self.cfg.read_disturb_per_read;
+        let write_rate = reads_per_s * READ_DISTURB_PER_READ;
         if write_rate <= 0.0 {
             return None;
         }
-        let writes = self.cfg.endurance.writes_at_failure_probability(self.cfg.max_stuck_fraction);
+        let writes = EnduranceModel::typical().writes_at_failure_probability(MAX_STUCK_FRACTION);
         Some(writes / write_rate)
     }
 }
@@ -618,6 +559,7 @@ impl FleetHealthReport {
 #[derive(Debug, Clone)]
 pub(crate) struct HealthMonitor {
     model: HealthModel,
+    wear_leveling: bool,
     ledgers: Vec<WearLedger>,
     temps: Vec<f64>,
     peak_temps: Vec<f64>,
@@ -638,20 +580,18 @@ impl HealthMonitor {
     ///
     /// # Panics
     ///
-    /// Panics if `fleet` is zero or the configuration is non-physical.
+    /// Panics if `fleet` is zero.
     pub fn new(cfg: HealthConfig, fleet: usize, format: QFormat) -> Self {
         assert!(fleet > 0, "monitor needs at least one instance");
-        let model = HealthModel::new(cfg, format);
-        let ambient = model.cfg.ambient_kelvin;
-        let interval = model.cfg.sample_interval_ns;
         HealthMonitor {
-            model,
+            model: HealthModel::new(format),
+            wear_leveling: cfg.wear_leveling,
             ledgers: vec![WearLedger::default(); fleet],
-            temps: vec![ambient; fleet],
-            peak_temps: vec![ambient; fleet],
+            temps: vec![AMBIENT_KELVIN; fleet],
+            peak_temps: vec![AMBIENT_KELVIN; fleet],
             settled_energy_pj: vec![0.0; fleet],
             last_sample_ns: 0.0,
-            next_sample_ns: interval,
+            next_sample_ns: SAMPLE_INTERVAL_NS,
             samples: Vec::new(),
             alarms: Vec::new(),
             raised: BTreeSet::new(),
@@ -661,7 +601,7 @@ impl HealthMonitor {
 
     /// Whether round-robin wear-leveling placement is active.
     pub fn wear_leveling(&self) -> bool {
-        self.model.cfg.wear_leveling
+        self.wear_leveling
     }
 
     /// Alarms raised so far — the flight recorder's first-crossing
@@ -711,8 +651,7 @@ impl HealthMonitor {
         }
         self.sample(now);
         // Next grid point strictly after `now`.
-        let interval = self.model.cfg.sample_interval_ns;
-        self.next_sample_ns = ((now / interval).floor() + 1.0) * interval;
+        self.next_sample_ns = ((now / SAMPLE_INTERVAL_NS).floor() + 1.0) * SAMPLE_INTERVAL_NS;
     }
 
     /// Takes one sample at `now` unconditionally (also used for the
@@ -761,7 +700,7 @@ impl HealthMonitor {
             star_telemetry::set(&format!("serve.health.i{i}.reads"), ledger.reads() as f64);
             star_telemetry::set(
                 &format!("serve.health.i{i}.effective_writes"),
-                ledger.effective_writes(self.model.cfg.read_disturb_per_read),
+                ledger.effective_writes(),
             );
             star_telemetry::set(
                 &format!("serve.health.i{i}.temperature_k"),
@@ -787,7 +726,7 @@ impl HealthMonitor {
             alarms: self.alarms.clone(),
             time_to_first_degradation_ns: self.alarms.first().map(|a| a.t_ns),
             wear_skew,
-            wear_leveling: self.model.cfg.wear_leveling,
+            wear_leveling: self.wear_leveling,
         };
         (report, self.samples)
     }
@@ -804,7 +743,7 @@ mod tests {
     }
 
     fn model() -> HealthModel {
-        HealthModel::new(HealthConfig::default(), QFormat::new(5, 3).unwrap())
+        HealthModel::new(QFormat::new(5, 3).unwrap())
     }
 
     #[test]
@@ -851,11 +790,11 @@ mod tests {
         assert!(t_ss > 300.0);
         let mut t = 300.0;
         for _ in 0..100 {
-            t = m.advance_temperature(t, power, m.config().thermal_tau_ns);
+            t = m.advance_temperature(t, power, THERMAL_TAU_NS);
         }
         assert!((t - t_ss).abs() < 1e-6, "RC settles to {t_ss}, got {t}");
         // Cooling works too: power off decays back toward ambient.
-        let cooled = m.advance_temperature(t, 0.0, 100.0 * m.config().thermal_tau_ns);
+        let cooled = m.advance_temperature(t, 0.0, 100.0 * THERMAL_TAU_NS);
         assert!((cooled - 300.0).abs() < 1e-6);
     }
 
@@ -892,11 +831,10 @@ mod tests {
         let m = model();
         let light = WearRates { reads_per_s: 1e10, inferences_per_s: 1e3, power_mw: 100.0 };
         let heavy = WearRates { reads_per_s: 1e13, inferences_per_s: 1e5, power_mw: 2000.0 };
-        let t_light = m.time_to_first_degradation_s(&light);
-        let t_heavy = m.time_to_first_degradation_s(&heavy);
         // Drift alone eventually trips the margin/drift alarms, so both
         // loads degrade; the heavy load can only degrade sooner.
-        let (tl, th) = (t_light.expect("drift degrades"), t_heavy.expect("drift degrades"));
+        let tl = m.time_to_first_degradation_s(&light);
+        let th = m.time_to_first_degradation_s(&heavy);
         assert!(th <= tl, "heavy {th} vs light {tl}");
         assert!(tl > 0.0);
     }
@@ -907,8 +845,8 @@ mod tests {
         let idle = WearRates { reads_per_s: 0.0, inferences_per_s: 0.0, power_mw: 0.0 };
         // No reads ⇒ no stuck-cell crossing; ambient ⇒ no thermal
         // crossing. Only retention drift remains.
-        let t = m.time_to_first_degradation_s(&idle).expect("drift still ages the tables");
-        assert!((t - m.config().retention.seconds_to_margin(0.9)).abs() < 1e-6 * t);
+        let t = m.time_to_first_degradation_s(&idle);
+        assert!((t - RetentionModel::typical().seconds_to_margin(0.9)).abs() < 1e-6 * t);
     }
 
     #[test]
@@ -927,20 +865,16 @@ mod tests {
     fn monitor_samples_on_grid_and_finalizes() {
         let class = tiny();
         let m = ServiceModel::new(ServiceModelConfig::default(), &[class]);
-        let mut mon = HealthMonitor::new(
-            HealthConfig { sample_interval_ns: 1000.0, ..HealthConfig::default() },
-            2,
-            QFormat::new(5, 3).unwrap(),
-        );
+        let mut mon = HealthMonitor::new(HealthConfig::default(), 2, QFormat::new(5, 3).unwrap());
         mon.on_dispatch(0, class, 2, &m.batch_cost(class, 2));
-        mon.maybe_sample(500.0); // before the grid: no sample
-        mon.maybe_sample(1500.0); // first grid point passed
-        mon.maybe_sample(1600.0); // same grid cell: no sample
+        mon.maybe_sample(5e5); // before the 1 ms grid: no sample
+        mon.maybe_sample(1.5e6); // first grid point passed
+        mon.maybe_sample(1.6e6); // same grid cell: no sample
         mon.on_dispatch(1, class, 1, &m.batch_cost(class, 1));
-        mon.maybe_sample(2000.0); // exactly on the next grid point
-        let (report, samples) = mon.finalize(2500.0);
+        mon.maybe_sample(2e6); // exactly on the next grid point
+        let (report, samples) = mon.finalize(2.5e6);
         let times: Vec<f64> = samples.iter().map(|s| s.t_ns).collect();
-        assert_eq!(times, [1500.0, 2000.0, 2500.0]);
+        assert_eq!(times, [1.5e6, 2e6, 2.5e6]);
         assert_eq!(report.instances.len(), 2);
         assert_eq!(report.instances[0].ledger.invocations, 1);
         assert_eq!(report.instances[1].ledger.invocations, 1);
@@ -960,28 +894,27 @@ mod tests {
 
     #[test]
     fn alarms_fire_once_per_instance_and_kind() {
-        let cfg = HealthConfig {
-            // Alarm immediately: ambient is already past the threshold.
-            max_temperature_kelvin: 299.0,
-            sample_interval_ns: 100.0,
-            ..HealthConfig::default()
-        };
-        let mut mon = HealthMonitor::new(cfg, 1, QFormat::new(5, 3).unwrap());
-        mon.maybe_sample(100.0);
-        mon.maybe_sample(200.0);
-        mon.maybe_sample(300.0);
-        let (report, _) = mon.finalize(400.0);
+        // 10⁵ pJ per ns of sample window is 10⁵ mW, a 400 K steady state:
+        // the first 1 ms sample reads ≈ 363 K, past the 358.15 K alarm,
+        // and every later one hotter still.
+        let heat = BatchCost { latency_ns: 1e6, energy_pj: 1e11 };
+        let mut mon = HealthMonitor::new(HealthConfig::default(), 2, QFormat::new(5, 3).unwrap());
+        for t in [1e6, 2e6, 3e6] {
+            for instance in 0..2 {
+                mon.on_dispatch(instance, tiny(), 1, &heat);
+            }
+            mon.maybe_sample(t);
+        }
+        let (report, _) = mon.finalize(3e6);
         let temp_alarms: Vec<&HealthAlarm> =
             report.alarms.iter().filter(|a| a.kind == AlarmKind::Temperature).collect();
-        assert_eq!(temp_alarms.len(), 1, "first crossing only");
-        assert_eq!(temp_alarms[0].t_ns, 100.0);
-        assert_eq!(report.time_to_first_degradation_ns, Some(100.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn bad_sample_interval_rejected() {
-        let cfg = HealthConfig { sample_interval_ns: 0.0, ..HealthConfig::default() };
-        let _ = HealthModel::new(cfg, QFormat::new(5, 3).unwrap());
+        assert_eq!(temp_alarms.len(), 2, "first crossing only, once per instance");
+        for (instance, alarm) in temp_alarms.iter().enumerate() {
+            assert_eq!((alarm.instance, alarm.t_ns), (instance, 1e6));
+            assert!(alarm.value > 358.15, "{}", alarm.value);
+            assert_eq!(alarm.threshold, 358.15);
+            assert!(report.instances[instance].peak_temperature_kelvin > alarm.value);
+        }
+        assert_eq!(report.time_to_first_degradation_ns, Some(1e6));
     }
 }

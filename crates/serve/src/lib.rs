@@ -84,10 +84,9 @@ pub use control::{
     PlacementPolicy, ScaleDirection, ScaleEvent, WeightedFairPolicy,
 };
 pub use flight::{
-    ArrivalDelta, BurnTriggerConfig, ClassIncidentStats, EventRecord, ExpiryBurstConfig,
-    FlightConfig, FlightEventKind, FlightOutcome, IncidentDump, IncidentExemplar, IncidentReport,
-    InstanceIncidentStats, LatencyWaterfall, TerminalRecord, TriggerKind, TriggerRecord,
-    FLIGHT_SIDECAR_KEY,
+    ArrivalDelta, ClassIncidentStats, EventRecord, FlightConfig, FlightEventKind, FlightOutcome,
+    IncidentDump, IncidentExemplar, IncidentReport, InstanceIncidentStats, LatencyWaterfall,
+    TerminalRecord, TriggerKind, TriggerRecord, FLIGHT_SIDECAR_KEY,
 };
 pub use health::{
     invocation_wear, AlarmKind, FleetHealthReport, FleetHealthSample, HealthAlarm, HealthConfig,

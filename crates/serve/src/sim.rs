@@ -388,13 +388,8 @@ impl<'a> Sim<'a> {
             let services = distinct.into_iter().map(|c| ServiceModel::new(c, &classes)).collect();
             (services, model_of)
         };
-        let flight = observe.flight.as_ref().map(|fc| {
-            Box::new(FlightRecorder::new(
-                fc.clone(),
-                classes.clone(),
-                capacity,
-                cfg.policy.window_ns,
-            ))
+        let flight = observe.flight.then(|| {
+            Box::new(FlightRecorder::new(classes.clone(), capacity, cfg.policy.window_ns))
         });
         let blame = observe.blame.then(|| {
             Box::new(BlameRecorder::new(
@@ -411,7 +406,7 @@ impl<'a> Sim<'a> {
         rows.dedup_by_key(|r| r.class);
         let trace = observe.trace.then(|| ServeTrace::new(capacity, cfg.deadline_ns));
         let format = cfg.service.qformat();
-        let health = observe.health.clone().map(|hc| HealthMonitor::new(hc, capacity, format));
+        let health = observe.health.map(|hc| HealthMonitor::new(hc, capacity, format));
         let scaler =
             cfg.control.autoscale.clone().map(|a| ScalerState::new(a, capacity, initial_active));
         Sim {
@@ -1262,7 +1257,7 @@ pub struct Observe {
     /// The self-profiler (see [`crate::profile`]).
     pub profile: bool,
     /// The incident flight recorder (see [`crate::flight`]).
-    pub flight: Option<FlightConfig>,
+    pub flight: bool,
     /// Critical-path blame (see [`crate::blame`]).
     pub blame: bool,
 }
@@ -1282,8 +1277,7 @@ pub fn simulate(cfg: &ServeConfig) -> ServeReport {
 ///
 /// # Panics
 ///
-/// Panics on an invalid configuration, as [`simulate`] does, or an
-/// invalid [`FlightConfig`].
+/// Panics on an invalid configuration, as [`simulate`] does.
 pub fn simulate_observed(cfg: &ServeConfig, observe: &Observe) -> SimOutcome {
     Sim::new(cfg, observe).run()
 }
@@ -1317,7 +1311,8 @@ pub(crate) fn simulate_scaled(
 /// arguments. It stays because the benchmark package (`benchmark/`)
 /// calls it. `_shards` is ignored: it once chose how many heaps the event
 /// queue was split across, and every count produced the one-heap loop's
-/// bytes.
+/// bytes. A `Some` `flight` attaches the recorder; [`FlightConfig`] has
+/// no fields.
 pub fn simulate_full(
     cfg: &ServeConfig,
     _shards: usize,
@@ -1329,7 +1324,7 @@ pub fn simulate_full(
 ) -> SimOutcome {
     simulate_observed(
         cfg,
-        &Observe { trace, health: health.cloned(), profile, flight: flight.cloned(), blame },
+        &Observe { trace, health: health.copied(), profile, flight: flight.is_some(), blame },
     )
 }
 
@@ -1591,7 +1586,7 @@ mod tests {
         let cfg = ServeConfig::example();
         let hc = HealthConfig::default();
         let monitored =
-            simulate_observed(&cfg, &Observe { health: Some(hc.clone()), ..Observe::default() });
+            simulate_observed(&cfg, &Observe { health: Some(hc), ..Observe::default() });
         let report = &monitored.report;
         let health = monitored.health.expect("health requested");
         assert_eq!(health.instances.len(), cfg.fleet);
@@ -1704,7 +1699,7 @@ mod tests {
         cfg.fleet = 4;
         cfg.arrival = ArrivalProcess::poisson(5_000.0);
         let monitored = |wear_leveling| {
-            let health = HealthConfig { wear_leveling, ..HealthConfig::default() };
+            let health = HealthConfig { wear_leveling };
             simulate_observed(&cfg, &Observe { health: Some(health), ..Observe::default() })
         };
         let (off, on) = (monitored(false), monitored(true));
@@ -1744,9 +1739,8 @@ mod tests {
         // tests/observers.rs pins that the recorder perturbs nothing; this
         // checks its rings against the report and the profiler.
         let cfg = ServeConfig::example();
-        let flight = Some(FlightConfig::default());
         let recorded =
-            simulate_observed(&cfg, &Observe { flight, profile: true, ..Observe::default() });
+            simulate_observed(&cfg, &Observe { flight: true, profile: true, ..Observe::default() });
         let report = &recorded.report;
         let flight = recorded.flight.expect("flight requested");
 
@@ -1766,8 +1760,8 @@ mod tests {
     #[test]
     fn flight_triggers_fire_under_overload() {
         // The tiny-queue overload config floods a 1-instance fleet, so
-        // the default triggers (queue depth, burn, expiry burst) all
-        // have material to fire on.
+        // the burn and expiry-burst triggers have material to fire on
+        // (its 16-request queue never reaches the queue-depth trigger).
         let cfg = ServeConfig {
             fleet: 1,
             arrival: ArrivalProcess::poisson(120_000.0),
@@ -1775,13 +1769,12 @@ mod tests {
             deadline_ns: 1e6,
             ..ServeConfig::example()
         };
-        let fc = FlightConfig { queue_depth_threshold: Some(8), ..FlightConfig::default() };
-        let out = simulate_observed(&cfg, &Observe { flight: Some(fc), ..Observe::default() });
+        let out = simulate_observed(&cfg, &Observe { flight: true, ..Observe::default() });
         let flight = out.flight.expect("flight requested");
         assert!(flight.triggers_fired > 0, "overload must trip a trigger");
         assert_eq!(flight.incidents.len(), 1, "one incident budgeted");
         let dump = &flight.incidents[0];
-        assert!(!dump.triggers.is_empty());
+        assert_eq!(dump.triggers[0].kind, crate::flight::TriggerKind::BurnRate);
         assert!(dump.window_start_ns <= dump.triggers[0].t_ns);
         assert!(dump.triggers[0].t_ns <= dump.window_end_ns);
         // The report's waterfall reconciles: components sum to total.

@@ -18,7 +18,7 @@
 //! `1 − T` and the **burn rate** of a window is its violation fraction
 //! divided by the budget — burn 1.0 consumes the budget exactly at the
 //! sustainable rate, burn 14 is the classic "page now" threshold. The
-//! analysis slides each configured window length over the terminal-event
+//! analysis slides each [`SloPolicy`] window length over the terminal-event
 //! timeline (two pointers, exact, no bucketing) and reports the peak
 //! burn per window plus the earliest instant any window first reached
 //! burn ≥ 1 ([`BurnWindow::first_breach_ns`]), the run-level
@@ -210,44 +210,22 @@ pub struct ClassSloReport {
     pub latency: LatencyStats,
 }
 
-/// Availability target and rolling-window lengths for burn-rate
-/// analysis.
+/// The availability target and rolling-window lengths an
+/// [`SloAnalysis`] measures burn against, recorded in the analysis:
+/// 99% availability over 1 ms / 10 ms / 50 ms rolling windows — sized
+/// for simulation horizons of ~100 ms, the scaled-down analogue of the
+/// 5 m / 1 h / 6 h production ladder.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SloPolicy {
-    /// Availability target in `(0, 1)`: the fraction of requests that
-    /// must complete within the deadline.
+    /// Availability target: the fraction of requests that must complete
+    /// within the deadline.
     pub target: f64,
     /// Rolling window lengths, ns. Short windows catch fast burns,
     /// long windows catch slow leaks (the SRE multi-window pattern).
     pub windows_ns: Vec<f64>,
 }
 
-impl Default for SloPolicy {
-    /// 99% availability over 1 ms / 10 ms / 50 ms rolling windows —
-    /// sized for simulation horizons of ~100 ms, the scaled-down analogue
-    /// of the 5 m / 1 h / 6 h production ladder.
-    fn default() -> Self {
-        SloPolicy { target: 0.99, windows_ns: vec![1e6, 1e7, 5e7] }
-    }
-}
-
 impl SloPolicy {
-    /// A policy with explicit `target` and `windows_ns`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < target < 1`, windows are positive, and at
-    /// least one window is given.
-    pub fn new(target: f64, windows_ns: Vec<f64>) -> Self {
-        assert!(target > 0.0 && target < 1.0, "availability target must be in (0, 1)");
-        assert!(!windows_ns.is_empty(), "need at least one burn window");
-        assert!(
-            windows_ns.iter().all(|w| w.is_finite() && *w > 0.0),
-            "burn windows must be positive"
-        );
-        SloPolicy { target, windows_ns }
-    }
-
     /// The error budget `1 − target`.
     pub fn budget(&self) -> f64 {
         1.0 - self.target
@@ -409,9 +387,10 @@ pub struct SloAnalysis {
 }
 
 impl SloAnalysis {
-    /// Analyzes a finished trace against `policy`, keeping the `k`
-    /// slowest completed requests as exemplars.
-    pub fn from_trace(trace: &ServeTrace, policy: SloPolicy, k: usize) -> Self {
+    /// Analyzes a finished trace against the [`SloPolicy`], keeping the
+    /// `k` slowest completed requests as exemplars.
+    pub fn from_trace(trace: &ServeTrace, k: usize) -> Self {
+        let policy = SloPolicy { target: 0.99, windows_ns: vec![1e6, 1e7, 5e7] };
         // Terminal events ordered by time (ties by request id): the
         // timeline the rolling windows slide over.
         let mut events: Vec<(f64, u64, bool)> = trace
@@ -737,7 +716,7 @@ mod tests {
     #[test]
     fn empty_trace_is_fully_available() {
         let trace = ServeTrace::new(1, 1e6);
-        let a = SloAnalysis::from_trace(&trace, SloPolicy::default(), 3);
+        let a = SloAnalysis::from_trace(&trace, 3);
         assert_eq!(a.total, 0);
         assert_eq!(a.availability, 1.0);
         assert!(a.time_to_first_violation_ns.is_none());
@@ -749,25 +728,29 @@ mod tests {
     #[test]
     fn burn_rate_flags_a_violation_burst() {
         use RequestOutcome::{Good, Late};
-        // 10 good requests 10 µs apart, then a burst of 5 late ones.
+        // 10 good requests 2 ms apart, then 2 ms later a burst of 5 late
+        // ones 1 µs apart.
         let mut events: Vec<(f64, RequestOutcome)> =
-            (0..10).map(|i| (1e4 * (i + 1) as f64, Good)).collect();
-        events.extend((0..5).map(|i| (1.1e5 + 1e3 * i as f64, Late)));
+            (0..10).map(|i| (2e6 * (i + 1) as f64, Good)).collect();
+        events.extend((0..5).map(|i| (2.2e7 + 1e3 * i as f64, Late)));
         let trace = synthetic_trace(&events);
-        let policy = SloPolicy::new(0.99, vec![5e3, 1e9]);
-        let a = SloAnalysis::from_trace(&trace, policy, 2);
+        let a = SloAnalysis::from_trace(&trace, 2);
+        assert_eq!(a.policy.target, 0.99);
+        assert_eq!(a.policy.windows_ns, [1e6, 1e7, 5e7]);
         assert_eq!(a.total, 15);
         assert_eq!(a.violations, 5);
         assert!((a.availability - 10.0 / 15.0).abs() < 1e-12);
-        assert_eq!(a.time_to_first_violation_ns, Some(1.1e5));
-        // The short window sees a 100%-bad stretch → burn = 1 / 0.01.
+        assert_eq!(a.time_to_first_violation_ns, Some(2.2e7));
+        // Every window first breaches on the burst's first request.
+        assert!(a.windows.iter().all(|w| w.first_breach_ns == Some(2.2e7)));
+        // The 1 ms window holds only the burst → burn = 1 / 0.01.
         let short = &a.windows[0];
         assert!((short.peak_error_rate - 1.0).abs() < 1e-12);
         assert!((short.peak_burn_rate - 100.0).abs() < 1e-9);
-        assert_eq!(short.first_breach_ns, Some(1.1e5));
-        // The run-length window dilutes the burst to 5/15.
-        let long = &a.windows[1];
-        assert!((long.peak_error_rate - 5.0 / 15.0).abs() < 1e-12);
+        // The 10 ms window also holds the last four good requests.
+        assert!((a.windows[1].peak_error_rate - 5.0 / 9.0).abs() < 1e-12);
+        // The 50 ms window spans the run, diluting the burst to 5/15.
+        assert!((a.windows[2].peak_error_rate - 5.0 / 15.0).abs() < 1e-12);
     }
 
     #[test]
@@ -775,7 +758,7 @@ mod tests {
         use RequestOutcome::Good;
         let events: Vec<(f64, RequestOutcome)> =
             (0..20).map(|i| (1e4 * (i + 1) as f64, Good)).collect();
-        let a = SloAnalysis::from_trace(&synthetic_trace(&events), SloPolicy::default(), 3);
+        let a = SloAnalysis::from_trace(&synthetic_trace(&events), 3);
         assert_eq!(a.violations, 0);
         assert_eq!(a.availability, 1.0);
         assert!(a.time_to_first_violation_ns.is_none());
@@ -793,7 +776,6 @@ mod tests {
         use RequestOutcome::{Good, Rejected};
         let a = SloAnalysis::from_trace(
             &synthetic_trace(&[(1e4, Good), (2e4, Rejected), (3e4, Good)]),
-            SloPolicy::default(),
             10,
         );
         assert_eq!(a.violations, 1);
@@ -866,17 +848,5 @@ mod tests {
     #[should_panic(expected = "error budget")]
     fn burn_sweep_rejects_zero_budget() {
         let _ = BurnSweep::new(10.0, 0.0, 1.0, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "availability target")]
-    fn out_of_range_target_rejected() {
-        let _ = SloPolicy::new(1.0, vec![1e6]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one burn window")]
-    fn empty_windows_rejected() {
-        let _ = SloPolicy::new(0.99, vec![]);
     }
 }

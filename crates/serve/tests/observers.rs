@@ -22,8 +22,8 @@ mod common;
 use common::{configs, stress_config};
 use proptest::prelude::*;
 use star_serve::{
-    run_what_ifs, simulate, simulate_observed, ArrivalProcess, BatchPolicy, FlightConfig,
-    HealthConfig, Observe, ServeConfig, SimOutcome, WhatIf,
+    run_what_ifs, simulate, simulate_observed, ArrivalProcess, BatchPolicy, HealthConfig, Observe,
+    ServeConfig, SimOutcome, TriggerKind, WhatIf,
 };
 
 // One bit per observer; a subset is their OR.
@@ -34,20 +34,13 @@ const FLIGHT: usize = 8;
 const BLAME: usize = 16;
 const ALL: usize = 31;
 
-/// A trigger config guaranteed to fire on the stress shape: the queue
-/// depth threshold sits inside the 16-slot admission bound, and the
-/// default burn / expiry-burst triggers see the saturating mix.
-fn flight_config() -> FlightConfig {
-    FlightConfig { queue_depth_threshold: Some(8), ..FlightConfig::default() }
-}
-
 /// The observers the bits of `set` attach.
 fn observe(set: usize) -> Observe {
     Observe {
         trace: set & TRACE != 0,
         health: (set & HEALTH != 0).then(HealthConfig::default),
         profile: set & PROFILE != 0,
-        flight: (set & FLIGHT != 0).then(flight_config),
+        flight: set & FLIGHT != 0,
         blame: set & BLAME != 0,
     }
 }
@@ -110,7 +103,8 @@ fn check_every_subset(name: &str) {
     assert_eq!(blame, dump_bytes(&runs[BLAME].0)[2], "{name}: blame bytes");
     if name == "stress" {
         let flight = runs[FLIGHT].0.flight.as_ref().expect("flight attached");
-        assert!(!flight.incidents.is_empty(), "{name}: the stress shape must seal an incident");
+        let dump = flight.incidents.first().expect("the stress shape must seal an incident");
+        assert_eq!(dump.triggers[0].kind, TriggerKind::BurnRate, "{name}: first trigger");
     }
 }
 
@@ -208,8 +202,7 @@ proptest! {
         let mut cfg = stress_config();
         cfg.seed = seed;
         cfg.arrival = ArrivalProcess::poisson(rate);
-        let observe = Observe { flight: Some(FlightConfig::default()), ..Observe::default() };
-        let out = simulate_observed(&cfg, &observe);
+        let out = simulate_observed(&cfg, &observe(FLIGHT));
         let flight = out.flight.expect("flight");
         prop_assert_eq!(
             flight.terminals_seen,

@@ -6,7 +6,7 @@
 use star_serve::{
     simulate, simulate_observed, ArrivalProcess, BatchPolicy, ControlConfig, HealthConfig,
     ModelKind, Observe, RequestClass, RequestOutcome, ServeConfig, ServeTrace, ServiceModelConfig,
-    SimOutcome, SloAnalysis, SloPolicy, WorkloadMix,
+    SimOutcome, SloAnalysis, WorkloadMix,
 };
 use star_telemetry::SPAN_EPS_NS;
 
@@ -142,7 +142,7 @@ fn slo_analysis_agrees_with_report() {
     let outcome = traced(&stress_config());
     let trace = outcome.trace.expect("trace");
     let r = &outcome.report;
-    let a = SloAnalysis::from_trace(&trace, SloPolicy::default(), 10);
+    let a = SloAnalysis::from_trace(&trace, 10);
     assert_eq!(a.total, r.arrivals);
     assert_eq!(a.violations, r.late + r.expired + r.rejected);
     // The per-class breakdown recomputed from spans matches the event

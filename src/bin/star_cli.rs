@@ -139,7 +139,11 @@ fn cmd_softmax(args: &[String]) -> Result<(), String> {
     }
     let scores: Vec<f64> = args[1..]
         .iter()
-        .map(|a| a.parse::<f64>().map_err(|_| format!("`{a}` is not a number")))
+        .map(|a| match a.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(x),
+            Ok(_) => Err(format!("score `{a}` is not finite")),
+            Err(_) => Err(format!("`{a}` is not a number")),
+        })
         .collect::<Result<_, _>>()?;
 
     let mut engine = StarSoftmax::new(StarSoftmaxConfig::new(format)).map_err(|e| e.to_string())?;
@@ -312,8 +316,8 @@ fn parse_positive<T: std::str::FromStr + PartialOrd + Default>(
 /// the order trace, flight, health, profile, blame, what-if.
 fn cmd_serve(args: &[String]) -> Result<String, String> {
     use star::serve::{
-        run_what_ifs, simulate_observed, FlightConfig, HealthConfig, Observe, SloAnalysis,
-        SloPolicy, WhatIf, BLAME_SIDECAR_KEY, PROFILE_SIDECAR_KEY,
+        run_what_ifs, simulate_observed, HealthConfig, Observe, SloAnalysis, WhatIf,
+        BLAME_SIDECAR_KEY, PROFILE_SIDECAR_KEY,
     };
     const SWITCHES: [&str; 3] = ["--health", "--level", "--whatif"];
     let [health, level, whatif] = SWITCHES.map(|s| args.iter().any(|a| a == s));
@@ -331,10 +335,9 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
     let cfg = serve_point_config(&positional)?;
     let observe = Observe {
         trace: trace_path.is_some(),
-        health: (health || level)
-            .then(|| HealthConfig { wear_leveling: level, ..HealthConfig::default() }),
+        health: (health || level).then_some(HealthConfig { wear_leveling: level }),
         profile: profile_path.is_some(),
-        flight: flight_path.is_some().then(FlightConfig::default),
+        flight: flight_path.is_some(),
         blame: blame_path.is_some(),
     };
     let outcome = simulate_observed(&cfg, &observe);
@@ -349,7 +352,7 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
             trace.samples.len(),
             path.display()
         );
-        out += &render_slo_analysis(&SloAnalysis::from_trace(trace, SloPolicy::default(), 5));
+        out += &render_slo_analysis(&SloAnalysis::from_trace(trace, 5));
     }
     if let (Some(path), Some(flight)) = (flight_path, &outcome.flight) {
         out += &format!(
@@ -372,8 +375,8 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
             }
         }
     }
-    if let (Some(health_cfg), Some(health)) = (&observe.health, &outcome.health) {
-        out += &render_health(&cfg, health_cfg, health, outcome.report.makespan_ns);
+    if let Some(health) = &outcome.health {
+        out += &render_health(&cfg, health, outcome.report.makespan_ns);
     }
     if let (Some(path), Some(profile)) = (profile_path, &outcome.profile) {
         write_json(&path, &profile.to_object_json())?;
@@ -455,12 +458,11 @@ fn render_report(cfg: &star::serve::ServeConfig, r: &star::serve::ServeReport) -
 /// skew, alarms, and the hottest instance's sustained-load projection.
 fn render_health(
     cfg: &star::serve::ServeConfig,
-    health_cfg: &star::serve::HealthConfig,
     health: &star::serve::FleetHealthReport,
     makespan_ns: f64,
 ) -> String {
     use star::serve::{HealthModel, WearRates};
-    let leveling = if health_cfg.wear_leveling { "on" } else { "off" };
+    let leveling = if health.wear_leveling { "on" } else { "off" };
     let mut out = format!("fleet health (wear leveling {leveling}):\n");
     out += &format!(
         "  {:>4} {:>12} {:>14} {:>14} {:>9} {:>9} {:>12} {:>9}\n",
@@ -472,7 +474,7 @@ fn render_health(
             i.instance,
             i.ledger.rows,
             i.ledger.reads(),
-            i.ledger.effective_writes(health_cfg.read_disturb_per_read),
+            i.ledger.effective_writes(),
             i.health.temperature_kelvin,
             i.peak_temperature_kelvin,
             i.health.stuck_fraction,
@@ -499,7 +501,7 @@ fn render_health(
     let hottest =
         health.instances.iter().max_by_key(|i| i.ledger.rows).expect("fleet is non-empty");
     let rates = WearRates::from_ledger(&hottest.ledger, makespan_ns);
-    let model = HealthModel::new(health_cfg.clone(), cfg.service.qformat());
+    let model = HealthModel::new(cfg.service.qformat());
     out += &format!(
         "  sustained (instance {}): {:.3e} reads/s, {:.0} inferences/s, {:.0} mW \
          -> steady {:.2} K\n",
@@ -509,14 +511,12 @@ fn render_health(
         rates.power_mw,
         model.steady_temperature(rates.power_mw)
     );
-    out += &match model.time_to_first_degradation_s(&rates) {
-        Some(t) => format!(
-            "  first degradation after {:.1} days  ({:.3e} inferences served)\n",
-            t / 8.64e4,
-            t * rates.inferences_per_s
-        ),
-        None => "  no degradation threshold is ever crossed at this load\n".into(),
-    };
+    let t = model.time_to_first_degradation_s(&rates);
+    out += &format!(
+        "  first degradation after {:.1} days  ({:.3e} inferences served)\n",
+        t / 8.64e4,
+        t * rates.inferences_per_s
+    );
     out
 }
 
@@ -931,8 +931,8 @@ fn render_incident(dump: &star::serve::IncidentDump) -> String {
 
 fn cmd_trace_analyze(args: &[String]) -> Result<(), String> {
     use star::serve::{
-        BlameOutcome, IncidentDump, ServeTrace, SloAnalysis, SloPolicy, BLAME_SIDECAR_KEY,
-        FLIGHT_SIDECAR_KEY, PROFILE_SIDECAR_KEY, TRACE_SIDECAR_KEY,
+        BlameOutcome, IncidentDump, ServeTrace, SloAnalysis, BLAME_SIDECAR_KEY, FLIGHT_SIDECAR_KEY,
+        PROFILE_SIDECAR_KEY, TRACE_SIDECAR_KEY,
     };
     let path = args
         .first()
@@ -993,7 +993,7 @@ fn cmd_trace_analyze(args: &[String]) -> Result<(), String> {
         trace.requests.len(),
         trace.batches.len()
     );
-    print!("{}", render_slo_analysis(&SloAnalysis::from_trace(&trace, SloPolicy::default(), k)));
+    print!("{}", render_slo_analysis(&SloAnalysis::from_trace(&trace, k)));
     Ok(())
 }
 
@@ -1059,6 +1059,11 @@ mod tests {
         assert!(cmd_softmax(&[]).is_err());
         assert!(cmd_softmax(&["q5.2".into()]).is_err());
         assert!(cmd_softmax(&["q5.2".into(), "abc".into()]).is_err());
+        // `f64::from_str` reads `nan` and `inf`; the engine has no row for them.
+        for (args, score) in [("q5.2 nan 1 2", "nan"), ("q5.2 inf 1", "inf")] {
+            let err = cmd_softmax(&argv(args)).expect_err(args);
+            assert_eq!(err, format!("score `{score}` is not finite"));
+        }
         assert!(cmd_geometry(&[]).is_err());
         assert!(cmd_fig3(&["zero".into()]).is_err());
         assert!(cmd_fig3(&["0".into()]).is_err());

@@ -256,6 +256,15 @@ pub(crate) fn exp_sample<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> f64 {
     -(1.0 - u).ln() * mean
 }
 
+/// The arrival count [`generate_open_loop`] reserves room for: the mean
+/// count over the horizon plus six standard deviations of a Poisson
+/// count, so a Poisson trace is allocated once. An MMPP count varies
+/// more, and its trace may still grow past this.
+fn reserved_len(process: &ArrivalProcess, horizon_ns: f64) -> usize {
+    let mean = process.offered_rps() * horizon_ns * 1e-9;
+    (mean + 6.0 * mean.sqrt() + 16.0) as usize
+}
+
 /// Materializes the open-loop arrival stream of `process` over
 /// `[0, horizon_ns)`: request ids are assigned in arrival order starting
 /// at 0 and classes are drawn from `mix`, one uniform draw after each
@@ -275,7 +284,12 @@ pub fn generate_open_loop(
     use rand::SeedableRng;
     assert!(horizon_ns > 0.0 && horizon_ns.is_finite(), "horizon must be positive");
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut out = ArrivalTrace { classes: mix.classes(), ..ArrivalTrace::default() };
+    let len = reserved_len(process, horizon_ns);
+    let mut out = ArrivalTrace {
+        times_ns: Vec::with_capacity(len),
+        class_idx: Vec::with_capacity(len),
+        classes: mix.classes(),
+    };
     match *process {
         ArrivalProcess::Poisson(PoissonArrival { rate_rps }) => {
             assert!(rate_rps > 0.0, "Poisson rate must be positive");
@@ -383,6 +397,33 @@ mod tests {
         for (process, seed, digest) in pinned {
             let got = stream_digest(process, &mix, seed);
             assert_eq!(got, digest, "{} at seed {seed}: {got:#018x}", process.label());
+        }
+    }
+
+    #[test]
+    fn open_loop_traces_never_outgrow_their_reservation() {
+        // serve_open's rate over a short horizon, and the open-loop
+        // processes of the serve test gallery at their seeds.
+        let mmpp = ArrivalProcess::mmpp(4_000.0, 60_000.0, 2e6, 1e6);
+        let cases = [
+            (ArrivalProcess::poisson(80_000.0), 6e7, 7),
+            (ArrivalProcess::poisson(80_000.0), 6e7, 11),
+            (ArrivalProcess::poisson(20_000.0), 5e6, 42),
+            (ArrivalProcess::poisson(120_000.0), 2e7, 99),
+            (mmpp, 5e6, 17),
+        ];
+        for (process, horizon_ns, seed) in cases {
+            let trace = generate_open_loop(&process, &tiny_mix(), horizon_ns, seed);
+            let reserved = reserved_len(&process, horizon_ns);
+            for capacity in [trace.times_ns.capacity(), trace.class_idx.capacity()] {
+                assert!(
+                    trace.len() <= capacity && capacity <= reserved,
+                    "{} over {horizon_ns} ns at seed {seed}: {} arrivals, capacity {capacity}, \
+                     reserved {reserved}",
+                    process.label(),
+                    trace.len()
+                );
+            }
         }
     }
 

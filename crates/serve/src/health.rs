@@ -310,19 +310,19 @@ impl HealthModel {
 
     /// One-pole RC update: the temperature after holding `power_mw` for
     /// `dt_ns` starting from `kelvin`.
-    pub fn advance_temperature(&self, kelvin: f64, power_mw: f64, dt_ns: f64) -> f64 {
+    pub(crate) fn advance_temperature(&self, kelvin: f64, power_mw: f64, dt_ns: f64) -> f64 {
         let t_ss = self.steady_temperature(power_mw);
         t_ss + (kelvin - t_ss) * (-dt_ns / THERMAL_TAU_NS).exp()
     }
 
     /// Retention drift factor after `t_ns` of simulated wall time.
-    pub fn drift_factor(&self, t_ns: f64) -> f64 {
+    pub(crate) fn drift_factor(&self, t_ns: f64) -> f64 {
         RetentionModel::typical().drift_factor(t_ns.max(0.0) * 1e-9)
     }
 
     /// Expected stuck-cell fraction for a ledger (effective program
     /// cycles through the Weibull endurance curve).
-    pub fn stuck_fraction(&self, ledger: &WearLedger) -> f64 {
+    pub(crate) fn stuck_fraction(&self, ledger: &WearLedger) -> f64 {
         EnduranceModel::typical().failure_probability_at(ledger.effective_writes())
     }
 
@@ -331,7 +331,7 @@ impl HealthModel {
     /// collapse at `kelvin` inflate the pristine per-element bound.
     /// 0.5 when pristine, 0 when the inflated bound consumes the whole
     /// budget, negative past it (clamped at −1).
-    pub fn accuracy_margin(&self, drift_factor: f64, kelvin: f64) -> f64 {
+    pub(crate) fn accuracy_margin(&self, drift_factor: f64, kelvin: f64) -> f64 {
         let window = (drift_factor * TemperatureModel::typical().on_off_factor(kelvin).min(1.0))
             .clamp(f64::MIN_POSITIVE, 1.0);
         let bound = self.base_bound / window;
@@ -340,7 +340,7 @@ impl HealthModel {
 
     /// One instance's health at `t_ns` given its ledger and temperature
     /// state.
-    pub fn instance_sample(
+    pub(crate) fn instance_sample(
         &self,
         t_ns: f64,
         kelvin: f64,
@@ -357,7 +357,7 @@ impl HealthModel {
     }
 
     /// Threshold checks for one sample, in a fixed kind order.
-    pub fn check(&self, s: &InstanceHealthSample) -> Vec<(AlarmKind, f64, f64)> {
+    pub(crate) fn check(&self, s: &InstanceHealthSample) -> Vec<(AlarmKind, f64, f64)> {
         let mut out = Vec::new();
         if s.temperature_kelvin > MAX_TEMPERATURE_KELVIN {
             out.push((AlarmKind::Temperature, s.temperature_kelvin, MAX_TEMPERATURE_KELVIN));

@@ -102,8 +102,7 @@ pub use sim::{
     simulate, simulate_full, simulate_observed, simulate_profiled, Observe, ServeConfig, SimOutcome,
 };
 pub use slo::{
-    BurnSweep, BurnWindow, ClassSloReport, Exemplar, LatencyStats, ServeReport, SloAnalysis,
-    SloPolicy,
+    BurnWindow, ClassSloReport, Exemplar, LatencyStats, ServeReport, SloAnalysis, SloPolicy,
 };
 pub use sweep::{grid, run_sweep, SweepCase, SweepResult};
 pub use trace::{

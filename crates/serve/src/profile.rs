@@ -26,6 +26,25 @@
 //!    These numbers are machine-dependent by nature and are emitted only
 //!    into report-style sidecars, never into deterministic outputs.
 //!
+//! # Sampled timing
+//!
+//! A clock read costs about as much as a small event handler, so timing
+//! every phase of every event would double the loop it measures. The
+//! loop therefore reads the clock only inside every
+//! [`TIMING_STRIDE`]-th event, chosen by event index (events 0, 16,
+//! 32, …). A timed event times every phase it enters, nested ones
+//! included, so a timed `dispatch` interval still carries the clock
+//! reads of the `batch_cost` and `health_dispatch` intervals inside it.
+//! Every other event counts its phase entries and reads no clock.
+//!
+//! What stays exact: every phase's `calls`, the single `finalize` call
+//! (always timed), and [`SimProfile::wall_total_ns`] (measured around
+//! the whole run). What is estimated: each phase's `total_ns`, its timed
+//! nanoseconds scaled by `calls / timed`, and hence its mean and share;
+//! `max_ns` is the longest *timed* call. The stride is 16 rather than
+//! larger because each timed call stands for about sixteen: one
+//! preempted call moves its phase's share sixteen times as far.
+//!
 //! # The no-perturbation invariant
 //!
 //! Profiling must observe the simulation without changing it: it
@@ -41,6 +60,11 @@ use star_telemetry::{ChromeTrace, PhaseProfiler};
 
 /// Number of buckets in a [`Pow2Hist`].
 pub const HIST_BUCKETS: usize = 16;
+
+/// The profiled event loop reads the clock inside one event in this
+/// many: the events whose index is a multiple of it (see the module
+/// doc's *Sampled timing*).
+pub const TIMING_STRIDE: u64 = 16;
 
 /// Wall-clock phase identifiers, indices into the profile's
 /// [`PhaseProfiler`]. The first five are **disjoint** top-level regions
@@ -233,9 +257,11 @@ impl WorkCounters {
 pub struct SimProfile {
     /// Deterministic work accounting (machine-independent, CI-gateable).
     pub work: WorkCounters,
-    /// Wall-clock phase attribution (machine-dependent, report-only).
+    /// Wall-clock phase attribution (machine-dependent, report-only):
+    /// exact call counts, and totals estimated from the timed events.
     pub wall: PhaseProfiler,
-    /// Total wall-clock time of the run, ns (seed → report, inclusive).
+    /// Total wall-clock time of the run, ns (seed → report, inclusive),
+    /// measured, not estimated.
     pub wall_total_ns: u64,
 }
 
@@ -276,7 +302,9 @@ impl SimProfile {
         out.push_str(&format!(
             "  queue depth < 2^{depth}, backlog < 2^{backlog} (pow2 buckets)\n\n"
         ));
-        out.push_str(&self.wall.render_table("wall-clock phases (machine-dependent)"));
+        out.push_str(&self.wall.render_table(&format!(
+            "wall-clock phases (machine-dependent, 1 event in {TIMING_STRIDE} timed)"
+        )));
         out.push_str(&format!(
             "  total {:.3} ms, {:.0} events/sec\n",
             self.wall_total_ns as f64 / 1e6,

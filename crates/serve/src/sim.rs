@@ -66,7 +66,7 @@ use crate::control::{
 use crate::flight::{FlightConfig, FlightOutcome, FlightRecorder};
 use crate::health::{FleetHealthReport, HealthConfig, HealthMonitor};
 use crate::model::{ServiceModel, ServiceModelConfig, ServicePhase};
-use crate::profile::{phase, SimProfile};
+use crate::profile::{phase, SimProfile, TIMING_STRIDE};
 use crate::request::{Request, RequestClass};
 use crate::slo::{order_key, ClassSloReport, LatencyStats, ServeReport};
 use crate::trace::{BatchTrace, RequestOutcome, RequestTrace, ServeTrace, SystemSample};
@@ -359,6 +359,8 @@ struct Sim<'a> {
     profile: Option<Box<SimProfile>>,
     flight: Option<Box<FlightRecorder>>,
     blame: Option<Box<BlameRecorder>>,
+    /// Whether the profiled event in hand reads the clock.
+    timing: bool,
 }
 
 impl<'a> Sim<'a> {
@@ -444,22 +446,25 @@ impl<'a> Sim<'a> {
             profile: observe.profile.then(|| Box::new(SimProfile::new())),
             flight,
             blame,
+            timing: false,
         }
     }
 
-    /// Starts a wall-clock interval iff profiling is on. Pair with
-    /// [`Sim::tock`]; when profiling is off this is one branch and no
-    /// clock read.
+    /// Enters a profiled phase: `None` when profiling is off, otherwise
+    /// the start time when this event is timed (see
+    /// [`crate::profile`]'s *Sampled timing*) and `Some(None)` when it is
+    /// only counted. Pair with [`Sim::tock`]; when profiling is off this
+    /// is one branch and no clock read.
     #[inline]
-    fn tick(&self) -> Option<Instant> {
-        self.profile.is_some().then(Instant::now)
+    fn tick(&self) -> Option<Option<Instant>> {
+        self.profile.as_ref().map(|_| self.timing.then(Instant::now))
     }
 
     /// [`Sim::tick`] gated on a second condition (e.g. "only time the
     /// trace-emit block when a trace is actually attached"), so optional
     /// subsystems that are off don't pollute phase call counts.
     #[inline]
-    fn tick_if(&self, active: bool) -> Option<Instant> {
+    fn tick_if(&self, active: bool) -> Option<Option<Instant>> {
         if active {
             self.tick()
         } else {
@@ -467,13 +472,14 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Ends a wall-clock interval started by [`Sim::tick`], attributing
-    /// it to `phase_idx`.
+    /// Leaves a phase entered by [`Sim::tick`]: counts the call against
+    /// `phase_idx`, with its interval when it was timed.
     #[inline]
-    fn tock(&mut self, phase_idx: usize, t0: Option<Instant>) {
-        if let Some(t0) = t0 {
-            if let Some(p) = self.profile.as_deref_mut() {
-                p.wall.record(phase_idx, t0.elapsed());
+    fn tock(&mut self, phase_idx: usize, t0: Option<Option<Instant>>) {
+        if let (Some(t0), Some(p)) = (t0, self.profile.as_deref_mut()) {
+            match t0 {
+                Some(t0) => p.wall.record(phase_idx, t0.elapsed()),
+                None => p.wall.count(phase_idx),
             }
         }
     }
@@ -984,7 +990,7 @@ impl<'a> Sim<'a> {
     }
 
     fn run(mut self) -> SimOutcome {
-        let run_start = self.tick();
+        let run_start = self.profile.is_some().then(Instant::now);
         self.seed_arrivals();
         if let Some(s) = &self.scaler {
             // The first decision point; each check arms its successor
@@ -999,6 +1005,7 @@ impl<'a> Sim<'a> {
         while let Some(event) = self.next_event() {
             self.makespan_ns = self.makespan_ns.max(event.time);
             if let Some(p) = self.profile.as_deref_mut() {
+                self.timing = p.work.events_total % TIMING_STRIDE == 0;
                 p.work.events_total += 1;
                 match &event.kind {
                     EventKind::Arrive(_) => p.work.events_arrive += 1,
@@ -1059,7 +1066,7 @@ impl<'a> Sim<'a> {
         }
         debug_assert_eq!(self.queued_total, 0, "drain leaves no queued request");
         debug_assert_eq!(self.in_system, 0, "every admitted request completes or expires");
-        let tf = self.tick();
+        let tf = self.profile.is_some().then(Instant::now);
         let tel_ops = self.tel.updates();
         self.tel.publish();
         let makespan_s = (self.makespan_ns * 1e-9).max(f64::MIN_POSITIVE);

@@ -14,13 +14,15 @@
 //!   when the monitor (which publishes its gauges there) is attached.
 //!
 //! The full set's trace, flight and blame JSON must also be the solo
-//! runs' bytes. The conservation tests after it check what the flight
-//! recorder and blame record against the report.
+//! runs' bytes. The tests after it check the self-profiler's phase
+//! counts against its work counters, and what the flight recorder and
+//! blame record against the report.
 
 mod common;
 
-use common::{configs, stress_config};
+use common::{closed_loop_config, configs, stress_config, wfq_autoscale_config};
 use proptest::prelude::*;
+use star_serve::profile::{phase, TIMING_STRIDE};
 use star_serve::{
     run_what_ifs, simulate, simulate_observed, ArrivalProcess, BatchPolicy, HealthConfig, Observe,
     ServeConfig, SimOutcome, TriggerKind, WhatIf,
@@ -119,6 +121,53 @@ mod every_subset_is_invisible {
         )*};
     }
     gallery!(example, stress, mmpp, closed_loop, wfq_autoscale, edf_hetero);
+}
+
+/// The self-profiler times one event in `TIMING_STRIDE` but counts every
+/// phase entry: under each observer subset that attaches it, on a closed
+/// loop that reaches all four event kinds, each phase's `calls` is the
+/// work counter that counts it, `timed` never exceeds `calls`, the sample
+/// hooks are timed once per timed event, and a rerun repeats both counts.
+#[test]
+fn profiler_counts_every_phase_entry() {
+    let mut cfg = closed_loop_config();
+    cfg.control = wfq_autoscale_config().control;
+    for set in (0..=ALL).filter(|set| set & PROFILE != 0) {
+        let counts = |o: &SimOutcome| {
+            let p = o.profile.as_ref().expect("profile attached");
+            (0..phase::NAMES.len()).map(|i| p.wall.stats(i)).map(|s| (s.calls, s.timed)).collect()
+        };
+        let outcome = simulate_observed(&cfg, &observe(set));
+        let rerun: Vec<(u64, u64)> = counts(&simulate_observed(&cfg, &observe(set)));
+        assert_eq!(counts(&outcome), rerun, "observers {set:05b}: rerun");
+        let p = outcome.profile.as_ref().expect("profile attached");
+        let w = &p.work;
+        assert!(w.events_window_expire > 0 && w.events_scale_check > 0, "every event kind runs");
+        let on = |bit: usize, n: u64| if set & bit != 0 { n } else { 0 };
+        let expected = [
+            (phase::ARRIVE, w.events_arrive),
+            (phase::WINDOW_EXPIRE, w.events_window_expire),
+            (phase::INSTANCE_FREE, w.events_instance_free),
+            (phase::SCALE_CHECK, w.events_scale_check),
+            (phase::SAMPLE_HOOKS, w.events_total),
+            (phase::DISPATCH, w.dispatch_rounds),
+            (phase::BATCH_COST, w.batches_formed),
+            (phase::HEALTH_DISPATCH, on(HEALTH, w.batches_formed)),
+            // One record per batch and one per request's end.
+            (phase::TRACE_EMIT, on(TRACE, w.events_instance_free + outcome.report.arrivals)),
+            (phase::FINALIZE, 1),
+        ];
+        assert_eq!(expected.len(), phase::NAMES.len(), "every phase checked");
+        for (i, calls) in expected {
+            let s = p.wall.stats(i);
+            assert_eq!(s.calls, calls, "observers {set:05b}: {} calls", phase::NAMES[i]);
+            assert!(s.timed <= s.calls, "observers {set:05b}: {} timed", phase::NAMES[i]);
+        }
+        let hooks = p.wall.stats(phase::SAMPLE_HOOKS);
+        assert_eq!(hooks.timed, w.events_total.div_ceil(TIMING_STRIDE), "observers {set:05b}");
+        assert!(hooks.timed < hooks.calls, "observers {set:05b}: sampled, not exhaustive");
+        assert_eq!(p.wall.stats(phase::FINALIZE).timed, 1, "finalize is always timed");
+    }
 }
 
 #[test]

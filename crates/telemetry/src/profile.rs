@@ -18,9 +18,13 @@
 //! and addressed by index, so the record path is two array ops and no
 //! hashing. Recording takes an elapsed [`Duration`] rather than owning
 //! the clock: callers decide where `Instant::now()` is sampled, which
-//! lets a host skip the clock reads entirely when profiling is off
-//! (`Option<Instant>` pattern). Accumulated stats are plain serializable
-//! data ([`PhaseStats`]), renderable as a top-phases table or as a
+//! lets a host skip the clock reads entirely when profiling is off.
+//!
+//! A host may also time only a sample of a phase's calls. Every call is
+//! counted exactly — [`PhaseProfiler::record`] for a timed call,
+//! [`PhaseProfiler::count`] for one that read no clock — and a phase's
+//! [`PhaseStats::total_ns`] extrapolates its timed calls' time to all of
+//! its calls. Accumulated stats render as a top-phases table or as a
 //! Chrome meta-trace through the same [`ChromeTrace`] machinery the
 //! simulated-time exporters use.
 
@@ -29,14 +33,20 @@ use serde::{Deserialize, Serialize};
 use serde_json::json;
 use std::time::Duration;
 
-/// Accumulated wall-clock statistics for one named phase.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+/// Wall-clock statistics of one named phase, as read from a
+/// [`PhaseProfiler`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseStats {
-    /// Number of recorded intervals.
+    /// Calls of the phase, timed or not: exact.
     pub calls: u64,
-    /// Total wall-clock time across all intervals, ns.
+    /// Calls whose interval was timed (`≤ calls`); the host picks which.
+    pub timed: u64,
+    /// Estimated wall-clock time across all calls, ns: the timed calls'
+    /// total scaled by `calls / timed` (0 when no call was timed), exact
+    /// when every call was timed. A timed interval includes the clock
+    /// reads of any phase timed inside it.
     pub total_ns: u64,
-    /// Longest single interval, ns.
+    /// Longest timed interval, ns.
     pub max_ns: u64,
 }
 
@@ -49,13 +59,37 @@ impl PhaseStats {
             self.total_ns as f64 / self.calls as f64
         }
     }
+}
 
-    /// Folds one elapsed interval into the stats.
-    pub fn record(&mut self, elapsed: Duration) {
+/// One phase's running sums: every call, and the time of the timed ones.
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+struct PhaseSums {
+    calls: u64,
+    timed: u64,
+    timed_ns: u64,
+    max_ns: u64,
+}
+
+impl PhaseSums {
+    /// Folds one timed call into the sums.
+    fn record(&mut self, elapsed: Duration) {
         let ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
         self.calls += 1;
-        self.total_ns += ns;
+        self.timed += 1;
+        self.timed_ns += ns;
         self.max_ns = self.max_ns.max(ns);
+    }
+
+    /// The sums as stats, the timed time scaled by `calls / timed`.
+    fn stats(&self) -> PhaseStats {
+        let total_ns = if self.timed == 0 {
+            0
+        } else {
+            let scaled =
+                u128::from(self.timed_ns) * u128::from(self.calls) / u128::from(self.timed);
+            u64::try_from(scaled).unwrap_or(u64::MAX)
+        };
+        PhaseStats { calls: self.calls, timed: self.timed, total_ns, max_ns: self.max_ns }
     }
 }
 
@@ -71,12 +105,17 @@ impl PhaseStats {
 /// p.record(0, Duration::from_micros(2));
 /// assert_eq!(p.stats(0).calls, 2);
 /// assert_eq!(p.stats(0).total_ns, 5_000);
+/// // Two untimed calls: counted, and estimated at the timed calls' mean.
+/// p.count(0);
+/// p.count(0);
+/// assert_eq!((p.stats(0).calls, p.stats(0).timed), (4, 2));
+/// assert_eq!(p.stats(0).total_ns, 10_000);
 /// assert!(p.render_table("hot phases").contains("dispatch"));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PhaseProfiler {
     names: Vec<String>,
-    stats: Vec<PhaseStats>,
+    sums: Vec<PhaseSums>,
 }
 
 impl PhaseProfiler {
@@ -84,7 +123,7 @@ impl PhaseProfiler {
     pub fn new(names: &[&str]) -> Self {
         PhaseProfiler {
             names: names.iter().map(|n| n.to_string()).collect(),
-            stats: vec![PhaseStats::default(); names.len()],
+            sums: vec![PhaseSums::default(); names.len()],
         }
     }
 
@@ -113,49 +152,60 @@ impl PhaseProfiler {
     ///
     /// Panics when `idx` is out of range.
     pub fn stats(&self, idx: usize) -> PhaseStats {
-        self.stats[idx]
+        self.sums[idx].stats()
     }
 
-    /// Folds one elapsed interval into phase `idx`.
+    /// Folds one timed call of phase `idx`, `elapsed` long.
     ///
     /// # Panics
     ///
     /// Panics when `idx` is out of range.
     pub fn record(&mut self, idx: usize, elapsed: Duration) {
-        self.stats[idx].record(elapsed);
+        self.sums[idx].record(elapsed);
+    }
+
+    /// Counts one untimed call of phase `idx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `idx` is out of range.
+    pub fn count(&mut self, idx: usize) {
+        self.sums[idx].calls += 1;
     }
 
     /// `(name, stats)` pairs in registration order.
     pub fn entries(&self) -> impl Iterator<Item = (&str, PhaseStats)> + '_ {
-        self.names.iter().map(String::as_str).zip(self.stats.iter().copied())
+        self.names.iter().map(String::as_str).zip(self.sums.iter().map(PhaseSums::stats))
     }
 
-    /// Total recorded time across all phases, ns. When phases nest this
+    /// Total estimated time across all phases, ns. When phases nest this
     /// double-counts by design; hosts that want a partition should keep
     /// their top-level phases disjoint.
     pub fn total_ns(&self) -> u64 {
-        self.stats.iter().map(|s| s.total_ns).sum()
+        self.entries().map(|(_, s)| s.total_ns).sum()
     }
 
     /// Aligned top-phases table, longest total first (ties broken by
     /// registration order so the rendering is deterministic for equal
     /// inputs). Shares are relative to the summed total.
     pub fn render_table(&self, title: &str) -> String {
-        let mut order: Vec<usize> = (0..self.stats.len()).collect();
-        order.sort_by(|&a, &b| self.stats[b].total_ns.cmp(&self.stats[a].total_ns).then(a.cmp(&b)));
+        let stats: Vec<PhaseStats> = self.entries().map(|(_, s)| s).collect();
+        let mut order: Vec<usize> = (0..stats.len()).collect();
+        order.sort_by(|&a, &b| stats[b].total_ns.cmp(&stats[a].total_ns).then(a.cmp(&b)));
         let total = self.total_ns().max(1) as f64;
         let width = self.names.iter().map(String::len).max().unwrap_or(5).max(5);
         let mut out = String::new();
         out.push_str(&format!(
-            "{title}:\n  {:<width$} {:>12} {:>12} {:>12} {:>12} {:>7}\n",
-            "phase", "calls", "total us", "mean ns", "max ns", "share"
+            "{title}:\n  {:<width$} {:>12} {:>12} {:>12} {:>12} {:>12} {:>7}\n",
+            "phase", "calls", "timed", "total us", "mean ns", "max ns", "share"
         ));
         for i in order {
-            let s = &self.stats[i];
+            let s = &stats[i];
             out.push_str(&format!(
-                "  {:<width$} {:>12} {:>12.1} {:>12.1} {:>12} {:>6.1}%\n",
+                "  {:<width$} {:>12} {:>12} {:>12.1} {:>12.1} {:>12} {:>6.1}%\n",
                 self.names[i],
                 s.calls,
+                s.timed,
                 s.total_ns as f64 / 1e3,
                 s.mean_ns(),
                 s.max_ns,
@@ -165,7 +215,7 @@ impl PhaseProfiler {
         out
     }
 
-    /// Lowers the accumulated phase totals onto a Chrome meta-trace: one
+    /// Lowers the estimated phase totals onto a Chrome meta-trace: one
     /// process lane named `process`, one complete event per phase laid
     /// back-to-back in registration order (the layout shows *attribution
     /// shares*, not real concurrency — the host is single-threaded wall
@@ -185,7 +235,12 @@ impl PhaseProfiler {
                 s.total_ns as f64,
                 0,
                 i as u64,
-                json!({ "calls": s.calls, "mean_ns": s.mean_ns(), "max_ns": s.max_ns }),
+                json!({
+                    "calls": s.calls,
+                    "timed": s.timed,
+                    "mean_ns": s.mean_ns(),
+                    "max_ns": s.max_ns,
+                }),
             );
             cursor_ns += s.total_ns as f64;
         }
@@ -199,14 +254,25 @@ mod tests {
 
     #[test]
     fn stats_accumulate_and_track_max() {
-        let mut s = PhaseStats::default();
-        assert_eq!(s.mean_ns(), 0.0);
+        let mut s = PhaseSums::default();
+        assert_eq!(s.stats().mean_ns(), 0.0);
         s.record(Duration::from_nanos(100));
         s.record(Duration::from_nanos(300));
-        assert_eq!(s.calls, 2);
-        assert_eq!(s.total_ns, 400);
-        assert_eq!(s.max_ns, 300);
-        assert!((s.mean_ns() - 200.0).abs() < 1e-12);
+        let timed = s.stats();
+        assert_eq!((timed.calls, timed.timed), (2, 2));
+        assert_eq!(timed.total_ns, 400);
+        assert_eq!(timed.max_ns, 300);
+        assert!((timed.mean_ns() - 200.0).abs() < 1e-12);
+        // Untimed calls scale the timed total by calls / timed and keep
+        // the timed mean and max.
+        s.calls += 2;
+        let sampled = s.stats();
+        assert_eq!((sampled.calls, sampled.timed), (4, 2));
+        assert_eq!(sampled.total_ns, 800);
+        assert_eq!(sampled.max_ns, 300);
+        assert!((sampled.mean_ns() - 200.0).abs() < 1e-12);
+        let untimed = PhaseSums { calls: 3, ..PhaseSums::default() }.stats();
+        assert_eq!((untimed.calls, untimed.timed, untimed.total_ns), (3, 0, 0));
     }
 
     #[test]

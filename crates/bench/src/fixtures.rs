@@ -20,7 +20,7 @@ use star_attention::RowSoftmax;
 use star_core::{StarSoftmax, StarSoftmaxConfig};
 use star_crossbar::{CamSubCrossbar, LutCrossbar};
 use star_device::{NoiseModel, StuckFault, TechnologyParams};
-use star_fixed::{Fixed, QFormat, Rounding};
+use star_fixed::{Fixed, QFormat};
 use star_serve::{simulate_observed, HealthConfig, Observe};
 use star_workload::{Dataset, ScoreTrace};
 use std::collections::BTreeMap;
@@ -83,8 +83,7 @@ pub(crate) fn star_faults() -> Value {
         xbar.cam_mut().inject_fault(row, bit, half, fault);
     }
     let values = [3.5, 1.5, 2.5, 0.5, -2.0, 1.0, -1.5];
-    let inputs: Vec<Fixed> =
-        values.iter().map(|&v| Fixed::from_f64(v, small, Rounding::Nearest)).collect();
+    let inputs: Vec<Fixed> = values.iter().map(|&v| Fixed::from_f64(v, small)).collect();
     let hand = max_search_json(&mut xbar, &inputs);
 
     let mrpc = QFormat::MRPC;
@@ -95,8 +94,7 @@ pub(crate) fn star_faults() -> Value {
         &mut rand_chacha::ChaCha8Rng::seed_from_u64(0xFB),
     );
     let trace = ScoreTrace::generate(Dataset::Mrpc, 1, 48, 0xFC);
-    let inputs: Vec<Fixed> =
-        trace.rows[0].iter().map(|&v| Fixed::from_f64(v, mrpc, Rounding::Nearest)).collect();
+    let inputs: Vec<Fixed> = trace.rows[0].iter().map(|&v| Fixed::from_f64(v, mrpc)).collect();
     let sampled = max_search_json(&mut xbar, &inputs);
 
     serde_json::json!({
@@ -153,10 +151,8 @@ pub(crate) fn engine_telemetry() -> Value {
         let tech = TechnologyParams::cmos32();
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xE7);
         let mut xbar = CamSubCrossbar::new(mrpc, &tech, NoiseModel::ideal(), &mut rng);
-        let inputs: Vec<Fixed> = [2.5, -7.125, 11.0, 0.375]
-            .iter()
-            .map(|&v| Fixed::from_f64(v, mrpc, Rounding::Nearest))
-            .collect();
+        let inputs: Vec<Fixed> =
+            [2.5, -7.125, 11.0, 0.375].iter().map(|&v| Fixed::from_f64(v, mrpc)).collect();
         let found = xbar.find_max(&inputs).expect("ideal array matches");
         for &x in &inputs {
             xbar.subtract(x, found.max);

@@ -185,7 +185,7 @@ pub fn paper_point_utilization() -> Vec<star_core::UtilizationReport> {
     );
     star_core::PipelineMode::ALL
         .iter()
-        .map(|&mode| star_core::UtilizationReport::from_durations(&durations, mode, 1))
+        .map(|&mode| star_core::UtilizationReport::from_durations(&durations, mode))
         .collect()
 }
 

@@ -255,9 +255,8 @@ pub(crate) fn e4() -> Value {
         .iter()
         .map(|&dataset| {
             let trace = ScoreTrace::generate(dataset, 192, 64, 0x0E4 + dataset as u64);
-            let an = trace.analyze();
             let points = sweep_formats(&trace.rows, 3..=6, 0..=4).expect("sweep");
-            E4Sweep { dataset, score_range: (an.min_seen(), an.max_seen()), points }
+            E4Sweep { dataset, score_range: trace.score_range(), points }
         })
         .collect();
     for sweep in &sweeps {

@@ -13,6 +13,10 @@ use star_crossbar::OpCost;
 use star_device::peripherals::{BlockSpec, PeripheralLibrary};
 use star_device::{CostSheet, Latency, TechnologyParams};
 
+/// Row buffer capacity in elements, per ping-pong FP32 buffer: one
+/// BERT-base row at its longest sequence.
+const BUFFER_LEN: usize = 512;
+
 /// Full-precision CMOS softmax unit.
 ///
 /// Functionally it evaluates softmax in `f32` (the quantization of a real
@@ -32,8 +36,6 @@ use star_device::{CostSheet, Latency, TechnologyParams};
 #[derive(Debug, Clone, PartialEq)]
 pub struct CmosBaselineSoftmax {
     lanes: usize,
-    /// Row buffer capacity in elements (two ping-pong FP32 buffers).
-    buffer_len: usize,
     tech: TechnologyParams,
     name: String,
 }
@@ -45,20 +47,9 @@ impl CmosBaselineSoftmax {
     ///
     /// Panics if `lanes` is zero.
     pub fn new(lanes: usize) -> Self {
-        Self::with_buffer(lanes, 512)
-    }
-
-    /// Creates a unit with an explicit row-buffer capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` or `buffer_len` is zero.
-    pub fn with_buffer(lanes: usize, buffer_len: usize) -> Self {
         assert!(lanes > 0, "lane count must be positive");
-        assert!(buffer_len > 0, "buffer length must be positive");
         CmosBaselineSoftmax {
             lanes,
-            buffer_len,
             tech: TechnologyParams::cmos32(),
             name: format!("cmos-fp32-baseline-x{lanes}"),
         }
@@ -115,7 +106,7 @@ impl SoftmaxEngine for CmosBaselineSoftmax {
             );
         }
         // Two ping-pong FP32 row buffers.
-        let kib = (self.buffer_len * 4) as f64 / 1024.0;
+        let kib = (BUFFER_LEN * 4) as f64 / 1024.0;
         let buf = PeripheralLibrary::sram(kib.max(0.25));
         sheet.add("row buffers x2", buf.area() * 2.0, buf.average_power(1.0) * 2.0);
         sheet

@@ -6,7 +6,10 @@
 //! two agree exactly for uniform stage times (a property test enforces
 //! it), and the simulator additionally handles what the formula cannot:
 //! per-row varying stage latencies (e.g. softmax rows that saturate
-//! early-exit paths) and replicated softmax engines.
+//! early-exit paths). Each stage is one resource, as in STAR's row
+//! pipeline; an accelerator with several softmax units is modelled by the
+//! serving layer's service model, which divides the softmax stage among
+//! them.
 
 use crate::pipeline::PipelineMode;
 use serde::{Deserialize, Serialize};
@@ -76,27 +79,20 @@ pub struct SimResult {
 }
 
 /// Simulates `rows` score rows through `QKᵀ → softmax → PV` under a
-/// pipeline mode, with `softmax_engines` interchangeable softmax resources
-/// (round-robin; >1 only meaningful for vector-grained scheduling).
+/// pipeline mode, with one resource per stage.
 ///
 /// Resource semantics per mode:
 /// - `Unpipelined`: one row finishes entirely before the next starts.
 /// - `OperandGrained`: the two MatMul stages each own a resource and
 ///   stream, but the softmax unit blocks the whole flow — no new QKᵀ row
 ///   may start while a softmax is in flight.
-/// - `VectorGrained`: three independent stage resources; softmax may be
-///   replicated.
+/// - `VectorGrained`: three independent stage resources.
 ///
 /// # Panics
 ///
-/// Panics if durations are inconsistent or `softmax_engines` is zero.
-pub fn simulate_pipeline(
-    durations: &RowDurations,
-    mode: PipelineMode,
-    softmax_engines: usize,
-) -> SimResult {
+/// Panics if durations are inconsistent.
+pub fn simulate_pipeline(durations: &RowDurations, mode: PipelineMode) -> SimResult {
     durations.validate();
-    assert!(softmax_engines > 0, "need at least one softmax engine");
     let n = durations.rows();
     let mut timelines = Vec::with_capacity(n);
     let mut softmax_busy = 0.0;
@@ -104,7 +100,7 @@ pub fn simulate_pipeline(
     // Resource availability times.
     let mut qk_free = 0.0f64;
     let mut av_free = 0.0f64;
-    let mut engines_free = vec![0.0f64; softmax_engines];
+    let mut softmax_free = 0.0f64;
     let mut serial_free = 0.0f64; // unpipelined / blocking cursor
 
     for row in 0..n {
@@ -138,10 +134,9 @@ pub fn simulate_pipeline(
                 let qs = qk_free;
                 let qe = qs + dq;
                 qk_free = qe;
-                let engine = row % softmax_engines;
-                let ss = qe.max(engines_free[engine]);
+                let ss = qe.max(softmax_free);
                 let se = ss + ds;
-                engines_free[engine] = se;
+                softmax_free = se;
                 softmax_busy += ds;
                 let as_ = se.max(av_free);
                 let ae = as_ + da;
@@ -176,7 +171,7 @@ mod tests {
     #[test]
     fn matches_formula_unpipelined() {
         let d = RowDurations::uniform(17, 10.0, 25.0, 15.0);
-        let sim = simulate_pipeline(&d, PipelineMode::Unpipelined, 1);
+        let sim = simulate_pipeline(&d, PipelineMode::Unpipelined);
         assert!(
             (sim.makespan.value() - formula(17, 10.0, 25.0, 15.0, PipelineMode::Unpipelined)).abs()
                 < 1e-9
@@ -187,7 +182,7 @@ mod tests {
     fn matches_formula_vector_grained() {
         for (qk, sm, av) in [(10.0, 25.0, 15.0), (30.0, 5.0, 30.0), (7.0, 7.0, 7.0)] {
             let d = RowDurations::uniform(64, qk, sm, av);
-            let sim = simulate_pipeline(&d, PipelineMode::VectorGrained, 1);
+            let sim = simulate_pipeline(&d, PipelineMode::VectorGrained);
             let f = formula(64, qk, sm, av, PipelineMode::VectorGrained);
             assert!(
                 (sim.makespan.value() - f).abs() < 1e-9,
@@ -201,7 +196,7 @@ mod tests {
     fn matches_formula_operand_grained() {
         for (qk, sm, av) in [(10.0, 25.0, 15.0), (30.0, 5.0, 30.0)] {
             let d = RowDurations::uniform(64, qk, sm, av);
-            let sim = simulate_pipeline(&d, PipelineMode::OperandGrained, 1);
+            let sim = simulate_pipeline(&d, PipelineMode::OperandGrained);
             let f = formula(64, qk, sm, av, PipelineMode::OperandGrained);
             // The formula is the steady-state approximation; the simulator
             // may differ by at most one pipeline fill term.
@@ -216,22 +211,10 @@ mod tests {
     }
 
     #[test]
-    fn replicated_engines_remove_softmax_bottleneck() {
-        // Softmax 8× slower than matmul: one engine throttles the pipeline,
-        // eight restore matmul-bound throughput.
-        let d = RowDurations::uniform(128, 10.0, 80.0, 10.0);
-        let one = simulate_pipeline(&d, PipelineMode::VectorGrained, 1);
-        let eight = simulate_pipeline(&d, PipelineMode::VectorGrained, 8);
-        assert!(one.makespan.value() > 128.0 * 80.0 * 0.95);
-        assert!(eight.makespan.value() < 128.0 * 10.0 * 1.5 + 200.0, "{}", eight.makespan);
-        assert!(eight.makespan < one.makespan);
-    }
-
-    #[test]
     fn timelines_are_causal_and_ordered() {
         let d = RowDurations::uniform(16, 5.0, 9.0, 7.0);
         for mode in PipelineMode::ALL {
-            let sim = simulate_pipeline(&d, mode, 2);
+            let sim = simulate_pipeline(&d, mode);
             for t in &sim.timelines {
                 assert!(t.qk_start <= t.softmax_start, "{mode:?}");
                 assert!(t.softmax_start <= t.av_start, "{mode:?}");
@@ -248,11 +231,10 @@ mod tests {
     fn non_uniform_rows_supported() {
         let mut d = RowDurations::uniform(8, 10.0, 10.0, 10.0);
         d.softmax[3] = 100.0; // one slow row
-        let sim = simulate_pipeline(&d, PipelineMode::VectorGrained, 1);
+        let sim = simulate_pipeline(&d, PipelineMode::VectorGrained);
         let uniform = simulate_pipeline(
             &RowDurations::uniform(8, 10.0, 10.0, 10.0),
             PipelineMode::VectorGrained,
-            1,
         );
         assert!(sim.makespan > uniform.makespan);
         assert!((sim.softmax_busy.value() - (7.0 * 10.0 + 100.0)).abs() < 1e-9);
@@ -261,7 +243,7 @@ mod tests {
     #[test]
     fn utilization_fraction() {
         let d = RowDurations::uniform(32, 20.0, 10.0, 20.0);
-        let sim = simulate_pipeline(&d, PipelineMode::VectorGrained, 1);
+        let sim = simulate_pipeline(&d, PipelineMode::VectorGrained);
         let (busy, makespan) = (sim.softmax_busy.value(), sim.makespan.value());
         assert!(busy > 0.0 && busy < makespan, "{busy} of {makespan}");
     }
@@ -270,6 +252,6 @@ mod tests {
     #[should_panic(expected = "stage vectors must agree")]
     fn ragged_durations_rejected() {
         let d = RowDurations { qk: vec![1.0, 2.0], softmax: vec![1.0], av: vec![1.0, 2.0] };
-        let _ = simulate_pipeline(&d, PipelineMode::VectorGrained, 1);
+        let _ = simulate_pipeline(&d, PipelineMode::VectorGrained);
     }
 }

@@ -53,7 +53,7 @@ pub use bank::EngineBank;
 pub use cmos_baseline::CmosBaselineSoftmax;
 pub use engine::{fixed_divide, RowSoftmax, SoftmaxEngine};
 pub use event_sim::{simulate_pipeline, RowDurations, RowTimeline, SimResult};
-pub use pipeline::{attention_pipeline_latency, PipelineMode, PipelineReport, RowStageLatency};
+pub use pipeline::{attention_pipeline_latency, PipelineMode, RowStageLatency};
 pub use softermax::Softermax;
 pub use star::{BuildStarError, StarGeometry, StarSoftmax, StarSoftmaxConfig};
 pub use trace::{pipeline_chrome_trace, StageUtilization, UtilizationReport};

@@ -105,39 +105,6 @@ pub fn attention_pipeline_latency(
     }
 }
 
-/// Latency of every mode side by side, plus the speedups over the
-/// unpipelined baseline — the A1 ablation's raw numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PipelineReport {
-    /// Number of rows pushed through.
-    pub rows: usize,
-    /// Per-row stage latencies.
-    pub stages: RowStageLatency,
-    /// Unpipelined total.
-    pub unpipelined: Latency,
-    /// Operand-grained total.
-    pub operand_grained: Latency,
-    /// Vector-grained total.
-    pub vector_grained: Latency,
-}
-
-impl PipelineReport {
-    /// Evaluates all modes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` is zero.
-    pub fn evaluate(rows: usize, stages: RowStageLatency) -> Self {
-        PipelineReport {
-            rows,
-            stages,
-            unpipelined: attention_pipeline_latency(rows, stages, PipelineMode::Unpipelined),
-            operand_grained: attention_pipeline_latency(rows, stages, PipelineMode::OperandGrained),
-            vector_grained: attention_pipeline_latency(rows, stages, PipelineMode::VectorGrained),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,13 +122,19 @@ mod tests {
         }
     }
 
+    /// Every mode's latency for `rows` rows, in [`PipelineMode::ALL`]
+    /// order: unpipelined, operand-grained, vector-grained.
+    fn all_modes(rows: usize, s: RowStageLatency) -> [Latency; 3] {
+        PipelineMode::ALL.map(|mode| attention_pipeline_latency(rows, s, mode))
+    }
+
     #[test]
     fn ordering_unpipelined_ge_operand_ge_vector() {
         let s = stages(100.0, 80.0, 100.0);
         for n in [2usize, 16, 128, 512] {
-            let r = PipelineReport::evaluate(n, s);
-            assert!(r.unpipelined >= r.operand_grained, "n={n}");
-            assert!(r.operand_grained >= r.vector_grained, "n={n}");
+            let [unpipelined, operand, vector] = all_modes(n, s);
+            assert!(unpipelined >= operand, "n={n}");
+            assert!(operand >= vector, "n={n}");
         }
     }
 
@@ -187,9 +160,9 @@ mod tests {
 
     #[test]
     fn speedups_above_one_when_softmax_matters() {
-        let r = PipelineReport::evaluate(128, stages(100.0, 80.0, 100.0));
-        assert!(r.operand_grained.value() > 1.5 * r.vector_grained.value());
-        assert!(r.unpipelined.value() > 2.0 * r.vector_grained.value());
+        let [unpipelined, operand, vector] = all_modes(128, stages(100.0, 80.0, 100.0));
+        assert!(operand.value() > 1.5 * vector.value());
+        assert!(unpipelined.value() > 2.0 * vector.value());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use star_attention::RowSoftmax;
 use star_crossbar::OpCost;
 use star_device::peripherals::PeripheralLibrary;
 use star_device::{CostSheet, Latency, TechnologyParams};
-use star_fixed::{Fixed, QFormat, Rounding};
+use star_fixed::{Fixed, QFormat};
 
 /// The Softermax softmax unit.
 ///
@@ -109,10 +109,8 @@ impl RowSoftmax for Softermax {
         star_telemetry::count("softermax.softmax.div_ops", scores.len() as u64);
         // Fold ln→log₂ conversion into the input scale, then quantize.
         let log2e = std::f64::consts::LOG2_E;
-        let xs: Vec<Fixed> = scores
-            .iter()
-            .map(|&s| Fixed::from_f64(s * log2e, self.format, Rounding::Nearest))
-            .collect();
+        let xs: Vec<Fixed> =
+            scores.iter().map(|&s| Fixed::from_f64(s * log2e, self.format)).collect();
 
         // Online pass: integer-grid running max + running denominator.
         let mut m_int: i64 = i64::MIN; // running max, integer units
@@ -257,7 +255,7 @@ mod tests {
     fn deep_negative_underflows_to_zero() {
         let soft = Softermax::new(QFormat::CNEWS, 1);
         let fmt = QFormat::CNEWS;
-        assert_eq!(soft.exp2_code(Fixed::from_f64(-30.0, fmt, Rounding::Nearest)), 0);
+        assert_eq!(soft.exp2_code(Fixed::from_f64(-30.0, fmt)), 0);
     }
 
     #[test]

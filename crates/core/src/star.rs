@@ -50,7 +50,7 @@ use star_crossbar::{
 };
 use star_device::peripherals::PeripheralLibrary;
 use star_device::{CostSheet, Latency, NoiseModel, TechnologyParams};
-use star_fixed::{encoding, Fixed, QFormat, Rounding};
+use star_fixed::{encoding, Fixed, QFormat};
 use star_telemetry::Tally;
 use std::error::Error;
 use std::fmt;
@@ -315,7 +315,7 @@ impl StarSoftmax {
 
     /// Quantizes a raw score into the engine's input format.
     pub fn quantize(&self, score: f64) -> Fixed {
-        Fixed::from_f64(score, self.config.format, Rounding::Nearest)
+        Fixed::from_f64(score, self.config.format)
     }
 
     /// Total *measured* dynamic energy recorded by the array ledgers since

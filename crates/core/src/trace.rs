@@ -5,7 +5,7 @@
 //! schedules onto it. Two products:
 //!
 //! - [`pipeline_chrome_trace`] — a Perfetto-loadable trace with one lane
-//!   per pipeline resource (`QK`, one lane per softmax engine, `PV`) and
+//!   per pipeline resource (`QK`, the softmax engine, `PV`) and
 //!   one complete event per row per stage, so the Fig. 4 pipelining
 //!   argument can be *seen* rather than inferred from a makespan number.
 //! - [`UtilizationReport`] — per-stage busy/stall/occupancy with
@@ -18,63 +18,35 @@ use crate::pipeline::PipelineMode;
 use serde::{Deserialize, Serialize};
 use star_telemetry::ChromeTrace;
 
-/// Number of softmax lanes actually used by a mode: only the
-/// vector-grained pipeline replicates the softmax engine.
-fn effective_engines(mode: PipelineMode, softmax_engines: usize) -> usize {
-    match mode {
-        PipelineMode::VectorGrained => softmax_engines.max(1),
-        _ => 1,
-    }
-}
-
 /// Exports a pipeline schedule as Chrome trace-event JSON (load the output
 /// of [`ChromeTrace::to_json_string`] in Perfetto / `chrome://tracing`).
 ///
 /// Lane layout: pid 1 is the pipeline (named after `mode`); tid 1 is the
-/// QKᵀ MatMul, tids 2..=1+k are the `k` softmax engines, and the last tid
-/// is the PV MatMul. Each row contributes three `ph:"X"` events carrying
-/// its row index in `args`.
+/// QKᵀ MatMul, tid 2 the softmax engine (`softmax#0`) and tid 3 the PV
+/// MatMul. Each row contributes three `ph:"X"` events carrying its row
+/// index in `args`.
 ///
 /// # Panics
 ///
-/// Panics if `durations` are inconsistent or `softmax_engines` is zero
-/// (same contract as [`simulate_pipeline`]).
-pub fn pipeline_chrome_trace(
-    durations: &RowDurations,
-    mode: PipelineMode,
-    softmax_engines: usize,
-) -> ChromeTrace {
-    let sim = simulate_pipeline(durations, mode, softmax_engines);
-    let engines = effective_engines(mode, softmax_engines);
+/// Panics if `durations` are inconsistent (same contract as
+/// [`simulate_pipeline`]).
+pub fn pipeline_chrome_trace(durations: &RowDurations, mode: PipelineMode) -> ChromeTrace {
+    let sim = simulate_pipeline(durations, mode);
     let pid = 1;
-    let pv_tid = 1 + engines as u64 + 1;
 
     let mut trace = ChromeTrace::new();
     trace.name_process(pid, format!("attention pipeline ({mode:?})"));
     trace.name_thread(pid, 1, "QK matmul");
-    for e in 0..engines {
-        trace.name_thread(pid, 2 + e as u64, format!("softmax#{e}"));
-    }
-    trace.name_thread(pid, pv_tid, "PV matmul");
+    trace.name_thread(pid, 2, "softmax#0");
+    trace.name_thread(pid, 3, "PV matmul");
 
     for t in &sim.timelines {
         let row = t.row;
         let args = serde_json::json!({ "row": row });
         trace.complete_ns("qk", "matmul", t.qk_start, durations.qk[row], pid, 1, args.clone());
-        let engine = match mode {
-            PipelineMode::VectorGrained => row % engines,
-            _ => 0,
-        };
-        trace.complete_ns(
-            "softmax",
-            "softmax",
-            t.softmax_start,
-            durations.softmax[row],
-            pid,
-            2 + engine as u64,
-            args.clone(),
-        );
-        trace.complete_ns("pv", "matmul", t.av_start, durations.av[row], pid, pv_tid, args);
+        let softmax = durations.softmax[row];
+        trace.complete_ns("softmax", "softmax", t.softmax_start, softmax, pid, 2, args.clone());
+        trace.complete_ns("pv", "matmul", t.av_start, durations.av[row], pid, 3, args);
     }
     star_telemetry::count("pipeline.trace.exports", 1);
     trace
@@ -83,7 +55,7 @@ pub fn pipeline_chrome_trace(
 /// Busy/stall accounting for one pipeline resource.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StageUtilization {
-    /// Lane name (`"qk"`, `"softmax#0"`, …, `"pv"`).
+    /// Lane name (`"qk"`, `"softmax#0"` or `"pv"`).
     pub name: String,
     /// Time (ns) the resource spent executing stage work.
     pub busy_ns: f64,
@@ -101,7 +73,7 @@ pub struct UtilizationReport {
     pub mode: PipelineMode,
     /// End-to-end makespan in ns.
     pub makespan_ns: f64,
-    /// One entry per resource lane (QK, each softmax engine, PV).
+    /// One entry per resource lane: QK, softmax, PV.
     pub stages: Vec<StageUtilization>,
     /// Name of the highest-occupancy lane — the stage that bounds
     /// throughput.
@@ -114,36 +86,25 @@ impl UtilizationReport {
     /// # Panics
     ///
     /// Same contract as [`simulate_pipeline`].
-    pub fn from_durations(
-        durations: &RowDurations,
-        mode: PipelineMode,
-        softmax_engines: usize,
-    ) -> Self {
-        let sim = simulate_pipeline(durations, mode, softmax_engines);
-        let engines = effective_engines(mode, softmax_engines);
+    pub fn from_durations(durations: &RowDurations, mode: PipelineMode) -> Self {
+        let sim = simulate_pipeline(durations, mode);
         let makespan = sim.makespan.value();
 
-        let qk_busy: f64 = durations.qk.iter().sum();
-        let av_busy: f64 = durations.av.iter().sum();
-        let mut engine_busy = vec![0.0f64; engines];
-        for (row, &ds) in durations.softmax.iter().enumerate() {
-            let engine = match mode {
-                PipelineMode::VectorGrained => row % engines,
-                _ => 0,
-            };
-            engine_busy[engine] += ds;
-        }
-
-        let lane = |name: String, busy: f64| {
+        let lane = |name: &str, rows: &[f64]| {
+            let busy: f64 = rows.iter().sum();
             let occupancy = if makespan == 0.0 { 0.0 } else { busy / makespan };
-            StageUtilization { name, busy_ns: busy, stall_ns: makespan - busy, occupancy }
+            StageUtilization {
+                name: name.into(),
+                busy_ns: busy,
+                stall_ns: makespan - busy,
+                occupancy,
+            }
         };
-        let mut stages = Vec::with_capacity(engines + 2);
-        stages.push(lane("qk".to_string(), qk_busy));
-        for (e, &busy) in engine_busy.iter().enumerate() {
-            stages.push(lane(format!("softmax#{e}"), busy));
-        }
-        stages.push(lane("pv".to_string(), av_busy));
+        let stages = vec![
+            lane("qk", &durations.qk),
+            lane("softmax#0", &durations.softmax),
+            lane("pv", &durations.av),
+        ];
 
         let bottleneck = stages
             .iter()
@@ -151,9 +112,7 @@ impl UtilizationReport {
             .map(|s| s.name.clone())
             .unwrap_or_default();
 
-        let softmax_stall: f64 =
-            stages.iter().filter(|s| s.name.starts_with("softmax")).map(|s| s.stall_ns).sum();
-        star_telemetry::add("pipeline.softmax.stall_ns", softmax_stall);
+        star_telemetry::add("pipeline.softmax.stall_ns", stages[1].stall_ns);
         star_telemetry::add("pipeline.makespan_ns", makespan);
 
         UtilizationReport { mode, makespan_ns: makespan, stages, bottleneck }
@@ -197,13 +156,14 @@ mod tests {
     #[test]
     fn trace_has_three_events_per_row_plus_metadata() {
         let d = sample();
-        let trace = pipeline_chrome_trace(&d, PipelineMode::VectorGrained, 2);
-        // 1 process-name + 4 thread-name metadata events, 3 X-events/row.
+        let trace = pipeline_chrome_trace(&d, PipelineMode::VectorGrained);
+        // 1 process-name + 3 thread-name metadata events, 3 X-events/row.
         assert_eq!(trace.len(), 16 * 3);
         let json = trace.to_json_string();
         assert!(json.contains("\"ph\":\"X\""), "{json}");
         assert!(json.contains("\"ph\":\"M\""));
-        assert!(json.contains("softmax#1"));
+        assert!(json.contains("softmax#0"));
+        assert!(json.contains("\"tid\":3") && !json.contains("\"tid\":4"), "{json}");
         assert!(json.starts_with('[') && json.trim_end().ends_with(']'));
     }
 
@@ -211,7 +171,7 @@ mod tests {
     fn trace_timestamps_are_microseconds() {
         // One row, qk 1000 ns: the complete event must carry ts 0 / dur 1 µs.
         let d = RowDurations::uniform(1, 1000.0, 500.0, 250.0);
-        let trace = pipeline_chrome_trace(&d, PipelineMode::Unpipelined, 1);
+        let trace = pipeline_chrome_trace(&d, PipelineMode::Unpipelined);
         let json = trace.to_json_string();
         assert!(json.contains("\"dur\":1.0") || json.contains("\"dur\":1"), "{json}");
     }
@@ -220,18 +180,16 @@ mod tests {
     fn busy_plus_stall_is_makespan_every_mode() {
         let d = sample();
         for mode in PipelineMode::ALL {
-            for engines in [1usize, 2, 4] {
-                let report = UtilizationReport::from_durations(&d, mode, engines);
-                for s in &report.stages {
-                    assert!(
-                        (s.busy_ns + s.stall_ns - report.makespan_ns).abs() < 1e-9,
-                        "{mode:?} lane {}: {} + {} != {}",
-                        s.name,
-                        s.busy_ns,
-                        s.stall_ns,
-                        report.makespan_ns
-                    );
-                }
+            let report = UtilizationReport::from_durations(&d, mode);
+            for s in &report.stages {
+                assert!(
+                    (s.busy_ns + s.stall_ns - report.makespan_ns).abs() < 1e-9,
+                    "{mode:?} lane {}: {} + {} != {}",
+                    s.name,
+                    s.busy_ns,
+                    s.stall_ns,
+                    report.makespan_ns
+                );
             }
         }
     }
@@ -239,21 +197,17 @@ mod tests {
     #[test]
     fn softmax_bound_pipeline_blames_softmax() {
         let d = RowDurations::uniform(64, 10.0, 80.0, 10.0);
-        let report = UtilizationReport::from_durations(&d, PipelineMode::VectorGrained, 1);
+        let report = UtilizationReport::from_durations(&d, PipelineMode::VectorGrained);
         assert_eq!(report.bottleneck, "softmax#0");
         let sm = report.stage("softmax#0").unwrap();
         assert!(sm.occupancy > 0.9, "{}", sm.occupancy);
-        // Replication moves the bottleneck back to the matmuls.
-        let wide = UtilizationReport::from_durations(&d, PipelineMode::VectorGrained, 8);
-        assert_ne!(wide.bottleneck, "softmax#0");
-        assert_eq!(wide.stages.len(), 8 + 2);
     }
 
     #[test]
     fn non_vector_modes_use_one_softmax_lane() {
         let d = sample();
-        for mode in [PipelineMode::Unpipelined, PipelineMode::OperandGrained] {
-            let report = UtilizationReport::from_durations(&d, mode, 4);
+        for mode in PipelineMode::ALL {
+            let report = UtilizationReport::from_durations(&d, mode);
             assert_eq!(report.stages.len(), 3, "{mode:?}");
             let sm = report.stage("softmax#0").unwrap();
             assert!((sm.busy_ns - 16.0 * 40.0).abs() < 1e-9);
@@ -263,7 +217,7 @@ mod tests {
     #[test]
     fn report_round_trips_through_json() {
         let d = sample();
-        let report = UtilizationReport::from_durations(&d, PipelineMode::OperandGrained, 1);
+        let report = UtilizationReport::from_durations(&d, PipelineMode::OperandGrained);
         let json = serde_json::to_string(&report).unwrap();
         let back: UtilizationReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
@@ -272,9 +226,9 @@ mod tests {
     #[test]
     fn table_mentions_every_lane() {
         let d = sample();
-        let report = UtilizationReport::from_durations(&d, PipelineMode::VectorGrained, 2);
+        let report = UtilizationReport::from_durations(&d, PipelineMode::VectorGrained);
         let table = report.to_table();
-        for lane in ["qk", "softmax#0", "softmax#1", "pv"] {
+        for lane in ["qk", "softmax#0", "pv"] {
             assert!(table.contains(lane), "missing {lane} in:\n{table}");
         }
     }

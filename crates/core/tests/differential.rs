@@ -38,7 +38,7 @@ use star_attention::{ExactF32Softmax, ExactSoftmax, RowSoftmax};
 use star_core::{CmosBaselineSoftmax, Softermax, StarSoftmax, StarSoftmaxConfig};
 use star_crossbar::CamSubCrossbar;
 use star_device::{NoiseModel, TechnologyParams};
-use star_fixed::{Fixed, QFormat, Rounding};
+use star_fixed::{Fixed, QFormat};
 use star_workload::{Dataset, ScoreTrace};
 
 /// Largest absolute per-element disagreement between two probability rows.
@@ -307,7 +307,7 @@ fn quantization_edge_rows_stay_bounded() {
     // The half-step scores sit exactly between codes; nearest-rounding
     // must move each by exactly res/2 and never more.
     for &s in &half_step {
-        let q = Fixed::from_f64(s, format, Rounding::Nearest);
+        let q = Fixed::from_f64(s, format);
         assert!(
             (q.to_f64() - s).abs() <= res / 2.0 + 1e-12,
             "rounding moved {s} to {} (> half a step)",
@@ -331,9 +331,8 @@ fn cam_max_search_agrees_with_scalar_argmax_exactly() {
             CamSubCrossbar::new(format, &TechnologyParams::cmos32(), NoiseModel::ideal(), &mut rng);
         let span = format.max_value();
         for len in [1usize, 2, 3, 17, 64, 128] {
-            let inputs: Vec<Fixed> = (0..len)
-                .map(|_| Fixed::from_f64(rng.gen_range(-span..span), format, Rounding::Nearest))
-                .collect();
+            let inputs: Vec<Fixed> =
+                (0..len).map(|_| Fixed::from_f64(rng.gen_range(-span..span), format)).collect();
             let result = cam.find_max(&inputs).expect("search succeeds under ideal noise");
             let want = scalar_max(&inputs);
             assert_eq!(result.max.raw(), want.raw(), "{format:?}/len {len}: wrong max");
@@ -363,9 +362,9 @@ fn cam_max_search_handles_ties_and_extremes() {
     // Duplicated maxima: the winning row is *the* row encoding that
     // value, so ties are resolved consistently by construction.
     let tied = vec![
-        Fixed::from_f64(3.0, format, Rounding::Nearest),
-        Fixed::from_f64(-2.0, format, Rounding::Nearest),
-        Fixed::from_f64(3.0, format, Rounding::Nearest),
+        Fixed::from_f64(3.0, format),
+        Fixed::from_f64(-2.0, format),
+        Fixed::from_f64(3.0, format),
     ];
     let r = cam.find_max(&tied).expect("search");
     assert_eq!(r.max.raw(), tied[0].raw());

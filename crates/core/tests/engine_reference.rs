@@ -25,7 +25,7 @@ use star_attention::RowSoftmax;
 use star_core::{fixed_divide, StarSoftmax, StarSoftmaxConfig};
 use star_crossbar::{CamCrossbar, CamSubCrossbar, LutCrossbar, Readout, VmmCrossbar};
 use star_device::NoiseModel;
-use star_fixed::{encoding, Fixed, QFormat, Rounding};
+use star_fixed::{encoding, Fixed, QFormat};
 
 /// The engine's dataflow, one public array op at a time.
 struct Reference {
@@ -81,8 +81,7 @@ impl Reference {
 
     /// One row through the per-op calls, in the engine's dataflow order.
     fn softmax_row(&mut self, scores: &[f64]) -> Vec<f64> {
-        let xs: Vec<Fixed> =
-            scores.iter().map(|&s| Fixed::from_f64(s, self.format, Rounding::Nearest)).collect();
+        let xs: Vec<Fixed> = scores.iter().map(|&s| Fixed::from_f64(s, self.format)).collect();
         star_telemetry::count("star.softmax.rows", 1);
         star_telemetry::count("star.softmax.elements", scores.len() as u64);
         star_telemetry::observe_with(

@@ -73,7 +73,7 @@ pub struct MaxSearchResult {
 /// ```
 /// use star_crossbar::CamSubCrossbar;
 /// use star_device::{NoiseModel, TechnologyParams};
-/// use star_fixed::{Fixed, QFormat, Rounding};
+/// use star_fixed::{Fixed, QFormat};
 /// use rand::SeedableRng;
 ///
 /// let fmt = QFormat::new(5, 3)?; // 9-bit values (sign + 5 + 3)
@@ -85,7 +85,7 @@ pub struct MaxSearchResult {
 ///
 /// let xs: Vec<Fixed> = [1.5, -3.0, 4.25, 0.0]
 ///     .iter()
-///     .map(|&v| Fixed::from_f64(v, fmt, Rounding::Nearest))
+///     .map(|&v| Fixed::from_f64(v, fmt))
 ///     .collect();
 /// let found = xbar.find_max(&xs).expect("ideal array always matches");
 /// assert_eq!(found.max.to_f64(), 4.25);
@@ -380,7 +380,6 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use star_fixed::Rounding;
 
     fn xbar(fmt: QFormat) -> CamSubCrossbar {
         let tech = TechnologyParams::cmos32();
@@ -389,7 +388,7 @@ mod tests {
     }
 
     fn fx(v: f64, fmt: QFormat) -> Fixed {
-        Fixed::from_f64(v, fmt, Rounding::Nearest)
+        Fixed::from_f64(v, fmt)
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! ```
 //! use star_crossbar::CamSubCrossbar;
 //! use star_device::{NoiseModel, TechnologyParams};
-//! use star_fixed::{Fixed, QFormat, Rounding};
+//! use star_fixed::{Fixed, QFormat};
 //! use rand::SeedableRng;
 //!
 //! let fmt = QFormat::new(6, 3)?;
@@ -34,7 +34,7 @@
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
 //! let mut xbar = CamSubCrossbar::new(fmt, &tech, NoiseModel::ideal(), &mut rng);
 //! let xs: Vec<Fixed> =
-//!     [0.5, -2.0, 3.125].iter().map(|&v| Fixed::from_f64(v, fmt, Rounding::Nearest)).collect();
+//!     [0.5, -2.0, 3.125].iter().map(|&v| Fixed::from_f64(v, fmt)).collect();
 //! let max = xbar.find_max(&xs)?.max;
 //! assert_eq!(max.to_f64(), 3.125);
 //! assert!(xs.iter().all(|&x| xbar.subtract(x, max).to_f64() <= 0.0));

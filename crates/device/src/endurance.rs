@@ -18,8 +18,8 @@ use serde::{Deserialize, Serialize};
 /// use star_device::EnduranceModel;
 ///
 /// let m = EnduranceModel::typical(); // 10⁹-cycle class HfO₂
-/// assert!(m.failure_probability(1_000) < 1e-6);
-/// assert!(m.failure_probability(10_000_000_000) > 0.99);
+/// assert!(m.failure_probability_at(1e3) < 1e-6);
+/// assert!(m.failure_probability_at(1e10) > 0.99);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EnduranceModel {
@@ -50,12 +50,7 @@ impl EnduranceModel {
     }
 
     /// Probability that a cell has failed after `writes` program cycles.
-    pub fn failure_probability(&self, writes: u64) -> f64 {
-        self.failure_probability_at(writes as f64)
-    }
-
-    /// [`EnduranceModel::failure_probability`] over a fractional cycle
-    /// count — the form the health layer needs, where read-disturb
+    /// The count is fractional because the health layer's read-disturb
     /// write-*equivalents* accumulate continuously. Explicitly 0 at (or
     /// below) zero writes: a never-written cell cannot have worn out,
     /// and the Weibull expression must not be asked to evaluate
@@ -157,13 +152,13 @@ mod tests {
     fn failure_probability_monotone() {
         let m = EnduranceModel::typical();
         let mut prev = -1.0;
-        for w in [0u64, 1_000, 1_000_000, 1_000_000_000, 100_000_000_000] {
-            let p = m.failure_probability(w);
+        for w in [0.0, 1e3, 1e6, 1e9, 1e11] {
+            let p = m.failure_probability_at(w);
             assert!(p >= prev, "not monotone at {w}");
             assert!((0.0..=1.0).contains(&p));
             prev = p;
         }
-        assert_eq!(m.failure_probability(0), 0.0);
+        assert_eq!(m.failure_probability_at(0.0), 0.0);
     }
 
     #[test]
@@ -185,7 +180,7 @@ mod tests {
         let m = EnduranceModel::new(1e8, 2.0);
         let target = 1e-3;
         let w = m.writes_at_failure_probability(target);
-        let p = m.failure_probability(w as u64);
+        let p = m.failure_probability_at(w.trunc());
         assert!((p - target).abs() / target < 0.01, "p {p}");
     }
 
@@ -202,7 +197,6 @@ mod tests {
         // shapes where 0^β would be numerically delicate.
         for shape in [0.1, 0.5, 1.0, 2.0, 10.0] {
             let m = EnduranceModel::new(1e9, shape);
-            assert_eq!(m.failure_probability(0), 0.0, "shape {shape}");
             assert_eq!(m.failure_probability_at(0.0), 0.0, "shape {shape}");
             // Fractional exposure below zero (a degenerate caller) is
             // clamped, not NaN.
@@ -212,9 +206,11 @@ mod tests {
 
     #[test]
     fn fractional_and_integer_probabilities_agree() {
+        // Whole cycle counts follow the Weibull CDF 1 − exp(−(w/η)^β).
         let m = EnduranceModel::typical();
         for w in [1u64, 1_000, 1_000_000_000] {
-            assert_eq!(m.failure_probability(w), m.failure_probability_at(w as f64));
+            let cdf = 1.0 - (-(w as f64 / m.endurance_cycles).powf(m.weibull_shape)).exp();
+            assert_eq!(m.failure_probability_at(w as f64), cdf, "w={w}");
         }
         // The fractional form is monotone through sub-cycle exposures
         // (on a small-scale model so the probabilities stay above f64

@@ -75,13 +75,6 @@ impl TemperatureModel {
     pub fn on_off_factor(&self, kelvin: f64) -> f64 {
         self.lrs_conductance_factor(kelvin) / self.hrs_conductance_factor(kelvin)
     }
-
-    /// Whether a binary cell remains readable at a temperature given the
-    /// sense amp needs at least `required_ratio` between LRS and HRS
-    /// currents (`nominal_ratio` is the room-temperature on/off ratio).
-    pub fn readable_at(&self, kelvin: f64, nominal_ratio: f64, required_ratio: f64) -> bool {
-        nominal_ratio * self.on_off_factor(kelvin) >= required_ratio
-    }
 }
 
 impl Default for TemperatureModel {
@@ -122,10 +115,10 @@ mod tests {
         // treating CAM decisions as temperature-robust in the simulator.
         let m = TemperatureModel::typical();
         for t in [233.15, 273.15, 300.0, 330.0, 358.15] {
-            assert!(m.readable_at(t, 100.0, 10.0), "T={t}");
+            assert!(100.0 * m.on_off_factor(t) >= 10.0, "T={t}");
         }
         // But a 125 °C hotspot with a weak 20:1 window is not safe.
-        assert!(!m.readable_at(398.15, 20.0, 10.0));
+        assert!(20.0 * m.on_off_factor(398.15) < 10.0);
     }
 
     #[test]

@@ -51,7 +51,7 @@ proptest! {
     fn endurance_failure_monotone(e in 1e6f64..1e10, shape in 0.5f64..4.0, w1 in 0u64..1_000_000_000, w2 in 0u64..1_000_000_000) {
         let m = EnduranceModel::new(e, shape);
         let (lo, hi) = if w1 <= w2 { (w1, w2) } else { (w2, w1) };
-        prop_assert!(m.failure_probability(lo) <= m.failure_probability(hi));
+        prop_assert!(m.failure_probability_at(lo as f64) <= m.failure_probability_at(hi as f64));
     }
 
     #[test]

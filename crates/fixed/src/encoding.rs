@@ -22,10 +22,10 @@ use crate::{Fixed, QFormat};
 /// # Examples
 ///
 /// ```
-/// use star_fixed::{encoding, Fixed, QFormat, Rounding};
+/// use star_fixed::{encoding, Fixed, QFormat};
 ///
 /// let q = QFormat::new(2, 1)?; // 4 bits total
-/// let x = Fixed::from_f64(-1.5, q, Rounding::Nearest); // raw = -3
+/// let x = Fixed::from_f64(-1.5, q); // raw = -3
 /// assert_eq!(encoding::to_twos_complement(x), vec![true, true, false, true]);
 /// # Ok::<(), star_fixed::FormatError>(())
 /// ```
@@ -41,10 +41,10 @@ pub fn to_twos_complement(value: Fixed) -> Vec<bool> {
 /// # Examples
 ///
 /// ```
-/// use star_fixed::{encoding, Fixed, QFormat, Rounding};
+/// use star_fixed::{encoding, Fixed, QFormat};
 ///
 /// let q = QFormat::new(2, 1)?; // 4 bits total
-/// let x = Fixed::from_f64(-1.5, q, Rounding::Nearest); // raw = -3
+/// let x = Fixed::from_f64(-1.5, q); // raw = -3
 /// assert_eq!(encoding::twos_complement_code(x), 0b1101);
 /// # Ok::<(), star_fixed::FormatError>(())
 /// ```
@@ -133,33 +133,9 @@ pub fn clamp_for_magnitude(value: Fixed) -> Fixed {
     }
 }
 
-/// Returns the complementary TCAM cell pair for one stored bit.
-///
-/// A ternary CAM cell stores a bit as two RRAM devices `(d, d̄)`: searching
-/// for `1` pulls the matchline through `d̄`, searching for `0` through `d`,
-/// so a mismatch discharges the line. This helper makes the cell-level
-/// layout explicit for the crossbar simulator and the area model (18 columns
-/// for 9 stored bits in the paper's 512×18 CAM/SUB array).
-pub fn tcam_cell(bit: bool) -> (bool, bool) {
-    (bit, !bit)
-}
-
-/// Expands an MSB-first bit vector into its TCAM complementary-pair column
-/// layout, doubling the width.
-pub fn tcam_row(bits: &[bool]) -> Vec<bool> {
-    let mut row = Vec::with_capacity(bits.len() * 2);
-    for &b in bits {
-        let (d, dn) = tcam_cell(b);
-        row.push(d);
-        row.push(dn);
-    }
-    row
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Rounding;
 
     fn q(int: u8, frac: u8) -> QFormat {
         QFormat::new(int, frac).unwrap()
@@ -180,9 +156,9 @@ mod tests {
     #[test]
     fn twos_complement_known_patterns() {
         let fmt = q(2, 1); // 4 bits
-        let x = Fixed::from_f64(-1.5, fmt, Rounding::Nearest); // raw -3 = 0b1101
+        let x = Fixed::from_f64(-1.5, fmt); // raw -3 = 0b1101
         assert_eq!(to_twos_complement(x), vec![true, true, false, true]);
-        let y = Fixed::from_f64(1.0, fmt, Rounding::Nearest); // raw 2 = 0b0010
+        let y = Fixed::from_f64(1.0, fmt); // raw 2 = 0b0010
         assert_eq!(to_twos_complement(y), vec![false, false, true, false]);
     }
 
@@ -216,16 +192,6 @@ mod tests {
         // Non-min values pass through unchanged.
         let y = Fixed::from_raw(-3, fmt);
         assert_eq!(clamp_for_magnitude(y).raw(), -3);
-    }
-
-    #[test]
-    fn tcam_cells_are_complementary() {
-        assert_eq!(tcam_cell(true), (true, false));
-        assert_eq!(tcam_cell(false), (false, true));
-        let row = tcam_row(&[true, false, true]);
-        assert_eq!(row, vec![true, false, false, true, true, false]);
-        // 9 stored bits → 18 columns, the paper's CAM width.
-        assert_eq!(tcam_row(&[true; 9]).len(), 18);
     }
 
     #[test]

@@ -245,11 +245,6 @@ impl ServeTrace {
         }
     }
 
-    /// Number of requests with the given terminal state.
-    pub fn outcome_count(&self, outcome: RequestOutcome) -> u64 {
-        self.requests.iter().filter(|r| r.outcome == outcome).count() as u64
-    }
-
     /// Renders `r`'s span tree (category `"request"`, named
     /// `req{id} {class}`), arrival → terminal event, with the children
     /// the module docs list for its outcome.

@@ -57,10 +57,11 @@ fn root_span_conservation() {
     // Exactly one closed root span per arrival …
     assert_eq!(trace.requests.len() as u64, r.arrivals);
     // … partitioned by outcome exactly as the report counts them.
-    assert_eq!(trace.outcome_count(RequestOutcome::Good), r.good);
-    assert_eq!(trace.outcome_count(RequestOutcome::Late), r.late);
-    assert_eq!(trace.outcome_count(RequestOutcome::Expired), r.expired);
-    assert_eq!(trace.outcome_count(RequestOutcome::Rejected), r.rejected);
+    let count = |outcome| trace.requests.iter().filter(|t| t.outcome == outcome).count() as u64;
+    assert_eq!(count(RequestOutcome::Good), r.good);
+    assert_eq!(count(RequestOutcome::Late), r.late);
+    assert_eq!(count(RequestOutcome::Expired), r.expired);
+    assert_eq!(count(RequestOutcome::Rejected), r.rejected);
     assert!(r.good > 0 && r.late + r.expired + r.rejected > 0, "config exercises failures");
     // Request ids are unique (no double-closed span).
     let mut ids: Vec<u64> = trace.requests.iter().map(|t| t.id).collect();
@@ -97,8 +98,9 @@ fn span_durations_reconcile_with_lifecycle_records() {
         assert_eq!(span.dur_ns, rec.latency_ns);
         assert_eq!(span.end_ns(), t.finish_ns());
         // The lifecycle children tile the root: queue then invocation.
-        let queue = span.find("queue").expect("queue child");
-        let invoke = span.find("invocation").expect("invocation child");
+        let child = |cat: &str| span.children.iter().find(|c| c.cat == cat);
+        let queue = child("queue").expect("queue child");
+        let invoke = child("invocation").expect("invocation child");
         assert_eq!(queue.dur_ns, rec_batch.dispatch_ns - rec.arrive_ns);
         assert!((invoke.start_ns - rec_batch.dispatch_ns).abs() <= SPAN_EPS_NS);
         assert!((invoke.end_ns() - rec_batch.done_ns).abs() <= SPAN_EPS_NS);

@@ -3,13 +3,15 @@
 //! Six pieces:
 //!
 //! 1. [`Registry`] — named counters, accumulating/level gauges, and
-//!    fixed-bucket histograms with snapshot / diff / reset and pretty +
-//!    JSON rendering ([`registry`]).
+//!    fixed-bucket histograms, read back as a [`Snapshot`] with pretty and
+//!    JSON rendering, and folded together with [`Registry::merge`]
+//!    ([`registry`]).
 //! 2. A process-wide recording facade — [`count`], [`add`], [`set`],
-//!    [`observe`] — that simulator code calls without threading a registry
-//!    through every API. Records to a thread-local scoped registry when
-//!    one is installed (see [`with_scoped`]), else to the [`global`]
-//!    registry. Disabled registries cost one relaxed atomic load per call.
+//!    [`observe_with`], [`snapshot`], [`absorb`] — that simulator code
+//!    calls without threading a registry through every API. Records to a
+//!    thread-local scoped registry when one is installed (see
+//!    [`with_scoped`]), else to the [`global`] registry. Disabled
+//!    registries cost one relaxed atomic load per call.
 //! 3. [`ChromeTrace`] — Chrome trace-event JSON emission for Perfetto
 //!    ([`chrome`]): complete events, counter tracks, and the object form
 //!    that embeds machine-readable extras next to `traceEvents`.
@@ -60,9 +62,7 @@ pub mod tally;
 
 pub use chrome::{ChromeTrace, CounterEvent, TraceEvent};
 pub use profile::{PhaseProfiler, PhaseStats};
-pub use registry::{
-    geometric_bounds, HistogramSnapshot, Registry, Snapshot, DEFAULT_BUCKET_BOUNDS,
-};
+pub use registry::{HistogramSnapshot, Registry, Snapshot, DEFAULT_BUCKET_BOUNDS};
 pub use span::{Span, SPAN_EPS_NS};
 pub use tally::{CounterId, GaugeId, HistogramId, Tally};
 
@@ -84,11 +84,6 @@ pub fn global() -> &'static Registry {
 /// Enable/disable the global registry (scoped registries are unaffected).
 pub fn set_enabled(on: bool) {
     global().set_enabled(on);
-}
-
-/// Whether the global registry records.
-pub fn enabled() -> bool {
-    global().is_enabled()
 }
 
 /// Run `f` with a fresh registry installed for the current thread; every
@@ -144,11 +139,6 @@ pub fn set(name: &str, v: f64) {
     dispatch(|r| r.set(name, v));
 }
 
-/// Record `value` into histogram `name` (default decade buckets).
-pub fn observe(name: &str, value: f64) {
-    dispatch(|r| r.observe(name, value));
-}
-
 /// Record `value` into histogram `name`, creating it with `bounds`.
 pub fn observe_with(name: &str, value: f64, bounds: &[f64]) {
     dispatch(|r| r.observe_with(name, value, bounds));
@@ -188,11 +178,6 @@ pub fn snapshot() -> Snapshot {
     }
 }
 
-/// Reset the active (scoped-or-global) registry.
-pub fn reset() {
-    dispatch(|r| r.reset());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,7 +190,7 @@ mod tests {
         });
         assert_eq!(snap.counters[marker], 5);
         // Nothing leaked into the global registry.
-        assert_eq!(global().counter_value(marker), 0);
+        assert!(!global().snapshot().counters.contains_key(marker));
     }
 
     #[test]
@@ -239,7 +224,7 @@ mod tests {
             count("c", 1);
             add("g.acc", 2.5);
             set("g.level", 7.0);
-            observe("h", 3.0);
+            observe_with("h", 3.0, &DEFAULT_BUCKET_BOUNDS);
             observe_with("h.custom", 0.5, &[1.0, 2.0]);
         });
         assert_eq!(snap.counters["c"], 1);
@@ -250,13 +235,18 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_and_reset_follow_active_scope() {
-        let ((), _) = with_scoped(|| {
+    fn snapshot_follows_active_scope() {
+        let ((), outer) = with_scoped(|| {
             count("x", 3);
+            let ((), inner) = with_scoped(|| {
+                assert!(snapshot().is_empty());
+                count("y", 1);
+            });
+            assert_eq!(inner.counters["y"], 1);
             let mid = snapshot();
             assert_eq!(mid.counters["x"], 3);
-            reset();
-            assert!(snapshot().is_empty());
+            assert!(!mid.counters.contains_key("y"));
         });
+        assert_eq!(outer.counters["x"], 3);
     }
 }

@@ -1,5 +1,6 @@
 //! The metric registry: named counters, accumulators, gauges, and
-//! fixed-bucket histograms with snapshot / diff / reset.
+//! fixed-bucket histograms, read back as a [`Snapshot`] and folded
+//! together with [`Registry::merge`].
 //!
 //! Names are dot-separated hierarchies, lowest-frequency component first:
 //! `<layer>.<unit>.<event>` — e.g. `crossbar.cam.searches`,
@@ -15,44 +16,11 @@ use std::sync::Mutex;
 /// Default histogram bucket upper bounds (decade-spaced). Values above the
 /// last bound land in the overflow bucket.
 ///
-/// Decade spacing gives a *coarse* quantile guarantee (relative error up
-/// to 9; see [`HistogramSnapshot::relative_error_bound`]). Metrics that
-/// need tight tail estimates should create their histograms with
-/// [`geometric_bounds`] instead.
+/// Decade spacing gives a *coarse* quantile guarantee: relative error up
+/// to 9 (see [`HistogramSnapshot::quantile`]). Metrics that need tight
+/// tail estimates should pass closer-spaced bounds to
+/// [`Registry::observe_with`].
 pub const DEFAULT_BUCKET_BOUNDS: [f64; 10] = [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6];
-
-/// DDSketch-style geometric bucket bounds with a guaranteed quantile
-/// relative error.
-///
-/// Returns ascending upper bounds `min, min·γ, min·γ², …` with
-/// `γ = 1 + rel_err`, extended until the last bound reaches `max`. A
-/// histogram created with these bounds answers
-/// [`HistogramSnapshot::quantile`] with relative error at most `rel_err`
-/// for any sample set contained in `(min, last_bound]` — the bound proven
-/// in [`HistogramSnapshot::relative_error_bound`]. This is the bucket
-/// layout of DDSketch (Masson, Rim & Lee, *DDSketch: a fast and
-/// fully-mergeable quantile sketch with relative-error guarantees*,
-/// VLDB 2019), which uses the same geometric bucketing to bound relative
-/// error by a constant independent of the data.
-///
-/// The bucket count is `⌈log_γ(max/min)⌉ + 1` — e.g. `rel_err = 0.25`
-/// over `(1, 1e6]` needs 63 buckets.
-///
-/// # Panics
-///
-/// Panics unless `0 < rel_err`, `0 < min < max`, and all are finite.
-pub fn geometric_bounds(rel_err: f64, min: f64, max: f64) -> Vec<f64> {
-    assert!(rel_err.is_finite() && rel_err > 0.0, "relative error must be positive");
-    assert!(min.is_finite() && max.is_finite() && 0.0 < min && min < max, "need 0 < min < max");
-    let gamma = 1.0 + rel_err;
-    let mut bounds = vec![min];
-    let mut b = min;
-    while b < max {
-        b *= gamma;
-        bounds.push(b);
-    }
-    bounds
-}
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct Histogram {
@@ -135,11 +103,9 @@ impl HistogramSnapshot {
     /// `(lo, hi]`; both the true order statistic and the interpolated
     /// estimate lie inside `[lo, hi]` of that bucket, so their difference
     /// is at most `hi − lo` while the true value is at least `lo > 0`.
-    /// The bound is exposed programmatically by
-    /// [`HistogramSnapshot::relative_error_bound`]; choosing
-    /// [`geometric_bounds`]`(α, …)` buckets (the DDSketch layout, Masson
-    /// et al., VLDB 2019) makes it a uniform `α` across the whole range,
-    /// and a property test enforces it over seeded samples.
+    /// Geometric bounds `b, b·(1+α), b·(1+α)², …` (the DDSketch layout,
+    /// Masson et al., VLDB 2019) make it a uniform `α` across the whole
+    /// range, and a property test enforces it over seeded samples.
     ///
     /// # Panics
     ///
@@ -175,25 +141,6 @@ impl HistogramSnapshot {
     /// The `(p50, p95, p99)` latency-style summary, or `None` when empty.
     pub fn quantile_summary(&self) -> Option<(f64, f64, f64)> {
         Some((self.quantile(0.50)?, self.quantile(0.95)?, self.quantile(0.99)?))
-    }
-
-    /// The guaranteed relative-error bound of [`HistogramSnapshot::quantile`]
-    /// for sample sets contained in `(bounds[0], bounds[last]]`:
-    /// `max_i (bounds[i] − bounds[i−1]) / bounds[i−1]` (see the proof in
-    /// the `quantile` docs). Returns `None` when fewer than two finite
-    /// bounds exist (no interior bucket, hence no finite guarantee).
-    ///
-    /// For [`geometric_bounds`]`(α, …)` layouts this is exactly `α` (up to
-    /// floating-point rounding); for the decade-spaced
-    /// [`DEFAULT_BUCKET_BOUNDS`] it is 9 — documented, but only useful for
-    /// order-of-magnitude dashboards.
-    pub fn relative_error_bound(&self) -> Option<f64> {
-        // Need a positive lower edge for "relative" to mean anything, and
-        // at least one interior bucket for the bound to cover.
-        if self.bounds.len() < 2 || self.bounds[0] <= 0.0 {
-            return None;
-        }
-        self.bounds.windows(2).map(|w| (w[1] - w[0]) / w[0]).max_by(f64::total_cmp)
     }
 }
 
@@ -232,7 +179,7 @@ impl Registry {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Enable or disable recording (snapshot/reset work regardless).
+    /// Enable or disable recording (snapshots work regardless).
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
@@ -280,12 +227,6 @@ impl Registry {
         self.lock().gauges.insert(name.to_string(), v);
     }
 
-    /// Record `value` into histogram `name` with the default decade
-    /// buckets.
-    pub fn observe(&self, name: &str, value: f64) {
-        self.observe_with(name, value, &DEFAULT_BUCKET_BOUNDS);
-    }
-
     /// Record `value` into histogram `name`, creating it with `bounds` if
     /// absent. Bounds of an existing histogram are kept as-is.
     pub fn observe_with(&self, name: &str, value: f64, bounds: &[f64]) {
@@ -301,11 +242,6 @@ impl Registry {
                 inner.histograms.insert(name.to_string(), h);
             }
         }
-    }
-
-    /// Read one counter (0 when absent).
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.lock().counters.get(name).copied().unwrap_or(0)
     }
 
     /// Gauge `name`'s current value, `None` when absent — the seed a
@@ -389,12 +325,6 @@ impl Registry {
         }
     }
 
-    /// Zero every metric (names are forgotten, not kept at zero).
-    pub fn reset(&self) {
-        let mut inner = self.lock();
-        *inner = Inner::default();
-    }
-
     /// Folds a snapshot into this registry: counters and gauges add,
     /// histograms add bucket-wise. This is the **commutative** reduction
     /// used to fold per-worker scoped registries back into the parent
@@ -449,7 +379,8 @@ impl Registry {
     }
 }
 
-/// A point-in-time copy of a [`Registry`], serializable and diffable.
+/// A point-in-time copy of a [`Registry`], serializable and mergeable
+/// into another registry.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Snapshot {
     /// Monotonic event counts.
@@ -464,66 +395,6 @@ impl Snapshot {
     /// True when no metric has been recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
-    /// The change from `earlier` to `self`: counters and accumulating
-    /// gauges subtract (saturating at zero for counters), histograms
-    /// subtract bucket-wise when bounds agree (and fall back to `self`'s
-    /// state when they do not, e.g. after a reset changed the buckets).
-    pub fn diff(&self, earlier: &Snapshot) -> Snapshot {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(k, &v)| {
-                let before = earlier.counters.get(k).copied().unwrap_or(0);
-                (k.clone(), v.saturating_sub(before))
-            })
-            .filter(|(_, v)| *v > 0)
-            .collect();
-        let gauges = self
-            .gauges
-            .iter()
-            .map(|(k, &v)| {
-                let before = earlier.gauges.get(k).copied().unwrap_or(0.0);
-                (k.clone(), v - before)
-            })
-            .filter(|(_, v)| *v != 0.0)
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                let diffed = match earlier.histograms.get(k) {
-                    Some(e) if e.bounds == h.bounds => HistogramSnapshot {
-                        bounds: h.bounds.clone(),
-                        counts: h
-                            .counts
-                            .iter()
-                            .zip(&e.counts)
-                            .map(|(a, b)| a.saturating_sub(*b))
-                            .collect(),
-                        total: h.total.saturating_sub(e.total),
-                        sum: h.sum - e.sum,
-                    },
-                    _ => h.clone(),
-                };
-                (k.clone(), diffed)
-            })
-            .filter(|(_, h)| h.total > 0)
-            .collect();
-        Snapshot { counters, gauges, histograms }
-    }
-
-    /// The commutative pure form of [`Registry::merge`]: a snapshot
-    /// holding the sum of `self` and `other`. `a.merged(&b) ==
-    /// b.merged(&a)` whenever the two snapshots' histograms use the same
-    /// bucket bounds (mismatched bounds fold into the overflow bucket of
-    /// whichever operand is merged first — see [`Registry::merge`]).
-    pub fn merged(&self, other: &Snapshot) -> Snapshot {
-        let reg = Registry::new();
-        reg.merge(self);
-        reg.merge(other);
-        reg.snapshot()
     }
 
     /// Aligned, human-readable table of every metric.
@@ -618,15 +489,26 @@ impl Snapshot {
 mod tests {
     use super::*;
 
-    #[test]
-    fn counters_accumulate_and_reset() {
+    /// Records `value` into histogram `name` with the default buckets.
+    fn observe(r: &Registry, name: &str, value: f64) {
+        r.observe_with(name, value, &DEFAULT_BUCKET_BOUNDS);
+    }
+
+    /// A fresh registry's snapshot after merging `first`, then `second`.
+    fn merge_into_fresh(first: &Snapshot, second: &Snapshot) -> Snapshot {
         let r = Registry::new();
+        r.merge(first);
+        r.merge(second);
+        r.snapshot()
+    }
+
+    #[test]
+    fn counters_accumulate() {
+        let r = Registry::new();
+        assert!(r.snapshot().is_empty());
         r.count("a.b.c", 2);
         r.count("a.b.c", 3);
-        assert_eq!(r.counter_value("a.b.c"), 5);
-        r.reset();
-        assert_eq!(r.counter_value("a.b.c"), 0);
-        assert!(r.snapshot().is_empty());
+        assert_eq!(r.snapshot().counters["a.b.c"], 5);
     }
 
     #[test]
@@ -635,11 +517,11 @@ mod tests {
         r.set_enabled(false);
         r.count("x", 1);
         r.add("y", 2.0);
-        r.observe("z", 3.0);
+        observe(&r, "z", 3.0);
         assert!(r.snapshot().is_empty());
         r.set_enabled(true);
         r.count("x", 1);
-        assert_eq!(r.counter_value("x"), 1);
+        assert_eq!(r.snapshot().counters["x"], 1);
     }
 
     #[test]
@@ -657,7 +539,7 @@ mod tests {
     fn histogram_buckets_and_overflow() {
         let r = Registry::new();
         for v in [0.5, 5.0, 5e7] {
-            r.observe("h", v);
+            observe(&r, "h", v);
         }
         let snap = r.snapshot();
         let h = &snap.histograms["h"];
@@ -667,45 +549,11 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_diff_isolates_a_window() {
-        let r = Registry::new();
-        r.count("ops", 10);
-        r.add("e", 1.0);
-        r.observe("h", 2.0);
-        let before = r.snapshot();
-        r.count("ops", 7);
-        r.add("e", 0.5);
-        r.observe("h", 3.0);
-        r.observe("h", 2e9);
-        let after = r.snapshot();
-        let d = after.diff(&before);
-        assert_eq!(d.counters["ops"], 7);
-        assert!((d.gauges["e"] - 0.5).abs() < 1e-12);
-        assert_eq!(d.histograms["h"].total, 2);
-        assert!((d.histograms["h"].sum - (3.0 + 2e9)).abs() < 1.0);
-    }
-
-    #[test]
-    fn diff_after_reset_equals_fresh_state() {
-        let r = Registry::new();
-        r.count("ops", 4);
-        let before = r.snapshot();
-        r.reset();
-        r.count("ops", 9);
-        let after = r.snapshot();
-        // Counter went 4 -> 9 from the snapshot's view; the diff saturates
-        // rather than inventing negative counts.
-        assert_eq!(after.diff(&before).counters["ops"], 5);
-        // Against an empty baseline the diff is the state itself.
-        assert_eq!(after.diff(&Snapshot::default()), after);
-    }
-
-    #[test]
     fn render_and_json_round_trip() {
         let r = Registry::new();
         r.count("crossbar.cam.searches", 12);
         r.add("star.energy.exp_pj", 3.25);
-        r.observe("pipeline.row_ns", 42.0);
+        observe(&r, "pipeline.row_ns", 42.0);
         let snap = r.snapshot();
         let pretty = snap.render_pretty();
         assert!(pretty.contains("crossbar.cam.searches"));
@@ -720,12 +568,12 @@ mod tests {
         let a = Registry::new();
         a.count("ops", 3);
         a.add("energy", 1.5);
-        a.observe("h", 2.0);
+        observe(&a, "h", 2.0);
         let b = Registry::new();
         b.count("ops", 4);
         b.count("only_b", 1);
         b.add("energy", 0.5);
-        b.observe("h", 3.0);
+        observe(&b, "h", 3.0);
         a.merge(&b.snapshot());
         let merged = a.snapshot();
         assert_eq!(merged.counters["ops"], 7);
@@ -751,13 +599,13 @@ mod tests {
     fn merged_snapshots_commute() {
         let a = Registry::new();
         a.count("ops", 2);
-        a.observe("h", 0.5);
+        observe(&a, "h", 0.5);
         let b = Registry::new();
         b.count("ops", 5);
         b.add("e", 1.0);
-        b.observe("h", 7.0);
+        observe(&b, "h", 7.0);
         let (sa, sb) = (a.snapshot(), b.snapshot());
-        assert_eq!(sa.merged(&sb), sb.merged(&sa));
+        assert_eq!(merge_into_fresh(&sa, &sb), merge_into_fresh(&sb, &sa));
     }
 
     #[test]
@@ -842,53 +690,10 @@ mod tests {
     }
 
     #[test]
-    fn geometric_bounds_cover_range_with_uniform_ratio() {
-        let alpha = 0.25;
-        let bounds = geometric_bounds(alpha, 1.0, 1e6);
-        assert_eq!(bounds[0], 1.0);
-        assert!(*bounds.last().unwrap() >= 1e6);
-        for w in bounds.windows(2) {
-            let ratio = (w[1] - w[0]) / w[0];
-            assert!((ratio - alpha).abs() < 1e-9, "{ratio}");
-        }
-        // The snapshot-level bound matches the construction parameter.
-        let r = Registry::new();
-        r.observe_with("h", 10.0, &bounds);
-        let snap = r.snapshot();
-        let bound = snap.histograms["h"].relative_error_bound().expect("bounded layout");
-        assert!((bound - alpha).abs() < 1e-9, "{bound}");
-    }
-
-    #[test]
-    fn relative_error_bound_edge_cases() {
-        let decade = HistogramSnapshot {
-            bounds: DEFAULT_BUCKET_BOUNDS.to_vec(),
-            counts: vec![0; DEFAULT_BUCKET_BOUNDS.len() + 1],
-            total: 0,
-            sum: 0.0,
-        };
-        // Decade buckets: documented (coarse) bound of 9.
-        assert!((decade.relative_error_bound().unwrap() - 9.0).abs() < 1e-9);
-        // Single bound or a non-positive lower edge: no finite guarantee.
-        let single =
-            HistogramSnapshot { bounds: vec![5.0], counts: vec![0, 0], total: 0, sum: 0.0 };
-        assert_eq!(single.relative_error_bound(), None);
-        let zero_edge =
-            HistogramSnapshot { bounds: vec![0.0, 1.0], counts: vec![0, 0, 0], total: 0, sum: 0.0 };
-        assert_eq!(zero_edge.relative_error_bound(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "0 < min < max")]
-    fn geometric_bounds_reject_inverted_range() {
-        let _ = geometric_bounds(0.1, 10.0, 1.0);
-    }
-
-    #[test]
     #[should_panic(expected = "outside [0, 1]")]
     fn quantile_rejects_out_of_range() {
         let r = Registry::new();
-        r.observe("h", 1.0);
+        observe(&r, "h", 1.0);
         let snap = r.snapshot();
         let _ = snap.histograms["h"].quantile(1.5);
     }

@@ -84,19 +84,6 @@ impl Span {
         self.start_ns + self.dur_ns
     }
 
-    /// Number of spans in the tree, counting `self`.
-    pub fn span_count(&self) -> usize {
-        1 + self.children.iter().map(Span::span_count).sum::<usize>()
-    }
-
-    /// First span (depth-first, self included) whose category is `cat`.
-    pub fn find(&self, cat: &str) -> Option<&Span> {
-        if self.cat == cat {
-            return Some(self);
-        }
-        self.children.iter().find_map(|c| c.find(cat))
-    }
-
     /// Checks the structural invariants of the whole tree (see the module
     /// docs), returning the first violation as a human-readable message.
     ///
@@ -195,16 +182,9 @@ mod tests {
     fn valid_tree_passes() {
         let root = request_tree();
         root.validate().expect("valid tree");
-        assert_eq!(root.span_count(), 6);
+        assert_eq!(root.children.len(), 2);
+        assert_eq!(root.children[1].children.len(), 3);
         assert_eq!(root.end_ns(), 1100.0);
-    }
-
-    #[test]
-    fn find_locates_categories() {
-        let root = request_tree();
-        assert_eq!(root.find("softmax_rows").map(|s| s.dur_ns), Some(300.0));
-        assert_eq!(root.find("queue").map(|s| s.start_ns), Some(100.0));
-        assert!(root.find("missing").is_none());
     }
 
     #[test]
@@ -262,7 +242,7 @@ mod tests {
         let root = request_tree();
         let mut trace = ChromeTrace::new();
         root.emit_chrome(&mut trace, 7, 42, json!({"outcome": "good"}));
-        assert_eq!(trace.len(), root.span_count());
+        assert_eq!(trace.len(), 6, "one event per span of the tree");
         let arr = match trace.to_json() {
             Value::Seq(v) => v,
             other => panic!("expected array, got {other:?}"),

@@ -139,11 +139,6 @@ impl Tally {
         Self::bound(binding)
     }
 
-    /// An empty tally bound to `registry` instead of the active one.
-    pub fn bound_to(registry: Rc<Registry>) -> Self {
-        Self::bound(Binding::Scoped(registry))
-    }
-
     fn bound(binding: Binding) -> Self {
         Tally {
             binding,
@@ -257,6 +252,118 @@ impl Tally {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DEFAULT_BUCKET_BOUNDS;
+    use proptest::prelude::*;
+
+    /// An empty tally bound to `registry` instead of the active one.
+    fn tally_on(registry: &Rc<Registry>) -> Tally {
+        Tally::bound(Binding::Scoped(Rc::clone(registry)))
+    }
+
+    /// The tally-vs-facade name universe: per kind, a name the registry
+    /// already holds, one it does not, and one that is registered but
+    /// never recorded. `h.rebound` is resident with bounds other than the
+    /// ones it is registered and observed with.
+    const TALLY_COUNTERS: [&str; 3] = ["c.present", "c.absent", "c.unused"];
+    const TALLY_GAUGES: [&str; 3] = ["g.present", "g.absent", "g.unused"];
+    const TALLY_HISTOGRAMS: [&str; 5] =
+        ["h.present", "h.rebound", "h.absent", "h.default", "h.unused"];
+    const BATCH_BOUNDS: [f64; 6] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
+
+    /// Bounds each histogram is registered (and facade-observed) with.
+    fn tally_bounds(name: &str) -> &'static [f64] {
+        match name {
+            "h.default" => &DEFAULT_BUCKET_BOUNDS,
+            _ => &BATCH_BOUNDS,
+        }
+    }
+
+    /// The state both registries start from.
+    fn prepopulate(reg: &Registry) {
+        reg.count("c.present", 5);
+        reg.add("g.present", 0.1);
+        reg.add("g.present", 0.2);
+        reg.observe_with("h.present", 0.3, &BATCH_BOUNDS);
+        reg.observe_with("h.present", 40.0, &BATCH_BOUNDS);
+        reg.observe_with("h.rebound", 0.7, &[0.5, 50.0]);
+        reg.count("other.counter", 1);
+    }
+
+    /// One recording op: `(kind, name index, count, value)`; the value
+    /// selector maps a few draws onto `-0.0`, `0.0` and a value past every
+    /// histogram's last bound.
+    fn tally_ops() -> impl Strategy<Value = Vec<(u8, usize, u64, f64)>> {
+        prop::collection::vec(
+            (0u8..3, 0usize..5, 0u64..50, 0u8..8, -1e3f64..1e3).prop_map(|(kind, i, n, sel, v)| {
+                let value = match sel {
+                    0 => -0.0,
+                    1 => 0.0,
+                    2 => 3e9,
+                    _ => v,
+                };
+                (kind, i, n, value)
+            }),
+            0..48,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn tally_publishes_what_facade_calls_leave(
+            ops in tally_ops(),
+            off_start in 0usize..48,
+            off_len in 0usize..12,
+        ) {
+            let facade = Registry::new();
+            let twin = Rc::new(Registry::new());
+            prepopulate(&facade);
+            prepopulate(&twin);
+            let mut tally = tally_on(&twin);
+            let counters: Vec<_> = TALLY_COUNTERS.iter().map(|n| tally.counter(n)).collect();
+            let gauges: Vec<_> = TALLY_GAUGES.iter().map(|n| tally.gauge(n)).collect();
+            let histograms: Vec<_> =
+                TALLY_HISTOGRAMS.iter().map(|n| tally.histogram(n, tally_bounds(n))).collect();
+            // `*.unused` (the last name of each kind) is never recorded.
+            for (i, &(kind, name, n, v)) in ops.iter().enumerate() {
+                let on = !(off_start..off_start + off_len).contains(&i);
+                facade.set_enabled(on);
+                twin.set_enabled(on);
+                match kind {
+                    0 => {
+                        let i = name % (TALLY_COUNTERS.len() - 1);
+                        facade.count(TALLY_COUNTERS[i], n);
+                        tally.count(counters[i], n);
+                    }
+                    1 => {
+                        let i = name % (TALLY_GAUGES.len() - 1);
+                        facade.add(TALLY_GAUGES[i], v);
+                        tally.add(gauges[i], v);
+                    }
+                    _ => {
+                        let i = name % (TALLY_HISTOGRAMS.len() - 1);
+                        let h = TALLY_HISTOGRAMS[i];
+                        facade.observe_with(h, v, tally_bounds(h));
+                        tally.observe(histograms[i], v);
+                    }
+                }
+            }
+            facade.set_enabled(true);
+            twin.set_enabled(true);
+            prop_assert_eq!(tally.updates(), ops.len() as u64);
+            tally.publish();
+            let (want, got) = (facade.snapshot(), twin.snapshot());
+            prop_assert_eq!(
+                serde_json::to_string(&got).expect("serialize"),
+                serde_json::to_string(&want).expect("serialize")
+            );
+            prop_assert!(!got.counters.contains_key("c.unused"));
+            prop_assert!(!got.gauges.contains_key("g.unused"));
+            prop_assert!(!got.histograms.contains_key("h.unused"));
+            prop_assert_eq!(&got.histograms["h.rebound"].bounds, &vec![0.5, 50.0]);
+        }
+    }
 
     #[test]
     fn scoped_tally_matches_facade_calls() {
@@ -291,7 +398,7 @@ mod tests {
     #[test]
     fn publish_adds_counts_written_meanwhile() {
         let reg = Rc::new(Registry::new());
-        let mut tally = Tally::bound_to(Rc::clone(&reg));
+        let mut tally = tally_on(&reg);
         let (c, h) = (tally.counter("c"), tally.histogram("h", &[1.0]));
         tally.count(c, 3);
         tally.observe(h, 0.5);

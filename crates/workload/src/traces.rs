@@ -4,7 +4,6 @@ use crate::Dataset;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use star_attention::Matrix;
-use star_fixed::RangeAnalyzer;
 
 /// A captured set of attention-score rows for one dataset proxy — the unit
 /// the precision study (E4) consumes and the experiment harnesses persist
@@ -42,14 +41,13 @@ impl ScoreTrace {
         self.rows.is_empty()
     }
 
-    /// Feeds every score into a fresh [`RangeAnalyzer`] (the §II range
-    /// measurement).
-    pub fn analyze(&self) -> RangeAnalyzer {
-        let mut an = RangeAnalyzer::new();
-        for row in &self.rows {
-            an.observe_all(row.iter().copied());
-        }
-        an
+    /// The smallest and largest score in the trace (the §II range
+    /// measurement); `(∞, −∞)` when the trace holds no score.
+    pub fn score_range(&self) -> (f64, f64) {
+        self.rows
+            .iter()
+            .flatten()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &s| (lo.min(s), hi.max(s)))
     }
 
     /// Largest |score| in the trace.
@@ -87,11 +85,13 @@ mod tests {
     }
 
     #[test]
-    fn analyze_counts_everything() {
+    fn score_range_spans_every_score() {
         let t = ScoreTrace::generate(Dataset::Cola, 5, 16, 1);
-        let an = t.analyze();
-        assert_eq!(an.count(), 80);
-        assert!(an.max_seen() <= t.max_abs());
+        let (lo, hi) = t.score_range();
+        assert!(t.rows.iter().flatten().all(|&s| lo <= s && s <= hi));
+        assert!(t.rows.iter().flatten().any(|&s| s == lo));
+        assert!(t.rows.iter().flatten().any(|&s| s == hi));
+        assert_eq!(lo.abs().max(hi.abs()), t.max_abs());
     }
 
     #[test]

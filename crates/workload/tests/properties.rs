@@ -43,12 +43,18 @@ proptest! {
     }
 
     #[test]
-    fn analyzer_counts_and_range(ds in datasets(), rows in 1usize..8, len in 4usize..32) {
+    fn score_range_is_attained_and_within_max_abs(
+        ds in datasets(),
+        rows in 1usize..8,
+        len in 4usize..32,
+    ) {
         let trace = ScoreTrace::generate(ds, rows, len, 1);
-        let an = trace.analyze();
-        prop_assert_eq!(an.count(), (rows * len) as u64);
-        prop_assert!(an.max_seen() <= trace.max_abs() + 1e-12);
-        prop_assert!(an.min_seen() >= -trace.max_abs() - 1e-12);
+        let (lo, hi) = trace.score_range();
+        prop_assert_eq!(trace.rows.iter().flatten().count(), rows * len);
+        prop_assert!(trace.rows.iter().flatten().any(|&s| s == lo));
+        prop_assert!(trace.rows.iter().flatten().any(|&s| s == hi));
+        prop_assert!(hi <= trace.max_abs());
+        prop_assert!(lo >= -trace.max_abs());
     }
 
     #[test]

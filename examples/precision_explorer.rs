@@ -18,13 +18,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for dataset in Dataset::ALL {
         let trace = ScoreTrace::generate(dataset, 96, 64, 7 + dataset as u64);
-        let analyzer = trace.analyze();
-        println!(
-            "{dataset}: {} rows, scores in [{:.2}, {:.2}]",
-            trace.len(),
-            analyzer.min_seen(),
-            analyzer.max_seen()
-        );
+        let (lo, hi) = trace.score_range();
+        println!("{dataset}: {} rows, scores in [{lo:.2}, {hi:.2}]", trace.len());
 
         let points = sweep_formats(&trace.rows, 3..=6, 0..=4)?;
         let best = minimal_format(&points, bar).ok_or("no format clears the bar")?;

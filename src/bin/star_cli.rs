@@ -86,6 +86,12 @@ COMMANDS:
                                    batch 8, 50 us window, wfq/least-loaded
     help                           this message
 
+LIMITS:
+    serve and control reject an operating point the simulator cannot
+    allocate: an offered load above 1e8 arrivals over the 100 ms horizon
+    (1e9 rps for serve), or more than 65536 instances in the fleet or
+    the autoscaler's MAX.
+
 Paper formats: CNEWS = q5.2 (8 bits), MRPC = q5.3 (9 bits), CoLA = q4.2 (7 bits).";
 
 fn main() -> ExitCode {
@@ -256,11 +262,11 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let format = parse_format(args.first().ok_or("trace needs a format, e.g. q5.3")?)?;
     let seq = parse_seq(args.get(1))?;
     let durations = paper_row_durations(format, seq)?;
-    let trace = pipeline_chrome_trace(&durations, PipelineMode::VectorGrained, 1);
+    let trace = pipeline_chrome_trace(&durations, PipelineMode::VectorGrained);
     // Pure JSON on stdout so the output pipes straight into a .json file.
     println!("{}", trace.to_json_string());
     for mode in PipelineMode::ALL {
-        let report = UtilizationReport::from_durations(&durations, mode, 1);
+        let report = UtilizationReport::from_durations(&durations, mode);
         eprint!("{}", report.to_table());
     }
     Ok(())
@@ -285,7 +291,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
         let _ = softermax.softmax_row(&scores);
         let durations = paper_row_durations(format, seq)?;
         for mode in PipelineMode::ALL {
-            let _ = UtilizationReport::from_durations(&durations, mode, 1);
+            let _ = UtilizationReport::from_durations(&durations, mode);
         }
         Ok(())
     });
@@ -316,8 +322,8 @@ fn parse_positive<T: std::str::FromStr + PartialOrd + Default>(
 /// the order trace, flight, health, profile, blame, what-if.
 fn cmd_serve(args: &[String]) -> Result<String, String> {
     use star::serve::{
-        run_what_ifs, simulate_observed, HealthConfig, Observe, SloAnalysis, WhatIf,
-        BLAME_SIDECAR_KEY, PROFILE_SIDECAR_KEY,
+        run_what_ifs, HealthConfig, Observe, SloAnalysis, WhatIf, BLAME_SIDECAR_KEY,
+        PROFILE_SIDECAR_KEY,
     };
     const SWITCHES: [&str; 3] = ["--health", "--level", "--whatif"];
     let [health, level, whatif] = SWITCHES.map(|s| args.iter().any(|a| a == s));
@@ -340,7 +346,7 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
         flight: flight_path.is_some(),
         blame: blame_path.is_some(),
     };
-    let outcome = simulate_observed(&cfg, &observe);
+    let outcome = simulate_point(&cfg, &observe)?;
     let mut out = render_report(&cfg, &outcome.report);
 
     if let (Some(path), Some(trace)) = (trace_path, &outcome.trace) {
@@ -455,7 +461,8 @@ fn render_report(cfg: &star::serve::ServeConfig, r: &star::serve::ServeReport) -
 
 /// Renders the device-health block of a monitored run of `cfg` that
 /// spanned `makespan_ns`: the per-instance wear and thermal table, wear
-/// skew, alarms, and the hottest instance's sustained-load projection.
+/// skew, alarms, and the hottest instance's sustained-load projection
+/// (when the run saw an event to project from).
 fn render_health(
     cfg: &star::serve::ServeConfig,
     health: &star::serve::FleetHealthReport,
@@ -498,6 +505,11 @@ fn render_health(
     }
 
     // Sustained-load projection from the hottest instance's wear rates.
+    // A run that saw no event has no rates to project from.
+    if makespan_ns <= 0.0 {
+        out += "  sustained: no event in the simulated window, nothing to project\n";
+        return out;
+    }
     let hottest =
         health.instances.iter().max_by_key(|i| i.ledger.rows).expect("fleet is non-empty");
     let rates = WearRates::from_ledger(&hottest.ledger, makespan_ns);
@@ -522,9 +534,9 @@ fn render_health(
 
 fn cmd_control(args: &[String]) -> Result<(), String> {
     use star::serve::{
-        simulate_observed, ArrivalProcess, AutoscaleConfig, BatchPolicy, ControlConfig,
-        DequeuePolicy, ModelKind, Observe, PlacementPolicy, RequestClass, ScaleDirection,
-        ServeConfig, ServiceModelConfig, WorkloadMix,
+        ArrivalProcess, AutoscaleConfig, BatchPolicy, ControlConfig, DequeuePolicy, ModelKind,
+        Observe, PlacementPolicy, RequestClass, ScaleDirection, ServeConfig, ServiceModelConfig,
+        WorkloadMix,
     };
     let premium = RequestClass::new(ModelKind::BertBase, 128);
     let economy = RequestClass::new(ModelKind::BertBase, 64);
@@ -591,7 +603,7 @@ fn cmd_control(args: &[String]) -> Result<(), String> {
         service: ServiceModelConfig::default(),
         control: ControlConfig { dequeue, placement, autoscale, instance_services: Vec::new() },
     };
-    let outcome = simulate_observed(&cfg, &Observe::default());
+    let outcome = simulate_point(&cfg, &Observe::default())?;
     let r = &outcome.report;
 
     println!(
@@ -661,6 +673,39 @@ fn cmd_control(args: &[String]) -> Result<(), String> {
         println!("  converged to peak capacity at {:.2} ms", c.converge_ns / 1e6);
     }
     Ok(())
+}
+
+/// The most arrivals one `serve` or `control` run may offer: the arrival
+/// trace and the latency samples are reserved from the offered load.
+const MAX_ARRIVALS: f64 = 1e8;
+
+/// The most instance slots one run may size: per-instance state is
+/// allocated for the fleet or the autoscaler's MAX, whichever is larger.
+const MAX_INSTANCE_SLOTS: usize = 65_536;
+
+/// Simulates `cfg` with `observe` attached, the one path of `serve` and
+/// `control`, after rejecting an operating point past the limits above.
+fn simulate_point(
+    cfg: &star::serve::ServeConfig,
+    observe: &star::serve::Observe,
+) -> Result<star::serve::SimOutcome, String> {
+    let offered = cfg.arrival.offered_rps();
+    let arrivals = offered * (cfg.horizon_ns * 1e-9);
+    if arrivals > MAX_ARRIVALS {
+        return Err(format!(
+            "offered load {offered:e} rps over the {} ms horizon is {arrivals:e} arrivals, \
+             above the limit of {MAX_ARRIVALS:e}",
+            cfg.horizon_ns / 1e6
+        ));
+    }
+    let slots = cfg.control.capacity(cfg.fleet);
+    if slots > MAX_INSTANCE_SLOTS {
+        return Err(format!(
+            "{slots} instance slots (the fleet or the autoscaler's MAX) exceed the limit of \
+             {MAX_INSTANCE_SLOTS}"
+        ));
+    }
+    Ok(star::serve::simulate_observed(cfg, observe))
 }
 
 /// Splits `serve`'s arguments into its positionals and one output path
@@ -1098,6 +1143,13 @@ mod tests {
         // `1e308` us is finite, but infinite in ns.
         serve_rejects(&["abc", "0", "8000 0", "8000 1 0", "8000 1 2 -5", "inf", "8000 1 8 1e308"]);
         serve_rejects(&["--trace=", "--flight=", "--bogus"]);
+        // Operating points the simulator cannot allocate, each named.
+        for (bad, value) in
+            [("1e308", "1e308"), ("8000 18446744073709551615", "18446744073709551615")]
+        {
+            let err = cmd_serve(&argv(bad)).expect_err(bad);
+            assert!(err.contains(value), "{err}");
+        }
     }
 
     #[test]
@@ -1159,6 +1211,15 @@ mod tests {
         for (args, on) in runs {
             let text = cmd_serve(&argv(args)).expect(args);
             assert!(text.contains(&format!("\nfleet health (wear leveling {on}):\n")), "{text}");
+            assert!(text.contains("  first degradation after "), "{text}");
+        }
+        // At 20 rps no request arrives in the window: the table prints,
+        // and one line says there is nothing to project.
+        for (args, on) in [("20 --health", "off"), ("20 --level", "on")] {
+            let text = cmd_serve(&argv(args)).expect(args);
+            assert!(text.contains("  arrivals 0 "), "{text}");
+            assert!(text.contains(&format!("\nfleet health (wear leveling {on}):\n")), "{text}");
+            assert!(text.ends_with("no event in the simulated window, nothing to project\n"));
         }
     }
 
@@ -1201,6 +1262,13 @@ mod tests {
         let bounds = ["--autoscale=0:4", "--autoscale=4:1", "--autoscale=a:b"];
         for bad in bad.into_iter().chain(flags).chain(bounds) {
             assert!(cmd_control(&argv(bad)).is_err(), "{bad}");
+        }
+        // Operating points the simulator cannot allocate, each named.
+        for (bad, value) in
+            [("1e308", "inf"), ("8000 1 8 50 --autoscale=1:100000000000", "100000000000")]
+        {
+            let err = cmd_control(&argv(bad)).expect_err(bad);
+            assert!(err.contains(value), "{err}");
         }
     }
 
@@ -1399,7 +1467,7 @@ mod tests {
     #[test]
     fn trace_json_is_valid_chrome_trace() {
         let durations = paper_row_durations(QFormat::MRPC, 8).expect("durations");
-        let trace = pipeline_chrome_trace(&durations, PipelineMode::VectorGrained, 1);
+        let trace = pipeline_chrome_trace(&durations, PipelineMode::VectorGrained);
         let json = trace.to_json_string();
         let value: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
         let events = match value {

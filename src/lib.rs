@@ -5,7 +5,7 @@
 //! DATE 2023): the crossbar softmax engine itself (bit-accurate functional
 //! simulation and an area/power/latency cost model), every substrate it
 //! stands on (RRAM device models, CAM/LUT/VMM/CAM-SUB crossbar arrays,
-//! fixed-point arithmetic, a BERT-base attention workload), the designs it
+//! fixed-point quantization, a BERT-base attention workload), the designs it
 //! is compared against (a baseline FP32 CMOS softmax, Softermax,
 //! PipeLayer, ReTransformer, a Titan RTX model), and the experiment
 //! harness that regenerates every table and figure of the paper.
@@ -15,7 +15,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`fixed`] | `star-fixed` | `Q(int,frac)` fixed point, encodings, range analysis |
+//! | [`fixed`] | `star-fixed` | `Q(int,frac)` fixed point, round-to-nearest, encodings |
 //! | [`device`] | `star-device` | RRAM cells, noise, ADC/DAC, CMOS blocks, cost units |
 //! | [`crossbar`] | `star-crossbar` | VMM / CAM / LUT / CAM-SUB array simulators |
 //! | [`core`] | `star-core` | the STAR engine, baselines, vector-grained pipeline |

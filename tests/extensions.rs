@@ -1,6 +1,6 @@
 //! Integration tests over the extension surfaces — the design-space
-//! explorer, the temperature model behind the digital CAM, and stochastic
-//! rounding — all via the facade crate.
+//! explorer and the temperature model behind the digital CAM — via the
+//! facade crate.
 
 use star::core::design_space::{pareto_front, DesignSpace};
 use star::fixed::QFormat;
@@ -37,22 +37,7 @@ fn temperature_margins_back_the_digital_cam_model() {
     let tech = TechnologyParams::cmos32();
     let temp = TemperatureModel::typical();
     for kelvin in [233.15, 300.0, 358.15] {
-        assert!(temp.readable_at(kelvin, tech.on_off_ratio(), 10.0), "T={kelvin}");
+        // The sense amplifier needs a 10:1 LRS/HRS current ratio.
+        assert!(tech.on_off_ratio() * temp.on_off_factor(kelvin) >= 10.0, "T={kelvin}");
     }
-}
-
-#[test]
-fn stochastic_rounding_unbiased_through_engine_inputs() {
-    use star::fixed::Fixed;
-    let fmt = QFormat::CNEWS;
-    let target = 3.1; // between 3.0 and 3.25 on the q5.2 grid
-    let n = 4096;
-    let mean: f64 = (0..n)
-        .map(|i| {
-            let dither = (i as f64 * 0.618_033_988_75) % 1.0;
-            Fixed::from_f64_stochastic(target, fmt, dither).to_f64()
-        })
-        .sum::<f64>()
-        / n as f64;
-    assert!((mean - target).abs() < 0.01, "mean {mean}");
 }

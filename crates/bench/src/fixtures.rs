@@ -213,7 +213,7 @@ fn max_search_json(xbar: &mut CamSubCrossbar, inputs: &[Fixed]) -> Value {
         "merged_hot_rows": merged_hot_rows,
         "per_input_rows": found.per_input_rows,
         "diffs": diffs,
-        "measured_energy_pj": xbar.measured_energy().value(),
+        "measured_energy_pj": xbar.ledger().energy().value(),
     })
 }
 

@@ -33,13 +33,18 @@
 //! divide, and the counter histogram feeds one VMM, which an ideal
 //! readout answers with its exact integer dot product.
 //!
-//! Every array op is still charged one by one, in the order the dataflow
-//! above performs them, to each array's ledger and to one
-//! [`star_telemetry::Tally`] per row: `n` CAM/SUB searches, the merge, `n`
-//! subtractions, `n` exp-CAM searches, `n` LUT reads and the VMM. Ledgers
-//! and metrics therefore hold what op-by-op calls would leave, f64 sums
-//! included. Evaluation that draws from the RNG runs per element in
-//! dataflow order: the noisy SUB, then the noisy VMM.
+//! Each row then counts its array ops and multiplies, as the counter
+//! bank does: `n` CAM/SUB searches and the merge, `n` subtractions, `n`
+//! exp-CAM searches, `n` LUT reads and one VMM, each kind charged in
+//! O(1), in dataflow order. A charge adds to its array ledger's op
+//! count, which prices energy as count × cost when read, and to one
+//! [`star_telemetry::Batch`], which publishes the row with one registry
+//! lookup and one lock: every counter, and each energy gauge once, by
+//! count × cost. Counters and ledger counts are what op-by-op calls
+//! would leave; the energies are those of the counts rather than of
+//! per-op f64 sums (`tests/engine_reference.rs` pins both). Evaluation
+//! that draws from the RNG runs per element in dataflow order: the noisy
+//! SUB, then the noisy VMM.
 
 use crate::engine::{fixed_divide, SoftmaxEngine};
 use rand::SeedableRng;
@@ -51,9 +56,18 @@ use star_crossbar::{
 use star_device::peripherals::PeripheralLibrary;
 use star_device::{CostSheet, Latency, NoiseModel, TechnologyParams};
 use star_fixed::{encoding, Fixed, QFormat};
-use star_telemetry::Tally;
+use star_telemetry::Batch;
 use std::error::Error;
 use std::fmt;
+
+/// Engine metrics, beside the arrays' own.
+const ROWS: &str = "star.softmax.rows";
+const ELEMENTS: &str = "star.softmax.elements";
+const ROW_LEN: &str = "star.softmax.row_len";
+const ROW_LEN_BOUNDS: [f64; 8] = [8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0];
+const LUT_HITS: &str = "star.exp.lut_hits";
+const QUOTIENTS: &str = "star.div.quotients";
+const RECOVERED: &str = "star.faults.recovered";
 
 /// Configuration error for [`StarSoftmax`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -210,6 +224,9 @@ pub struct StarSoftmax {
     /// and written only in [`StarSoftmax::new`], so the table never goes
     /// stale; engines built only for their cost models never read it.
     one_hot: Option<Vec<Option<u32>>>,
+    /// A row's metric updates, empty between rows; reused so that
+    /// publishing a row allocates nothing.
+    batch: Batch,
 }
 
 impl StarSoftmax {
@@ -284,6 +301,7 @@ impl StarSoftmax {
             rng,
             name: format!("star-rram-{}bit", fmt.total_bits()),
             one_hot: None,
+            batch: Batch::new(),
         })
     }
 
@@ -318,24 +336,16 @@ impl StarSoftmax {
         Fixed::from_f64(score, self.config.format)
     }
 
-    /// Total *measured* dynamic energy recorded by the array ledgers since
-    /// the last [`StarSoftmax::reset_ledgers`] — the functional
-    /// simulation's own accounting, as opposed to the analytical
+    /// Total *measured* dynamic energy charged to the array ledgers since
+    /// the engine was built — the functional simulation's own
+    /// accounting, as opposed to the analytical
     /// [`SoftmaxEngine::row_cost`] model. Covers the crossbar arrays only
     /// (counters and divider are modeled analytically).
     pub fn measured_energy(&self) -> star_device::Energy {
-        self.cam_sub.measured_energy()
-            + self.exp_cam.ledger().energy
-            + self.lut.ledger().energy
-            + self.vmm.ledger().energy
-    }
-
-    /// Resets all array ledgers.
-    pub fn reset_ledgers(&mut self) {
-        self.cam_sub.reset_ledgers();
-        self.exp_cam.reset_ledger();
-        self.lut.reset_ledger();
-        self.vmm.reset_ledger();
+        self.cam_sub.ledger().energy()
+            + self.exp_cam.ledger().energy()
+            + self.lut.ledger().energy()
+            + self.vmm.ledger().energy()
     }
 
     /// Cost of the exponential stage for one element: CAM search, then LUT
@@ -428,32 +438,24 @@ impl RowSoftmax for StarSoftmax {
         let sum_raw = self.vmm.peek_multiply(&histogram, self.counter_bits, &mut self.rng)[0];
         let sum = sum_raw.round().max(1.0) as u64;
 
-        // Charge every array op, in dataflow order, and publish the row.
-        let mut tally = Tally::new();
-        let (rows_id, elements) =
-            (tally.counter("star.softmax.rows"), tally.counter("star.softmax.elements"));
-        let row_len = tally.histogram(
-            "star.softmax.row_len",
-            &[8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0],
-        );
-        tally.count(rows_id, 1);
-        tally.count(elements, n as u64);
-        tally.observe(row_len, n as f64);
-        self.cam_sub.charge_find_max(n, &mut tally);
-        self.cam_sub.charge_subtracts(n, &mut tally);
-        self.exp_cam.charge_searches(n, &mut tally);
-        self.lut.charge_reads(n, &mut tally);
-        let lut_hits = tally.counter("star.exp.lut_hits");
-        tally.count(lut_hits, n as u64);
-        self.vmm.charge_multiply(self.counter_bits, &mut tally);
-        let quotients = tally.counter("star.div.quotients");
-        tally.count(quotients, n as u64);
+        // Charge every array op kind once, in dataflow order, and publish
+        // the row.
+        let batch = &mut self.batch;
+        batch.count(ROWS, 1);
+        batch.count(ELEMENTS, n as u64);
+        batch.observe(ROW_LEN, n as f64, &ROW_LEN_BOUNDS);
+        self.cam_sub.charge_find_max(n, batch);
+        self.cam_sub.charge_subtracts(n, batch);
+        self.exp_cam.charge_searches(n, batch);
+        self.lut.charge_reads(n, batch);
+        batch.count(LUT_HITS, n as u64);
+        self.vmm.charge_multiply(self.counter_bits, batch);
+        batch.count(QUOTIENTS, n as u64);
         if recovered > 0 {
-            let id = tally.counter("star.faults.recovered");
-            tally.count(id, recovered);
+            batch.count(RECOVERED, recovered);
             self.fault_events += recovered;
         }
-        tally.publish();
+        batch.publish();
 
         // Division.
         codes.iter().map(|&c| fixed_divide(u64::from(c), sum, self.config.quotient_bits)).collect()
@@ -641,8 +643,7 @@ mod tests {
     #[test]
     fn measured_energy_tracks_model() {
         let mut e = engine(QFormat::CNEWS);
-        e.reset_ledgers();
-        assert_eq!(e.measured_energy().value(), 0.0);
+        assert_eq!(e.measured_energy().value(), 0.0, "building charges nothing");
         let n = 32;
         let row: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * 8.0).collect();
         let _ = e.softmax_row(&row);
@@ -653,8 +654,6 @@ mod tests {
         // full model but within the same order of magnitude.
         assert!(measured.value() <= modeled.value());
         assert!(measured.value() > modeled.value() * 0.1, "measured {measured} model {modeled}");
-        e.reset_ledgers();
-        assert_eq!(e.measured_energy().value(), 0.0);
     }
 
     #[test]

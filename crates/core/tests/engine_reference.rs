@@ -1,21 +1,25 @@
 //! `StarSoftmax` against a per-op reference.
 //!
 //! The engine answers each search once per code from a table, reads the
-//! SUB and the LUT without recording, and charges every array op in bulk
-//! through one `Tally` per row. The reference here is the op-by-op
-//! dataflow: arrays built with the same constructors, in the same order
-//! and from the same seed as `StarSoftmax::new`, driven through their
-//! public per-op methods (`find_max`, `subtract`, `search_one_hot`,
-//! `read_row`, `multiply`), each of which records through the telemetry
-//! facade.
+//! SUB and the LUT without recording, and charges each array op kind
+//! once per row, by count, into one `Batch`. The reference here is the
+//! op-by-op dataflow: arrays built with the same constructors, in the
+//! same order and from the same seed as `StarSoftmax::new`, driven
+//! through their public per-op methods (`find_max`, `subtract`,
+//! `search_one_hot`, `read_row`, `multiply`), each of which publishes
+//! its own one-op charge.
 //!
 //! Each case draws everything from one seed: a format of 2 to 11 total
 //! bits, a stuck-at rate (0, 2 % or 25 % each way), a read-noise σ (0 or
 //! 0.03), and a few rows of 1 to 64 scores mixing ±∞, NaN, the format's
 //! extremes, grid points, half-grid points and ties. The engine must
 //! match the reference bit for bit: every probability, `fault_events`,
-//! `measured_energy`, and the scoped telemetry snapshot, whose gauges
-//! start from seeded sums. The property harness cannot shrink, so every
+//! `measured_energy` (both sides' ledgers price their op counts), and
+//! every counter and histogram of the scoped telemetry snapshot. The
+//! four energy gauges start from seeded sums; the engine adds each once
+//! per row, so each must equal its seed plus, row by row, Σ count ×
+//! per-op cost over the reference's own op counts, summed in the
+//! engine's publish order. The property harness cannot shrink, so every
 //! failure names its case seed; `check(seed, None)` replays it.
 
 use proptest::prelude::*;
@@ -26,6 +30,22 @@ use star_core::{fixed_divide, StarSoftmax, StarSoftmaxConfig};
 use star_crossbar::{CamCrossbar, CamSubCrossbar, LutCrossbar, Readout, VmmCrossbar};
 use star_device::NoiseModel;
 use star_fixed::{encoding, Fixed, QFormat};
+use std::collections::BTreeMap;
+
+/// The reference's op kinds, one entry each in `Reference::counts` and
+/// `Reference::costs`: the CAM/SUB array's searches, merges and
+/// subtractions, then the exp CAM's searches, the LUT's reads and the
+/// VMM's bit-serial cycles.
+const KINDS: usize = 6;
+
+/// The engine's four energy gauges, each with the kinds it is charged
+/// for in the order the engine charges them within a row.
+const GAUGES: [(&str, &[usize]); 4] = [
+    ("crossbar.cam.energy_pj", &[0, 3]),
+    ("crossbar.camsub.energy_pj", &[1, 2]),
+    ("crossbar.lut.energy_pj", &[4]),
+    ("crossbar.vmm.energy_pj", &[5]),
+];
 
 /// The engine's dataflow, one public array op at a time.
 struct Reference {
@@ -139,12 +159,48 @@ impl Reference {
 
     /// `StarSoftmax::measured_energy`, summed in the same order.
     fn measured_energy(&self) -> f64 {
-        (self.cam_sub.measured_energy()
-            + self.exp_cam.ledger().energy
-            + self.lut.ledger().energy
-            + self.vmm.ledger().energy)
-            .value()
+        (self.cam_sub.ledger().energy()
+            + self.exp_cam.ledger().energy()
+            + self.lut.ledger().energy()
+            + self.vmm.ledger().energy())
+        .value()
     }
+
+    /// Ops charged so far, per kind (see [`KINDS`]).
+    fn counts(&self) -> [u64; KINDS] {
+        let [search, merge, subtract] = self.cam_sub.ledger().counts();
+        let [exp] = self.exp_cam.ledger().counts();
+        let [read] = self.lut.ledger().counts();
+        let [cycle] = self.vmm.ledger().counts();
+        [search, merge, subtract, exp, read, cycle]
+    }
+
+    /// The energy of one op of each kind.
+    fn costs(&self) -> [f64; KINDS] {
+        let [search, merge, subtract] = self.cam_sub.ledger().costs();
+        let [exp] = self.exp_cam.ledger().costs();
+        let [read] = self.lut.ledger().costs();
+        let [cycle] = self.vmm.ledger().costs();
+        [search, merge, subtract, exp, read, cycle].map(|cost| cost.energy.value())
+    }
+}
+
+/// What the engine's energy gauges hold after rows whose op counts
+/// were `row_counts`: each gauge's seed plus, per row, one add of the
+/// sum of count × cost over its kinds, in charge order, skipping kinds
+/// the row did not charge.
+fn expected_gauges(seeds: &[f64], costs: &[f64; KINDS], row_counts: &[[u64; KINDS]]) -> Vec<f64> {
+    GAUGES
+        .iter()
+        .zip(seeds)
+        .map(|(&(_, kinds), &seed)| {
+            row_counts.iter().fold(seed, |gauge, counts| {
+                let charges = kinds.iter().filter(|&&k| counts[k] > 0);
+                let add = charges.map(|&k| costs[k] * counts[k] as f64).reduce(|sum, e| sum + e);
+                add.map_or(gauge, |add| gauge + add)
+            })
+        })
+        .collect()
 }
 
 /// One score of a row: an infinity or NaN, a format extreme or a step
@@ -201,8 +257,8 @@ fn check(seed: u64, format: Option<QFormat>) -> Result<(), String> {
         .collect();
     let gauges: Vec<f64> = (0..4).map(|_| rng.gen_range(0.0..1e4)).collect();
     let seed_gauges = || {
-        for (gauge, &v) in ["cam", "camsub", "lut", "vmm"].iter().zip(&gauges) {
-            star_telemetry::add(&format!("crossbar.{gauge}.energy_pj"), v);
+        for (&(gauge, _), &v) in GAUGES.iter().zip(&gauges) {
+            star_telemetry::add(gauge, v);
         }
     };
 
@@ -216,15 +272,21 @@ fn check(seed: u64, format: Option<QFormat>) -> Result<(), String> {
             })
             .collect::<Vec<_>>()
     });
-    let (reference, reference_snap) = star_telemetry::with_scoped(|| {
+    let ((reference, costs, row_counts), reference_snap) = star_telemetry::with_scoped(|| {
         seed_gauges();
         let mut reference = Reference::build(&cfg);
-        rows.iter()
+        let mut row_counts = Vec::new();
+        let outcomes = rows
+            .iter()
             .map(|row| {
+                let before = reference.counts();
                 let p = reference.softmax_row(row);
+                let after = reference.counts();
+                row_counts.push(std::array::from_fn(|k| after[k] - before[k]));
                 outcome(&p, reference.fault_events, reference.measured_energy())
             })
-            .collect::<Vec<_>>()
+            .collect::<Vec<_>>();
+        (outcomes, reference.costs(), row_counts)
     });
 
     let case = format!("{format}, stuck {stuck}, σ {sigma}");
@@ -241,13 +303,31 @@ fn check(seed: u64, format: Option<QFormat>) -> Result<(), String> {
         }
     }
     let json = |snap: &star_telemetry::Snapshot| {
-        serde_json::to_string(&snap.to_json()).expect("snapshot serializes")
+        let counts = (&snap.counters, &snap.histograms);
+        serde_json::to_string(&counts).expect("snapshot serializes")
     };
     if json(&engine_snap) != json(&reference_snap) {
         return Err(format!(
-            "{case}: telemetry differs\n  engine:    {}\n  reference: {}",
+            "{case}: counters or histograms differ\n  engine:    {}\n  reference: {}",
             json(&engine_snap),
             json(&reference_snap)
+        ));
+    }
+    let got: BTreeMap<&str, u64> =
+        engine_snap.gauges.iter().map(|(name, v)| (name.as_str(), v.to_bits())).collect();
+    let want: BTreeMap<&str, u64> = GAUGES
+        .iter()
+        .zip(expected_gauges(&gauges, &costs, &row_counts))
+        .map(|(&(name, _), v)| (name, v.to_bits()))
+        .collect();
+    if got != want {
+        let floats = |m: &BTreeMap<&str, u64>| {
+            m.iter().map(|(name, &v)| format!("{name} {:e}", f64::from_bits(v))).collect::<Vec<_>>()
+        };
+        return Err(format!(
+            "{case}: energy gauges differ\n  engine: {:?}\n  counts: {:?}",
+            floats(&got),
+            floats(&want)
         ));
     }
     Ok(())

@@ -1,17 +1,18 @@
 //! Content-addressable (TCAM) crossbar array.
 
-use crate::geometry::{Geometry, Ledger, OpCost};
+use crate::geometry::{record, Geometry, Ledger, OpCost};
 use rand::Rng;
 use star_device::peripherals::PeripheralLibrary;
 use star_device::{
     Area, CostSheet, Energy, Latency, NoiseModel, RramCell, StuckFault, TechnologyParams,
+    RRAM_WRITES,
 };
-use star_telemetry::Tally;
+use star_telemetry::Batch;
 
 /// Counter of CAM searches, on every CAM (the CAM/SUB array's included).
-const SEARCHES: &str = "crossbar.cam.searches";
+pub(crate) const SEARCHES: &str = "crossbar.cam.searches";
 /// Gauge of CAM search energy.
-const SEARCH_ENERGY: &str = "crossbar.cam.energy_pj";
+pub(crate) const SEARCH_ENERGY: &str = "crossbar.cam.energy_pj";
 
 /// An RRAM TCAM crossbar: each row stores a bit pattern as complementary
 /// cell pairs; a search key drives all searchlines and every matchline
@@ -73,8 +74,8 @@ pub struct CamCrossbar {
     /// sort rather than one sorted insertion per row.
     index_stale: bool,
     tech: TechnologyParams,
-    search_cost: OpCost,
-    ledger: Ledger,
+    /// Its one op kind: a parallel search.
+    ledger: Ledger<1>,
 }
 
 impl CamCrossbar {
@@ -116,8 +117,7 @@ impl CamCrossbar {
             wildcards: Vec::new(),
             index_stale: true,
             tech: *tech,
-            search_cost: search_cost(geometry, tech),
-            ledger: Ledger::new(),
+            ledger: Ledger::new([search_cost(geometry, tech)]),
         };
         for row in 0..rows {
             cam.refresh_row(row);
@@ -135,7 +135,8 @@ impl CamCrossbar {
         self.word_bits
     }
 
-    /// Programs a row with a bit pattern (complementary pair per bit).
+    /// Programs a row with a bit pattern (complementary pair per bit),
+    /// counting its `2 · word_bits` cell writes.
     ///
     /// # Panics
     ///
@@ -147,6 +148,7 @@ impl CamCrossbar {
             self.cells[row][2 * i].program_ideal(u16::from(b));
             self.cells[row][2 * i + 1].program_ideal(u16::from(!b));
         }
+        star_telemetry::count(RRAM_WRITES, 2 * bits.len() as u64);
         self.refresh_row(row);
     }
 
@@ -177,9 +179,10 @@ impl CamCrossbar {
         assert_eq!(key.len(), self.word_bits, "search key width mismatch");
         let code = key.iter().fold(0u64, |acc, &b| acc << 1 | u64::from(b));
         let mut hits = vec![false; self.geometry.rows()];
-        for row in self.search_rows(code) {
+        for row in self.matching_rows(code) {
             hits[row] = true;
         }
+        record(|batch| self.charge_searches(1, batch));
         hits
     }
 
@@ -195,7 +198,7 @@ impl CamCrossbar {
     /// Panics if `key` has bits set at or above `word_bits`.
     pub fn search_one_hot(&mut self, key: u64) -> Option<usize> {
         let row = self.peek_one_hot(key);
-        self.ledger.record_op(self.search_cost, SEARCHES, SEARCH_ENERGY);
+        record(|batch| self.charge_searches(1, batch));
         row
     }
 
@@ -215,19 +218,12 @@ impl CamCrossbar {
         }
     }
 
-    /// Records `n` searches on the ledger and on `tally`, exactly as `n`
-    /// calls to [`CamCrossbar::search`] record them through the
-    /// telemetry facade.
-    pub fn charge_searches(&mut self, n: usize, tally: &mut Tally) {
-        self.ledger.charge_ops(self.search_cost, n, tally, SEARCHES, SEARCH_ENERGY);
-    }
-
-    /// One parallel search for an MSB-first `key` of at most `word_bits`
-    /// bits: records its cost and yields every matching row (see
-    /// [`CamCrossbar::matching_rows`]).
-    pub(crate) fn search_rows(&mut self, key: u64) -> impl Iterator<Item = usize> + '_ {
-        self.ledger.record_op(self.search_cost, SEARCHES, SEARCH_ENERGY);
-        self.matching_rows(key)
+    /// Charges `n` searches, in O(1): `n` on the ledger's count, and on
+    /// `batch` `n` on `crossbar.cam.searches` and `n` × the search
+    /// energy on `crossbar.cam.energy_pj`. [`CamCrossbar::search`] is
+    /// its read plus `charge_searches(1, …)`.
+    pub fn charge_searches(&mut self, n: usize, batch: &mut Batch) {
+        self.ledger.charge(0, n as u64, batch, SEARCHES, SEARCH_ENERGY);
     }
 
     /// Every row an MSB-first `key` matches, without recording a search.
@@ -274,7 +270,7 @@ impl CamCrossbar {
 
     /// Energy/latency of one parallel search cycle.
     pub fn search_cost(&self) -> OpCost {
-        self.search_cost
+        self.ledger.costs()[0]
     }
 
     /// Itemized area/power budget of the array (cells + matchline periphery
@@ -319,14 +315,9 @@ impl CamCrossbar {
         (per_search / Latency::new(self.tech.cam_search_ns)) * activity
     }
 
-    /// Running operation totals.
-    pub fn ledger(&self) -> Ledger {
+    /// Searches charged so far, priced when read.
+    pub fn ledger(&self) -> Ledger<1> {
         self.ledger
-    }
-
-    /// Resets the operation totals.
-    pub fn reset_ledger(&mut self) {
-        self.ledger.reset();
     }
 
     /// Injects a stuck fault into a specific cell (for failure-injection
@@ -479,7 +470,7 @@ mod tests {
         // row also answers key 0b01.
         c.inject_fault(0, 1, 1, StuckFault::StuckOff);
         assert_eq!(c.search_one_hot(0b01), None);
-        assert_eq!(c.ledger().ops, 5);
+        assert_eq!(c.ledger().counts(), [5]);
     }
 
     #[test]
@@ -521,10 +512,8 @@ mod tests {
         c.store_row(0, &[true, true]);
         c.search(&[true, true]);
         c.search(&[false, true]);
-        assert_eq!(c.ledger().ops, 2);
-        assert!(c.ledger().energy.value() > 0.0);
-        c.reset_ledger();
-        assert_eq!(c.ledger().ops, 0);
+        assert_eq!(c.ledger().counts(), [2]);
+        assert!(c.ledger().energy().value() > 0.0);
     }
 
     #[test]

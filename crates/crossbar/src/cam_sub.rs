@@ -12,14 +12,14 @@
 //!    difference of the two stored bit patterns, and the weighted
 //!    recombination of the bitline outputs is exactly `x_i − x_max`.
 
-use crate::cam::CamCrossbar;
-use crate::geometry::{Geometry, Ledger, OpCost};
+use crate::cam::{self, CamCrossbar};
+use crate::geometry::{record, Geometry, Ledger, OpCost};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use star_device::peripherals::PeripheralLibrary;
 use star_device::{CostSheet, Latency, NoiseModel, TechnologyParams};
 use star_fixed::{encoding, Fixed, QFormat};
-use star_telemetry::Tally;
+use star_telemetry::Batch;
 use std::error::Error;
 use std::fmt;
 
@@ -27,9 +27,15 @@ use std::fmt;
 const MAX_SEARCHES: &str = "crossbar.camsub.max_searches";
 /// Counter of SUB-phase subtractions.
 const SUBTRACTS: &str = "crossbar.camsub.subtracts";
-/// Gauge of merge and subtraction energy (the searches are the inner
-/// CAM's).
+/// Gauge of merge and subtraction energy (the searches are charged as
+/// CAM searches).
 const ENERGY: &str = "crossbar.camsub.energy_pj";
+
+/// The ledger's op kinds, in Fig. 1 order: a CAM search, the OR-merge
+/// and priority encode, a subtraction.
+const SEARCH: usize = 0;
+const MERGE: usize = 1;
+const SUBTRACT: usize = 2;
 
 /// Error from a CAM max search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -104,9 +110,9 @@ pub struct CamSubCrossbar {
     /// write the inner CAM; the next [`CamSubCrossbar::peek_find_max`]
     /// re-derives `first_matches`.
     first_matches_stale: bool,
-    merge_cost: OpCost,
-    subtract_cost: OpCost,
-    ledger: Ledger,
+    /// Kinds `SEARCH`, `MERGE` and `SUBTRACT`. The inner CAM's own ledger
+    /// is never charged.
+    ledger: Ledger<3>,
 }
 
 impl CamSubCrossbar {
@@ -140,15 +146,8 @@ impl CamSubCrossbar {
             cell + sa.energy_per_op() * cols as f64 + add.energy_per_op(),
             Latency::new(tech.cam_search_ns),
         );
-        CamSubCrossbar {
-            format,
-            cam,
-            first_matches: Vec::new(),
-            first_matches_stale: true,
-            merge_cost,
-            subtract_cost,
-            ledger: Ledger::new(),
-        }
+        let ledger = Ledger::new([cam.search_cost(), merge_cost, subtract_cost]);
+        CamSubCrossbar { format, cam, first_matches: Vec::new(), first_matches_stale: true, ledger }
     }
 
     /// The value format the array is built for.
@@ -197,13 +196,13 @@ impl CamSubCrossbar {
         for &x in inputs {
             debug_assert_eq!(x.format(), self.format, "input format mismatch");
             let mut first: Option<usize> = None;
-            for r in self.cam.search_rows(encoding::twos_complement_code(x)) {
+            for r in self.cam.matching_rows(encoding::twos_complement_code(x)) {
                 hot[r / 64] |= 1 << (r % 64);
                 first = Some(first.map_or(r, |f| f.min(r)));
             }
             per_input_rows.push(first);
         }
-        self.ledger.record_op(self.merge_cost, MAX_SEARCHES, ENERGY);
+        record(|batch| self.charge_find_max(inputs.len(), batch));
         let merged: Vec<bool> = (0..rows).map(|r| (hot[r / 64] >> (r % 64)) & 1 == 1).collect();
         let row = merged.iter().position(|&h| h).ok_or(SearchError::NoMatch)?;
         Ok(MaxSearchResult { max: self.value_of(row), row, merged, per_input_rows })
@@ -235,12 +234,15 @@ impl CamSubCrossbar {
             .map(|row| row as usize)
     }
 
-    /// Records the cost of a [`CamSubCrossbar::find_max`] over `n` inputs
-    /// on the ledgers and on `tally`, exactly as the call records it
-    /// through the telemetry facade: `n` searches, then the merge.
-    pub fn charge_find_max(&mut self, n: usize, tally: &mut Tally) {
-        self.cam.charge_searches(n, tally);
-        self.ledger.charge_ops(self.merge_cost, 1, tally, MAX_SEARCHES, ENERGY);
+    /// Charges a [`CamSubCrossbar::find_max`] over `n` inputs, in O(1):
+    /// `n` searches, charged as CAM searches (`crossbar.cam.*`), and one
+    /// merge (`crossbar.camsub.max_searches` and its energy). Like
+    /// `find_max` of no inputs, `n = 0` charges nothing.
+    pub fn charge_find_max(&mut self, n: usize, batch: &mut Batch) {
+        if n > 0 {
+            self.ledger.charge(SEARCH, n as u64, batch, cam::SEARCHES, cam::SEARCH_ENERGY);
+            self.ledger.charge(MERGE, 1, batch, MAX_SEARCHES, ENERGY);
+        }
     }
 
     /// The value a row *effectively* stores: its true cells, read through
@@ -260,7 +262,7 @@ impl CamSubCrossbar {
     /// faults corrupt the result exactly as they would on silicon.
     pub fn subtract(&mut self, x: Fixed, max: Fixed) -> Fixed {
         let diff = self.peek_subtract(x, max);
-        self.ledger.record_op(self.subtract_cost, SUBTRACTS, ENERGY);
+        record(|batch| self.charge_subtracts(1, batch));
         diff
     }
 
@@ -275,11 +277,11 @@ impl CamSubCrossbar {
         Fixed::from_raw(raw, self.format)
     }
 
-    /// Records `n` subtractions on the ledger and on `tally`, exactly as
-    /// `n` calls to [`CamSubCrossbar::subtract`] record them through the
-    /// telemetry facade.
-    pub fn charge_subtracts(&mut self, n: usize, tally: &mut Tally) {
-        self.ledger.charge_ops(self.subtract_cost, n, tally, SUBTRACTS, ENERGY);
+    /// Charges `n` subtractions, in O(1): `n` on the ledger's count, and
+    /// on `batch` `n` on `crossbar.camsub.subtracts` and `n` × the
+    /// subtraction energy on `crossbar.camsub.energy_pj`.
+    pub fn charge_subtracts(&mut self, n: usize, batch: &mut Batch) {
+        self.ledger.charge(SUBTRACT, n as u64, batch, SUBTRACTS, ENERGY);
     }
 
     /// Like [`CamSubCrossbar::subtract`], additionally applying per-bitline
@@ -292,7 +294,7 @@ impl CamSubCrossbar {
         rng: &mut R,
     ) -> Fixed {
         let diff = self.peek_subtract_noisy(x, max, noise, rng);
-        self.ledger.record_op(self.subtract_cost, SUBTRACTS, ENERGY);
+        record(|batch| self.charge_subtracts(1, batch));
         diff
     }
 
@@ -328,11 +330,8 @@ impl CamSubCrossbar {
     /// OR-merge + priority-encode step, and `n` subtraction cycles (one
     /// array read + recombination add each).
     pub fn stage1_cost(&self, n: usize) -> OpCost {
-        self.cam
-            .search_cost()
-            .repeat(n as u64)
-            .then(self.merge_cost)
-            .then(self.subtract_cost.repeat(n as u64))
+        let [search, merge, subtract] = self.ledger.costs();
+        search.repeat(n as u64).then(merge).then(subtract.repeat(n as u64))
     }
 
     /// Itemized area/power budget (CAM array + merge/encode periphery +
@@ -351,27 +350,17 @@ impl CamSubCrossbar {
     }
 
     /// Mutable access to the underlying CAM for fault injection in tests.
+    /// A search made through it is charged to the inner CAM's own
+    /// ledger, which [`CamSubCrossbar::ledger`] does not include.
     pub fn cam_mut(&mut self) -> &mut CamCrossbar {
         self.first_matches_stale = true;
         &mut self.cam
     }
 
-    /// Running operation totals (merges + subtractions; per-search totals
-    /// live on the inner CAM's ledger).
-    pub fn ledger(&self) -> Ledger {
+    /// Searches, merges and subtractions charged so far, in that kind
+    /// order, priced when read.
+    pub fn ledger(&self) -> Ledger<3> {
         self.ledger
-    }
-
-    /// Total dynamic energy recorded across the array and its inner CAM
-    /// since the last reset.
-    pub fn measured_energy(&self) -> star_device::Energy {
-        self.ledger.energy + self.cam.ledger().energy
-    }
-
-    /// Resets both ledgers.
-    pub fn reset_ledgers(&mut self) {
-        self.ledger.reset();
-        self.cam.reset_ledger();
     }
 }
 
@@ -529,9 +518,9 @@ mod tests {
             let inputs: Vec<Fixed> = (0..n)
                 .map(|_| Fixed::from_raw(rng.gen_range(fmt.min_raw()..=fmt.max_raw()), fmt))
                 .collect();
-            let energy = x.measured_energy();
+            let ledger = x.ledger();
             let peeked = x.peek_find_max(&inputs);
-            assert_eq!(x.measured_energy(), energy, "a peek records nothing");
+            assert_eq!(x.ledger(), ledger, "a peek records nothing");
             assert_eq!(peeked, x.find_max(&inputs).ok().map(|found| found.row), "{inputs:?}");
         }
     }

@@ -2,7 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 use star_device::{Area, Energy, Latency, TechnologyParams};
-use star_telemetry::Tally;
+use star_telemetry::Batch;
+use std::cell::RefCell;
 use std::fmt;
 
 /// Rows × columns shape of a crossbar array.
@@ -119,64 +120,82 @@ impl std::iter::Sum for OpCost {
     }
 }
 
-/// Running totals of operations performed by an array.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct Ledger {
-    /// Number of operations recorded.
-    pub ops: u64,
-    /// Total dynamic energy spent.
-    pub energy: Energy,
-    /// Total busy time accumulated.
-    pub busy: Latency,
+/// Running op counts of one array: one `u64` per op kind, priced when
+/// read. Each kind's cost is fixed when the array is built, so energy
+/// and busy time are Σ count × cost over the kinds, in kind order: one
+/// multiply per kind however many ops were charged, and a charge of `n`
+/// ops is one addition to a count.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Ledger<const K: usize> {
+    counts: [u64; K],
+    costs: [OpCost; K],
 }
 
-impl Ledger {
-    /// Creates an empty ledger.
-    pub fn new() -> Self {
-        Ledger::default()
+impl<const K: usize> Ledger<K> {
+    /// An empty ledger pricing kind `k` at `costs[k]`.
+    pub(crate) fn new(costs: [OpCost; K]) -> Self {
+        Ledger { counts: [0; K], costs }
     }
 
-    /// Records one operation.
-    pub fn record(&mut self, cost: OpCost) {
-        self.ops += 1;
-        self.energy += cost.energy;
-        self.busy += cost.latency;
-    }
-
-    /// Records one operation and mirrors it through the telemetry
-    /// facade: one on counter `ops`, its energy onto gauge `energy`.
-    pub(crate) fn record_op(&mut self, cost: OpCost, ops: &str, energy: &str) {
-        self.record(cost);
-        star_telemetry::count(ops, 1);
-        star_telemetry::add(energy, cost.energy.value());
-    }
-
-    /// Records `n` operations and mirrors them on `tally`, leaving the
-    /// ledger and the metrics exactly as `n` [`Ledger::record_op`] calls
-    /// would: one ledger record and one gauge add per operation, in
-    /// order, so the f64 sums match.
-    pub(crate) fn charge_ops(
+    /// Charges `n` ops of `kind`: adds `n` to its count, and to `batch`
+    /// adds `n` to counter `ops` and `n × cost` to gauge `energy`. A
+    /// charge of zero ops changes nothing.
+    pub(crate) fn charge(
         &mut self,
-        cost: OpCost,
-        n: usize,
-        tally: &mut Tally,
-        ops: &str,
-        energy: &str,
+        kind: usize,
+        n: u64,
+        batch: &mut Batch,
+        ops: &'static str,
+        energy: &'static str,
     ) {
-        let (ops, gauge) = (tally.counter(ops), tally.gauge(energy));
-        for _ in 0..n {
-            self.record(cost);
-            tally.add(gauge, cost.energy.value());
+        if n == 0 {
+            return;
         }
-        if n > 0 {
-            tally.count(ops, n as u64);
-        }
+        self.counts[kind] += n;
+        batch.count(ops, n);
+        batch.add(energy, self.costs[kind].repeat(n).energy.value());
     }
 
-    /// Resets all totals.
-    pub fn reset(&mut self) {
-        *self = Ledger::default();
+    /// Ops charged per kind.
+    pub fn counts(&self) -> [u64; K] {
+        self.counts
     }
+
+    /// The cost of one op of each kind.
+    pub fn costs(&self) -> [OpCost; K] {
+        self.costs
+    }
+
+    /// Everything charged, priced: energy and busy time, each Σ count ×
+    /// cost over the kinds, in kind order.
+    pub fn total(&self) -> OpCost {
+        self.counts
+            .iter()
+            .zip(&self.costs)
+            .fold(OpCost::ZERO, |sum, (&n, cost)| sum.then(cost.repeat(n)))
+    }
+
+    /// Total dynamic energy charged.
+    pub fn energy(&self) -> Energy {
+        self.total().energy
+    }
+}
+
+thread_local! {
+    /// The batch [`record`] charges into, reused so that a recording
+    /// call allocates nothing.
+    static RECORDING: RefCell<Batch> = RefCell::new(Batch::new());
+}
+
+/// Publishes one charge made outside any caller's batch: what a
+/// recording method (`search`, `subtract`, `read_row`, …) does after its
+/// peek. `charge` must only charge (`charge_*`), never record.
+pub(crate) fn record(charge: impl FnOnce(&mut Batch)) {
+    RECORDING.with(|batch| {
+        let mut batch = batch.borrow_mut();
+        charge(&mut batch);
+        batch.publish();
+    });
 }
 
 #[cfg(test)]
@@ -232,13 +251,15 @@ mod tests {
 
     #[test]
     fn ledger_accumulates() {
-        let mut l = Ledger::new();
-        l.record(OpCost::new(Energy::new(1.0), Latency::new(2.0)));
-        l.record(OpCost::new(Energy::new(0.5), Latency::new(0.5)));
-        assert_eq!(l.ops, 2);
-        assert_eq!(l.energy.value(), 1.5);
-        assert_eq!(l.busy.value(), 2.5);
-        l.reset();
-        assert_eq!(l.ops, 0);
+        let costs = [
+            OpCost::new(Energy::new(1.0), Latency::new(2.0)),
+            OpCost::new(Energy::new(0.5), Latency::new(0.5)),
+        ];
+        let mut l = Ledger::new(costs);
+        let mut batch = Batch::new();
+        l.charge(0, 1, &mut batch, "ops", "energy");
+        l.charge(1, 3, &mut batch, "ops", "energy");
+        assert_eq!((l.counts(), l.costs()), ([1, 3], costs));
+        assert_eq!(l.total(), OpCost::new(Energy::new(2.5), Latency::new(3.5)));
     }
 }

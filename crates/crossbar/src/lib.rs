@@ -11,15 +11,17 @@
 //! - [`CamSubCrossbar`] — the paper's time-multiplexed CAM/SUB array
 //!   (Fig. 1): descending-order max find plus analog subtraction.
 //!
-//! Every array accounts its own energy/latency per operation ([`OpCost`],
-//! [`Ledger`]) and produces an itemized area/power budget
-//! ([`star_device::CostSheet`]) so the experiment harnesses can assemble
-//! Table I and Fig. 3 from first principles. The per-op methods record
-//! through the `star_telemetry` facade. Each array also answers without
-//! recording (`peek_*`); a caller that tabulates its answers reads them
-//! that way and charges the ops it stands for in bulk to its own
-//! [`star_telemetry::Tally`] (`charge_*`), leaving ledgers and metrics
-//! as the per-op calls would.
+//! Every array prices each op kind once, when it is built ([`OpCost`]),
+//! counts its ops per kind in a [`Ledger`] that derives energy and busy
+//! time as count × cost when read, and produces an itemized area/power
+//! budget ([`star_device::CostSheet`]) so the experiment harnesses can
+//! assemble Table I and Fig. 3 from first principles. Each array answers
+//! without recording (`peek_*`) and charges `n` ops in O(1) to its
+//! ledger and to a caller's [`star_telemetry::Batch`] (`charge_*`); a
+//! recording method (`search`, `find_max`, `subtract`, `read_row`,
+//! `multiply`, …) is its peek plus one charge, published at once. A
+//! caller that tabulates the answers, like the STAR engine, charges a
+//! whole row's ops to one batch.
 //!
 //! # Examples
 //!

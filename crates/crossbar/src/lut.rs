@@ -1,10 +1,12 @@
 //! Lookup-table crossbar array.
 
-use crate::geometry::{Geometry, Ledger, OpCost};
+use crate::geometry::{record, Geometry, Ledger, OpCost};
 use rand::Rng;
 use star_device::peripherals::PeripheralLibrary;
-use star_device::{CostSheet, Energy, Latency, NoiseModel, RramCell, TechnologyParams};
-use star_telemetry::Tally;
+use star_device::{
+    CostSheet, Energy, Latency, NoiseModel, RramCell, TechnologyParams, RRAM_WRITES,
+};
+use star_telemetry::Batch;
 
 /// Counter of LUT row reads.
 const READS: &str = "crossbar.lut.reads";
@@ -41,8 +43,8 @@ pub struct LutCrossbar {
     /// by every cell write.
     words: Vec<u64>,
     tech: TechnologyParams,
-    read_cost: OpCost,
-    ledger: Ledger,
+    /// Its one op kind: a row read.
+    ledger: Ledger<1>,
 }
 
 impl LutCrossbar {
@@ -83,8 +85,7 @@ impl LutCrossbar {
             cells,
             words: vec![0; rows],
             tech: *tech,
-            read_cost: OpCost::new(energy, Latency::new(tech.cam_search_ns)),
-            ledger: Ledger::new(),
+            ledger: Ledger::new([OpCost::new(energy, Latency::new(tech.cam_search_ns))]),
         };
         for row in 0..rows {
             lut.refresh_word(row);
@@ -111,7 +112,7 @@ impl LutCrossbar {
 
     /// Programs a row with a word (LSB = column 0... stored MSB-first in
     /// column 0 for readability: bit `word_bits-1-j` of `word` lands in
-    /// column `j`).
+    /// column `j`), counting its `word_bits` cell writes.
     ///
     /// # Panics
     ///
@@ -128,6 +129,7 @@ impl LutCrossbar {
             let bit = (word >> (self.word_bits - 1 - j)) & 1 == 1;
             self.cells[row][j].program_ideal(u16::from(bit));
         }
+        star_telemetry::count(RRAM_WRITES, self.word_bits as u64);
         self.refresh_word(row);
     }
 
@@ -138,7 +140,7 @@ impl LutCrossbar {
     /// Panics if `row` is out of range.
     pub fn read_row(&mut self, row: usize) -> u64 {
         assert!(row < self.geometry.rows(), "row {row} out of range");
-        self.ledger.record_op(self.read_cost, READS, READ_ENERGY);
+        record(|batch| self.charge_reads(1, batch));
         self.words[row]
     }
 
@@ -149,16 +151,16 @@ impl LutCrossbar {
         self.words[row]
     }
 
-    /// Records `n` row reads on the ledger and on `tally`, exactly as `n`
-    /// calls to [`LutCrossbar::read_row`] record them through the
-    /// telemetry facade.
-    pub fn charge_reads(&mut self, n: usize, tally: &mut Tally) {
-        self.ledger.charge_ops(self.read_cost, n, tally, READS, READ_ENERGY);
+    /// Charges `n` row reads, in O(1): `n` on the ledger's count, and on
+    /// `batch` `n` on `crossbar.lut.reads` and `n` × the read energy on
+    /// `crossbar.lut.energy_pj`.
+    pub fn charge_reads(&mut self, n: usize, batch: &mut Batch) {
+        self.ledger.charge(0, n as u64, batch, READS, READ_ENERGY);
     }
 
     /// Energy/latency of one row read.
     pub fn read_cost(&self) -> OpCost {
-        self.read_cost
+        self.ledger.costs()[0]
     }
 
     /// Itemized area/power budget (cells + column sense amps + row driver).
@@ -176,14 +178,9 @@ impl LutCrossbar {
         sheet
     }
 
-    /// Running operation totals.
-    pub fn ledger(&self) -> Ledger {
+    /// Row reads charged so far, priced when read.
+    pub fn ledger(&self) -> Ledger<1> {
         self.ledger
-    }
-
-    /// Resets the operation totals.
-    pub fn reset_ledger(&mut self) {
-        self.ledger.reset();
     }
 }
 
@@ -236,7 +233,7 @@ mod tests {
         let mut l = lut(256, 18);
         l.store_word(0, 1);
         l.read_row(0);
-        assert_eq!(l.ledger().ops, 1);
+        assert_eq!(l.ledger().counts(), [1]);
         let sheet = l.cost_sheet("lut", 1.0);
         assert_eq!(sheet.items().len(), 3);
         assert!(sheet.total_area().value() > 0.0);

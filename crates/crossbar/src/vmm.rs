@@ -12,11 +12,13 @@
 //! cycle, and digital shift-add recombination. The MatMul engine's ADCs
 //! are costed analytically in `star-arch`.
 
-use crate::geometry::{Geometry, Ledger, OpCost};
+use crate::geometry::{record, Geometry, Ledger, OpCost};
 use rand::Rng;
 use star_device::peripherals::PeripheralLibrary;
-use star_device::{CostSheet, DriverSpec, Latency, NoiseModel, RramCell, TechnologyParams};
-use star_telemetry::Tally;
+use star_device::{
+    CostSheet, DriverSpec, Latency, NoiseModel, RramCell, TechnologyParams, RRAM_WRITES,
+};
+use star_telemetry::Batch;
 
 /// Counter of full VMM operations.
 const ACTIVATIONS: &str = "crossbar.vmm.activations";
@@ -74,9 +76,9 @@ pub struct VmmCrossbar {
     weights: Vec<u64>,
     noise: NoiseModel,
     tech: TechnologyParams,
-    /// Cost of one bit-serial input cycle.
-    cycle_cost: OpCost,
-    ledger: Ledger,
+    /// Its one op kind: a bit-serial input cycle, so a VMM of `b`-bit
+    /// inputs is `b` ops.
+    ledger: Ledger<1>,
 }
 
 impl VmmCrossbar {
@@ -129,8 +131,7 @@ impl VmmCrossbar {
             weights: vec![0; rows * cols],
             noise,
             tech: *tech,
-            cycle_cost: OpCost::new(cycle_energy, cycle_latency),
-            ledger: Ledger::new(),
+            ledger: Ledger::new([OpCost::new(cycle_energy, cycle_latency)]),
         };
         vmm.refresh_fractions();
         vmm
@@ -160,7 +161,7 @@ impl VmmCrossbar {
     }
 
     /// Programs the full weight matrix (`weights[row][col]`, unsigned
-    /// codes).
+    /// codes), counting its `rows · cols · weight_bits` cell writes.
     ///
     /// # Panics
     ///
@@ -179,6 +180,7 @@ impl VmmCrossbar {
                 }
             }
         }
+        star_telemetry::count(RRAM_WRITES, (self.rows * self.cols * bits) as u64);
         self.refresh_fractions();
     }
 
@@ -241,8 +243,7 @@ impl VmmCrossbar {
         rng: &mut R,
     ) -> Vec<f64> {
         let outputs = self.peek_multiply(inputs, input_bits, rng);
-        self.ledger.record_op(self.vmm_cost(input_bits), ACTIVATIONS, ENERGY);
-        star_telemetry::count(BIT_CYCLES, input_bits as u64);
+        record(|batch| self.charge_multiply(input_bits, batch));
         outputs
     }
 
@@ -317,19 +318,22 @@ impl VmmCrossbar {
         outputs
     }
 
-    /// Records one VMM of `input_bits`-bit inputs on the ledger and on
-    /// `tally`, exactly as [`VmmCrossbar::multiply_with`] records it
-    /// through the telemetry facade.
-    pub fn charge_multiply(&mut self, input_bits: u8, tally: &mut Tally) {
-        self.ledger.charge_ops(self.vmm_cost(input_bits), 1, tally, ACTIVATIONS, ENERGY);
-        let cycles = tally.counter(BIT_CYCLES);
-        tally.count(cycles, input_bits as u64);
+    /// Charges one VMM of `input_bits`-bit inputs, in O(1): its
+    /// `input_bits` cycles on the ledger, and on `batch` one
+    /// `crossbar.vmm.activations`, `input_bits` on
+    /// `crossbar.vmm.bit_cycles` and `input_bits` × the cycle energy on
+    /// `crossbar.vmm.energy_pj`. Inputs of no bits charge nothing.
+    pub fn charge_multiply(&mut self, input_bits: u8, batch: &mut Batch) {
+        if input_bits > 0 {
+            batch.count(ACTIVATIONS, 1);
+            self.ledger.charge(0, input_bits.into(), batch, BIT_CYCLES, ENERGY);
+        }
     }
 
     /// Cost of one full VMM (all input bits): per cycle, wordline drives +
     /// cell reads, then shift-add.
     pub fn vmm_cost(&self, input_bits: u8) -> OpCost {
-        self.cycle_cost.repeat(input_bits as u64)
+        self.ledger.costs()[0].repeat(input_bits as u64)
     }
 
     /// Itemized area/power budget (cells + drivers + shift-add).
@@ -353,14 +357,9 @@ impl VmmCrossbar {
         sheet
     }
 
-    /// Running operation totals.
-    pub fn ledger(&self) -> Ledger {
+    /// Bit-serial input cycles charged so far, priced when read.
+    pub fn ledger(&self) -> Ledger<1> {
         self.ledger
-    }
-
-    /// Resets the operation totals.
-    pub fn reset_ledger(&mut self) {
-        self.ledger.reset();
     }
 }
 

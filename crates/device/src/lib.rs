@@ -53,6 +53,6 @@ pub use endurance::{EnduranceModel, RetentionModel};
 pub use interconnect::{ChipInfrastructure, InterconnectModel};
 pub use noise::{NoiseModel, StuckFault};
 pub use peripherals::{BlockSpec, PeripheralLibrary};
-pub use rram::RramCell;
+pub use rram::{RramCell, RRAM_WRITES};
 pub use tech::TechnologyParams;
 pub use temperature::TemperatureModel;

@@ -4,6 +4,10 @@ use crate::noise::StuckFault;
 use crate::tech::TechnologyParams;
 use serde::{Deserialize, Serialize};
 
+/// Counter of programmed cells. A cell records nothing itself: each
+/// array store call adds the number of cells it programmed, once.
+pub const RRAM_WRITES: &str = "device.rram.writes";
+
 /// One programmable single-bit RRAM crosspoint cell.
 ///
 /// A cell stores a *level*, 0 or 1, mapped onto the ends of the
@@ -61,13 +65,13 @@ impl RramCell {
         self.g_hrs + level as f64 * (self.g_lrs - self.g_hrs)
     }
 
-    /// Programs the cell to `level`.
+    /// Programs the cell to `level`. The caller counts the write under
+    /// [`RRAM_WRITES`].
     ///
     /// # Panics
     ///
     /// Panics if `level > 1`.
     pub fn program_ideal(&mut self, level: u16) {
-        star_telemetry::count("device.rram.writes", 1);
         self.conductance = self.target_conductance(level);
     }
 

@@ -1,6 +1,6 @@
 //! star-telemetry: the instrumentation layer of the STAR reproduction.
 //!
-//! Six pieces:
+//! Seven pieces:
 //!
 //! 1. [`Registry`] — named counters, accumulating/level gauges, and
 //!    fixed-bucket histograms, read back as a [`Snapshot`] with pretty and
@@ -32,6 +32,11 @@
 //!    update. The serving simulator records all its metrics this way;
 //!    the registry ends up byte-identical to what the facade calls
 //!    would have left.
+//! 7. [`Batch`] — one-shot updates ([`batch`]): counter increments,
+//!    gauge adds and histogram observations under static names,
+//!    published with one scope lookup and one lock, for code that knows
+//!    its whole update at once. The crossbar arrays charge their ops
+//!    into one, and the STAR engine publishes each row through one.
 //!
 //! # Naming convention
 //!
@@ -54,12 +59,14 @@
 
 #![forbid(unsafe_code)]
 
+pub mod batch;
 pub mod chrome;
 pub mod profile;
 pub mod registry;
 pub mod span;
 pub mod tally;
 
+pub use batch::Batch;
 pub use chrome::{ChromeTrace, CounterEvent, TraceEvent};
 pub use profile::{PhaseProfiler, PhaseStats};
 pub use registry::{HistogramSnapshot, Registry, Snapshot, DEFAULT_BUCKET_BOUNDS};

@@ -151,6 +151,48 @@ struct Inner {
     histograms: BTreeMap<String, Histogram>,
 }
 
+/// The recording primitives, each looking its name up first and
+/// allocating the name's `String` only when it inserts.
+impl Inner {
+    fn count(&mut self, name: &str, n: u64) {
+        match self.counters.get_mut(name) {
+            Some(c) => *c += n,
+            None => {
+                self.counters.insert(name.to_string(), n);
+            }
+        }
+    }
+
+    fn add(&mut self, name: &str, v: f64) {
+        match self.gauges.get_mut(name) {
+            Some(g) => *g += v,
+            None => {
+                self.gauges.insert(name.to_string(), v);
+            }
+        }
+    }
+
+    fn store(&mut self, name: &str, v: f64) {
+        match self.gauges.get_mut(name) {
+            Some(g) => *g = v,
+            None => {
+                self.gauges.insert(name.to_string(), v);
+            }
+        }
+    }
+
+    fn observe(&mut self, name: &str, value: f64, bounds: &[f64]) {
+        match self.histograms.get_mut(name) {
+            Some(h) => h.observe(value),
+            None => {
+                let mut h = Histogram::new(bounds);
+                h.observe(value);
+                self.histograms.insert(name.to_string(), h);
+            }
+        }
+    }
+}
+
 /// A registry of named metrics.
 ///
 /// All mutation goes through `&self` (interior mutability), so a registry
@@ -192,55 +234,56 @@ impl Registry {
 
     /// Add `n` to counter `name` (creating it at zero).
     pub fn count(&self, name: &str, n: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mut inner = self.lock();
-        match inner.counters.get_mut(name) {
-            Some(c) => *c += n,
-            None => {
-                inner.counters.insert(name.to_string(), n);
-            }
+        if self.is_enabled() {
+            self.lock().count(name, n);
         }
     }
 
     /// Add `v` to the accumulating gauge `name` (creating it at zero).
     /// Used for additive physical quantities: energy, busy time, charge.
     pub fn add(&self, name: &str, v: f64) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mut inner = self.lock();
-        match inner.gauges.get_mut(name) {
-            Some(g) => *g += v,
-            None => {
-                inner.gauges.insert(name.to_string(), v);
-            }
+        if self.is_enabled() {
+            self.lock().add(name, v);
         }
     }
 
     /// Set gauge `name` to `v` (last-write-wins; for levels, not totals).
     pub fn set(&self, name: &str, v: f64) {
-        if !self.is_enabled() {
-            return;
+        if self.is_enabled() {
+            self.lock().store(name, v);
         }
-        self.lock().gauges.insert(name.to_string(), v);
     }
 
     /// Record `value` into histogram `name`, creating it with `bounds` if
     /// absent. Bounds of an existing histogram are kept as-is.
     pub fn observe_with(&self, name: &str, value: f64, bounds: &[f64]) {
+        if self.is_enabled() {
+            self.lock().observe(name, value, bounds);
+        }
+    }
+
+    /// Applies a [`crate::Batch`]'s updates under one lock, as the
+    /// matching [`Registry::count`], [`Registry::add`] and
+    /// [`Registry::observe_with`] calls would one by one. A disabled
+    /// registry is not locked.
+    pub(crate) fn apply(
+        &self,
+        counters: &[(&str, u64)],
+        gauges: &[(&str, f64)],
+        observations: &[(&str, f64, &[f64])],
+    ) {
         if !self.is_enabled() {
             return;
         }
         let mut inner = self.lock();
-        match inner.histograms.get_mut(name) {
-            Some(h) => h.observe(value),
-            None => {
-                let mut h = Histogram::new(bounds);
-                h.observe(value);
-                inner.histograms.insert(name.to_string(), h);
-            }
+        for &(name, n) in counters {
+            inner.count(name, n);
+        }
+        for &(name, v) in gauges {
+            inner.add(name, v);
+        }
+        for &(name, value, bounds) in observations {
+            inner.observe(name, value, bounds);
         }
     }
 
@@ -276,10 +319,10 @@ impl Registry {
     ) {
         let mut inner = self.lock();
         for (name, n) in counters {
-            *inner.counters.entry(name.to_string()).or_insert(0) += n;
+            inner.count(name, n);
         }
         for (name, v) in gauges {
-            inner.gauges.insert(name.to_string(), v);
+            inner.store(name, v);
         }
         for (name, h) in histograms {
             match inner.histograms.get_mut(name) {

@@ -976,7 +976,7 @@ fn a11_blame_whatif_result() -> Value {
     // The conservation identity over every completed request: the eight
     // components recompose to the end-to-end latency with float
     // equality, not a tolerance.
-    for b in &blame.requests {
+    for b in blame.requests() {
         assert_eq!(
             b.components_sum(),
             b.latency_ns,
@@ -984,6 +984,8 @@ fn a11_blame_whatif_result() -> Value {
             b.id
         );
     }
+
+    let completed_rows = blame.requests().len();
 
     let what_if = run_what_ifs(&cfg, &plain, &WhatIf::standard());
     let best = what_if.best().expect("standard menu is non-empty");
@@ -1014,7 +1016,7 @@ fn a11_blame_whatif_result() -> Value {
             "energy_per_request_nj": outcome.report.energy_per_request_nj,
         },
         "conservation": {
-            "requests": blame.requests.len(),
+            "requests": completed_rows,
             "batches": blame.batches.len(),
             "bitwise_failures": 0,
         },

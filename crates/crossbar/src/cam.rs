@@ -106,6 +106,7 @@ impl CamCrossbar {
                     .collect()
             })
             .collect();
+        noise.count_fault_draws(rows * word_bits * 2);
         let mut cam = CamCrossbar {
             geometry,
             word_bits,

@@ -323,6 +323,7 @@ impl CamSubCrossbar {
             let weight = 1i64 << shift;
             raw += if j == 0 { -digit * weight } else { digit * weight };
         }
+        noise.count_read_draws(n);
         Fixed::from_raw(raw.min(0), self.format)
     }
 

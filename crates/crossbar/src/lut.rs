@@ -73,6 +73,7 @@ impl LutCrossbar {
                     .collect()
             })
             .collect();
+        noise.count_fault_draws(rows * word_bits);
         let sa = PeripheralLibrary::sense_amp();
         let drv = star_device::DriverSpec::wordline32();
         // One driven row: up to `word_bits` conducting cells + column

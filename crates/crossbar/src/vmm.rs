@@ -115,6 +115,7 @@ impl VmmCrossbar {
                     .collect()
             })
             .collect();
+        noise.count_fault_draws(rows * physical_cols);
         let drv = DriverSpec::wordline32();
         let cell = tech.cell_read_energy(tech.g_lrs()) * (rows * physical_cols) as f64 * 0.5;
         let sa = PeripheralLibrary::shift_add(32);
@@ -294,7 +295,7 @@ impl VmmCrossbar {
     /// cycle every bitline sums the level fractions of its driven rows,
     /// applies the array's read noise (one draw when it has any), and
     /// rounds to a bit count, which shift-add weights by the input bit and
-    /// the cell's bit position.
+    /// the cell's bit position. The draws are counted once, at the end.
     fn bit_serial<R: Rng + ?Sized>(&self, inputs: &[u64], input_bits: u8, rng: &mut R) -> Vec<f64> {
         let bits = self.weight_bits as usize;
         let mut outputs = vec![0.0f64; self.cols];
@@ -315,6 +316,7 @@ impl VmmCrossbar {
                 }
             }
         }
+        self.noise.count_read_draws(input_bits as usize * self.cols * bits);
         outputs
     }
 

@@ -8,6 +8,12 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+/// Counter of [`NoiseModel::read`] calls that drew read noise.
+const READ_DRAWS: &str = "device.noise.read_draws";
+
+/// Counter of [`NoiseModel::sample_fault`] calls that drew a fault.
+const FAULT_DRAWS: &str = "device.noise.fault_draws";
+
 /// A permanent cell defect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum StuckFault {
@@ -67,22 +73,33 @@ impl NoiseModel {
         NoiseModel { read_sigma: 0.0, stuck_on_rate: 0.0, stuck_off_rate: 0.0 }
     }
 
-    /// Applies read noise to a sensed current/conductance.
+    /// Applies read noise to a sensed current/conductance. The caller
+    /// counts its calls once per array call, through
+    /// [`NoiseModel::count_read_draws`].
     pub fn read<R: Rng + ?Sized>(&self, value: f64, rng: &mut R) -> f64 {
         if self.read_sigma == 0.0 {
             return value;
         }
-        star_telemetry::count("device.noise.read_draws", 1);
         let z: f64 = sample_standard_normal(rng);
         value * (1.0 + self.read_sigma * z)
     }
 
-    /// Samples whether a freshly fabricated cell is defective.
+    /// Counts `reads` calls of [`NoiseModel::read`] under
+    /// `device.noise.read_draws`, in one telemetry update; a model
+    /// without read noise draws nothing and counts nothing.
+    pub fn count_read_draws(&self, reads: usize) {
+        if self.read_sigma != 0.0 {
+            star_telemetry::count(READ_DRAWS, reads as u64);
+        }
+    }
+
+    /// Samples whether a freshly fabricated cell is defective. The caller
+    /// counts its calls once per array build, through
+    /// [`NoiseModel::count_fault_draws`].
     pub fn sample_fault<R: Rng + ?Sized>(&self, rng: &mut R) -> StuckFault {
-        if self.stuck_on_rate == 0.0 && self.stuck_off_rate == 0.0 {
+        if !self.has_faults() {
             return StuckFault::None;
         }
-        star_telemetry::count("device.noise.fault_draws", 1);
         let u: f64 = rng.gen();
         if u < self.stuck_on_rate {
             StuckFault::StuckOn
@@ -91,6 +108,21 @@ impl NoiseModel {
         } else {
             StuckFault::None
         }
+    }
+
+    /// Counts `cells` calls of [`NoiseModel::sample_fault`] under
+    /// `device.noise.fault_draws`, in one telemetry update; a fault-free
+    /// model draws nothing and counts nothing.
+    pub fn count_fault_draws(&self, cells: usize) {
+        if self.has_faults() {
+            star_telemetry::count(FAULT_DRAWS, cells as u64);
+        }
+    }
+
+    /// Whether a cell can be stuck, so that [`NoiseModel::sample_fault`]
+    /// draws.
+    fn has_faults(&self) -> bool {
+        self.stuck_on_rate != 0.0 || self.stuck_off_rate != 0.0
     }
 }
 

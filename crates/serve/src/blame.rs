@@ -22,7 +22,7 @@
 //! [`ServiceModel::invocation_phases`](crate::model::ServiceModel::invocation_phases)
 //! makes that exact rather than approximate: `av_drain` is
 //! computed as `latency − analytic` with `analytic` accumulated in the
-//! *same left-associated grouping* [`RequestBlame::components_sum`]
+//! *same left-associated grouping* [`BlameView::components_sum`]
 //! uses. The analytic prefix is within a factor of two of the latency
 //! (the drain is one pipeline row of a multi-row invocation), so by
 //! Sterbenz's lemma the subtraction is exact and the recomposition
@@ -41,6 +41,26 @@
 //! invocations on one instance are serial — so every blocking edge
 //! points at the same instance's previous batch, and chains of
 //! back-to-back blocked invocations surface as [`BlockingChain`]s.
+//!
+//! # Storage
+//!
+//! The recorder keeps only what no other record of the run determines.
+//! Per completed request that is 24 bytes: its id, its arrival time and
+//! the index of its batch. Per batch it keeps the [`BatchBlame`] row
+//! (ready, dispatch and completion times, instance, class, size, busy
+//! wait, blocker) and, beside it, the instance's previous completion
+//! time and the four analytic phases. A request's full row — class,
+//! instance, latency, the admission / hold / busy / drain residuals, the
+//! five phases and its blocker — is a [`BlameView`], recomputed from its
+//! record and its batch's with the f64 operations the event loop's own
+//! latency and queue bookkeeping uses, whenever something reads it:
+//! the recorder's end-of-run aggregation, the dump writer and
+//! [`BlameOutcome::requests`]. The dump still carries every row in full,
+//! and [`BlameOutcome::from_object_json`] rebuilds the records from it,
+//! taking each batch's phases from its first member's row and its
+//! previous completion from the batch table, and rejects the file,
+//! naming the request and the field, when a row is not the one its
+//! batch derives.
 //!
 //! # What-if engine
 //!
@@ -80,14 +100,56 @@ pub const BLAME_SIDECAR_KEY: &str = "starServeBlame";
 /// Blocking chains kept in the report.
 const TOP_CHAINS: usize = 5;
 
-/// One completed request's blame decomposition. Serializes as the
-/// compact number array `[id, class, arrive_ns, latency_ns,
-/// admission_ns, hold_ns, busy_ns, overhead_ns, projection_ns,
-/// qk_fill_ns, softmax_stream_ns, av_drain_ns, instance, batch,
-/// blocker]` (classes are ranks into the outcome's legend; `blocker`
-/// is −1 when the request waited on no prior invocation).
+/// One completed request as blame stores it: what its batch row does
+/// not determine. [`BlameOutcome::requests`] recomputes the rest.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RequestBlame {
+pub(crate) struct RequestBlame {
+    id: u64,
+    arrive_ns: f64,
+    /// Index into the outcome's batch table.
+    batch: u32,
+}
+
+/// What blame stores once per batch beside its [`BatchBlame`] row: the
+/// rest of the operands its members' decompositions are recomputed from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct BatchOperands {
+    /// Completion time of the instance's previous invocation, ns (−∞
+    /// when there was none).
+    prev_done_ns: f64,
+    /// The analytic phases `overhead`, `projection`, `qk_fill` and
+    /// `softmax_stream`, ns (each member's `av_drain` is its residual).
+    phases: [f64; 4],
+}
+
+/// The fields of a [`BlameView`] row, in its number-array order.
+const ROW_FIELDS: [&str; 15] = [
+    "id",
+    "class",
+    "arrive_ns",
+    "latency_ns",
+    "admission_ns",
+    "hold_ns",
+    "busy_ns",
+    "overhead_ns",
+    "projection_ns",
+    "qk_fill_ns",
+    "softmax_stream_ns",
+    "av_drain_ns",
+    "instance",
+    "batch",
+    "blocker",
+];
+
+/// One completed request's blame decomposition, recomputed from its
+/// record and its batch's when read. Serializes as the compact number
+/// array `[id, class, arrive_ns, latency_ns, admission_ns, hold_ns,
+/// busy_ns, overhead_ns, projection_ns, qk_fill_ns, softmax_stream_ns,
+/// av_drain_ns, instance, batch, blocker]` (classes are ranks into the
+/// outcome's legend; `blocker` is −1 when the request waited on no prior
+/// invocation).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BlameView {
     /// Request id.
     pub id: u64,
     /// Class rank into the outcome's class legend.
@@ -123,11 +185,11 @@ pub struct RequestBlame {
     pub blocker: i64,
 }
 
-impl RequestBlame {
+impl BlameView {
     /// The eight components recomposed in the **pinned left-associated
     /// grouping** the residual was computed against — equals
-    /// [`RequestBlame::latency_ns`] bitwise (the conservation
-    /// identity; a proptest pins it).
+    /// [`BlameView::latency_ns`] bitwise (the conservation identity; a
+    /// proptest pins it).
     pub fn components_sum(&self) -> f64 {
         ((((((self.admission_ns + self.hold_ns) + self.busy_ns) + self.overhead_ns)
             + self.projection_ns)
@@ -151,8 +213,8 @@ impl RequestBlame {
     }
 }
 
-impl From<RequestBlame> for [f64; 15] {
-    fn from(r: RequestBlame) -> Self {
+impl From<BlameView> for [f64; 15] {
+    fn from(r: BlameView) -> Self {
         [
             r.id as f64,
             f64::from(r.class),
@@ -173,9 +235,9 @@ impl From<RequestBlame> for [f64; 15] {
     }
 }
 
-impl From<[f64; 15]> for RequestBlame {
+impl From<[f64; 15]> for BlameView {
     fn from(v: [f64; 15]) -> Self {
-        RequestBlame {
+        BlameView {
             id: v[0] as u64,
             class: v[1] as i16,
             arrive_ns: v[2],
@@ -195,15 +257,56 @@ impl From<[f64; 15]> for RequestBlame {
     }
 }
 
-impl Serialize for RequestBlame {
+impl Serialize for BlameView {
     fn to_content(&self) -> serde::Content {
         <[f64; 15]>::from(*self).to_content()
     }
 }
 
-impl Deserialize for RequestBlame {
+impl Deserialize for BlameView {
     fn from_content(content: &serde::Content) -> Result<Self, serde::DeError> {
-        row_from_content::<15>(content, "request blame row").map(RequestBlame::from)
+        row_from_content::<15>(content, "request blame row").map(BlameView::from)
+    }
+}
+
+/// Recomputes `r`'s decomposition from its batch's row `b` and operands
+/// `o`, with the f64 operations the event loop's own latency and queue
+/// bookkeeping uses, so the totals being attributed are *its* totals.
+fn decompose(r: &RequestBlame, b: &BatchBlame, o: &BatchOperands) -> BlameView {
+    let [overhead_ns, projection_ns, qk_fill_ns, softmax_stream_ns] = o.phases;
+    // The instance stopped being the bottleneck when its previous
+    // invocation drained (clamped to the dispatch: any later wait is the
+    // scheduler's, not the instance's).
+    let busy_end_ns = o.prev_done_ns.min(b.dispatch_ns);
+    let latency_ns = b.done_ns - r.arrive_ns;
+    let queue_ns = b.dispatch_ns - r.arrive_ns;
+    let hold_ns = (b.ready_ns - r.arrive_ns).max(0.0);
+    let busy_ns = (busy_end_ns - r.arrive_ns.max(b.ready_ns)).max(0.0);
+    // Exact queue-side residual: whatever the hold and the instance
+    // don't explain was spent queued behind other ready work.
+    let admission_ns = (queue_ns - hold_ns) - busy_ns;
+    // Service-side residual, same grouping as `components_sum` — the
+    // Sterbenz discipline that makes the eight components recompose to
+    // `latency_ns` bitwise.
+    let analytic = (((((admission_ns + hold_ns) + busy_ns) + overhead_ns) + projection_ns)
+        + qk_fill_ns)
+        + softmax_stream_ns;
+    BlameView {
+        id: r.id,
+        class: b.class,
+        arrive_ns: r.arrive_ns,
+        latency_ns,
+        admission_ns,
+        hold_ns,
+        busy_ns,
+        overhead_ns,
+        projection_ns,
+        qk_fill_ns,
+        softmax_stream_ns,
+        av_drain_ns: latency_ns - analytic,
+        instance: b.instance,
+        batch: u64::from(r.batch),
+        blocker: if busy_ns > 0.0 { b.blocker } else { -1 },
     }
 }
 
@@ -261,7 +364,7 @@ pub struct BlameComponents {
 }
 
 impl BlameComponents {
-    fn add(&mut self, r: &RequestBlame) {
+    fn add(&mut self, r: &BlameView) {
         self.requests += 1;
         self.total_ms += r.latency_ns / 1e6;
         self.admission_ms += r.admission_ns / 1e6;
@@ -459,20 +562,34 @@ impl BlameReport {
 }
 
 /// Everything a blamed simulation produces: the aggregated report plus
-/// the full per-request and per-batch blame tables.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// the per-request and per-batch blame tables. A request's row is
+/// recomputed from its batch's when read ([`BlameOutcome::requests`]).
+///
+/// It serializes every row in full, and deserializes only a dump whose
+/// every request row is the one its batch row derives.
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlameOutcome {
     /// Class legend the rank fields index into.
     pub classes: Vec<RequestClass>,
     /// The aggregated report.
     pub report: BlameReport,
-    /// Per-request decompositions, completion order.
-    pub requests: Vec<RequestBlame>,
+    /// One record per completed request, completion order.
+    requests: Vec<RequestBlame>,
     /// Per-batch blocking table, completion order.
     pub batches: Vec<BatchBlame>,
+    /// Each batch's remaining operands, parallel to `batches`.
+    operands: Vec<BatchOperands>,
 }
 
 impl BlameOutcome {
+    /// Every completed request's decomposition, completion order.
+    pub fn requests(&self) -> impl ExactSizeIterator<Item = BlameView> + '_ {
+        self.requests.iter().map(|r| {
+            let b = r.batch as usize;
+            decompose(r, &self.batches[b], &self.operands[b])
+        })
+    }
+
     /// Human-readable blame tables.
     pub fn render(&self) -> String {
         self.report.render(&self.classes)
@@ -520,13 +637,85 @@ impl BlameOutcome {
     ///
     /// # Errors
     ///
-    /// Returns a message when the sidecar key is missing or malformed.
+    /// Returns a message when the sidecar key is missing or malformed, or
+    /// when a request's row is not the one its batch row derives (the
+    /// message names the request and the first field that differs).
     pub fn from_object_json(v: &Value) -> Result<Self, String> {
         let sidecar = v
             .get(BLAME_SIDECAR_KEY)
             .ok_or_else(|| format!("not a blame dump: missing `{BLAME_SIDECAR_KEY}` key"))?;
-        serde_json::from_value(sidecar.clone())
+        BlameOutcome::from_content(sidecar)
             .map_err(|e| format!("malformed `{BLAME_SIDECAR_KEY}` sidecar: {e}"))
+    }
+
+    /// Rebuilds the stored records from the wire rows. Each batch's
+    /// previous completion comes from the batch table itself, in the
+    /// recorder's per-instance order, and its phases from its first
+    /// member's row; every row must then be the one its record and batch
+    /// derive, bit for bit.
+    fn from_wire(wire: WireBlame) -> Result<Self, String> {
+        let WireBlame { classes, report, requests: rows, batches } = wire;
+        let mut last_done: BTreeMap<u32, f64> = BTreeMap::new();
+        let prev_done: Vec<f64> = batches
+            .iter()
+            .map(|b| last_done.insert(b.instance, b.done_ns).unwrap_or(f64::NEG_INFINITY))
+            .collect();
+        let mut operands: Vec<Option<BatchOperands>> = vec![None; batches.len()];
+        let mut requests = Vec::with_capacity(rows.len());
+        for row in rows {
+            let Some((batch, b)) =
+                u32::try_from(row.batch).ok().and_then(|i| batches.get(i as usize).map(|b| (i, b)))
+            else {
+                return Err(format!("request {}: batch {} is not in the table", row.id, row.batch));
+            };
+            let o = operands[batch as usize].get_or_insert(BatchOperands {
+                prev_done_ns: prev_done[batch as usize],
+                phases: [row.overhead_ns, row.projection_ns, row.qk_fill_ns, row.softmax_stream_ns],
+            });
+            let record = RequestBlame { id: row.id, arrive_ns: row.arrive_ns, batch };
+            let derived = <[f64; 15]>::from(decompose(&record, b, o));
+            let stored = <[f64; 15]>::from(row);
+            if let Some(k) = (0..15).find(|&k| derived[k].to_bits() != stored[k].to_bits()) {
+                return Err(format!(
+                    "request {}: its {} is {}, but its batch row derives {}",
+                    row.id, ROW_FIELDS[k], stored[k], derived[k]
+                ));
+            }
+            requests.push(record);
+        }
+        let operands = operands
+            .into_iter()
+            .enumerate()
+            .map(|(i, o)| o.ok_or_else(|| format!("batch {i}: no request row rides in it")))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(BlameOutcome { classes, report, requests, batches, operands })
+    }
+}
+
+/// The blame sidecar as it is read, before its rows become records.
+#[derive(Deserialize)]
+struct WireBlame {
+    classes: Vec<RequestClass>,
+    report: BlameReport,
+    requests: Vec<BlameView>,
+    batches: Vec<BatchBlame>,
+}
+
+impl Serialize for BlameOutcome {
+    fn to_content(&self) -> Value {
+        Value::Map(vec![
+            ("classes".into(), self.classes.to_content()),
+            ("report".into(), self.report.to_content()),
+            ("requests".into(), Value::Seq(self.requests().map(|r| r.to_content()).collect())),
+            ("batches".into(), self.batches.to_content()),
+        ])
+    }
+}
+
+impl Deserialize for BlameOutcome {
+    fn from_content(content: &Value) -> Result<Self, serde::DeError> {
+        let wire = WireBlame::from_content(content)?;
+        BlameOutcome::from_wire(wire).map_err(serde::DeError::custom)
     }
 }
 
@@ -543,6 +732,7 @@ pub(crate) struct BlameRecorder {
     last_done: BTreeMap<u32, (u64, f64)>,
     requests: Vec<RequestBlame>,
     batches: Vec<BatchBlame>,
+    operands: Vec<BatchOperands>,
     rejected: u64,
     expired: u64,
     expired_wait_ns: f64,
@@ -559,6 +749,7 @@ impl BlameRecorder {
             last_done: BTreeMap::new(),
             requests: Vec::new(),
             batches: Vec::new(),
+            operands: Vec::new(),
             rejected: 0,
             expired: 0,
             expired_wait_ns: 0.0,
@@ -573,7 +764,7 @@ impl BlameRecorder {
 
     /// One request's end: counts a rejection (nothing to decompose), or
     /// a deadline expiry and its futile queue wait. Completions are
-    /// decomposed per batch by [`BlameRecorder::on_batch`].
+    /// recorded per batch by [`BlameRecorder::on_batch`].
     pub fn on_terminal(&mut self, t: &Terminal) {
         match t.outcome {
             RequestOutcome::Rejected => self.rejected += 1,
@@ -585,9 +776,15 @@ impl BlameRecorder {
         }
     }
 
-    /// One completed invocation: decomposes every member's latency.
-    /// Called from the simulator's `InstanceFree` handler in completion
-    /// order, before the members are consumed.
+    /// One completed invocation: stores its row and operands once and
+    /// each member's id and arrival. Called from the simulator's
+    /// `InstanceFree` handler in completion order, before the members
+    /// are consumed.
+    ///
+    /// # Panics
+    ///
+    /// Panics past 2³² batches; a run within
+    /// [`crate::sim::MAX_ARRIVALS`] stays far below that.
     pub fn on_batch(
         &mut self,
         instance: usize,
@@ -600,7 +797,7 @@ impl BlameRecorder {
         debug_assert!(!members.is_empty(), "batches are never empty");
         let instance = instance as u32;
         let bid = self.batches.len() as u64;
-        let rank = self.rank(class);
+        let batch = u32::try_from(bid).expect("batch index fits in u32");
         let mut first_arrive = f64::INFINITY;
         let mut last_arrive = f64::NEG_INFINITY;
         for r in members {
@@ -612,63 +809,20 @@ impl BlameRecorder {
         // came first — never later than the dispatch itself.
         let ready_ns = last_arrive.min(first_arrive + self.window_ns).min(dispatch_ns);
         let prev = self.last_done.get(&instance).copied();
-        // The instance stopped being the bottleneck when its previous
-        // invocation drained (clamped to the dispatch: any later wait
-        // is the scheduler's, not the instance's).
-        let busy_end_ns = prev.map_or(f64::NEG_INFINITY, |(_, done)| done).min(dispatch_ns);
-        let busy_wait_ns = (busy_end_ns - ready_ns).max(0.0);
+        let prev_done_ns = prev.map_or(f64::NEG_INFINITY, |(_, done)| done);
+        let busy_wait_ns = (prev_done_ns.min(dispatch_ns) - ready_ns).max(0.0);
         let blocker = match prev {
             Some((prev_bid, _)) if busy_wait_ns > 0.0 => prev_bid as i64,
             _ => -1,
         };
-        for r in members {
-            // Same float ops as the simulator's own latency / queue
-            // bookkeeping — the totals being attributed are *its*
-            // totals, not recomputations.
-            let latency_ns = done_ns - r.arrive_ns;
-            let queue_ns = dispatch_ns - r.arrive_ns;
-            let hold_ns = (ready_ns - r.arrive_ns).max(0.0);
-            let busy_ns = (busy_end_ns - r.arrive_ns.max(ready_ns)).max(0.0);
-            // Exact queue-side residual: whatever the hold and the
-            // instance don't explain was spent queued behind other
-            // ready work.
-            let admission_ns = (queue_ns - hold_ns) - busy_ns;
-            let member_blocker = if busy_ns > 0.0 { blocker } else { -1 };
-            // Service-side residual, same grouping as
-            // `components_sum` — the Sterbenz discipline that makes
-            // the eight components recompose to `latency_ns` bitwise.
-            let analytic = (((((admission_ns + hold_ns) + busy_ns) + phases.overhead_ns)
-                + phases.projection_ns)
-                + phases.qk_fill_ns)
-                + phases.softmax_stream_ns;
-            let av_drain_ns = latency_ns - analytic;
-            let row = RequestBlame {
-                id: r.id,
-                class: rank,
-                arrive_ns: r.arrive_ns,
-                latency_ns,
-                admission_ns,
-                hold_ns,
-                busy_ns,
-                overhead_ns: phases.overhead_ns,
-                projection_ns: phases.projection_ns,
-                qk_fill_ns: phases.qk_fill_ns,
-                softmax_stream_ns: phases.softmax_stream_ns,
-                av_drain_ns,
-                instance,
-                batch: bid,
-                blocker: member_blocker,
-            };
-            debug_assert_eq!(
-                row.components_sum(),
-                row.latency_ns,
-                "blame components must recompose bitwise"
-            );
-            self.requests.push(row);
-        }
+        self.requests.extend(members.iter().map(|r| RequestBlame {
+            id: r.id,
+            arrive_ns: r.arrive_ns,
+            batch,
+        }));
         self.batches.push(BatchBlame {
             id: bid,
-            class: rank,
+            class: self.rank(class),
             instance,
             size: members.len() as u32,
             ready_ns,
@@ -677,10 +831,20 @@ impl BlameRecorder {
             busy_wait_ns,
             blocker,
         });
+        self.operands.push(BatchOperands {
+            prev_done_ns,
+            phases: [
+                phases.overhead_ns,
+                phases.projection_ns,
+                phases.qk_fill_ns,
+                phases.softmax_stream_ns,
+            ],
+        });
         self.last_done.insert(instance, (bid, done_ns));
     }
 
-    /// Aggregates the tables into the fleet-wide report.
+    /// Aggregates the tables into the fleet-wide report, recomputing
+    /// each request's decomposition as it folds it in.
     pub fn finalize(self) -> BlameOutcome {
         let BlameRecorder {
             classes,
@@ -690,10 +854,15 @@ impl BlameRecorder {
             last_done: _,
             requests,
             batches,
+            operands,
             rejected,
             expired,
             expired_wait_ns,
         } = self;
+        let view = |r: &RequestBlame| {
+            let b = r.batch as usize;
+            decompose(r, &batches[b], &operands[b])
+        };
         let mut overall = BlameComponents::default();
         let mut tail = BlameComponents::default();
         let mut per_class: BTreeMap<i16, BlameComponents> = BTreeMap::new();
@@ -703,7 +872,7 @@ impl BlameRecorder {
         // `LatencyStats::from_ns_samples`. Under `total_cmp` it is one
         // bit pattern, so selecting it reads what a full sort would.
         let threshold_ns = {
-            let mut latencies: Vec<f64> = requests.iter().map(|r| r.latency_ns).collect();
+            let mut latencies: Vec<f64> = requests.iter().map(|r| view(r).latency_ns).collect();
             if latencies.is_empty() {
                 f64::INFINITY
             } else {
@@ -712,13 +881,18 @@ impl BlameRecorder {
                 *latencies.select_nth_unstable_by(rank - 1, f64::total_cmp).1
             }
         };
-        for r in &requests {
-            overall.add(r);
+        for r in requests.iter().map(view) {
+            debug_assert_eq!(
+                r.components_sum(),
+                r.latency_ns,
+                "blame components must recompose bitwise"
+            );
+            overall.add(&r);
             if r.latency_ns >= threshold_ns {
-                tail.add(r);
+                tail.add(&r);
             }
-            per_class.entry(r.class).or_default().add(r);
-            per_instance.entry(r.instance).or_default().1.add(r);
+            per_class.entry(r.class).or_default().add(&r);
+            per_instance.entry(r.instance).or_default().1.add(&r);
             if r.busy_ns > 0.0 && r.blocker >= 0 {
                 let blocker_class = batches[r.blocker as usize].class;
                 let cell = blocking.entry((r.class, blocker_class)).or_default();
@@ -797,7 +971,7 @@ impl BlameRecorder {
                 .collect(),
             chains,
         };
-        BlameOutcome { classes, report, requests, batches }
+        BlameOutcome { classes, report, requests, batches, operands }
     }
 }
 
@@ -996,8 +1170,8 @@ mod tests {
     #[test]
     fn components_recompose_bitwise() {
         let out = blamed_example();
-        assert!(!out.requests.is_empty());
-        for r in &out.requests {
+        assert!(out.requests().len() > 0);
+        for r in out.requests() {
             assert_eq!(r.components_sum(), r.latency_ns, "req {}", r.id);
         }
     }
@@ -1015,10 +1189,9 @@ mod tests {
         let outcome = blamed(&cfg, true);
         let blame = outcome.blame.as_ref().expect("blame attached");
         let trace = outcome.trace.as_ref().expect("trace attached");
-        let completed: Vec<_> =
-            trace.requests.iter().filter(|r| r.outcome.is_completed()).collect();
-        assert_eq!(blame.requests.len(), completed.len());
-        for (b, rec) in blame.requests.iter().zip(completed) {
+        let completed: Vec<_> = trace.requests().filter(|r| r.outcome.is_completed()).collect();
+        assert_eq!(blame.requests().len(), completed.len());
+        for (b, rec) in blame.requests().zip(completed) {
             assert_eq!(b.id, rec.id);
             assert_eq!(b.arrive_ns, rec.arrive_ns);
             assert_eq!(b.latency_ns, rec.latency_ns());
@@ -1043,7 +1216,7 @@ mod tests {
     fn hold_is_bounded_by_the_window() {
         let out = blamed_example();
         let w = out.report.window_ns;
-        for r in &out.requests {
+        for r in out.requests() {
             assert!(r.hold_ns <= w * (1.0 + 1e-12), "hold {} > window {w}", r.hold_ns);
             assert!(r.hold_ns >= 0.0 && r.busy_ns >= 0.0);
             // Admission is an exact residual: non-negative up to
@@ -1077,7 +1250,7 @@ mod tests {
         let per_instance: u64 = out.report.per_instance.iter().map(|i| i.components.requests).sum();
         assert_eq!(per_class, out.report.overall.requests);
         assert_eq!(per_instance, out.report.overall.requests);
-        assert_eq!(out.report.overall.requests, out.requests.len() as u64);
+        assert_eq!(out.report.overall.requests, out.requests().len() as u64);
         assert!(out.report.tail.requests >= 1);
         assert!(out.report.tail.requests <= out.report.overall.requests);
         let batches: u64 = out.report.per_instance.iter().map(|i| i.batches).sum();
@@ -1086,7 +1259,7 @@ mod tests {
 
     #[test]
     fn compact_rows_round_trip() {
-        let r = RequestBlame {
+        let r = BlameView {
             id: 7,
             class: 1,
             arrive_ns: 10.5,
@@ -1103,10 +1276,44 @@ mod tests {
             batch: 11,
             blocker: -1,
         };
-        assert_eq!(RequestBlame::from(<[f64; 15]>::from(r)), r);
+        assert_eq!(BlameView::from(<[f64; 15]>::from(r)), r);
         let json = serde_json::to_string(&r).expect("serializes");
         assert!(json.starts_with('['), "compact row encoding: {json}");
-        assert_eq!(serde_json::from_str::<RequestBlame>(&json).expect("parses"), r);
+        assert_eq!(serde_json::from_str::<BlameView>(&json).expect("parses"), r);
+    }
+
+    #[test]
+    fn a_request_record_keeps_24_bytes() {
+        // Class, instance, latency, the residuals, the phases and the
+        // blocker are recomputed from the batch row.
+        let size = std::mem::size_of::<RequestBlame>();
+        assert!(size <= 24, "{size} bytes");
+    }
+
+    #[test]
+    fn object_json_rejects_a_row_its_batch_does_not_derive() {
+        let out = blamed(&ServeConfig::example(), false).blame.expect("blame attached");
+        let dump = out.to_object_json();
+        // A request that waited on its instance, so that its busy time
+        // and blocker are not zero and −1.
+        let (index, id) = out
+            .requests()
+            .enumerate()
+            .find(|(_, r)| r.busy_ns > 0.0)
+            .map(|(i, r)| (i, r.id))
+            .expect("the example blocks a request on its instance");
+        for (field, k) in [("admission_ns", 4), ("hold_ns", 5), ("busy_ns", 6), ("blocker", 14)] {
+            let mut bad = dump.clone();
+            let Value::Map(top) = &mut bad else { panic!("an object") };
+            let (_, sidecar) = top.iter_mut().find(|(k, _)| k == BLAME_SIDECAR_KEY).expect("key");
+            let Value::Map(fields) = sidecar else { panic!("a map") };
+            let (_, rows) = fields.iter_mut().find(|(k, _)| k == "requests").expect("rows");
+            let Value::Seq(rows) = rows else { panic!("an array") };
+            let Value::Seq(row) = &mut rows[index] else { panic!("a number row") };
+            row[k] = Value::F64(row[k].as_f64().expect("a number") + 1.0);
+            let err = BlameOutcome::from_object_json(&bad).expect_err(field);
+            assert!(err.contains(&format!("request {id}: its {field}")), "{field}: {err}");
+        }
     }
 
     #[test]

@@ -75,9 +75,9 @@ pub mod trace;
 pub use arrival::{generate_open_loop, ArrivalProcess, ArrivalTrace, WorkloadMix};
 pub use batch::BatchPolicy;
 pub use blame::{
-    run_what_ifs, BatchBlame, BlameComponents, BlameOutcome, BlameReport, BlockedPair,
-    BlockingChain, ClassBlame, InstanceBlame, PhaseScale, RequestBlame, WhatIf, WhatIfReport,
-    WhatIfRow, BLAME_SIDECAR_KEY,
+    run_what_ifs, BatchBlame, BlameComponents, BlameOutcome, BlameReport, BlameView, BlockedPair,
+    BlockingChain, ClassBlame, InstanceBlame, PhaseScale, WhatIf, WhatIfReport, WhatIfRow,
+    BLAME_SIDECAR_KEY,
 };
 pub use control::{
     AutoscaleConfig, ClassShare, ControlConfig, ControlReport, DequeuePolicy, EdfPolicy,
@@ -106,5 +106,5 @@ pub use slo::{
 };
 pub use sweep::{grid, run_sweep, SweepCase, SweepResult};
 pub use trace::{
-    BatchTrace, RequestOutcome, RequestTrace, ServeTrace, SystemSample, TRACE_SIDECAR_KEY,
+    BatchTrace, RequestOutcome, RequestView, ServeTrace, SystemSample, TRACE_SIDECAR_KEY,
 };

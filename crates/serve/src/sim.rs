@@ -69,7 +69,7 @@ use crate::model::{ServiceModel, ServiceModelConfig, ServicePhase};
 use crate::profile::{phase, SimProfile, TIMING_STRIDE};
 use crate::request::{Request, RequestClass};
 use crate::slo::{order_key, ClassSloReport, LatencyStats, ServeReport};
-use crate::trace::{BatchTrace, RequestOutcome, RequestTrace, ServeTrace, SystemSample};
+use crate::trace::{BatchTrace, RequestOutcome, ServeTrace, SystemSample};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -77,6 +77,15 @@ use star_telemetry::{CounterId, GaugeId, HistogramId, Tally};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::time::Instant;
+
+/// The most arrivals one run may offer over its horizon: the arrival
+/// trace, the latency samples and the observers' records are reserved
+/// or grown from the offered load.
+pub const MAX_ARRIVALS: f64 = 1e8;
+
+/// The most instance slots one run may size: per-instance state is
+/// allocated for the fleet or the autoscaler's MAX, whichever is larger.
+pub const MAX_INSTANCE_SLOTS: usize = 65_536;
 
 /// Complete description of one serving experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -128,6 +137,33 @@ impl ServeConfig {
         }
     }
 
+    /// Checks the run's size against [`MAX_ARRIVALS`] and
+    /// [`MAX_INSTANCE_SLOTS`], the limits within which every simulation
+    /// allocates what it reserves.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the limit the configuration exceeds.
+    pub fn check_limits(&self) -> Result<(), String> {
+        let offered = self.arrival.offered_rps();
+        let arrivals = offered * (self.horizon_ns * 1e-9);
+        if arrivals > MAX_ARRIVALS {
+            return Err(format!(
+                "offered load {offered:e} rps over the {} ms horizon is {arrivals:e} arrivals, \
+                 above the limit of {MAX_ARRIVALS:e}",
+                self.horizon_ns / 1e6
+            ));
+        }
+        let slots = self.control.capacity(self.fleet);
+        if slots > MAX_INSTANCE_SLOTS {
+            return Err(format!(
+                "{slots} instance slots (the fleet or the autoscaler's MAX) exceed the limit of \
+                 {MAX_INSTANCE_SLOTS}"
+            ));
+        }
+        Ok(())
+    }
+
     fn validate(&self) {
         assert!(self.fleet > 0, "fleet must hold at least one instance");
         assert!(self.max_queue > 0, "queue bound must be positive");
@@ -136,6 +172,9 @@ impl ServeConfig {
             "deadline must be positive"
         );
         assert!(self.horizon_ns.is_finite() && self.horizon_ns > 0.0, "horizon must be positive");
+        if let Err(e) = self.check_limits() {
+            panic!("{e}");
+        }
         self.control.validate(self.fleet);
     }
 }
@@ -612,17 +651,11 @@ impl<'a> Sim<'a> {
     fn observe_terminal(&mut self, t: Terminal) {
         let tt = self.tick_if(self.trace.is_some());
         if let Some(trace) = self.trace.as_mut() {
-            trace.requests.push(RequestTrace {
-                id: t.id,
-                class: t.class,
-                outcome: t.outcome,
-                batch_size: t.ran.map_or(0, |(_, _, size)| size),
-                instance: t.ran.map(|(_, instance, _)| instance),
-                arrive_ns: t.arrive_ns,
-                latency_ns: t.finish_ns - t.arrive_ns,
-                // A completed request's batch is the one just pushed.
-                batch: t.ran.map(|_| trace.batches.len() - 1),
-            });
+            // A completed request's batch is the one just pushed, which
+            // holds its size and instance.
+            let batch = t.ran.map(|_| trace.batches.len() - 1);
+            let latency_ns = t.finish_ns - t.arrive_ns;
+            trace.push_request(t.id, t.class, t.outcome, t.arrive_ns, latency_ns, batch);
         }
         self.tock(phase::TRACE_EMIT, tt);
         if let Some(f) = self.flight.as_deref_mut() {
@@ -1274,7 +1307,8 @@ pub struct Observe {
 /// # Panics
 ///
 /// Panics on invalid configuration (zero fleet, non-positive deadline,
-/// horizon, or queue bound; unknown classes).
+/// horizon, or queue bound; unknown classes; a size past
+/// [`ServeConfig::check_limits`]).
 pub fn simulate(cfg: &ServeConfig) -> ServeReport {
     Sim::new(cfg, &Observe::default()).run().report
 }
@@ -1465,8 +1499,8 @@ mod tests {
         let trace = traced.trace.expect("trace requested");
         // Conservation: one root span per arrival, one invocation span
         // per batch; every tree satisfies the span invariants.
-        assert_eq!(trace.requests.len() as u64, report.arrivals);
-        let completed = trace.requests.iter().filter(|r| r.outcome.is_completed()).count();
+        assert_eq!(trace.requests().len() as u64, report.arrivals);
+        let completed = trace.requests().filter(|r| r.outcome.is_completed()).count();
         assert_eq!(completed as u64, report.completed);
         assert_eq!(trace.batches.len() as u64, report.batches);
         assert_eq!(trace.makespan_ns, report.makespan_ns);
@@ -1587,6 +1621,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "above the limit of 1e8")]
+    fn an_offered_load_past_the_arrival_limit_is_rejected() {
+        let cfg = ServeConfig { arrival: ArrivalProcess::poisson(1e308), ..ServeConfig::example() };
+        let _ = simulate(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the limit of 65536")]
+    fn a_fleet_past_the_instance_slot_limit_is_rejected() {
+        let _ = simulate(&ServeConfig { fleet: usize::MAX, ..ServeConfig::example() });
+    }
+
+    #[test]
     fn health_monitoring_is_observation_only() {
         // tests/observers.rs pins that the monitor perturbs nothing; this
         // checks its ledgers against the report.
@@ -1693,7 +1740,7 @@ mod tests {
         let p = full.profile.expect("profile requested");
         // One trace-emit interval per batch and per request.
         let trace = full.trace.expect("trace requested");
-        let emits = (trace.batches.len() + trace.requests.len()) as u64;
+        let emits = (trace.batches.len() + trace.requests().len()) as u64;
         assert_eq!(p.wall.stats(phase::TRACE_EMIT).calls, emits);
         assert_eq!(p.wall.stats(phase::HEALTH_DISPATCH).calls, p.work.batches_formed);
     }

@@ -27,7 +27,7 @@
 //! decomposition.
 
 use crate::request::RequestClass;
-use crate::trace::{RequestOutcome, ServeTrace};
+use crate::trace::{RequestOutcome, RequestView, ServeTrace};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -385,11 +385,8 @@ impl SloAnalysis {
         let policy = SloPolicy { target: 0.99, windows_ns: vec![1e6, 1e7, 5e7] };
         // Terminal events ordered by time (ties by request id): the
         // timeline the rolling windows slide over.
-        let mut events: Vec<(f64, u64, bool)> = trace
-            .requests
-            .iter()
-            .map(|r| (r.finish_ns(), r.id, r.outcome.is_violation()))
-            .collect();
+        let mut events: Vec<(f64, u64, bool)> =
+            trace.requests().map(|r| (r.finish_ns(), r.id, r.outcome.is_violation())).collect();
         events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
         let total = events.len() as u64;
@@ -417,8 +414,8 @@ impl SloAnalysis {
 
         // K slowest completed requests, slowest first (ties by id so the
         // table is deterministic). Only these K render their span trees.
-        let mut completed: Vec<&crate::trace::RequestTrace> =
-            trace.requests.iter().filter(|r| r.outcome.is_completed()).collect();
+        let mut completed: Vec<RequestView> =
+            trace.requests().filter(|r| r.outcome.is_completed()).collect();
         completed.sort_by(|a, b| b.latency_ns().total_cmp(&a.latency_ns()).then(a.id.cmp(&b.id)));
         let exemplars = completed
             .iter()
@@ -465,7 +462,7 @@ fn per_class_from_trace(trace: &ServeTrace) -> Vec<ClassSloReport> {
         latencies_ns: Vec<f64>,
     }
     let mut by_class: BTreeMap<RequestClass, Accum> = BTreeMap::new();
-    for r in &trace.requests {
+    for r in trace.requests() {
         let a = by_class.entry(r.class).or_default();
         a.arrivals += 1;
         match r.outcome {
@@ -663,7 +660,7 @@ mod tests {
 
     use crate::model::InvocationPhases;
     use crate::request::ModelKind;
-    use crate::trace::{BatchTrace, RequestTrace};
+    use crate::trace::BatchTrace;
 
     /// One request per `(finish, outcome)`, each 1 µs long unless
     /// rejected; a completed one runs alone in a 1 µs batch of pure
@@ -690,16 +687,8 @@ mod tests {
                     },
                 });
             }
-            trace.requests.push(RequestTrace {
-                id: i as u64,
-                class,
-                outcome,
-                batch_size: usize::from(completed),
-                instance: completed.then_some(0),
-                arrive_ns: finish_ns - dur,
-                latency_ns: dur,
-                batch: completed.then(|| trace.batches.len() - 1),
-            });
+            let batch = completed.then(|| trace.batches.len() - 1);
+            trace.push_request(i as u64, class, outcome, finish_ns - dur, dur, batch);
             trace.makespan_ns = trace.makespan_ns.max(finish_ns);
         }
         trace

@@ -3,17 +3,26 @@
 //! and a queue-depth / busy-instance timeseries sampler — everything the
 //! SLO monitor and the Perfetto export consume.
 //!
+//! # Records
+//!
+//! The event loop pushes one [`BatchTrace`] per finished batch and one
+//! 32-byte `RequestTrace` per terminal event. Each record keeps only
+//! what no other record of the run determines. A batch keeps its
+//! instance, class, size, dispatch time, the event loop's
+//! `finish − dispatch` and its [`InvocationPhases`]. A request keeps its
+//! id, arrival time, the event loop's `terminal − arrive`, its outcome,
+//! its class as a rank into the trace's class legend (classes in order
+//! of first terminal event) and, when it completed, the index of its
+//! batch as a `u32`. Its batch size and instance are its batch's, read
+//! when something asks: [`ServeTrace::requests`] joins each record with
+//! its batch into a [`RequestView`], the full row.
+//!
 //! # Span model
 //!
-//! The event loop pushes one [`RequestTrace`] per terminal event and one
-//! [`BatchTrace`] per finished batch. Both are `Copy` records of the
-//! event-time operands (`arrive`, `terminal − arrive`, `dispatch`,
-//! `finish − dispatch`) plus the batch's [`InvocationPhases`]; a
-//! completed request holds the index of its batch. Span trees exist only
-//! while something reads them — the sidecar writer,
-//! [`ServeTrace::to_chrome`], [`ServeTrace::validate`] and the SLO
-//! exemplars — and [`ServeTrace::request_span`] and [`BatchTrace::span`]
-//! are the only code that knows their shape.
+//! Span trees exist only while something reads them — the sidecar
+//! writer, [`ServeTrace::to_chrome`], [`ServeTrace::validate`] and the
+//! SLO exemplars — and [`ServeTrace::request_span`] and
+//! [`BatchTrace::span`] are the only code that knows their shape.
 //!
 //! Every request renders to exactly one root [`Span`] (category
 //! `"request"`, named `req{id} {class}`) covering arrival → terminal
@@ -44,11 +53,12 @@
 //! queue child's `dispatch − arrive`, the phases laid end to end from
 //! dispatch), so the serialized trace is a pure function of the
 //! [`crate::ServeConfig`]. Reading a sidecar back inverts the rendering:
-//! [`ServeTrace::from_object_json`] rebuilds each record from its spans
-//! and rejects the file, naming the request or batch, when a span does
-//! not re-render to the same bits. The CI byte-diff legs rerun
-//! `star_cli serve --trace` under different `STAR_EXEC_THREADS` values
-//! and `diff` the files.
+//! [`ServeTrace::from_object_json`] rebuilds each record from its row
+//! and spans, and rejects the file, naming the request or batch, when a
+//! span does not re-render to the same bits or a row's batch size or
+//! instance is not its batch's (0 and none for a request that never
+//! ran). The CI byte-diff legs rerun `star_cli serve --trace` under
+//! different `STAR_EXEC_THREADS` values and `diff` the files.
 //!
 //! # Perfetto layout
 //!
@@ -111,11 +121,29 @@ impl RequestOutcome {
     }
 }
 
-/// One request's closed lifecycle as a fixed-size record. Its span tree
-/// is rendered from the record when something reads it
-/// ([`ServeTrace::request_span`]).
+/// `RequestTrace::batch` of a request that ran in no batch.
+const NO_BATCH: u32 = u32::MAX;
+
+/// One request's closed lifecycle as the trace stores it: the fields no
+/// other record of the run determines (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RequestTrace {
+pub(crate) struct RequestTrace {
+    id: u64,
+    arrive_ns: f64,
+    latency_ns: f64,
+    /// Index into [`ServeTrace::batches`] of the batch it ran in, or
+    /// [`NO_BATCH`].
+    batch: u32,
+    /// Rank into [`ServeTrace`]'s class legend.
+    class: u16,
+    outcome: RequestOutcome,
+}
+
+/// One request's full row, joined from its record and its batch's when
+/// read ([`ServeTrace::requests`]). Its span tree is rendered from it by
+/// [`ServeTrace::request_span`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RequestView {
     /// Request id (arrival order).
     pub id: u64,
     /// Batching class.
@@ -137,7 +165,7 @@ pub struct RequestTrace {
     pub batch: Option<usize>,
 }
 
-impl RequestTrace {
+impl RequestView {
     /// Arrival → terminal-event duration, ns.
     pub fn latency_ns(&self) -> f64 {
         self.latency_ns
@@ -217,8 +245,11 @@ pub struct ServeTrace {
     pub deadline_ns: f64,
     /// Time of the last event, ns.
     pub makespan_ns: f64,
-    /// One entry per arrival, in terminal-event order.
-    pub requests: Vec<RequestTrace>,
+    /// The classes the request records rank into, in order of first
+    /// terminal event.
+    classes: Vec<RequestClass>,
+    /// One record per arrival, in terminal-event order.
+    requests: Vec<RequestTrace>,
     /// One entry per dispatched batch, in completion order.
     pub batches: Vec<BatchTrace>,
     /// Queue-depth / busy-instance timeseries (one sample per distinct
@@ -238,10 +269,73 @@ impl ServeTrace {
             fleet,
             deadline_ns,
             makespan_ns: 0.0,
+            classes: Vec::new(),
             requests: Vec::new(),
             batches: Vec::new(),
             samples: Vec::new(),
             health: Vec::new(),
+        }
+    }
+
+    /// Appends one request's record: a completed request names the index
+    /// of its batch in [`ServeTrace::batches`], any other `None`.
+    ///
+    /// # Panics
+    ///
+    /// Panics past 65 536 classes or 2³² − 1 batches; a run within
+    /// [`crate::sim::MAX_ARRIVALS`] stays far below both.
+    pub(crate) fn push_request(
+        &mut self,
+        id: u64,
+        class: RequestClass,
+        outcome: RequestOutcome,
+        arrive_ns: f64,
+        latency_ns: f64,
+        batch: Option<usize>,
+    ) {
+        let rank = match self.classes.iter().position(|&c| c == class) {
+            Some(rank) => rank,
+            None => {
+                self.classes.push(class);
+                self.classes.len() - 1
+            }
+        };
+        let batch = batch.map_or(NO_BATCH, |b| {
+            u32::try_from(b).ok().filter(|&b| b != NO_BATCH).expect("batch index fits in u32")
+        });
+        self.requests.push(RequestTrace {
+            id,
+            arrive_ns,
+            latency_ns,
+            batch,
+            class: u16::try_from(rank).expect("class rank fits in u16"),
+            outcome,
+        });
+    }
+
+    /// Every request's full row, in terminal-event order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when reading a completed request whose batch is no longer
+    /// in [`ServeTrace::batches`].
+    pub fn requests(&self) -> impl ExactSizeIterator<Item = RequestView> + '_ {
+        self.requests.iter().map(|r| self.view(r))
+    }
+
+    /// `r` joined with its batch's record.
+    fn view(&self, r: &RequestTrace) -> RequestView {
+        let batch = (r.batch != NO_BATCH).then_some(r.batch as usize);
+        let ran = batch.map(|b| &self.batches[b]);
+        RequestView {
+            id: r.id,
+            class: self.classes[usize::from(r.class)],
+            outcome: r.outcome,
+            batch_size: ran.map_or(0, |b| b.size),
+            instance: ran.map(|b| b.instance),
+            arrive_ns: r.arrive_ns,
+            latency_ns: r.latency_ns,
+            batch,
         }
     }
 
@@ -253,7 +347,7 @@ impl ServeTrace {
     ///
     /// Panics if `r` completed but does not index one of
     /// [`ServeTrace::batches`].
-    pub fn request_span(&self, r: &RequestTrace) -> Span {
+    pub fn request_span(&self, r: &RequestView) -> Span {
         let root =
             Span::leaf(format!("req{} {}", r.id, r.class), "request", r.arrive_ns, r.latency_ns);
         match r.outcome {
@@ -281,8 +375,8 @@ impl ServeTrace {
     ///
     /// Returns the first invariant violation found.
     pub fn validate(&self) -> Result<(), String> {
-        for r in &self.requests {
-            self.request_span(r).validate().map_err(|e| format!("request {}: {e}", r.id))?;
+        for r in self.requests() {
+            self.request_span(&r).validate().map_err(|e| format!("request {}: {e}", r.id))?;
         }
         for (i, b) in self.batches.iter().enumerate() {
             b.span().validate().map_err(|e| format!("batch {i}: {e}"))?;
@@ -299,8 +393,8 @@ impl ServeTrace {
         for i in 0..self.fleet {
             t.name_process(100 + i as u64, format!("instance {i}"));
         }
-        for r in &self.requests {
-            self.request_span(r).emit_chrome(
+        for r in self.requests() {
+            self.request_span(&r).emit_chrome(
                 &mut t,
                 1,
                 r.id,
@@ -352,8 +446,9 @@ impl ServeTrace {
     /// # Errors
     ///
     /// Returns a message when the sidecar key is missing or malformed,
-    /// or when a request's or batch's span is not the one its record
-    /// renders (the message names it).
+    /// when a request's or batch's span is not the one its record
+    /// renders, or when a request's batch size or instance is not its
+    /// batch's (the message names the request or batch).
     pub fn from_object_json(v: &Value) -> Result<Self, String> {
         let sidecar = v
             .get(TRACE_SIDECAR_KEY)
@@ -363,8 +458,8 @@ impl ServeTrace {
     }
 }
 
-/// A [`RequestTrace`] as the sidecar stores it: the record's fields and
-/// its rendered span tree.
+/// A request as the sidecar stores it: its full row and its rendered
+/// span tree.
 #[derive(Serialize, Deserialize)]
 struct WireRequest {
     id: u64,
@@ -398,14 +493,14 @@ struct WireTrace {
 
 impl Serialize for ServeTrace {
     fn to_content(&self) -> Value {
-        let requests = self.requests.iter().map(|r| {
+        let requests = self.requests().map(|r| {
             WireRequest {
                 id: r.id,
                 class: r.class,
                 outcome: r.outcome,
                 batch_size: r.batch_size,
                 instance: r.instance,
-                span: self.request_span(r),
+                span: self.request_span(&r),
             }
             .to_content()
         });
@@ -434,13 +529,15 @@ impl Deserialize for ServeTrace {
 
 impl ServeTrace {
     /// Turns each wire span back into its record and keeps it only if
-    /// the record renders that span to the same bits. A completed request
-    /// finds its batch by instance and dispatch time.
+    /// the record renders that span to the same bits and its row's batch
+    /// size and instance are the ones its batch gives. A completed
+    /// request finds its batch by instance and dispatch time.
     fn from_wire(wire: WireTrace) -> Result<Self, String> {
         let mut trace = ServeTrace {
             fleet: wire.fleet,
             deadline_ns: wire.deadline_ns,
             makespan_ns: wire.makespan_ns,
+            classes: Vec::new(),
             requests: Vec::with_capacity(wire.requests.len()),
             batches: Vec::with_capacity(wire.batches.len()),
             samples: wire.samples,
@@ -489,26 +586,26 @@ impl ServeTrace {
                         r.id, r.class, r.batch_size
                     )
                 })?)
+            } else if r.batch_size != 0 || r.instance.is_some() {
+                return Err(format!(
+                    "request {}: {}, so it ran in no batch, yet its row gives batch size \
+                     {} and instance {:?}",
+                    r.id,
+                    r.outcome.as_str(),
+                    r.batch_size,
+                    r.instance
+                ));
             } else {
                 None
             };
-            let record = RequestTrace {
-                id: r.id,
-                class: r.class,
-                outcome: r.outcome,
-                batch_size: r.batch_size,
-                instance: r.instance,
-                arrive_ns: r.span.start_ns,
-                latency_ns: r.span.dur_ns,
-                batch,
-            };
-            if !same_bits(&trace.request_span(&record), &r.span) {
+            trace.push_request(r.id, r.class, r.outcome, r.span.start_ns, r.span.dur_ns, batch);
+            let view = trace.view(trace.requests.last().expect("just pushed"));
+            if !same_bits(&trace.request_span(&view), &r.span) {
                 return Err(format!(
                     "request {}: its span is not the one its record renders",
                     r.id
                 ));
             }
-            trace.requests.push(record);
         }
         Ok(trace)
     }
@@ -585,24 +682,18 @@ mod tests {
             dur_ns: 4000.0,
             phases,
         });
-        trace.requests.push(RequestTrace {
-            id: 0,
-            class,
-            outcome: RequestOutcome::Good,
-            batch_size: 2,
-            instance: Some(1),
-            arrive_ns: 0.0,
-            latency_ns: 5000.0,
-            batch: Some(0),
-        });
+        trace.push_request(0, class, RequestOutcome::Good, 0.0, 5000.0, Some(0));
         trace.samples.push(SystemSample { t_ns: 0.0, queued: 1, busy: 0 });
+        // The view reads the batch size and instance off the batch.
+        let view = trace.requests().next().expect("one request");
+        assert_eq!((view.batch_size, view.instance, view.batch), (2, Some(1), Some(0)));
         // The records render the request's tree: queued until dispatch,
         // then its batch's invocation span under the name `invoke`.
         let mut invoke = trace.batches[0].span();
         assert_eq!(invoke.name, format!("{class} x2"));
         invoke.name = "invoke".into();
         assert_eq!(
-            trace.request_span(&trace.requests[0]),
+            trace.request_span(&view),
             Span::leaf(format!("req0 {class}"), "request", 0.0, 5000.0)
                 .with_child(Span::leaf("queue", "queue", 0.0, 1000.0))
                 .with_child(invoke)
@@ -611,6 +702,48 @@ mod tests {
         assert!(obj.get("traceEvents").is_some(), "Perfetto needs traceEvents");
         let back = ServeTrace::from_object_json(&obj).expect("round trip");
         assert_eq!(back, trace);
+    }
+
+    #[test]
+    fn a_request_record_keeps_32_bytes() {
+        // Batch size and instance are read from the batch record; the
+        // class is a rank into the trace's legend.
+        let size = std::mem::size_of::<RequestTrace>();
+        assert!(size <= 32, "{size} bytes");
+    }
+
+    /// The `key` entry of a JSON map, for editing.
+    fn entry<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+        match v {
+            Value::Map(entries) => {
+                &mut entries.iter_mut().find(|(k, _)| k == key).expect("key present").1
+            }
+            other => panic!("expected a map holding `{key}`, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn from_object_json_rejects_a_batch_on_a_request_that_never_ran() {
+        let class = RequestClass::new(ModelKind::Tiny, 16);
+        let mut trace = ServeTrace::new(1, 1e6);
+        trace.push_request(4, class, RequestOutcome::Rejected, 10.0, 0.0, None);
+        trace.push_request(7, class, RequestOutcome::Expired, 20.0, 2e6, None);
+        let dump = trace.to_object_json();
+        assert_eq!(ServeTrace::from_object_json(&dump).expect("as written"), trace);
+        for (index, id) in [(0, 4), (1, 7)] {
+            type Edit = fn(&mut Value);
+            let sized: Edit = |row| *entry(row, "batch_size") = Value::U64(2);
+            let placed: Edit = |row| *entry(row, "instance") = Value::U64(0);
+            for (what, edit) in [("batch size", sized), ("instance", placed)] {
+                let mut bad = dump.clone();
+                match entry(entry(&mut bad, TRACE_SIDECAR_KEY), "requests") {
+                    Value::Seq(rows) => edit(&mut rows[index]),
+                    other => panic!("expected the request rows, got {other:?}"),
+                }
+                let err = ServeTrace::from_object_json(&bad).expect_err(what);
+                assert!(err.contains(&format!("request {id}:")), "{what}: {err}");
+            }
+        }
     }
 
     #[test]

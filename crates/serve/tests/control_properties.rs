@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use star_serve::{
     simulate, simulate_observed, ArrivalProcess, AutoscaleConfig, BatchPolicy, ControlConfig,
-    DequeuePolicy, ModelKind, Observe, PlacementPolicy, RequestClass, RequestTrace, ServeConfig,
+    DequeuePolicy, ModelKind, Observe, PlacementPolicy, RequestClass, RequestView, ServeConfig,
     ServiceModel, ServiceModelConfig, SimOutcome, WorkloadMix,
 };
 
@@ -24,9 +24,9 @@ fn class32() -> RequestClass {
 
 /// Every completed request of a traced run, with its batch's dispatch
 /// time, in completion order.
-fn dispatched(outcome: &SimOutcome) -> Vec<(RequestTrace, f64)> {
+fn dispatched(outcome: &SimOutcome) -> Vec<(RequestView, f64)> {
     let trace = outcome.trace.as_ref().expect("trace requested");
-    trace.requests.iter().filter_map(|r| Some((*r, trace.batches[r.batch?].dispatch_ns))).collect()
+    trace.requests().filter_map(|r| Some((r, trace.batches[r.batch?].dispatch_ns))).collect()
 }
 
 /// A two-class overloaded base: both classes stay backlogged, so the

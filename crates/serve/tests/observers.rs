@@ -193,10 +193,9 @@ fn conservation_and_structure_hold_across_the_gallery() {
         let outcome = simulate_observed(&cfg, &observe(TRACE | PROFILE | BLAME));
         let blame = outcome.blame.as_ref().expect("blame");
         let trace = outcome.trace.as_ref().expect("trace");
-        let completed: Vec<_> =
-            trace.requests.iter().filter(|r| r.outcome.is_completed()).collect();
-        assert_eq!(blame.requests.len(), completed.len(), "{name}");
-        for (b, rec) in blame.requests.iter().zip(completed) {
+        let completed: Vec<_> = trace.requests().filter(|r| r.outcome.is_completed()).collect();
+        assert_eq!(blame.requests().len(), completed.len(), "{name}");
+        for (b, rec) in blame.requests().zip(completed) {
             assert_eq!(b.components_sum(), b.latency_ns, "{name}: req {}", b.id);
             assert_eq!(b.latency_ns, rec.latency_ns(), "{name}: req {}", b.id);
         }
@@ -278,7 +277,7 @@ proptest! {
         cfg.policy = BatchPolicy::new(max_batch, window_us * 1e3);
         let outcome = simulate_observed(&cfg, &observe(BLAME));
         let blame = outcome.blame.as_ref().expect("blame");
-        for b in &blame.requests {
+        for b in blame.requests() {
             prop_assert_eq!(b.components_sum(), b.latency_ns);
             prop_assert!(b.hold_ns <= cfg.policy.window_ns * (1.0 + 1e-12));
             prop_assert!(b.hold_ns >= 0.0 && b.busy_ns >= 0.0);

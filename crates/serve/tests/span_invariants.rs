@@ -55,19 +55,19 @@ fn root_span_conservation() {
     let trace = outcome.trace.expect("trace requested");
     let r = &outcome.report;
     // Exactly one closed root span per arrival …
-    assert_eq!(trace.requests.len() as u64, r.arrivals);
+    assert_eq!(trace.requests().len() as u64, r.arrivals);
     // … partitioned by outcome exactly as the report counts them.
-    let count = |outcome| trace.requests.iter().filter(|t| t.outcome == outcome).count() as u64;
+    let count = |outcome| trace.requests().filter(|t| t.outcome == outcome).count() as u64;
     assert_eq!(count(RequestOutcome::Good), r.good);
     assert_eq!(count(RequestOutcome::Late), r.late);
     assert_eq!(count(RequestOutcome::Expired), r.expired);
     assert_eq!(count(RequestOutcome::Rejected), r.rejected);
     assert!(r.good > 0 && r.late + r.expired + r.rejected > 0, "config exercises failures");
     // Request ids are unique (no double-closed span).
-    let mut ids: Vec<u64> = trace.requests.iter().map(|t| t.id).collect();
+    let mut ids: Vec<u64> = trace.requests().map(|t| t.id).collect();
     ids.sort_unstable();
     ids.dedup();
-    assert_eq!(ids.len(), trace.requests.len());
+    assert_eq!(ids.len(), trace.requests().len());
     // One invocation span per dispatched batch, members summing to the
     // completed count.
     assert_eq!(trace.batches.len() as u64, r.batches);
@@ -83,15 +83,15 @@ fn span_durations_reconcile_with_lifecycle_records() {
     let outcome = simulate_observed(&stress_config(), &observe);
     let trace = outcome.trace.expect("trace requested");
     let blame = outcome.blame.expect("blame requested");
-    let completed: Vec<_> = trace.requests.iter().filter(|t| t.outcome.is_completed()).collect();
-    assert_eq!(completed.len(), blame.requests.len());
+    let completed: Vec<_> = trace.requests().filter(|t| t.outcome.is_completed()).collect();
+    assert_eq!(completed.len(), blame.requests().len());
     assert_eq!(trace.batches.len(), blame.batches.len());
-    for (t, rec) in completed.into_iter().zip(&blame.requests) {
+    for (t, rec) in completed.into_iter().zip(blame.requests()) {
         assert_eq!(t.id, rec.id);
         let batch_index = t.batch.expect("completed requests index their batch");
         assert_eq!(rec.batch, batch_index as u64);
         let rec_batch = &blame.batches[batch_index];
-        let span = trace.request_span(t);
+        let span = trace.request_span(&t);
         // Root span == end-to-end latency, bit for bit (both are the
         // same event-time subtraction).
         assert_eq!(span.start_ns, rec.arrive_ns);

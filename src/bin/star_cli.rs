@@ -353,7 +353,7 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
         write_json(&path, &trace.to_object_json())?;
         out += &format!(
             "  trace: {} root spans, {} batch spans, {} samples -> {} (open in https://ui.perfetto.dev)\n",
-            trace.requests.len(),
+            trace.requests().len(),
             trace.batches.len(),
             trace.samples.len(),
             path.display()
@@ -400,7 +400,7 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
         out += &format!(
             "  blame dump: {} requests, {} batches -> {} (open in https://ui.perfetto.dev; \
              tables ride in the `{BLAME_SIDECAR_KEY}` sidecar)\n",
-            blame.requests.len(),
+            blame.requests().len(),
             blame.batches.len(),
             path.display()
         );
@@ -675,36 +675,14 @@ fn cmd_control(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The most arrivals one `serve` or `control` run may offer: the arrival
-/// trace and the latency samples are reserved from the offered load.
-const MAX_ARRIVALS: f64 = 1e8;
-
-/// The most instance slots one run may size: per-instance state is
-/// allocated for the fleet or the autoscaler's MAX, whichever is larger.
-const MAX_INSTANCE_SLOTS: usize = 65_536;
-
 /// Simulates `cfg` with `observe` attached, the one path of `serve` and
-/// `control`, after rejecting an operating point past the limits above.
+/// `control`, after rejecting an operating point past star-serve's size
+/// limits ([`star::serve::ServeConfig::check_limits`]).
 fn simulate_point(
     cfg: &star::serve::ServeConfig,
     observe: &star::serve::Observe,
 ) -> Result<star::serve::SimOutcome, String> {
-    let offered = cfg.arrival.offered_rps();
-    let arrivals = offered * (cfg.horizon_ns * 1e-9);
-    if arrivals > MAX_ARRIVALS {
-        return Err(format!(
-            "offered load {offered:e} rps over the {} ms horizon is {arrivals:e} arrivals, \
-             above the limit of {MAX_ARRIVALS:e}",
-            cfg.horizon_ns / 1e6
-        ));
-    }
-    let slots = cfg.control.capacity(cfg.fleet);
-    if slots > MAX_INSTANCE_SLOTS {
-        return Err(format!(
-            "{slots} instance slots (the fleet or the autoscaler's MAX) exceed the limit of \
-             {MAX_INSTANCE_SLOTS}"
-        ));
-    }
+    cfg.check_limits()?;
     Ok(star::serve::simulate_observed(cfg, observe))
 }
 
@@ -996,7 +974,7 @@ fn cmd_trace_analyze(args: &[String]) -> Result<(), String> {
         let blame = BlameOutcome::from_object_json(&value)?;
         println!(
             "{path}: blame dump ({} requests, {} batches, {} classes, p99 {:.3} ms)",
-            blame.requests.len(),
+            blame.requests().len(),
             blame.batches.len(),
             blame.classes.len(),
             blame.report.p99_latency_ms
@@ -1035,7 +1013,7 @@ fn cmd_trace_analyze(args: &[String]) -> Result<(), String> {
         trace.fleet,
         trace.deadline_ns / 1e6,
         trace.makespan_ns / 1e6,
-        trace.requests.len(),
+        trace.requests().len(),
         trace.batches.len()
     );
     print!("{}", render_slo_analysis(&SloAnalysis::from_trace(&trace, k)));
@@ -1301,7 +1279,7 @@ mod tests {
         let value: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
         assert!(value.get("traceEvents").is_some(), "Perfetto object form");
         let blame = star::serve::BlameOutcome::from_object_json(&value).expect("sidecar");
-        for b in &blame.requests {
+        for b in blame.requests() {
             assert_eq!(b.components_sum(), b.latency_ns, "conservation survives the round trip");
         }
         cmd_trace_analyze(std::slice::from_ref(&path)).expect("trace-analyze dispatch");
@@ -1394,7 +1372,8 @@ mod tests {
         let text = std::fs::read_to_string(&path).expect("trace written");
         let dump: Value = serde_json::from_str(&text).expect("valid JSON");
         let trace = ServeTrace::from_object_json(&dump).expect("the written dump reads back");
-        assert!(trace.requests[0].outcome.is_completed());
+        let ids: Vec<u64> = trace.requests().map(|r| r.id).collect();
+        assert!(trace.requests().next().expect("a request").outcome.is_completed());
         // Each edit leaves a span the trace's records could not have
         // rendered; both readers must refuse it and name the request.
         type Edit = fn(&mut Value);
@@ -1408,7 +1387,7 @@ mod tests {
             *dur = Value::F64(dur.as_f64().expect("number") + 1.0);
         };
         let rename_root: Edit = |span| *entry(span, "name") = Value::Str("renamed".into());
-        let last = trace.requests.len() - 1;
+        let last = ids.len() - 1;
         for (what, index, edit) in [
             ("invoke start shifted by 1 ns", 0, shift_invoke),
             ("projection phase 1 ns longer", 0, lengthen_phase),
@@ -1417,7 +1396,7 @@ mod tests {
             let mut bad = dump.clone();
             let requests = entry(entry(&mut bad, TRACE_SIDECAR_KEY), "requests");
             edit(entry(element(requests, index), "span"));
-            let id = format!("request {}:", trace.requests[index].id);
+            let id = format!("request {}:", ids[index]);
             let err = ServeTrace::from_object_json(&bad).expect_err(what);
             assert!(err.contains(&id), "{what}: {err}");
             std::fs::write(&path, serde_json::to_string(&bad).expect("serialize"))

@@ -35,4 +35,4 @@ mod rram;
 pub use accelerator::{gops_per_watt, Accelerator, PerfReport};
 pub use gpu::{GpuBreakdown, GpuModel};
 pub use matmul_engine::{MatMulEngine, MatMulEngineConfig};
-pub use rram::{RramAccelerator, WriteModel};
+pub use rram::{LayerCost, RramAccelerator, WriteModel};

@@ -15,9 +15,10 @@ use crate::matmul_engine::{MatMulEngine, MatMulEngineConfig};
 use serde::{Deserialize, Serialize};
 use star_attention::AttentionConfig;
 use star_core::{
-    attention_pipeline_latency, CmosBaselineSoftmax, PipelineMode, RowStageLatency, SoftmaxEngine,
-    StarSoftmax, StarSoftmaxConfig,
+    attention_pipeline_latency, BuildStarError, CmosBaselineSoftmax, PipelineMode, RowStageLatency,
+    SoftmaxEngine, StarSoftmax, StarSoftmaxConfig,
 };
+use star_crossbar::OpCost;
 use star_device::{Energy, Latency, Power};
 use star_fixed::QFormat;
 use std::fmt;
@@ -54,6 +55,21 @@ impl WriteModel {
     }
 }
 
+/// One attention layer's price on a design before its rows are
+/// pipelined: what [`Accelerator::evaluate`] composes into a report and
+/// what a serving model batches.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LayerCost {
+    /// The four projection GEMMs (`n × d · d`), run as sequential phases.
+    pub projection: OpCost,
+    /// Per-row stage latencies: `QKᵀ`, softmax over the replicated
+    /// engines, `P·V`.
+    pub stages: RowStageLatency,
+    /// Dynamic energy of the attention core: every row of every head
+    /// through all three stages.
+    pub core_energy: Energy,
+}
+
 /// Which softmax hardware an RRAM accelerator carries.
 enum SoftmaxUnit {
     /// A shared digital CMOS softmax (PipeLayer / ReTransformer).
@@ -63,7 +79,7 @@ enum SoftmaxUnit {
 }
 
 impl SoftmaxUnit {
-    fn row_cost(&self, n: usize) -> star_crossbar::OpCost {
+    fn row_cost(&self, n: usize) -> OpCost {
         match self {
             SoftmaxUnit::Cmos(u) => u.row_cost(n),
             SoftmaxUnit::Star(u) => u.row_cost(n),
@@ -159,21 +175,24 @@ impl RramAccelerator {
     /// the MatMul row rate at negligible area cost) and the vector-grained
     /// pipeline.
     pub fn star() -> Self {
-        Self::star_with(QFormat::MRPC, 10)
+        Self::star_with(QFormat::MRPC, 10).expect("paper formats build valid engines")
     }
 
-    /// STAR with an explicit softmax format and engine replication (used
-    /// by the ablations).
+    /// STAR with an explicit softmax format and engine replication (the
+    /// serving model's operating point).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildStarError`] if the engine cannot be built for the
+    /// format.
     ///
     /// # Panics
     ///
-    /// Panics if `softmax_units` is zero or the engine cannot be built for
-    /// the format.
-    pub fn star_with(format: QFormat, softmax_units: usize) -> Self {
+    /// Panics if `softmax_units` is zero.
+    pub fn star_with(format: QFormat, softmax_units: usize) -> Result<Self, BuildStarError> {
         assert!(softmax_units > 0, "need at least one softmax engine");
-        let engine = StarSoftmax::new(StarSoftmaxConfig::new(format))
-            .expect("paper formats build valid engines");
-        RramAccelerator {
+        let engine = StarSoftmax::new(StarSoftmaxConfig::new(format))?;
+        Ok(RramAccelerator {
             name: format!("star-{}bit", format.total_bits()),
             matmul: MatMulEngine::new(MatMulEngineConfig::paper()),
             softmax: SoftmaxUnit::Star(Box::new(engine)),
@@ -181,7 +200,7 @@ impl RramAccelerator {
             pipeline: PipelineMode::VectorGrained,
             writes: None,
             background_power: Power::from_watts(BACKGROUND_POWER_W),
-        }
+        })
     }
 
     /// A STAR variant with a different pipeline mode (ablation A1).
@@ -195,6 +214,24 @@ impl RramAccelerator {
     /// The MatMul engine model.
     pub fn matmul_engine(&self) -> &MatMulEngine {
         &self.matmul
+    }
+
+    /// One attention layer's projections, row stages and core energy at
+    /// `config` (heads run on parallel array banks and per-head softmax
+    /// paths, identically for all designs).
+    pub fn layer_cost(&self, config: &AttentionConfig) -> LayerCost {
+        let n = config.seq_len;
+        let d = config.d_model;
+        let dh = config.d_head();
+        let qk = self.matmul.row_cost(dh, n);
+        let av = self.matmul.row_cost(n, dh);
+        let sm = self.softmax.row_cost(n);
+        let softmax = sm.latency * (1.0 / self.softmax_units as f64);
+        LayerCost {
+            projection: self.matmul.gemm_cost(n, d, d).repeat(4),
+            stages: RowStageLatency::new(qk.latency, softmax, av.latency),
+            core_energy: (qk.energy + av.energy + sm.energy) * (n as f64) * config.num_heads as f64,
+        }
     }
 
     /// Crossbar program cycles on the hottest cell per attention layer:
@@ -294,22 +331,10 @@ impl Accelerator for RramAccelerator {
 
     fn evaluate(&self, config: &AttentionConfig) -> PerfReport {
         let n = config.seq_len;
-        let d = config.d_model;
         let dh = config.d_head();
         let heads = config.num_heads as f64;
-
-        // Projections: 4 GEMMs of n×d·d, sequential phases.
-        let proj = self.matmul.gemm_cost(n, d, d).repeat(4);
-
-        // Attention core, per head (heads run on parallel array banks and
-        // per-head softmax paths, identically for all designs).
-        let qk_row = self.matmul.row_cost(dh, n);
-        let av_row = self.matmul.row_cost(n, dh);
-        let sm_row = self.softmax.row_cost(n);
-        let sm_stage_latency = sm_row.latency * (1.0 / self.softmax_units as f64);
-        let stages = RowStageLatency::new(qk_row.latency, sm_stage_latency, av_row.latency);
+        let LayerCost { projection: proj, stages, core_energy } = self.layer_cost(config);
         let core_latency = attention_pipeline_latency(n, stages, self.pipeline);
-        let core_energy = (qk_row.energy + av_row.energy + sm_row.energy) * (n as f64) * heads;
 
         // Intermediate RRAM writes (PipeLayer): K, V, and the score matrix
         // per head; heads program in parallel banks.
@@ -330,12 +355,12 @@ impl Accelerator for RramAccelerator {
 
         // Softmax's serialized contribution to the end-to-end time.
         let softmax_latency = match self.pipeline {
-            PipelineMode::Unpipelined | PipelineMode::OperandGrained => sm_stage_latency * n as f64,
+            PipelineMode::Unpipelined | PipelineMode::OperandGrained => stages.softmax * n as f64,
             PipelineMode::VectorGrained => {
                 // Only exposed if softmax is the bottleneck stage.
                 let bottleneck = stages.bottleneck();
-                if sm_stage_latency.value() >= bottleneck.value() {
-                    sm_stage_latency * n as f64
+                if stages.softmax.value() >= bottleneck.value() {
+                    stages.softmax * n as f64
                 } else {
                     Latency::ZERO
                 }
@@ -350,7 +375,7 @@ impl Accelerator for RramAccelerator {
             total_energy,
             avg_power: total_energy / latency,
             efficiency_gops_per_watt: gops_per_watt(ops, total_energy),
-            matmul_latency: proj.latency + (qk_row.latency + av_row.latency) * n as f64,
+            matmul_latency: proj.latency + (stages.qk + stages.av) * n as f64,
             softmax_latency,
             write_latency,
         }
@@ -429,8 +454,8 @@ mod tests {
 
     #[test]
     fn more_softmax_units_help_until_balanced() {
-        let one = RramAccelerator::star_with(QFormat::MRPC, 1).evaluate(&cfg());
-        let eight = RramAccelerator::star_with(QFormat::MRPC, 8).evaluate(&cfg());
+        let one = RramAccelerator::star_with(QFormat::MRPC, 1).expect("builds").evaluate(&cfg());
+        let eight = RramAccelerator::star_with(QFormat::MRPC, 8).expect("builds").evaluate(&cfg());
         assert!(eight.latency <= one.latency);
     }
 

@@ -170,18 +170,16 @@ pub struct TelemetrySidecar {
 /// point: BERT-base row stage latencies at sequence length 128 with the
 /// MRPC q5.3 STAR softmax engine.
 pub fn paper_point_utilization() -> Vec<star_core::UtilizationReport> {
-    use star_core::SoftmaxEngine;
     let seq = 128;
-    let engine =
-        star_core::StarSoftmax::new(star_core::StarSoftmaxConfig::new(star_fixed::QFormat::MRPC))
-            .expect("paper configuration builds");
-    let matmul = star_arch::MatMulEngine::new(star_arch::MatMulEngineConfig::paper());
-    let dh = star_attention::AttentionConfig::bert_base(seq).d_head();
+    let stages = star_arch::RramAccelerator::star_with(star_fixed::QFormat::MRPC, 1)
+        .expect("paper configuration builds")
+        .layer_cost(&star_attention::AttentionConfig::bert_base(seq))
+        .stages;
     let durations = star_core::RowDurations::uniform(
         seq,
-        matmul.row_cost(dh, seq).latency.value(),
-        engine.row_cost(seq).latency.value(),
-        matmul.row_cost(seq, dh).latency.value(),
+        stages.qk.value(),
+        stages.softmax.value(),
+        stages.av.value(),
     );
     star_core::PipelineMode::ALL
         .iter()

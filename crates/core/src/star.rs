@@ -347,34 +347,6 @@ impl StarSoftmax {
             + self.lut.ledger().energy()
             + self.vmm.ledger().energy()
     }
-
-    /// Cost of the exponential stage for one element: CAM search, then LUT
-    /// read overlapped with the counter increment.
-    pub fn exp_element_cost(&self) -> OpCost {
-        let counter = PeripheralLibrary::counter(self.counter_bits);
-        let counter_cost = OpCost::new(counter.energy_per_op(), counter.latency_per_op());
-        self.exp_cam.search_cost().then(self.lut.read_cost().alongside(counter_cost))
-    }
-
-    /// Cost of the one-shot histogram × exp-table VMM.
-    pub fn sum_cost(&self) -> OpCost {
-        self.vmm.vmm_cost(self.counter_bits)
-    }
-
-    /// Cost of the `n` pipelined divisions (one result per cycle after the
-    /// first).
-    pub fn divide_cost(&self, n: usize) -> OpCost {
-        let div = PeripheralLibrary::fixed_divider(self.config.exp_word_bits);
-        OpCost::new(
-            div.energy_per_op() * n as f64,
-            Latency::new(div.latency_per_op().value() + (n.saturating_sub(1)) as f64),
-        )
-    }
-
-    /// Cost of the final summation + division for a row of `n` elements.
-    pub fn normalize_cost(&self, n: usize) -> OpCost {
-        self.sum_cost().then(self.divide_cost(n))
-    }
 }
 
 impl RowSoftmax for StarSoftmax {
@@ -497,10 +469,20 @@ impl SoftmaxEngine for StarSoftmax {
     }
 
     fn row_cost(&self, n: usize) -> OpCost {
-        self.cam_sub
-            .stage1_cost(n)
-            .then(self.exp_element_cost().repeat(n as u64))
-            .then(self.normalize_cost(n))
+        // Per element: the exp CAM search, then the LUT read overlapped
+        // with the counter increment.
+        let counter = PeripheralLibrary::counter(self.counter_bits);
+        let counter_cost = OpCost::new(counter.energy_per_op(), counter.latency_per_op());
+        let exp = self.exp_cam.search_cost().then(self.lut.read_cost().alongside(counter_cost));
+        // Per row: the one-shot histogram × exp-table VMM, then `n`
+        // pipelined divisions (one result per cycle after the first).
+        let sum = self.vmm.vmm_cost(self.counter_bits);
+        let div = PeripheralLibrary::fixed_divider(self.config.exp_word_bits);
+        let divide = OpCost::new(
+            div.energy_per_op() * n as f64,
+            Latency::new(div.latency_per_op().value() + (n.saturating_sub(1)) as f64),
+        );
+        self.cam_sub.stage1_cost(n).then(exp.repeat(n as u64)).then(sum.then(divide))
     }
 
     fn format(&self) -> Option<QFormat> {

@@ -6,7 +6,8 @@
 //! ordered queue, so byte-identical replay survives any
 //! `STAR_EXEC_THREADS`. The decision inputs are
 //! exact integers maintained in event order: the global queue depth and
-//! per-class violation/completion counts accumulated since the previous
+//! each class's good and violated outcomes since the previous check,
+//! read as the class table's running totals less those seen at that
 //! check (the in-loop analogue of `slo.rs`'s post-hoc burn-rate
 //! windows). No RNG is consumed anywhere.
 //!
@@ -17,9 +18,7 @@
 //! history, so the scale-event timeline is as replayable as the rest of
 //! the run.
 
-use crate::request::RequestClass;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Configuration of the deterministic autoscaler.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -109,13 +108,6 @@ pub struct ScaleEvent {
     pub burn_hot: bool,
 }
 
-/// Per-class outcome counts accumulated between two scale checks.
-#[derive(Debug, Clone, Copy, Default)]
-struct IntervalCounts {
-    completed: u64,
-    violated: u64,
-}
-
 /// What a scale check decided (before the simulator attempts it).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ScaleDecision {
@@ -123,16 +115,18 @@ pub(crate) struct ScaleDecision {
     pub(crate) burn_hot: bool,
 }
 
-/// Runtime state of the autoscaler: active flags, the decision counters,
-/// the timeline, and the active-instance time integral behind the
-/// instance-seconds cost figure.
+/// Runtime state of the autoscaler: active flags, each class's outcome
+/// totals at the last check, the timeline, and the active-instance time
+/// integral behind the instance-seconds cost figure.
 #[derive(Debug)]
 pub(crate) struct ScalerState {
     pub(crate) cfg: AutoscaleConfig,
     active: Vec<bool>,
     active_count: usize,
     last_action_ns: f64,
-    interval: BTreeMap<RequestClass, IntervalCounts>,
+    /// Per class-table row, the cumulative `(good, violated)` counts the
+    /// previous check read.
+    seen: Vec<(u64, u64)>,
     pub(crate) events: Vec<ScaleEvent>,
     /// `Σ active_count · dt` over all activity changes so far, ns.
     integral_ns: f64,
@@ -143,8 +137,13 @@ pub(crate) struct ScalerState {
 
 impl ScalerState {
     /// A scaler over `capacity` instance slots with the first
-    /// `initial_active` of them active.
-    pub(crate) fn new(cfg: AutoscaleConfig, capacity: usize, initial_active: usize) -> Self {
+    /// `initial_active` of them active, judging `classes` request classes.
+    pub(crate) fn new(
+        cfg: AutoscaleConfig,
+        capacity: usize,
+        initial_active: usize,
+        classes: usize,
+    ) -> Self {
         debug_assert!(initial_active >= 1 && initial_active <= capacity);
         let mut active = vec![false; capacity];
         for slot in active.iter_mut().take(initial_active) {
@@ -155,7 +154,7 @@ impl ScalerState {
             active,
             active_count: initial_active,
             last_action_ns: f64::NEG_INFINITY,
-            interval: BTreeMap::new(),
+            seen: vec![(0, 0); classes],
             events: Vec::new(),
             integral_ns: 0.0,
             last_change_ns: 0.0,
@@ -174,28 +173,27 @@ impl ScalerState {
         self.active_count
     }
 
-    /// Notes one completed request of `class` for the current interval.
-    pub(crate) fn note_completed(&mut self, class: RequestClass) {
-        self.interval.entry(class).or_default().completed += 1;
-    }
-
-    /// Notes one violation (late, expired, or rejected) of `class` for
-    /// the current interval.
-    pub(crate) fn note_violation(&mut self, class: RequestClass) {
-        self.interval.entry(class).or_default().violated += 1;
-    }
-
     /// Evaluates the scale decision at `now` with the current global
-    /// queue depth, then resets the interval counters. The caller
-    /// attempts the action and reports back via [`ScalerState::record`]
-    /// (a decision that cannot be executed — e.g. scale-down with no
-    /// idle instance — costs nothing and is retried next check).
-    pub(crate) fn decide(&mut self, now: f64, queued_total: usize) -> ScaleDecision {
-        let burn_hot = self.interval.values().any(|c| {
-            let outcomes = (c.completed + c.violated).max(1);
-            c.violated as f64 > self.cfg.slo_budget * outcomes as f64
-        });
-        self.interval.clear();
+    /// queue depth and each class's cumulative `(good, violated)` counts,
+    /// violated being late, expired or rejected, in class-table order.
+    /// A class burns hot when its outcomes since the previous check
+    /// violate more than the budget. The caller attempts the action and
+    /// reports back via [`ScalerState::record`] (a decision that cannot
+    /// be executed — e.g. scale-down with no idle instance — costs
+    /// nothing and is retried next check).
+    pub(crate) fn decide(
+        &mut self,
+        now: f64,
+        queued_total: usize,
+        totals: impl IntoIterator<Item = (u64, u64)>,
+    ) -> ScaleDecision {
+        let mut burn_hot = false;
+        for (seen, (good, violated)) in self.seen.iter_mut().zip(totals) {
+            let (good_since, violated_since) = (good - seen.0, violated - seen.1);
+            let outcomes = (good_since + violated_since).max(1);
+            burn_hot |= violated_since as f64 > self.cfg.slo_budget * outcomes as f64;
+            *seen = (good, violated);
+        }
         if now - self.last_action_ns < self.cfg.cooldown_ns {
             return ScaleDecision { direction: None, burn_hot };
         }
@@ -268,11 +266,6 @@ impl ScalerState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::ModelKind;
-
-    fn class() -> RequestClass {
-        RequestClass::new(ModelKind::Tiny, 16)
-    }
 
     #[test]
     fn config_defaults_validate() {
@@ -296,17 +289,17 @@ mod tests {
 
     #[test]
     fn queue_depth_drives_both_directions() {
-        let mut s = ScalerState::new(AutoscaleConfig::new(1, 4), 4, 2);
+        let mut s = ScalerState::new(AutoscaleConfig::new(1, 4), 4, 2, 0);
         // Deep queue scales up.
-        let d = s.decide(1e6, 50);
+        let d = s.decide(1e6, 50, []);
         assert_eq!(d.direction, Some(ScaleDirection::Up));
         s.record(1e6, ScaleDirection::Up, s.lowest_inactive().expect("slot"), 50, d.burn_hot);
         assert_eq!(s.active_count(), 3);
         assert!(s.is_active(2));
         // Cooldown suppresses the next decision.
-        assert!(s.decide(1.5e6, 50).direction.is_none());
+        assert!(s.decide(1.5e6, 50, []).direction.is_none());
         // Empty queue after cooldown scales down.
-        let d = s.decide(4e6, 0);
+        let d = s.decide(4e6, 0, []);
         assert_eq!(d.direction, Some(ScaleDirection::Down));
         s.record(4e6, ScaleDirection::Down, 2, 0, d.burn_hot);
         assert_eq!(s.active_count(), 2);
@@ -318,36 +311,33 @@ mod tests {
 
     #[test]
     fn burn_rate_triggers_scale_up_even_with_shallow_queue() {
-        let mut s = ScalerState::new(AutoscaleConfig::new(1, 4), 4, 1);
-        for _ in 0..95 {
-            s.note_completed(class());
-        }
-        for _ in 0..5 {
-            s.note_violation(class());
-        }
-        let d = s.decide(1e6, 0);
+        let mut s = ScalerState::new(AutoscaleConfig::new(1, 4), 4, 1, 2);
+        // A clean first interval is not hot.
+        assert!(!s.decide(1e6, 0, [(900, 0), (40, 0)]).burn_hot);
+        // 95 good and 5 violated since the last check in one class.
+        let d = s.decide(2e6, 0, [(995, 5), (40, 0)]);
         assert!(d.burn_hot, "5% violations burn a 1% budget");
         assert_eq!(d.direction, Some(ScaleDirection::Up));
-        // Counters reset each interval: a clean interval is not hot.
-        let d = s.decide(2e6, 0);
+        // Only outcomes since the last check count: none is not hot.
+        let d = s.decide(3e6, 0, [(995, 5), (40, 0)]);
         assert!(!d.burn_hot);
     }
 
     #[test]
     fn bounds_are_respected() {
-        let mut s = ScalerState::new(AutoscaleConfig::new(2, 3), 3, 2);
+        let mut s = ScalerState::new(AutoscaleConfig::new(2, 3), 3, 2, 0);
         // At min, an empty queue cannot scale down below min_instances.
-        assert!(s.decide(1e6, 0).direction.is_none());
-        let d = s.decide(4e6, 100);
+        assert!(s.decide(1e6, 0, []).direction.is_none());
+        let d = s.decide(4e6, 100, []);
         assert_eq!(d.direction, Some(ScaleDirection::Up));
         s.record(4e6, ScaleDirection::Up, 2, 100, false);
         // At max, a deep queue cannot scale further up.
-        assert!(s.decide(9e6, 100).direction.is_none());
+        assert!(s.decide(9e6, 100, []).direction.is_none());
     }
 
     #[test]
     fn integral_accumulates_instance_time() {
-        let mut s = ScalerState::new(AutoscaleConfig::new(1, 4), 4, 2);
+        let mut s = ScalerState::new(AutoscaleConfig::new(1, 4), 4, 2, 0);
         s.record(10.0, ScaleDirection::Up, 2, 9, false);
         s.record(30.0, ScaleDirection::Down, 2, 0, false);
         // 2 instances for 10 ns, 3 for 20 ns, then 2 until 100 ns.

@@ -18,18 +18,17 @@
 //!   paid once per batch — the dominant amortization lever, as in every
 //!   real serving stack.
 //!
-//! At `B = 1` the latency is exactly the `star-arch` single-layer
-//! evaluation plus the invocation overhead, so the serving layer and the
-//! paper harness agree on the hardware numbers by construction (a unit
-//! test pins this).
+//! The projection, row stages and core energy are the accelerator's own
+//! [`RramAccelerator::layer_cost`], the one computation `star-arch`'s
+//! evaluation also reads, and the background power is that evaluation's
+//! residual. At `B = 1` the latency is therefore exactly the `star-arch`
+//! single-layer evaluation plus the invocation overhead (a unit test pins
+//! this).
 
 use crate::request::RequestClass;
 use serde::{Deserialize, Serialize};
-use star_arch::{Accelerator, MatMulEngine, MatMulEngineConfig, RramAccelerator};
-use star_core::{
-    attention_pipeline_latency, PipelineMode, RowStageLatency, SoftmaxEngine, StarSoftmax,
-    StarSoftmaxConfig,
-};
+use star_arch::{Accelerator, RramAccelerator};
+use star_core::{attention_pipeline_latency, PipelineMode, RowStageLatency};
 use star_fixed::QFormat;
 use std::collections::BTreeMap;
 
@@ -214,53 +213,31 @@ impl ServiceModel {
     /// built for the format, or if `softmax_units` is zero.
     pub fn new(config: ServiceModelConfig, classes: &[RequestClass]) -> Self {
         assert!(!classes.is_empty(), "service model needs at least one class");
-        assert!(config.softmax_units > 0, "need at least one softmax engine");
         assert!(
             config.invoke_overhead_ns.is_finite() && config.invoke_overhead_ns >= 0.0,
             "invocation overhead must be finite and non-negative"
         );
-        let format = config.qformat();
-        let engine =
-            StarSoftmax::new(StarSoftmaxConfig::new(format)).expect("paper formats build engines");
-        let matmul = MatMulEngine::new(MatMulEngineConfig::paper());
-        let accelerator = RramAccelerator::star_with(format, config.softmax_units);
+        let accelerator = RramAccelerator::star_with(config.qformat(), config.softmax_units)
+            .expect("paper formats build engines");
         let mut map = BTreeMap::new();
         for &class in classes {
-            map.entry(class).or_insert_with(|| {
-                Self::class_service(&engine, &matmul, &accelerator, class, config.softmax_units)
-            });
+            map.entry(class).or_insert_with(|| Self::class_service(&accelerator, class));
         }
         ServiceModel { config, classes: map }
     }
 
-    fn class_service(
-        engine: &StarSoftmax,
-        matmul: &MatMulEngine,
-        accelerator: &RramAccelerator,
-        class: RequestClass,
-        units: usize,
-    ) -> ClassService {
+    fn class_service(accelerator: &RramAccelerator, class: RequestClass) -> ClassService {
         let cfg = class.config();
-        let n = cfg.seq_len;
-        let dh = cfg.d_head();
-        let d = cfg.d_model;
-        let qk = matmul.row_cost(dh, n);
-        let av = matmul.row_cost(n, dh);
-        let sm = engine.row_cost(n);
-        let stages =
-            RowStageLatency::new(qk.latency, sm.latency * (1.0 / units as f64), av.latency);
-        let proj = matmul.gemm_cost(n, d, d).repeat(4);
-        let heads = cfg.num_heads as f64;
-        let core_energy = (qk.energy + av.energy + sm.energy) * n as f64 * heads;
+        let layer = accelerator.layer_cost(&cfg);
         // Background power from the arch-level evaluation: the residual
-        // (total − dynamic) / latency, so the two layers cannot drift.
+        // (total − dynamic) / latency.
         let report = accelerator.evaluate(&cfg);
         let background_power_mw =
             (report.total_energy.value() - report.dynamic_energy.value()) / report.latency.value();
         ClassService {
-            stages,
-            per_request_fixed_ns: proj.latency.value(),
-            per_request_energy_pj: proj.energy.value() + core_energy.value(),
+            stages: layer.stages,
+            per_request_fixed_ns: layer.projection.latency.value(),
+            per_request_energy_pj: layer.projection.energy.value() + layer.core_energy.value(),
             background_power_mw,
         }
     }
@@ -405,6 +382,19 @@ mod tests {
             unit.latency_ns,
             expected
         );
+    }
+
+    #[test]
+    fn builds_one_engine() {
+        // The service model reads its prices from one STAR accelerator,
+        // so it programs the cells of exactly one softmax engine.
+        let class = RequestClass::new(ModelKind::BertBase, 128);
+        let writes = |snap: star_telemetry::Snapshot| snap.counters["device.rram.writes"];
+        let (_, served) = star_telemetry::with_scoped(|| model(&[class]));
+        let (_, engine) = star_telemetry::with_scoped(|| {
+            star_core::StarSoftmax::new(star_core::StarSoftmaxConfig::new(QFormat::MRPC))
+        });
+        assert_eq!(writes(served), writes(engine));
     }
 
     #[test]

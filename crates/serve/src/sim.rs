@@ -448,8 +448,11 @@ impl<'a> Sim<'a> {
         let trace = observe.trace.then(|| ServeTrace::new(capacity, cfg.deadline_ns));
         let format = cfg.service.qformat();
         let health = observe.health.map(|hc| HealthMonitor::new(hc, capacity, format));
-        let scaler =
-            cfg.control.autoscale.clone().map(|a| ScalerState::new(a, capacity, initial_active));
+        let scaler = cfg
+            .control
+            .autoscale
+            .clone()
+            .map(|a| ScalerState::new(a, capacity, initial_active, rows.len()));
         Sim {
             cfg,
             services,
@@ -672,9 +675,6 @@ impl<'a> Sim<'a> {
         self.tel.count(self.ids.arrived, 1);
         if self.queued_total >= self.cfg.max_queue {
             self.classes[row].rejected += 1;
-            if let Some(s) = self.scaler.as_mut() {
-                s.note_violation(req.class);
-            }
             self.tel.count(self.ids.rejected, 1);
             // A rejected request's whole lifecycle is one instant: an
             // arrival's event time is its `arrive_ns`.
@@ -741,14 +741,8 @@ impl<'a> Sim<'a> {
             acc.latency_keys.push(order_key(latency));
             if good {
                 acc.good += 1;
-                if let Some(s) = self.scaler.as_mut() {
-                    s.note_completed(req.class);
-                }
             } else {
                 acc.late += 1;
-                if let Some(s) = self.scaler.as_mut() {
-                    s.note_violation(req.class);
-                }
                 self.tel.count(self.ids.late, 1);
             }
             self.tel.count(self.ids.completed, 1);
@@ -770,17 +764,18 @@ impl<'a> Sim<'a> {
     }
 
     /// One autoscaler decision point: evaluate the scale rule from the
-    /// current queue depth and the per-class outcome counts accumulated
-    /// since the last check, execute the action if possible, and arm the
-    /// next check. Scale-up activates the lowest inactive slot and
-    /// immediately offers it to the dispatcher; scale-down drains the
-    /// highest *idle* active slot (never a busy one — if nothing is
-    /// idle the decision lapses and is re-evaluated next check). Checks
-    /// stop at the horizon so the drain phase terminates.
+    /// current queue depth and the class table's outcome totals, execute
+    /// the action if possible, and arm the next check. Scale-up activates
+    /// the lowest inactive slot and immediately offers it to the
+    /// dispatcher; scale-down drains the highest *idle* active slot
+    /// (never a busy one — if nothing is idle the decision lapses and is
+    /// re-evaluated next check). Checks stop at the horizon so the drain
+    /// phase terminates.
     fn on_scale_check(&mut self, now: f64) {
         let queued = self.queued_total;
+        let totals = self.classes.iter().map(|r| (r.good, r.late + r.rejected + r.expired));
         let scaler = self.scaler.as_mut().expect("scale check implies an autoscaler");
-        let decision = scaler.decide(now, queued);
+        let decision = scaler.decide(now, queued, totals);
         let interval = scaler.cfg.check_interval_ns;
         let mut scaled_up = false;
         match decision.direction {
@@ -1014,9 +1009,6 @@ impl<'a> Sim<'a> {
         }
         for req in dead {
             self.classes[row].expired += 1;
-            if let Some(s) = self.scaler.as_mut() {
-                s.note_violation(req.class);
-            }
             self.observe_terminal(Terminal::of(&req, RequestOutcome::Expired, now));
             self.client_think_and_reissue(req.client, now);
         }

@@ -8,7 +8,7 @@
 //! cargo run --bin star_cli -- fig3
 //! ```
 
-use star::arch::{Accelerator, GpuModel, MatMulEngine, MatMulEngineConfig, RramAccelerator};
+use star::arch::{Accelerator, GpuModel, RramAccelerator};
 use star::attention::{AttentionConfig, ExactSoftmax, RowSoftmax};
 use star::core::{
     pipeline_chrome_trace, CmosBaselineSoftmax, PipelineMode, RowDurations, Softermax,
@@ -246,16 +246,14 @@ fn parse_seq(arg: Option<&String>) -> Result<usize, String> {
 }
 
 /// Per-row stage durations for a BERT-base attention layer at the paper
-/// operating point: the ReTransformer-style MatMul engine for QKᵀ/PV and
-/// the STAR softmax engine at `format` for the middle stage.
+/// operating point: the row stages of a STAR accelerator with one softmax
+/// engine at `format`.
 fn paper_row_durations(format: QFormat, seq: usize) -> Result<RowDurations, String> {
-    let engine = StarSoftmax::new(StarSoftmaxConfig::new(format)).map_err(|e| e.to_string())?;
-    let matmul = MatMulEngine::new(MatMulEngineConfig::paper());
-    let dh = AttentionConfig::bert_base(seq).d_head();
-    let qk = matmul.row_cost(dh, seq).latency.value();
-    let av = matmul.row_cost(seq, dh).latency.value();
-    let sm = engine.row_cost(seq).latency.value();
-    Ok(RowDurations::uniform(seq, qk, sm, av))
+    let stages = RramAccelerator::star_with(format, 1)
+        .map_err(|e| e.to_string())?
+        .layer_cost(&AttentionConfig::bert_base(seq))
+        .stages;
+    Ok(RowDurations::uniform(seq, stages.qk.value(), stages.softmax.value(), stages.av.value()))
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), String> {
